@@ -19,94 +19,15 @@
 //! state). `MOSH_C100K_SESSIONS` (comma-separated) overrides the fleet
 //! sizes outright.
 
-use mosh_bench::{merge_bench_json, percentile_us};
-use mosh_core::{
-    Endpoint, HubSession, LineShell, MoshClient, MoshServer, Party, SessionEvent, SessionId,
-    ShardedHub,
-};
+use mosh_bench::{merge_bench_json, percentile_us, SendTimer};
+use mosh_core::{HubSession, LineShell, MoshClient, MoshServer, Party, SessionId, ShardedHub};
 use mosh_crypto::Base64Key;
 use mosh_net::{Addr, LinkConfig, Millis, Network, Side, SimChannel, SimPoller};
 use mosh_prediction::DisplayPreference;
-use mosh_ssp::datagram::Opened;
 use std::time::Instant;
 
 const C: Addr = Addr::new(1, 1000);
 const S: Addr = Addr::new(2, 60001);
-
-/// Wraps an active client endpoint to clock keystroke-to-wire latency:
-/// `keystroke` arms a wall-clock timer, and the first subsequent tick
-/// that emits a datagram stops it. What accumulates in `samples_us` is
-/// exactly the runtime's wakeup-to-send path as the session experiences
-/// it.
-struct SendTimer {
-    inner: MoshClient,
-    armed: Option<Instant>,
-    samples_us: Vec<f64>,
-}
-
-impl SendTimer {
-    fn new(inner: MoshClient) -> Self {
-        SendTimer {
-            inner,
-            armed: None,
-            samples_us: Vec::new(),
-        }
-    }
-
-    fn keystroke(&mut self, now: Millis, bytes: &[u8]) {
-        self.inner.keystroke(now, bytes);
-        self.armed = Some(Instant::now());
-    }
-}
-
-// `MoshClient` has inherent methods shadowing the trait's, so the
-// delegation is spelled with fully qualified calls.
-impl Endpoint for SendTimer {
-    fn receive(&mut self, now: Millis, from: Addr, wire: &[u8], events: &mut Vec<SessionEvent>) {
-        <MoshClient as Endpoint>::receive(&mut self.inner, now, from, wire, events);
-    }
-
-    fn tick(
-        &mut self,
-        now: Millis,
-        out: &mut Vec<(Addr, Vec<u8>)>,
-        events: &mut Vec<SessionEvent>,
-    ) {
-        let before = out.len();
-        <MoshClient as Endpoint>::tick(&mut self.inner, now, out, events);
-        if out.len() > before {
-            if let Some(armed) = self.armed.take() {
-                self.samples_us.push(armed.elapsed().as_secs_f64() * 1e6);
-            }
-        }
-    }
-
-    fn next_wakeup(&self, now: Millis) -> Millis {
-        <MoshClient as Endpoint>::next_wakeup(&self.inner, now)
-    }
-
-    fn last_heard(&self) -> Option<Millis> {
-        <MoshClient as Endpoint>::last_heard(&self.inner)
-    }
-
-    fn authenticates(&self, wire: &[u8]) -> bool {
-        <MoshClient as Endpoint>::authenticates(&self.inner, wire)
-    }
-
-    fn try_open(&mut self, wire: &[u8]) -> Option<Opened> {
-        <MoshClient as Endpoint>::try_open(&mut self.inner, wire)
-    }
-
-    fn receive_opened(
-        &mut self,
-        now: Millis,
-        from: Addr,
-        opened: Opened,
-        events: &mut Vec<SessionEvent>,
-    ) {
-        <MoshClient as Endpoint>::receive_opened(&mut self.inner, now, from, opened, events);
-    }
-}
 
 struct FleetResult {
     sessions: usize,
@@ -115,6 +36,9 @@ struct FleetResult {
     p99_us: f64,
     samples: usize,
     wakeups: u64,
+    /// Re-arms where an endpoint reported an already-due wakeup (0 by the
+    /// `Endpoint::next_wakeup` contract).
+    overdue: u64,
     checkpoint_bytes: u64,
 }
 
@@ -203,7 +127,7 @@ fn run_fleet(
 
     let mut samples: Vec<f64> = actives
         .iter()
-        .flat_map(|(_, t)| t.samples_us.iter().copied())
+        .flat_map(|(_, t)| t.samples_us().iter().copied())
         .collect();
     let stats = hub.stats();
     assert_eq!(stats.shard_panics, 0, "no shard lost during the bench");
@@ -214,6 +138,7 @@ fn run_fleet(
         p99_us: percentile_us(&mut samples, 99.0),
         samples: samples.len(),
         wakeups: stats.wakeups,
+        overdue: stats.overdue_wakeups,
         checkpoint_bytes: stats.checkpoint_bytes,
     }
 }
@@ -269,6 +194,8 @@ fn main() {
         );
         results.push(r);
     }
+    let overdue: u64 = results.iter().map(|r| r.overdue).sum();
+    println!("  overdue wakeups (an endpoint asked to spin): {overdue}");
 
     // Checkpoint cadence/bytes trade-off: the same mostly-idle fleet at
     // the smallest size, with crash recovery on at several cadences. A

@@ -32,6 +32,9 @@ struct FleetResult {
     shards: usize,
     wall_ms: f64,
     wakeups: u64,
+    /// Re-arms where an endpoint reported an already-due wakeup (0 by the
+    /// `Endpoint::next_wakeup` contract).
+    overdue: u64,
     delivered: u64,
 }
 
@@ -95,6 +98,7 @@ fn run_fleet(n: usize, shards: usize, horizon: u64) -> FleetResult {
         shards,
         wall_ms,
         wakeups: stats.wakeups,
+        overdue: stats.overdue_wakeups,
         delivered: stats.delivered,
     }
 }
@@ -190,6 +194,12 @@ fn main() {
         Err(e) => println!("\ncould not write BENCH_hub_scaling.json: {e}"),
     }
 
+    let overdue: u64 = results
+        .iter()
+        .chain(&threaded[1..])
+        .map(|r| r.overdue)
+        .sum();
+    println!("overdue wakeups (an endpoint asked to spin): {overdue}");
     let per_user: Vec<f64> = results
         .iter()
         .map(|r| r.wall_ms / r.sessions as f64)

@@ -4,6 +4,9 @@
 //! paper's evaluation (§4). The helpers here run trace replays over a
 //! configured network and print paper-vs-measured rows.
 
+mod send_timer;
+pub use send_timer::SendTimer;
+
 use mosh_net::LinkConfig;
 use mosh_prediction::DisplayPreference;
 use mosh_trace::{

@@ -66,6 +66,12 @@ impl<'p, 'e> HubSession<'p, 'e> {
 pub struct HubStats {
     /// Timer-wheel pops serviced.
     pub wakeups: u64,
+    /// Re-arms where a session's own endpoints reported
+    /// `next_wakeup(now) <= now` right after being ticked at `now`, so
+    /// the wheel's clamp to `now + 1` fired because of an endpoint, not
+    /// the substrate. Zero by the [`crate::session::Endpoint::next_wakeup`]
+    /// contract; each count is a wakeup that will find nothing to do.
+    pub overdue_wakeups: u64,
     /// Datagrams delivered to a session.
     pub delivered: u64,
     /// Datagrams no session claimed (unknown address, or authentication
@@ -128,6 +134,7 @@ impl HubStats {
     /// not summed — the aggregator fills it with one entry per shard.
     pub(crate) fn add(&mut self, other: HubStats) {
         self.wakeups += other.wakeups;
+        self.overdue_wakeups += other.overdue_wakeups;
         self.delivered += other.delivered;
         self.dropped += other.dropped;
         self.auth_routed += other.auth_routed;

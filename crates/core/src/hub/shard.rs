@@ -36,7 +36,7 @@ use crate::Millis;
 use mosh_net::{Addr, Datagram, Poller, Token};
 use mosh_ssp::datagram::Opened;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 
 /// Most datagrams the pump drains from the poller before routing them as
 /// one batch — the unit of cross-packet AES/OCB batching on the receive
@@ -110,6 +110,33 @@ struct TimerWheel {
 impl TimerWheel {
     fn schedule(&mut self, due: Millis, session: usize, gen: u64) {
         self.heap.push(Reverse((due, session, gen)));
+    }
+}
+
+/// Buffers one [`ServerHub::pump`] reuses across its wakeups, so the
+/// event loop allocates per pump, not per wakeup or per drained batch.
+#[derive(Default)]
+struct PumpScratch {
+    /// Leases to re-tick after this wakeup's deliveries, and the same set
+    /// as a per-lease flag (membership without scanning `woken`).
+    woken: Vec<usize>,
+    is_woken: Vec<bool>,
+    /// Per drained datagram: the speculative probe's `(lease, verdict)`.
+    spec: Vec<Option<(usize, Option<Opened>)>>,
+    /// `(lease, party position, drained index)` of every datagram that
+    /// gets a speculative probe; sorted, a run per endpoint.
+    grouped: Vec<(usize, usize, usize)>,
+    /// One endpoint's batch verdicts.
+    opened: Vec<Option<Opened>>,
+    /// [`ServerHub::route`]'s hinted candidates for one datagram.
+    hinted: Vec<usize>,
+}
+
+impl PumpScratch {
+    fn wake(&mut self, lease: usize) {
+        if !std::mem::replace(&mut self.is_woken[lease], true) {
+            self.woken.push(lease);
+        }
     }
 }
 
@@ -373,6 +400,10 @@ impl<P: Poller> ServerHub<P> {
         let mut events: Vec<(SessionId, SessionEvent)> = Vec::new();
         let mut scratch: Vec<SessionEvent> = Vec::new();
         let mut drained: Vec<(Token, Millis, Datagram)> = Vec::with_capacity(RECV_BATCH);
+        let mut ps = PumpScratch {
+            is_woken: vec![false; sessions.len()],
+            ..PumpScratch::default()
+        };
 
         // Where each leased session sits in `sessions`, and which leases
         // claim each (token, receive address): rebuilt per pump because
@@ -420,7 +451,6 @@ impl<P: Poller> ServerHub<P> {
             // call (`speculate`), then consumed strictly in arrival order.
             // Arrival timestamps are captured at drain time, so batching
             // is observably identical to the sequential loop it replaced.
-            let mut woken: Vec<usize> = Vec::new();
             loop {
                 drained.clear();
                 while drained.len() < RECV_BATCH {
@@ -433,13 +463,10 @@ impl<P: Poller> ServerHub<P> {
                 if drained.is_empty() {
                     break;
                 }
-                let mut spec = self.speculate(&drained, sessions, &to_index);
+                self.speculate(&drained, sessions, &to_index, &mut ps);
                 for (idx, (t2, at, dg)) in drained.iter().enumerate() {
-                    let verdict = match spec[idx].take() {
-                        Some(s) => self.route(*t2, dg, sessions, &to_index, Some(s)),
-                        None => self.route(*t2, dg, sessions, &to_index, None),
-                    };
-                    match verdict {
+                    let spec = ps.spec[idx].take();
+                    match self.route(*t2, dg, sessions, &to_index, spec, &mut ps.hinted) {
                         Some((j, opened)) => {
                             let sj = sessions[j].id;
                             scratch.clear();
@@ -460,9 +487,7 @@ impl<P: Poller> ServerHub<P> {
                             };
                             self.stats.delivered += 1;
                             events.extend(scratch.drain(..).map(|e| (sj, e)));
-                            if !woken.contains(&j) {
-                                woken.push(j);
-                            }
+                            ps.wake(j);
                         }
                         None => {
                             let bounced = self
@@ -486,11 +511,10 @@ impl<P: Poller> ServerHub<P> {
             // The popped session is awake by definition; traffic may have
             // woken others (shared sources). Timeout checks and re-ticks
             // run in lease order for determinism.
-            if !woken.contains(&i) {
-                woken.push(i);
-            }
-            woken.sort_unstable();
-            for j in woken {
+            ps.wake(i);
+            ps.woken.sort_unstable();
+            for j in ps.woken.drain(..) {
+                ps.is_woken[j] = false;
                 let sj = sessions[j].id;
                 let nowj = self.poller.now(self.slots[sj.0].token);
                 scratch.clear();
@@ -567,12 +591,15 @@ impl<P: Poller> ServerHub<P> {
             }
         }
 
-        let next = slot.driver.next_step(
-            sessions[i].parties,
-            now,
-            sessions[i].target,
-            poller.next_event_time(tok),
-        );
+        let wakeup = slot.driver.earliest_wakeup(sessions[i].parties, now);
+        if wakeup <= now {
+            // The clamp to `now + 1` below is about to fire because of an
+            // endpoint, not the substrate: a wakeup-contract violation.
+            stats.overdue_wakeups += 1;
+        }
+        let next =
+            slot.driver
+                .next_step(wakeup, now, sessions[i].target, poller.next_event_time(tok));
         slot.gen += 1;
         wheel.schedule(next, sid.0, slot.gen);
     }
@@ -609,12 +636,13 @@ impl<P: Poller> ServerHub<P> {
         drained: &[(Token, Millis, Datagram)],
         sessions: &mut [HubSession<'_, '_>],
         to_index: &HashMap<(Token, Addr), Vec<usize>>,
-    ) -> Vec<Option<(usize, Option<Opened>)>> {
-        let mut spec: Vec<Option<(usize, Option<Opened>)>> = Vec::new();
-        spec.resize_with(drained.len(), || None);
+        ps: &mut PumpScratch,
+    ) {
+        ps.spec.clear();
+        ps.spec.resize_with(drained.len(), || None);
         // Group the hinted auth-path datagrams by the endpoint their hint
         // front names: (lease index, party position).
-        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+        ps.grouped.clear();
         for (idx, (tok, _, dg)) in drained.iter().enumerate() {
             let Some(cands) = to_index.get(&(*tok, dg.to)) else {
                 continue; // unclaimed: never decrypted here
@@ -631,26 +659,28 @@ impl<P: Poller> ServerHub<P> {
             let Some(pp) = sessions[j].parties.iter().position(|p| p.addr == dg.to) else {
                 continue;
             };
-            groups.entry((j, pp)).or_default().push(idx);
+            ps.grouped.push((j, pp, idx));
         }
-        let mut opened: Vec<Option<Opened>> = Vec::new();
-        for ((j, pp), idxs) in groups {
-            let wires: Vec<&[u8]> = idxs
+        // Endpoints in (lease, party) order, each one's datagrams in
+        // arrival order.
+        ps.grouped.sort_unstable();
+        for group in ps.grouped.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (j, pp, _) = group[0];
+            let wires: Vec<&[u8]> = group
                 .iter()
-                .map(|&idx| drained[idx].2.payload.as_slice())
+                .map(|&(_, _, idx)| drained[idx].2.payload.as_slice())
                 .collect();
-            opened.clear();
+            ps.opened.clear();
             sessions[j].parties[pp]
                 .endpoint
-                .try_open_many(&wires, &mut opened);
+                .try_open_many(&wires, &mut ps.opened);
             // Zip stops at the shorter side: a misbehaving endpoint that
             // returns fewer verdicts than wires only downgrades the tail
             // to the sequential path, never mis-attributes a verdict.
-            for (&idx, op) in idxs.iter().zip(opened.drain(..)) {
-                spec[idx] = Some((j, op));
+            for (&(_, _, idx), op) in group.iter().zip(ps.opened.drain(..)) {
+                ps.spec[idx] = Some((j, op));
             }
         }
-        spec
     }
 
     /// Decides which leased session a datagram belongs to, returning the
@@ -691,6 +721,7 @@ impl<P: Poller> ServerHub<P> {
         sessions: &mut [HubSession<'_, '_>],
         to_index: &HashMap<(Token, Addr), Vec<usize>>,
         spec: Option<(usize, Option<Opened>)>,
+        hinted: &mut Vec<usize>,
     ) -> Option<(usize, Option<Opened>)> {
         let cands = to_index.get(&(tok, dg.to))?;
         if cands.len() == 1 && !self.is_shared(tok) {
@@ -699,15 +730,14 @@ impl<P: Poller> ServerHub<P> {
 
         // Hinted candidates first (sessions that previously authenticated
         // traffic from this source), then the rest in lease order.
-        let hinted: Vec<usize> = self
-            .routes
-            .get(&(tok, dg.from))
-            .map(|sids| {
+        hinted.clear();
+        if let Some(sids) = self.routes.get(&(tok, dg.from)) {
+            hinted.extend(
                 sids.iter()
-                    .filter_map(|sid| cands.iter().copied().find(|&j| sessions[j].id == *sid))
-                    .collect()
-            })
-            .unwrap_or_default();
+                    .filter_map(|sid| cands.iter().copied().find(|&j| sessions[j].id == *sid)),
+            );
+        }
+        let hinted = &*hinted;
         let rest = cands.iter().copied().filter(|j| !hinted.contains(j));
         let mut spec = spec;
         let mut winner = None;

@@ -322,7 +322,19 @@ impl MoshServer {
     /// `None` means no spontaneous output until input re-arms it, so a
     /// quiet session sleeps until its next real deadline instead of
     /// burning a wakeup every 50 ms.
+    ///
+    /// Both halves of the [`crate::session::Endpoint::next_wakeup`]
+    /// contract hold here: `tick` does nothing before the returned time
+    /// (no early fire), and after a `tick(t)` the returned time is `> t`
+    /// (no spin) — every timer reported is one `tick` acts on. In
+    /// particular the transport's timers count only while `tick` runs
+    /// the transport at all, i.e. once a client datagram has set
+    /// `target`; until then a server sleeps on its application alone and
+    /// the first receive re-arms the schedule.
     pub fn next_wakeup(&self, now: Millis) -> Millis {
+        if !self.started {
+            return now; // the first tick starts the application
+        }
         let mut next = Millis::MAX;
         if let Some(t) = self.app.next_wakeup(now) {
             next = next.min(t);
@@ -333,7 +345,7 @@ impl MoshServer {
         if let Some(&(_, at)) = self.echo_queue.front() {
             next = next.min(at + ECHO_TIMEOUT);
         }
-        if let Some(t) = self.transport.next_wakeup() {
+        if let Some(t) = self.target.and_then(|_| self.transport.next_wakeup()) {
             next = next.min(t);
         }
         next.max(now)
@@ -851,6 +863,36 @@ mod tests {
         // A stale reordered packet from the old address does not regress.
         server.receive(402, Addr::new(1, 1000), &w1[0]);
         assert_eq!(server.target(), Some(Addr::new(7, 7777)));
+    }
+
+    #[test]
+    fn a_server_with_no_target_sleeps_until_its_first_datagram() {
+        let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
+        let mut client = client_transport();
+        // Start-up: the prompt is written and committed, so the sender
+        // holds pending data — but with no target `tick` never runs the
+        // transport, and no transport timer may be reported.
+        let mut now = 0;
+        assert_eq!(server.next_wakeup(now), 0, "the first tick starts the app");
+        assert!(server.tick(now).is_empty());
+        while server.next_wakeup(now) != Millis::MAX {
+            assert!(server.next_wakeup(now) > now, "spin at {now}");
+            now = server.next_wakeup(now);
+            assert!(server.tick(now).is_empty());
+        }
+        assert!(now < 100, "start-up settles at once, not at a heartbeat");
+        assert_eq!(server.frame().row_text(0), "$");
+        assert!(server.tick(5000).is_empty(), "still nowhere to send");
+        assert_eq!(server.next_wakeup(5000), Millis::MAX);
+
+        // The first authentic datagram sets the target and re-arms the
+        // schedule: the prompt, pending since start-up, is due at once.
+        client.set_current_state(UserStream::new(), 5990);
+        pump(&mut client, &mut server, 6000);
+        assert_eq!(server.target(), Some(client_addr()));
+        assert_eq!(server.next_wakeup(6000), 6000);
+        assert!(!server.tick(6000).is_empty(), "prompt frame goes out");
+        assert!(server.next_wakeup(6000) > 6000);
     }
 
     #[test]

@@ -89,9 +89,21 @@ pub trait Endpoint: Send {
     fn tick(&mut self, now: Millis, out: &mut Vec<(Addr, Vec<u8>)>, events: &mut Vec<SessionEvent>);
 
     /// The earliest future time `tick` could do anything. The contract
-    /// that makes event-driven stepping exact: between `now` and the
-    /// returned time, `tick` must be a no-op (absent new receives or
-    /// caller injections, which re-arm the schedule).
+    /// that makes event-driven stepping exact *and* cheap has two halves:
+    ///
+    /// * **No early fire.** Between `now` and the returned time, `tick`
+    ///   must be a no-op (absent new receives or caller injections,
+    ///   which re-arm the schedule) — so a driver may skip those ticks
+    ///   without changing a single datagram.
+    /// * **No spin.** Asked right after `tick(now)`, the returned time is
+    ///   `> now`: an endpoint never reports a deadline its own `tick`
+    ///   declines to act on. A driver clamps an overdue answer to
+    ///   `now + 1`, so a violation is not wrong, only a wakeup per
+    ///   millisecond that finds nothing to do.
+    ///
+    /// `tests/wakeup_contract.rs` holds every implementation in the tree
+    /// to both halves, and the hub counts violations of the second as
+    /// `HubStats::overdue_wakeups`.
     fn next_wakeup(&self, now: Millis) -> Millis;
 
     /// Time the peer was last heard from, if this endpoint tracks it
@@ -398,24 +410,34 @@ impl SessionDriver {
         }
     }
 
+    /// The earliest wakeup any party reports at `now` — by the
+    /// [`Endpoint::next_wakeup`] contract `> now` right after a tick, so
+    /// a value `<= now` is an endpoint asking to spin (the hub counts
+    /// those in `HubStats::overdue_wakeups`).
+    pub fn earliest_wakeup(&self, parties: &[Party<'_>], now: Millis) -> Millis {
+        parties
+            .iter()
+            .map(|p| p.endpoint.next_wakeup(now))
+            .min()
+            .unwrap_or(Millis::MAX)
+    }
+
     /// The next instant anything can happen for this session, clamped to
-    /// `(now, target]`: the earliest endpoint wakeup, the substrate's next
+    /// `(now, target]`: the earliest endpoint wakeup (see
+    /// [`SessionDriver::earliest_wakeup`]), the substrate's next
     /// scheduled event (if it can know one), or the caller's target.
     pub fn next_step(
         &self,
-        parties: &[Party<'_>],
+        wakeup: Millis,
         now: Millis,
         target: Millis,
         substrate_event: Option<Millis>,
     ) -> Millis {
-        let mut next = target;
-        for p in parties.iter() {
-            next = next.min(p.endpoint.next_wakeup(now));
-        }
+        let mut next = target.min(wakeup);
         if let Some(t) = substrate_event {
             next = next.min(t);
         }
-        next.min(target).max(now + 1)
+        next.max(now + 1)
     }
 
     /// Delivers one datagram to the party whose address it names,
@@ -557,9 +579,10 @@ impl<C: Channel> SessionLoop<C> {
             );
 
             // Step to the next instant anything can happen.
+            let wakeup = self.driver.earliest_wakeup(parties, now);
             let next = self
                 .driver
-                .next_step(parties, now, target, self.channel.next_event_time());
+                .next_step(wakeup, now, target, self.channel.next_event_time());
             now = self.channel.wait_until(next);
 
             // Deliver everything that arrived by `now`. Datagrams for

@@ -91,6 +91,21 @@ pub struct SenderStats {
     pub piggybacked_acks: u64,
 }
 
+/// When each kind of transmission falls due (see `Sender::deadlines`).
+#[derive(Debug, Clone, Copy)]
+struct Deadlines {
+    /// A data frame or a retransmission.
+    frame: Option<Millis>,
+    /// A standalone ack or heartbeat; `None` while data is pending.
+    ack: Option<Millis>,
+}
+
+impl Deadlines {
+    fn earliest(self) -> Option<Millis> {
+        [self.frame, self.ack].into_iter().flatten().min()
+    }
+}
+
 /// The sender half of an SSP transport endpoint.
 #[derive(Debug)]
 pub struct Sender<S: SyncState> {
@@ -331,60 +346,72 @@ impl<S: SyncState> Sender<S> {
         !self.current.equivalent(&back.state)
     }
 
-    /// The next time this sender wants `tick` called, if any (for
-    /// event-driven simulation stepping).
-    pub fn next_wakeup(&self, srtt: f64, rto: Millis) -> Option<Millis> {
+    /// The one scheduling rule: when each kind of transmission falls due.
+    /// Both [`Sender::next_wakeup`] (the time reported) and
+    /// [`Sender::tick`] (the time acted on) read it, so the two can never
+    /// disagree. `pending` is [`Sender::pending_data`], evaluated once by
+    /// the caller.
+    ///
+    /// * Unshipped data is due at `max(collect, gate)`: the collection
+    ///   interval after the first divergence, and the frame interval
+    ///   after the previous frame (never before the first one).
+    /// * Otherwise un-acknowledged data is retransmitted at
+    ///   `sent + RTO + ACK_DELAY`.
+    /// * A standalone ack or heartbeat is due at `next_ack_time` — but
+    ///   only when no data is pending: the imminent (merely gated) frame
+    ///   carries the ack, so an overdue ack behind a closed gate is *not*
+    ///   a reason to wake.
+    fn deadlines(&self, pending: bool, srtt: f64, rto: Millis) -> Deadlines {
         let back = self.sent_states.last().expect("never empty");
-        let mut next = Some(self.next_ack_time);
-        if self.pending_data() {
+        if pending {
             let gate = if self.sent_anything {
                 back.timestamp + send_interval(srtt)
             } else {
                 0
             };
-            let t = self
-                .mindelay_clock
-                .map(|c| c + self.mindelay)
-                .unwrap_or(0)
-                .max(gate);
-            next = Some(next.unwrap().min(t));
-        } else if back.num != self.acked_num() {
-            let t = back.timestamp + rto + ACK_DELAY;
-            next = Some(next.unwrap().min(t));
+            // An unset clock (data pending that no `commit` saw: a crash
+            // resync) is started by the first `tick` at or after the gate.
+            let collect = self.mindelay_clock.map_or(0, |c| c + self.mindelay);
+            Deadlines {
+                frame: Some(collect.max(gate)),
+                ack: None,
+            }
+        } else {
+            let unacked = back.num != self.acked_num();
+            Deadlines {
+                frame: unacked.then(|| back.timestamp + rto + ACK_DELAY),
+                ack: Some(self.next_ack_time),
+            }
         }
-        next
+    }
+
+    /// The next time this sender wants `tick` called (for event-driven
+    /// stepping). The contract has two halves, and both hold by
+    /// construction because `tick` acts on the same [`Deadlines`]:
+    ///
+    /// * **no early fire** — `tick(t)` emits nothing for any `t` before
+    ///   the returned time (absent `set_current`/`commit`/`set_ack_num`/
+    ///   `handle_ack`, which re-arm the schedule);
+    /// * **no spin** — after a `tick(t)` the returned time is `> t`: a
+    ///   deadline is never reported that `tick` would decline to act on.
+    pub fn next_wakeup(&self, srtt: f64, rto: Millis) -> Option<Millis> {
+        self.deadlines(self.pending_data(), srtt, rto).earliest()
     }
 
     /// Decides what (if anything) to transmit at `now`. At most one
     /// instruction per call; the transport encodes and fragments it.
     pub fn tick(&mut self, now: Millis, srtt: f64, rto: Millis) -> Option<Outgoing> {
-        if self.pending_data() {
-            if self.mindelay_clock.is_none() {
-                self.mindelay_clock = Some(now);
-            }
-            let collect_until = self.mindelay_clock.expect("just set") + self.mindelay;
-            let frame_gate = if self.sent_anything {
-                self.sent_states.last().expect("never empty").timestamp + send_interval(srtt)
-            } else {
-                0
-            };
-            if now >= collect_until.max(frame_gate) {
-                return Some(self.send_data(now, rto));
-            }
-        } else {
-            let back = self.sent_states.last().expect("never empty");
-            let unacked = back.num != self.acked_num();
-            if unacked && now >= back.timestamp + rto + ACK_DELAY {
-                return Some(self.send_data(now, rto)); // Retransmission path.
-            }
+        let pending = self.pending_data();
+        if pending && self.mindelay_clock.is_none() {
+            self.mindelay_clock = Some(now);
         }
-
-        if now >= self.next_ack_time {
-            if self.pending_data() {
-                // A data frame is imminent (merely frame-gated) and will
-                // carry the ack; a standalone ack would be pure waste.
-                return None;
-            }
+        let due = self.deadlines(pending, srtt, rto);
+        // A due frame (new data or a retransmission) wins over a due ack:
+        // it carries the ack along.
+        if due.frame.is_some_and(|t| now >= t) {
+            return Some(self.send_data(now, rto));
+        }
+        if due.ack.is_some_and(|t| now >= t) {
             let kind = if self.ack_pending {
                 self.stats.pure_acks += 1;
                 SendKind::PureAck
@@ -627,6 +654,76 @@ mod tests {
         assert_eq!(s.stats().pure_acks, 0);
         // The scheduled standalone ack is cancelled.
         assert_eq!(s.tick(1100, SRTT, RTO), None);
+    }
+
+    #[test]
+    fn overdue_ack_behind_a_closed_frame_gate_wakes_at_the_gate_not_now() {
+        // SRTT 400 ms: the frame gate (200 ms) outlasts the ack window.
+        let srtt = 400.0;
+        let mut s = Sender::new(blob(b"0"));
+        s.set_current(blob(b"1"), 1000);
+        s.tick(1008, srtt, RTO).expect("first frame");
+        // New data arrives, then something to acknowledge: the ack falls
+        // due at 1120, the gate opens at 1208.
+        s.set_current(blob(b"2"), 1010);
+        s.set_ack_num(7, true, 1020);
+        assert_eq!(s.next_wakeup(srtt, RTO), Some(1208));
+        for now in 1100..1208 {
+            // The gated frame will carry the ack: nothing goes out, and
+            // the wakeup reported is never one `tick` just declined.
+            assert_eq!(s.tick(now, srtt, RTO), None);
+            assert_eq!(s.next_wakeup(srtt, RTO), Some(1208), "at {now}");
+        }
+        let out = s.tick(1208, srtt, RTO).expect("frame at the gate");
+        assert_eq!(out.kind, SendKind::Data);
+        assert_eq!(s.stats().piggybacked_acks, 1);
+        assert_eq!(s.stats().pure_acks, 0);
+    }
+
+    #[test]
+    fn wakeup_reported_is_the_time_tick_acts() {
+        // Walk one sender through data, ack, retransmit and heartbeat
+        // phases at 1 ms: `tick` emits exactly when `now` reaches the
+        // last reported wakeup, never before and never later.
+        let mut s = Sender::new(blob(b"0"));
+        let mut sends = 0;
+        let mut due = s.next_wakeup(SRTT, RTO).expect("heartbeat armed");
+        for now in 0..12_000 {
+            let mut rearmed = false;
+            if now == 500 || now == 530 || now == 4000 {
+                s.set_current(blob(format!("v{now}").as_bytes()), now);
+                rearmed = true;
+            }
+            if now == 520 || now == 7000 {
+                s.set_ack_num(now, true, now);
+                rearmed = true;
+            }
+            if now == 4100 {
+                s.handle_ack(s.latest_sent_num());
+                rearmed = true;
+            }
+            if rearmed {
+                due = s.next_wakeup(SRTT, RTO).expect("always armed");
+            }
+            let out = s.tick(now, SRTT, RTO);
+            assert_eq!(out.is_some(), now >= due, "at {now}, due {due}");
+            if out.is_some() {
+                sends += 1;
+            }
+            let next = s.next_wakeup(SRTT, RTO).expect("always armed");
+            if now >= due {
+                assert!(next > now, "tick({now}) left an overdue wakeup {next}");
+                due = next;
+            } else {
+                assert_eq!(next, due, "a no-op tick moved the wakeup");
+            }
+        }
+        let st = s.stats();
+        assert!(st.data >= 3 && st.retransmits >= 1 && st.pure_acks >= 1 && st.heartbeats >= 1);
+        assert_eq!(
+            sends,
+            st.data + st.retransmits + st.pure_acks + st.heartbeats
+        );
     }
 
     #[test]

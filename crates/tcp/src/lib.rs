@@ -371,16 +371,22 @@ impl TcpEndpoint {
         out
     }
 
-    /// The earliest time `tick` needs to run again.
+    /// The earliest time `tick` needs to run again: now, when `tick`
+    /// would transmit (an owed ack, a pending fast retransmit, or new
+    /// data the congestion window admits); else the retransmission
+    /// timer, under a 200 ms housekeeping floor. Each condition is the
+    /// one `tick` itself tests, so a window-limited sender sleeps until
+    /// an ack or its timer instead of being re-woken every millisecond
+    /// to find the window still shut.
     pub fn next_wakeup(&self, now: Millis) -> Millis {
+        let in_flight = (self.snd_nxt - self.snd_una) as usize;
         let mut next = now + 200;
-        if let Some(d) = self.rto_deadline {
+        if let Some(d) = self.rto_deadline.filter(|_| in_flight > 0) {
             next = next.min(d);
         }
-        if self.acks_owed > 0
-            || self.retransmit_now
-            || self.backlog() > (self.snd_nxt - self.snd_una) as usize
-        {
+        let can_retransmit = self.retransmit_now && in_flight > 0;
+        let can_send = self.backlog() > in_flight && in_flight < self.cwnd as usize;
+        if self.acks_owed > 0 || can_retransmit || can_send {
             next = now;
         }
         next.max(now)

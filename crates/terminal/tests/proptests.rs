@@ -268,6 +268,66 @@ proptest! {
         }
     }
 
+    /// `Row::eq` / `Framebuffer::eq` are content equality whatever the
+    /// rows' identity (shared storage, damage stamps, lineage): across
+    /// clone → mutate → revert → sibling-lineage → cross-lineage (a
+    /// client built from diffs vs. the server that made them) pairs,
+    /// equality agrees with a cell-by-cell oracle that never looks at
+    /// identity. An identity shortcut added to either may only ever
+    /// short-circuit a *true* answer; this is the test it has to pass.
+    #[test]
+    fn equality_agrees_with_cell_by_cell_oracle(
+        a in terminal_bytes(),
+        b in terminal_bytes(),
+        c in terminal_bytes(),
+        row in 0usize..16,
+        col in 0usize..60,
+    ) {
+        let mut term = Terminal::new(60, 16);
+        term.write(&a);
+        // Clone: every row shares storage with its snapshot.
+        let snap = term.frame().clone();
+        prop_assert!(frames_agree(term.frame(), &snap));
+        prop_assert!(term.frame() == &snap);
+
+        // A sibling lineage: same row ids, its own mutation stamps.
+        let mut sibling = term.clone();
+
+        // Mutate.
+        term.write(&b);
+        prop_assert!(frames_agree(term.frame(), &snap));
+
+        // Mutate one cell and put it back: stamps moved, content did not.
+        let mut reverted = term.clone();
+        let original = *reverted.frame().cell(row, col);
+        *reverted.frame_mut().cell_mut(row, col) = mosh_terminal::Cell::default();
+        prop_assert!(frames_agree(reverted.frame(), term.frame()));
+        *reverted.frame_mut().cell_mut(row, col) = original;
+        prop_assert!(frames_agree(reverted.frame(), term.frame()));
+        prop_assert!(reverted.frame() == term.frame());
+
+        // The sibling replays the same bytes (equal content, distinct
+        // stamps under shared ids), then diverges.
+        sibling.write(&b);
+        prop_assert!(frames_agree(sibling.frame(), term.frame()));
+        prop_assert!(sibling.frame() == term.frame());
+        sibling.write(&c);
+        prop_assert!(frames_agree(sibling.frame(), term.frame()));
+        prop_assert!(frames_agree(sibling.frame(), &snap));
+
+        // Cross-lineage: a client that only ever applied diffs shares no
+        // row identity with the server at all.
+        let blank = mosh_terminal::Framebuffer::new(60, 16);
+        let mut client = Terminal::new(60, 16);
+        client.write(display::new_frame(false, &blank, &snap).as_bytes());
+        prop_assert!(frames_agree(client.frame(), &snap));
+        prop_assert!(frames_agree(client.frame(), term.frame()));
+        client.write(display::new_frame(true, &snap, term.frame()).as_bytes());
+        prop_assert!(frames_agree(client.frame(), term.frame()));
+        prop_assert!(client.frame() == term.frame());
+        prop_assert!(frames_agree(client.frame(), sibling.frame()));
+    }
+
     /// The damage-tracked differ is byte-identical to the full-scan
     /// oracle — damage only changes what gets *visited*, never what gets
     /// emitted.
@@ -361,4 +421,27 @@ enum Step {
     Write(Vec<u8>),
     Scroll(isize),
     Resize(usize, usize),
+}
+
+/// Checks `Row::eq` and `Framebuffer::eq` against a comparison that
+/// reads every cell and never consults row identity; false on any
+/// disagreement.
+fn frames_agree(x: &mosh_terminal::Framebuffer, y: &mosh_terminal::Framebuffer) -> bool {
+    let same_shape = x.width() == y.width() && x.height() == y.height();
+    let mut rows_equal = same_shape;
+    if same_shape {
+        for r in 0..x.height() {
+            let oracle = x.row(r).cells() == y.row(r).cells();
+            if (x.row(r) == y.row(r)) != oracle {
+                return false;
+            }
+            rows_equal &= oracle;
+        }
+    }
+    let oracle = rows_equal
+        && x.cursor == y.cursor
+        && x.modes.cursor_visible == y.modes.cursor_visible
+        && x.title() == y.title()
+        && x.bell_count() == y.bell_count();
+    (x == y) == oracle
 }

@@ -465,17 +465,22 @@ fn ssh_parties(
     parties
 }
 
-const BULK_CLIENT: Addr = Addr::new(1, 9999);
-const BULK_SERVER: Addr = Addr::new(2, 8888);
+/// Address the bulk download's client side receives on.
+pub const BULK_CLIENT: Addr = Addr::new(1, 9999);
+/// Address the bulk download's server side receives on.
+pub const BULK_SERVER: Addr = Addr::new(2, 8888);
 
 /// A greedy bulk TCP download sharing the bottleneck (LTE experiment).
-struct BulkFlow {
-    sender: BulkSender,
-    receiver: BulkReceiver,
+pub struct BulkFlow {
+    /// The download's server side, at [`BULK_SERVER`].
+    pub sender: BulkSender,
+    /// The download's client side, at [`BULK_CLIENT`].
+    pub receiver: BulkReceiver,
 }
 
 impl BulkFlow {
-    fn new(net: &mut Network) -> Self {
+    /// Registers both bulk addresses on `net` and primes the download.
+    pub fn new(net: &mut Network) -> Self {
         net.register(BULK_CLIENT, Side::Client);
         net.register(BULK_SERVER, Side::Server);
         let mut server = TcpEndpoint::new(BULK_SERVER, BULK_CLIENT);
@@ -491,7 +496,7 @@ impl BulkFlow {
 
 /// The download's server side: keeps its send buffer topped up so the
 /// flow never goes idle (an endless download).
-struct BulkSender {
+pub struct BulkSender {
     ep: TcpEndpoint,
 }
 
@@ -520,7 +525,7 @@ impl Endpoint for BulkSender {
 }
 
 /// The download's client side: drains delivered bytes and discards them.
-struct BulkReceiver {
+pub struct BulkReceiver {
     ep: TcpEndpoint,
 }
 

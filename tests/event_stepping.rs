@@ -267,6 +267,9 @@ fn hub_run(seeds: &[u64]) -> Vec<(Transcript, Transcript, String)> {
         }
     }
     pump_all(&mut hub, &mut recs, END);
+    // Typing, a flood, loss and heartbeats: no endpoint ever reported a
+    // wakeup its own tick declined to act on.
+    assert_eq!(hub.stats().overdue_wakeups, 0);
 
     recs.into_iter()
         .map(|(c, s)| {

@@ -27,7 +27,11 @@ const C: Addr = Addr::new(1, 1000);
 const S: Addr = Addr::new(2, 60001);
 
 fn sim_world(seed: u64) -> SimChannel {
-    let mut net = Network::new(LinkConfig::lan(), LinkConfig::lan(), seed);
+    sim_world_over(LinkConfig::lan(), LinkConfig::lan(), seed)
+}
+
+fn sim_world_over(up: LinkConfig, down: LinkConfig, seed: u64) -> SimChannel {
+    let mut net = Network::new(up, down, seed);
     net.register(C, Side::Client);
     net.register(S, Side::Server);
     SimChannel::new(net)
@@ -111,6 +115,7 @@ fn one_hub_serves_64_concurrent_simulated_sessions() {
         "per-world sessions route by address alone — no crypto needed"
     );
     assert!(stats.delivered as usize >= n * 4, "real traffic flowed");
+    assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
 }
 
 #[test]
@@ -136,6 +141,63 @@ fn idle_sessions_cost_linearly_never_quadratically() {
         "per-session wakeups grew with fleet size: {per_session:.1} vs solo {solo_wakeups} \
          (a scan would make this explode)"
     );
+    assert_eq!(fleet.hub.stats().overdue_wakeups, 0);
+}
+
+/// The wakeup budget of the paper's Fig. 2 workload: a user typing over
+/// EV-DO costs the hub a few dozen wakeups per second — each key's
+/// collection interval, frame gate, echo-ack timer and delayed ack, on
+/// both endpoints, plus the deliveries — not the ~210 it cost while an
+/// overdue ack behind a closed frame gate re-woke the session every
+/// millisecond. A wakeup-contract violation shows up here (and in
+/// `overdue_wakeups`) as a failed test instead of only as CPU.
+#[test]
+fn a_typing_session_over_evdo_stays_within_its_wakeup_budget() {
+    let mut hub = ServerHub::new(SimPoller::new());
+    let tok = hub.poller_mut().add(sim_world_over(
+        LinkConfig::evdo_uplink(),
+        LinkConfig::evdo_downlink(),
+        17,
+    ));
+    let sid = hub.add_session(tok);
+    let mut client = MoshClient::new(key(17), S, 80, 24, DisplayPreference::Adaptive);
+    let mut server = MoshServer::new(key(17), Box::new(LineShell::new()));
+    let pump = |hub: &mut ServerHub<SimPoller>,
+                client: &mut MoshClient,
+                server: &mut MoshServer,
+                target: u64| {
+        let mut parties = [Party::new(C, client), Party::new(S, server)];
+        hub.pump(&mut [HubSession::new(sid, &mut parties, target)]);
+    };
+
+    // Set-up: hello, prompt, RTT estimate.
+    pump(&mut hub, &mut client, &mut server, 2_000);
+    let before = hub.stats().wakeups;
+
+    // 4 keys/s on an uneven schedule for 30 s, a pause every twelfth key.
+    let text = b"ls -l /usr/share\rcat notes.txt\recho done\r";
+    let (start, mut at, mut typed) = (2_000u64, 2_000u64, 0usize);
+    while at < start + 30_000 {
+        pump(&mut hub, &mut client, &mut server, at);
+        client.keystroke(at, &[text[typed % text.len()]]);
+        typed += 1;
+        at += 130 + (typed as u64 * 97) % 240;
+        if typed.is_multiple_of(12) {
+            at += 1_500;
+        }
+    }
+    pump(&mut hub, &mut client, &mut server, at + 2_000);
+
+    let stats = hub.stats();
+    let seconds = (at + 2_000 - start) as f64 / 1000.0;
+    let per_second = (stats.wakeups - before) as f64 / seconds;
+    assert!(typed > 80, "typed {typed} keys");
+    assert_eq!(client.server_frame(), server.frame(), "session converged");
+    assert!(
+        per_second <= 40.0,
+        "{per_second:.1} hub wakeups per session-second (budget 40)"
+    );
+    assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
 }
 
 /// Eight real Mosh sessions behind ONE UDP server socket, one hub, one
@@ -228,6 +290,7 @@ fn eight_udp_sessions_behind_one_socket() {
         );
     }
     let stats = hub.stats();
+    assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
     assert!(
         stats.auth_routed >= stats.delivered,
         "every shared-socket delivery went through authentication \

@@ -202,8 +202,9 @@ fn single_threaded_run(texts: &[String], seed: u64, roam_after: usize) -> Run {
         &sids,
         &mut recs,
     );
-    let delivered = hub.stats().delivered;
-    collect(recs, delivered)
+    let stats = hub.stats();
+    assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
+    collect(recs, stats.delivered)
 }
 
 fn sharded_run(texts: &[String], seed: u64, roam_after: usize, shards: usize) -> Run {
@@ -220,8 +221,9 @@ fn sharded_run(texts: &[String], seed: u64, roam_after: usize, shards: usize) ->
         &sids,
         &mut recs,
     );
-    let delivered = hub.stats().delivered;
-    collect(recs, delivered)
+    let stats = hub.stats();
+    assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
+    collect(recs, stats.delivered)
 }
 
 fn collect(recs: Vec<(Recorder<MoshClient>, Recorder<MoshServer>)>, delivered: u64) -> Run {
