@@ -292,8 +292,7 @@ fn demux_opens_per_sec(window_ms: u64) -> f64 {
 }
 
 fn main() {
-    let quick =
-        std::env::args().any(|a| a == "--quick") || std::env::var("MOSH_BENCH_QUICK").is_ok();
+    let quick = mosh_bench::quick();
     let window_ms: u64 = if quick { 40 } else { 300 };
 
     println!("=== crypto_ops: AES-OCB single-stream + batched throughput, demux opens/sec ===");

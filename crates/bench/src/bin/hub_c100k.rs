@@ -158,8 +158,7 @@ fn fleet_sizes(quick: bool) -> Vec<usize> {
 }
 
 fn main() {
-    let quick =
-        std::env::args().any(|a| a == "--quick") || std::env::var("MOSH_BENCH_QUICK").is_ok();
+    let quick = mosh_bench::quick();
     let horizon: u64 = 8_000;
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -131,8 +131,7 @@ fn json_row(r: &FleetResult, last: bool) -> String {
 }
 
 fn main() {
-    let quick =
-        std::env::args().any(|a| a == "--quick") || std::env::var("MOSH_BENCH_QUICK").is_ok();
+    let quick = mosh_bench::quick();
     let horizon: u64 = if quick { 20_000 } else { 120_000 };
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

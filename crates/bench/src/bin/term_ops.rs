@@ -164,8 +164,7 @@ fn run_trace(name: &'static str, frames: &[Framebuffer], window_ms: u64) -> Trac
 }
 
 fn main() {
-    let quick =
-        std::env::args().any(|a| a == "--quick") || std::env::var("MOSH_BENCH_QUICK").is_ok();
+    let quick = mosh_bench::quick();
     let (ticks, window_ms): (usize, u64) = if quick { (96, 60) } else { (400, 400) };
 
     println!("=== term_ops: damage-tracked frame diffing vs the full-scan oracle ===");

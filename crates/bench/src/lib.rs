@@ -13,12 +13,16 @@ use mosh_trace::{
     replay_mosh_many, replay_ssh_many, Latencies, ReplayConfig, ReplayOutcome, UserTrace,
 };
 
-/// Which traces to replay: the full six users, or a quick subset when the
-/// binary is invoked with `--quick` (or `MOSH_BENCH_QUICK=1`).
+/// True when the binary was invoked with `--quick`: a smoke-sized run
+/// (a small trace, a short horizon, a short measurement window).
+pub fn quick() -> bool {
+    std::env::args().any(|a| a == "--quick")
+}
+
+/// Which traces to replay: the full six users, or a quick subset under
+/// [`quick`].
 pub fn traces() -> Vec<UserTrace> {
-    let quick =
-        std::env::args().any(|a| a == "--quick") || std::env::var("MOSH_BENCH_QUICK").is_ok();
-    if quick {
+    if quick() {
         vec![mosh_trace::small_trace(250)]
     } else {
         mosh_trace::six_users()
@@ -92,9 +96,10 @@ pub fn print_row(system: &str, l: &Latencies, paper: &str) {
 }
 
 /// The standard Mosh replay configuration over a pair of links. Batch
-/// replays honor `MOSH_REPLAY_THREADS` (default 1): per-user results are
-/// identical at every thread count — the sharded hub is byte-identical
-/// to the single-threaded one — so the knob only buys wall clock.
+/// replays spread users over one hub shard per available core: per-user
+/// results are identical at every thread count — the sharded hub is
+/// byte-identical to the single-threaded one (`hub_identity`) — so the
+/// core count only buys wall clock.
 pub fn mosh_cfg(up: LinkConfig, down: LinkConfig) -> ReplayConfig {
     ReplayConfig {
         up,
@@ -103,16 +108,8 @@ pub fn mosh_cfg(up: LinkConfig, down: LinkConfig) -> ReplayConfig {
         preference: DisplayPreference::Adaptive,
         mindelay: None,
         bulk_download: false,
-        threads: replay_threads(),
+        threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
-}
-
-/// Worker threads for batch replays (`MOSH_REPLAY_THREADS`, default 1).
-pub fn replay_threads() -> usize {
-    std::env::var("MOSH_REPLAY_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
 }
 
 /// The `p`-th percentile of an unsorted sample set (nearest-rank), for

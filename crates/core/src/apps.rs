@@ -1,7 +1,7 @@
 //! Host applications the Mosh server runs.
 //!
 //! The paper's traces cover "the bash and zsh shells, the alpine and mutt
-//! e-mail clients, the emacs and vim text editors, … chat clients, [and] the
+//! e-mail clients, the emacs and vim text editors, … chat clients, \[and\] the
 //! links text-mode Web browser" (§4). This module provides faithful models
 //! of those application *classes*, distinguished by their echo behaviour —
 //! which is all the prediction engine can observe (§3.2):

@@ -1,8 +1,9 @@
 //! The multi-session server runtime, in two layers:
 //!
 //! * [`shard`] — [`ServerHub`]: one poller, one timer wheel, N sessions
-//!   on **one thread**. The unit of work since PR 3; a sharded runtime
-//!   calls one of these a *shard*.
+//!   on **one thread** — the tree's one session event loop. A sharded
+//!   runtime calls one of these a *shard*; a single-session
+//!   [`crate::session::SessionLoop`] is one with N = 1.
 //! * [`router`] — [`ShardedHub`]: N worker threads, each owning a
 //!   private `ServerHub`, fed by a sharding front end that assigns
 //!   sessions to shards at accept time. Sessions are independent worlds
@@ -33,10 +34,9 @@ pub struct SessionId(pub usize);
 /// One session's per-pump lease: which registered session it is, the
 /// endpoints it currently lends to the hub, and how far to drive it.
 ///
-/// Like [`crate::session::SessionLoop`], the hub borrows endpoints per
-/// pump — the caller keeps ownership, injects keystrokes between pumps,
-/// and models roaming by changing a party's address (simulator) or
-/// rebinding a socket (live).
+/// The hub borrows endpoints per pump — the caller keeps ownership,
+/// injects keystrokes between pumps, and models roaming by changing a
+/// party's address (simulator) or rebinding a socket (live).
 pub struct HubSession<'p, 'e> {
     /// The registered session this lease belongs to.
     pub id: SessionId,

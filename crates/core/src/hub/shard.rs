@@ -22,16 +22,17 @@
 //!   so an ambiguous-address datagram crosses AES-OCB **exactly once**
 //!   (the decrypt-once receive pipeline).
 //!
-//! Per-session scheduling decisions are made by the same
-//! [`SessionDriver`] that powers the single-session
-//! [`crate::session::SessionLoop`], and each simulated session lives in
-//! its own discrete-event world, so a hub driving N sessions produces
-//! **byte-identical per-session wire transcripts** to N dedicated loops
+//! This is the tree's one session event loop: the single-session
+//! [`crate::session::SessionLoop`] is a `ServerHub` with one source and
+//! one lease. Per-session scheduling decisions are made by a
+//! [`SessionDriver`] per session, and each simulated session lives in its
+//! own discrete-event world, so a hub driving N sessions produces
+//! **byte-identical per-session wire transcripts** to N hubs of one
 //! (pinned by `tests/event_stepping.rs` and the replay identity suite).
 
 use super::snapshot::{self, CheckpointStore};
 use super::{HubSession, HubStats, SessionId};
-use crate::session::{SessionDriver, SessionEvent};
+use crate::session::{party_at, SessionDriver, SessionEvent};
 use crate::Millis;
 use mosh_net::{Addr, Datagram, Poller, Token};
 use mosh_ssp::datagram::Opened;
@@ -390,10 +391,11 @@ impl<P: Poller> ServerHub<P> {
     /// Drives every leased session until its own target, returning all
     /// events tagged by session, in the order they happened.
     ///
-    /// Per-session semantics are exactly
-    /// [`crate::session::SessionLoop::pump_until`]'s: deliveries *at* the
-    /// target are processed, ticks at the target wait for the next pump
-    /// (after the caller injects input). Sessions left out of a pump are
+    /// Per session the order is tick → wait → deliver → check timeouts:
+    /// deliveries *at* the target are processed, ticks at the target wait
+    /// for the next pump (after the caller injects input), which is what
+    /// keeps the schedule identical to a 1 ms reference loop (receive →
+    /// inject → tick at each instant). Sessions left out of a pump are
     /// parked: their state persists, but datagrams arriving for them are
     /// dropped like any unclaimed traffic.
     pub fn pump(&mut self, sessions: &mut [HubSession<'_, '_>]) -> Vec<(SessionId, SessionEvent)> {
@@ -554,7 +556,7 @@ impl<P: Poller> ServerHub<P> {
         scratch.clear();
         // Each party's burst leaves as one batch — the sendmmsg-shaped
         // seam: the poller's substrate ships it whole when it can.
-        slot.driver.tick_parties_batched(
+        slot.driver.tick_parties(
             sessions[i].parties,
             now,
             &mut |from, batch| poller.send_many(tok, from, batch),
@@ -689,7 +691,7 @@ impl<P: Poller> ServerHub<P> {
     ///
     /// 1. By receive address, on a **private** source only: if exactly
     ///    one lease claims `(token, to)`, it gets the raw datagram — the
-    ///    single-session fast path, identical to `SessionLoop`
+    ///    single-session fast path, all a `SessionLoop` ever takes
     ///    (inauthentic line noise included: the endpoint rejects it
     ///    itself, keeping its counters byte-identical).
     /// 2. Ambiguous receive address (many sessions behind one socket), or
@@ -720,7 +722,7 @@ impl<P: Poller> ServerHub<P> {
         dg: &Datagram,
         sessions: &mut [HubSession<'_, '_>],
         to_index: &HashMap<(Token, Addr), Vec<usize>>,
-        spec: Option<(usize, Option<Opened>)>,
+        mut spec: Option<(usize, Option<Opened>)>,
         hinted: &mut Vec<usize>,
     ) -> Option<(usize, Option<Opened>)> {
         let cands = to_index.get(&(tok, dg.to))?;
@@ -739,19 +741,16 @@ impl<P: Poller> ServerHub<P> {
         }
         let hinted = &*hinted;
         let rest = cands.iter().copied().filter(|j| !hinted.contains(j));
-        let mut spec = spec;
         let mut winner = None;
         for j in hinted.iter().copied().chain(rest) {
-            let verdict = if spec.as_ref().is_some_and(|(sj, _)| *sj == j) {
-                match spec.take() {
-                    Some((_, v)) => v,
-                    None => None, // unreachable: guarded by is_some_and
+            let verdict = match spec.take_if(|(sj, _)| *sj == j) {
+                Some((_, verdict)) => verdict,
+                None => {
+                    let Some(p) = party_at(sessions[j].parties, dg.to) else {
+                        continue;
+                    };
+                    p.endpoint.try_open(&dg.payload)
                 }
-            } else {
-                let Some(p) = sessions[j].parties.iter_mut().find(|p| p.addr == dg.to) else {
-                    continue;
-                };
-                p.endpoint.try_open(&dg.payload)
             };
             if let Some(opened) = verdict {
                 winner = Some((j, opened));

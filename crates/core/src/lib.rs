@@ -12,14 +12,14 @@
 //!   paper's traces: shell, full-screen editor, pager, mail reader, and a
 //!   runaway flood for the Control-C experiment.
 //! * [`session`] — the event-driven per-session machinery: the
-//!   [`session::SessionDriver`] mechanics and the single-session
-//!   [`session::SessionLoop`] driver, stepping endpoints over a
-//!   `mosh_net::Channel` substrate (simulator or live UDP) by
-//!   `min(next_wakeup, next_event_time)` and yielding typed
-//!   [`session::SessionEvent`]s.
-//! * [`hub`] — the multi-session server runtime, in two layers:
-//!   [`hub::ServerHub`] drives any number of sessions behind one
-//!   `mosh_net::Poller` with a timer wheel of per-session wakeups,
+//!   [`session::Endpoint`] contract, the [`session::SessionDriver`]
+//!   mechanics, typed [`session::SessionEvent`]s, and
+//!   [`session::SessionLoop`] — a [`hub::ServerHub`] of one session over
+//!   a dedicated `mosh_net::Channel` (simulator or live UDP).
+//! * [`hub`] — the session runtime, in two layers: [`hub::ServerHub`]
+//!   is the one event loop, stepping each session by
+//!   `min(next_wakeup, next_event_time)`; it drives any number of them
+//!   behind one `mosh_net::Poller` with a timer wheel of wakeups,
 //!   demultiplexing datagrams by address and falling back to
 //!   cryptographic authentication when roaming makes addresses collide
 //!   (§2.2); [`hub::ShardedHub`] spreads those hubs across worker

@@ -11,10 +11,11 @@
 //!
 //! The per-session mechanics live in [`SessionDriver`], which owns no
 //! I/O: it ticks a session's endpoints, computes the next interesting
-//! instant, delivers datagrams, and tracks peer-timeout episodes.
-//! [`SessionLoop`] is `SessionDriver` + one dedicated channel;
-//! `crate::hub::ServerHub` is many `SessionDriver`s + one
-//! `mosh_net::Poller` + a timer wheel.
+//! instant, delivers datagrams, and tracks peer-timeout episodes. The
+//! event loop itself — tick → wait → deliver → check timeouts — exists
+//! once, in [`ServerHub::pump`]: many `SessionDriver`s + one
+//! `mosh_net::Poller` + a timer wheel. [`SessionLoop`] is that hub with
+//! one source and one session, so the two cannot drift apart.
 //!
 //! The stepping is **schedule-identical** to the 1 ms reference loop (a
 //! root-level test asserts byte-identical wire transcripts): an endpoint's
@@ -27,11 +28,11 @@
 //! tick to the next call, after the caller has injected input.
 
 use crate::client::MoshClient;
+use crate::hub::{HubSession, ServerHub, SessionId};
 use crate::server::MoshServer;
 use crate::Millis;
-use mosh_net::{Addr, Channel, Datagram};
+use mosh_net::{Addr, Channel, ChannelPoller, Datagram, Poller, Token};
 use mosh_ssp::datagram::Opened;
-use std::collections::HashMap;
 
 /// Something a session endpoint did or learned, stamped with when.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -345,15 +346,16 @@ impl<'a> Party<'a> {
 /// A `SessionDriver` ticks a session's endpoints, computes the next
 /// interesting instant, delivers datagrams to the party that claims them,
 /// and tracks peer-silence episodes. It never owns a channel: the caller
-/// supplies a `send` sink and the current time, which is what lets one
-/// substrate serve one session ([`SessionLoop`]) or thousands
-/// (`crate::hub::ServerHub`) with identical per-session semantics.
+/// supplies a `flush` sink and the current time, which is what lets one
+/// [`ServerHub`] serve one session ([`SessionLoop`]) or thousands with
+/// identical per-session semantics.
 #[derive(Debug, Default)]
 pub struct SessionDriver {
     peer_timeout: Option<Millis>,
-    /// Per address: the `last_heard` value already reported, so each
-    /// silence episode yields one [`SessionEvent::PeerTimeout`].
-    reported_silence: HashMap<Addr, Millis>,
+    /// Per party position in the lease: the `last_heard` value already
+    /// reported, so each silence episode yields one
+    /// [`SessionEvent::PeerTimeout`] however the party is re-addressed.
+    reported_silence: Vec<Option<Millis>>,
     /// Scratch buffer for tick output (reused across steps).
     outbox: Vec<(Addr, Vec<u8>)>,
 }
@@ -370,32 +372,14 @@ impl SessionDriver {
         self.peer_timeout = timeout;
     }
 
-    /// Ticks every party at `now`, forwarding each produced datagram to
-    /// `send` as `(from, to, wire)` in party order — the order that fixes
-    /// how same-instant datagrams enter the substrate.
+    /// Ticks every party at `now`, flushing each party's whole outbox as
+    /// **one** batch: `flush` is called at most once per party, with
+    /// `from = party.addr` and that party's datagrams in emit order.
+    /// Party order fixes how same-instant datagrams enter the substrate,
+    /// and the substrate sees each party's burst whole — the
+    /// sendmmsg-shaped seam a live socket wants (see
+    /// `mosh_net::Poller::send_many`).
     pub fn tick_parties(
-        &mut self,
-        parties: &mut [Party<'_>],
-        now: Millis,
-        send: &mut dyn FnMut(Addr, Addr, Vec<u8>),
-        events: &mut Vec<SessionEvent>,
-    ) {
-        for p in parties.iter_mut() {
-            p.endpoint.tick(now, &mut self.outbox, events);
-            for (to, wire) in self.outbox.drain(..) {
-                send(p.addr, to, wire);
-            }
-        }
-    }
-
-    /// [`SessionDriver::tick_parties`], flushing each party's whole
-    /// outbox as **one** batch: `flush` is called at most once per party,
-    /// with `from = party.addr` and that party's datagrams in emit order.
-    /// Ordering is identical to the per-wire variant — same-instant
-    /// datagrams still enter the substrate party by party — but the
-    /// substrate sees each party's burst whole, the sendmmsg-shaped seam
-    /// a live socket wants (see `mosh_net::Poller::send_many`).
-    pub fn tick_parties_batched(
         &mut self,
         parties: &mut [Party<'_>],
         now: Millis,
@@ -450,12 +434,11 @@ impl SessionDriver {
         dg: &Datagram,
         events: &mut Vec<SessionEvent>,
     ) -> bool {
-        if let Some(p) = parties.iter_mut().find(|p| p.addr == dg.to) {
-            p.endpoint.receive(now, dg.from, &dg.payload, events);
-            true
-        } else {
-            false
-        }
+        let Some(p) = party_at(parties, dg.to) else {
+            return false;
+        };
+        p.endpoint.receive(now, dg.from, &dg.payload, events);
+        true
     }
 
     /// Delivers an already-opened datagram (see [`Endpoint::try_open`])
@@ -471,12 +454,11 @@ impl SessionDriver {
         opened: Opened,
         events: &mut Vec<SessionEvent>,
     ) -> bool {
-        if let Some(p) = parties.iter_mut().find(|p| p.addr == to) {
-            p.endpoint.receive_opened(now, from, opened, events);
-            true
-        } else {
-            false
-        }
+        let Some(p) = party_at(parties, to) else {
+            return false;
+        };
+        p.endpoint.receive_opened(now, from, opened, events);
+        true
     }
 
     /// Runs the peer-silence check at `now` (a no-op unless a timeout is
@@ -490,7 +472,10 @@ impl SessionDriver {
         let Some(limit) = self.peer_timeout else {
             return;
         };
-        for p in parties.iter() {
+        // Keyed by position, not address: a roam changes a party's
+        // address mid-episode, never its place in the lease.
+        self.reported_silence.resize(parties.len(), None);
+        for (p, reported) in parties.iter().zip(self.reported_silence.iter_mut()) {
             // `None` means the endpoint does not track peer contact at
             // all (SSH/TCP endpoints, test instruments) — not "silent
             // since the epoch" — so it never times out. Detecting a peer
@@ -501,9 +486,9 @@ impl SessionDriver {
             let silent_for = now.saturating_sub(heard);
             if silent_for < limit {
                 // Contact is fresh; re-arm for the next episode.
-                self.reported_silence.remove(&p.addr);
-            } else if self.reported_silence.get(&p.addr) != Some(&heard) {
-                self.reported_silence.insert(p.addr, heard);
+                *reported = None;
+            } else if *reported != Some(heard) {
+                *reported = Some(heard);
                 events.push(SessionEvent::PeerTimeout {
                     at: now,
                     silent_for,
@@ -513,49 +498,62 @@ impl SessionDriver {
     }
 }
 
-/// The single-session driver: one [`SessionDriver`] bound to one
-/// dedicated [`Channel`] substrate, virtual-time (simulator) or
-/// wall-clock (UDP).
-pub struct SessionLoop<C: Channel> {
-    channel: C,
-    driver: SessionDriver,
+/// The party receiving on `addr`, if any.
+pub(crate) fn party_at<'a, 'e>(
+    parties: &'a mut [Party<'e>],
+    addr: Addr,
+) -> Option<&'a mut Party<'e>> {
+    parties.iter_mut().find(|p| p.addr == addr)
 }
+
+/// The single-session driver: a [`ServerHub`] of one — one source, one
+/// session, one lease per pump — over a dedicated [`Channel`] substrate,
+/// virtual-time (simulator) or wall-clock (UDP). There is no second
+/// event loop: `pump_until` leases the parties to [`ServerHub::pump`].
+pub struct SessionLoop<C: Channel> {
+    hub: ServerHub<ChannelPoller<C>>,
+}
+
+/// The one source of a [`SessionLoop`]'s hub: what
+/// [`ChannelPoller::solo`] registers.
+const SOURCE: Token = Token(0);
+/// Its one session (ids are positional, in registration order).
+const SESSION: SessionId = SessionId(0);
 
 impl<C: Channel> SessionLoop<C> {
     /// A driver over `channel`.
     pub fn new(channel: C) -> Self {
-        SessionLoop {
-            channel,
-            driver: SessionDriver::new(),
-        }
+        let mut hub = ServerHub::new(ChannelPoller::solo(channel));
+        hub.add_session(SOURCE);
+        SessionLoop { hub }
     }
 
     /// Emits [`SessionEvent::PeerTimeout`] when a party's peer has been
     /// silent for `timeout` (once per silence episode).
     pub fn with_peer_timeout(mut self, timeout: Millis) -> Self {
-        self.driver.set_peer_timeout(Some(timeout));
+        self.hub.set_peer_timeout(SESSION, Some(timeout));
         self
     }
 
     /// The substrate's current time.
     pub fn now(&self) -> Millis {
-        self.channel.now()
+        self.hub.now(SESSION)
     }
 
     /// The substrate (network stats, UDP local address, ...).
     pub fn channel(&self) -> &C {
-        &self.channel
+        self.hub.poller().channel(SOURCE)
     }
 
     /// Mutable substrate access (register roamed sim addresses, swap link
     /// conditions, rebind a UDP socket, ...).
     pub fn channel_mut(&mut self) -> &mut C {
-        &mut self.channel
+        self.hub.poller_mut().channel_mut(SOURCE)
     }
 
     /// Unwraps the substrate.
     pub fn into_channel(self) -> C {
-        self.channel
+        self.hub.into_poller().into_solo()
     }
 
     /// Drives `parties` until the channel clock reaches `target`,
@@ -565,36 +563,13 @@ impl<C: Channel> SessionLoop<C> {
     /// happen at the start of the next pump, so callers inject input due
     /// at `target` between calls and the schedule matches the reference
     /// 1 ms loop exactly (receive → inject → tick at each instant).
+    /// Datagrams for addresses no party claims (e.g. a roamed-away
+    /// source) are dropped, as a real socket would.
     pub fn pump_until(&mut self, parties: &mut [Party<'_>], target: Millis) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
-        let mut now = self.channel.now();
-        while now < target {
-            // Tick everyone at `now`; ship what they produced.
-            let channel = &mut self.channel;
-            self.driver.tick_parties(
-                parties,
-                now,
-                &mut |from, to, wire| channel.send(from, to, wire),
-                &mut events,
-            );
-
-            // Step to the next instant anything can happen.
-            let wakeup = self.driver.earliest_wakeup(parties, now);
-            let next = self
-                .driver
-                .next_step(wakeup, now, target, self.channel.next_event_time());
-            now = self.channel.wait_until(next);
-
-            // Deliver everything that arrived by `now`. Datagrams for
-            // addresses nobody claims (e.g. a roamed-away source) are
-            // dropped, as a real socket would.
-            while let Some(dg) = self.channel.poll_any() {
-                self.driver.deliver(parties, now, &dg, &mut events);
-            }
-
-            self.driver.check_timeouts(parties, now, &mut events);
-        }
-        events
+        let events = self
+            .hub
+            .pump(&mut [HubSession::new(SESSION, parties, target)]);
+        events.into_iter().map(|(_, event)| event).collect()
     }
 }
 
@@ -689,8 +664,9 @@ mod tests {
         assert_eq!(client.server_frame().row_text(0), "$ ab");
     }
 
-    #[test]
-    fn peer_timeout_fires_once_per_silence_episode() {
+    /// A session with a 2 s peer timeout that made contact, then lost
+    /// its link for good at t = 1000.
+    fn blacked_out_session() -> (SessionLoop<SimChannel>, MoshClient, MoshServer, Addr, Addr) {
         let (sl, mut client, mut server, c, s) = sim_session(10);
         let mut sl = SessionLoop::new(sl.into_channel()).with_peer_timeout(2000);
         sl.pump_until(
@@ -709,15 +685,51 @@ mod tests {
         // across the swap (SimChannel reads its clock from the network).
         blackout.advance_to(sl.now());
         std::mem::swap(sl.channel_mut().network_mut(), &mut blackout);
+        (sl, client, server, c, s)
+    }
+
+    fn timeouts(events: &[SessionEvent]) -> usize {
+        events
+            .iter()
+            .filter(|e| matches!(e, SessionEvent::PeerTimeout { .. }))
+            .count()
+    }
+
+    #[test]
+    fn peer_timeout_fires_once_per_silence_episode() {
+        let (mut sl, mut client, mut server, c, s) = blacked_out_session();
         let events = sl.pump_until(
             &mut [Party::new(c, &mut client), Party::new(s, &mut server)],
             20_000,
         );
-        let timeouts = events
-            .iter()
-            .filter(|e| matches!(e, SessionEvent::PeerTimeout { .. }))
-            .count();
-        assert_eq!(timeouts, 2, "one per endpoint per episode: {events:?}");
+        assert_eq!(
+            timeouts(&events),
+            2,
+            "one per endpoint per episode: {events:?}"
+        );
+    }
+
+    #[test]
+    fn roaming_during_silence_does_not_restart_the_episode() {
+        let (mut sl, mut client, mut server, c, s) = blacked_out_session();
+        let events = sl.pump_until(
+            &mut [Party::new(c, &mut client), Party::new(s, &mut server)],
+            12_000,
+        );
+        assert_eq!(timeouts(&events), 2, "both ends timed out: {events:?}");
+        // The client changes address while still cut off. Nothing new was
+        // heard, so this is the same silence episode: no second report.
+        let c2 = Addr::new(99, 4321);
+        sl.channel_mut().network_mut().register(c2, Side::Client);
+        let events = sl.pump_until(
+            &mut [Party::new(c2, &mut client), Party::new(s, &mut server)],
+            20_000,
+        );
+        assert_eq!(
+            timeouts(&events),
+            0,
+            "same episode, new address: {events:?}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Three implementations share this module:
 //!
-//! * **Hardware AES** ([`ni`], AES-NI on x86-64) — when the CPU
+//! * **Hardware AES** (`ni`, AES-NI on x86-64) — when the CPU
 //!   advertises the `aes` feature (detected once at key expansion,
 //!   cached in the backend choice), [`Aes128`] dispatches to
 //!   `AESENC`/`AESDEC` instructions. The batch entry points

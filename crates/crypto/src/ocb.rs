@@ -1,6 +1,6 @@
 //! OCB3 authenticated encryption (RFC 7253) over AES-128.
 //!
-//! The paper cites Krovetz & Rogaway's OCB mode (§2.2, [5]): a single-key,
+//! The paper cites Krovetz & Rogaway's OCB mode (§2.2, ref. 5): a single-key,
 //! single-pass AEAD that is both fast and provably secure. We implement the
 //! standardized OCB3 variant, `AEAD_AES_128_OCB_TAGLEN128`: 128-bit tags and
 //! nonces of up to 120 bits (SSP uses 96-bit nonces carrying the direction

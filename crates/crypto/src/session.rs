@@ -200,34 +200,18 @@ impl Session {
         nonce
     }
 
-    /// Encrypts a payload into a wire datagram, consuming one sequence number.
+    /// Encrypts a payload into a wire datagram, consuming one sequence
+    /// number: [`Session::encrypt_many_into`] with a batch of one.
     ///
     /// # Panics
     ///
     /// Panics if the session has exhausted its 2^63 sequence numbers; callers
     /// must rekey long before this (Mosh sessions never approach it).
     pub fn encrypt(&mut self, payload: &[u8]) -> Vec<u8> {
-        let mut wire = Vec::new();
-        self.encrypt_into(payload, &mut wire);
+        let mut wire = [Vec::new()];
+        self.encrypt_many_into(&[payload], &mut wire);
+        let [wire] = wire;
         wire
-    }
-
-    /// Encrypts a payload into `wire` (cleared first), consuming one
-    /// sequence number. Identical bytes to [`Session::encrypt`], but the
-    /// caller controls the allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session has exhausted its 2^63 sequence numbers.
-    pub fn encrypt_into(&mut self, payload: &[u8], wire: &mut Vec<u8>) {
-        assert!(self.next_seq <= MAX_SEQ, "sequence number space exhausted");
-        let dir_seq = self.direction.bit() | self.next_seq;
-        self.next_seq += 1;
-        wire.clear();
-        wire.reserve(8 + payload.len() + TAG_LEN);
-        wire.extend_from_slice(&dir_seq.to_be_bytes());
-        self.ocb
-            .seal_into(&Self::nonce(dir_seq), &[], payload, wire);
     }
 
     /// Authenticates and decrypts a wire datagram from the peer.
@@ -264,8 +248,8 @@ impl Session {
     }
 
     /// Encrypts a batch of payloads into wire datagrams, consuming one
-    /// sequence number per payload in order — byte-identical to calling
-    /// [`Session::encrypt_into`] per payload, but all packets cross the
+    /// sequence number per payload in order. A batch of N is
+    /// byte-identical to N batches of one, but all its packets cross the
     /// cipher through [`Ocb::seal_many_into`] so their blocks interleave
     /// in the AES pipeline.
     ///
@@ -462,15 +446,10 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_variants() {
-        let (mut a, _) = pair();
-        let (mut b, server) = pair();
-        let mut wire = Vec::new();
+        let (mut client, server) = pair();
         let mut payload = Vec::new();
         for msg in [&b"x"[..], b"", b"a longer payload spanning blocks....."] {
-            // Same seq stream on both sessions -> byte-identical wires.
-            let allocating = a.encrypt(msg);
-            b.encrypt_into(msg, &mut wire);
-            assert_eq!(wire, allocating);
+            let wire = client.encrypt(msg);
             let seq = server.decrypt_into(&wire, &mut payload).unwrap();
             let message = server.decrypt(&wire).unwrap();
             assert_eq!(seq, message.seq);
@@ -519,8 +498,9 @@ mod tests {
 
     #[test]
     fn encrypt_many_matches_per_packet_loop() {
-        // Two sessions on the same key walk the same seq stream, one via
-        // the batch API, one via the loop: wires must be byte-identical.
+        // Two sessions on the same key walk the same seq stream, one in
+        // a single batch, one in batches of one: wires must be
+        // byte-identical.
         let (mut batched, _) = pair();
         let (mut looped, server) = pair();
         let payloads: Vec<Vec<u8>> = (0..9usize)

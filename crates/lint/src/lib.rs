@@ -24,7 +24,7 @@
 //! (`#[cfg(test)]` modules, `#[test]` fns, `tests/`, `examples/`,
 //! `benches/`, `crates/bench/`) is exempt from every rule except
 //! `safety-comments`; `vendor/` is not scanned at all (third-party API
-//! shims — criterion's shim is wall-clock by design).
+//! shims).
 //!
 //! Runs as both a binary (`cargo run -p mosh-lint`, machine-readable
 //! `file:line: [rule] message` findings, exit 1 on any) and as the

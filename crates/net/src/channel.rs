@@ -11,10 +11,11 @@
 //!   replay in seconds.
 //! * [`UdpChannel`] wraps a real `std::net::UdpSocket` with a
 //!   monotonic-clock→[`Millis`] mapping. `wait_until` genuinely blocks
-//!   (until the deadline or earlier traffic), so the same session loop
+//!   (until the deadline or earlier traffic), so the same event loop
 //!   that drives the simulator drives a live session.
 //!
-//! Drivers (see `mosh_core::session::SessionLoop`) step time by
+//! The event loop (`mosh_core::hub::ServerHub`, reaching channels through
+//! a [`crate::poller::Poller`]) steps time by
 //! `min(endpoint wakeups, next_event_time, deadline)` instead of polling
 //! every millisecond.
 
@@ -65,36 +66,13 @@ pub trait Channel {
         let _ = addr;
     }
 
-    /// Takes up to `max` delivered datagrams for any endpoint into `out`,
-    /// in delivery order, returning how many arrived — the
-    /// `recvmmsg`-shaped receive path: one call moves a *batch*, so a
-    /// front end draining a busy source pays the per-call overhead once
-    /// per batch instead of once per datagram. The default is the
-    /// portable fallback (a [`Channel::poll_any`] loop); substrates with
-    /// a cheaper bulk path override it ([`UdpChannel`] drains the socket
-    /// straight into `out`).
-    fn drain_many(&mut self, out: &mut Vec<Datagram>, max: usize) -> usize {
-        let mut got = 0;
-        while got < max {
-            match self.poll_any() {
-                Some(dg) => {
-                    out.push(dg);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        got
-    }
-
     /// Sends a batch of datagrams from one source address — the
-    /// `sendmmsg`-shaped transmit path, the send-side mirror of
-    /// [`Channel::drain_many`]. Datagram semantics per element, exactly
-    /// like [`Channel::send`]. The default is the portable fallback (a
-    /// `send` loop); substrates that can amortize per-send bookkeeping
-    /// across the batch override it (see `feed::FeedChannel`, which
-    /// checks its hint-eviction epoch once per batch instead of once per
-    /// datagram).
+    /// `sendmmsg`-shaped transmit path. Datagram semantics per element,
+    /// exactly like [`Channel::send`]. The default is the portable
+    /// fallback (a `send` loop); substrates that can amortize per-send
+    /// bookkeeping across the batch override it (see
+    /// `feed::FeedChannel`, which checks its hint-eviction epoch once
+    /// per batch instead of once per datagram).
     fn send_many(&mut self, from: Addr, batch: Vec<(Addr, Vec<u8>)>) {
         for (to, payload) in batch {
             self.send(from, to, payload);
@@ -235,6 +213,22 @@ pub(crate) fn send_raw(socket: &UdpSocket, local_is_v6: bool, to: Addr, payload:
     let _ = socket.send_to(payload, target);
 }
 
+/// Receives one datagram from a socket, stamped as delivered to `local`
+/// — the one receive call under [`UdpChannel`] and the distributor
+/// ([`crate::feed::UdpDistributor`]). Whether it blocks is the socket's
+/// mode and read timeout, which the caller sets. An error is a read
+/// timeout, `WouldBlock`, or a transient condition such as an
+/// ICMP-propagated ECONNREFUSED, which occupies one slot of the socket's
+/// queue; each caller decides whether to read past it or stop.
+pub(crate) fn recv_raw(socket: &UdpSocket, buf: &mut [u8], local: Addr) -> io::Result<Datagram> {
+    let (n, src) = socket.recv_from(buf)?;
+    Ok(Datagram {
+        from: addr_from_socket(src),
+        to: local,
+        payload: buf[..n].to_vec(),
+    })
+}
+
 /// A live UDP socket behind the [`Channel`] seam (IPv4 or IPv6).
 ///
 /// Time is milliseconds on a monotonic clock since the channel was
@@ -312,39 +306,25 @@ impl UdpChannel {
     }
 
     /// Drains everything currently queued on the socket into the inbox
-    /// without blocking, returning how many datagrams arrived. This is
-    /// the readiness primitive [`crate::poller::UdpPoller`] builds on:
-    /// a hub serving many sessions sweeps all its sockets instead of
-    /// blocking on one. The socket is left in nonblocking mode between
-    /// sweeps; the blocking paths switch it back on demand.
-    pub fn drain(&mut self) -> usize {
-        if self.set_mode(true).is_err() {
-            return 0;
-        }
-        let mut got = 0;
-        // Bounded so a persistently erroring socket cannot spin forever.
-        for _ in 0..MAX_DRAIN {
-            match self.socket.recv_from(&mut self.buf[..]) {
-                Ok((n, src)) => {
-                    self.inbox.push_back(Datagram {
-                        from: addr_from_socket(src),
-                        to: self.local,
-                        payload: self.buf[..n].to_vec(),
-                    });
-                    got += 1;
+    /// without blocking, returning true when the inbox then holds
+    /// anything to read. This is the readiness primitive
+    /// [`crate::poller::UdpPoller`] builds on: a hub serving many
+    /// sessions sweeps all its sockets instead of blocking on one. The
+    /// socket is left in nonblocking mode between sweeps; the blocking
+    /// paths switch it back on demand.
+    pub fn drain(&mut self) -> bool {
+        if self.set_mode(true).is_ok() {
+            // Bounded in calls, so a persistently erroring socket cannot
+            // spin forever.
+            for _ in 0..MAX_DRAIN {
+                match recv_raw(&self.socket, &mut self.buf[..], self.local) {
+                    Ok(dg) => self.inbox.push_back(dg),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(_) => continue, // transient: drain past it
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                // Transient errors (ICMP-propagated ECONNREFUSED) occupy
-                // one queue slot each; keep draining past them.
-                Err(_) => continue,
             }
         }
-        got
-    }
-
-    /// Number of delivered-but-unread datagrams.
-    pub fn inbox_len(&self) -> usize {
-        self.inbox.len()
+        !self.inbox.is_empty()
     }
 }
 
@@ -364,49 +344,6 @@ impl Channel for UdpChannel {
 
     fn poll_any(&mut self) -> Option<Datagram> {
         self.inbox.pop_front()
-    }
-
-    /// The vectored drain: already-delivered inbox datagrams first, then
-    /// whatever is queued on the socket, moved straight into `out`
-    /// without the inbox detour — one nonblocking sweep per *batch*
-    /// instead of one `poll_any` round trip per datagram. (The kernel
-    /// copies are still per-datagram `recvfrom`s — the portable shape of
-    /// `recvmmsg`, pending a raw-syscall backend.)
-    fn drain_many(&mut self, out: &mut Vec<Datagram>, max: usize) -> usize {
-        let mut got = 0;
-        while got < max {
-            match self.inbox.pop_front() {
-                Some(dg) => {
-                    out.push(dg);
-                    got += 1;
-                }
-                None => break,
-            }
-        }
-        if got < max && self.set_mode(true).is_ok() {
-            // Bounded in *calls*, not successes, so a persistently
-            // erroring socket cannot spin forever.
-            for _ in 0..MAX_DRAIN {
-                if got >= max {
-                    break;
-                }
-                match self.socket.recv_from(&mut self.buf[..]) {
-                    Ok((n, src)) => {
-                        out.push(Datagram {
-                            from: addr_from_socket(src),
-                            to: self.local,
-                            payload: self.buf[..n].to_vec(),
-                        });
-                        got += 1;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    // Transient errors (ICMP-propagated ECONNREFUSED)
-                    // occupy one queue slot each; drain past them.
-                    Err(_) => continue,
-                }
-            }
-        }
-        got
     }
 
     fn next_event_time(&self) -> Option<Millis> {
@@ -432,17 +369,13 @@ impl Channel for UdpChannel {
             if self.socket.set_read_timeout(Some(timeout)).is_err() {
                 return deadline.max(self.now());
             }
-            match self.socket.recv_from(&mut self.buf[..]) {
-                Ok((n, src)) => {
-                    self.inbox.push_back(Datagram {
-                        from: addr_from_socket(src),
-                        to: self.local,
-                        payload: self.buf[..n].to_vec(),
-                    });
+            match recv_raw(&self.socket, &mut self.buf[..], self.local) {
+                Ok(dg) => {
+                    self.inbox.push_back(dg);
                     return self.now();
                 }
-                // Timeout (or a transient error like an ICMP-propagated
-                // ECONNREFUSED): loop; the `now >= deadline` check exits.
+                // Timeout or transient: loop; the `now >= deadline`
+                // check exits.
                 Err(_) => continue,
             }
         }

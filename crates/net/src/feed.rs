@@ -44,7 +44,7 @@
 //! [`Channel::evict_hint`]), so a long-running server's maps track
 //! live sessions, not history.
 
-use crate::channel::{addr_from_socket, send_raw, Channel, MAX_DATAGRAM};
+use crate::channel::{addr_from_socket, recv_raw, send_raw, Channel, MAX_DATAGRAM};
 use crate::{Addr, Datagram, Millis};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -231,7 +231,7 @@ impl FeedChannel {
     /// drains a whole burst before making its bounce-or-deliver
     /// decisions, as `ServerHub::pump` does — still bounces every
     /// datagram with its own hop count. A datagram that ages out of the
-    /// ring (more than [`HOP_MEMORY`] consumes before its decision)
+    /// ring (more than `HOP_MEMORY` consumes before its decision)
     /// falls back to the most recent hop count.
     pub fn bouncer(&self) -> FeedBouncer {
         FeedBouncer {
@@ -339,20 +339,6 @@ impl Channel for FeedChannel {
         self.take(0)
     }
 
-    /// The batched receive path: one queue drain for the whole burst,
-    /// then straight off the inbox — the receive-side mirror of
-    /// [`FeedChannel::send_many`], feeding a hub's batched open.
-    fn drain_many(&mut self, out: &mut Vec<Datagram>, max: usize) -> usize {
-        self.drain_rx();
-        let mut got = 0;
-        while got < max {
-            let Some(dg) = self.take(0) else { break };
-            out.push(dg);
-            got += 1;
-        }
-        got
-    }
-
     fn next_event_time(&self) -> Option<Millis> {
         None // Real traffic cannot announce its arrivals.
     }
@@ -437,7 +423,7 @@ impl FeedBouncer {
 
 /// Owns the shared socket and routes its datagrams to shard queues, a
 /// drained **batch** at a time: each pump round pulls up to
-/// [`FEED_BATCH`] datagrams off the socket (plus any bounces), groups
+/// `FEED_BATCH` datagrams off the socket (plus any bounces), groups
 /// them by target shard, and moves each group into its shard's queue
 /// with **one** channel send — the `recvmmsg`/`sendmmsg` shape, so the
 /// per-datagram cost under load is one `recvfrom` plus a vector push,
@@ -459,9 +445,6 @@ pub struct UdpDistributor {
     capacity: usize,
     /// This round's not-yet-flushed batch per shard.
     pending: Vec<PendingBatch>,
-    /// Reused drain scratch (payloads still allocate; the batch spine
-    /// does not).
-    scratch: Vec<Datagram>,
     bounce_rx: Receiver<Fed>,
     hints: Arc<Mutex<HashMap<Addr, usize>>>,
     cells: Arc<StatsCells>,
@@ -550,7 +533,6 @@ impl UdpDistributor {
                 depths,
                 capacity,
                 pending: (0..shards).map(|_| PendingBatch::default()).collect(),
-                scratch: Vec::new(),
                 bounce_rx,
                 hints,
                 cells: Arc::new(StatsCells::default()),
@@ -601,7 +583,7 @@ impl UdpDistributor {
     /// Drains the socket and the bounce queue for `wall_ms` wall-clock
     /// milliseconds, routing every datagram to a shard queue — a batch
     /// per shard per round, not a queue send per datagram. Each round:
-    /// gather bounces, pull a socket burst (up to [`FEED_BATCH`]; the
+    /// gather bounces, pull a socket burst (up to `FEED_BATCH`; the
     /// burst-ending receive waits out the socket's 1 ms read timeout,
     /// which is what paces an idle distributor), flush every shard's
     /// accumulated batch with one channel send.
@@ -619,44 +601,6 @@ impl UdpDistributor {
         }
     }
 
-    /// Takes up to `max` datagrams straight off the shared socket into
-    /// `out`, returning how many arrived — the `recvmmsg`-shaped drain
-    /// primitive `pump` routes through (public for harnesses that want
-    /// the raw burst without shard routing). The first receive may wait
-    /// out the socket's short read timeout; the rest only as long as the
-    /// kernel queue stays non-empty.
-    pub fn drain_many(&mut self, out: &mut Vec<Datagram>, max: usize) -> usize {
-        let mut got = 0;
-        while got < max {
-            match self.socket.recv_from(&mut self.buf[..]) {
-                Ok((n, src)) => {
-                    out.push(Datagram {
-                        from: addr_from_socket(src),
-                        to: self.local,
-                        payload: self.buf[..n].to_vec(),
-                    });
-                    got += 1;
-                }
-                // Read timeout or a transient error (ICMP-propagated
-                // ECONNREFUSED): the burst is over.
-                Err(_) => break,
-            }
-        }
-        got
-    }
-
-    /// Sends a batch of datagrams out the shared socket — the
-    /// `sendmmsg`-shaped mirror of [`UdpDistributor::drain_many`]
-    /// (`UdpSocket::send_to` is `&self`, so this never contends with the
-    /// shards' own replies). Datagram semantics per element: a failed
-    /// send is a lost packet.
-    pub fn send_many(&self, batch: Vec<(Addr, Vec<u8>)>) {
-        let v6 = self.local.is_v6();
-        for (to, payload) in batch {
-            send_raw(&self.socket, v6, to, &payload);
-        }
-    }
-
     /// Forwards bounced datagrams to the next shard in their cycle, into
     /// this round's pending batches.
     fn gather_bounces(&mut self) {
@@ -671,15 +615,18 @@ impl UdpDistributor {
         }
     }
 
-    /// Pulls one socket burst into this round's pending batches.
+    /// Pulls one socket burst, up to `max` datagrams, into this round's
+    /// pending batches. The first receive may wait out the socket's
+    /// short read timeout; the rest only as long as the kernel queue
+    /// stays non-empty. A timeout or a transient error ends the burst.
     fn drain_socket(&mut self, max: usize) {
-        let mut burst = std::mem::take(&mut self.scratch);
-        self.drain_many(&mut burst, max);
-        for dg in burst.drain(..) {
+        for _ in 0..max {
+            let Ok(dg) = recv_raw(&self.socket, &mut self.buf[..], self.local) else {
+                break;
+            };
             let shard = self.base_shard(dg.from);
             self.stage(shard, (dg, 0), false);
         }
-        self.scratch = burst;
     }
 
     /// Stages one datagram into `shard`'s pending batch, enforcing the
@@ -955,8 +902,8 @@ mod tests {
         while got_other.is_empty() || got_base.is_empty() {
             assert!(start.elapsed().as_secs() < 10, "never routed");
             dist.pump(5);
-            feeds[other].drain_many(&mut got_other, FEED_BATCH);
-            feeds[base].drain_many(&mut got_base, FEED_BATCH);
+            got_other.extend(std::iter::from_fn(|| feeds[other].poll_any()));
+            got_base.extend(std::iter::from_fn(|| feeds[base].poll_any()));
         }
         assert_eq!(got_other[0].payload, b"veteran");
         assert_eq!(got_base[0].payload, b"fresh one");

@@ -1,11 +1,11 @@
 //! The readiness seam: one wait point over many datagram sources.
 //!
-//! A single-session driver owns one [`Channel`] and blocks on it. A
-//! multi-session hub (see `mosh_core::hub::ServerHub`) owns *many*
-//! sources — one emulated network per simulated session, or one shared
-//! UDP socket serving hundreds of sessions — and needs a single place to
-//! ask "advance this source to its deadline, and hand me whatever arrived
-//! anywhere". A [`Poller`] is that place:
+//! The session event loop (`mosh_core::hub::ServerHub`) owns any number
+//! of [`Channel`] sources — one dedicated channel under a single-session
+//! `SessionLoop`, one emulated network per simulated session, or one
+//! shared UDP socket serving hundreds of sessions — and needs a single
+//! place to ask "advance this source to its deadline, and hand me
+//! whatever arrived anywhere". A [`Poller`] is that place:
 //!
 //! * [`SimPoller`] is deterministic: each registered [`SimChannel`] is a
 //!   discrete-event world of its own, `wait_until` advances exactly that
@@ -166,7 +166,8 @@ impl<C: Channel> ChannelPoller<C> {
         }
     }
 
-    /// A poller over one source (what a single-session driver needs).
+    /// A poller over one source, registered as `Token(0)` — the
+    /// substrate of a single-session `mosh_core::SessionLoop`.
     pub fn solo(channel: C) -> Self {
         let mut poller = Self::new();
         poller.add(channel);
@@ -305,7 +306,7 @@ impl Poller for UdpPoller {
             let mut got = false;
             for (i, ch) in self.inner.channels.iter_mut().enumerate() {
                 let Some(ch) = ch.as_mut() else { continue };
-                if ch.drain() > 0 || ch.inbox_len() > 0 {
+                if ch.drain() {
                     self.inner.ready.push(i);
                     got = true;
                 }

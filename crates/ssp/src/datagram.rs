@@ -167,30 +167,6 @@ impl DatagramLayer {
         self.session.decrypt_count()
     }
 
-    /// Encrypts a transport payload into a wire datagram stamped `now`.
-    pub fn encode(&mut self, now: Millis, payload: &[u8]) -> Vec<u8> {
-        let ts = (now & 0xffff) as u16;
-        // Adjust the echo by our holding time (paper §2.2, change #2).
-        let ts_reply = match self.saved_timestamp {
-            None => TS_NONE,
-            Some((their_ts, arrived_at)) => {
-                let held = now.saturating_sub(arrived_at);
-                (their_ts as u64).wrapping_add(held) as u16
-            }
-        };
-        // Assemble the plaintext in the session's recycled scratch so the
-        // only allocation on this path is the returned wire itself.
-        let mut plain = self.session.take_scratch();
-        plain.reserve(4 + payload.len());
-        plain.extend_from_slice(&ts.to_be_bytes());
-        plain.extend_from_slice(&ts_reply.to_be_bytes());
-        plain.extend_from_slice(payload);
-        let mut wire = Vec::new();
-        self.session.encrypt_into(&plain, &mut wire);
-        self.session.recycle_scratch(plain);
-        wire
-    }
-
     /// Authenticates and decrypts a wire datagram **without** consuming
     /// it: no sequence-number, RTT, or timestamp state changes — the
     /// non-mutating verification a demultiplexer runs on candidate
@@ -230,12 +206,13 @@ impl DatagramLayer {
             .collect()
     }
 
-    /// Encrypts a batch of transport payloads, all stamped `now`, in one
-    /// cipher pass. Byte-identical to calling [`DatagramLayer::encode`]
-    /// per payload: `encode` never mutates the saved timestamp, so every
-    /// packet of a same-instant burst carries the same echo.
+    /// Encrypts a batch of transport payloads into wire datagrams, all
+    /// stamped `now`, in one cipher pass. A batch of N is byte-identical
+    /// to N batches of one: encoding never mutates the saved timestamp,
+    /// so every packet of a same-instant burst carries the same echo.
     pub fn encode_many(&mut self, now: Millis, payloads: &[&[u8]]) -> Vec<Vec<u8>> {
         let ts = (now & 0xffff) as u16;
+        // Adjust the echo by our holding time (paper §2.2, change #2).
         let ts_reply = match self.saved_timestamp {
             None => TS_NONE,
             Some((their_ts, arrived_at)) => {
@@ -243,6 +220,8 @@ impl DatagramLayer {
                 (their_ts as u64).wrapping_add(held) as u16
             }
         };
+        // Assemble the plaintexts in the session's recycled scratch so
+        // the only allocations on this path are the returned wires.
         let mut plains: Vec<Vec<u8>> = Vec::with_capacity(payloads.len());
         for payload in payloads {
             let mut plain = self.session.take_scratch();
@@ -264,7 +243,7 @@ impl DatagramLayer {
 
     /// Consumes an already-opened datagram at `now`: parses the
     /// timestamps, feeds the RTT estimator, and advances the new-high
-    /// bookkeeping — everything [`DatagramLayer::decode`] does after its
+    /// bookkeeping — everything receiving a datagram does after its
     /// decrypt. The token's own buffer becomes [`Received::payload`]
     /// (shifted in place, no allocation); hand it back via
     /// [`DatagramLayer::recycle`] once consumed and the steady-state
@@ -308,14 +287,6 @@ impl DatagramLayer {
         })
     }
 
-    /// Authenticates and decodes a wire datagram received at `now`,
-    /// feeding the RTT estimator from any echoed timestamp. Exactly
-    /// [`DatagramLayer::open`] followed by [`DatagramLayer::accept`].
-    pub fn decode(&mut self, now: Millis, wire: &[u8]) -> Result<Received, SspError> {
-        let opened = self.open(wire)?;
-        self.accept(now, opened)
-    }
-
     /// Returns a consumed [`Received::payload`] buffer to the scratch
     /// pool, closing the zero-allocation loop: open → accept → consume →
     /// recycle.
@@ -336,11 +307,22 @@ mod tests {
         )
     }
 
+    /// One datagram: a batch of one.
+    fn encode(layer: &mut DatagramLayer, now: Millis, payload: &[u8]) -> Vec<u8> {
+        layer.encode_many(now, &[payload]).remove(0)
+    }
+
+    /// Receives one wire the way a transport does: open, then accept.
+    fn decode(layer: &mut DatagramLayer, now: Millis, wire: &[u8]) -> Result<Received, SspError> {
+        let opened = layer.open(wire)?;
+        layer.accept(now, opened)
+    }
+
     #[test]
     fn round_trip_payload() {
         let (mut client, mut server) = pair();
-        let wire = client.encode(0, b"fragment");
-        let got = server.decode(1, &wire).unwrap();
+        let wire = encode(&mut client, 0, b"fragment");
+        let got = decode(&mut server, 1, &wire).unwrap();
         assert_eq!(got.payload, b"fragment");
         assert_eq!(got.seq, 0);
         assert!(got.new_high);
@@ -349,11 +331,11 @@ mod tests {
     #[test]
     fn sequence_numbers_mark_new_high() {
         let (mut client, mut server) = pair();
-        let w0 = client.encode(0, b"a");
-        let w1 = client.encode(5, b"b");
+        let w0 = encode(&mut client, 0, b"a");
+        let w1 = encode(&mut client, 5, b"b");
         // Deliver out of order: the older packet is not a new high.
-        assert!(server.decode(10, &w1).unwrap().new_high);
-        let r0 = server.decode(11, &w0).unwrap();
+        assert!(decode(&mut server, 10, &w1).unwrap().new_high);
+        let r0 = decode(&mut server, 11, &w0).unwrap();
         assert!(!r0.new_high);
         assert_eq!(r0.payload, b"a");
     }
@@ -363,10 +345,10 @@ mod tests {
         let (mut client, mut server) = pair();
         // t=0: client sends; t=100: server receives and replies immediately;
         // t=200: client receives -> RTT sample 200 ms.
-        let w = client.encode(0, b"ping");
-        server.decode(100, &w).unwrap();
-        let reply = server.encode(100, b"pong");
-        client.decode(200, &reply).unwrap();
+        let w = encode(&mut client, 0, b"ping");
+        decode(&mut server, 100, &w).unwrap();
+        let reply = encode(&mut server, 100, b"pong");
+        decode(&mut client, 200, &reply).unwrap();
         assert!(client.has_rtt_sample());
         assert_eq!(client.srtt(), 200.0);
     }
@@ -376,18 +358,18 @@ mod tests {
         let (mut client, mut server) = pair();
         // Server holds the timestamp 400 ms before replying (delayed ack);
         // the echo is aged, so the client still measures 200 ms.
-        let w = client.encode(0, b"ping");
-        server.decode(100, &w).unwrap();
-        let reply = server.encode(500, b"late pong");
-        client.decode(600, &reply).unwrap();
+        let w = encode(&mut client, 0, b"ping");
+        decode(&mut server, 100, &w).unwrap();
+        let reply = encode(&mut server, 500, b"late pong");
+        decode(&mut client, 600, &reply).unwrap();
         assert_eq!(client.srtt(), 200.0);
     }
 
     #[test]
     fn no_echo_no_sample() {
         let (mut client, mut server) = pair();
-        let w = client.encode(0, b"first");
-        let got = server.decode(50, &w).unwrap();
+        let w = encode(&mut client, 0, b"first");
+        let got = decode(&mut server, 50, &w).unwrap();
         assert_eq!(got.payload, b"first");
         assert!(!client.has_rtt_sample());
     }
@@ -395,9 +377,9 @@ mod tests {
     #[test]
     fn corrupted_datagrams_are_rejected() {
         let (mut client, mut server) = pair();
-        let mut w = client.encode(0, b"x");
+        let mut w = encode(&mut client, 0, b"x");
         w[9] ^= 1;
-        assert!(server.decode(1, &w).is_err());
+        assert!(decode(&mut server, 1, &w).is_err());
     }
 
     #[test]
@@ -405,42 +387,19 @@ mod tests {
         let (mut client, mut server) = pair();
         // Timestamps are 16-bit; send near the wrap boundary.
         let t0: Millis = 65_530;
-        let w = client.encode(t0, b"ping");
-        server.decode(t0 + 5, &w).unwrap();
-        let reply = server.encode(t0 + 5, b"pong");
-        client.decode(t0 + 10, &reply).unwrap();
+        let w = encode(&mut client, t0, b"ping");
+        decode(&mut server, t0 + 5, &w).unwrap();
+        let reply = encode(&mut server, t0 + 5, b"pong");
+        decode(&mut client, t0 + 10, &reply).unwrap();
         assert_eq!(client.srtt(), 10.0);
-    }
-
-    #[test]
-    fn open_then_accept_equals_decode() {
-        let (mut client, mut server_a) = pair();
-        let (_, mut server_b) = pair();
-        let w0 = client.encode(0, b"first");
-        let w1 = client.encode(5, b"second");
-        // One server decodes directly; its twin goes through the split
-        // open/accept pipeline. Identical results, identical RTT state.
-        let direct0 = server_a.decode(10, &w0).unwrap();
-        let opened0 = server_b.open(&w0).unwrap();
-        assert_eq!(opened0.seq, 0);
-        let split0 = server_b.accept(10, opened0).unwrap();
-        assert_eq!(direct0, split0);
-        let direct1 = server_a.decode(12, &w1).unwrap();
-        let split1 = {
-            let opened = server_b.open(&w1).unwrap();
-            server_b.accept(12, opened).unwrap()
-        };
-        assert_eq!(direct1, split1);
-        assert_eq!(server_a.max_seq_seen(), server_b.max_seq_seen());
-        assert_eq!(server_a.srtt(), server_b.srtt());
     }
 
     #[test]
     fn open_does_not_consume_the_datagram() {
         let (mut client, mut server) = pair();
-        let w_old = client.encode(0, b"old"); // seq 0
-        let w_new = client.encode(100, b"new"); // seq 1
-        server.decode(10, &w_old).unwrap();
+        let w_old = encode(&mut client, 0, b"old"); // seq 0
+        let w_new = encode(&mut client, 100, b"new"); // seq 1
+        decode(&mut server, 10, &w_old).unwrap();
         let before = (server.max_seq_seen(), server.srtt());
         // Opening (even repeatedly, even of a would-be-new-high packet)
         // changes no sequence, RTT, or timestamp state.
@@ -460,7 +419,7 @@ mod tests {
     #[test]
     fn decrypt_count_counts_every_ocb_pass() {
         let (mut client, mut server) = pair();
-        let w = client.encode(0, b"x");
+        let w = encode(&mut client, 0, b"x");
         assert_eq!(server.decrypt_count(), 0);
         assert!(server.verify(&w));
         let opened = server.open(&w).unwrap();
@@ -469,19 +428,20 @@ mod tests {
         assert_eq!(server.decrypt_count(), 2);
     }
 
+    /// A batch of N equals N batches of one, byte for byte.
     #[test]
     fn encode_many_matches_per_packet_encode() {
         let (mut batched, mut server) = pair();
         let (mut looped, _) = pair();
         // Give both encoders a saved timestamp so the echo path is live.
-        let echo = server.encode(40, b"seed");
-        batched.decode(50, &echo).unwrap();
-        looped.decode(50, &echo).unwrap();
+        let echo = encode(&mut server, 40, b"seed");
+        decode(&mut batched, 50, &echo).unwrap();
+        decode(&mut looped, 50, &echo).unwrap();
         let payloads: Vec<&[u8]> = vec![b"a", b"", b"a longer fragment payload"];
         let wires = batched.encode_many(75, &payloads);
         for (payload, wire) in payloads.iter().zip(wires.iter()) {
-            assert_eq!(*wire, looped.encode(75, payload));
-            assert_eq!(server.decode(80, wire).unwrap().payload, *payload);
+            assert_eq!(*wire, encode(&mut looped, 75, payload));
+            assert_eq!(decode(&mut server, 80, wire).unwrap().payload, *payload);
         }
     }
 
@@ -489,10 +449,10 @@ mod tests {
     fn open_many_matches_per_packet_open() {
         let (mut client, mut batched) = pair();
         let (_, mut looped) = pair();
-        let good0 = client.encode(0, b"first");
-        let mut tampered = client.encode(1, b"second");
+        let good0 = encode(&mut client, 0, b"first");
+        let mut tampered = encode(&mut client, 1, b"second");
         tampered[9] ^= 1;
-        let good1 = client.encode(2, b"third");
+        let good1 = encode(&mut client, 2, b"third");
         let wires: Vec<&[u8]> = vec![&good0, &tampered, &[0u8; 5], &good1];
         let opened = batched.open_many(&wires);
         for (wire, batch_verdict) in wires.iter().zip(opened) {
@@ -510,16 +470,16 @@ mod tests {
     #[test]
     fn reordered_timestamps_do_not_regress_echo() {
         let (mut client, mut server) = pair();
-        let w_old = client.encode(0, b"old");
-        let w_new = client.encode(300, b"new");
-        server.decode(400, &w_new).unwrap();
+        let w_old = encode(&mut client, 0, b"old");
+        let w_new = encode(&mut client, 300, b"new");
+        decode(&mut server, 400, &w_new).unwrap();
         // The older packet arrives later; its timestamp must not replace
         // the saved one.
-        server.decode(410, &w_old).unwrap();
-        let reply = server.encode(410, b"pong");
+        decode(&mut server, 410, &w_old).unwrap();
+        let reply = encode(&mut server, 410, b"pong");
         // Client receives at 510: echo is based on the *new* packet
         // (ts=300 aged by 10), so the sample is 510-300-10 = 200.
-        client.decode(510, &reply).unwrap();
+        decode(&mut client, 510, &reply).unwrap();
         assert_eq!(client.srtt(), 200.0);
     }
 }

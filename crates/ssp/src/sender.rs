@@ -387,7 +387,7 @@ impl<S: SyncState> Sender<S> {
 
     /// The next time this sender wants `tick` called (for event-driven
     /// stepping). The contract has two halves, and both hold by
-    /// construction because `tick` acts on the same [`Deadlines`]:
+    /// construction because `tick` acts on the same `Deadlines`:
     ///
     /// * **no early fire** — `tick(t)` emits nothing for any `t` before
     ///   the returned time (absent `set_current`/`commit`/`set_ack_num`/

@@ -20,7 +20,7 @@
 //! Keystrokes that produce no output at all (and were not predicted) are
 //! excluded from both systems alike: no response ever becomes visible.
 //!
-//! Sessions are driven by the multi-session [`ServerHub`]: every user in
+//! Sessions are driven by the multi-session [`mosh_core::ServerHub`]: every user in
 //! a replay batch is one hub session in its own discrete-event world, all
 //! demultiplexed through a single timer wheel and one event loop — the
 //! six-user workloads that used to be six dedicated loops are now one
@@ -213,7 +213,7 @@ impl UserRun {
 }
 
 /// Replays a batch of traces through full Mosh sessions — one
-/// [`ServerHub`] driving every user concurrently, each in its own
+/// [`mosh_core::ServerHub`] driving every user concurrently, each in its own
 /// emulated network world (same links, same seed: users are statistically
 /// identical runs, exactly as the per-user processes of the paper's
 /// evaluation were). Outcomes come back in trace order and are identical
@@ -313,7 +313,7 @@ pub fn replay_mosh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayO
         .collect()
 }
 
-/// Replays a batch of traces through the SSH baseline — one [`ServerHub`]
+/// Replays a batch of traces through the SSH baseline — one [`mosh_core::ServerHub`]
 /// driving every user concurrently (see [`replay_mosh_many`]).
 pub fn replay_ssh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayOutcome> {
     let c_addr = Addr::new(1, 5001);

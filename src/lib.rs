@@ -20,10 +20,12 @@
 //! `MoshServer` state machines run over [`net::SimChannel`] (the
 //! discrete-event emulator, virtual time) and [`net::UdpChannel`] (a real
 //! socket, wall-clock time) — the paper's §2 design claim, executable.
-//! A [`core::SessionLoop`] drives any set of endpoints over either
-//! substrate, stepping straight to the next timer or delivery instead of
-//! polling every millisecond, and reports [`core::SessionEvent`]s
-//! (`FrameAdvanced`, `Roamed`, `PeerTimeout`, ...).
+//! One event loop, [`core::ServerHub`], drives any number of sessions
+//! over either substrate, stepping straight to the next timer or delivery
+//! instead of polling every millisecond, and reports
+//! [`core::SessionEvent`]s (`FrameAdvanced`, `Roamed`, `PeerTimeout`,
+//! ...). A [`core::SessionLoop`] is that hub with one session on a
+//! dedicated channel.
 //!
 //! # Quickstart
 //!

@@ -8,7 +8,7 @@
 
 use mosh::core::{LineShell, MoshClient, MoshServer, Party, SessionEvent, SessionLoop};
 use mosh::crypto::Base64Key;
-use mosh::net::{Addr, UdpChannel};
+use mosh::net::{Addr, Channel, UdpChannel};
 use mosh::prediction::DisplayPreference;
 
 struct UdpPair {
@@ -116,4 +116,30 @@ fn client_rebind_mid_session_roams_on_real_sockets() {
         "server loop reported the roam: {:?}",
         p.events
     );
+}
+
+#[test]
+fn into_channel_hands_back_the_same_socket_with_its_inbox() {
+    let channel = UdpChannel::bind("127.0.0.1:0").expect("server socket");
+    let addr = channel.local_addr();
+    let key = Base64Key::from_bytes([0x23; 16]);
+    let mut server = MoshServer::new(key, Box::new(LineShell::new()));
+    let mut sl = SessionLoop::new(channel);
+    let t = sl.now() + 20;
+    sl.pump_until(&mut [Party::new(addr, &mut server)], t);
+
+    // A datagram that lands between pumps waits in the channel's inbox.
+    let mut peer = UdpChannel::bind("127.0.0.1:0").expect("peer socket");
+    peer.send(peer.local_addr(), addr, b"late".to_vec());
+    let deadline = sl.now() + 5_000;
+    let woke = sl.channel_mut().wait_until(deadline);
+    assert!(woke < deadline, "the datagram arrived");
+
+    // Unwrapping the loop returns that socket, not a copy or a fresh
+    // one: same address, and what it had received is still there.
+    let mut channel = sl.into_channel();
+    assert_eq!(channel.local_addr(), addr);
+    let dg = channel.poll_any().expect("undelivered datagram survives");
+    assert_eq!(dg.payload, b"late");
+    assert_eq!(dg.from, peer.local_addr());
 }
