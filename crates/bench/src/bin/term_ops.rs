@@ -1,5 +1,5 @@
 //! Terminal hot-path throughput: damage-tracked frame diffing vs the
-//! full-scan oracle.
+//! full-scan oracle, and one-pass ingest vs the per-action route.
 //!
 //! The frame differ runs on every dirty tick of every session (paper
 //! §2.1/§3: the server ships *diffs between framebuffer states*), so at
@@ -34,69 +34,84 @@ use std::time::Instant;
 const WIDTH: usize = 80;
 const HEIGHT: usize = 24;
 
+/// The byte stream behind one trace: the application's writes, tick by
+/// tick.
+type Stream = Vec<Vec<Vec<u8>>>;
+
 /// One trace: consecutive framebuffer snapshots sharing row lineage
 /// (each is a COW clone of the live emulator frame, exactly like the
 /// sender's retained diff sources in `Transport`).
-fn snapshots(ticks: usize, mut step: impl FnMut(usize, &mut Terminal)) -> Vec<Framebuffer> {
+fn snapshots(stream: &Stream) -> Vec<Framebuffer> {
     let mut term = Terminal::new(WIDTH, HEIGHT);
-    let mut frames = Vec::with_capacity(ticks + 1);
+    let mut frames = Vec::with_capacity(stream.len() + 1);
     frames.push(term.frame().clone());
-    for i in 0..ticks {
-        step(i, &mut term);
+    for tick in stream {
+        for write in tick {
+            term.write(write);
+        }
         frames.push(term.frame().clone());
     }
     frames
 }
 
 /// Full-screen rewrites: scrolling flood output, every row damaged.
-fn trace_flood(ticks: usize) -> Vec<Framebuffer> {
-    snapshots(ticks, |i, term| {
-        for line in 0..HEIGHT {
-            let text = format!(
-                "\r\nmake[{}]: target {:>6} of {:>6} ok",
-                i % 4,
-                i * HEIGHT + line,
-                ticks * HEIGHT
-            );
-            term.write(text.as_bytes());
-        }
-    })
+fn stream_flood(ticks: usize) -> Stream {
+    (0..ticks)
+        .map(|i| {
+            (0..HEIGHT)
+                .map(|line| {
+                    format!(
+                        "\r\nmake[{}]: target {:>6} of {:>6} ok",
+                        i % 4,
+                        i * HEIGHT + line,
+                        ticks * HEIGHT
+                    )
+                    .into_bytes()
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// An editing session: one buffer line and the status bar change per
 /// frame; everything else holds still.
-fn trace_editor(ticks: usize) -> Vec<Framebuffer> {
+fn stream_editor(ticks: usize) -> Stream {
     let mut term_init = String::new();
     for row in 1..HEIGHT {
         term_init.push_str(&format!("\x1b[{row};1Hfn line_{row}() {{ body(); }}"));
     }
-    snapshots(ticks, move |i, term| {
-        if i == 0 {
-            term.write(term_init.as_bytes());
-        }
-        let row = 2 + (i % (HEIGHT - 4));
-        let edit = format!("\x1b[{};9H// edited pass {:<6}", row, i);
-        let status = format!(
-            "\x1b[{HEIGHT};1H\x1b[7m -- INSERT -- col {:<5}\x1b[0m",
-            i % WIDTH
-        );
-        term.write(edit.as_bytes());
-        term.write(status.as_bytes());
-    })
+    (0..ticks)
+        .map(|i| {
+            let row = 2 + (i % (HEIGHT - 4));
+            let edit = format!("\x1b[{};9H// edited pass {:<6}", row, i);
+            let status = format!(
+                "\x1b[{HEIGHT};1H\x1b[7m -- INSERT -- col {:<5}\x1b[0m",
+                i % WIDTH
+            );
+            let mut tick = vec![edit.into_bytes(), status.into_bytes()];
+            if i == 0 {
+                tick.insert(0, term_init.clone().into_bytes());
+            }
+            tick
+        })
+        .collect()
 }
 
 /// The fleet shape: a prompt sits still; one keystroke lands every 50th
 /// tick, every other tick's frame is identical to its predecessor.
-fn trace_mostly_idle(ticks: usize) -> Vec<Framebuffer> {
-    snapshots(ticks, |i, term| {
-        if i == 0 {
-            term.write(b"$ ");
-        } else if i % 50 == 0 {
-            let byte = b'a' + ((i / 50) % 26) as u8;
-            term.write(&[byte]);
-        }
-        // All other ticks: no writes — the snapshot pair is identical.
-    })
+fn stream_mostly_idle(ticks: usize) -> Stream {
+    (0..ticks)
+        .map(|i| {
+            if i == 0 {
+                vec![b"$ ".to_vec()]
+            } else if i % 50 == 0 {
+                vec![vec![b'a' + ((i / 50) % 26) as u8]]
+            } else {
+                // No writes — the snapshot pair is identical.
+                Vec::new()
+            }
+        })
+        .collect()
 }
 
 struct TraceResult {
@@ -163,6 +178,75 @@ fn run_trace(name: &'static str, frames: &[Framebuffer], window_ms: u64) -> Trac
     }
 }
 
+struct IngestResult {
+    name: &'static str,
+    bytes: usize,
+    write_ns: f64,
+    per_action_ns: f64,
+    speedup: f64,
+}
+
+/// The route `Terminal::write` replaced: collect the chunk's actions,
+/// then apply each.
+fn write_per_action(term: &mut Terminal, bytes: &[u8]) {
+    let actions = term.parser_mut().input(bytes);
+    for action in &actions {
+        term.perform(action);
+    }
+}
+
+/// Feeds the whole stream to a fresh terminal.
+fn ingest(stream: &Stream, mut write: impl FnMut(&mut Terminal, &[u8])) -> Terminal {
+    let mut term = Terminal::new(WIDTH, HEIGHT);
+    for bytes in stream.iter().flatten() {
+        write(&mut term, bytes);
+    }
+    term
+}
+
+/// Nanoseconds per byte ingesting `stream` into a fresh terminal,
+/// repeated until `window_ms` of wall clock has elapsed. (On the nine
+/// bytes of the mostly-idle stream this is the cost of the fresh
+/// terminal, on both routes alike; the row is there for completeness.)
+fn ns_per_byte(
+    stream: &Stream,
+    bytes: usize,
+    window_ms: u64,
+    mut write: impl FnMut(&mut Terminal, &[u8]),
+) -> f64 {
+    std::hint::black_box(ingest(stream, &mut write));
+    let start = Instant::now();
+    let mut sweeps = 0u64;
+    loop {
+        std::hint::black_box(ingest(std::hint::black_box(stream), &mut write));
+        sweeps += 1;
+        let elapsed = start.elapsed();
+        if elapsed.as_millis() as u64 >= window_ms {
+            return elapsed.as_nanos() as f64 / (sweeps as f64 * bytes as f64);
+        }
+    }
+}
+
+fn run_ingest(name: &'static str, stream: &Stream, window_ms: u64) -> IngestResult {
+    // Correctness first: both routes must leave the same terminal —
+    // screen, scrollback, interpreter and parser state.
+    assert_eq!(
+        ingest(stream, Terminal::write).snapshot_bytes(),
+        ingest(stream, write_per_action).snapshot_bytes(),
+        "{name}: write diverged from the per-action route"
+    );
+    let bytes = stream.iter().flatten().map(Vec::len).sum();
+    let write_ns = ns_per_byte(stream, bytes, window_ms, Terminal::write);
+    let per_action_ns = ns_per_byte(stream, bytes, window_ms, write_per_action);
+    IngestResult {
+        name,
+        bytes,
+        write_ns,
+        per_action_ns,
+        speedup: per_action_ns / write_ns,
+    }
+}
+
 fn main() {
     let quick = mosh_bench::quick();
     let (ticks, window_ms): (usize, u64) = if quick { (96, 60) } else { (400, 400) };
@@ -170,11 +254,14 @@ fn main() {
     println!("=== term_ops: damage-tracked frame diffing vs the full-scan oracle ===");
     println!("  ({WIDTH}x{HEIGHT} screen, {ticks} ticks per trace, {window_ms} ms per measurement; every pair byte-identity-checked)\n");
 
-    let traces = [
-        run_trace("flood", &trace_flood(ticks), window_ms),
-        run_trace("editor", &trace_editor(ticks), window_ms),
-        run_trace("mostly_idle", &trace_mostly_idle(ticks), window_ms),
+    let streams = [
+        ("flood", stream_flood(ticks)),
+        ("editor", stream_editor(ticks)),
+        ("mostly_idle", stream_mostly_idle(ticks)),
     ];
+    let traces = streams
+        .each_ref()
+        .map(|(name, stream)| run_trace(name, &snapshots(stream), window_ms));
 
     println!(
         "  {:>12}  {:>14}  {:>14}  {:>9}  {:>14}",
@@ -210,6 +297,38 @@ fn main() {
         );
     }
 
+    println!("\n=== term_ops: ingest, Terminal::write vs the per-action route ===");
+    println!("  (the byte streams behind the traces above; resulting terminals snapshot-identity-checked)\n");
+    let ingests = streams
+        .each_ref()
+        .map(|(name, stream)| run_ingest(name, stream, window_ms));
+    println!(
+        "  {:>12}  {:>9}  {:>13}  {:>18}  {:>9}",
+        "stream", "bytes", "write ns/byte", "per-action ns/byte", "speedup"
+    );
+    for r in &ingests {
+        println!(
+            "  {:>12}  {:>9}  {:>13.1}  {:>18.1}  {:>8.1}x",
+            r.name, r.bytes, r.write_ns, r.per_action_ns, r.speedup
+        );
+    }
+    // Release only, like the diff gates: a debug build's per-byte costs
+    // are bounds checks and unoptimised iterators on both routes.
+    if cfg!(debug_assertions) {
+        println!("\n  (debug build: snapshot identity checked, ingest gates skipped)");
+    } else {
+        assert!(
+            ingests[0].speedup >= 3.0,
+            "flood: write must be >= 3x the per-action route (got {:.1}x)",
+            ingests[0].speedup
+        );
+        assert!(
+            ingests[1].speedup >= 1.0,
+            "editor: the escape-heavy stream must not pay for the run path (got {:.2}x)",
+            ingests[1].speedup
+        );
+    }
+
     let mut sections = Vec::new();
     for t in &traces {
         sections.push((
@@ -222,9 +341,20 @@ fn main() {
             ),
         ));
     }
+    let ingest_fields: Vec<String> = ingests
+        .iter()
+        .map(|r| {
+            format!(
+                "    \"{}\": {{ \"bytes\": {}, \"write_ns_per_byte\": {:.2}, \
+                 \"per_action_ns_per_byte\": {:.2}, \"ingest_speedup\": {:.2} }}",
+                r.name, r.bytes, r.write_ns, r.per_action_ns, r.speedup
+            )
+        })
+        .collect();
+    sections.push(("ingest", format!("{{\n{}\n  }}", ingest_fields.join(",\n"))));
     let path = std::path::Path::new("BENCH_term.json");
     match merge_bench_json(path, &sections) {
-        Ok(()) => println!("\nwrote flood/editor/mostly_idle sections to BENCH_term.json"),
+        Ok(()) => println!("\nwrote flood/editor/mostly_idle/ingest sections to BENCH_term.json"),
         Err(e) => println!("\ncould not write BENCH_term.json: {e}"),
     }
 

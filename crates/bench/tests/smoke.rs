@@ -186,9 +186,11 @@ fn crypto_ops_quick() {
 fn term_ops_quick() {
     let dir = scratch("term_ops");
     // The bin itself asserts the damage-tracked diff is byte-identical
-    // to the full-scan oracle on every measured pair (and, in release,
-    // the >= 3x editor/mostly-idle speedup gates); a divergence exits
-    // non-zero and fails this smoke.
+    // to the full-scan oracle on every measured pair, and that
+    // `Terminal::write` leaves the same terminal as the per-action route
+    // on every stream (and, in release, the >= 3x editor/mostly-idle
+    // diff gates and the flood >= 3x / editor >= 1x ingest gates); a
+    // divergence exits non-zero and fails this smoke.
     run_quick_in(
         env!("CARGO_BIN_EXE_term_ops"),
         Some(&dir),
@@ -199,12 +201,16 @@ fn term_ops_quick() {
             "damage ns/diff",
             "oracle ns/diff",
             "mostly_idle",
+            "snapshot-identity-checked",
+            "write ns/byte",
         ],
     );
     let json = std::fs::read_to_string(dir.join("BENCH_term.json")).expect("artifact");
-    for section in ["\"flood\"", "\"editor\"", "\"mostly_idle\""] {
+    for section in ["\"flood\"", "\"editor\"", "\"mostly_idle\"", "\"ingest\""] {
         assert!(json.contains(section), "{section} section present:\n{json}");
     }
+    assert!(json_field(&json, "write_ns_per_byte").expect("ingest ns recorded") > 0.0);
+    assert!(json_field(&json, "ingest_speedup").expect("ingest speedup recorded") > 0.0);
     assert!(json_field(&json, "damage_ns_per_diff").expect("damage ns recorded") > 0.0);
     assert!(json_field(&json, "speedup").expect("speedup recorded") > 0.0);
     let _ = std::fs::remove_dir_all(&dir);

@@ -46,13 +46,23 @@ impl Attrs {
     /// Renders the minimal SGR sequence that switches renditions from `self`
     /// to `target`.
     ///
+    /// The allocating form of [`Self::write_sgr_update`].
+    pub fn sgr_update(&self, target: &Attrs) -> String {
+        let mut out = String::new();
+        self.write_sgr_update(target, &mut out);
+        out
+    }
+
+    /// Appends to `out` the minimal SGR sequence that switches renditions
+    /// from `self` to `target` (nothing when they are equal).
+    ///
     /// Used by the display differ: it tracks the renditions the receiving
     /// terminal currently has and emits only what must change. Falls back to
     /// a full reset-and-set when clearing individual attributes would be
     /// longer.
-    pub fn sgr_update(&self, target: &Attrs) -> String {
+    pub fn write_sgr_update(&self, target: &Attrs, out: &mut String) {
         if self == target {
-            return String::new();
+            return;
         }
         // If any attribute must be turned *off*, a reset-and-set is simplest
         // and never longer than issuing individual "off" codes.
@@ -67,64 +77,75 @@ impl Attrs {
             || (self.fg != target.fg && target.fg == Color::Default)
             || (self.bg != target.bg && target.bg == Color::Default);
         let base = if needs_reset { Attrs::default() } else { *self };
-        let mut codes: Vec<String> = Vec::new();
+        // The first code follows the introducer, every later one a ';'.
+        let mut codes = Codes {
+            out,
+            separator: "\x1b[",
+        };
         if needs_reset {
-            codes.push("0".to_string());
+            codes.push(0);
         }
-        if target.bold && !base.bold {
-            codes.push("1".to_string());
-        }
-        if target.faint && !base.faint {
-            codes.push("2".to_string());
-        }
-        if target.italic && !base.italic {
-            codes.push("3".to_string());
-        }
-        if target.underline && !base.underline {
-            codes.push("4".to_string());
-        }
-        if target.blink && !base.blink {
-            codes.push("5".to_string());
-        }
-        if target.inverse && !base.inverse {
-            codes.push("7".to_string());
-        }
-        if target.invisible && !base.invisible {
-            codes.push("8".to_string());
-        }
-        if target.strikethrough && !base.strikethrough {
-            codes.push("9".to_string());
+        for (on, was_on, code) in [
+            (target.bold, base.bold, 1),
+            (target.faint, base.faint, 2),
+            (target.italic, base.italic, 3),
+            (target.underline, base.underline, 4),
+            (target.blink, base.blink, 5),
+            (target.inverse, base.inverse, 7),
+            (target.invisible, base.invisible, 8),
+            (target.strikethrough, base.strikethrough, 9),
+        ] {
+            if on && !was_on {
+                codes.push(code);
+            }
         }
         if target.fg != base.fg {
-            codes.push(fg_code(target.fg));
+            codes.push_color(30, target.fg);
         }
         if target.bg != base.bg {
-            codes.push(bg_code(target.bg));
+            codes.push_color(40, target.bg);
         }
-        if codes.is_empty() {
-            return String::new();
+        if codes.separator == ";" {
+            out.push('m');
         }
-        format!("\x1b[{}m", codes.join(";"))
     }
 }
 
-fn fg_code(c: Color) -> String {
-    match c {
-        Color::Default => "39".to_string(),
-        Color::Indexed(n @ 0..=7) => format!("{}", 30 + u16::from(n)),
-        Color::Indexed(n @ 8..=15) => format!("{}", 90 + u16::from(n) - 8),
-        Color::Indexed(n) => format!("38;5;{n}"),
-        Color::Rgb(r, g, b) => format!("38;2;{r};{g};{b}"),
-    }
+/// The parameter list of one SGR sequence, written straight into the
+/// differ's output.
+struct Codes<'a> {
+    out: &'a mut String,
+    separator: &'static str,
 }
 
-fn bg_code(c: Color) -> String {
-    match c {
-        Color::Default => "49".to_string(),
-        Color::Indexed(n @ 0..=7) => format!("{}", 40 + u16::from(n)),
-        Color::Indexed(n @ 8..=15) => format!("{}", 100 + u16::from(n) - 8),
-        Color::Indexed(n) => format!("48;5;{n}"),
-        Color::Rgb(r, g, b) => format!("48;2;{r};{g};{b}"),
+impl Codes<'_> {
+    fn push(&mut self, code: u16) {
+        use std::fmt::Write;
+        self.out.push_str(self.separator);
+        self.separator = ";";
+        // Writing to a `String` cannot fail.
+        let _ = write!(self.out, "{code}");
+    }
+
+    /// A color selection; `base` is 30 for foreground, 40 for background.
+    fn push_color(&mut self, base: u16, c: Color) {
+        match c {
+            Color::Default => self.push(base + 9),
+            Color::Indexed(n @ 0..=7) => self.push(base + u16::from(n)),
+            Color::Indexed(n @ 8..=15) => self.push(base + 60 + u16::from(n) - 8),
+            Color::Indexed(n) => {
+                self.push(base + 8);
+                self.push(5);
+                self.push(u16::from(n));
+            }
+            Color::Rgb(r, g, b) => {
+                self.push(base + 8);
+                self.push(2);
+                for channel in [r, g, b] {
+                    self.push(u16::from(channel));
+                }
+            }
+        }
     }
 }
 

@@ -7,18 +7,18 @@
 //! application output; it diffs snapshots, so it can *skip* intermediate
 //! states entirely when the application floods the terminal.
 //!
-//! The differ maintains a simulated copy of the receiving terminal and
-//! applies every byte it emits to that copy; correctness is the invariant
-//! `apply(new_frame(init, a, b), a) == b`, which the property tests in
-//! `tests/` check against randomized screens.
+//! The differ tracks what each byte it emits does to the receiving
+//! terminal — cursor, pen, scroll offset, the one cell a print can blank
+//! beside itself — over the *borrowed* rows of the frame the receiver
+//! shows, so a warm diff allocates nothing. Correctness is the invariant
+//! `apply(new_frame(init, a, b), a) == b`, which debug builds assert on
+//! every diff through a real terminal and the property tests in `tests/`
+//! check against randomized screens.
 
-use crate::cell::Attrs;
-use crate::framebuffer::{Framebuffer, Row, RowDelta};
+use std::fmt::Write;
 
-/// The CUP sequence addressing a 0-based `(row, col)` position.
-fn goto_sequence(row: usize, col: usize) -> String {
-    format!("\x1b[{};{}H", row + 1, col + 1)
-}
+use crate::cell::{Attrs, Cell};
+use crate::framebuffer::{Cursor, Framebuffer, Row, RowDelta};
 
 /// Minimum run of trailing blanks for which erase-to-end-of-line is used
 /// instead of printing spaces.
@@ -100,9 +100,9 @@ fn frame_diff(
         initialized && last.width() == target.width() && last.height() == target.height();
 
     // Idle fast path: when every row is *provably* unchanged and the scalar
-    // state matches, the diff is empty — checked before the simulation is
-    // even built, because on a mostly-idle fleet this is the common case
-    // (echo-ack-only state changes diff equal frames every tick).
+    // state matches, the diff is empty — on a mostly-idle fleet this is the
+    // common case (echo-ack-only state changes diff equal frames every
+    // tick).
     if use_damage
         && same_canvas
         && last.title() == target.title()
@@ -116,48 +116,40 @@ fn frame_diff(
     }
 
     let mut d = Differ {
-        sim: if same_canvas {
-            last.clone_for_diff()
-        } else {
-            // Repaint baseline: a blank grid, but the receiver *keeps* its
-            // title and bell count across a resize, so those carry over
-            // from the source state (blank for a genuinely fresh client).
-            let mut fresh = Framebuffer::new(target.width(), target.height());
-            fresh.set_title(last.title().to_string());
-            fresh.set_bell_count(last.bell_count());
-            fresh.modes.cursor_visible = last.modes.cursor_visible;
-            fresh
-        },
         out: std::mem::take(out),
+        source: same_canvas.then_some(last),
+        shift: 0,
+        cursor: last.cursor,
+        // The receiver *might* have a wrap pending from a previous diff's
+        // final print, so the first print must follow an explicit cursor
+        // move (which clears it on both ends).
+        wrap_pending: true,
+        pen: Attrs::default(),
         attrs_known: false,
     };
-    // The simulation models the *receiving* terminal, whose interpreter
-    // state is pinned by the diff-stream invariants, not the sender's.
-    d.sim.normalize_for_diff();
 
     if !same_canvas {
-        // Paint from scratch: reset renditions, clear, home.
+        // Paint from scratch: reset renditions, clear, home. The receiver
+        // *keeps* its title, bell count and cursor visibility across a
+        // resize, so those still compare against the source state below
+        // (blank for a genuinely fresh client).
         d.out.push_str("\x1b[0m\x1b[2J\x1b[H");
-        d.sim.pen = Attrs::default();
         d.attrs_known = true;
-        d.sim.erase_display(2);
-        d.sim.move_to(0, 0);
+        d.cursor = Cursor { row: 0, col: 0 };
+        d.wrap_pending = false;
     }
 
     // Window title.
-    if d.sim.title() != target.title() {
+    if last.title() != target.title() {
         d.out.push_str("\x1b]0;");
         d.out.push_str(target.title());
         d.out.push('\x07');
-        d.sim.set_title(target.title().to_string());
     }
 
     // Bell: ring exactly the number of times the server heard it since the
     // receiver's frame, so the counters converge.
-    let bell_delta = target.bell_count().saturating_sub(d.sim.bell_count());
-    for _ in 0..bell_delta {
+    for _ in 0..target.bell_count().saturating_sub(last.bell_count()) {
         d.out.push('\x07');
-        d.sim.ring_bell();
     }
 
     // Scroll optimization: if the new frame is the old one shifted up by k
@@ -165,10 +157,13 @@ fn frame_diff(
     // Ring rotation moves row identity with the rows, so damage proofs keep
     // matching the shifted positions afterwards.
     if same_canvas {
-        if let Some(k) = detect_scroll(&d.sim, target, use_damage) {
+        if let Some(k) = detect_scroll(last, target, use_damage) {
+            // Default renditions first: the rows scrolled in are blank in
+            // the pen's background.
             d.set_attrs(Attrs::default());
-            d.out.push_str(&format!("\x1b[{k}S"));
-            d.sim.scroll_up(k);
+            // Writing to a `String` cannot fail (here and in `goto`).
+            let _ = write!(d.out, "\x1b[{k}S");
+            d.shift = k;
         }
     }
 
@@ -177,54 +172,86 @@ fn frame_diff(
     // rows without a proof get the full content comparison.
     let width = target.width();
     for row in 0..target.height() {
+        let wanted = target.row(row);
+        let Some(shown) = d.receiver_row(row) else {
+            if !wanted.cells().iter().all(|c| *c == Cell::default()) {
+                d.diff_row(row, None, wanted.cells(), 0, width - 1);
+            }
+            continue;
+        };
         if use_damage {
-            match target.row(row).delta_from(d.sim.row(row)) {
+            match wanted.delta_from(shown) {
                 RowDelta::Identical => continue,
                 RowDelta::Damaged(lo, hi) => {
-                    d.diff_row(row, target, lo, hi.min(width - 1));
+                    d.diff_row(
+                        row,
+                        Some(shown.cells()),
+                        wanted.cells(),
+                        lo,
+                        hi.min(width - 1),
+                    );
                     continue;
                 }
                 RowDelta::Unknown => {}
             }
         }
-        if d.sim.row(row) == target.row(row) {
-            continue;
+        if shown != wanted {
+            d.diff_row(row, Some(shown.cells()), wanted.cells(), 0, width - 1);
         }
-        d.diff_row(row, target, 0, width - 1);
     }
 
     // Cursor visibility.
-    if d.sim.modes.cursor_visible != target.modes.cursor_visible {
+    if last.modes.cursor_visible != target.modes.cursor_visible {
         d.out.push_str(if target.modes.cursor_visible {
             "\x1b[?25h"
         } else {
             "\x1b[?25l"
         });
-        d.sim.modes.cursor_visible = target.modes.cursor_visible;
     }
 
     // Final cursor position: emitted only when something moved it (or on a
     // repaint), so a pure no-op diff is an empty string.
-    if d.sim.cursor != target.cursor {
+    if d.cursor != target.cursor {
         d.goto(target.cursor.row, target.cursor.col);
     }
 
-    debug_assert_eq!(&d.sim, target, "differ simulation must converge");
     *out = d.out;
+    debug_assert!(
+        converges(same_canvas, last, target, out),
+        "a terminal showing `last` must show `target` after the diff"
+    );
+}
+
+/// The differ's contract, checked in debug builds through a real terminal:
+/// the receiver — showing `last`, or blank at `target`'s size with `last`'s
+/// title, bell count and cursor visibility — shows `target` after `diff`.
+fn converges(same_canvas: bool, last: &Framebuffer, target: &Framebuffer, diff: &str) -> bool {
+    let mut receiver = crate::Terminal::new(target.width(), target.height());
+    let frame = receiver.frame_mut();
+    if same_canvas {
+        *frame = last.clone();
+    } else {
+        frame.set_title(last.title().to_string());
+        frame.set_bell_count(last.bell_count());
+        frame.modes.cursor_visible = last.modes.cursor_visible;
+    }
+    frame.normalize_for_diff();
+    receiver.write(diff.as_bytes());
+    receiver.frame() == target
 }
 
 /// Finds the largest upward shift `k` such that the top `height - k` rows of
-/// `target` are exactly the bottom rows of `sim`. Requires the preserved
+/// `target` are exactly the bottom rows of `shown`. Requires the preserved
 /// region to cover at least half the screen to be worthwhile.
-fn detect_scroll(sim: &Framebuffer, target: &Framebuffer, use_damage: bool) -> Option<usize> {
+fn detect_scroll(shown: &Framebuffer, target: &Framebuffer, use_damage: bool) -> Option<usize> {
     let h = target.height();
     for k in 1..h {
         let kept = h - k;
         if kept < h.div_ceil(2) {
             break;
         }
-        if (0..kept).all(|i| rows_match(target.row(i), sim.row(i + k), use_damage))
-            && (0..kept).any(|i| !rows_match(target.row(i), sim.row(i), use_damage))
+        if (0..kept).all(|i| rows_match(target.row(i), shown.row(i + k), use_damage))
+            && (0..kept).any(|i| !rows_match(target.row(i), shown.row(i), use_damage))
         {
             return Some(k);
         }
@@ -232,59 +259,99 @@ fn detect_scroll(sim: &Framebuffer, target: &Framebuffer, use_damage: bool) -> O
     None
 }
 
-struct Differ {
-    sim: Framebuffer,
+/// The receiving terminal, as far as the bytes emitted so far have moved
+/// it from the frame it showed: its cursor, pen and a scroll offset over
+/// the source frame's rows. A diff-receiving terminal never inserts, never
+/// has autowrap or the scroll region changed and never draws lines (diffs
+/// do not set those modes), so that is all a print or an erase depends on
+/// — and the differ borrows the source rows instead of simulating on a
+/// copy of them.
+struct Differ<'a> {
     out: String,
+    /// The frame the receiver showed; `None` when it was cleared to blank.
+    source: Option<&'a Framebuffer>,
+    /// Rows the receiver has been scrolled up since.
+    shift: usize,
+    cursor: Cursor,
+    wrap_pending: bool,
+    pen: Attrs,
     /// False until the first SGR is emitted; the receiver's pen state is
     /// unknown at the start of a diff, so the first rendition change is
     /// emitted absolutely (reset + set).
     attrs_known: bool,
 }
 
-impl Differ {
+impl<'a> Differ<'a> {
+    /// What the receiver shows on `row` before that row is repainted; `None`
+    /// for a blank row (cleared, or scrolled in from below).
+    fn receiver_row(&self, row: usize) -> Option<&'a Row> {
+        let source = self.source?;
+        (row + self.shift < source.height()).then(|| source.row(row + self.shift))
+    }
+
     fn goto(&mut self, row: usize, col: usize) {
-        if self.sim.cursor.row == row && self.sim.cursor.col == col && !self.sim.wrap_pending() {
+        let to = Cursor { row, col };
+        if self.cursor == to && !self.wrap_pending {
             return;
         }
-        self.out.push_str(&goto_sequence(row, col));
-        self.sim.move_to(row, col);
+        // CUP addresses the 0-based position 1-based.
+        let _ = write!(self.out, "\x1b[{};{}H", row + 1, col + 1);
+        self.cursor = to;
+        self.wrap_pending = false;
     }
 
     fn set_attrs(&mut self, target: Attrs) {
         if !self.attrs_known {
             // Emit from a known baseline.
             self.out.push_str("\x1b[0m");
-            self.sim.pen = Attrs::default();
+            self.pen = Attrs::default();
             self.attrs_known = true;
         }
-        let update = self.sim.pen.sgr_update(&target);
-        self.out.push_str(&update);
-        self.sim.pen = target;
+        self.pen.write_sgr_update(&target, &mut self.out);
+        self.pen = target;
     }
 
-    /// Repaints row cells that differ between the simulation and `target`,
-    /// consulting only columns whose span overlaps the inclusive `[lo, hi]`
-    /// range — callers pass the full width unless a damage proof guarantees
-    /// the outside columns are already identical (in which case skipping
-    /// them without comparing changes nothing but the cost).
-    fn diff_row(&mut self, row: usize, target: &Framebuffer, lo: usize, hi: usize) {
-        let width = target.width();
+    /// Repaints the cells of `row` where what the receiver shows (`shown`;
+    /// `None` for a blank row) differs from `wanted`, consulting only
+    /// columns whose span overlaps the inclusive `[lo, hi]` range — callers
+    /// pass the full width unless a damage proof guarantees the outside
+    /// columns are already identical (in which case skipping them without
+    /// comparing changes nothing but the cost).
+    fn diff_row(
+        &mut self,
+        row: usize,
+        shown: Option<&[Cell]>,
+        wanted: &[Cell],
+        lo: usize,
+        hi: usize,
+    ) {
+        let width = wanted.len();
+        // A print changes one receiver cell beyond those it writes: when
+        // the last cell it overwrites led a wide pair, the orphaned
+        // continuation to its right is blanked. The walk only moves
+        // right, so that one cell is all there is to remember.
+        let mut blanked: Option<(usize, Cell)> = None;
+        let receiver = |col: usize, blanked: Option<(usize, Cell)>| match blanked {
+            Some((at, cell)) if at == col => cell,
+            _ => shown.map_or_else(Cell::default, |cells| cells[col]),
+        };
         let mut col = 0;
         while col < width {
-            let tcell = *target.cell(row, col);
+            let tcell = wanted[col];
             if tcell.wide_continuation {
                 col += 1;
                 continue;
             }
-            let span = if tcell.wide { 2 } else { 1 };
+            // (A lead in the last column has no continuation to span: no
+            // emulator-made frame holds one, and it must not index past
+            // the row.)
+            let span = if tcell.wide && col + 1 < width { 2 } else { 1 };
             if col + span <= lo || col > hi {
                 col += span;
                 continue;
             }
-            let matches = *self.sim.cell(row, col) == tcell
-                && (span == 1
-                    || (col + 1 < width
-                        && *self.sim.cell(row, col + 1) == *target.cell(row, col + 1)));
+            let matches = receiver(col, blanked) == tcell
+                && (span == 1 || receiver(col + 1, blanked) == wanted[col + 1]);
             if matches {
                 col += span;
                 continue;
@@ -292,25 +359,44 @@ impl Differ {
 
             // Trailing-blank run: erase to end of line when long enough and
             // the blanks carry only a background color (EL semantics).
-            if tcell.is_blank() && is_erase_style(&tcell.attrs) {
-                let run_uniform = (col..width).all(|c| {
-                    let cell = target.cell(row, c);
-                    cell.is_blank() && cell.attrs == tcell.attrs
-                });
-                if run_uniform && width - col >= EL_THRESHOLD {
-                    self.set_attrs(tcell.attrs);
-                    self.goto(row, col);
-                    self.out.push_str("\x1b[K");
-                    self.sim.erase_line(0);
-                    return;
-                }
+            if tcell.is_blank()
+                && is_erase_style(&tcell.attrs)
+                && width - col >= EL_THRESHOLD
+                && wanted[col..]
+                    .iter()
+                    .all(|cell| cell.is_blank() && cell.attrs == tcell.attrs)
+            {
+                self.set_attrs(tcell.attrs);
+                self.goto(row, col);
+                self.out.push_str("\x1b[K");
+                return;
             }
 
             self.goto(row, col);
             self.set_attrs(tcell.attrs);
             self.out.push(tcell.ch);
-            self.sim.print(tcell.ch);
+            // What the print does to the receiver, as `Framebuffer::print`
+            // would: the cells written, the orphan blanked, the cursor
+            // advanced or left at the margin with a wrap pending.
+            // (A wide print over a lead at `col` blanks that old pair
+            // whole before its own continuation lands on the second cell.)
+            let end = col + span - 1;
+            let led_a_pair =
+                receiver(end, blanked).wide && !(span == 2 && receiver(col, blanked).wide);
+            blanked = (led_a_pair && end + 1 < width).then(|| {
+                let erase = Attrs {
+                    bg: tcell.attrs.bg,
+                    ..Attrs::default()
+                };
+                (end + 1, Cell::blank(erase))
+            });
             col += span;
+            if col >= width {
+                self.cursor.col = width - 1;
+                self.wrap_pending = true;
+            } else {
+                self.cursor.col = col;
+            }
         }
     }
 }

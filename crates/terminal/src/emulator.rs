@@ -1,4 +1,4 @@
-//! The terminal emulator: parser actions dispatched onto the framebuffer.
+//! The terminal emulator: parser events dispatched onto the framebuffer.
 //!
 //! [`Terminal`] is the complete character-cell emulator of paper §3.1: it
 //! implements the subset of ECMA-48 / ISO 6429 used by xterm,
@@ -6,10 +6,23 @@
 //! renditions, erasing, scrolling regions, insert/delete, the alternate
 //! screen, and the bidirectional queries (DA, DSR) whose answers the host
 //! may request.
+//!
+//! # Ingest
+//!
+//! Host output becomes cells in one pass. The screen is the parser's
+//! [`Perform`] sink, so [`Terminal::write`] builds no list of actions; and
+//! while the parser sits in its ground state, `write` hands each maximal
+//! run of printable ASCII to [`Framebuffer::print_run`], which writes a
+//! whole row segment under one damage stamp. Everything else — escape
+//! sequences, non-ASCII and wide characters — goes byte by byte through
+//! [`Parser::advance`] to the per-character [`Framebuffer::print`] and the
+//! dispatch below. [`Terminal::perform`] replays a collected [`Action`]
+//! through the same dispatch: the per-action reference that tests and the
+//! `term_ops` bench hold `write` against.
 
 use crate::cell::{Attrs, Color};
 use crate::framebuffer::Framebuffer;
-use crate::parser::{Action, Parser};
+use crate::parser::{Action, Parser, Perform};
 
 /// A full terminal: byte-stream in, screen state out.
 ///
@@ -50,11 +63,38 @@ impl Terminal {
         &mut self.frame
     }
 
+    /// The escape-sequence parser, mid-sequence position included. Feeding
+    /// it through [`Parser::input`] and the result through [`Self::perform`]
+    /// is the per-action route [`Self::write`] is held against.
+    pub fn parser_mut(&mut self) -> &mut Parser {
+        &mut self.parser
+    }
+
     /// Parses and applies a chunk of host output.
     pub fn write(&mut self, bytes: &[u8]) {
-        let actions = self.parser.input(bytes);
-        for action in actions {
-            self.perform(&action);
+        let mut rest = bytes;
+        while let Some(&b) = rest.first() {
+            if self.parser.in_ground() {
+                match b {
+                    0x20..=0x7e => {
+                        let n = rest
+                            .iter()
+                            .position(|b| !(0x20..=0x7e).contains(b))
+                            .unwrap_or(rest.len());
+                        self.frame.print_run(&rest[..n]);
+                        rest = &rest[n..];
+                        continue;
+                    }
+                    0x07..=0x0f => {
+                        self.frame.execute(b);
+                        rest = &rest[1..];
+                        continue;
+                    }
+                    _ => {}
+                }
+            }
+            self.parser.advance(b, &mut self.frame);
+            rest = &rest[1..];
         }
     }
 
@@ -94,35 +134,29 @@ impl Terminal {
         Some(Terminal { parser, frame })
     }
 
-    /// Applies one parsed action.
+    /// Applies one parsed action: the per-action route [`Self::write`] is
+    /// held against.
     pub fn perform(&mut self, action: &Action) {
-        match action {
-            Action::Print(c) => self.frame.print(*c),
-            Action::Control(b) => self.control(*b),
-            Action::Esc {
-                intermediates,
-                byte,
-            } => self.esc(intermediates, *byte),
-            Action::Csi {
-                private,
-                params,
-                intermediates,
-                byte,
-            } => self.csi(*private, params, intermediates, *byte),
-            Action::Osc { data } => self.osc(data),
-        }
+        action.replay(&mut self.frame);
+    }
+}
+
+/// The interpreter proper: what each parser event does to the screen.
+impl Perform for Framebuffer {
+    fn print(&mut self, c: char) {
+        Framebuffer::print(self, c);
     }
 
-    fn control(&mut self, b: u8) {
+    fn execute(&mut self, b: u8) {
         match b {
-            0x07 => self.frame.ring_bell(),
-            0x08 => self.frame.move_relative(0, -1),
-            0x09 => self.frame.tab_forward(),
-            0x0a..=0x0c => self.frame.line_feed(),
+            0x07 => self.ring_bell(),
+            0x08 => self.move_relative(0, -1),
+            0x09 => self.tab_forward(),
+            0x0a..=0x0c => self.line_feed(),
             0x0d => {
-                self.frame.cursor.col = 0;
+                self.cursor.col = 0;
                 // CR clears a pending wrap.
-                self.frame.move_relative(0, 0);
+                self.move_relative(0, 0);
             }
             0x0e | 0x0f => {
                 // SO/SI shift between G0/G1; we model only G0 line drawing
@@ -132,24 +166,24 @@ impl Terminal {
         }
     }
 
-    fn esc(&mut self, intermediates: &[u8], byte: u8) {
+    fn esc_dispatch(&mut self, intermediates: &[u8], byte: u8) {
         match (intermediates, byte) {
-            ([], b'7') => self.frame.save_cursor(),
-            ([], b'8') => self.frame.restore_cursor(),
-            ([], b'D') => self.frame.line_feed(),
+            ([], b'7') => self.save_cursor(),
+            ([], b'8') => self.restore_cursor(),
+            ([], b'D') => self.line_feed(),
             ([], b'E') => {
-                self.frame.cursor.col = 0;
-                self.frame.line_feed();
+                self.cursor.col = 0;
+                self.line_feed();
             }
-            ([], b'H') => self.frame.set_tab(),
-            ([], b'M') => self.frame.reverse_line_feed(),
-            ([], b'c') => self.frame.reset(),
+            ([], b'H') => self.set_tab(),
+            ([], b'M') => self.reverse_line_feed(),
+            ([], b'c') => self.reset(),
             ([], b'=') | ([], b'>') => {
                 // DECKPAM / DECKPNM keypad modes: client-side concern only.
             }
-            ([b'#'], b'8') => self.frame.screen_alignment_test(),
-            ([b'('], b'0') => self.frame.line_drawing = true,
-            ([b'('], _) => self.frame.line_drawing = false,
+            ([b'#'], b'8') => self.screen_alignment_test(),
+            ([b'('], b'0') => self.line_drawing = true,
+            ([b'('], _) => self.line_drawing = false,
             ([b')'], _) | ([b'*'], _) | ([b'+'], _) => {
                 // G1–G3 designation: unused (no SO/SI shifting).
             }
@@ -157,7 +191,13 @@ impl Terminal {
         }
     }
 
-    fn csi(&mut self, private: Option<u8>, params: &[u16], intermediates: &[u8], byte: u8) {
+    fn csi_dispatch(
+        &mut self,
+        private: Option<u8>,
+        params: &[u16],
+        intermediates: &[u8],
+        byte: u8,
+    ) {
         if !intermediates.is_empty() {
             // DECSCUSR and friends: not part of the synchronized state.
             return;
@@ -169,114 +209,140 @@ impl Terminal {
         }
     }
 
-    /// First parameter with default, treating 0 as the default (most CSI
-    /// sequences treat both absent and zero as 1).
-    fn p1(params: &[u16], default: u16) -> usize {
-        let v = params.first().copied().unwrap_or(0);
-        if v == 0 {
-            default as usize
-        } else {
-            v as usize
+    fn osc_dispatch(&mut self, data: &[u8]) {
+        let s = String::from_utf8_lossy(data);
+        if let Some(rest) = s.strip_prefix("0;").or_else(|| s.strip_prefix("2;")) {
+            self.set_title(rest.to_string());
         }
     }
+}
 
+/// First parameter with default, treating 0 as the default (most CSI
+/// sequences treat both absent and zero as 1).
+fn p1(params: &[u16], default: u16) -> usize {
+    let v = params.first().copied().unwrap_or(0);
+    if v == 0 {
+        default as usize
+    } else {
+        v as usize
+    }
+}
+
+/// Parses the tail of an SGR 38/48 extended color: `5;n` or `2;r;g;b`.
+/// Returns the color and how many parameters were consumed.
+fn extended_color(rest: &[u16]) -> Option<(Color, usize)> {
+    match rest.first()? {
+        5 => {
+            let n = *rest.get(1)?;
+            Some((Color::Indexed(n.min(255) as u8), 2))
+        }
+        2 => {
+            let r = *rest.get(1)? as u8;
+            let g = *rest.get(2)? as u8;
+            let b = *rest.get(3)? as u8;
+            Some((Color::Rgb(r, g, b), 4))
+        }
+        _ => None,
+    }
+}
+
+/// The dispatch tables behind [`Perform::csi_dispatch`].
+impl Framebuffer {
     fn csi_standard(&mut self, params: &[u16], byte: u8) {
-        let n = Self::p1(params, 1);
+        let n = p1(params, 1);
         match byte {
-            b'@' => self.frame.insert_chars(n),
-            b'A' => self.frame.move_relative(-(n as isize), 0),
-            b'B' => self.frame.move_relative(n as isize, 0),
-            b'C' => self.frame.move_relative(0, n as isize),
-            b'D' => self.frame.move_relative(0, -(n as isize)),
+            b'@' => self.insert_chars(n),
+            b'A' => self.move_relative(-(n as isize), 0),
+            b'B' => self.move_relative(n as isize, 0),
+            b'C' => self.move_relative(0, n as isize),
+            b'D' => self.move_relative(0, -(n as isize)),
             b'E' => {
-                self.frame.move_relative(n as isize, 0);
-                self.frame.cursor.col = 0;
+                self.move_relative(n as isize, 0);
+                self.cursor.col = 0;
             }
             b'F' => {
-                self.frame.move_relative(-(n as isize), 0);
-                self.frame.cursor.col = 0;
+                self.move_relative(-(n as isize), 0);
+                self.cursor.col = 0;
             }
             b'G' | b'`' => {
-                let col = Self::p1(params, 1) - 1;
-                let row = self.frame.cursor.row;
-                let origin = self.frame.modes.origin;
-                self.frame.modes.origin = false;
-                self.frame.move_to(row, col);
-                self.frame.modes.origin = origin;
+                let col = p1(params, 1) - 1;
+                let row = self.cursor.row;
+                let origin = self.modes.origin;
+                self.modes.origin = false;
+                self.move_to(row, col);
+                self.modes.origin = origin;
             }
             b'H' | b'f' => {
-                let row = Self::p1(params, 1) - 1;
+                let row = p1(params, 1) - 1;
                 let col = if params.len() > 1 {
                     (params[1].max(1) - 1) as usize
                 } else {
                     0
                 };
-                self.frame.move_to(row, col);
+                self.move_to(row, col);
             }
             b'I' => {
                 for _ in 0..n {
-                    self.frame.tab_forward();
+                    self.tab_forward();
                 }
             }
-            b'J' => self
-                .frame
-                .erase_display(params.first().copied().unwrap_or(0)),
-            b'K' => self.frame.erase_line(params.first().copied().unwrap_or(0)),
-            b'L' => self.frame.insert_lines(n),
-            b'M' => self.frame.delete_lines(n),
-            b'P' => self.frame.delete_chars(n),
-            b'S' => self.frame.scroll_up(n),
-            b'T' => self.frame.scroll_down(n),
-            b'X' => self.frame.erase_chars(n),
+            b'J' => self.erase_display(params.first().copied().unwrap_or(0)),
+            b'K' => self.erase_line(params.first().copied().unwrap_or(0)),
+            b'L' => self.insert_lines(n),
+            b'M' => self.delete_lines(n),
+            b'P' => self.delete_chars(n),
+            b'S' => self.scroll_up(n),
+            b'T' => self.scroll_down(n),
+            b'X' => self.erase_chars(n),
             b'Z' => {
                 for _ in 0..n {
-                    self.frame.tab_backward();
+                    self.tab_backward();
                 }
             }
-            b'a' => self.frame.move_relative(0, n as isize),
-            b'b' => self.frame.repeat_last(n),
+            b'a' => self.move_relative(0, n as isize),
+            b'b' => self.repeat_last(n),
             b'c' => {
                 // DA: identify as a VT220-class terminal, like Mosh.
-                self.frame.push_answerback(b"\x1b[?62c");
+                self.push_answerback(b"\x1b[?62c");
             }
             b'd' => {
                 // VPA: vertical position absolute (origin-aware row).
-                let row = Self::p1(params, 1) - 1;
-                let col = self.frame.cursor.col;
-                self.frame.move_to(row, col);
+                let row = p1(params, 1) - 1;
+                let col = self.cursor.col;
+                self.move_to(row, col);
             }
-            b'e' => self.frame.move_relative(n as isize, 0),
-            b'g' => self.frame.clear_tabs(params.first().copied().unwrap_or(0)),
+            b'e' => self.move_relative(n as isize, 0),
+            b'g' => self.clear_tabs(params.first().copied().unwrap_or(0)),
             b'h' | b'l' => {
                 let set = byte == b'h';
                 for &p in params {
                     if p == 4 {
-                        self.frame.modes.insert = set;
+                        self.modes.insert = set;
                     }
                 }
             }
             b'm' => self.sgr(params),
             b'n' => match params.first().copied().unwrap_or(0) {
-                5 => self.frame.push_answerback(b"\x1b[0n"),
+                5 => self.push_answerback(b"\x1b[0n"),
                 6 => {
-                    let (top, _) = self.frame.scroll_region();
-                    let row = if self.frame.modes.origin {
-                        self.frame.cursor.row - top + 1
+                    let (top, _) = self.scroll_region();
+                    let row = if self.modes.origin {
+                        self.cursor.row - top + 1
                     } else {
-                        self.frame.cursor.row + 1
+                        self.cursor.row + 1
                     };
-                    let report = format!("\x1b[{};{}R", row, self.frame.cursor.col + 1);
-                    self.frame.push_answerback(report.as_bytes());
+                    let report = format!("\x1b[{};{}R", row, self.cursor.col + 1);
+                    self.push_answerback(report.as_bytes());
                 }
                 _ => {}
             },
             b'r' => {
-                let top = Self::p1(params, 1);
+                let top = p1(params, 1);
                 let bottom = params.get(1).copied().unwrap_or(0) as usize;
-                self.frame.set_scroll_region(top, bottom);
+                self.set_scroll_region(top, bottom);
             }
-            b's' => self.frame.save_cursor(),
-            b'u' => self.frame.restore_cursor(),
+            b's' => self.save_cursor(),
+            b'u' => self.restore_cursor(),
             b't' => {
                 // Window manipulation: not part of the cell grid.
             }
@@ -292,50 +358,50 @@ impl Terminal {
         };
         for &p in params {
             match p {
-                1 => self.frame.modes.application_cursor_keys = set,
+                1 => self.modes.application_cursor_keys = set,
                 3 => {
                     // DECCOLM: clear screen and home (no width change).
-                    self.frame.erase_display(2);
-                    self.frame.move_to(0, 0);
+                    self.erase_display(2);
+                    self.move_to(0, 0);
                 }
                 6 => {
-                    self.frame.modes.origin = set;
-                    self.frame.move_to(0, 0);
+                    self.modes.origin = set;
+                    self.move_to(0, 0);
                 }
-                7 => self.frame.modes.autowrap = set,
-                25 => self.frame.modes.cursor_visible = set,
+                7 => self.modes.autowrap = set,
+                25 => self.modes.cursor_visible = set,
                 47 | 1047 => {
                     if set {
-                        self.frame.enter_alternate_screen();
+                        self.enter_alternate_screen();
                     } else {
-                        self.frame.exit_alternate_screen();
+                        self.exit_alternate_screen();
                     }
                 }
                 1048 => {
                     if set {
-                        self.frame.save_cursor();
+                        self.save_cursor();
                     } else {
-                        self.frame.restore_cursor();
+                        self.restore_cursor();
                     }
                 }
                 1049 => {
                     if set {
-                        self.frame.save_cursor();
-                        self.frame.enter_alternate_screen();
+                        self.save_cursor();
+                        self.enter_alternate_screen();
                     } else {
-                        self.frame.exit_alternate_screen();
-                        self.frame.restore_cursor();
+                        self.exit_alternate_screen();
+                        self.restore_cursor();
                     }
                 }
-                1000 | 1002 | 1003 => self.frame.modes.mouse_reporting = set,
-                2004 => self.frame.modes.bracketed_paste = set,
+                1000 | 1002 | 1003 => self.modes.mouse_reporting = set,
+                2004 => self.modes.bracketed_paste = set,
                 _ => {}
             }
         }
     }
 
     fn sgr(&mut self, params: &[u16]) {
-        let pen = &mut self.frame.pen;
+        let pen = &mut self.pen;
         if params.is_empty() {
             *pen = Attrs::default();
             return;
@@ -364,7 +430,7 @@ impl Terminal {
                 29 => pen.strikethrough = false,
                 30..=37 => pen.fg = Color::Indexed((params[i] - 30) as u8),
                 38 => {
-                    if let Some((color, used)) = Self::extended_color(&params[i + 1..]) {
+                    if let Some((color, used)) = extended_color(&params[i + 1..]) {
                         pen.fg = color;
                         i += used;
                     }
@@ -372,7 +438,7 @@ impl Terminal {
                 39 => pen.fg = Color::Default,
                 40..=47 => pen.bg = Color::Indexed((params[i] - 40) as u8),
                 48 => {
-                    if let Some((color, used)) = Self::extended_color(&params[i + 1..]) {
+                    if let Some((color, used)) = extended_color(&params[i + 1..]) {
                         pen.bg = color;
                         i += used;
                     }
@@ -383,31 +449,6 @@ impl Terminal {
                 _ => {}
             }
             i += 1;
-        }
-    }
-
-    /// Parses the tail of an SGR 38/48 extended color: `5;n` or `2;r;g;b`.
-    /// Returns the color and how many parameters were consumed.
-    fn extended_color(rest: &[u16]) -> Option<(Color, usize)> {
-        match rest.first()? {
-            5 => {
-                let n = *rest.get(1)?;
-                Some((Color::Indexed(n.min(255) as u8), 2))
-            }
-            2 => {
-                let r = *rest.get(1)? as u8;
-                let g = *rest.get(2)? as u8;
-                let b = *rest.get(3)? as u8;
-                Some((Color::Rgb(r, g, b), 4))
-            }
-            _ => None,
-        }
-    }
-
-    fn osc(&mut self, data: &[u8]) {
-        let s = String::from_utf8_lossy(data);
-        if let Some(rest) = s.strip_prefix("0;").or_else(|| s.strip_prefix("2;")) {
-            self.frame.set_title(rest.to_string());
         }
     }
 }
@@ -618,6 +659,24 @@ mod tests {
     fn rep_repeats() {
         let t = term(b"x\x1b[4b");
         assert_eq!(t.frame().row_text(0), "xxxxx");
+    }
+
+    #[test]
+    fn rep_at_its_largest_matches_per_character_printing() {
+        // CSI 65535 b: eight bytes that fill the screen and the scrollback
+        // many times over, row-sized spans at a time. The result — screen,
+        // scrollback, cursor, pending wrap — is what printing the
+        // character 65 535 times leaves.
+        for (w, h) in [(80, 24), (1, 1)] {
+            let mut rep = Terminal::new(w, h);
+            rep.write(b"x\x1b[65535b");
+            let mut printed = Terminal::new(w, h);
+            printed.write(b"x");
+            for _ in 0..65535 {
+                printed.frame_mut().print('x');
+            }
+            assert_eq!(rep.snapshot_bytes(), printed.snapshot_bytes(), "{w}x{h}");
+        }
     }
 
     #[test]

@@ -14,7 +14,12 @@
 //! storage. Cloning a framebuffer — which the sender does for every
 //! shipped state — is O(height) pointer bumps, and each mutation stamps
 //! the touched row with a globally unique *damage generation* plus the
-//! column range it dirtied. The display differ uses those stamps
+//! column range it dirtied. The unit of a stamp is the mutation *span*,
+//! not the cell: [`Framebuffer::print_run`] writes a whole row segment
+//! under one stamp, as the erase and fill operations always have. Stamps
+//! are only ever compared, and the dirty range is the same union either
+//! way, so a coarser stamp proves exactly what a finer one did. The
+//! display differ uses those stamps
 //! ([`Row::delta_from`]) to skip rows that provably did not change and to
 //! confine its cell walk to the dirty span of rows that did; anything it
 //! cannot prove falls back to a content comparison, so the emitted bytes
@@ -146,17 +151,15 @@ impl Row {
         &mut d.cells
     }
 
-    /// Pads or truncates to `width`, marking the whole row damaged.
-    /// `fix_wide` blanks a wide lead left dangling in the last column.
-    fn set_width(&mut self, width: usize, fix_wide: bool) {
+    /// Pads or truncates to `width`, marking the whole row damaged. A wide
+    /// lead the cut leaves dangling in the last column is blanked.
+    fn set_width(&mut self, width: usize) {
         let cells = self.touch(0, width.saturating_sub(1));
         if width < cells.len() {
             cells.truncate(width);
-            if fix_wide {
-                if let Some(last) = cells.last_mut() {
-                    if last.wide {
-                        *last = Cell::default();
-                    }
+            if let Some(last) = cells.last_mut() {
+                if last.wide {
+                    *last = Cell::default();
                 }
             }
         } else {
@@ -692,9 +695,75 @@ impl Framebuffer {
         }
     }
 
+    /// Prints a run of printable ASCII (every byte in `0x20..=0x7e`) at the
+    /// cursor: the same screen, cursor and damage range as [`Self::print`]
+    /// of each byte in turn, at one damage stamp per row segment instead of
+    /// one per cell.
+    ///
+    /// Insert mode, autowrap off and the line-drawing charset make a print
+    /// depend on more than the cell under the cursor, so under any of them
+    /// the run goes through `print` character by character.
+    pub fn print_run(&mut self, mut run: &[u8]) {
+        debug_assert!(run.iter().all(|b| (0x20..=0x7e).contains(b)));
+        if self.modes.insert || !self.modes.autowrap || self.line_drawing {
+            for &b in run {
+                self.print(b as char);
+            }
+            return;
+        }
+        let Some(&last_byte) = run.last() else {
+            return;
+        };
+        let (width, pen, erase) = (self.width, self.pen, self.erase_cell());
+        while !run.is_empty() {
+            if self.wrap_pending {
+                self.cursor.col = 0;
+                self.line_feed();
+            }
+            let col = self.cursor.col;
+            let (segment, rest) = run.split_at(run.len().min(width - col));
+            let last = col + segment.len() - 1;
+            let row = self.grid.get_mut(self.cursor.row);
+            // The wide-pair invariant at the two ends of the span: a pair
+            // the span cuts in half loses its other half too (`lo`/`hi`
+            // step outward onto it; otherwise they are the span's own ends
+            // and the fill overwrites them). Pairs wholly inside the span
+            // are simply overwritten.
+            let old = row.cells();
+            let lo = col - usize::from(old[col].wide_continuation && col > 0);
+            let hi = last + usize::from(old[last].wide && last + 1 < width);
+            let cells = row.touch(lo, hi);
+            cells[lo] = erase;
+            cells[hi] = erase;
+            for (cell, &b) in cells[col..=last].iter_mut().zip(segment) {
+                *cell = Cell::narrow(b as char, pen);
+            }
+            if last + 1 == width {
+                self.cursor.col = last;
+                self.wrap_pending = true;
+            } else {
+                self.cursor.col = last + 1;
+            }
+            run = rest;
+        }
+        self.last_printed = Some(last_byte as char);
+    }
+
     /// Repeats the last printed character `n` times (REP).
     pub fn repeat_last(&mut self, n: usize) {
-        if let Some(ch) = self.last_printed {
+        let Some(ch) = self.last_printed else {
+            return;
+        };
+        if (' '..='~').contains(&ch) {
+            // `n` reaches 65 535: whole rows at a time, not cell by cell.
+            let chunk = [ch as u8; 256];
+            let mut left = n;
+            while left > 0 {
+                let take = left.min(chunk.len());
+                self.print_run(&chunk[..take]);
+                left -= take;
+            }
+        } else {
             for _ in 0..n {
                 self.print(ch);
             }
@@ -1130,10 +1199,10 @@ impl Framebuffer {
         }
         if width != self.width {
             for r in 0..self.height {
-                self.grid.get_mut(r).set_width(width, true);
+                self.grid.get_mut(r).set_width(width);
             }
             for row in self.scrollback.iter_mut() {
-                row.set_width(width, true);
+                row.set_width(width);
             }
         }
         let mut rows = self.grid.take_rows();
@@ -1149,7 +1218,7 @@ impl Framebuffer {
         if let Some((rows, cursor)) = &mut self.alt_saved {
             if width != self.width {
                 for row in rows.iter_mut() {
-                    row.set_width(width, false);
+                    row.set_width(width);
                 }
             }
             if height < rows.len() {
@@ -1172,8 +1241,9 @@ impl Framebuffer {
     }
 
     /// Resets interpreter state to the invariants a diff-receiving client is
-    /// known to satisfy (diffs never alter these modes), so the display
-    /// differ's simulation matches how the client will interpret its bytes.
+    /// known to satisfy (diffs never alter these modes): the receiver the
+    /// display differ reasons about, and the one its debug-build convergence
+    /// check replays each diff through.
     ///
     /// `wrap_pending` is set conservatively: the client *might* have a wrap
     /// pending from a previous diff's final print, so the differ must issue
@@ -1187,35 +1257,6 @@ impl Framebuffer {
         self.scroll_bottom = self.height - 1;
         self.line_drawing = false;
         self.wrap_pending = true;
-    }
-
-    /// A clone for use as the differ's receiver simulation: shares the grid
-    /// rows (so damage fast paths apply) but carries no scrollback — the
-    /// simulation's own scrolling must not pay history bookkeeping, and the
-    /// receiver's history is not what a diff synchronizes.
-    pub(crate) fn clone_for_diff(&self) -> Self {
-        Framebuffer {
-            width: self.width,
-            height: self.height,
-            grid: self.grid.clone(),
-            cursor: self.cursor,
-            pen: self.pen,
-            modes: self.modes.clone(),
-            scroll_top: self.scroll_top,
-            scroll_bottom: self.scroll_bottom,
-            tabs: self.tabs.clone(),
-            title: self.title.clone(),
-            bell_count: self.bell_count,
-            wrap_pending: self.wrap_pending,
-            saved_cursor: self.saved_cursor,
-            alt_saved: None,
-            scrollback: VecDeque::new(),
-            scrollback_limit: 0,
-            display_offset: 0,
-            answerback: Vec::new(),
-            last_printed: self.last_printed,
-            line_drawing: self.line_drawing,
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1840,6 +1881,23 @@ mod tests {
         fb.resize(8, 4);
         assert_eq!(fb.row_text(0), "a");
         assert_eq!(fb.width(), 8);
+    }
+
+    #[test]
+    fn resize_cuts_no_wide_pair_in_half_on_either_screen() {
+        // A wide pair straddling the new margin loses its lead too — on the
+        // live screen and in the primary screen stashed behind the
+        // alternate one, which comes back with `exit_alternate_screen`.
+        let mut fb = Framebuffer::new(6, 2);
+        fb.move_to(0, 2);
+        fb.print('漢');
+        fb.enter_alternate_screen();
+        fb.move_to(0, 2);
+        fb.print('字');
+        fb.resize(3, 2);
+        assert_eq!(*fb.cell(0, 2), Cell::default());
+        fb.exit_alternate_screen();
+        assert_eq!(*fb.cell(0, 2), Cell::default());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`Framebuffer`] — the screen state: grid, cursor, title, bell, modes.
 //! * [`display::new_frame`] — the differ: the minimal ANSI message that
 //!   transforms one frame into another (paper §2.3).
-//! * [`parser::Parser`] — the streaming escape-sequence state machine.
+//! * [`parser::Parser`] — the streaming escape-sequence state machine, a
+//!   push parser driving a [`parser::Perform`] sink (the screen itself).
 //!
 //! # Examples
 //!

@@ -5,8 +5,17 @@
 //! most states and CAN/SUB/ESC aborting collection. Input is decoded from
 //! UTF-8 first, as Mosh does, so C1 controls arrive as single code points.
 //!
+//! The parser is a *push* parser: [`Parser::advance`] takes one byte and
+//! calls the [`Perform`] sink for whatever that byte completes, lending the
+//! sink its own parameter, intermediate and OSC buffers for the duration of
+//! the call. Nothing is built in between — the emulator's screen implements
+//! [`Perform`] directly, so interpreting host output allocates nothing per
+//! byte or per sequence. [`Parser::input`] is the same `advance` driving a
+//! sink that *collects* owned [`Action`]s; tests and benches use that
+//! per-action route as the reference the direct route is compared against.
+//!
 //! The parser is deliberately total: **any** byte sequence produces a
-//! well-defined stream of [`Action`]s and never panics — a property test in
+//! well-defined stream of sink calls and never panics — a property test in
 //! `tests/` feeds it arbitrary bytes.
 
 use crate::utf8::Utf8Decoder;
@@ -42,6 +51,87 @@ pub enum Action {
     Osc { data: Vec<u8> },
 }
 
+/// What the parser drives: one call per completed grammar element (the
+/// shape of vte's `Perform`). Slices borrow the parser's own buffers and
+/// are valid only for the call.
+pub trait Perform {
+    /// Print one character at the cursor.
+    fn print(&mut self, c: char);
+    /// Execute a C0 control (BEL, BS, HT, LF, VT, FF, CR, SO, SI).
+    fn execute(&mut self, byte: u8);
+    /// A completed escape sequence: `ESC intermediates* final`.
+    fn esc_dispatch(&mut self, intermediates: &[u8], byte: u8);
+    /// A completed control sequence: `CSI private? params intermediates*
+    /// final`; empty parameter slots read 0.
+    fn csi_dispatch(&mut self, private: Option<u8>, params: &[u16], intermediates: &[u8], byte: u8);
+    /// A completed operating-system command string (title setting etc.).
+    fn osc_dispatch(&mut self, data: &[u8]);
+}
+
+impl Action {
+    /// Replays this action onto a sink: the inverse of what
+    /// [`Parser::input`] collected.
+    pub fn replay<S: Perform>(&self, sink: &mut S) {
+        match self {
+            Action::Print(c) => sink.print(*c),
+            Action::Control(b) => sink.execute(*b),
+            Action::Esc {
+                intermediates,
+                byte,
+            } => sink.esc_dispatch(intermediates, *byte),
+            Action::Csi {
+                private,
+                params,
+                intermediates,
+                byte,
+            } => sink.csi_dispatch(*private, params, intermediates, *byte),
+            Action::Osc { data } => sink.osc_dispatch(data),
+        }
+    }
+}
+
+/// The sink behind [`Parser::input`]: every call becomes an owned
+/// [`Action`].
+struct Collector(Vec<Action>);
+
+impl Perform for Collector {
+    fn print(&mut self, c: char) {
+        self.0.push(Action::Print(c));
+    }
+
+    fn execute(&mut self, byte: u8) {
+        self.0.push(Action::Control(byte));
+    }
+
+    fn esc_dispatch(&mut self, intermediates: &[u8], byte: u8) {
+        self.0.push(Action::Esc {
+            intermediates: intermediates.to_vec(),
+            byte,
+        });
+    }
+
+    fn csi_dispatch(
+        &mut self,
+        private: Option<u8>,
+        params: &[u16],
+        intermediates: &[u8],
+        byte: u8,
+    ) {
+        self.0.push(Action::Csi {
+            private,
+            params: params.to_vec(),
+            intermediates: intermediates.to_vec(),
+            byte,
+        });
+    }
+
+    fn osc_dispatch(&mut self, data: &[u8]) {
+        self.0.push(Action::Osc {
+            data: data.to_vec(),
+        });
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     Ground,
@@ -56,7 +146,8 @@ enum State {
     StringIgnore,
 }
 
-/// The streaming parser. Feed bytes; collect [`Action`]s.
+/// The streaming parser. Feed bytes; a [`Perform`] sink receives what they
+/// complete ([`Parser::input`] collects it as [`Action`]s).
 ///
 /// # Examples
 ///
@@ -104,18 +195,36 @@ impl Parser {
         }
     }
 
-    /// Parses a byte slice, returning all completed actions.
+    /// Parses a byte slice, returning all completed actions: [`Self::advance`]
+    /// over a collecting sink.
     pub fn input(&mut self, bytes: &[u8]) -> Vec<Action> {
-        let mut actions = Vec::new();
+        let mut collector = Collector(Vec::new());
         for &b in bytes {
-            // Decode UTF-8 first, as Mosh does: the state machine consumes
-            // code points, so C1 controls arrive as single characters and a
-            // multi-byte character can never be torn by the grammar.
-            for c in self.utf8.push(b) {
-                self.advance(c, &mut actions);
+            self.advance(b, &mut collector);
+        }
+        collector.0
+    }
+
+    /// Feeds one byte, calling `sink` for whatever it completes.
+    pub fn advance<S: Perform>(&mut self, byte: u8, sink: &mut S) {
+        // Decode UTF-8 first, as Mosh does: the state machine consumes
+        // code points, so C1 controls arrive as single characters and a
+        // multi-byte character can never be torn by the grammar.
+        if byte < 0x80 && !self.utf8.pending() {
+            self.step(byte as char, sink);
+        } else {
+            for c in self.utf8.push(byte) {
+                self.step(c, sink);
             }
         }
-        actions
+    }
+
+    /// True in the ground state with no UTF-8 sequence half-read: the next
+    /// byte in `0x20..=0x7e` prints itself and one in `0x07..=0x0f` executes,
+    /// whatever follows it. The emulator's run-at-a-time print relies on
+    /// exactly this.
+    pub fn in_ground(&self) -> bool {
+        self.state == State::Ground && !self.utf8.pending()
     }
 
     /// Serializes the full parser state (including any half-collected
@@ -209,27 +318,15 @@ impl Parser {
         self.intermediates.clear();
     }
 
-    fn advance(&mut self, c: char, out: &mut Vec<Action>) {
+    fn step<S: Perform>(&mut self, c: char, sink: &mut S) {
         let cp = c as u32;
         // C1 controls (from UTF-8 decoding) map onto their ESC equivalents.
         if (0x80..=0x9f).contains(&cp) {
             match cp {
-                0x84 => out.push(Action::Esc {
-                    intermediates: vec![],
-                    byte: b'D',
-                }),
-                0x85 => out.push(Action::Esc {
-                    intermediates: vec![],
-                    byte: b'E',
-                }),
-                0x88 => out.push(Action::Esc {
-                    intermediates: vec![],
-                    byte: b'H',
-                }),
-                0x8d => out.push(Action::Esc {
-                    intermediates: vec![],
-                    byte: b'M',
-                }),
+                0x84 => sink.esc_dispatch(&[], b'D'),
+                0x85 => sink.esc_dispatch(&[], b'E'),
+                0x88 => sink.esc_dispatch(&[], b'H'),
+                0x8d => sink.esc_dispatch(&[], b'M'),
                 0x9b => {
                     self.clear_sequence();
                     self.state = State::CsiEntry;
@@ -253,17 +350,17 @@ impl Parser {
         }
 
         match self.state {
-            State::Ground => self.ground(c, out),
-            State::Escape => self.escape(c, out),
-            State::EscapeIntermediate => self.escape_intermediate(c, out),
-            State::CsiEntry | State::CsiParam | State::CsiIntermediate => self.csi(c, out),
-            State::CsiIgnore => self.csi_ignore(c, out),
-            State::OscString => self.osc_string(c, out),
+            State::Ground => self.ground(c, sink),
+            State::Escape => self.escape(c, sink),
+            State::EscapeIntermediate => self.escape_intermediate(c, sink),
+            State::CsiEntry | State::CsiParam | State::CsiIntermediate => self.csi(c, sink),
+            State::CsiIgnore => self.csi_ignore(c, sink),
+            State::OscString => self.osc_string(c, sink),
             State::StringIgnore => self.string_ignore(c),
         }
     }
 
-    fn execute_c0(&mut self, c: char, out: &mut Vec<Action>) -> bool {
+    fn execute_c0<S: Perform>(&mut self, c: char, sink: &mut S) -> bool {
         let b = c as u32;
         match b {
             0x1b => {
@@ -277,7 +374,7 @@ impl Parser {
                 true
             }
             0x07..=0x0f => {
-                out.push(Action::Control(b as u8));
+                sink.execute(b as u8);
                 true
             }
             0x00..=0x1f => true, // Other C0: ignored.
@@ -286,13 +383,13 @@ impl Parser {
         }
     }
 
-    fn ground(&mut self, c: char, out: &mut Vec<Action>) {
-        if !self.execute_c0(c, out) {
-            out.push(Action::Print(c));
+    fn ground<S: Perform>(&mut self, c: char, sink: &mut S) {
+        if !self.execute_c0(c, sink) {
+            sink.print(c);
         }
     }
 
-    fn escape(&mut self, c: char, out: &mut Vec<Action>) {
+    fn escape<S: Perform>(&mut self, c: char, sink: &mut S) {
         let b = c as u32;
         match b {
             0x5b => {
@@ -316,21 +413,19 @@ impl Parser {
                 self.state = State::EscapeIntermediate;
             }
             0x30..=0x7e => {
-                out.push(Action::Esc {
-                    intermediates: std::mem::take(&mut self.intermediates),
-                    byte: b as u8,
-                });
+                sink.esc_dispatch(&self.intermediates, b as u8);
+                self.intermediates.clear();
                 self.state = State::Ground;
             }
             _ => {
-                if !self.execute_c0(c, out) {
+                if !self.execute_c0(c, sink) {
                     self.state = State::Ground;
                 }
             }
         }
     }
 
-    fn escape_intermediate(&mut self, c: char, out: &mut Vec<Action>) {
+    fn escape_intermediate<S: Perform>(&mut self, c: char, sink: &mut S) {
         let b = c as u32;
         match b {
             0x20..=0x2f => {
@@ -339,19 +434,17 @@ impl Parser {
                 }
             }
             0x30..=0x7e => {
-                out.push(Action::Esc {
-                    intermediates: std::mem::take(&mut self.intermediates),
-                    byte: b as u8,
-                });
+                sink.esc_dispatch(&self.intermediates, b as u8);
+                self.intermediates.clear();
                 self.state = State::Ground;
             }
             _ => {
-                self.execute_c0(c, out);
+                self.execute_c0(c, sink);
             }
         }
     }
 
-    fn csi(&mut self, c: char, out: &mut Vec<Action>) {
+    fn csi<S: Perform>(&mut self, c: char, sink: &mut S) {
         let b = c as u32;
         match b {
             0x30..=0x39 => {
@@ -407,40 +500,34 @@ impl Parser {
                 self.state = State::CsiIntermediate;
             }
             0x40..=0x7e => {
-                out.push(Action::Csi {
-                    private: self.private.take(),
-                    params: std::mem::take(&mut self.params),
-                    intermediates: std::mem::take(&mut self.intermediates),
-                    byte: b as u8,
-                });
-                self.param_started = false;
+                sink.csi_dispatch(self.private, &self.params, &self.intermediates, b as u8);
+                self.clear_sequence();
                 self.state = State::Ground;
             }
             _ => {
-                self.execute_c0(c, out);
+                self.execute_c0(c, sink);
             }
         }
     }
 
-    fn csi_ignore(&mut self, c: char, out: &mut Vec<Action>) {
+    fn csi_ignore<S: Perform>(&mut self, c: char, sink: &mut S) {
         let b = c as u32;
         match b {
             0x40..=0x7e => self.state = State::Ground,
             _ => {
-                self.execute_c0(c, out);
+                self.execute_c0(c, sink);
             }
         }
     }
 
-    fn osc_string(&mut self, c: char, out: &mut Vec<Action>) {
+    fn osc_string<S: Perform>(&mut self, c: char, sink: &mut S) {
         let b = c as u32;
         if self.string_esc {
             self.string_esc = false;
             if b == 0x5c {
                 // ESC \ = ST: terminate.
-                out.push(Action::Osc {
-                    data: std::mem::take(&mut self.osc),
-                });
+                sink.osc_dispatch(&self.osc);
+                self.osc.clear();
                 self.state = State::Ground;
                 return;
             }
@@ -448,15 +535,14 @@ impl Parser {
             self.osc.clear();
             self.clear_sequence();
             self.state = State::Escape;
-            self.escape(c, out);
+            self.escape(c, sink);
             return;
         }
         match b {
             0x07 => {
                 // BEL terminator (xterm convention).
-                out.push(Action::Osc {
-                    data: std::mem::take(&mut self.osc),
-                });
+                sink.osc_dispatch(&self.osc);
+                self.osc.clear();
                 self.state = State::Ground;
             }
             0x1b => {

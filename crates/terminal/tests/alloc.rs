@@ -1,0 +1,143 @@
+//! Heap allocations on the terminal's two hot paths, counted.
+//!
+//! The server interprets every byte an application writes and diffs a
+//! frame per dirty tick, so what these paths allocate is a per-byte and
+//! per-tick tax on every session. A counting global allocator (the
+//! benchmark package has the same one) pins the counts for a warm
+//! terminal: ingest allocates nothing unless a line scrolls, a scroll
+//! costs its new row and nothing else, and the differ writes its cursor
+//! moves and rendition changes into the caller's buffer.
+//!
+//! Its own test binary, because a `#[global_allocator]` is per binary.
+//! The counter is thread-local, so the harness running these tests on
+//! parallel threads does not mix their counts.
+
+use mosh_terminal::{display, Terminal};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's own
+// arguments; the counter is a thread-local `Cell` with a constant
+// initialiser and no destructor, so touching it allocates nothing and is
+// valid at any point of a thread's life.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's contract is `System.alloc`'s, passed through.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    // SAFETY: the caller's contract is `System.dealloc`'s, passed through.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    // SAFETY: the caller's contract is `System.alloc_zeroed`'s, passed through.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    // SAFETY: the caller's contract is `System.realloc`'s, passed through.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (and reallocations) this thread makes inside `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Writes `stream` once to warm the terminal (the parser's parameter
+/// buffer gets its capacity, every row its own storage), then counts a
+/// second write of the same bytes.
+fn warm_write_allocations(stream: &[u8]) -> u64 {
+    let mut term = Terminal::new(80, 24);
+    term.write(stream);
+    allocations_in(|| term.write(stream))
+}
+
+#[test]
+fn warm_write_of_plain_text_allocates_nothing() {
+    // Wraps across rows, never reaches the bottom of the screen.
+    let mut stream = b"\x1b[H".to_vec();
+    for _ in 0..12 {
+        stream.extend_from_slice(b"the quick brown fox jumps over the lazy dog; ");
+    }
+    stream.extend_from_slice(b"\r\ntab\there\r\nand a bell\x07");
+    assert_eq!(warm_write_allocations(&stream), 0);
+}
+
+#[test]
+fn warm_write_of_coloured_text_allocates_nothing() {
+    let stream = b"\x1b[H\x1b[1;31merror\x1b[0m: \x1b[38;5;208mwarned\x1b[39m \
+                   \x1b[48;2;10;20;30m rgb \x1b[0m\r\n\x1b[4;7munderlined inverse\x1b[m";
+    assert_eq!(warm_write_allocations(stream), 0);
+}
+
+#[test]
+fn warm_write_of_cursor_addressed_text_allocates_nothing() {
+    let stream = b"\x1b[5;10Hcolumn ten\x1b[12;1H\x1b[Kstatus\x1b[3A\x1b[20Cup and right\
+                   \x1b[24;70Hcorner\x1b[2;2H\x1b[3Xgap\x1b[1;1H";
+    assert_eq!(warm_write_allocations(stream), 0);
+}
+
+#[test]
+fn a_line_that_scrolls_allocates_only_its_new_row() {
+    let mut term = Terminal::new(80, 24);
+    // Warm: scroll until the bounded scrollback is full, so retiring a
+    // row into it recycles a slot instead of growing the deque.
+    for i in 0..400 {
+        term.write(format!("\r\nline {i}").as_bytes());
+    }
+    let allocations = allocations_in(|| term.write(b"\r\none more line of output"));
+    // The fresh bottom row: its cells and the shared handle around them.
+    assert!(
+        allocations <= 2,
+        "a scrolled line allocated {allocations} times"
+    );
+}
+
+/// A release-build property: a debug build also replays every diff through
+/// a fresh terminal (the differ's convergence assertion), which allocates.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds replay each diff through a fresh terminal"
+)]
+fn warm_diff_between_editor_frames_allocates_nothing() {
+    let mut term = Terminal::new(80, 24);
+    for row in 1..24 {
+        term.write(format!("\x1b[{row};1Hfn line_{row}() {{ body(); }}").as_bytes());
+    }
+    let before = term.frame().clone();
+    term.write(b"\x1b[7;9H// edited\x1b[24;1H\x1b[7m -- INSERT -- col 9\x1b[0m\x1b[7;18H");
+    let after = term.frame().clone();
+
+    let mut out = String::new();
+    display::new_frame_into(true, &before, &after, &mut out);
+    // Both paths under test ran: cursor addressing and a rendition change.
+    assert!(
+        out.contains("\x1b[7;") && out.contains("\x1b[7m"),
+        "{out:?}"
+    );
+    let allocations = allocations_in(|| display::new_frame_into(true, &before, &after, &mut out));
+    assert_eq!(allocations, 0);
+}

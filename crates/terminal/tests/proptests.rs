@@ -413,6 +413,155 @@ proptest! {
             );
         }
     }
+
+    /// Ingest equivalence on terminal-shaped input: `write` (push parser,
+    /// ground-run scan, `print_run`) leaves the same terminal as the
+    /// per-action reference.
+    #[test]
+    fn write_matches_per_action_reference(
+        bytes in terminal_bytes(),
+        shape in screen_shapes(),
+        split in any::<prop::sample::Index>(),
+    ) {
+        let cut = split.index(bytes.len().max(1));
+        check_write_matches_reference(shape.0, shape.1, &bytes, cut)?;
+    }
+
+    /// The same on arbitrary bytes: torn UTF-8, stray C1 controls, escape
+    /// sequences cut off by the chunk boundary.
+    #[test]
+    fn write_matches_per_action_reference_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..1024),
+        shape in screen_shapes(),
+        split in any::<prop::sample::Index>(),
+    ) {
+        let cut = split.index(bytes.len().max(1));
+        check_write_matches_reference(shape.0, shape.1, &bytes, cut)?;
+    }
+
+    /// `print_run(run)` is `print` of each byte in turn: same terminal by
+    /// snapshot, and the same damage claim for every row against the
+    /// pre-state (one stamp per span dirties the same union of columns).
+    /// The cursor's row is paved with wide pairs from column 0 or 1 in
+    /// two cases of three, so both ends of most spans cut one in half.
+    #[test]
+    fn print_run_matches_per_character_print(
+        shape in prop_oneof![
+            Just((12usize, 4usize)),
+            Just((2usize, 3usize)),
+            Just((1usize, 1usize)),
+        ],
+        wide_from in 0usize..3,
+        pieces in run_prestate(),
+        park in (any::<u16>(), any::<u16>(), any::<bool>()),
+        run in prop_oneof!["[ -~]{0,5}", "[ -~]{0,40}"],
+    ) {
+        let (w, h) = shape;
+        let (row, col) = (park.0 as usize % h + 1, park.1 as usize % w + 1);
+        let mut setup = Vec::new();
+        if wide_from > 0 {
+            setup.extend(format!("\x1b[{row};{wide_from}H{}", "漢".repeat(w / 2)).bytes());
+        }
+        setup.extend(render_prestate(w, h, &pieces));
+        if park.2 {
+            setup.extend(format!("\x1b[{row};{col}H").bytes());
+        }
+        let mut by_run = Terminal::new(w, h);
+        by_run.write(&setup);
+        let mut by_char = by_run.clone();
+        let before = by_run.frame().clone();
+
+        by_run.frame_mut().print_run(run.as_bytes());
+        for c in run.chars() {
+            by_char.frame_mut().print(c);
+        }
+        prop_assert_eq!(by_run.snapshot_bytes(), by_char.snapshot_bytes());
+        for r in 0..shape.1 {
+            prop_assert_eq!(
+                by_run.frame().row(r).delta_from(before.row(r)),
+                by_char.frame().row(r).delta_from(before.row(r)),
+                "row {} damage claim",
+                r
+            );
+        }
+    }
+}
+
+/// The per-action route `Terminal::write` replaced and is held against:
+/// `Parser::input` one byte at a time (so no run is ever longer than one
+/// character), each collected action applied through `Terminal::perform`.
+fn reference_write(term: &mut Terminal, bytes: &[u8]) {
+    for &b in bytes {
+        for action in term.parser_mut().input(&[b]) {
+            term.perform(&action);
+        }
+    }
+}
+
+/// `write` and the per-action reference must leave the same terminal —
+/// screen, interpreter state and the parser's mid-sequence position, all
+/// of which `snapshot_bytes` covers — at every chunk boundary.
+fn check_write_matches_reference(
+    w: usize,
+    h: usize,
+    bytes: &[u8],
+    cut: usize,
+) -> Result<(), TestCaseError> {
+    let mut fast = Terminal::new(w, h);
+    let mut reference = Terminal::new(w, h);
+    let cut = cut.min(bytes.len());
+    for chunk in [&bytes[..cut], &bytes[cut..]] {
+        fast.write(chunk);
+        reference_write(&mut reference, chunk);
+        prop_assert_eq!(fast.snapshot_bytes(), reference.snapshot_bytes());
+    }
+    Ok(())
+}
+
+/// Screen shapes for the ingest equivalence: the usual one, the smallest
+/// one, and two columns (every wide character sits on a margin).
+fn screen_shapes() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![
+        Just((80usize, 24usize)),
+        Just((1usize, 1usize)),
+        (1usize..6).prop_map(|h| (2usize, h)),
+    ]
+}
+
+/// Pieces of a screen state in which the two ends of a printed span have
+/// something to get wrong — wide pairs at chosen cells, the cursor parked
+/// on a lead, a continuation or the margin, and the modes `print_run` must
+/// notice — as `(kind, a, b)` with the coordinates reduced to the screen
+/// by [`render_prestate`].
+fn run_prestate() -> impl Strategy<Value = Vec<(u8, u16, u16)>> {
+    proptest::collection::vec((0u8..13, any::<u16>(), any::<u16>()), 0..12)
+}
+
+fn render_prestate(w: usize, h: usize, pieces: &[(u8, u16, u16)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &(kind, a, b) in pieces {
+        let (row, col) = (a as usize % h + 1, b as usize % w + 1);
+        match kind {
+            0 => out.extend(format!("\x1b[{row};{col}H漢").bytes()),
+            1 => out.extend(format!("\x1b[{row};{col}H🎉").bytes()),
+            2 => out.extend(format!("\x1b[{row};{col}Hx").bytes()),
+            // Fill a row to the margin: leaves a wrap pending.
+            3 => {
+                out.extend(format!("\x1b[{row};1H").bytes());
+                out.extend(std::iter::repeat_n(b'm', w));
+            }
+            4 => out.extend(b"\x1b[4h"),
+            5 => out.extend(b"\x1b[4l"),
+            6 => out.extend(b"\x1b[?7l"),
+            7 => out.extend(b"\x1b[?7h"),
+            8 => out.extend(b"\x1b(0"),
+            9 => out.extend(b"\x1b(B"),
+            10 => out.extend(b"\x1b[44m"),
+            11 => out.extend(format!("\x1b[{row};{}r", b as usize % h + 1).bytes()),
+            _ => out.extend(format!("\x1b[{row};{col}H").bytes()),
+        }
+    }
+    out
 }
 
 /// One step of the viewport-bounds walk.
