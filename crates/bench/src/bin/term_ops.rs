@@ -247,6 +247,32 @@ fn run_ingest(name: &'static str, stream: &Stream, window_ms: u64) -> IngestResu
     }
 }
 
+/// Nanoseconds per short line written at the bottom margin of a terminal
+/// whose scrollback is already full — the steady state of a flood, where
+/// each line retires the top row into history and the oldest history row
+/// comes back as the blank bottom row. A figure, not a gate: there is no
+/// second route to hold it against.
+fn scroll_ns_per_line(window_ms: u64) -> f64 {
+    let mut term = Terminal::new(WIDTH, HEIGHT);
+    let fill = HEIGHT + term.frame().scrollback_limit();
+    for _ in 0..fill {
+        term.write(b"\r\ny");
+    }
+    let start = Instant::now();
+    let mut lines = 0u64;
+    loop {
+        for _ in 0..1000 {
+            term.write(std::hint::black_box(b"\r\ny"));
+        }
+        lines += 1000;
+        let elapsed = start.elapsed();
+        if elapsed.as_millis() as u64 >= window_ms {
+            std::hint::black_box(&term);
+            return elapsed.as_nanos() as f64 / lines as f64;
+        }
+    }
+}
+
 fn main() {
     let quick = mosh_bench::quick();
     let (ticks, window_ms): (usize, u64) = if quick { (96, 60) } else { (400, 400) };
@@ -312,6 +338,11 @@ fn main() {
             r.name, r.bytes, r.write_ns, r.per_action_ns, r.speedup
         );
     }
+    let scroll_ns = scroll_ns_per_line(window_ms);
+    println!(
+        "  {:>12}  {:>9}  {:>13.1}  (scroll ns/line: one short line at the bottom margin, scrollback full)",
+        "scroll", "-", scroll_ns
+    );
     // Release only, like the diff gates: a debug build's per-byte costs
     // are bounds checks and unoptimised iterators on both routes.
     if cfg!(debug_assertions) {
@@ -341,7 +372,7 @@ fn main() {
             ),
         ));
     }
-    let ingest_fields: Vec<String> = ingests
+    let mut ingest_fields: Vec<String> = ingests
         .iter()
         .map(|r| {
             format!(
@@ -351,6 +382,9 @@ fn main() {
             )
         })
         .collect();
+    ingest_fields.push(format!(
+        "    \"scroll\": {{ \"scroll_ns_per_line\": {scroll_ns:.1} }}"
+    ));
     sections.push(("ingest", format!("{{\n{}\n  }}", ingest_fields.join(",\n"))));
     let path = std::path::Path::new("BENCH_term.json");
     match merge_bench_json(path, &sections) {

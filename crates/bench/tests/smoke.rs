@@ -203,6 +203,7 @@ fn term_ops_quick() {
             "mostly_idle",
             "snapshot-identity-checked",
             "write ns/byte",
+            "scroll ns/line",
         ],
     );
     let json = std::fs::read_to_string(dir.join("BENCH_term.json")).expect("artifact");
@@ -211,6 +212,7 @@ fn term_ops_quick() {
     }
     assert!(json_field(&json, "write_ns_per_byte").expect("ingest ns recorded") > 0.0);
     assert!(json_field(&json, "ingest_speedup").expect("ingest speedup recorded") > 0.0);
+    assert!(json_field(&json, "scroll_ns_per_line").expect("scroll ns recorded") > 0.0);
     assert!(json_field(&json, "damage_ns_per_diff").expect("damage ns recorded") > 0.0);
     assert!(json_field(&json, "speedup").expect("speedup recorded") > 0.0);
     let _ = std::fs::remove_dir_all(&dir);

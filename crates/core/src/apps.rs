@@ -294,17 +294,17 @@ impl Application for LineShell {
         let mut out = Vec::new();
         // A runaway process writes far faster than any link can carry.
         while self.flooding && self.next_flood_at <= now {
-            let mut chunk = String::new();
+            // 20 lines of 1..=40 `y`s, each ending "\r\n".
+            let mut bytes = Vec::with_capacity(20 * 42);
             for _ in 0..20 {
-                chunk.push_str(&format!(
-                    "y{}\r\n",
-                    "y".repeat((self.flood_line % 40) as usize)
-                ));
+                let ys = 1 + (self.flood_line % 40) as usize;
+                bytes.resize(bytes.len() + ys, b'y');
+                bytes.extend_from_slice(b"\r\n");
                 self.flood_line += 1;
             }
             out.push(TimedWrite {
                 at: self.next_flood_at,
-                bytes: chunk.into_bytes(),
+                bytes,
             });
             self.next_flood_at += 1;
         }
@@ -974,6 +974,40 @@ mod tests {
         sh.poll(101);
         let after = sh.poll(200);
         assert!(after.is_empty());
+    }
+
+    /// `poll` assembles a chunk in one buffer; this is the expression it
+    /// replaced, one `format!` and one `repeat` per line, as the oracle
+    /// for bytes, due times and the saved flood position.
+    #[test]
+    fn flood_chunks_match_the_per_line_format() {
+        let mut sh = LineShell::new();
+        sh.on_input(0, b"yes");
+        sh.on_input(1, b"\r");
+        let mut line = 0u64;
+        let mut at = 1 + sh.echo_delay;
+        // Polls at uneven times: some return nothing, some several chunks.
+        for step in 0..200u64 {
+            let now = step * 3 / 2;
+            let mut expected = Vec::new();
+            while at <= now {
+                let mut chunk = String::new();
+                for _ in 0..20 {
+                    chunk.push_str(&format!("y{}\r\n", "y".repeat((line % 40) as usize)));
+                    line += 1;
+                }
+                expected.push(TimedWrite {
+                    at,
+                    bytes: chunk.into_bytes(),
+                });
+                at += 1;
+            }
+            assert_eq!(sh.poll(now), expected, "poll({now})");
+            let mut twin = LineShell::new();
+            assert!(twin.restore_state(&sh.save_state()));
+            assert_eq!((twin.flood_line, twin.next_flood_at), (line, at));
+        }
+        assert!(line >= 20 * 200, "the flood ran");
     }
 
     #[test]

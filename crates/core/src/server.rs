@@ -174,12 +174,14 @@ impl MoshServer {
 
     /// Queues writes ordered by due time (stable for equal times); an
     /// associated fn so callers holding other field borrows can use it.
+    ///
+    /// The queue is sorted by `at` — only this function adds to it, and
+    /// [`Self::decode_snapshot_body`] rejects a body that is not — so the
+    /// slot is a binary search, and a command's in-order burst appends
+    /// without shifting anything.
     fn schedule_into(pending_writes: &mut VecDeque<TimedWrite>, writes: Vec<TimedWrite>) {
         for w in writes {
-            let pos = pending_writes
-                .iter()
-                .position(|p| p.at > w.at)
-                .unwrap_or(pending_writes.len());
+            let pos = pending_writes.partition_point(|p| p.at <= w.at);
             pending_writes.insert(pos, w);
         }
     }
@@ -655,9 +657,14 @@ impl MoshServer {
             echo_queue.push_back((r.varint().ok()?, r.varint().ok()?));
         }
         let n = r.varint().ok()?;
-        let mut pending_writes = VecDeque::new();
+        let mut pending_writes: VecDeque<TimedWrite> = VecDeque::new();
         for _ in 0..n {
             let at = r.varint().ok()?;
+            // `schedule_into` binary-searches this queue: an unsorted one
+            // would reorder application output from here on.
+            if pending_writes.back().is_some_and(|prev| at < prev.at) {
+                return None;
+            }
             let bytes = r.bytes().ok()?.to_vec();
             pending_writes.push_back(TimedWrite { at, bytes });
         }
@@ -1003,6 +1010,123 @@ mod tests {
         assert!(
             MoshServer::decode_snapshot_body(&body, Box::new(crate::apps::Editor::new())).is_none()
         );
+    }
+
+    /// A server with a `cat` burst half drained: due writes applied,
+    /// hundreds still queued behind them.
+    fn mid_cat_server(client: &mut Transport<UserStream, CompleteTerminal>) -> MoshServer {
+        let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
+        let mut input = UserStream::new();
+        for &b in b"cat 800\r" {
+            input.push_keystroke(&[b]);
+        }
+        client.set_current_state(input, 0);
+        pump(client, &mut server, 10);
+        for now in 10..60 {
+            server.tick(now);
+        }
+        assert!(server.pending_writes.len() > 100, "burst still queued");
+        server
+    }
+
+    #[test]
+    fn snapshot_of_a_mid_burst_server_round_trips() {
+        let mut client = client_transport();
+        let mut server = mid_cat_server(&mut client);
+        let body = server.checkpoint_body();
+        let mut restored =
+            MoshServer::decode_snapshot_body(&body, Box::new(LineShell::new())).expect("decodes");
+        assert_eq!(restored.pending_writes, server.pending_writes);
+        // The rest of the burst, and a second command scheduled into the
+        // restored queue, come out the same on both.
+        let mut input = UserStream::new();
+        for &b in b"cat 800\rseq 40\r" {
+            input.push_keystroke(&[b]);
+        }
+        client.set_current_state(input, 60);
+        let arrivals = client.tick(70);
+        for now in 60..400 {
+            if now == 70 {
+                for w in &arrivals {
+                    server.receive(now, client_addr(), w);
+                    restored.receive(now, client_addr(), w);
+                }
+            }
+            assert_eq!(server.tick(now), restored.tick(now), "wire at {now}");
+        }
+        assert!(server.pending_writes.is_empty());
+        assert_eq!(server.frame().to_text(), restored.frame().to_text());
+    }
+
+    #[test]
+    fn snapshot_rejects_a_write_queue_out_of_due_order() {
+        let mut client = client_transport();
+        let mut server = mid_cat_server(&mut client);
+        // Writes due at the same time may come in either order …
+        let tied = (1..server.pending_writes.len())
+            .find(|&i| server.pending_writes[i - 1].at == server.pending_writes[i].at)
+            .expect("cat writes four lines per millisecond");
+        server.pending_writes.swap(tied - 1, tied);
+        let mut body = Vec::new();
+        server.encode_snapshot_body(&mut body);
+        assert!(MoshServer::decode_snapshot_body(&body, Box::new(LineShell::new())).is_some());
+        // … but a later write ahead of an earlier one is a corrupt body:
+        // `schedule_into` would binary-search a queue that is not sorted.
+        let last = server.pending_writes.len() - 1;
+        assert!(server.pending_writes[0].at < server.pending_writes[last].at);
+        server.pending_writes.swap(0, last);
+        body.clear();
+        server.encode_snapshot_body(&mut body);
+        assert!(
+            MoshServer::decode_snapshot_body(&body, Box::new(LineShell::new())).is_none(),
+            "a decreasing due time must reject the snapshot whole"
+        );
+    }
+
+    /// The insertion `schedule_into` replaced: scan from the front for the
+    /// first write due later. Kept here as the order oracle.
+    fn schedule_linear(pending_writes: &mut VecDeque<TimedWrite>, writes: Vec<TimedWrite>) {
+        for w in writes {
+            let pos = pending_writes
+                .iter()
+                .position(|p| p.at > w.at)
+                .unwrap_or(pending_writes.len());
+            pending_writes.insert(pos, w);
+        }
+    }
+
+    proptest::proptest! {
+        /// Batches with tied and out-of-order due times, scheduled while
+        /// the front of the queue drains as `tick` drains it: the binary
+        /// search leaves exactly the queue the linear scan did, each write
+        /// told apart by its bytes.
+        #[test]
+        fn schedule_into_orders_like_the_linear_scan(
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(0u64..12, 0..24), 0u64..6),
+                1..40,
+            ),
+        ) {
+            let (mut fast, mut slow) = (VecDeque::new(), VecDeque::new());
+            let (mut now, mut tag) = (0u64, 0u32);
+            for (offsets, advance) in steps {
+                let batch: Vec<TimedWrite> = offsets
+                    .iter()
+                    .map(|off| {
+                        tag += 1;
+                        TimedWrite { at: now + off, bytes: tag.to_be_bytes().to_vec() }
+                    })
+                    .collect();
+                MoshServer::schedule_into(&mut fast, batch.clone());
+                schedule_linear(&mut slow, batch);
+                proptest::prop_assert_eq!(&fast, &slow);
+                now += advance;
+                while fast.front().is_some_and(|w| w.at <= now) {
+                    proptest::prop_assert_eq!(fast.pop_front(), slow.pop_front());
+                }
+                proptest::prop_assert_eq!(&fast, &slow);
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,14 @@
 //! cannot prove falls back to a content comparison, so the emitted bytes
 //! are identical to a full scan by construction.
 //!
+//! A row's `id` names one creation event, and a scroll's blank row is a
+//! creation even when it is built in the storage of the row that scroll
+//! evicted (see "Scrollback"): it takes a new `id`, a new generation and
+//! an empty dirty range, exactly as [`Row::blank`] would. Against any row
+//! of an earlier frame it therefore proves nothing and the differ compares
+//! content; the old `id` lives on only in frames that hold the old storage,
+//! which is precisely when that storage is not reused.
+//!
 //! # Scrollback
 //!
 //! The grid itself is a ring buffer, so a full-screen scroll is O(1)
@@ -34,6 +42,16 @@
 //! Scrollback and the offset ride session snapshots, so they survive
 //! migration and checkpoint/resurrect, but they are *not* part of
 //! framebuffer equality: SSP synchronizes the visible screen only.
+//!
+//! Every scroll discards exactly one row for good — the oldest history
+//! line once scrollback is full, the top row itself where no history is
+//! kept (alternate screen, a limit of 0), the row a region scroll, a
+//! scroll-down, IL or DL pushes out of the region — and needs exactly one
+//! blank row. The blank row is built in the discarded row's storage
+//! whenever no clone of the framebuffer (a state the sender still retains)
+//! shares it, so a flooding terminal in steady state scrolls without
+//! touching the allocator; a shared row stays with its sharers, untouched,
+//! and the scroll allocates a new one.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,27 +115,56 @@ pub enum RowDelta {
     Unknown,
 }
 
+impl RowData {
+    /// A newly created row: its own lineage, nothing dirty yet.
+    fn fresh(cells: Vec<Cell>) -> Self {
+        let stamp = next_stamp();
+        RowData {
+            cells,
+            id: stamp,
+            gen: stamp,
+            range_base: stamp,
+            dirty_lo: u32::MAX,
+            dirty_hi: 0,
+        }
+    }
+}
+
+/// A blank cell carrying only the given background color.
+fn blank_cell(bg: crate::cell::Color) -> Cell {
+    Cell::blank(Attrs {
+        bg,
+        ..Attrs::default()
+    })
+}
+
 impl Row {
     /// A row of blank cells carrying only the given background color.
     pub fn blank(width: usize, bg: crate::cell::Color) -> Self {
-        let attrs = Attrs {
-            bg,
-            ..Attrs::default()
-        };
-        Row::from_cells(vec![Cell::blank(attrs); width])
+        Row::from_cells(vec![blank_cell(bg); width])
     }
 
     pub(crate) fn from_cells(cells: Vec<Cell>) -> Self {
-        let stamp = next_stamp();
         Row {
-            data: Arc::new(RowData {
-                cells,
-                id: stamp,
-                gen: stamp,
-                range_base: stamp,
-                dirty_lo: u32::MAX,
-                dirty_hi: 0,
-            }),
+            data: Arc::new(RowData::fresh(cells)),
+        }
+    }
+
+    /// Makes this handle — a row some scroll has just evicted for good —
+    /// a new [`Row::blank`]: blank cells, a new lineage `id`, nothing
+    /// dirty. When no other handle shares the storage (no clone of the
+    /// framebuffer still shows the evicted line) the row is rebuilt in
+    /// place and nothing is allocated; otherwise the sharers keep the old
+    /// storage untouched and this handle gets its own.
+    fn reblank(&mut self, width: usize, bg: crate::cell::Color) {
+        match Arc::get_mut(&mut self.data) {
+            Some(d) => {
+                let mut cells = std::mem::take(&mut d.cells);
+                cells.clear();
+                cells.resize(width, blank_cell(bg));
+                *d = RowData::fresh(cells);
+            }
+            None => *self = Row::blank(width, bg),
         }
     }
 
@@ -248,27 +295,29 @@ impl Ring {
         self.buf.swap(a, b);
     }
 
-    /// O(1) full-screen scroll up: the top row is evicted (returned) and
-    /// `fresh` becomes the new bottom row.
-    fn rotate_up(&mut self, fresh: Row) -> Row {
-        let evicted = std::mem::replace(&mut self.buf[self.head], fresh);
+    /// O(1) full-screen scroll up: every row moves up one line. Returns
+    /// the slot that is now the bottom row and still holds the evicted
+    /// top row, for the caller to replace.
+    fn rotate_up(&mut self) -> &mut Row {
+        let slot = self.head;
         self.head = if self.head + 1 == self.buf.len() {
             0
         } else {
             self.head + 1
         };
-        evicted
+        &mut self.buf[slot]
     }
 
-    /// O(1) full-screen scroll down: the bottom row is evicted (returned)
-    /// and `fresh` becomes the new top row.
-    fn rotate_down(&mut self, fresh: Row) -> Row {
+    /// O(1) full-screen scroll down: every row moves down one line.
+    /// Returns the slot that is now the top row and still holds the
+    /// evicted bottom row, for the caller to replace.
+    fn rotate_down(&mut self) -> &mut Row {
         self.head = if self.head == 0 {
             self.buf.len() - 1
         } else {
             self.head - 1
         };
-        std::mem::replace(&mut self.buf[self.head], fresh)
+        &mut self.buf[self.head]
     }
 
     /// Drains into a contiguous top-to-bottom vector (for rebuilds).
@@ -511,10 +560,7 @@ impl Framebuffer {
 
     /// Blank cell carrying only the pen's background (BCE erase semantics).
     pub(crate) fn erase_cell(&self) -> Cell {
-        Cell::blank(Attrs {
-            bg: self.pen.bg,
-            ..Attrs::default()
-        })
+        blank_cell(self.pen.bg)
     }
 
     // ------------------------------------------------------------------
@@ -574,22 +620,6 @@ impl Framebuffer {
             self.history_row(self.display_offset - 1 - i)
         } else {
             self.grid.get(i - self.display_offset)
-        }
-    }
-
-    /// Retires a row evicted off the top of the primary screen into
-    /// scrollback. A scrolled-back viewport stays anchored on the same
-    /// history lines by following the eviction.
-    fn push_history(&mut self, row: Row) {
-        if self.scrollback_limit == 0 {
-            return;
-        }
-        if self.scrollback.len() == self.scrollback_limit {
-            self.scrollback.pop_front();
-        }
-        self.scrollback.push_back(row);
-        if self.display_offset > 0 {
-            self.display_offset = (self.display_offset + 1).min(self.scrollback.len());
         }
     }
 
@@ -848,44 +878,78 @@ impl Framebuffer {
     /// on the primary screen the evicted top row retires into scrollback.
     pub fn scroll_up(&mut self, n: usize) {
         let n = n.min(self.scroll_bottom - self.scroll_top + 1);
-        let bg = self.pen.bg;
         let full_screen = self.scroll_top == 0 && self.scroll_bottom == self.height - 1;
         for _ in 0..n {
-            let fresh = Row::blank(self.width, bg);
             if full_screen {
-                let evicted = self.grid.rotate_up(fresh);
-                if self.alt_saved.is_none() {
-                    self.push_history(evicted);
-                }
+                self.rotate_screen_up();
             } else {
-                // Region scroll: shift rows up within [top, bottom]; the
-                // evicted region-top row is discarded, never scrollback.
-                for r in self.scroll_top..self.scroll_bottom {
-                    self.grid.swap(r, r + 1);
-                }
-                *self.grid.get_mut(self.scroll_bottom) = fresh;
+                // Region scroll: the evicted region-top row is discarded,
+                // never scrollback.
+                self.shift_rows_up(self.scroll_top, self.scroll_bottom);
             }
         }
     }
 
-    /// Scrolls the scroll region down by `n` lines (text moves down).
+    /// One line of full-screen scroll up.
+    fn rotate_screen_up(&mut self) {
+        let (width, bg) = (self.width, self.pen.bg);
+        let slot = self.grid.rotate_up();
+        if self.alt_saved.is_some() || self.scrollback_limit == 0 {
+            // No history is kept: the top row itself leaves for good.
+            slot.reblank(width, bg);
+            return;
+        }
+        // The top row retires into scrollback, so the row that leaves for
+        // good is the oldest history line, once scrollback is full.
+        let fresh = if self.scrollback.len() == self.scrollback_limit {
+            let mut oldest = self.scrollback.pop_front().expect("limit > 0");
+            oldest.reblank(width, bg);
+            oldest
+        } else {
+            Row::blank(width, bg)
+        };
+        self.scrollback.push_back(std::mem::replace(slot, fresh));
+        // A scrolled-back viewport stays anchored on the same history
+        // lines by following the eviction.
+        if self.display_offset > 0 {
+            self.display_offset = (self.display_offset + 1).min(self.scrollback.len());
+        }
+    }
+
+    /// Scrolls the scroll region down by `n` lines (text moves down). The
+    /// evicted bottom row is discarded; scroll-down never pulls history
+    /// back onto the screen.
     pub fn scroll_down(&mut self, n: usize) {
         let n = n.min(self.scroll_bottom - self.scroll_top + 1);
-        let bg = self.pen.bg;
+        let (width, bg) = (self.width, self.pen.bg);
         let full_screen = self.scroll_top == 0 && self.scroll_bottom == self.height - 1;
         for _ in 0..n {
-            let fresh = Row::blank(self.width, bg);
             if full_screen {
-                // The evicted bottom row is discarded; scroll-down never
-                // pulls history back onto the screen.
-                self.grid.rotate_down(fresh);
+                self.grid.rotate_down().reblank(width, bg);
             } else {
-                for r in (self.scroll_top..self.scroll_bottom).rev() {
-                    self.grid.swap(r + 1, r);
-                }
-                *self.grid.get_mut(self.scroll_top) = fresh;
+                self.shift_rows_down(self.scroll_top, self.scroll_bottom);
             }
         }
+    }
+
+    /// Moves rows `top + 1..=bottom` up one line; the row at `top` is
+    /// discarded and its handle becomes the blank row at `bottom`.
+    fn shift_rows_up(&mut self, top: usize, bottom: usize) {
+        for r in top..bottom {
+            self.grid.swap(r, r + 1);
+        }
+        let (width, bg) = (self.width, self.pen.bg);
+        self.grid.get_mut(bottom).reblank(width, bg);
+    }
+
+    /// Moves rows `top..bottom` down one line; the row at `bottom` is
+    /// discarded and its handle becomes the blank row at `top`.
+    fn shift_rows_down(&mut self, top: usize, bottom: usize) {
+        for r in (top..bottom).rev() {
+            self.grid.swap(r + 1, r);
+        }
+        let (width, bg) = (self.width, self.pen.bg);
+        self.grid.get_mut(top).reblank(width, bg);
     }
 
     /// Sets the scroll region from 1-based inclusive coordinates, moving the
@@ -974,12 +1038,8 @@ impl Framebuffer {
             return;
         }
         let n = n.min(self.scroll_bottom - self.cursor.row + 1);
-        let bg = self.pen.bg;
         for _ in 0..n {
-            for r in (self.cursor.row..self.scroll_bottom).rev() {
-                self.grid.swap(r + 1, r);
-            }
-            *self.grid.get_mut(self.cursor.row) = Row::blank(self.width, bg);
+            self.shift_rows_down(self.cursor.row, self.scroll_bottom);
         }
         self.cursor.col = 0;
         self.wrap_pending = false;
@@ -992,12 +1052,8 @@ impl Framebuffer {
             return;
         }
         let n = n.min(self.scroll_bottom - self.cursor.row + 1);
-        let bg = self.pen.bg;
         for _ in 0..n {
-            for r in self.cursor.row..self.scroll_bottom {
-                self.grid.swap(r, r + 1);
-            }
-            *self.grid.get_mut(self.scroll_bottom) = Row::blank(self.width, bg);
+            self.shift_rows_up(self.cursor.row, self.scroll_bottom);
         }
         self.cursor.col = 0;
         self.wrap_pending = false;
@@ -2028,6 +2084,35 @@ mod tests {
         fb.line_feed(); // full-screen scroll by one
         assert!(Row::same_data(fb.row(0), snap.row(1)));
         assert_eq!(fb.row(0).delta_from(snap.row(1)), RowDelta::Identical);
+    }
+
+    #[test]
+    fn scroll_reuses_only_unshared_storage_under_a_new_identity() {
+        let mut fb = Framebuffer::new(10, 3);
+        fb.set_scrollback_limit(0);
+        fb.print('x');
+        let storage = fb.row(0).cells().as_ptr();
+        // Unshared: the evicted top row comes back, blank, as the bottom
+        // row, and claims nothing against the row it used to be.
+        let top = fb.row(0).clone();
+        fb.cell_mut(0, 5).ch = 'y'; // copy-on-write: `top` keeps the old storage
+        let unshared = fb.row(0).cells().as_ptr();
+        assert_ne!(unshared, storage);
+        fb.scroll_up(1);
+        assert_eq!(fb.row(2).cells().as_ptr(), unshared, "storage reused");
+        assert_eq!(fb.row_text(2), "");
+        assert_eq!(fb.row(2).delta_from(&top), RowDelta::Unknown);
+        assert_eq!(top.cells()[0].ch, 'x');
+        // Shared: a clone still shows the row this scroll evicts.
+        let held = fb.clone();
+        let shared = fb.row(0).cells().as_ptr();
+        fb.scroll_up(1);
+        assert_ne!(
+            fb.row(2).cells().as_ptr(),
+            shared,
+            "shared storage left alone"
+        );
+        assert_eq!(held.row(0).cells().as_ptr(), shared);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! frame per dirty tick, so what these paths allocate is a per-byte and
 //! per-tick tax on every session. A counting global allocator (the
 //! benchmark package has the same one) pins the counts for a warm
-//! terminal: ingest allocates nothing unless a line scrolls, a scroll
-//! costs its new row and nothing else, and the differ writes its cursor
-//! moves and rendition changes into the caller's buffer.
+//! terminal: ingest allocates nothing, scrolled lines included — a scroll
+//! builds its blank row in the storage of the row it evicts, and pays for
+//! a new row only while a clone still holds the evicted one — and the
+//! differ writes its cursor moves and rendition changes into the caller's
+//! buffer.
 //!
 //! Its own test binary, because a `#[global_allocator]` is per binary.
 //! The counter is thread-local, so the harness running these tests on
@@ -99,20 +101,60 @@ fn warm_write_of_cursor_addressed_text_allocates_nothing() {
     assert_eq!(warm_write_allocations(stream), 0);
 }
 
-#[test]
-fn a_line_that_scrolls_allocates_only_its_new_row() {
+/// A terminal that has scrolled until its bounded scrollback is full, so
+/// every further line evicts the oldest history row for good.
+fn terminal_with_full_scrollback() -> Terminal {
     let mut term = Terminal::new(80, 24);
-    // Warm: scroll until the bounded scrollback is full, so retiring a
-    // row into it recycles a slot instead of growing the deque.
     for i in 0..400 {
         term.write(format!("\r\nline {i}").as_bytes());
     }
+    assert_eq!(
+        term.frame().scrollback_len(),
+        term.frame().scrollback_limit()
+    );
+    term
+}
+
+#[test]
+fn a_line_that_scrolls_allocates_nothing_once_scrollback_is_full() {
+    let mut term = terminal_with_full_scrollback();
+    // The evicted history row's storage comes back as the bottom row.
     let allocations = allocations_in(|| term.write(b"\r\none more line of output"));
-    // The fresh bottom row: its cells and the shared handle around them.
+    assert_eq!(allocations, 0);
+}
+
+#[test]
+fn a_line_that_scrolls_allocates_only_its_new_row() {
+    let mut term = terminal_with_full_scrollback();
+    // A clone (a shipped state) still shows the history row this scroll
+    // evicts, so its storage is not the terminal's to reuse: the bottom
+    // row is new — its cells and the shared handle around them. A count
+    // of 0 here would mean the clone's row was blanked under it.
+    let held = term.clone();
+    let allocations = allocations_in(|| term.write(b"\r\none more line of output"));
     assert!(
-        allocations <= 2,
+        (1..=2).contains(&allocations),
         "a scrolled line allocated {allocations} times"
     );
+    drop(held);
+    // With the clone gone the next evicted row is unshared again.
+    assert_eq!(allocations_in(|| term.write(b"\r\nand another")), 0);
+}
+
+#[test]
+fn a_region_scroll_allocates_nothing() {
+    // LF at the bottom margin of a region, then IL and DL inside it: each
+    // discards a row of the region and needs a blank one.
+    let stream = b"\x1b[5;20r\x1b[20;1Hlast line of the region\r\nscrolled\r\nagain\
+                   \x1b[8;1H\x1b[2L\x1b[3M\x1b[2S\x1b[r";
+    assert_eq!(warm_write_allocations(stream), 0);
+}
+
+#[test]
+fn a_reverse_index_allocates_nothing() {
+    // RI at the top margin and `CSI T`: the bottom row is discarded.
+    let stream = b"\x1b[H\x1bMpushed down\x1bM\x1b[3Ttwice more";
+    assert_eq!(warm_write_allocations(stream), 0);
 }
 
 /// A release-build property: a debug build also replays every diff through

@@ -243,27 +243,68 @@ proptest! {
         term.write(&a);
         let snap = term.frame().clone();
         term.write(&b);
-        let cur = term.frame();
+        check_damage_claims(term.frame(), &snap)?;
+    }
 
-        for r in 0..16 {
-            match cur.row(r).delta_from(snap.row(r)) {
-                mosh_terminal::RowDelta::Identical => {
-                    prop_assert_eq!(cur.row(r), snap.row(r), "row {} claimed Identical", r);
+    /// Scrolls build their blank row in the storage of the row they evict
+    /// for good, but only when no clone still holds that row. Two
+    /// terminals take the same scroll-heavy stream; one keeps clones of
+    /// itself taken at random points (so some of its evicted rows are
+    /// shared and some are not), the other never does (so it reuses every
+    /// time). They must stay the same terminal by snapshot; every held
+    /// clone must stay byte for byte what it was when taken; and every
+    /// damage claim of the live screen against a held clone must be true —
+    /// a reused row has a new `id`, so against the frames that knew its
+    /// storage under the old one it can only answer `Unknown`.
+    #[test]
+    fn scrolls_reuse_only_rows_no_clone_holds(
+        limit in prop_oneof![Just(0usize), Just(1usize), Just(3usize), Just(200usize)],
+        steps in proptest::collection::vec(
+            // Half the steps write (the offline `prop_oneof!` has no
+            // weights; a repeated arm is one).
+            prop_oneof![
+                scroll_bytes().prop_map(ScrollStep::Write),
+                scroll_bytes().prop_map(ScrollStep::Write),
+                scroll_bytes().prop_map(ScrollStep::Write),
+                Just(ScrollStep::Hold),
+                any::<prop::sample::Index>().prop_map(ScrollStep::Release),
+                (1usize..10, 1usize..8).prop_map(|(w, h)| ScrollStep::Resize(w, h)),
+            ],
+            1..24,
+        ),
+    ) {
+        let mut reuser = Terminal::new(8, 6);
+        reuser.frame_mut().set_scrollback_limit(limit);
+        let mut holder = reuser.clone();
+        let mut held: Vec<(Terminal, Vec<u8>)> = Vec::new();
+        for step in steps {
+            match step {
+                ScrollStep::Write(bytes) => {
+                    reuser.write(&bytes);
+                    holder.write(&bytes);
                 }
-                mosh_terminal::RowDelta::Damaged(lo, hi) => {
-                    for (col, (c, s)) in
-                        cur.row(r).cells().iter().zip(snap.row(r).cells()).enumerate()
-                    {
-                        if col < lo || col > hi {
-                            prop_assert_eq!(
-                                c, s,
-                                "row {} col {} outside damage [{}, {}] differs",
-                                r, col, lo, hi
-                            );
-                        }
+                ScrollStep::Resize(w, h) => {
+                    reuser.resize(w, h);
+                    holder.resize(w, h);
+                }
+                ScrollStep::Hold => {
+                    let clone = holder.clone();
+                    let bytes = clone.snapshot_bytes();
+                    held.push((clone, bytes));
+                }
+                ScrollStep::Release(which) => {
+                    if !held.is_empty() {
+                        held.swap_remove(which.index(held.len()));
                     }
                 }
-                mosh_terminal::RowDelta::Unknown => {}
+            }
+            prop_assert_eq!(holder.snapshot_bytes(), reuser.snapshot_bytes());
+            for (clone, taken) in &held {
+                prop_assert_eq!(&clone.snapshot_bytes(), taken, "a held clone changed");
+                let (now, then) = (holder.frame(), clone.frame());
+                if (now.width(), now.height()) == (then.width(), then.height()) {
+                    check_damage_claims(now, then)?;
+                }
             }
         }
     }
@@ -485,6 +526,80 @@ proptest! {
             );
         }
     }
+}
+
+/// Whatever each row of `cur` claims about the same row of `snap`, an
+/// earlier clone of the same framebuffer, must be literally true.
+fn check_damage_claims(
+    cur: &mosh_terminal::Framebuffer,
+    snap: &mosh_terminal::Framebuffer,
+) -> Result<(), TestCaseError> {
+    for r in 0..cur.height() {
+        match cur.row(r).delta_from(snap.row(r)) {
+            mosh_terminal::RowDelta::Identical => {
+                prop_assert_eq!(cur.row(r), snap.row(r), "row {} claimed Identical", r);
+            }
+            mosh_terminal::RowDelta::Damaged(lo, hi) => {
+                for (col, (c, s)) in cur
+                    .row(r)
+                    .cells()
+                    .iter()
+                    .zip(snap.row(r).cells())
+                    .enumerate()
+                {
+                    if col < lo || col > hi {
+                        prop_assert_eq!(
+                            c,
+                            s,
+                            "row {} col {} outside damage [{}, {}] differs",
+                            r,
+                            col,
+                            lo,
+                            hi
+                        );
+                    }
+                }
+            }
+            mosh_terminal::RowDelta::Unknown => {}
+        }
+    }
+    Ok(())
+}
+
+/// One step of the row-reuse walk.
+#[derive(Debug, Clone)]
+enum ScrollStep {
+    Write(Vec<u8>),
+    /// The holder clones itself and keeps the clone.
+    Hold,
+    /// The holder drops one of its clones.
+    Release(prop::sample::Index),
+    Resize(usize, usize),
+}
+
+/// Streams in which most chunks scroll something: line feeds and short
+/// lines (at the bottom margin more often than not on a six-row screen),
+/// `CSI S`/`CSI T`, reverse index, IL/DL, with the cursor, the scroll
+/// region, the alternate screen and the erase colour moved in between.
+fn scroll_bytes() -> impl Strategy<Value = Vec<u8>> {
+    let chunk = prop_oneof![
+        "[a-z]{1,6}".prop_map(|s| format!("{s}\r\n").into_bytes()),
+        Just(b"\n".to_vec()),
+        Just(b"\x1bM".to_vec()),
+        Just("漢".as_bytes().to_vec()),
+        (1u16..5).prop_map(|n| format!("\x1b[{n}S").into_bytes()),
+        (1u16..5).prop_map(|n| format!("\x1b[{n}T").into_bytes()),
+        (1u16..5).prop_map(|n| format!("\x1b[{n}L").into_bytes()),
+        (1u16..5).prop_map(|n| format!("\x1b[{n}M").into_bytes()),
+        (1u16..8, 1u16..10).prop_map(|(r, c)| format!("\x1b[{r};{c}H").into_bytes()),
+        (1u16..6, 1u16..8).prop_map(|(t, b)| format!("\x1b[{t};{b}r").into_bytes()),
+        Just(b"\x1b[r".to_vec()),
+        Just(b"\x1b[?1049h".to_vec()),
+        Just(b"\x1b[?1049l".to_vec()),
+        (40u16..48).prop_map(|n| format!("\x1b[{n}m").into_bytes()),
+        Just(b"\x1b[m".to_vec()),
+    ];
+    proptest::collection::vec(chunk, 1..16).prop_map(|chunks| chunks.concat())
 }
 
 /// The per-action route `Terminal::write` replaced and is held against:
