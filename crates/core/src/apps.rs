@@ -19,7 +19,7 @@
 //! scheduled at absolute times, so the same session replays identically.
 
 use crate::Millis;
-use mosh_ssp::wire::{put_bytes, put_varint, Reader};
+use mosh_ssp::wire::{get_bool, put_bool, put_bytes, put_varint, Reader};
 
 /// Application-kind tags leading every [`Application::save_state`] body,
 /// so restoring onto the wrong kind of app is caught instead of silently
@@ -29,18 +29,6 @@ mod kind_tag {
     pub const EDITOR: u64 = 2;
     pub const PAGER: u64 = 3;
     pub const MAIL_READER: u64 = 4;
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_varint(out, u64::from(v));
-}
-
-fn get_bool(r: &mut Reader<'_>) -> Option<bool> {
-    match r.varint().ok()? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
 }
 
 fn put_string(out: &mut Vec<u8>, s: &str) {
@@ -157,12 +145,6 @@ impl LineShell {
             flood_line: 0,
             passwd_pending: false,
         }
-    }
-
-    /// Overrides the echo delay (models loaded servers).
-    pub fn with_echo_delay(mut self, delay: Millis) -> Self {
-        self.echo_delay = delay;
-        self
     }
 
     fn run_command(&mut self, now: Millis, out: &mut Vec<TimedWrite>) {

@@ -211,11 +211,6 @@ impl<P: Poller> ServerHub<P> {
         });
     }
 
-    /// The store key `sid` is tracked under, if any.
-    pub fn checkpoint_key(&self, sid: SessionId) -> Option<usize> {
-        self.slots[sid.0].ckpt.as_ref().map(|c| c.key)
-    }
-
     /// Installs the unclaimed-datagram hook for source `tok`: wires no
     /// session claims there are offered to `hook` before being counted
     /// dropped; returning true takes the wire (counted bounced instead).

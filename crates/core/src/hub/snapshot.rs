@@ -3,15 +3,23 @@
 //! handoff container that rolling restarts ship between processes.
 //!
 //! A [`crate::server::MoshServer`] already knows how to encode and
-//! decode its own body ([`crate::server::MoshServer::encode_snapshot_body`]);
-//! this module wraps that body in a self-describing frame so a snapshot
-//! written by one process can be rejected — not half-applied — by
-//! another when it is truncated, bit-flipped, or from an incompatible
-//! build:
+//! decode its own body ([`crate::server::MoshServer::encode_snapshot_body`]:
+//! the transport's bytes, each SSP layer having written its own, then the
+//! server's queues and the application's state — what resuming the
+//! conversation needs, so its size does not depend on how long the
+//! session has lived); this module wraps that body in a self-describing
+//! frame so a snapshot written by one process can be rejected — not
+//! half-applied — by another when it is truncated, bit-flipped, or from
+//! an incompatible build:
 //!
 //! ```text
 //! "MSHS" | version: u16 BE | crc32(body): u32 BE | body
 //! ```
+//!
+//! A frame is written at [`VERSION`] and read at [`VERSION`] or the one
+//! before it, so a rolling restart across an upgrade keeps its sessions:
+//! the new build reads what the old one left and writes its own format
+//! from then on.
 //!
 //! Three consumers, three entry points:
 //!
@@ -43,12 +51,16 @@ use crate::Application;
 pub const MAGIC: [u8; 4] = *b"MSHS";
 
 /// Current snapshot format version. Bump on any change to the body
-/// layout; old readers reject newer frames whole.
+/// layout, and keep the body decoder reading the version before; old
+/// readers reject newer frames whole.
 ///
 /// History: v1 — initial container; v2 — [`mosh_terminal::Framebuffer`]
 /// encoding grew bounded scrollback and a `display_offset` (scrollback
-/// now survives migration, checkpoint/resurrect, and roaming).
-pub const VERSION: u16 = 2;
+/// now survives migration, checkpoint/resurrect, and roaming); v3 — the
+/// server's Figure 3 measurement log (two lists that grew by one entry
+/// per application write) is gone from the body, which is otherwise v2's
+/// field for field; a v2 frame is read by skipping them.
+pub const VERSION: u16 = 3;
 
 /// Nonce gap burned when resurrecting from a possibly-stale checkpoint:
 /// the dead shard cannot have encrypted this many datagrams between the
@@ -64,7 +76,8 @@ pub enum SnapshotError {
     TooShort,
     /// The leading bytes are not [`MAGIC`] — not a snapshot at all.
     BadMagic,
-    /// A snapshot from a newer (or unknown) format revision.
+    /// A snapshot from a newer format revision, or one older than the
+    /// previous.
     UnsupportedVersion(u16),
     /// The body does not match its recorded CRC: truncated in storage
     /// or corrupted in flight.
@@ -133,8 +146,9 @@ pub fn frame(body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Validates a frame and returns the body it carries.
-pub fn unframe(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
+/// Validates a frame and returns its format version — [`VERSION`] or
+/// the one before — and the body it carries.
+pub fn unframe(bytes: &[u8]) -> Result<(u16, &[u8]), SnapshotError> {
     if bytes.len() < HEADER_LEN {
         return Err(SnapshotError::TooShort);
     }
@@ -142,7 +156,7 @@ pub fn unframe(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = u16::from_be_bytes([bytes[4], bytes[5]]);
-    if version != VERSION {
+    if version != VERSION && version != VERSION - 1 {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
     let want = u32::from_be_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]);
@@ -150,7 +164,7 @@ pub fn unframe(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
     if crc32(body) != want {
         return Err(SnapshotError::ChecksumMismatch);
     }
-    Ok(body)
+    Ok((version, body))
 }
 
 /// Snapshots a server verbatim — the clean-handoff entry point. Does
@@ -171,8 +185,8 @@ pub fn restore_server(
     bytes: &[u8],
     app: Box<dyn Application>,
 ) -> Result<MoshServer, SnapshotError> {
-    let body = unframe(bytes)?;
-    MoshServer::decode_snapshot_body(body, app).ok_or(SnapshotError::Malformed)
+    let (version, body) = unframe(bytes)?;
+    MoshServer::decode_snapshot_body(body, version, app).ok_or(SnapshotError::Malformed)
 }
 
 /// Restores a server from a possibly-stale checkpoint — the crash
@@ -282,7 +296,7 @@ pub fn encode_handoff(entries: &[(usize, Vec<u8>)]) -> Vec<u8> {
 /// so one corrupt entry fails individually rather than sinking the
 /// whole handoff at parse time.
 pub fn decode_handoff(bytes: &[u8]) -> Result<HandoffEntries, SnapshotError> {
-    let body = unframe(bytes)?;
+    let (_, body) = unframe(bytes)?;
     let mut r = Reader::new(body);
     let count = r.varint().map_err(|_| SnapshotError::Malformed)? as usize;
     let mut entries = Vec::with_capacity(count.min(1024));
@@ -313,43 +327,12 @@ pub fn read_handoff(
 mod tests {
     use super::*;
     use crate::apps::LineShell;
-    use crate::Millis;
-    use mosh_crypto::session::Direction;
-    use mosh_crypto::Base64Key;
-    use mosh_net::Addr;
-    use mosh_ssp::transport::Transport;
-    use mosh_states::{CompleteTerminal, UserStream};
-
-    fn key() -> Base64Key {
-        Base64Key::from_bytes([8u8; 16])
-    }
-
-    fn client_addr() -> Addr {
-        Addr::new(1, 999)
-    }
+    use crate::server::tests::client_transport;
 
     /// A server that has seen real traffic, so its snapshot exercises
     /// every section of the body.
-    fn busy_server() -> (MoshServer, Transport<UserStream, CompleteTerminal>) {
-        let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
-        let mut client = Transport::new(
-            key(),
-            Direction::ToServer,
-            UserStream::new(),
-            CompleteTerminal::initial(),
-        );
-        let mut input = UserStream::new();
-        input.push_keystroke(b"l");
-        client.set_current_state(input, 5);
-        for now in 0..200 {
-            for w in client.tick(now as Millis) {
-                server.receive(now as Millis, client_addr(), &w);
-            }
-            for (_, w) in server.tick(now as Millis) {
-                let _ = client.receive(now as Millis, &w);
-            }
-        }
-        (server, client)
+    fn busy_server() -> MoshServer {
+        crate::server::tests::busy_server(&mut client_transport())
     }
 
     #[test]
@@ -363,7 +346,7 @@ mod tests {
     fn frame_round_trips() {
         let body = b"hello snapshot".to_vec();
         let framed = frame(&body);
-        assert_eq!(unframe(&framed).unwrap(), &body[..]);
+        assert_eq!(unframe(&framed).unwrap(), (VERSION, &body[..]));
     }
 
     #[test]
@@ -377,13 +360,19 @@ mod tests {
         let mut bad = framed.clone();
         bad[0] = b'X';
         assert_eq!(unframe(&bad), Err(SnapshotError::BadMagic));
-        // Future version.
-        let mut bad = framed.clone();
-        bad[5] = VERSION as u8 + 1;
-        assert!(matches!(
-            unframe(&bad),
-            Err(SnapshotError::UnsupportedVersion(_))
-        ));
+        // A future version, and one older than the previous.
+        for version in [VERSION + 1, VERSION - 2] {
+            let mut bad = framed.clone();
+            bad[4..6].copy_from_slice(&version.to_be_bytes());
+            assert_eq!(
+                unframe(&bad),
+                Err(SnapshotError::UnsupportedVersion(version))
+            );
+        }
+        // The previous version is read.
+        let mut previous = framed.clone();
+        previous[5] = VERSION as u8 - 1;
+        assert_eq!(unframe(&previous).unwrap(), (VERSION - 1, &b"payload"[..]));
         // A bit flip anywhere in the body trips the checksum.
         for i in HEADER_LEN..framed.len() {
             let mut bad = framed.clone();
@@ -399,7 +388,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_round_trips_a_busy_server() {
-        let (server, _client) = busy_server();
+        let server = busy_server();
         let framed = snapshot_server(&server);
         let restored = restore_server(&framed, Box::new(LineShell::new())).unwrap();
         // The restored twin re-encodes to the same body.
@@ -408,7 +397,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_corrupt_snapshots_whole() {
-        let (server, _client) = busy_server();
+        let server = busy_server();
         let framed = snapshot_server(&server);
         // Bit flips anywhere in the body are caught by the CRC, long
         // before the body decoder could half-apply anything.
@@ -422,7 +411,7 @@ mod tests {
         }
         // A structurally valid frame around a truncated body decodes
         // to Malformed — still rejected whole.
-        let body = unframe(&framed).unwrap();
+        let (_, body) = unframe(&framed).unwrap();
         let reframed = frame(&body[..body.len() - 3]);
         assert_eq!(
             restore_server(&reframed, Box::new(LineShell::new())).err(),
@@ -432,7 +421,7 @@ mod tests {
 
     #[test]
     fn resurrect_skips_the_nonce_margin() {
-        let (mut server, _client) = busy_server();
+        let mut server = busy_server();
         let framed = frame(&server.checkpoint_body());
         let seq_before = server.next_seq();
         let resurrected = resurrect_server(&framed, Box::new(LineShell::new())).unwrap();
@@ -473,7 +462,7 @@ mod tests {
         bad[HEADER_LEN + 2] ^= 1;
         assert_eq!(decode_handoff(&bad), Err(SnapshotError::ChecksumMismatch));
         // Reframed-but-truncated body is structurally rejected.
-        let body = unframe(&container).unwrap();
+        let (_, body) = unframe(&container).unwrap();
         let reframed = frame(&body[..body.len() - 1]);
         assert_eq!(decode_handoff(&reframed), Err(SnapshotError::Malformed));
         // Trailing garbage behind the last entry is rejected too.
@@ -484,7 +473,7 @@ mod tests {
 
     #[test]
     fn handoff_file_round_trips() {
-        let entries = vec![(1usize, snapshot_server(&busy_server().0))];
+        let entries = vec![(1usize, snapshot_server(&busy_server()))];
         let path = std::env::temp_dir().join("mosh-handoff-test.bin");
         write_handoff(&path, &entries).unwrap();
         let back = read_handoff(&path).unwrap().unwrap();

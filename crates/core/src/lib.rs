@@ -42,7 +42,7 @@ pub use hub::{
     CheckpointStore, HubSession, HubStats, ServerHub, SessionId, ShardLoad, ShardedHub,
     SnapshotError,
 };
-pub use server::MoshServer;
+pub use server::{MoshServer, WriteObserver};
 pub use session::{Endpoint, Party, SessionDriver, SessionEvent, SessionLoop};
 
 /// Virtual time in milliseconds.

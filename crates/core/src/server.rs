@@ -20,13 +20,9 @@ use crate::Millis;
 use mosh_crypto::session::Direction;
 use mosh_crypto::Base64Key;
 use mosh_net::{Addr, Host};
-use mosh_ssp::datagram::{DatagramLayer, Opened};
-use mosh_ssp::fragment::FragmentAssembly;
-use mosh_ssp::receiver::{Receiver, ReceiverStats};
-use mosh_ssp::rtt::RttEstimator;
-use mosh_ssp::sender::{Sender, SenderParts, SenderStats, TimestampedState};
-use mosh_ssp::transport::{ReceiveEvent, Transport, TransportStats};
-use mosh_ssp::wire::{put_bytes, put_varint, Reader};
+use mosh_ssp::datagram::Opened;
+use mosh_ssp::transport::{ReceiveEvent, Transport};
+use mosh_ssp::wire::{get_bool, put_bool, put_bytes, put_varint, Reader};
 use mosh_states::{CompleteTerminal, UserEvent, UserStream};
 use std::collections::VecDeque;
 
@@ -34,6 +30,22 @@ use std::collections::VecDeque;
 /// majority of legitimate application echoes on loaded servers, while
 /// still fast enough to rapidly detect mistaken predictions" (§3.2).
 pub const ECHO_TIMEOUT: Millis = 50;
+
+/// A listener for when application output reaches the terminal and when
+/// a frame carries it away — Figure 3's protocol-induced delay is the gap
+/// between the two.
+///
+/// Installed by a measurement harness with [`MoshServer::observe_writes`]
+/// (`mosh_trace`'s replay does, for `fig3_collection`); a server in
+/// service has none, keeps no record of past writes, and does no work for
+/// one. The observer belongs to the process that installed it: it is
+/// never part of a session snapshot, and a restored server has none.
+pub trait WriteObserver: Send {
+    /// An application write was applied to the terminal at `at`.
+    fn write_applied(&mut self, at: Millis);
+    /// A frame covering every write applied so far left at `now`.
+    fn frame_shipped(&mut self, now: Millis);
+}
 
 /// The server half of a Mosh session.
 ///
@@ -57,10 +69,7 @@ pub struct MoshServer {
     /// Where to send packets: the source of the newest authentic datagram.
     target: Option<Addr>,
     started: bool,
-    /// Instrumentation for Figure 3: (write arrival time, shipped time).
-    write_delays: Vec<(Millis, Millis)>,
-    /// Writes applied to the terminal but not yet shipped in a frame.
-    unshipped_writes: Vec<Millis>,
+    observer: Option<Box<dyn WriteObserver>>,
 }
 
 impl MoshServer {
@@ -80,9 +89,14 @@ impl MoshServer {
             pending_writes: VecDeque::new(),
             target: None,
             started: false,
-            write_delays: Vec::new(),
-            unshipped_writes: Vec::new(),
+            observer: None,
         }
+    }
+
+    /// Installs the listener told of every write applied and every frame
+    /// that covers them (see [`WriteObserver`]), replacing any earlier one.
+    pub fn observe_writes(&mut self, observer: Box<dyn WriteObserver>) {
+        self.observer = Some(observer);
     }
 
     /// Overrides the collection interval (Figure 3's sweep).
@@ -115,12 +129,6 @@ impl MoshServer {
     /// The address the server currently replies to.
     pub fn target(&self) -> Option<Addr> {
         self.target
-    }
-
-    /// Per-write protocol-induced delays `(arrived, shipped)` recorded so
-    /// far — the quantity Figure 3 averages.
-    pub fn write_delays(&self) -> &[(Millis, Millis)] {
-        &self.write_delays
     }
 
     /// Sender statistics (piggyback/heartbeat counters for the ablations).
@@ -165,7 +173,7 @@ impl MoshServer {
     /// Next outgoing datagram sequence number (nonce bookkeeping —
     /// lets recovery tests verify the resurrection skip margin).
     pub fn next_seq(&self) -> u64 {
-        self.transport.datagram().snapshot_parts().2
+        self.transport.next_seq()
     }
 
     fn schedule_writes(&mut self, writes: Vec<TimedWrite>) {
@@ -265,7 +273,9 @@ impl MoshServer {
             }
             let w = self.pending_writes.pop_front().expect("peeked");
             self.transport.current_state_mut().act(&w.bytes);
-            self.unshipped_writes.push(w.at.max(now));
+            if let Some(observer) = &mut self.observer {
+                observer.write_applied(w.at.max(now));
+            }
             self.dirty = true;
         }
 
@@ -305,11 +315,11 @@ impl MoshServer {
             return Vec::new();
         }
         let wires = self.transport.tick(now);
-        if !wires.is_empty() && !self.transport.pending_data() {
-            // The frame just sent covers every write applied so far (a
-            // pure ack/heartbeat would leave pending_data true).
-            for arrived in self.unshipped_writes.drain(..) {
-                self.write_delays.push((arrived, now));
+        if let Some(observer) = &mut self.observer {
+            // A frame just sent covers every write applied so far; a pure
+            // ack or heartbeat would leave pending_data true.
+            if !wires.is_empty() && !self.transport.pending_data() {
+                observer.frame_shipped(now);
             }
         }
         let target = self.target.expect("checked above");
@@ -397,99 +407,17 @@ impl MoshServer {
     /// snapshot, nothing sent afterwards) must *not* skip — that keeps the
     /// restored wire bytes identical.
     pub fn skip_seq_ahead(&mut self, margin: u64) {
-        let next_seq = self.transport.datagram().snapshot_parts().2;
-        self.transport
-            .datagram_mut()
-            .skip_seq_to(next_seq.saturating_add(margin));
+        self.transport.skip_seq_ahead(margin);
     }
 
-    /// Serializes the complete explicit session state — crypto sequence
-    /// numbers, SSP shipped-state lists and ack bookkeeping, the
-    /// authoritative terminal, echo/write queues, roaming target, and the
-    /// hosted application's dynamic state. Body only: framing (magic,
+    /// Serializes the complete explicit session state: the transport
+    /// (every layer writes its own bytes — crypto sequence numbers, SSP
+    /// shipped-state lists and ack bookkeeping, the authoritative
+    /// terminal), then the echo and write queues, the roaming target, and
+    /// the hosted application's dynamic state. Body only: framing (magic,
     /// version, checksum) is the hub snapshot module's job.
     pub fn encode_snapshot_body(&self, out: &mut Vec<u8>) {
-        let (key, _dir, next_seq, decrypt_ops, (srtt, rttvar, has_sample), max_seq, saved_ts) =
-            self.transport.datagram().snapshot_parts();
-        out.extend_from_slice(key.as_bytes());
-        put_varint(out, next_seq);
-        put_varint(out, decrypt_ops);
-        put_varint(out, srtt.to_bits());
-        put_varint(out, rttvar.to_bits());
-        put_bool(out, has_sample);
-        put_opt(out, max_seq);
-        match saved_ts {
-            None => put_varint(out, 0),
-            Some((ts, at)) => {
-                put_varint(out, 1);
-                put_varint(out, u64::from(ts));
-                put_varint(out, at);
-            }
-        }
-
-        let parts = self.transport.sender_parts();
-        put_varint(out, parts.sent_states.len() as u64);
-        for s in &parts.sent_states {
-            put_varint(out, s.num);
-            put_varint(out, s.timestamp);
-            s.state.encode_into(out);
-        }
-        parts.current.encode_into(out);
-        put_opt(out, parts.mindelay_clock);
-        put_varint(out, parts.mindelay);
-        put_varint(out, parts.ack_num);
-        put_varint(out, parts.next_ack_time);
-        put_bool(out, parts.ack_pending);
-        put_bool(out, parts.sent_anything);
-        let ss = &parts.stats;
-        for v in [
-            ss.data,
-            ss.retransmits,
-            ss.pure_acks,
-            ss.heartbeats,
-            ss.piggybacked_acks,
-        ] {
-            put_varint(out, v);
-        }
-
-        let states = self.transport.receiver_states();
-        put_varint(out, states.len() as u64);
-        for s in states {
-            put_varint(out, s.num);
-            put_varint(out, s.timestamp);
-            s.state.encode_into(out);
-        }
-        let rs = self.transport.receiver_stats();
-        for v in [rs.applied, rs.duplicates, rs.missing_source] {
-            put_varint(out, v);
-        }
-
-        let (frag_id, pieces, frag_total) = self.transport.assembly().snapshot_parts();
-        put_opt(out, frag_id);
-        put_varint(out, pieces.len() as u64);
-        for p in pieces {
-            match p {
-                None => put_varint(out, 0),
-                Some(b) => {
-                    put_varint(out, 1);
-                    put_bytes(out, b);
-                }
-            }
-        }
-        put_opt(out, frag_total.map(|t| t as u64));
-
-        put_varint(out, self.transport.next_instruction_id());
-        let ts = self.transport.stats();
-        for v in [
-            ts.datagrams_sent,
-            ts.datagrams_received,
-            ts.datagrams_rejected,
-        ] {
-            put_varint(out, v);
-        }
-        put_opt(out, self.transport.last_heard());
-        put_opt(out, self.transport.ack_ceiling());
-
+        self.transport.encode_into(out);
         put_bool(out, self.dirty);
         put_varint(out, self.applied_through);
         put_varint(out, self.echo_queue.len() as u64);
@@ -510,145 +438,26 @@ impl MoshServer {
             }
         }
         put_bool(out, self.started);
-        put_varint(out, self.write_delays.len() as u64);
-        for &(arrived, shipped) in &self.write_delays {
-            put_varint(out, arrived);
-            put_varint(out, shipped);
-        }
-        put_varint(out, self.unshipped_writes.len() as u64);
-        for &at in &self.unshipped_writes {
-            put_varint(out, at);
-        }
         put_bytes(out, &self.app.save_state());
     }
 
-    /// Rebuilds a server from a snapshot body plus a freshly constructed
-    /// application twin (construction parameters are the caller's to
-    /// remember; the snapshot carries only dynamic state). Returns `None`
-    /// on any inconsistency — a corrupt snapshot is rejected whole, never
+    /// Rebuilds a server from a snapshot body of format `version` (the
+    /// current one or its predecessor; the hub snapshot module's frame
+    /// says which) plus a freshly constructed application twin
+    /// (construction parameters are the caller's to remember; the
+    /// snapshot carries only dynamic state). Returns `None` on any
+    /// inconsistency — a corrupt snapshot is rejected whole, never
     /// half-applied. The restored sender accepts future acks (resync):
     /// if the client has already acknowledged states newer than the
     /// snapshot, the server adopts that ack and re-sends a self-contained
     /// full diff.
-    pub fn decode_snapshot_body(bytes: &[u8], mut app: Box<dyn Application>) -> Option<Self> {
+    pub fn decode_snapshot_body(
+        bytes: &[u8],
+        version: u16,
+        mut app: Box<dyn Application>,
+    ) -> Option<Self> {
         let mut r = Reader::new(bytes);
-        let key = Base64Key::from_bytes(r.take(16).ok()?.try_into().ok()?);
-        let next_seq = r.varint().ok()?;
-        let decrypt_ops = r.varint().ok()?;
-        let srtt = f64::from_bits(r.varint().ok()?);
-        let rttvar = f64::from_bits(r.varint().ok()?);
-        let has_sample = get_bool(&mut r)?;
-        let max_seq = get_opt(&mut r)?;
-        let saved_ts = match r.varint().ok()? {
-            0 => None,
-            1 => {
-                let ts = u16::try_from(r.varint().ok()?).ok()?;
-                Some((ts, r.varint().ok()?))
-            }
-            _ => return None,
-        };
-        let datagram = DatagramLayer::restore(
-            key,
-            Direction::ToClient,
-            next_seq,
-            decrypt_ops,
-            RttEstimator::from_parts(srtt, rttvar, has_sample),
-            max_seq,
-            saved_ts,
-        );
-
-        let n = r.varint().ok()?;
-        let mut sent_states = Vec::new();
-        for _ in 0..n {
-            let num = r.varint().ok()?;
-            let timestamp = r.varint().ok()?;
-            let state = CompleteTerminal::decode(&mut r)?;
-            sent_states.push(TimestampedState {
-                num,
-                timestamp,
-                state,
-            });
-        }
-        let current = CompleteTerminal::decode(&mut r)?;
-        let mindelay_clock = get_opt(&mut r)?;
-        let mindelay = r.varint().ok()?;
-        let ack_num = r.varint().ok()?;
-        let next_ack_time = r.varint().ok()?;
-        let ack_pending = get_bool(&mut r)?;
-        let sent_anything = get_bool(&mut r)?;
-        let stats = SenderStats {
-            data: r.varint().ok()?,
-            retransmits: r.varint().ok()?,
-            pure_acks: r.varint().ok()?,
-            heartbeats: r.varint().ok()?,
-            piggybacked_acks: r.varint().ok()?,
-        };
-        let sender = Sender::restore(SenderParts {
-            sent_states,
-            current,
-            mindelay_clock,
-            mindelay,
-            ack_num,
-            next_ack_time,
-            ack_pending,
-            sent_anything,
-            stats,
-        })?;
-
-        let n = r.varint().ok()?;
-        let mut recv_states = Vec::new();
-        for _ in 0..n {
-            let num = r.varint().ok()?;
-            let timestamp = r.varint().ok()?;
-            let state = UserStream::decode(&mut r)?;
-            recv_states.push(TimestampedState {
-                num,
-                timestamp,
-                state,
-            });
-        }
-        let recv_stats = ReceiverStats {
-            applied: r.varint().ok()?,
-            duplicates: r.varint().ok()?,
-            missing_source: r.varint().ok()?,
-        };
-        let receiver = Receiver::restore(recv_states, recv_stats)?;
-
-        let frag_id = get_opt(&mut r)?;
-        let n = r.varint().ok()?;
-        let mut pieces = Vec::new();
-        for _ in 0..n {
-            pieces.push(match r.varint().ok()? {
-                0 => None,
-                1 => Some(r.bytes().ok()?.to_vec()),
-                _ => return None,
-            });
-        }
-        let frag_total = match get_opt(&mut r)? {
-            None => None,
-            Some(t) => Some(usize::try_from(t).ok()?),
-        };
-        let assembly = FragmentAssembly::restore(frag_id, pieces, frag_total)?;
-
-        let next_instruction_id = r.varint().ok()?;
-        let t_stats = TransportStats {
-            datagrams_sent: r.varint().ok()?,
-            datagrams_received: r.varint().ok()?,
-            datagrams_rejected: r.varint().ok()?,
-        };
-        let last_heard = get_opt(&mut r)?;
-        let ack_ceiling = get_opt(&mut r)?;
-        let transport = Transport::restore(
-            datagram,
-            sender,
-            receiver,
-            assembly,
-            next_instruction_id,
-            t_stats,
-            last_heard,
-            ack_ceiling,
-        );
-
+        let transport = Transport::decode(&mut r, Direction::ToClient)?;
         let dirty = get_bool(&mut r)?;
         let applied_through = r.varint().ok()?;
         let n = r.varint().ok()?;
@@ -674,15 +483,16 @@ impl MoshServer {
             _ => return None,
         };
         let started = get_bool(&mut r)?;
-        let n = r.varint().ok()?;
-        let mut write_delays = Vec::new();
-        for _ in 0..n {
-            write_delays.push((r.varint().ok()?, r.varint().ok()?));
-        }
-        let n = r.varint().ok()?;
-        let mut unshipped_writes = Vec::new();
-        for _ in 0..n {
-            unshipped_writes.push(r.varint().ok()?);
+        if version == 2 {
+            // Version 2 kept Figure 3's log here: a list of (arrived,
+            // shipped) pairs, then one of arrival times. Nothing resumes
+            // from either; read past them.
+            for varints_per_entry in [2, 1] {
+                let entries = r.varint().ok()?;
+                for _ in 0..entries.saturating_mul(varints_per_entry) {
+                    r.varint().ok()?;
+                }
+            }
         }
         let app_state = r.bytes().ok()?;
         if r.remaining() != 0 || !app.restore_state(app_state) {
@@ -698,39 +508,8 @@ impl MoshServer {
             pending_writes,
             target,
             started,
-            write_delays,
-            unshipped_writes,
+            observer: None,
         })
-    }
-}
-
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    put_varint(out, u64::from(v));
-}
-
-fn get_bool(r: &mut Reader<'_>) -> Option<bool> {
-    match r.varint().ok()? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
-}
-
-fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => put_varint(out, 0),
-        Some(x) => {
-            put_varint(out, 1);
-            put_varint(out, x);
-        }
-    }
-}
-
-fn get_opt(r: &mut Reader<'_>) -> Option<Option<u64>> {
-    match r.varint().ok()? {
-        0 => Some(None),
-        1 => Some(Some(r.varint().ok()?)),
-        _ => None,
     }
 }
 
@@ -764,16 +543,17 @@ fn get_addr(r: &mut Reader<'_>) -> Option<Addr> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::apps::LineShell;
+    use crate::hub::snapshot::{snapshot_server, VERSION};
 
     fn key() -> Base64Key {
         Base64Key::from_bytes([8u8; 16])
     }
 
     /// A minimal fake client transport for driving the server.
-    fn client_transport() -> Transport<UserStream, CompleteTerminal> {
+    pub(crate) fn client_transport() -> Transport<UserStream, CompleteTerminal> {
         Transport::new(
             key(),
             Direction::ToServer,
@@ -920,9 +700,14 @@ mod tests {
         assert_eq!(client.remote_state().frame().row_text(0), "$");
     }
 
+    /// Decodes a current-version body onto a fresh `LineShell`.
+    fn restore(body: &[u8]) -> Option<MoshServer> {
+        MoshServer::decode_snapshot_body(body, VERSION, Box::new(LineShell::new()))
+    }
+
     /// Builds a server mid-conversation: prompt on screen, one keystroke
     /// applied, client address learned.
-    fn busy_server(client: &mut Transport<UserStream, CompleteTerminal>) -> MoshServer {
+    pub(crate) fn busy_server(client: &mut Transport<UserStream, CompleteTerminal>) -> MoshServer {
         let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
         let mut input = UserStream::new();
         input.push_keystroke(b"l");
@@ -943,8 +728,7 @@ mod tests {
         let mut client = client_transport();
         let mut server = busy_server(&mut client);
         let body = server.checkpoint_body();
-        let mut restored =
-            MoshServer::decode_snapshot_body(&body, Box::new(LineShell::new())).expect("decodes");
+        let mut restored = restore(&body).expect("decodes");
 
         // Both servers see the same future (more typing plus quiet ticks);
         // their wire output must match byte for byte.
@@ -995,21 +779,23 @@ mod tests {
         // test fast; the boundaries near field edges are all hit).
         for cut in (0..body.len()).step_by(7).chain([body.len() - 1]) {
             assert!(
-                MoshServer::decode_snapshot_body(&body[..cut], Box::new(LineShell::new()))
-                    .is_none(),
+                restore(&body[..cut]).is_none(),
                 "truncation at {cut} must be rejected"
             );
         }
         let mut extended = body.clone();
         extended.push(0);
         assert!(
-            MoshServer::decode_snapshot_body(&extended, Box::new(LineShell::new())).is_none(),
+            restore(&extended).is_none(),
             "trailing garbage must be rejected"
         );
         // A wrong application twin is rejected too.
-        assert!(
-            MoshServer::decode_snapshot_body(&body, Box::new(crate::apps::Editor::new())).is_none()
-        );
+        assert!(MoshServer::decode_snapshot_body(
+            &body,
+            VERSION,
+            Box::new(crate::apps::Editor::new())
+        )
+        .is_none());
     }
 
     /// A server with a `cat` burst half drained: due writes applied,
@@ -1034,8 +820,7 @@ mod tests {
         let mut client = client_transport();
         let mut server = mid_cat_server(&mut client);
         let body = server.checkpoint_body();
-        let mut restored =
-            MoshServer::decode_snapshot_body(&body, Box::new(LineShell::new())).expect("decodes");
+        let mut restored = restore(&body).expect("decodes");
         assert_eq!(restored.pending_writes, server.pending_writes);
         // The rest of the burst, and a second command scheduled into the
         // restored queue, come out the same on both.
@@ -1058,6 +843,43 @@ mod tests {
         assert_eq!(server.frame().to_text(), restored.frame().to_text());
     }
 
+    /// Snapshot size of a server whose shell has run `yes` until `until`,
+    /// with a client acknowledging its frames or with nobody listening.
+    fn snapshot_len_after_flooding(heard: bool, until: Millis) -> usize {
+        let mut shell = LineShell::new();
+        let mut input = UserStream::new();
+        if heard {
+            input.push_keystroke(b"yes\r");
+        } else {
+            shell.on_input(0, b"yes\r"); // nobody to type it
+        }
+        let mut server = MoshServer::new(key(), Box::new(shell));
+        let mut client = client_transport();
+        client.set_current_state(input, 0);
+        for now in 0..until {
+            if heard {
+                pump(&mut client, &mut server, now);
+            }
+            for (_, w) in server.tick(now) {
+                let _ = client.receive(now, &w);
+            }
+        }
+        assert_eq!(server.target().is_some(), heard);
+        snapshot_server(&server).len()
+    }
+
+    #[test]
+    fn snapshot_size_does_not_grow_with_session_age() {
+        for heard in [true, false] {
+            let young = snapshot_len_after_flooding(heard, 5_000);
+            let old = snapshot_len_after_flooding(heard, 60_000);
+            assert!(
+                old.abs_diff(young) < 2_000,
+                "heard {heard}: {young} B after 5 s of flood, {old} B after 60 s"
+            );
+        }
+    }
+
     #[test]
     fn snapshot_rejects_a_write_queue_out_of_due_order() {
         let mut client = client_transport();
@@ -1069,7 +891,7 @@ mod tests {
         server.pending_writes.swap(tied - 1, tied);
         let mut body = Vec::new();
         server.encode_snapshot_body(&mut body);
-        assert!(MoshServer::decode_snapshot_body(&body, Box::new(LineShell::new())).is_some());
+        assert!(restore(&body).is_some());
         // … but a later write ahead of an earlier one is a corrupt body:
         // `schedule_into` would binary-search a queue that is not sorted.
         let last = server.pending_writes.len() - 1;
@@ -1078,7 +900,7 @@ mod tests {
         body.clear();
         server.encode_snapshot_body(&mut body);
         assert!(
-            MoshServer::decode_snapshot_body(&body, Box::new(LineShell::new())).is_none(),
+            restore(&body).is_none(),
             "a decreasing due time must reject the snapshot whole"
         );
     }

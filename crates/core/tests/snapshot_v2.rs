@@ -1,10 +1,13 @@
 //! A version-2 session snapshot, stored as bytes: what a hub built before
-//! the next format bump leaves behind for its successor to read.
+//! the format went to version 3 leaves behind for its successor to read.
 //!
 //! `fixtures/server_v2.snap` is `snapshot_server` of [`mid_flood`]'s
-//! server, written by this commit's code (`write_fixture`, ignored).
+//! server as the last version-2 build wrote it (the commit that added
+//! this file, where a test pinned the two equal). Version 2 carried the
+//! server's Figure 3 log — here 62 shipped pairs and 213 arrival times —
+//! between the `started` flag and the application's state.
 
-use mosh_core::hub::snapshot;
+use mosh_core::hub::snapshot::{self, SnapshotError};
 use mosh_core::{LineShell, MoshClient, MoshServer};
 use mosh_crypto::Base64Key;
 use mosh_net::{Addr, Channel, LinkConfig, Network, Side, SimChannel};
@@ -18,8 +21,9 @@ const S: Addr = Addr::new(2, 60001);
 /// A server in the middle of a `yes` flood over a seeded LAN, stopped
 /// with writes applied that no frame has covered yet, a keystroke
 /// waiting for its echo ack, and the first fragment of a three-fragment
-/// paste received. Returns it with the fragments still in flight.
-fn mid_flood() -> (MoshServer, Vec<Vec<u8>>) {
+/// paste received. Returns it with the fragments still in flight and the
+/// time it stopped at.
+fn mid_flood() -> (MoshServer, Vec<Vec<u8>>, u64) {
     let key = Base64Key::from_bytes([0x76; 16]);
     let mut net = Network::new(LinkConfig::lan(), LinkConfig::lan(), 17);
     net.register(C, Side::Client);
@@ -70,7 +74,7 @@ fn mid_flood() -> (MoshServer, Vec<Vec<u8>>) {
     while !server.tick(now).is_empty() {
         now += 1;
     }
-    (server, rest)
+    (server, rest, now)
 }
 
 const NEXT_SEQ: u64 = 7;
@@ -83,28 +87,83 @@ fn screen() -> String {
     rows.join("\n")
 }
 
-#[test]
-fn fixture_is_this_commits_snapshot_of_the_scenario() {
-    let (server, rest) = mid_flood();
-    assert_eq!(rest.len(), 2, "two fragments still in flight");
-    assert!(!server.write_delays().is_empty());
-    assert_eq!(snapshot::snapshot_server(&server), FIXTURE);
-    assert_eq!(u16::from_be_bytes([FIXTURE[4], FIXTURE[5]]), 2);
+fn restore(framed: &[u8]) -> Result<MoshServer, SnapshotError> {
+    snapshot::restore_server(framed, Box::new(LineShell::new()))
+}
 
-    let restored = snapshot::restore_server(FIXTURE, Box::new(LineShell::new())).expect("reads");
-    assert_eq!(restored.frame().to_text(), screen());
-    assert_eq!(restored.next_seq(), NEXT_SEQ);
-    assert_eq!(restored.activity_marker(), ACTIVITY_MARKER);
+/// `framed` with its header claiming `version`; the checksum covers the
+/// body only.
+fn claiming(version: u16, framed: &[u8]) -> Vec<u8> {
+    let mut out = framed.to_vec();
+    out[4..6].copy_from_slice(&version.to_be_bytes());
+    out
 }
 
 #[test]
-#[ignore = "writes the fixture; run once, at the commit whose format it records"]
-fn write_fixture() {
-    let (server, _) = mid_flood();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/server_v2.snap");
-    std::fs::write(path, snapshot::snapshot_server(&server)).expect("fixture written");
-    println!("next_seq {}", server.next_seq());
-    println!("activity_marker {:?}", server.activity_marker());
-    println!("write_delays {}", server.write_delays().len());
-    println!("screen {:?}", server.frame().to_text());
+fn a_v2_snapshot_restores_resumes_and_is_written_back_as_v3() {
+    assert_eq!(FIXTURE[4..6], 2u16.to_be_bytes());
+    let mut from_v2 = restore(FIXTURE).expect("version 2 is read");
+    assert_eq!(from_v2.frame().to_text(), screen());
+    assert_eq!(from_v2.next_seq(), NEXT_SEQ);
+    assert_eq!(from_v2.activity_marker(), ACTIVITY_MARKER);
+
+    // Written back it is the v3 snapshot of the server the fixture was
+    // taken from — the same bytes, not merely an equivalent session —
+    // and the log is all that went.
+    let (mut live, rest, now) = mid_flood();
+    let v3 = snapshot::snapshot_server(&from_v2);
+    assert_eq!(v3[4..6], 3u16.to_be_bytes());
+    assert_eq!(v3, snapshot::snapshot_server(&live));
+    assert_eq!(FIXTURE.len() - v3.len(), 533);
+
+    // It resumes as a v3 round trip of that server does. The paste's
+    // other two fragments complete the instruction whose first the
+    // snapshot was holding.
+    let mut from_v3 = restore(&v3).expect("round trip");
+    for server in [&mut live, &mut from_v3, &mut from_v2] {
+        for wire in &rest {
+            server.receive(now, C, wire);
+        }
+        assert_eq!(server.activity_marker().1, ACTIVITY_MARKER.1 + 1);
+    }
+    for t in now..now + 400 {
+        let wires = live.tick(t);
+        assert_eq!(from_v3.tick(t), wires, "v3 twin at {t}");
+        assert_eq!(from_v2.tick(t), wires, "v2 twin at {t}");
+    }
+    assert!(live.activity_marker().0 > ACTIVITY_MARKER.0, "frames left");
+    assert_eq!(from_v2.frame().to_text(), live.frame().to_text());
+}
+
+#[test]
+fn versions_other_than_the_current_and_the_one_before_are_refused() {
+    for version in [1, 4] {
+        assert_eq!(
+            restore(&claiming(version, FIXTURE)).err(),
+            Some(SnapshotError::UnsupportedVersion(version))
+        );
+    }
+    // The body is not a v3 body: read as one, the log is trailing garbage.
+    assert_eq!(
+        restore(&claiming(3, FIXTURE)).err(),
+        Some(SnapshotError::Malformed)
+    );
+}
+
+#[test]
+fn every_truncation_of_a_v2_snapshot_is_rejected_whole() {
+    for cut in 0..FIXTURE.len() {
+        assert!(restore(&FIXTURE[..cut]).is_err(), "file cut at {cut}");
+    }
+    // Past the checksum: a sound v2 frame around each prefix of the body,
+    // so the cut lands inside every field in turn, the skipped log's too.
+    let (_, body) = snapshot::unframe(FIXTURE).expect("sound frame");
+    for cut in 0..body.len() {
+        let framed = claiming(2, &snapshot::frame(&body[..cut]));
+        assert_eq!(
+            restore(&framed).err(),
+            Some(SnapshotError::Malformed),
+            "body cut at {cut}"
+        );
+    }
 }

@@ -124,19 +124,29 @@ impl Session {
         }
     }
 
-    /// Rebuilds a session endpoint from snapshotted state: the shared key,
-    /// direction, the next outgoing sequence number, and the decrypt-ops
-    /// instrumentation counter. The cipher schedule is re-derived from the
-    /// key; the scratch pool starts empty (it is a pure optimization).
-    pub fn restore(key: Base64Key, direction: Direction, next_seq: u64, decrypt_ops: u64) -> Self {
-        Session {
-            ocb: Ocb::new(key.as_bytes()),
-            key,
-            direction,
-            next_seq,
-            decrypt_ops: Cell::new(decrypt_ops),
-            scratch: Vec::new(),
-        }
+    /// Appends what a snapshot must carry of this endpoint: the 16 key
+    /// bytes, then the next outgoing sequence number and the decrypt-ops
+    /// counter as varints.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.key.as_bytes());
+        put_varint(out, self.next_seq);
+        put_varint(out, self.decrypt_ops.get());
+    }
+
+    /// Rebuilds an endpoint from the front of `bytes`, written by
+    /// [`Session::encode_into`], and advances `bytes` past what it read.
+    /// The direction is the caller's to know; the cipher schedule is
+    /// re-derived from the key and the scratch pool starts empty. `None`
+    /// for truncated input or a sequence number beyond [`MAX_SEQ`].
+    pub fn decode(bytes: &mut &[u8], direction: Direction) -> Option<Self> {
+        let (key, rest) = bytes.split_first_chunk::<16>()?;
+        *bytes = rest;
+        let next_seq = take_varint(bytes).filter(|&seq| seq <= MAX_SEQ)?;
+        let decrypt_ops = take_varint(bytes)?;
+        let mut session = Session::new(Base64Key::from_bytes(*key), direction);
+        session.next_seq = next_seq;
+        session.decrypt_ops.set(decrypt_ops);
+        Some(session)
     }
 
     /// The shared session key (for snapshot serialization).
@@ -155,11 +165,6 @@ impl Session {
     pub fn skip_seq_to(&mut self, seq: u64) {
         assert!(seq <= MAX_SEQ, "sequence number space exhausted");
         self.next_seq = self.next_seq.max(seq);
-    }
-
-    /// The direction this endpoint stamps on outgoing packets.
-    pub fn direction(&self) -> Direction {
-        self.direction
     }
 
     /// The sequence number the next outgoing datagram will carry.
@@ -350,6 +355,35 @@ impl Session {
         }
         results
     }
+}
+
+/// Appends a `u64` as an LEB128 varint: seven bits per byte, low group
+/// first, the high bit set on every byte but the last. The one varint
+/// writer of the snapshot and instruction formats; `mosh_ssp::wire`
+/// re-exports it.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads one [`put_varint`] varint off the front of `bytes` and advances
+/// past it; `None` when it is truncated or does not fit 64 bits.
+pub fn take_varint(bytes: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for (i, &byte) in bytes.iter().enumerate().take(10) {
+        if i == 9 && byte > 1 {
+            return None;
+        }
+        v |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            *bytes = &bytes[i + 1..];
+            return Some(v);
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -563,6 +597,33 @@ mod tests {
         for (wire, result) in wires.iter().zip(results.iter()) {
             assert_eq!(single.decrypt_into(wire, &mut buf), *result);
         }
+    }
+
+    #[test]
+    fn snapshot_round_trip_continues_the_sequence_and_the_counter() {
+        let (mut client, server) = pair();
+        for _ in 0..300 {
+            client.encrypt(b"x");
+        }
+        server.decrypt(&client.encrypt(b"y")).unwrap();
+        let mut bytes = Vec::new();
+        client.encode_into(&mut bytes);
+        bytes.push(0xee); // the next layer's first byte
+        let mut rest = &bytes[..];
+        let mut twin = Session::decode(&mut rest, Direction::ToServer).expect("decodes");
+        assert_eq!(rest, [0xee], "reads exactly its own bytes");
+        assert_eq!(twin.encrypt(b"next"), client.encrypt(b"next"));
+        bytes.clear();
+        server.encode_into(&mut bytes);
+        let twin = Session::decode(&mut &bytes[..], Direction::ToClient).expect("decodes");
+        assert_eq!(twin.decrypt_count(), 1);
+
+        // A sequence number past the last usable one would panic in the
+        // next `encrypt`; it is refused here instead.
+        let mut spent = vec![3u8; 16];
+        put_varint(&mut spent, MAX_SEQ + 1);
+        put_varint(&mut spent, 0);
+        assert!(Session::decode(&mut &spent[..], Direction::ToClient).is_none());
     }
 
     #[test]

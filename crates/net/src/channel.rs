@@ -114,11 +114,6 @@ impl SimChannel {
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.net
     }
-
-    /// Unwraps the emulator.
-    pub fn into_network(self) -> Network {
-        self.net
-    }
 }
 
 impl Channel for SimChannel {

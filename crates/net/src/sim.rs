@@ -40,17 +40,6 @@ pub struct LinkStats {
     pub total_latency_ms: u64,
 }
 
-impl LinkStats {
-    /// Mean one-way delivery latency in milliseconds.
-    pub fn mean_latency_ms(&self) -> f64 {
-        if self.delivered == 0 {
-            0.0
-        } else {
-            self.total_latency_ms as f64 / self.delivered as f64
-        }
-    }
-}
-
 /// Statistics for both directions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkStats {

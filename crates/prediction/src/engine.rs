@@ -57,8 +57,6 @@ pub struct PredictionEngine {
     flagging: bool,
     glitch_trigger: u32,
     preference: DisplayPreference,
-    /// Overwrite instead of insert (like `mosh --predict-overwrite`).
-    predict_overwrite: bool,
     stats: PredictionStats,
     /// Size of the frame predictions were made against.
     width: usize,
@@ -77,16 +75,10 @@ impl PredictionEngine {
             flagging: false,
             glitch_trigger: 0,
             preference,
-            predict_overwrite: false,
             stats: PredictionStats::default(),
             width: 0,
             height: 0,
         }
-    }
-
-    /// Selects overwrite-style predictions (no row shifting).
-    pub fn set_predict_overwrite(&mut self, overwrite: bool) {
-        self.predict_overwrite = overwrite;
     }
 
     /// Evaluation counters.
@@ -262,32 +254,30 @@ impl PredictionEngine {
             return;
         }
 
-        if !self.predict_overwrite {
-            // Insert: displaced text slides right; those cells become
-            // "unknown" guesses beyond a short horizon.
-            let width = frame.width();
-            let mut carried: Vec<Cell> = Vec::new();
-            for c in col..width.saturating_sub(1) {
-                carried.push(self.cell_at(frame, row, c));
+        // Insert: displaced text slides right; those cells become
+        // "unknown" guesses beyond a short horizon.
+        let width = frame.width();
+        let mut carried: Vec<Cell> = Vec::new();
+        for c in col..width.saturating_sub(1) {
+            carried.push(self.cell_at(frame, row, c));
+        }
+        for (offset, old) in carried.into_iter().enumerate() {
+            let target = col + 1 + offset;
+            if target >= width {
+                break;
             }
-            for (offset, old) in carried.into_iter().enumerate() {
-                let target = col + 1 + offset;
-                if target >= width {
-                    break;
-                }
-                if old.is_blank() && self.cell_at(frame, row, target).is_blank() {
-                    continue; // Shifting blanks over blanks: no prediction.
-                }
-                self.put_prediction(CellPrediction {
-                    row,
-                    col: target,
-                    replacement: old,
-                    unknown: offset >= 2,
-                    tentative_until_epoch: self.prediction_epoch,
-                    expiration_index: expiration,
-                    prediction_time: now,
-                });
+            if old.is_blank() && self.cell_at(frame, row, target).is_blank() {
+                continue; // Shifting blanks over blanks: no prediction.
             }
+            self.put_prediction(CellPrediction {
+                row,
+                col: target,
+                replacement: old,
+                unknown: offset >= 2,
+                tentative_until_epoch: self.prediction_epoch,
+                expiration_index: expiration,
+                prediction_time: now,
+            });
         }
 
         let attrs = frame.cell(row, col).attrs;
@@ -316,38 +306,26 @@ impl PredictionEngine {
             return;
         }
         let target = col - 1;
-        if self.predict_overwrite {
+        // Text right of the cursor slides left.
+        let width = frame.width();
+        for c in target..width {
+            let source = if c + 1 < width {
+                self.cell_at(frame, row, c + 1)
+            } else {
+                Cell::blank(Attrs::default())
+            };
+            if source.is_blank() && self.cell_at(frame, row, c).is_blank() {
+                continue;
+            }
             self.put_prediction(CellPrediction {
                 row,
-                col: target,
-                replacement: Cell::blank(Attrs::default()),
-                unknown: false,
+                col: c,
+                replacement: source,
+                unknown: c > target + 1,
                 tentative_until_epoch: self.prediction_epoch,
                 expiration_index: expiration,
                 prediction_time: now,
             });
-        } else {
-            // Text right of the cursor slides left.
-            let width = frame.width();
-            for c in target..width {
-                let source = if c + 1 < width {
-                    self.cell_at(frame, row, c + 1)
-                } else {
-                    Cell::blank(Attrs::default())
-                };
-                if source.is_blank() && self.cell_at(frame, row, c).is_blank() {
-                    continue;
-                }
-                self.put_prediction(CellPrediction {
-                    row,
-                    col: c,
-                    replacement: source,
-                    unknown: c > target + 1,
-                    tentative_until_epoch: self.prediction_epoch,
-                    expiration_index: expiration,
-                    prediction_time: now,
-                });
-            }
         }
         self.cursor = Some(CursorPrediction {
             row,

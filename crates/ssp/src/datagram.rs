@@ -12,6 +12,7 @@
 //!   datagram arrives with a new-high sequence number.
 
 use crate::rtt::RttEstimator;
+use crate::wire::{get_opt, put_opt, put_varint, Reader};
 use crate::{Millis, SspError};
 use mosh_crypto::session::{Direction, Session};
 use mosh_crypto::Base64Key;
@@ -77,52 +78,54 @@ impl DatagramLayer {
         }
     }
 
-    /// Rebuilds a datagram layer from snapshotted parts. The cipher is
-    /// re-derived from the key; timing state (RTT estimate, new-high
-    /// bookkeeping, saved timestamp echo) is restored verbatim.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        key: Base64Key,
-        direction: Direction,
-        next_seq: u64,
-        decrypt_ops: u64,
-        rtt: RttEstimator,
-        max_seq_seen: Option<u64>,
-        saved_timestamp: Option<(u16, Millis)>,
-    ) -> Self {
-        DatagramLayer {
-            session: Session::restore(key, direction, next_seq, decrypt_ops),
-            rtt,
-            max_seq_seen,
-            saved_timestamp,
+    /// Appends everything of this layer a session snapshot must carry:
+    /// the crypto session, the RTT estimate, the new-high bookkeeping and
+    /// the saved timestamp echo. The key-derived cipher schedule and the
+    /// scratch pool are rebuilt, not stored.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.session.encode_into(out);
+        self.rtt.encode_into(out);
+        put_opt(out, self.max_seq_seen);
+        match self.saved_timestamp {
+            None => put_varint(out, 0),
+            Some((ts, at)) => {
+                put_varint(out, 1);
+                put_varint(out, u64::from(ts));
+                put_varint(out, at);
+            }
         }
     }
 
-    /// The parts of this layer a snapshot must carry (everything except
-    /// the key-derived cipher schedule and the scratch pool):
-    /// `(key, direction, next_seq, decrypt_ops, (srtt, rttvar,
-    /// has_sample), max_seq_seen, saved_timestamp)`.
-    #[allow(clippy::type_complexity)]
-    pub fn snapshot_parts(
-        &self,
-    ) -> (
-        &Base64Key,
-        Direction,
-        u64,
-        u64,
-        (f64, f64, bool),
-        Option<u64>,
-        Option<(u16, Millis)>,
-    ) {
-        (
-            self.session.key(),
-            self.session.direction(),
-            self.session.next_seq(),
-            self.session.decrypt_count(),
-            (self.rtt.srtt(), self.rtt.rttvar(), self.rtt.has_sample()),
-            self.max_seq_seen,
-            self.saved_timestamp,
-        )
+    /// Reads a layer written by [`DatagramLayer::encode_into`]; the
+    /// direction is not stored, the caller knows which end it is.
+    pub fn decode(r: &mut Reader<'_>, direction: Direction) -> Option<Self> {
+        let session = r.sub(|bytes| Session::decode(bytes, direction))?;
+        let rtt = RttEstimator::decode(r)?;
+        let max_seq_seen = get_opt(r)?;
+        let saved_timestamp = match r.varint().ok()? {
+            0 => None,
+            1 => {
+                let ts = u16::try_from(r.varint().ok()?).ok()?;
+                Some((ts, r.varint().ok()?))
+            }
+            _ => return None,
+        };
+        Some(DatagramLayer {
+            session,
+            rtt,
+            max_seq_seen,
+            saved_timestamp,
+        })
+    }
+
+    /// The shared session key.
+    pub fn key(&self) -> &Base64Key {
+        self.session.key()
+    }
+
+    /// The sequence number the next outgoing datagram will carry.
+    pub fn next_seq(&self) -> u64 {
+        self.session.next_seq()
     }
 
     /// Skips the outgoing sequence number forward (see
@@ -465,6 +468,33 @@ mod tests {
         assert_eq!(batched.decrypt_count(), looped.decrypt_count());
         // Opening a batch, like opening one wire, consumes nothing.
         assert_eq!(batched.max_seq_seen(), None);
+    }
+
+    #[test]
+    fn snapshot_round_trip_is_byte_identical_going_forward() {
+        let (mut client, mut server) = pair();
+        let w = encode(&mut client, 0, b"ping");
+        decode(&mut server, 100, &w).unwrap();
+        let reply = encode(&mut server, 130, b"pong");
+        decode(&mut client, 200, &reply).unwrap();
+
+        let mut bytes = Vec::new();
+        client.encode_into(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let mut twin = DatagramLayer::decode(&mut r, Direction::ToServer).expect("decodes");
+        assert_eq!(r.remaining(), 0);
+        assert_eq!((twin.srtt(), twin.rto()), (client.srtt(), client.rto()));
+        // Same nonce, same timestamp echo: the next wire is the same.
+        assert_eq!(encode(&mut twin, 260, b"x"), encode(&mut client, 260, b"x"));
+
+        // A saved timestamp wider than the 16 bits the wire carries.
+        bytes.clear();
+        pair().0.encode_into(&mut bytes);
+        assert_eq!(bytes.pop(), Some(0), "a new layer has none saved");
+        for v in [1, 0x1_0000, 5] {
+            put_varint(&mut bytes, v);
+        }
+        assert!(DatagramLayer::decode(&mut Reader::new(&bytes), Direction::ToServer).is_none());
     }
 
     #[test]

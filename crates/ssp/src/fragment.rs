@@ -7,7 +7,7 @@
 //! older instruction once a newer one exists, because every instruction is
 //! a self-contained fast-forward (paper §2.2's idempotency principle).
 
-use crate::wire::Reader;
+use crate::wire::{get_opt, put_bytes, put_opt, put_varint, Reader};
 use crate::SspError;
 
 /// Maximum bytes of fragment *payload* per datagram. Mosh uses a
@@ -83,32 +83,48 @@ pub struct FragmentAssembly {
     total: Option<usize>,
 }
 
-/// A reassembly checkpoint: (newest instruction id, partial pieces,
-/// expected piece count once the final fragment has arrived).
-pub type AssemblyParts<'a> = (Option<u64>, &'a [Option<Vec<u8>>], Option<usize>);
-
 impl FragmentAssembly {
     /// Creates an empty assembler.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Snapshot view for session checkpoints: the newest instruction id,
-    /// the partial pieces, and the expected piece count if the final
-    /// fragment has arrived. A half-assembled instruction survives
-    /// migration so reassembly resumes where it left off.
-    pub fn snapshot_parts(&self) -> AssemblyParts<'_> {
-        (self.current_id, &self.pieces, self.total)
+    /// Appends the assembler for a session snapshot — the newest
+    /// instruction id, the pieces that have arrived, and the expected
+    /// piece count once the final fragment is in — so a half-assembled
+    /// instruction survives migration and resumes where it left off.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_opt(out, self.current_id);
+        put_varint(out, self.pieces.len() as u64);
+        for p in &self.pieces {
+            match p {
+                None => put_varint(out, 0),
+                Some(b) => {
+                    put_varint(out, 1);
+                    put_bytes(out, b);
+                }
+            }
+        }
+        put_opt(out, self.total.map(|t| t as u64));
     }
 
-    /// Rebuilds an assembler mid-instruction; `arrived` is recomputed.
-    /// Returns `None` for inconsistent parts (pieces without an id, or a
-    /// zero expected total) — corrupt snapshots are rejected whole.
-    pub fn restore(
-        current_id: Option<u64>,
-        pieces: Vec<Option<Vec<u8>>>,
-        total: Option<usize>,
-    ) -> Option<Self> {
+    /// Reads an assembler written by [`FragmentAssembly::encode_into`];
+    /// `arrived` is recounted. `None` for pieces or a total without an
+    /// instruction id, or a total of zero.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let current_id = get_opt(r)?;
+        let mut pieces = Vec::new();
+        for _ in 0..r.varint().ok()? {
+            pieces.push(match r.varint().ok()? {
+                0 => None,
+                1 => Some(r.bytes().ok()?.to_vec()),
+                _ => return None,
+            });
+        }
+        let total = match get_opt(r)? {
+            None => None,
+            Some(t) => Some(usize::try_from(t).ok()?),
+        };
         if current_id.is_none() && (!pieces.is_empty() || total.is_some()) {
             return None;
         }
@@ -278,18 +294,27 @@ mod tests {
         assert!(asm.add(frags[0].clone()).is_none());
         assert!(asm.add(frags[2].clone()).is_none());
 
-        let (id, pieces, total) = asm.snapshot_parts();
-        let mut restored =
-            FragmentAssembly::restore(id, pieces.to_vec(), total).expect("valid parts");
+        let mut bytes = Vec::new();
+        asm.encode_into(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let mut restored = FragmentAssembly::decode(&mut r).expect("decodes");
+        assert_eq!(r.remaining(), 0);
         assert_eq!(restored.add(frags[1].clone()).unwrap(), payload);
     }
 
     #[test]
     fn restore_rejects_inconsistent_parts() {
-        assert!(FragmentAssembly::restore(None, vec![Some(vec![1])], None).is_none());
-        assert!(FragmentAssembly::restore(None, Vec::new(), Some(1)).is_none());
-        assert!(FragmentAssembly::restore(Some(3), Vec::new(), Some(0)).is_none());
-        assert!(FragmentAssembly::restore(None, Vec::new(), None).is_some());
+        let decode = |bytes: &[u8]| FragmentAssembly::decode(&mut Reader::new(bytes));
+        // id | piece count, pieces | total
+        assert!(decode(&[0, 1, 1, 1, 0xaa, 0]).is_none(), "a piece, no id");
+        assert!(decode(&[0, 0, 1, 1]).is_none(), "a total, no id");
+        assert!(decode(&[1, 3, 0, 1, 0]).is_none(), "a total of zero");
+        assert!(
+            decode(&[1, 3, 1, 2, 0]).is_none(),
+            "a piece tag that is neither"
+        );
+        assert!(decode(&[0, 0, 0]).is_some(), "the empty assembler");
+        assert!(decode(&[1, 3, 2, 0, 1, 1, 0xaa, 1, 2]).is_some());
     }
 
     #[test]

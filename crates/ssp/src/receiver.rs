@@ -8,8 +8,9 @@
 //! will retransmit from an acknowledged state).
 
 use crate::instruction::Instruction;
-use crate::sender::TimestampedState;
+use crate::sender::{decode_states, encode_states, TimestampedState};
 use crate::state::SyncState;
+use crate::wire::{put_varint, Reader};
 use crate::Millis;
 
 /// Cap on stored received states (Mosh keeps up to 1024).
@@ -59,22 +60,27 @@ impl<R: SyncState> Receiver<R> {
         }
     }
 
-    /// Rebuilds a receiver from snapshotted parts. Returns `None` when the
-    /// parts violate the receiver's invariants (empty state list, or state
-    /// numbers not strictly increasing).
-    pub fn restore(states: Vec<TimestampedState<R>>, stats: ReceiverStats) -> Option<Self> {
-        if states.is_empty() {
-            return None;
+    /// Appends the receiver for a session snapshot: the stored state
+    /// copies, oldest first, then the counters.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_states(&self.states, out);
+        let st = &self.stats;
+        for v in [st.applied, st.duplicates, st.missing_source] {
+            put_varint(out, v);
         }
-        if states.windows(2).any(|w| w[0].num >= w[1].num) {
-            return None;
-        }
-        Some(Receiver { states, stats })
     }
 
-    /// The stored state copies, oldest first (for session snapshots).
-    pub fn states(&self) -> &[TimestampedState<R>] {
-        &self.states
+    /// Reads a receiver written by [`Receiver::encode_into`]. `None` when
+    /// the state list is empty or its numbers are not strictly increasing.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(Receiver {
+            states: decode_states(r)?,
+            stats: ReceiverStats {
+                applied: r.varint().ok()?,
+                duplicates: r.varint().ok()?,
+                missing_source: r.varint().ok()?,
+            },
+        })
     }
 
     /// Receiver counters.
@@ -260,6 +266,31 @@ mod tests {
         // State 0 is gone; an instruction sourcing it is now undeliverable.
         let p = r.process(&instr(0, 9, 1, b"nine"), 30);
         assert!(!p.new_state);
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_rejects_a_bad_state_list() {
+        let mut r = Receiver::new(BlobState(b"0".to_vec()));
+        r.process(&instr(0, 2, 0, b"two"), 10);
+        r.process(&instr(0, 2, 0, b"two"), 11);
+        r.process(&instr(9, 10, 0, b"ten"), 12);
+        let mut bytes = Vec::new();
+        r.encode_into(&mut bytes);
+        let mut reader = Reader::new(&bytes);
+        let mut back = Receiver::<BlobState>::decode(&mut reader).expect("decodes");
+        assert_eq!(reader.remaining(), 0);
+        assert_eq!((back.latest(), back.latest_num()), (r.latest(), 2));
+        assert_eq!(back.stats(), r.stats());
+        // The older copy came along too: a diff sourced from it applies.
+        assert!(back.process(&instr(0, 3, 0, b"three"), 20).new_state);
+
+        // count 2 | num 0, ts 0, "0" | num 2, ...
+        assert_eq!(bytes[..6], [2, 0, 0, 1, b'0', 2]);
+        let mut unordered = bytes.clone();
+        unordered[1] = 2;
+        assert!(Receiver::<BlobState>::decode(&mut Reader::new(&unordered)).is_none());
+        let empty = [0, 1, 1, 1]; // no states, three counters
+        assert!(Receiver::<BlobState>::decode(&mut Reader::new(&empty)).is_none());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //!    than one second — SSH over TCP "generally cannot detect a dropped
 //!    keystroke in less than a second."
 
+use crate::wire::{get_bool, put_bool, put_varint, Reader};
 use crate::Millis;
 
 /// Minimum retransmission timeout (the paper's headline change from TCP).
@@ -43,23 +44,28 @@ impl RttEstimator {
         }
     }
 
-    /// Rebuilds an estimator from snapshotted parts (session snapshots
-    /// preserve the smoothed estimate so a restored sender keeps its tuned
-    /// retransmission behavior instead of regressing to the 1 s guess).
-    pub fn from_parts(srtt: f64, rttvar: f64, have_sample: bool) -> Self {
-        RttEstimator {
-            srtt: if srtt.is_finite() {
-                srtt.max(0.0)
-            } else {
-                1000.0
-            },
-            rttvar: if rttvar.is_finite() {
-                rttvar.max(0.0)
-            } else {
-                500.0
-            },
+    /// Appends the estimate for a session snapshot, so a restored sender
+    /// keeps its tuned retransmission behavior instead of regressing to
+    /// the 1 s guess: both values as IEEE-754 bit patterns, then the flag.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.srtt.to_bits());
+        put_varint(out, self.rttvar.to_bits());
+        put_bool(out, self.have_sample);
+    }
+
+    /// Reads an estimator written by [`RttEstimator::encode_into`]. `None`
+    /// for values no run of [`RttEstimator::observe`] can produce
+    /// (negative, infinite, NaN).
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let srtt = f64::from_bits(r.varint().ok()?);
+        let rttvar = f64::from_bits(r.varint().ok()?);
+        let have_sample = get_bool(r)?;
+        let sane = |v: f64| v.is_finite() && v >= 0.0;
+        (sane(srtt) && sane(rttvar)).then_some(RttEstimator {
+            srtt,
+            rttvar,
             have_sample,
-        }
+        })
     }
 
     /// Feeds one RTT sample in milliseconds.
@@ -170,6 +176,27 @@ mod tests {
             jittery.observe(if i % 2 == 0 { 50.0 } else { 150.0 });
         }
         assert!(jittery.rto() > steady.rto());
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_rejects_impossible_estimates() {
+        let mut e = RttEstimator::new();
+        e.observe(100.0);
+        e.observe(37.0);
+        let mut buf = Vec::new();
+        e.encode_into(&mut buf);
+        let back = RttEstimator::decode(&mut Reader::new(&buf)).expect("decodes");
+        assert_eq!(
+            (back.srtt(), back.rttvar(), back.has_sample()),
+            (e.srtt(), e.rttvar(), true)
+        );
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            buf.clear();
+            put_varint(&mut buf, bad.to_bits());
+            put_varint(&mut buf, 5.0f64.to_bits());
+            put_bool(&mut buf, true);
+            assert!(RttEstimator::decode(&mut Reader::new(&buf)).is_none());
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! * un-acknowledged states are retransmitted after `RTO + ACK_DELAY`.
 
 use crate::state::SyncState;
+use crate::wire::{get_bool, get_opt, put_bool, put_opt, put_varint, Reader};
 use crate::Millis;
 
 /// Minimum interval between frames: caps the rate at 50 Hz, "roughly the
@@ -46,6 +47,38 @@ pub struct TimestampedState<S> {
     pub timestamp: Millis,
     /// The snapshot itself.
     pub state: S,
+}
+
+/// Appends a state list for a session snapshot: a count, then each
+/// state's number, timestamp and body.
+pub(crate) fn encode_states<S: SyncState>(states: &[TimestampedState<S>], out: &mut Vec<u8>) {
+    put_varint(out, states.len() as u64);
+    for s in states {
+        put_varint(out, s.num);
+        put_varint(out, s.timestamp);
+        s.state.encode_into(out);
+    }
+}
+
+/// Reads a list written by [`encode_states`]. `None` unless it is
+/// non-empty with strictly increasing numbers: sender and receiver both
+/// take its first and last entries unchecked and look states up by number.
+pub(crate) fn decode_states<S: SyncState>(r: &mut Reader<'_>) -> Option<Vec<TimestampedState<S>>> {
+    let mut states: Vec<TimestampedState<S>> = Vec::new();
+    for _ in 0..r.varint().ok()? {
+        let num = r.varint().ok()?;
+        if states.last().is_some_and(|prev| prev.num >= num) {
+            return None;
+        }
+        let timestamp = r.varint().ok()?;
+        let state = S::decode(r)?;
+        states.push(TimestampedState {
+            num,
+            timestamp,
+            state,
+        });
+    }
+    (!states.is_empty()).then_some(states)
 }
 
 /// What the sender wants transmitted this tick.
@@ -137,30 +170,6 @@ pub struct Sender<S: SyncState> {
     stats: SenderStats,
 }
 
-/// Everything a session snapshot must carry to rebuild a [`Sender`].
-#[derive(Debug, Clone)]
-pub struct SenderParts<S> {
-    /// The shipped-state list, acked front first (never empty, numbers
-    /// strictly increasing).
-    pub sent_states: Vec<TimestampedState<S>>,
-    /// The authoritative current state.
-    pub current: S,
-    /// Collection-interval clock, if the current state has diverged.
-    pub mindelay_clock: Option<Millis>,
-    /// Collection interval.
-    pub mindelay: Millis,
-    /// Remote state number to acknowledge next.
-    pub ack_num: u64,
-    /// Standalone ack / heartbeat deadline.
-    pub next_ack_time: Millis,
-    /// Whether the deadline is a delayed ack (vs. a heartbeat).
-    pub ack_pending: bool,
-    /// Whether anything has ever been transmitted.
-    pub sent_anything: bool,
-    /// Counters.
-    pub stats: SenderStats,
-}
-
 impl<S: SyncState> Sender<S> {
     /// Creates a sender whose state number 0 is `initial` (both ends start
     /// with equal, known initial states).
@@ -184,47 +193,55 @@ impl<S: SyncState> Sender<S> {
         }
     }
 
-    /// Rebuilds a sender from snapshotted parts. Returns `None` when the
-    /// parts violate the sender's invariants (empty shipped-state list, or
-    /// state numbers not strictly increasing) — a corrupt snapshot must be
-    /// rejected whole, never half-applied.
-    pub fn restore(parts: SenderParts<S>) -> Option<Self> {
-        if parts.sent_states.is_empty() {
-            return None;
+    /// Appends the sender for a session snapshot: the shipped-state list
+    /// (acked front first), the current state, the collection and ack
+    /// clocks, and the counters. A pending crash resync is not carried.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_states(&self.sent_states, out);
+        self.current.encode_into(out);
+        put_opt(out, self.mindelay_clock);
+        put_varint(out, self.mindelay);
+        put_varint(out, self.ack_num);
+        put_varint(out, self.next_ack_time);
+        put_bool(out, self.ack_pending);
+        put_bool(out, self.sent_anything);
+        let st = &self.stats;
+        for v in [
+            st.data,
+            st.retransmits,
+            st.pure_acks,
+            st.heartbeats,
+            st.piggybacked_acks,
+        ] {
+            put_varint(out, v);
         }
-        if parts.sent_states.windows(2).any(|w| w[0].num >= w[1].num) {
-            return None;
-        }
+    }
+
+    /// Reads a sender written by [`Sender::encode_into`]. `None` when the
+    /// shipped-state list is empty or out of order — a corrupt snapshot
+    /// is rejected whole, never half-applied.
+    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
         Some(Sender {
-            sent_states: parts.sent_states,
-            current: parts.current,
-            mindelay_clock: parts.mindelay_clock,
-            mindelay: parts.mindelay,
-            ack_num: parts.ack_num,
-            next_ack_time: parts.next_ack_time,
-            ack_pending: parts.ack_pending,
-            sent_anything: parts.sent_anything,
+            sent_states: decode_states(r)?,
+            current: S::decode(r)?,
+            mindelay_clock: get_opt(r)?,
+            mindelay: r.varint().ok()?,
+            ack_num: r.varint().ok()?,
+            next_ack_time: r.varint().ok()?,
+            ack_pending: get_bool(r)?,
+            sent_anything: get_bool(r)?,
             // A restored sender may be resuming from a checkpoint older
             // than the peer's view; future acks are then legitimate.
             accept_future_acks: true,
             resync_base: None,
-            stats: parts.stats,
+            stats: SenderStats {
+                data: r.varint().ok()?,
+                retransmits: r.varint().ok()?,
+                pure_acks: r.varint().ok()?,
+                heartbeats: r.varint().ok()?,
+                piggybacked_acks: r.varint().ok()?,
+            },
         })
-    }
-
-    /// Clones out everything a snapshot needs to rebuild this sender.
-    pub fn snapshot_parts(&self) -> SenderParts<S> {
-        SenderParts {
-            sent_states: self.sent_states.clone(),
-            current: self.current.clone(),
-            mindelay_clock: self.mindelay_clock,
-            mindelay: self.mindelay,
-            ack_num: self.ack_num,
-            next_ack_time: self.next_ack_time,
-            ack_pending: self.ack_pending,
-            sent_anything: self.sent_anything,
-            stats: self.stats,
-        }
     }
 
     /// Overrides the collection interval (Figure 3's sweep parameter).
@@ -760,33 +777,49 @@ mod tests {
         assert!(s.sent_states.len() <= MAX_SENT_STATES + 1);
     }
 
+    /// `s` through its own bytes.
+    fn via_snapshot(s: &Sender<BlobState>) -> Sender<BlobState> {
+        let mut bytes = Vec::new();
+        s.encode_into(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let back = Sender::decode(&mut r).expect("a live sender decodes");
+        assert_eq!(r.remaining(), 0);
+        back
+    }
+
     #[test]
-    fn restore_round_trips_snapshot_parts() {
+    fn snapshot_round_trips() {
         let mut s = Sender::new(blob(b"0"));
         s.set_current(blob(b"1"), 1000);
         s.tick(1008, SRTT, RTO).unwrap();
         s.set_ack_num(5, true, 1010);
-        let parts = s.snapshot_parts();
-        let r = Sender::restore(parts).expect("valid parts");
-        assert_eq!(r.latest_sent_num(), s.latest_sent_num());
+        s.set_current(blob(b"2"), 1012);
+        let mut r = via_snapshot(&s);
         assert_eq!(r.acked_num(), s.acked_num());
         assert_eq!(r.stats(), s.stats());
         assert!(r.current().equivalent(s.current()));
+        for now in 1012..1500 {
+            assert_eq!(r.tick(now, SRTT, RTO), s.tick(now, SRTT, RTO), "at {now}");
+        }
     }
 
     #[test]
     fn restore_rejects_invalid_parts() {
-        let s = Sender::new(blob(b"0"));
-        let mut empty = s.snapshot_parts();
-        empty.sent_states.clear();
-        assert!(Sender::restore(empty).is_none());
-
-        let mut s2 = Sender::new(blob(b"0"));
-        s2.set_current(blob(b"1"), 1000);
-        s2.tick(1008, SRTT, RTO).unwrap();
-        let mut unordered = s2.snapshot_parts();
-        unordered.sent_states.reverse();
-        assert!(Sender::restore(unordered).is_none());
+        let mut s = Sender::new(blob(b"0"));
+        s.set_current(blob(b"1"), 1000);
+        s.tick(1008, SRTT, RTO).unwrap();
+        let mut bytes = Vec::new();
+        s.encode_into(&mut bytes);
+        // count 2 | num 0, ts 0, "0" | num 1, ts 1008, "1" | current ...
+        assert_eq!(bytes[..10], [2, 0, 0, 1, b'0', 1, 0xf0, 0x07, 1, b'1']);
+        for first_num in [1, 2] {
+            let mut unordered = bytes.clone();
+            unordered[1] = first_num; // equal to the second, then above it
+            assert!(Sender::<BlobState>::decode(&mut Reader::new(&unordered)).is_none());
+        }
+        let mut empty = vec![0];
+        empty.extend_from_slice(&bytes[10..]);
+        assert!(Sender::<BlobState>::decode(&mut Reader::new(&empty)).is_none());
     }
 
     #[test]
@@ -804,7 +837,7 @@ mod tests {
         let mut s = Sender::new(blob(b"ckpt"));
         s.set_current(blob(b"v1"), 1000);
         s.tick(1008, SRTT, RTO).unwrap(); // state 1 shipped
-        let mut r = Sender::restore(s.snapshot_parts()).expect("valid");
+        let mut r = via_snapshot(&s);
 
         r.handle_ack(5);
         assert_eq!(r.latest_sent_num(), 5);

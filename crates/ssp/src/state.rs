@@ -6,6 +6,8 @@
 //! twice — user-input streams (client→server) and terminal screens
 //! (server→client) — both defined in the `mosh-states` crate.
 
+use crate::wire::{put_bytes, Reader};
+
 /// Errors raised by state objects when applying diffs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateError {
@@ -68,6 +70,15 @@ pub trait SyncState: Clone {
     /// for terminals, the whole retained event window for input streams.
     fn full_diff(&self) -> Vec<u8>;
 
+    /// Appends the whole state for a session snapshot. Unlike a diff this
+    /// is everything a restored endpoint needs to behave identically from
+    /// here on, including what the peer never sees.
+    fn encode_into(&self, out: &mut Vec<u8>);
+
+    /// Reads a state written by [`SyncState::encode_into`]; `None` on any
+    /// structural violation.
+    fn decode(r: &mut Reader<'_>) -> Option<Self>;
+
     /// True if two states are interchangeable for synchronization purposes
     /// (no diff needs to be sent between them).
     fn equivalent(&self, other: &Self) -> bool;
@@ -96,6 +107,14 @@ impl SyncState for BlobState {
     fn apply_diff(&mut self, diff: &[u8]) -> Result<(), StateError> {
         self.0 = diff.to_vec();
         Ok(())
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_bytes(out, &self.0);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        Some(BlobState(r.bytes().ok()?.to_vec()))
     }
 
     fn equivalent(&self, other: &Self) -> bool {

@@ -11,9 +11,10 @@
 use crate::datagram::{DatagramLayer, Opened};
 use crate::fragment::{fragment, Fragment, FragmentAssembly, FRAGMENT_PAYLOAD};
 use crate::instruction::{Instruction, PROTOCOL_VERSION};
-use crate::receiver::{Receiver, ReceiverStats};
-use crate::sender::{send_interval, Sender, SenderStats};
+use crate::receiver::Receiver;
+use crate::sender::{Sender, SenderStats};
 use crate::state::SyncState;
+use crate::wire::{get_opt, put_opt, put_varint, Reader};
 use crate::{Millis, SspError};
 use mosh_crypto::session::Direction;
 use mosh_crypto::Base64Key;
@@ -92,23 +93,47 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         }
     }
 
-    /// Rebuilds an endpoint from snapshotted layers. The chaff RNG is
-    /// re-seeded and fast-forwarded by `next_instruction_id` instructions,
-    /// so the restored endpoint's wire bytes continue exactly where the
-    /// original's would have.
-    #[allow(clippy::too_many_arguments)]
-    pub fn restore(
-        datagram: DatagramLayer,
-        sender: Sender<L>,
-        receiver: Receiver<R>,
-        assembly: FragmentAssembly,
-        next_instruction_id: u64,
-        stats: TransportStats,
-        last_heard: Option<Millis>,
-        ack_ceiling: Option<u64>,
-    ) -> Self {
-        let (key, direction, ..) = datagram.snapshot_parts();
-        let mut chaff_rng = StdRng::from_seed(chaff_seed(key, direction));
+    /// Appends the whole endpoint for a session snapshot: each layer's
+    /// own bytes in turn, then the instruction counter, the wire counters
+    /// and the two ack clocks. The chaff stream's position is implied by
+    /// the instruction counter.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        self.datagram.encode_into(out);
+        self.sender.encode_into(out);
+        self.receiver.encode_into(out);
+        self.assembly.encode_into(out);
+        put_varint(out, self.next_instruction_id);
+        let st = &self.stats;
+        for v in [
+            st.datagrams_sent,
+            st.datagrams_received,
+            st.datagrams_rejected,
+        ] {
+            put_varint(out, v);
+        }
+        put_opt(out, self.last_heard);
+        put_opt(out, self.ack_ceiling);
+    }
+
+    /// Reads an endpoint written by [`Transport::encode_into`]; `None`
+    /// when any layer rejects its bytes. The chaff RNG is re-seeded and
+    /// fast-forwarded past the instructions already sent, so the restored
+    /// endpoint's wire bytes continue exactly where the original's would
+    /// have.
+    pub fn decode(r: &mut Reader<'_>, direction: Direction) -> Option<Self> {
+        let datagram = DatagramLayer::decode(r, direction)?;
+        let sender = Sender::decode(r)?;
+        let receiver = Receiver::decode(r)?;
+        let assembly = FragmentAssembly::decode(r)?;
+        let next_instruction_id = r.varint().ok()?;
+        let stats = TransportStats {
+            datagrams_sent: r.varint().ok()?,
+            datagrams_received: r.varint().ok()?,
+            datagrams_rejected: r.varint().ok()?,
+        };
+        let last_heard = get_opt(r)?;
+        let ack_ceiling = get_opt(r)?;
+        let mut chaff_rng = StdRng::from_seed(chaff_seed(datagram.key(), direction));
         for _ in 0..next_instruction_id {
             // Replay the draws `tick` made per instruction (length, then
             // that many bytes) to reach the same stream position.
@@ -117,7 +142,7 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
                 let _: u8 = chaff_rng.gen();
             }
         }
-        Transport {
+        Some(Transport {
             datagram,
             sender,
             receiver,
@@ -127,7 +152,20 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
             last_heard,
             ack_ceiling,
             chaff_rng,
-        }
+        })
+    }
+
+    /// The sequence number the next outgoing datagram will carry.
+    pub fn next_seq(&self) -> u64 {
+        self.datagram.next_seq()
+    }
+
+    /// Skips the outgoing sequence number forward by `margin`: crash
+    /// recovery must never re-use a nonce a lost post-checkpoint datagram
+    /// may already have consumed (see [`DatagramLayer::skip_seq_to`]).
+    pub fn skip_seq_ahead(&mut self, margin: u64) {
+        self.datagram
+            .skip_seq_to(self.next_seq().saturating_add(margin));
     }
 
     /// Caps outgoing acknowledgments at `ceiling` (`None` lifts the cap).
@@ -215,11 +253,6 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         self.datagram.rto()
     }
 
-    /// The frame interval currently in force (`clamp(SRTT/2, 20, 250)`).
-    pub fn frame_interval(&self) -> Millis {
-        send_interval(self.datagram.srtt())
-    }
-
     /// Time the peer was last heard from (for the client's warning banner).
     pub fn last_heard(&self) -> Option<Millis> {
         self.last_heard
@@ -245,45 +278,9 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         self.sender.stats()
     }
 
-    /// Receiver counters.
-    pub fn receiver_stats(&self) -> &ReceiverStats {
-        self.receiver.stats()
-    }
-
     /// Wire counters.
     pub fn stats(&self) -> &TransportStats {
         &self.stats
-    }
-
-    /// The datagram layer, for session snapshots.
-    pub fn datagram(&self) -> &DatagramLayer {
-        &self.datagram
-    }
-
-    /// Mutable datagram layer, for nonce fast-forward on resurrection
-    /// (see [`DatagramLayer::skip_seq_to`]).
-    pub fn datagram_mut(&mut self) -> &mut DatagramLayer {
-        &mut self.datagram
-    }
-
-    /// Clones out the sender's snapshot parts.
-    pub fn sender_parts(&self) -> crate::sender::SenderParts<L> {
-        self.sender.snapshot_parts()
-    }
-
-    /// The receiver's stored states, oldest first.
-    pub fn receiver_states(&self) -> &[crate::sender::TimestampedState<R>] {
-        self.receiver.states()
-    }
-
-    /// The fragment assembler, for session snapshots.
-    pub fn assembly(&self) -> &FragmentAssembly {
-        &self.assembly
-    }
-
-    /// Id the next outgoing instruction will use.
-    pub fn next_instruction_id(&self) -> u64 {
-        self.next_instruction_id
     }
 
     /// The next time `tick` could produce output (for event stepping).
@@ -620,35 +617,14 @@ mod tests {
         assert_eq!(server.stats().datagrams_rejected, 0);
     }
 
-    /// Snapshots every layer of `t` and rebuilds an equivalent endpoint.
-    fn clone_via_snapshot(t: &T) -> T {
-        let (key, direction, next_seq, decrypt_ops, (srtt, rttvar, has_sample), max_seq, saved) =
-            t.datagram().snapshot_parts();
-        let datagram = DatagramLayer::restore(
-            key.clone(),
-            direction,
-            next_seq,
-            decrypt_ops,
-            crate::rtt::RttEstimator::from_parts(srtt, rttvar, has_sample),
-            max_seq,
-            saved,
-        );
-        let sender = Sender::restore(t.sender_parts()).expect("live sender parts are valid");
-        let receiver = Receiver::restore(t.receiver_states().to_vec(), *t.receiver_stats())
-            .expect("live receiver parts are valid");
-        let (id, pieces, total) = t.assembly().snapshot_parts();
-        let assembly = FragmentAssembly::restore(id, pieces.to_vec(), total)
-            .expect("live assembly parts are valid");
-        Transport::restore(
-            datagram,
-            sender,
-            receiver,
-            assembly,
-            t.next_instruction_id(),
-            *t.stats(),
-            t.last_heard(),
-            t.ack_ceiling(),
-        )
+    /// `t` through its own bytes.
+    fn clone_via_snapshot(t: &T, direction: Direction) -> T {
+        let mut bytes = Vec::new();
+        t.encode_into(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let twin = T::decode(&mut r, direction).expect("a live endpoint decodes");
+        assert_eq!(r.remaining(), 0);
+        twin
     }
 
     #[test]
@@ -658,7 +634,7 @@ mod tests {
         server.set_current_state(BlobState(b"reply".to_vec()), 0);
         let now = converge(&mut client, &mut server, 0, 500);
 
-        let mut twin = clone_via_snapshot(&server);
+        let mut twin = clone_via_snapshot(&server, Direction::ToClient);
 
         // Drive both through identical futures: same state changes, same
         // inbound wires, same tick times. Every output must match.
@@ -678,6 +654,35 @@ mod tests {
             }
         }
         assert_eq!(server.stats().datagrams_sent, twin.stats().datagrams_sent);
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_every_truncation_and_an_emptied_layer() {
+        let (mut client, mut server) = pair();
+        client.set_current_state(BlobState(vec![7; 1200]), 0);
+        let wires = client.tick(8);
+        server.receive(9, &wires[0]).unwrap(); // one fragment of three held
+        let mut bytes = Vec::new();
+        server.encode_into(&mut bytes);
+        for cut in 0..bytes.len() {
+            let mut r = Reader::new(&bytes[..cut]);
+            assert!(
+                T::decode(&mut r, Direction::ToClient).is_none(),
+                "cut {cut}"
+            );
+        }
+        let mut twin = clone_via_snapshot(&server, Direction::ToClient);
+        for w in &wires[1..] {
+            twin.receive(10, w).unwrap();
+        }
+        assert_eq!(twin.remote_state().0, vec![7; 1200]);
+        // The sender's state list sits right behind the datagram layer;
+        // emptied, the whole endpoint is refused.
+        let mut datagram = Vec::new();
+        server.datagram.encode_into(&mut datagram);
+        assert_eq!(bytes[datagram.len()], 1, "one shipped state");
+        bytes[datagram.len()] = 0;
+        assert!(T::decode(&mut Reader::new(&bytes), Direction::ToClient).is_none());
     }
 
     #[test]

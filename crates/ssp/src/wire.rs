@@ -8,23 +8,47 @@
 
 use crate::SspError;
 
-/// Appends a varint-encoded `u64` (7 bits per byte, little-endian groups).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
+pub use mosh_crypto::session::put_varint;
+use mosh_crypto::session::take_varint;
 
 /// Appends a length-prefixed byte string.
 pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     put_varint(out, bytes.len() as u64);
     out.extend_from_slice(bytes);
+}
+
+/// Appends a flag as one varint, 0 or 1.
+pub fn put_bool(out: &mut Vec<u8>, v: bool) {
+    put_varint(out, u64::from(v));
+}
+
+/// Reads a flag written by [`put_bool`]; any other value is malformed.
+pub fn get_bool(r: &mut Reader<'_>) -> Option<bool> {
+    match r.varint().ok()? {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+}
+
+/// Appends an optional number: 0, or 1 followed by the value.
+pub fn put_opt(out: &mut Vec<u8>, v: Option<u64>) {
+    match v {
+        None => put_varint(out, 0),
+        Some(x) => {
+            put_varint(out, 1);
+            put_varint(out, x);
+        }
+    }
+}
+
+/// Reads an optional number written by [`put_opt`].
+pub fn get_opt(r: &mut Reader<'_>) -> Option<Option<u64>> {
+    match r.varint().ok()? {
+        0 => Some(None),
+        1 => Some(Some(r.varint().ok()?)),
+        _ => None,
+    }
 }
 
 /// A cursor over received bytes.
@@ -45,26 +69,19 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// Runs a decoder that reads off the front of a byte slice — one
+    /// from a crate below this one — over the unread bytes, and skips
+    /// what it consumed.
+    pub fn sub<T>(&mut self, read: impl FnOnce(&mut &'a [u8]) -> Option<T>) -> Option<T> {
+        let mut rest = &self.buf[self.pos..];
+        let value = read(&mut rest)?;
+        self.pos = self.buf.len() - rest.len();
+        Some(value)
+    }
+
     /// Reads a varint-encoded `u64`.
     pub fn varint(&mut self) -> Result<u64, SspError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = *self.buf.get(self.pos).ok_or(SspError::Malformed)?;
-            self.pos += 1;
-            if shift >= 64 {
-                return Err(SspError::Malformed);
-            }
-            // The final group must fit in the remaining bits.
-            if shift == 63 && byte > 1 {
-                return Err(SspError::Malformed);
-            }
-            v |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
+        self.sub(take_varint).ok_or(SspError::Malformed)
     }
 
     /// Reads a length-prefixed byte string.
@@ -167,6 +184,24 @@ mod tests {
         buf.extend_from_slice(b"short");
         let mut r = Reader::new(&buf);
         assert!(r.bytes().is_err());
+    }
+
+    #[test]
+    fn flags_and_options_round_trip_and_reject_other_tags() {
+        let mut buf = Vec::new();
+        put_bool(&mut buf, true);
+        put_bool(&mut buf, false);
+        put_opt(&mut buf, None);
+        put_opt(&mut buf, Some(300));
+        let mut r = Reader::new(&buf);
+        assert_eq!(get_bool(&mut r), Some(true));
+        assert_eq!(get_bool(&mut r), Some(false));
+        assert_eq!(get_opt(&mut r), Some(None));
+        assert_eq!(get_opt(&mut r), Some(Some(300)));
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(get_bool(&mut Reader::new(&[2])), None);
+        assert_eq!(get_opt(&mut Reader::new(&[2, 0])), None);
+        assert_eq!(get_opt(&mut Reader::new(&[1])), None);
     }
 
     #[test]

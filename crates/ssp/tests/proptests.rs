@@ -159,6 +159,76 @@ proptest! {
         prop_assert_eq!(server.stats().datagrams_received, 0);
     }
 
+    /// An endpoint rebuilt from its own snapshot bytes is the endpoint:
+    /// after any history of updates, deliveries and losses (fragments of
+    /// a large update dropped singly, so reassembly is often mid-way), the
+    /// twin emits the same wires for the same future — chaff stream
+    /// included — and re-encodes to the same bytes.
+    #[test]
+    fn snapshot_twin_is_byte_identical_going_forward(
+        steps in proptest::collection::vec(
+            (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..1400), 1u64..150, any::<u32>()),
+            1..12,
+        ),
+        fresh in proptest::collection::vec(any::<u8>(), 0..1400),
+    ) {
+        let (mut client, mut server) = endpoints();
+        let mut now = 0u64;
+        for (from_client, payload, advance, mut drops) in steps {
+            let end = if from_client { &mut client } else { &mut server };
+            end.set_current_state(BlobState(payload), now);
+            for _ in 0..advance {
+                for w in client.tick(now) {
+                    drops = drops.rotate_left(1);
+                    if drops & 1 == 0 {
+                        let _ = server.receive(now, &w);
+                    }
+                }
+                for w in server.tick(now) {
+                    drops = drops.rotate_left(1);
+                    if drops & 1 == 0 {
+                        let _ = client.receive(now, &w);
+                    }
+                }
+                now += 1;
+            }
+        }
+
+        let twin_of = |t: &T, direction| {
+            let mut bytes = Vec::new();
+            t.encode_into(&mut bytes);
+            let mut r = Reader::new(&bytes);
+            let twin = T::decode(&mut r, direction).expect("a live endpoint decodes");
+            assert_eq!(r.remaining(), 0);
+            let mut again = Vec::new();
+            twin.encode_into(&mut again);
+            assert_eq!(again, bytes, "decode then encode is the identity");
+            twin
+        };
+        let mut client_twin = twin_of(&client, Direction::ToServer);
+        let mut server_twin = twin_of(&server, Direction::ToClient);
+
+        for step in 0..50 {
+            if step == 10 {
+                client.set_current_state(BlobState(fresh.clone()), now);
+                client_twin.set_current_state(BlobState(fresh.clone()), now);
+            }
+            let up = client.tick(now);
+            prop_assert_eq!(&up, &client_twin.tick(now), "client wires at +{}", step);
+            let down = server.tick(now);
+            prop_assert_eq!(&down, &server_twin.tick(now), "server wires at +{}", step);
+            for w in &up {
+                prop_assert_eq!(server.receive(now, w), server_twin.receive(now, w));
+            }
+            for w in &down {
+                prop_assert_eq!(client.receive(now, w), client_twin.receive(now, w));
+            }
+            now += 7; // 50 ticks span frame gates, delayed acks and an RTO
+        }
+        prop_assert_eq!(client.remote_state(), client_twin.remote_state());
+        prop_assert_eq!(server.remote_state(), server_twin.remote_state());
+    }
+
     /// Varint/bytes wire helpers round-trip arbitrary structures.
     #[test]
     fn wire_round_trips(vals in proptest::collection::vec(any::<u64>(), 0..20), blob in proptest::collection::vec(any::<u8>(), 0..500)) {

@@ -114,27 +114,6 @@ impl CompleteTerminal {
         debug_assert!(ack >= self.echo_ack, "echo ack must be monotonic");
         self.echo_ack = ack;
     }
-
-    /// Serializes the full state (emulator internals included) for session
-    /// snapshots. This is *not* a diff: it captures parser mid-escape
-    /// state, pen, scroll regions — everything needed so that future
-    /// output behaves identically after a restore.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_bytes(out, &self.terminal.snapshot_bytes());
-        put_varint(out, self.echo_ack);
-    }
-
-    /// Decodes a snapshot produced by [`CompleteTerminal::encode_into`].
-    /// Returns `None` on any structural violation.
-    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let terminal = Terminal::from_snapshot_bytes(r.bytes().ok()?)?;
-        let echo_ack = r.varint().ok()?;
-        Some(CompleteTerminal {
-            terminal,
-            echo_ack,
-            scratch: std::cell::RefCell::new(String::new()),
-        })
-    }
 }
 
 impl SyncState for CompleteTerminal {
@@ -208,6 +187,24 @@ impl SyncState for CompleteTerminal {
             }
         }
         Ok(())
+    }
+
+    /// The emulator internals included: parser mid-escape state, pen,
+    /// scroll regions — everything needed so that future output behaves
+    /// identically after a restore.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_bytes(out, &self.terminal.snapshot_bytes());
+        put_varint(out, self.echo_ack);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let terminal = Terminal::from_snapshot_bytes(r.bytes().ok()?)?;
+        let echo_ack = r.varint().ok()?;
+        Some(CompleteTerminal {
+            terminal,
+            echo_ack,
+            scratch: std::cell::RefCell::new(String::new()),
+        })
     }
 
     fn equivalent(&self, other: &Self) -> bool {

@@ -103,36 +103,6 @@ impl UserStream {
         }
     }
 
-    /// Rebuilds a stream from snapshotted parts.
-    pub fn from_parts(base: u64, events: Vec<UserEvent>) -> Self {
-        UserStream {
-            base,
-            events: events.into(),
-        }
-    }
-
-    /// Serializes the stream (base index plus retained events) for
-    /// session snapshots. Same layout as a diff starting at the base, so
-    /// [`UserStream::decode`] shares the event codec with the wire.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_varint(out, self.base);
-        put_varint(out, self.events.len() as u64);
-        for e in &self.events {
-            Self::encode_event(out, e);
-        }
-    }
-
-    /// Decodes a snapshot produced by [`UserStream::encode_into`].
-    pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let base = r.varint().ok()?;
-        let count = r.varint().ok()?;
-        let mut events = VecDeque::new();
-        for _ in 0..count {
-            events.push_back(Self::decode_event(r).ok()?);
-        }
-        Some(UserStream { base, events })
-    }
-
     fn decode_event(r: &mut Reader<'_>) -> Result<UserEvent, StateError> {
         match r.varint().map_err(|_| StateError::Malformed)? {
             1 => Ok(UserEvent::Keystroke(
@@ -195,6 +165,26 @@ impl SyncState for UserStream {
             self.events.push_back(event);
         }
         Ok(())
+    }
+
+    /// The base index plus the retained events: the layout of a diff
+    /// starting at the base, so the event codec is the wire's.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.base);
+        put_varint(out, self.events.len() as u64);
+        for e in &self.events {
+            Self::encode_event(out, e);
+        }
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Option<Self> {
+        let base = r.varint().ok()?;
+        let count = r.varint().ok()?;
+        let mut events = VecDeque::new();
+        for _ in 0..count {
+            events.push_back(Self::decode_event(r).ok()?);
+        }
+        Some(UserStream { base, events })
     }
 
     fn equivalent(&self, other: &Self) -> bool {

@@ -1205,11 +1205,6 @@ impl Framebuffer {
         }
     }
 
-    /// True while the alternate screen is active.
-    pub fn in_alternate_screen(&self) -> bool {
-        self.alt_saved.is_some()
-    }
-
     /// RIS: reset to initial state (size and title are kept; everything
     /// else returns to power-on defaults). Scrollback *content* and the
     /// configured limit survive — only E3 discards history — but the

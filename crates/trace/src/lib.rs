@@ -15,6 +15,7 @@ pub mod workload;
 
 pub use replay::{
     replay_mosh, replay_mosh_many, replay_ssh, replay_ssh_many, ReplayConfig, ReplayOutcome,
+    WriteDelayLog,
 };
 pub use stats::Latencies;
 pub use synth::{six_users, small_trace, KeyKind, UserTrace};

@@ -36,13 +36,14 @@ use crate::stats::Latencies;
 use crate::synth::{KeyKind, TraceKey, UserTrace};
 use crate::workload::{WorkloadApp, SWITCH_BYTE};
 use mosh_core::session::{Endpoint, Party, SessionEvent};
-use mosh_core::{HubSession, Millis, MoshClient, MoshServer, SessionId, ShardedHub};
+use mosh_core::{HubSession, Millis, MoshClient, MoshServer, SessionId, ShardedHub, WriteObserver};
 use mosh_crypto::Base64Key;
 use mosh_net::{Addr, LinkConfig, Network, Side, SimChannel, SimPoller};
 use mosh_prediction::DisplayPreference;
 use mosh_ssh::{SshClient, SshServer};
 use mosh_tcp::TcpEndpoint;
 use std::collections::VecDeque;
+use std::sync::mpsc;
 
 /// Configuration of one replay run.
 #[derive(Debug, Clone)]
@@ -105,6 +106,43 @@ pub struct ReplayOutcome {
     pub write_delays: Vec<(Millis, Millis)>,
     /// SSP sender stats (ablations); zeroed for SSH.
     pub sender_stats: mosh_ssp::sender::SenderStats,
+}
+
+/// Figure 3's measurement, kept by the harness that wants it: when each
+/// application write reached the server's terminal and when a frame
+/// covering it left, sent as `(arrived, shipped)` pairs to whoever holds
+/// the receiving end.
+#[derive(Debug)]
+pub struct WriteDelayLog {
+    /// Arrival times of writes no frame has covered yet.
+    unshipped: Vec<Millis>,
+    shipped: mpsc::Sender<(Millis, Millis)>,
+}
+
+impl WriteDelayLog {
+    /// Installs a log as `server`'s write observer and returns where its
+    /// pairs arrive, in shipping order.
+    pub fn install(server: &mut MoshServer) -> mpsc::Receiver<(Millis, Millis)> {
+        let (shipped, pairs) = mpsc::channel();
+        server.observe_writes(Box::new(WriteDelayLog {
+            unshipped: Vec::new(),
+            shipped,
+        }));
+        pairs
+    }
+}
+
+impl WriteObserver for WriteDelayLog {
+    fn write_applied(&mut self, at: Millis) {
+        self.unshipped.push(at);
+    }
+
+    fn frame_shipped(&mut self, now: Millis) {
+        for arrived in self.unshipped.drain(..) {
+            // A harness that dropped the receiver no longer wants them.
+            let _ = self.shipped.send((arrived, now));
+        }
+    }
 }
 
 /// A flattened trace: absolute keystroke times plus the switch markers.
@@ -226,6 +264,7 @@ pub fn replay_mosh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayO
     let mut hub = ShardedHub::with_shards(cfg.shards_for(traces.len()), SimPoller::new);
     let mut users: Vec<UserRun> = Vec::new();
     let mut endpoints: Vec<(MoshClient, MoshServer, Option<BulkFlow>)> = Vec::new();
+    let mut write_logs = Vec::new();
     // Outstanding unresolved keystrokes per user: (index, typed at, counted).
     let mut pendings: Vec<VecDeque<(u64, Millis, bool)>> = Vec::new();
     for trace in traces {
@@ -240,6 +279,7 @@ pub fn replay_mosh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayO
         if let Some(md) = cfg.mindelay {
             server.set_mindelay(md);
         }
+        write_logs.push(WriteDelayLog::install(&mut server));
         let bulk = cfg.bulk_download.then(|| BulkFlow::new(&mut net));
         let sid = hub.add_session(SimChannel::new(net));
         users.push(UserRun::new(sid, flat, targets, 20_000));
@@ -302,12 +342,13 @@ pub fn replay_mosh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayO
     users
         .into_iter()
         .zip(endpoints)
-        .map(|(u, (client, server, _))| ReplayOutcome {
+        .zip(write_logs)
+        .map(|((u, (client, server, _)), write_log)| ReplayOutcome {
             latencies: u.latencies,
             instant: u.instant,
             measured: u.measured,
             mispredicted: client.prediction_stats().mispredicted,
-            write_delays: server.write_delays().to_vec(),
+            write_delays: write_log.try_iter().collect(),
             sender_stats: *server.sender_stats(),
         })
         .collect()

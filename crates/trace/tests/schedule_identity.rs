@@ -17,7 +17,7 @@ use mosh_prediction::DisplayPreference;
 use mosh_ssh::{SshClient, SshServer};
 use mosh_trace::{
     replay_mosh, replay_ssh, small_trace, AppKind, Latencies, ReplayConfig, UserTrace, WorkloadApp,
-    SWITCH_BYTE,
+    WriteDelayLog, SWITCH_BYTE,
 };
 use std::collections::VecDeque;
 
@@ -86,6 +86,7 @@ fn reference_mosh(trace: &UserTrace, cfg: &ReplayConfig) -> Reference {
     if let Some(md) = cfg.mindelay {
         server.set_mindelay(md);
     }
+    let write_log = WriteDelayLog::install(&mut server);
 
     let mut latencies = Latencies::new();
     let mut instant = 0u64;
@@ -147,7 +148,7 @@ fn reference_mosh(trace: &UserTrace, cfg: &ReplayConfig) -> Reference {
         instant,
         measured,
         mispredicted: client.prediction_stats().mispredicted,
-        write_delays: server.write_delays().to_vec(),
+        write_delays: write_log.try_iter().collect(),
         sender_stats: *server.sender_stats(),
     }
 }

@@ -13,9 +13,11 @@
 //! client had roamed.
 
 use mosh::core::hub::snapshot;
-use mosh::core::{HubSession, LineShell, MoshClient, MoshServer, Party, ServerHub, SessionLoop};
+use mosh::core::{
+    HubSession, LineShell, MoshClient, MoshServer, Party, ServerHub, SessionId, SessionLoop,
+};
 use mosh::crypto::Base64Key;
-use mosh::net::{Poller, UdpChannel, UdpPoller};
+use mosh::net::{Addr, Poller, UdpChannel, UdpPoller};
 use mosh::prediction::DisplayPreference;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,6 +27,26 @@ fn key(i: usize) -> Base64Key {
     bytes[0] = 0x40 + i as u8;
     bytes[1] = 0xc3;
     Base64Key::from_bytes(bytes)
+}
+
+/// Serves every session behind the shared socket for 10 ms.
+fn pump_round(
+    hub: &mut ServerHub<UdpPoller>,
+    sids: &[SessionId],
+    servers: &mut [MoshServer],
+    server_addr: Addr,
+) {
+    let target = hub.now(sids[0]) + 10;
+    let mut leases: Vec<[Party<'_>; 1]> = servers
+        .iter_mut()
+        .map(|s| [Party::new(server_addr, s)])
+        .collect();
+    let mut sessions: Vec<HubSession<'_, '_>> = leases
+        .iter_mut()
+        .zip(sids.iter())
+        .map(|(parties, sid)| HubSession::new(*sid, parties, target))
+        .collect();
+    hub.pump(&mut sessions);
 }
 
 #[test]
@@ -104,17 +126,7 @@ fn rolling_restart_is_invisible_over_loopback() {
             start.elapsed().as_secs() < 90,
             "pre-restart phase timed out"
         );
-        let target = hub.now(sids[0]) + 10;
-        let mut leases: Vec<[Party<'_>; 1]> = servers
-            .iter_mut()
-            .map(|s| [Party::new(server_addr, s)])
-            .collect();
-        let mut sessions: Vec<HubSession<'_, '_>> = leases
-            .iter_mut()
-            .zip(sids.iter())
-            .map(|(parties, sid)| HubSession::new(*sid, parties, target))
-            .collect();
-        hub.pump(&mut sessions);
+        pump_round(&mut hub, &sids, &mut servers, server_addr);
     }
 
     // The rolling restart: sessions to a file, socket out of the old
@@ -157,17 +169,7 @@ fn rolling_restart_is_invisible_over_loopback() {
             start.elapsed().as_secs() < 90,
             "post-restart phase timed out"
         );
-        let target = hub.now(sids[0]) + 10;
-        let mut leases: Vec<[Party<'_>; 1]> = servers
-            .iter_mut()
-            .map(|s| [Party::new(server_addr, s)])
-            .collect();
-        let mut sessions: Vec<HubSession<'_, '_>> = leases
-            .iter_mut()
-            .zip(sids.iter())
-            .map(|(parties, sid)| HubSession::new(*sid, parties, target))
-            .collect();
-        hub.pump(&mut sessions);
+        pump_round(&mut hub, &sids, &mut servers, server_addr);
     }
 
     for c in clients {
@@ -188,4 +190,48 @@ fn rolling_restart_is_invisible_over_loopback() {
             "session {i} was never fed a foreign datagram"
         );
     }
+}
+
+/// The restart that is also an upgrade: the old process was a build that
+/// wrote version-2 snapshots (the stored fixture, a shell mid-`yes`), and
+/// its handoff container carries that version too. The new hub reads
+/// both, serves the session on a real socket, and hands it on as
+/// version 3.
+#[test]
+fn a_v2_handoff_container_is_adopted_by_the_new_hub() {
+    let v2_session = include_bytes!("../crates/core/tests/fixtures/server_v2.snap");
+    let mut container = snapshot::encode_handoff(&[(7, v2_session.to_vec())]);
+    container[4..6].copy_from_slice(&2u16.to_be_bytes()); // the checksum covers the body only
+    let path = std::env::temp_dir().join(format!("mosh-restart-v2-{}.bin", std::process::id()));
+    std::fs::write(&path, &container).expect("handoff written");
+    let restored = snapshot::read_handoff(&path)
+        .expect("handoff read")
+        .expect("a version-2 container decodes");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(restored.len(), 1);
+    let (gid, framed) = &restored[0];
+    assert_eq!(*gid, 7);
+
+    let mut servers = [snapshot::restore_server(framed, Box::new(LineShell::new()))
+        .expect("a version-2 session snapshot decodes")];
+    let before = servers[0].activity_marker();
+    let channel = UdpChannel::bind("127.0.0.1:0").expect("server socket");
+    let server_addr = channel.local_addr();
+    let mut hub = ServerHub::new(UdpPoller::new());
+    let tok = hub.poller_mut().add(channel);
+    let sids = [hub.add_session(tok)];
+    while hub.now(sids[0]) < 50 {
+        pump_round(&mut hub, &sids, &mut servers, server_addr);
+    }
+    let [server] = servers;
+
+    // The flood it was restored into is still running, toward the
+    // client address it was restored with.
+    assert!(server.frame().row_text(0).starts_with('y'));
+    assert!(server.target().is_some());
+    assert!(server.activity_marker() >= before);
+    assert_eq!(server.transport_stats().datagrams_rejected, 0);
+    let handed_on = snapshot::snapshot_server(&server);
+    assert_eq!(handed_on[4..6], 3u16.to_be_bytes());
+    snapshot::restore_server(&handed_on, Box::new(LineShell::new())).expect("and reads back");
 }
