@@ -8,15 +8,15 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn run_quick(exe: &str, expect: &[&str]) {
-    run_quick_in(exe, None, &[], expect);
+fn run_quick(exe: &str, expect: &[&str]) -> String {
+    run_quick_in(exe, None, &[], expect)
 }
 
 /// Runs `exe --quick`, optionally in `dir` (so binaries that write
 /// `BENCH_*.json` into their cwd don't race each other across parallel
 /// tests) with extra environment variables, asserting success and the
-/// expected stdout needles.
-fn run_quick_in(exe: &str, dir: Option<&Path>, envs: &[(&str, &str)], expect: &[&str]) {
+/// expected stdout needles; returns the stdout.
+fn run_quick_in(exe: &str, dir: Option<&Path>, envs: &[(&str, &str)], expect: &[&str]) -> String {
     let mut cmd = Command::new(exe);
     cmd.arg("--quick");
     if let Some(dir) = dir {
@@ -42,6 +42,7 @@ fn run_quick_in(exe: &str, dir: Option<&Path>, envs: &[(&str, &str)], expect: &[
             "{exe} --quick output missing {needle:?}:\n{stdout}"
         );
     }
+    stdout.into_owned()
 }
 
 /// A fresh scratch directory for one test's bench artifacts.
@@ -60,11 +61,44 @@ fn json_field(text: &str, field: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
+/// The figure printed after `label` on the report line starting with
+/// `row`: a percentage, or a time (`147 ms`, `1.69 s`, `< 5 ms`) in ms.
+fn printed(stdout: &str, row: &str, label: &str) -> f64 {
+    let line = stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with(row))
+        .unwrap_or_else(|| panic!("no {row:?} row in:\n{stdout}"));
+    let mut words = line[line.find(label).expect("label on the row") + label.len()..]
+        .split_whitespace()
+        .skip_while(|w| *w == "<");
+    let figure = words.next().expect("a figure after the label");
+    let value: f64 = figure
+        .trim_end_matches('%')
+        .parse()
+        .unwrap_or_else(|_| panic!("{figure:?} is not a number in {line:?}"));
+    match words.next() {
+        Some("s") => value * 1000.0,
+        _ => value,
+    }
+}
+
 #[test]
 fn fig2_evdo_quick() {
-    run_quick(
+    let out = run_quick(
         env!("CARGO_BIN_EXE_fig2_evdo"),
         &["Figure 2", "Mosh", "SSH", "instant keystrokes"],
+    );
+    // The paper's row — ~70 % instant, mean 173 ms, 0.9 % mispredicted —
+    // held in bands, so it cannot drift back unnoticed (the positional
+    // engine read 51 % / 408 ms / 2.8 % here).
+    let instant = printed(&out, "instant keystrokes", "instant keystrokes");
+    let mean = printed(&out, "Mosh", "mean");
+    let mispredicted = printed(&out, "mispredictions", "mispredictions");
+    assert!(instant >= 65.0, "instant keystrokes {instant} %:\n{out}");
+    assert!(mean <= 250.0, "Mosh mean {mean} ms:\n{out}");
+    assert!(
+        mispredicted <= 1.5,
+        "mispredictions {mispredicted} %:\n{out}"
     );
 }
 

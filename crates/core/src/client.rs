@@ -199,8 +199,19 @@ impl MoshClient {
                 prediction,
                 ..
             } = self;
+            // Two acknowledgments ride with a frame: the input the server
+            // had applied when it cut it (the state this instruction
+            // acknowledged) and the echo ack inside it. Sampled here, not
+            // later: a pure ack that follows says nothing about what this
+            // frame shows.
             let remote = transport.remote_state();
-            prediction.report_frame(now, remote.frame(), remote.echo_ack(), transport.srtt());
+            prediction.report_frame(
+                now,
+                remote.frame(),
+                transport.acked_state().end_index(),
+                remote.echo_ack(),
+                transport.srtt(),
+            );
         }
     }
 
@@ -427,5 +438,55 @@ mod tests {
         run(&mut p, t);
         assert_eq!(p.server.frame().width(), 120);
         assert_eq!(p.client.server_frame().width(), 120);
+    }
+
+    #[test]
+    fn a_pure_ack_after_a_frame_does_not_raise_what_that_frame_is_said_to_reflect() {
+        // A hand-driven server: its screen changes only when told to.
+        let mut client = MoshClient::new(key(), Addr::new(2, 1), 80, 24, DisplayPreference::Always);
+        let mut server: Transport<CompleteTerminal, UserStream> = Transport::new(
+            key(),
+            Direction::ToClient,
+            CompleteTerminal::initial(),
+            UserStream::new(),
+        );
+        fn exchange(
+            client: &mut MoshClient,
+            server: &mut Transport<CompleteTerminal, UserStream>,
+            now: Millis,
+        ) {
+            for (_, wire) in client.tick(now) {
+                server.receive(now, &wire).expect("authentic");
+            }
+            for wire in server.tick(now) {
+                client.receive(now, &wire);
+            }
+        }
+
+        // The hello (a resize) and `a` go up; a frame echoing `a` comes
+        // down, acknowledging both.
+        client.keystroke(0, b"a");
+        exchange(&mut client, &mut server, 10);
+        server.current_state_mut().act(b"a");
+        server.current_state_mut().set_echo_ack(2);
+        server.commit_current(20);
+        exchange(&mut client, &mut server, 40);
+        assert_eq!(client.server_frame().row_text(0), "a");
+        assert_eq!(client.transport.acked_state().end_index(), 2);
+
+        // `b` and `c` go up and the server says nothing new: 100 ms later
+        // its delayed ack leaves alone.
+        client.keystroke(300, b"b");
+        client.keystroke(310, b"c");
+        exchange(&mut client, &mut server, 320);
+        let told = format!("{:?}", client.prediction);
+        let frames = client.remote_state_num();
+        exchange(&mut client, &mut server, 330 + 100);
+        assert_eq!(server.sender_stats().pure_acks, 1);
+        assert_eq!(client.transport.acked_state().end_index(), 4);
+        // The engine was told about the frame when it arrived, with what
+        // was applied then, and is not told again.
+        assert_eq!(client.remote_state_num(), frames);
+        assert_eq!(format!("{:?}", client.prediction), told);
     }
 }

@@ -1,9 +1,13 @@
 //! Conditional overlays: predictions awaiting confirmation.
 //!
-//! Each prediction remembers the user-stream event index that must be
-//! echo-acknowledged before it can be judged, and the epoch it belongs to.
-//! Until the epoch is confirmed the prediction exists only in the
-//! background (paper §3.2).
+//! Each prediction remembers the index its keystroke has in the user's
+//! input stream and the epoch it belongs to. Two acknowledgments judge it
+//! (see [`crate::engine`]): the *applied index* of a frame can confirm a
+//! prediction — the server had the keystroke and the frame shows the
+//! predicted character — and only the *echo ack* can refute one, since
+//! until then the application may simply not have answered yet. Until the
+//! epoch is confirmed the prediction exists only in the background and is
+//! never painted (paper §3.2).
 
 use crate::Millis;
 use mosh_terminal::{Cell, Framebuffer};
@@ -13,12 +17,12 @@ use mosh_terminal::{Cell, Framebuffer};
 pub enum Validity {
     /// The server's screen shows exactly what we predicted.
     Correct,
-    /// The keystroke is acked but this cell cannot earn credit (its content
-    /// was a guess about shifted text, not an echo).
+    /// The keystroke is echo-acked but this cell counts for nothing (its
+    /// content was a guess about shifted text, not an echo).
     CorrectNoCredit,
     /// The server's screen contradicts the prediction (or it expired).
     IncorrectOrExpired,
-    /// The echo ack has not reached this prediction's keystroke yet.
+    /// Neither acknowledgment can judge the prediction yet.
     Pending,
 }
 
@@ -32,11 +36,12 @@ pub struct CellPrediction {
     /// What we predict the server will put here.
     pub replacement: Cell,
     /// True when the content is a guess about displaced text rather than a
-    /// real echo: never displayed, never earns confirmation credit.
+    /// real echo: never displayed, never counted.
     pub unknown: bool,
     /// The prediction is hidden until this epoch is confirmed.
     pub tentative_until_epoch: u64,
-    /// User-stream event index whose echo ack judges this prediction.
+    /// Length of the user stream with this prediction's keystroke in it:
+    /// what the applied index and the echo ack are compared against.
     pub expiration_index: u64,
     /// When the prediction was made (glitch detection).
     pub prediction_time: Millis,
@@ -48,23 +53,21 @@ impl CellPrediction {
         self.tentative_until_epoch > confirmed_epoch
     }
 
-    /// Judges this prediction against a server frame carrying `echo_ack`.
-    pub fn validity(&self, frame: &Framebuffer, echo_ack: u64) -> Validity {
+    /// Judges this prediction against a server frame cut with `applied`
+    /// inputs handed to the application and `echo_ack` of them certain to
+    /// show.
+    pub fn validity(&self, frame: &Framebuffer, applied: u64, echo_ack: u64) -> Validity {
         if self.row >= frame.height() || self.col >= frame.width() {
             return Validity::IncorrectOrExpired;
         }
-        if echo_ack < self.expiration_index {
-            return Validity::Pending;
-        }
-        if self.unknown {
-            return Validity::CorrectNoCredit;
-        }
-        let current = frame.cell(self.row, self.col);
-        if current.ch == self.replacement.ch {
-            Validity::Correct
-        } else {
-            Validity::IncorrectOrExpired
-        }
+        let shown = frame.cell(self.row, self.col).ch == self.replacement.ch;
+        judge(
+            self.expiration_index,
+            applied,
+            echo_ack,
+            shown,
+            self.unknown,
+        )
     }
 }
 
@@ -77,7 +80,7 @@ pub struct CursorPrediction {
     pub col: usize,
     /// Hidden until this epoch confirms.
     pub tentative_until_epoch: u64,
-    /// Judged once the echo ack reaches this index.
+    /// Length of the user stream with this prediction's keystroke in it.
     pub expiration_index: u64,
     /// When the prediction was made.
     pub prediction_time: Millis,
@@ -89,19 +92,35 @@ impl CursorPrediction {
         self.tentative_until_epoch > confirmed_epoch
     }
 
-    /// Judges the cursor prediction against a server frame.
-    pub fn validity(&self, frame: &Framebuffer, echo_ack: u64) -> Validity {
+    /// Judges the cursor prediction against a server frame (see
+    /// [`CellPrediction::validity`]).
+    pub fn validity(&self, frame: &Framebuffer, applied: u64, echo_ack: u64) -> Validity {
         if self.row >= frame.height() || self.col >= frame.width() {
             return Validity::IncorrectOrExpired;
         }
-        if echo_ack < self.expiration_index {
-            return Validity::Pending;
-        }
-        if frame.cursor.row == self.row && frame.cursor.col == self.col {
-            Validity::Correct
+        let shown = frame.cursor.row == self.row && frame.cursor.col == self.col;
+        judge(self.expiration_index, applied, echo_ack, shown, false)
+    }
+}
+
+/// The one rule both kinds of overlay are judged by: a match counts as
+/// soon as the server has applied the keystroke, a mismatch only once the
+/// echo ack says the application has had its 50 ms.
+fn judge(expiration: u64, applied: u64, echo_ack: u64, shown: bool, unknown: bool) -> Validity {
+    let acked = echo_ack >= expiration;
+    if unknown {
+        return if acked {
+            Validity::CorrectNoCredit
         } else {
-            Validity::IncorrectOrExpired
-        }
+            Validity::Pending
+        };
+    }
+    if shown && (acked || applied >= expiration) {
+        Validity::Correct
+    } else if acked {
+        Validity::IncorrectOrExpired
+    } else {
+        Validity::Pending
     }
 }
 
@@ -110,8 +129,7 @@ mod tests {
     use super::*;
     use mosh_terminal::{Attrs, Terminal};
 
-    fn frame_with(text: &str, echo_ack_unused: u64) -> Framebuffer {
-        let _ = echo_ack_unused;
+    fn frame_with(text: &str) -> Framebuffer {
         let mut t = Terminal::new(20, 5);
         t.write(text.as_bytes());
         t.frame().clone()
@@ -131,33 +149,48 @@ mod tests {
 
     #[test]
     fn pending_until_echo_ack_reaches_keystroke() {
-        let f = frame_with("x", 0);
+        let f = frame_with("x");
         let p = prediction(0, 0, 'x', 5);
-        assert_eq!(p.validity(&f, 4), Validity::Pending);
-        assert_eq!(p.validity(&f, 5), Validity::Correct);
+        assert_eq!(p.validity(&f, 4, 4), Validity::Pending);
+        assert_eq!(p.validity(&f, 5, 5), Validity::Correct);
+    }
+
+    #[test]
+    fn applied_index_confirms_a_match_but_never_refutes() {
+        let p = prediction(0, 0, 'x', 5);
+        assert_eq!(p.validity(&frame_with("x"), 5, 4), Validity::Correct);
+        // The application may just not have answered yet.
+        assert_eq!(p.validity(&frame_with("y"), 5, 4), Validity::Pending);
+        assert_eq!(
+            p.validity(&frame_with("y"), 5, 5),
+            Validity::IncorrectOrExpired
+        );
+        let mut guess = prediction(0, 0, 'x', 5);
+        guess.unknown = true;
+        assert_eq!(guess.validity(&frame_with("x"), 5, 4), Validity::Pending);
     }
 
     #[test]
     fn mismatch_is_incorrect_once_acked() {
-        let f = frame_with("y", 0);
+        let f = frame_with("y");
         let p = prediction(0, 0, 'x', 1);
-        assert_eq!(p.validity(&f, 0), Validity::Pending);
-        assert_eq!(p.validity(&f, 1), Validity::IncorrectOrExpired);
+        assert_eq!(p.validity(&f, 0, 0), Validity::Pending);
+        assert_eq!(p.validity(&f, 1, 1), Validity::IncorrectOrExpired);
     }
 
     #[test]
     fn unknown_cells_never_earn_credit() {
-        let f = frame_with("ab", 0);
+        let f = frame_with("ab");
         let mut p = prediction(0, 1, 'b', 1);
         p.unknown = true;
-        assert_eq!(p.validity(&f, 1), Validity::CorrectNoCredit);
+        assert_eq!(p.validity(&f, 1, 1), Validity::CorrectNoCredit);
     }
 
     #[test]
     fn out_of_bounds_is_incorrect() {
-        let f = frame_with("", 0);
+        let f = frame_with("");
         let p = prediction(99, 0, 'x', 0);
-        assert_eq!(p.validity(&f, 10), Validity::IncorrectOrExpired);
+        assert_eq!(p.validity(&f, 10, 10), Validity::IncorrectOrExpired);
     }
 
     #[test]
@@ -170,7 +203,7 @@ mod tests {
 
     #[test]
     fn cursor_prediction_validates_position() {
-        let f = frame_with("ab", 0); // cursor at (0, 2)
+        let f = frame_with("ab"); // cursor at (0, 2)
         let good = CursorPrediction {
             row: 0,
             col: 2,
@@ -178,9 +211,10 @@ mod tests {
             expiration_index: 1,
             prediction_time: 0,
         };
-        assert_eq!(good.validity(&f, 0), Validity::Pending);
-        assert_eq!(good.validity(&f, 1), Validity::Correct);
+        assert_eq!(good.validity(&f, 0, 0), Validity::Pending);
+        assert_eq!(good.validity(&f, 1, 0), Validity::Correct);
         let bad = CursorPrediction { col: 5, ..good };
-        assert_eq!(bad.validity(&f, 1), Validity::IncorrectOrExpired);
+        assert_eq!(bad.validity(&f, 1, 0), Validity::Pending);
+        assert_eq!(bad.validity(&f, 1, 1), Validity::IncorrectOrExpired);
     }
 }

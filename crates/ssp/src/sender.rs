@@ -269,6 +269,14 @@ impl<S: SyncState> Sender<S> {
         self.sent_states.first().expect("never empty").num
     }
 
+    /// The newest state the receiver has acknowledged, as far as it is
+    /// still retained: for a [`SyncState::SUBTRACTS`] state the
+    /// acknowledged prefix has been reclaimed and what is left answers
+    /// only questions about its extent (a `UserStream`'s `end_index`).
+    pub fn acked_state(&self) -> &S {
+        &self.sent_states.first().expect("never empty").state
+    }
+
     /// Replaces the current state. The collection-interval clock starts at
     /// the first moment the state diverges from what was last sent.
     pub fn set_current(&mut self, state: S, now: Millis) {
@@ -612,8 +620,10 @@ mod tests {
         s.set_current(blob(b"1"), 1000);
         s.tick(1008, SRTT, RTO).unwrap();
         assert_eq!(s.acked_num(), 0);
+        assert_eq!(s.acked_state(), &blob(b"0"));
         s.handle_ack(1);
         assert_eq!(s.acked_num(), 1);
+        assert_eq!(s.acked_state(), &blob(b"1"));
     }
 
     #[test]

@@ -263,6 +263,15 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         self.sender.acked_num()
     }
 
+    /// The newest state of ours the peer has acknowledged (see
+    /// [`Sender::acked_state`]). Read right after a receive it is the
+    /// state the instruction just handled acknowledged — for a server
+    /// frame, the input the server had taken in when it cut the frame —
+    /// unless a later acknowledgment overtook that datagram on the wire.
+    pub fn acked_state(&self) -> &L {
+        self.sender.acked_state()
+    }
+
     /// Number of the most recently shipped outbound state.
     pub fn latest_sent_num(&self) -> u64 {
         self.sender.latest_sent_num()
