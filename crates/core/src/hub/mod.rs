@@ -99,6 +99,10 @@ pub struct HubStats {
     /// Datagrams no shard claimed after a full distributor fan-out
     /// cycle (line noise, or traffic for sessions already removed).
     pub feed_dropped: u64,
+    /// Shard replies the shared (nonblocking) socket refused — a full
+    /// send buffer or an unroutable destination: lost datagrams, which
+    /// SSP retransmits, counted instead of silently dropped.
+    pub feed_send_failed: u64,
     /// Live source hints in the distributor's map (a gauge, not a
     /// counter: one per client address currently claimed by a shard).
     pub feed_hints: u64,
@@ -143,6 +147,7 @@ impl HubStats {
         self.feed_overflow += other.feed_overflow;
         self.feed_bounced += other.feed_bounced;
         self.feed_dropped += other.feed_dropped;
+        self.feed_send_failed += other.feed_send_failed;
         self.feed_hints += other.feed_hints;
         self.sessions_migrated += other.sessions_migrated;
         self.sessions_resurrected += other.sessions_resurrected;

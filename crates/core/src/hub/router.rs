@@ -399,6 +399,7 @@ impl<P: Poller> ShardedHub<P> {
             total.feed_overflow = d.overflow;
             total.feed_bounced = d.bounced;
             total.feed_dropped = d.dropped;
+            total.feed_send_failed = d.send_failed;
             total.feed_hints = h.hint_count() as u64;
         }
         total
@@ -1067,6 +1068,26 @@ mod tests {
             .send(Token(0), server_addr, peer_addr, b"reply".to_vec());
         assert_eq!(hub.stats().feed_hints, 1);
         assert_eq!(peer.recv_from(&mut [0u8; 64]).unwrap().0, 5);
+    }
+
+    #[test]
+    fn refused_replies_surface_in_hub_stats() {
+        use std::net::UdpSocket;
+
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (mut hub, dist) = ShardedHub::over_distributor(socket, 2).unwrap();
+        // The shared socket is IPv4: a reply to an IPv6 peer is refused
+        // by the kernel, a lost datagram the hub must count, whichever
+        // shard sent it.
+        for shard in 0..2 {
+            hub.shard_mut(shard).poller_mut().send(
+                Token(0),
+                dist.local_addr(),
+                Addr::v6(1, 60001),
+                b"reply".to_vec(),
+            );
+        }
+        assert_eq!(hub.stats().feed_send_failed, 2);
     }
 
     #[test]

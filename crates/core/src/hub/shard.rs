@@ -76,6 +76,11 @@ struct Slot {
     /// Generation of this session's live wheel entry; older entries in
     /// the heap are stale and skipped on pop.
     gen: u64,
+    /// The earliest wakeup the session's endpoints reported when it was
+    /// last re-armed — unclamped, unlike its wheel entry, which never
+    /// lies past the pump's target. 0 until then, so a session's first
+    /// pump ticks it.
+    wakeup: Millis,
     /// False once removed; retired slots keep only this marker (ids are
     /// positional and never reused).
     live: bool,
@@ -252,6 +257,7 @@ impl<P: Poller> ServerHub<P> {
             token,
             driver,
             gen: 0,
+            wakeup: 0,
             live: true,
             ckpt: None,
         });
@@ -393,6 +399,15 @@ impl<P: Poller> ServerHub<P> {
     /// inject → tick at each instant). Sessions left out of a pump are
     /// parked: their state persists, but datagrams arriving for them are
     /// dropped like any unclaimed traffic.
+    ///
+    /// Only what is due is ticked. A session opens the pump with a tick
+    /// only if the wakeup it reported when last re-armed has come, or its
+    /// endpoints now report one that has (caller input since the last
+    /// pump); and a wheel entry whose wait ended early — a real socket's
+    /// traffic, for this session or another — goes back on the wheel
+    /// untouched unless a delivery woke the session. By the wakeup
+    /// contract every tick skipped this way was a no-op, and simulated
+    /// substrates never end a wait early, so transcripts are unchanged.
     pub fn pump(&mut self, sessions: &mut [HubSession<'_, '_>]) -> Vec<(SessionId, SessionEvent)> {
         let mut events: Vec<(SessionId, SessionEvent)> = Vec::new();
         let mut scratch: Vec<SessionEvent> = Vec::new();
@@ -420,13 +435,23 @@ impl<P: Poller> ServerHub<P> {
             }
         }
 
-        // First service round: every session ticks at its current now
-        // (unless it already reached its target).
+        // Opening round: every session that has not reached its target is
+        // re-armed at its current now, and ticked first if it is due. The
+        // reported wakeup catches endpoints that act at the very instant
+        // they named; the fresh one catches input injected since.
         for i in 0..sessions.len() {
-            let now = self.poller.now(self.slots[sessions[i].id.0].token);
-            if now < sessions[i].target {
-                self.service(i, now, sessions, &mut events, &mut scratch);
+            let slot = &self.slots[sessions[i].id.0];
+            let now = self.poller.now(slot.token);
+            if now >= sessions[i].target {
+                continue;
             }
+            let idle = (slot.wakeup > now)
+                .then(|| slot.driver.earliest_wakeup(sessions[i].parties, now))
+                .filter(|&wakeup| wakeup > now);
+            if idle.is_none() {
+                self.tick(i, now, sessions, &mut events, &mut scratch);
+            }
+            self.rearm(i, now, sessions, idle);
         }
 
         // The event loop: always wake the earliest-due session, route
@@ -505,10 +530,16 @@ impl<P: Poller> ServerHub<P> {
                 }
             }
 
-            // The popped session is awake by definition; traffic may have
-            // woken others (shared sources). Timeout checks and re-ticks
-            // run in lease order for determinism.
-            ps.wake(i);
+            // The popped session is awake once its clock reached the
+            // entry; a wait that ended early leaves it on the wheel as it
+            // was, unless a delivery woke it. Traffic may have woken
+            // others (shared sources). Timeout checks and re-ticks run in
+            // lease order for determinism.
+            if self.poller.now(tok) >= due {
+                ps.wake(i);
+            } else if !ps.is_woken[i] {
+                self.wheel.schedule(due, sid.0, self.slots[sid.0].gen);
+            }
             ps.woken.sort_unstable();
             for j in ps.woken.drain(..) {
                 ps.is_woken[j] = false;
@@ -520,16 +551,17 @@ impl<P: Poller> ServerHub<P> {
                     .check_timeouts(sessions[j].parties, nowj, &mut scratch);
                 events.extend(scratch.drain(..).map(|e| (sj, e)));
                 if nowj < sessions[j].target {
-                    self.service(j, nowj, sessions, &mut events, &mut scratch);
+                    self.tick(j, nowj, sessions, &mut events, &mut scratch);
+                    self.rearm(j, nowj, sessions, None);
                 }
             }
         }
         events
     }
 
-    /// One tick-and-rearm step for lease `i` at `now`: tick its parties
-    /// (shipping output on its source), then schedule its next wakeup.
-    fn service(
+    /// Ticks lease `i`'s parties at `now`, shipping their output on its
+    /// source.
+    fn tick(
         &mut self,
         i: usize,
         now: Millis,
@@ -538,14 +570,7 @@ impl<P: Poller> ServerHub<P> {
         scratch: &mut Vec<SessionEvent>,
     ) {
         let sid = sessions[i].id;
-        let Self {
-            poller,
-            slots,
-            wheel,
-            stats,
-            checkpoints,
-            ..
-        } = self;
+        let Self { poller, slots, .. } = self;
         let slot = &mut slots[sid.0];
         let tok = slot.token;
         scratch.clear();
@@ -558,6 +583,30 @@ impl<P: Poller> ServerHub<P> {
             scratch,
         );
         events.extend(scratch.drain(..).map(|e| (sid, e)));
+    }
+
+    /// Runs lease `i`'s checkpoint cadence at `now`, then schedules its
+    /// next wakeup. `known` is the endpoints' wakeup at `now` when the
+    /// caller has just asked for it and nothing has ticked since; it is
+    /// asked again only if a checkpoint changes the endpoints first.
+    fn rearm(
+        &mut self,
+        i: usize,
+        now: Millis,
+        sessions: &mut [HubSession<'_, '_>],
+        mut known: Option<Millis>,
+    ) {
+        let sid = sessions[i].id;
+        let Self {
+            poller,
+            slots,
+            wheel,
+            stats,
+            checkpoints,
+            ..
+        } = self;
+        let slot = &mut slots[sid.0];
+        let tok = slot.token;
 
         // Crash-recovery cadence: when this session is tracked, due, and
         // saw traffic since its last checkpoint, snapshot it into the
@@ -582,13 +631,14 @@ impl<P: Poller> ServerHub<P> {
                         stats.checkpoint_bytes += framed.len() as u64;
                         store.put(ck.key, framed, marker);
                         ck.last_marker = Some(marker);
+                        known = None;
                     }
                 }
                 ck.last_at = Some(now);
             }
         }
 
-        let wakeup = slot.driver.earliest_wakeup(sessions[i].parties, now);
+        let wakeup = known.unwrap_or_else(|| slot.driver.earliest_wakeup(sessions[i].parties, now));
         if wakeup <= now {
             // The clamp to `now + 1` below is about to fire because of an
             // endpoint, not the substrate: a wakeup-contract violation.
@@ -597,6 +647,7 @@ impl<P: Poller> ServerHub<P> {
         let next =
             slot.driver
                 .next_step(wakeup, now, sessions[i].target, poller.next_event_time(tok));
+        slot.wakeup = wakeup;
         slot.gen += 1;
         wheel.schedule(next, sid.0, slot.gen);
     }
@@ -887,5 +938,146 @@ mod tests {
         ]);
         assert_eq!(hub.now(s1), 250);
         assert_eq!(hub.now(s2), 700);
+    }
+
+    /// A test endpoint that records when it is ticked and received on,
+    /// and wants a tick at `at` (or, with `every_ms`, reports `now + 1`
+    /// and acts every millisecond — `BulkSender`'s shape).
+    #[derive(Default)]
+    struct Recorder {
+        at: Option<Millis>,
+        every_ms: bool,
+        ticks: Vec<Millis>,
+        received: Vec<Millis>,
+    }
+
+    impl crate::session::Endpoint for Recorder {
+        fn receive(&mut self, now: Millis, _: Addr, _: &[u8], _: &mut Vec<SessionEvent>) {
+            self.received.push(now);
+        }
+
+        fn tick(&mut self, now: Millis, _: &mut Vec<(Addr, Vec<u8>)>, _: &mut Vec<SessionEvent>) {
+            self.ticks.push(now);
+        }
+
+        fn next_wakeup(&self, now: Millis) -> Millis {
+            match self.at {
+                _ if self.every_ms => now + 1,
+                Some(at) if at > now => at,
+                _ => Millis::MAX,
+            }
+        }
+    }
+
+    fn pump_recorders(
+        hub: &mut ServerHub<impl Poller>,
+        sids: &[SessionId],
+        recorders: &mut [Recorder],
+        addrs: &[Addr],
+        targets: &[Millis],
+    ) {
+        let mut leases: Vec<[Party<'_>; 1]> = recorders
+            .iter_mut()
+            .zip(addrs)
+            .map(|(r, &addr)| [Party::new(addr, r)])
+            .collect();
+        let mut sessions: Vec<HubSession<'_, '_>> = leases
+            .iter_mut()
+            .zip(sids.iter().zip(targets))
+            .map(|(parties, (&sid, &target))| HubSession::new(sid, parties, target))
+            .collect();
+        hub.pump(&mut sessions);
+    }
+
+    #[test]
+    fn a_pump_over_idle_sessions_ticks_none_of_them() {
+        let mut hub = ServerHub::new(SimPoller::new());
+        let sids: Vec<SessionId> = (0..64)
+            .map(|i| {
+                let tok = hub.poller_mut().add(sim_world(i));
+                hub.add_session(tok)
+            })
+            .collect();
+        let mut idle: Vec<Recorder> = (0..64).map(|_| Recorder::default()).collect();
+        let addrs = vec![S; 64];
+        // A session's first pump ticks it (it has reported nothing yet).
+        pump_recorders(&mut hub, &sids, &mut idle, &addrs, &[100; 64]);
+        assert!(idle.iter().all(|r| r.ticks == [0]));
+        // From then on an idle session costs its wheel entry, no tick.
+        pump_recorders(&mut hub, &sids, &mut idle, &addrs, &[200; 64]);
+        pump_recorders(&mut hub, &sids, &mut idle, &addrs, &[300; 64]);
+        assert!(idle.iter().all(|r| r.ticks == [0]), "idle sessions ticked");
+        assert!(sids.iter().all(|&sid| hub.now(sid) == 300));
+    }
+
+    #[test]
+    fn an_endpoint_acting_every_millisecond_keeps_its_schedule_across_pumps() {
+        // It reports `now + 1` right after every tick and acts at once:
+        // at a pump boundary only the wakeup it reported last (not a
+        // fresh one) says its tick at the boundary is due.
+        let run = |slices: &[Millis]| {
+            let mut hub = ServerHub::new(SimPoller::new());
+            let tok = hub.poller_mut().add(sim_world(1));
+            let sid = hub.add_session(tok);
+            let mut metronome = [Recorder {
+                every_ms: true,
+                ..Recorder::default()
+            }];
+            for &target in slices {
+                pump_recorders(&mut hub, &[sid], &mut metronome, &[S], &[target]);
+            }
+            std::mem::take(&mut metronome[0].ticks)
+        };
+        let whole = run(&[30]);
+        assert_eq!(whole, (0..30).collect::<Vec<Millis>>());
+        assert_eq!(run(&[10, 20, 30]), whole);
+        assert_eq!(run(&[1, 2, 7, 8, 29, 30]), whole);
+    }
+
+    #[test]
+    fn a_session_woken_early_by_another_sessions_datagram_is_not_ticked() {
+        use mosh_net::{UdpChannel, UdpPoller};
+
+        // Two real sockets on one poller. The alarm wants one tick, at
+        // 250 ms; the listener wants none. A datagram for the listener
+        // ends the wait the alarm's wheel entry is in, at ~50 ms.
+        let mut hub = ServerHub::new(UdpPoller::new());
+        let alarm_tok = hub
+            .poller_mut()
+            .add(UdpChannel::bind("127.0.0.1:0").unwrap());
+        let listener_tok = hub
+            .poller_mut()
+            .add(UdpChannel::bind("127.0.0.1:0").unwrap());
+        let addrs = [
+            hub.poller().channel(alarm_tok).local_addr(),
+            hub.poller().channel(listener_tok).local_addr(),
+        ];
+        let sids = [hub.add_session(alarm_tok), hub.add_session(listener_tok)];
+        let alarm_at = hub.now(sids[0]) + 250;
+        let mut recorders = [
+            Recorder {
+                at: Some(alarm_at),
+                ..Recorder::default()
+            },
+            Recorder::default(),
+        ];
+        let to = mosh_net::channel::socket_from_addr(addrs[1]);
+        let sender = std::thread::spawn(move || {
+            let peer = std::net::UdpSocket::bind("127.0.0.1:0").unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            peer.send_to(b"for the listener", to).unwrap();
+        });
+        let targets = [hub.now(sids[0]) + 400, hub.now(sids[1]) + 400];
+        pump_recorders(&mut hub, &sids, &mut recorders, &addrs, &targets);
+        sender.join().unwrap();
+
+        let [alarm, listener] = &recorders;
+        assert_eq!(listener.received.len(), 1, "the datagram arrived");
+        assert!(listener.received[0] < alarm_at, "and woke the hub early");
+        // The listener: its opening tick, then one after its delivery.
+        assert_eq!(listener.ticks.len(), 2);
+        // The alarm: its opening tick, then its own, never in between.
+        assert_eq!(alarm.ticks.len(), 2, "alarm ticks: {:?}", alarm.ticks);
+        assert!(alarm.ticks[1] >= alarm_at);
     }
 }

@@ -9,10 +9,18 @@
 //! * [`SimChannel`] adapts the discrete-event [`Network`] emulator.
 //!   `wait_until` advances virtual time instantly, so 40 hours of traces
 //!   replay in seconds.
-//! * [`UdpChannel`] wraps a real `std::net::UdpSocket` with a
-//!   monotonic-clock→[`Millis`] mapping. `wait_until` genuinely blocks
+//! * [`UdpChannel`] wraps a real, nonblocking `std::net::UdpSocket` with
+//!   a monotonic-clock→[`Millis`] mapping. `wait_until` genuinely blocks
 //!   (until the deadline or earlier traffic), so the same event loop
 //!   that drives the simulator drives a live session.
+//!
+//! Every real socket in the crate waits the same way: in
+//! `wait_readable`, one `poll(2)` over the descriptors that can wake
+//! the waiter, with a timeout that ends exactly at its deadline. The
+//! sockets themselves never block — a reader drains its kernel queue
+//! until `WouldBlock` and waits again — so a datagram is handed on when
+//! it arrives, not when a read timeout (a scheduler tick, 4 ms on a
+//! `HZ=250` kernel) next expires.
 //!
 //! The event loop (`mosh_core::hub::ServerHub`, reaching channels through
 //! a [`crate::poller::Poller`]) steps time by
@@ -26,6 +34,8 @@ use std::io;
 use std::net::{
     Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6, ToSocketAddrs, UdpSocket,
 };
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_short};
 use std::time::{Duration, Instant};
 
 /// A datagram substrate plus a clock.
@@ -145,13 +155,81 @@ impl Channel for SimChannel {
 }
 
 // ---------------------------------------------------------------------
+// The readiness wait
+// ---------------------------------------------------------------------
+
+/// One descriptor in a [`wait_readable`] set: `poll(2)`'s
+/// `struct pollfd`, laid out as the C library declares it.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `POLLIN`: there is data to read (the same bit on every Unix).
+const POLLIN: c_short = 0x1;
+
+/// `nfds_t`, the type of `poll`'s count argument.
+#[cfg(target_os = "linux")]
+type NfdsT = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::os::raw::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+}
+
+impl PollFd {
+    /// Watches `source` for something to read.
+    pub(crate) fn readable(source: &impl AsRawFd) -> Self {
+        PollFd {
+            fd: source.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        }
+    }
+
+    /// True when the last wait found this descriptor ready: readable, or
+    /// in an error or hang-up state, which its next read reports.
+    pub(crate) fn ready(&self) -> bool {
+        self.revents != 0
+    }
+}
+
+/// Blocks until one of `fds` is ready or `timeout` has passed — the one
+/// readiness wait under [`UdpChannel`], [`crate::poller::UdpPoller`] and
+/// [`crate::feed::UdpDistributor`]. The timeout rounds up to whole
+/// milliseconds (`poll`'s unit, timed by a high-resolution timer, not
+/// the scheduler tick), so a wait never ends before it. A wait a signal
+/// interrupts ends early with nothing ready; callers re-check their own
+/// deadline and wait again.
+pub(crate) fn wait_readable(fds: &mut [PollFd], timeout: Duration) {
+    for fd in fds.iter_mut() {
+        fd.revents = 0;
+    }
+    let ms = timeout
+        .as_nanos()
+        .div_ceil(1_000_000)
+        .min(c_int::MAX as u128) as c_int;
+    // SAFETY: `fds` is a live, exclusively borrowed slice of
+    // `#[repr(C)]` `struct pollfd`s and `nfds` is its exact length;
+    // `poll` reads `fd`/`events`, writes only `revents` of those entries,
+    // and keeps no pointer past its return.
+    unsafe {
+        poll(fds.as_mut_ptr(), fds.len() as NfdsT, ms);
+    }
+}
+
+// ---------------------------------------------------------------------
 // UdpChannel
 // ---------------------------------------------------------------------
 
 /// Maximum UDP datagram we accept (fragments are far smaller).
 pub(crate) const MAX_DATAGRAM: usize = 64 * 1024;
 
-/// Upper bound on datagrams consumed by one non-blocking [`UdpChannel::drain`].
+/// Upper bound on datagrams consumed by one [`UdpChannel::drain`].
 const MAX_DRAIN: usize = 1024;
 
 /// The [`Addr`] for a socket address of either family. IPv4-mapped IPv6
@@ -194,27 +272,33 @@ pub fn socket_from_addr(a: Addr) -> SocketAddr {
 /// An AF_INET6 socket cannot portably send to an AF_INET sockaddr (Linux
 /// tolerates it; BSD kernels return EAFNOSUPPORT), so a V6-bound sender
 /// addresses IPv4 peers in v4-mapped form. Datagram semantics: a failed
-/// send is a lost packet, and SSP's retransmission timers already handle
-/// loss. Shared by [`UdpChannel`] and the distributor's
-/// [`crate::feed::FeedChannel`] (which sends on a socket owned by
-/// another thread — `UdpSocket::send_to` is `&self`).
-pub(crate) fn send_raw(socket: &UdpSocket, local_is_v6: bool, to: Addr, payload: &[u8]) {
+/// send (a full send buffer on a nonblocking socket, an unroutable
+/// destination) is a lost packet, and SSP's retransmission timers already
+/// handle loss; the error is returned for the caller to count. Shared by
+/// [`UdpChannel`] and the distributor's [`crate::feed::FeedChannel`]
+/// (which sends on a socket owned by another thread —
+/// `UdpSocket::send_to` is `&self`).
+pub(crate) fn send_raw(
+    socket: &UdpSocket,
+    local_is_v6: bool,
+    to: Addr,
+    payload: &[u8],
+) -> io::Result<()> {
     let target = match (local_is_v6, socket_from_addr(to)) {
         (true, SocketAddr::V4(v4)) => {
             SocketAddr::V6(SocketAddrV6::new(v4.ip().to_ipv6_mapped(), v4.port(), 0, 0))
         }
         (_, sa) => sa,
     };
-    let _ = socket.send_to(payload, target);
+    socket.send_to(payload, target).map(drop)
 }
 
-/// Receives one datagram from a socket, stamped as delivered to `local`
-/// — the one receive call under [`UdpChannel`] and the distributor
-/// ([`crate::feed::UdpDistributor`]). Whether it blocks is the socket's
-/// mode and read timeout, which the caller sets. An error is a read
-/// timeout, `WouldBlock`, or a transient condition such as an
-/// ICMP-propagated ECONNREFUSED, which occupies one slot of the socket's
-/// queue; each caller decides whether to read past it or stop.
+/// Receives one datagram from a nonblocking socket, stamped as delivered
+/// to `local` — the one receive call under [`UdpChannel`] and the
+/// distributor ([`crate::feed::UdpDistributor`]). An error is
+/// `WouldBlock` (the kernel queue is empty) or a transient condition
+/// such as an ICMP-propagated ECONNREFUSED, which occupies one slot of
+/// the socket's queue and is read past.
 pub(crate) fn recv_raw(socket: &UdpSocket, buf: &mut [u8], local: Addr) -> io::Result<Datagram> {
     let (n, src) = socket.recv_from(buf)?;
     Ok(Datagram {
@@ -244,17 +328,21 @@ pub struct UdpChannel {
     local: Addr,
     inbox: VecDeque<Datagram>,
     buf: Box<[u8; MAX_DATAGRAM]>,
-    /// Whether the socket currently sits in nonblocking mode, so
-    /// [`UdpChannel::drain`] sweeps (readiness pollers call it every
-    /// millisecond) don't pay two `fcntl`s per call.
-    nonblocking: bool,
+}
+
+/// Binds a UDP socket in the nonblocking mode every real socket here
+/// runs in (see [`wait_readable`]).
+fn bind_nonblocking<A: ToSocketAddrs>(addr: A) -> io::Result<UdpSocket> {
+    let socket = UdpSocket::bind(addr)?;
+    socket.set_nonblocking(true)?;
+    Ok(socket)
 }
 
 impl UdpChannel {
     /// Binds a socket of either family (`"127.0.0.1:0"`, `"[::1]:0"`, or
     /// `"[::]:0"` for a dual-stack wildcard, with `0` an ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<Self> {
-        let socket = UdpSocket::bind(addr)?;
+        let socket = bind_nonblocking(addr)?;
         let local = addr_from_socket(socket.local_addr()?);
         Ok(UdpChannel {
             socket,
@@ -262,22 +350,12 @@ impl UdpChannel {
             local,
             inbox: VecDeque::new(),
             buf: Box::new([0u8; MAX_DATAGRAM]),
-            nonblocking: false,
         })
     }
 
     /// This socket's address in [`Addr`] form.
     pub fn local_addr(&self) -> Addr {
         self.local
-    }
-
-    /// Switches the socket's blocking mode only when it actually changes.
-    fn set_mode(&mut self, nonblocking: bool) -> io::Result<()> {
-        if self.nonblocking != nonblocking {
-            self.socket.set_nonblocking(nonblocking)?;
-            self.nonblocking = nonblocking;
-        }
-        Ok(())
     }
 
     /// Re-binds to a fresh socket — roaming, the paper's way (§2.2): the
@@ -287,13 +365,12 @@ impl UdpChannel {
     /// clock epoch and any undelivered inbox survive, so the endpoint's
     /// virtual time stays monotonic across the move.
     pub fn rebind<A: ToSocketAddrs>(&mut self, addr: A) -> io::Result<()> {
-        let socket = UdpSocket::bind(addr)?;
+        let socket = bind_nonblocking(addr)?;
         self.local = addr_from_socket(socket.local_addr()?);
         self.socket = socket;
-        self.nonblocking = false; // fresh sockets start blocking
-                                  // Undelivered datagrams were addressed to the old socket but
-                                  // belong to this endpoint; re-stamp them so a driver matching on
-                                  // the (new) local address still delivers them.
+        // Undelivered datagrams were addressed to the old socket but
+        // belong to this endpoint; re-stamp them so a driver matching on
+        // the (new) local address still delivers them.
         for dg in &mut self.inbox {
             dg.to = self.local;
         }
@@ -304,22 +381,29 @@ impl UdpChannel {
     /// without blocking, returning true when the inbox then holds
     /// anything to read. This is the readiness primitive
     /// [`crate::poller::UdpPoller`] builds on: a hub serving many
-    /// sessions sweeps all its sockets instead of blocking on one. The
-    /// socket is left in nonblocking mode between sweeps; the blocking
-    /// paths switch it back on demand.
+    /// sessions waits on all its sockets in one `poll(2)` and drains the
+    /// ones the wait found ready.
     pub fn drain(&mut self) -> bool {
-        if self.set_mode(true).is_ok() {
-            // Bounded in calls, so a persistently erroring socket cannot
-            // spin forever.
-            for _ in 0..MAX_DRAIN {
-                match recv_raw(&self.socket, &mut self.buf[..], self.local) {
-                    Ok(dg) => self.inbox.push_back(dg),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => continue, // transient: drain past it
-                }
+        // Bounded in calls, so a persistently erroring socket cannot
+        // spin forever.
+        for _ in 0..MAX_DRAIN {
+            match recv_raw(&self.socket, &mut self.buf[..], self.local) {
+                Ok(dg) => self.inbox.push_back(dg),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => continue, // transient: drain past it
             }
         }
+        self.pending()
+    }
+
+    /// True when datagrams already drained wait in the inbox.
+    pub(crate) fn pending(&self) -> bool {
         !self.inbox.is_empty()
+    }
+
+    /// The socket's entry in a readiness wait ([`wait_readable`]).
+    pub(crate) fn poll_fd(&self) -> PollFd {
+        PollFd::readable(&self.socket)
     }
 }
 
@@ -329,7 +413,8 @@ impl Channel for UdpChannel {
     }
 
     fn send(&mut self, _from: Addr, to: Addr, payload: Vec<u8>) {
-        send_raw(&self.socket, self.local.is_v6(), to, &payload);
+        // A failed send is a lost datagram (see `send_raw`).
+        let _ = send_raw(&self.socket, self.local.is_v6(), to, &payload);
     }
 
     fn recv(&mut self, addr: Addr) -> Option<Datagram> {
@@ -348,30 +433,20 @@ impl Channel for UdpChannel {
     fn wait_until(&mut self, deadline: Millis) -> Millis {
         loop {
             let now = self.now();
-            if now >= deadline || !self.inbox.is_empty() {
+            if now >= deadline || self.pending() {
                 return now;
             }
-            // A drain sweep may have left the socket nonblocking; this
-            // path genuinely blocks (with a read timeout). The remaining
-            // wait is saturating on principle: the guard above makes
+            // Saturating on principle: the guard above makes
             // `now < deadline` here, but this arithmetic must never be
             // one refactor away from a debug panic (or a ~585-million-
-            // year release timeout) on a stale deadline.
-            if self.set_mode(false).is_err() {
-                return deadline.max(self.now());
-            }
+            // year timeout) on a stale deadline. `now` truncates the
+            // clock, so a whole-millisecond wait from it reaches the
+            // deadline.
             let timeout = Duration::from_millis(deadline.saturating_sub(now));
-            if self.socket.set_read_timeout(Some(timeout)).is_err() {
-                return deadline.max(self.now());
-            }
-            match recv_raw(&self.socket, &mut self.buf[..], self.local) {
-                Ok(dg) => {
-                    self.inbox.push_back(dg);
-                    return self.now();
-                }
-                // Timeout or transient: loop; the `now >= deadline`
-                // check exits.
-                Err(_) => continue,
+            let mut fd = [self.poll_fd()];
+            wait_readable(&mut fd, timeout);
+            if fd[0].ready() {
+                self.drain();
             }
         }
     }

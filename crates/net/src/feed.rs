@@ -36,19 +36,33 @@
 //! then the hint is warm — and only ever affect a session's *first*
 //! packets.
 //!
+//! The distributor hands each datagram over when it arrives. It blocks
+//! in one readiness wait (a `poll(2)`, as under every real socket here)
+//! on the socket and on a wake descriptor every [`FeedBouncer`] signals,
+//! until a datagram lands, a shard bounces one, or its pump's deadline
+//! comes. It then reads the (nonblocking) socket until the kernel queue
+//! is empty and flushes each shard's batch at once: a burst still moves
+//! as one queue send per shard, and a lone keystroke waits for no timer.
+//!
 //! Every queue is **bounded** ([`FEED_CAPACITY`] by default): a stalled
 //! or unleased shard sheds its overflow (counted in
 //! [`DistributorStats::overflow`]) instead of growing without bound or
 //! stalling the distributor, and hints are evicted when their session is
 //! removed (`ShardedHub::remove_session` →
 //! [`Channel::evict_hint`]), so a long-running server's maps track
-//! live sessions, not history.
+//! live sessions, not history. Because the shared socket is
+//! nonblocking, a reply the kernel cannot take at once is lost rather
+//! than stalling its shard, and counted
+//! ([`DistributorStats::send_failed`]).
 
-use crate::channel::{addr_from_socket, recv_raw, send_raw, Channel, MAX_DATAGRAM};
+use crate::channel::{
+    addr_from_socket, recv_raw, send_raw, wait_readable, Channel, PollFd, MAX_DATAGRAM,
+};
 use crate::{Addr, Datagram, Millis};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::UdpSocket;
+use std::os::unix::net::UnixDatagram;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -110,6 +124,11 @@ pub struct DistributorStats {
     /// Datagrams shed because the target shard's queue was full
     /// (backpressure: the shard is stalled or not being pumped).
     pub overflow: u64,
+    /// Shard replies the shared socket refused: its send buffer was full
+    /// (`WouldBlock` — the socket is nonblocking, so a shard never waits
+    /// on it) or the destination was unroutable. Each is a lost datagram
+    /// SSP retransmits.
+    pub send_failed: u64,
 }
 
 /// The distributor's live counters, shared so a hub (or an operator
@@ -132,6 +151,7 @@ impl DistributorStatsHandle {
             bounced: self.cells.bounced.load(Ordering::Relaxed),
             dropped: self.cells.dropped.load(Ordering::Relaxed),
             overflow: self.cells.overflow.load(Ordering::Relaxed),
+            send_failed: self.cells.send_failed.load(Ordering::Relaxed),
         }
     }
 
@@ -149,6 +169,7 @@ struct StatsCells {
     bounced: AtomicU64,
     dropped: AtomicU64,
     overflow: AtomicU64,
+    send_failed: AtomicU64,
 }
 
 /// Locks the shared hint map, shrugging off poisoning: every access is
@@ -194,6 +215,11 @@ pub struct FeedChannel {
     /// datagrams' entries simply age out.
     recent_hops: Arc<Mutex<VecDeque<(HopKey, u32)>>>,
     bounce_tx: SyncSender<Fed>,
+    /// The writing end of the distributor's wake descriptor, handed to
+    /// every [`FeedBouncer`].
+    wake: Arc<UnixDatagram>,
+    /// The distributor's counters (this side counts failed sends).
+    cells: Arc<StatsCells>,
     /// Source hints shared with the distributor: sending to `X` proves a
     /// session for `X` lives on this shard (servers only target
     /// authenticated sources).
@@ -236,8 +262,16 @@ impl FeedChannel {
     pub fn bouncer(&self) -> FeedBouncer {
         FeedBouncer {
             tx: self.bounce_tx.clone(),
+            wake: Arc::clone(&self.wake),
             last_hops: Arc::clone(&self.last_hops),
             recent_hops: Arc::clone(&self.recent_hops),
+        }
+    }
+
+    /// Sends one reply out the shared socket, counting a refusal.
+    fn send_out(&self, to: Addr, payload: &[u8]) {
+        if send_raw(&self.socket, self.local.is_v6(), to, payload).is_err() {
+            self.cells.send_failed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -300,7 +334,7 @@ impl Channel for FeedChannel {
         if self.hinted.insert(to) {
             lock_hints(&self.hints).insert(to, self.shard);
         }
-        send_raw(&self.socket, self.local.is_v6(), to, &payload);
+        self.send_out(to, &payload);
     }
 
     /// The batched transmit path: one epoch check and at most one hint-
@@ -324,7 +358,7 @@ impl Channel for FeedChannel {
             }
         }
         for (to, payload) in batch {
-            send_raw(&self.socket, self.local.is_v6(), to, &payload);
+            self.send_out(to, &payload);
         }
     }
 
@@ -392,6 +426,7 @@ impl Channel for FeedChannel {
 #[derive(Debug, Clone)]
 pub struct FeedBouncer {
     tx: SyncSender<Fed>,
+    wake: Arc<UnixDatagram>,
     last_hops: Arc<AtomicU32>,
     recent_hops: Arc<Mutex<VecDeque<(HopKey, u32)>>>,
 }
@@ -399,10 +434,11 @@ pub struct FeedBouncer {
 impl FeedBouncer {
     /// Bounces one unclaimed datagram back to the distributor with its
     /// own hop count (looked up per datagram, so batch-draining
-    /// consumers bounce correctly). Returns false when the distributor
-    /// is gone or the bounce queue is full (the caller should then count
-    /// the datagram dropped — never block a shard's event loop behind a
-    /// stalled distributor).
+    /// consumers bounce correctly), and wakes the distributor so the
+    /// bounce moves on at once, not when the socket next has traffic.
+    /// Returns false when the distributor is gone or the bounce queue is
+    /// full (the caller should then count the datagram dropped — never
+    /// block a shard's event loop behind a stalled distributor).
     pub fn bounce(&self, dg: &Datagram) -> bool {
         let key = hop_key(dg);
         let hops = {
@@ -417,17 +453,26 @@ impl FeedBouncer {
                 None => self.last_hops.load(Ordering::Relaxed),
             }
         };
-        self.tx.try_send((dg.clone(), hops + 1)).is_ok()
+        let queued = self.tx.try_send((dg.clone(), hops + 1)).is_ok();
+        if queued {
+            // Queued first, signalled second: a distributor that reads
+            // the signal always finds the bounce. A full wake buffer
+            // already holds a signal the distributor has not read, so a
+            // failed write loses nothing.
+            let _ = self.wake.send(&[0]);
+        }
+        queued
     }
 }
 
 /// Owns the shared socket and routes its datagrams to shard queues, a
-/// drained **batch** at a time: each pump round pulls up to
-/// `FEED_BATCH` datagrams off the socket (plus any bounces), groups
+/// drained **batch** at a time: each pump round pulls what the kernel
+/// has queued, up to `FEED_BATCH` datagrams (plus any bounces), groups
 /// them by target shard, and moves each group into its shard's queue
 /// with **one** channel send — the `recvmmsg`/`sendmmsg` shape, so the
 /// per-datagram cost under load is one `recvfrom` plus a vector push,
-/// not a full queue synchronization.
+/// not a full queue synchronization. Between rounds it waits for
+/// readiness (see the module docs), never for a timer.
 ///
 /// Run [`UdpDistributor::pump`] on its own thread (or interleaved with
 /// other work on the accept thread) while the shards pump their hubs.
@@ -436,6 +481,9 @@ pub struct UdpDistributor {
     socket: Arc<UdpSocket>,
     local: Addr,
     buf: Box<[u8; MAX_DATAGRAM]>,
+    /// The reading end of the wake descriptor [`FeedBouncer::bounce`]
+    /// signals (nonblocking, drained after every wait it ends).
+    wake: UnixDatagram,
     feeds: Vec<SyncSender<Batch>>,
     /// Per-shard queued-datagram depth, shared with the [`FeedChannel`]s
     /// (they decrement as they consume): the capacity bound is enforced
@@ -482,11 +530,16 @@ impl UdpDistributor {
         assert!(shards > 0, "a distributor needs at least one shard");
         assert!(capacity > 0, "a shard queue needs room for one datagram");
         let local = addr_from_socket(socket.local_addr()?);
-        // Short read timeouts keep bounce handling responsive while the
-        // socket is quiet; set once — the distributor owns the receive
-        // side for its lifetime.
-        socket.set_read_timeout(Some(Duration::from_millis(1)))?;
+        // Nonblocking for good: the distributor reads until `WouldBlock`
+        // and waits on readiness, and shard replies never wait on a full
+        // send buffer.
+        socket.set_nonblocking(true)?;
         let socket = Arc::new(socket);
+        let (wake, wake_tx) = UnixDatagram::pair()?;
+        wake.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        let wake_tx = Arc::new(wake_tx);
+        let cells = Arc::new(StatsCells::default());
         // mosh-lint: allow(no-wallclock-in-sim): the distributor is a real-UDP substrate like UdpChannel; this anchors the Millis epoch every shard behind the socket shares
         let start = Instant::now();
         let hints = Arc::new(Mutex::new(HashMap::new()));
@@ -518,6 +571,8 @@ impl UdpDistributor {
                 last_hops: Arc::new(AtomicU32::new(0)),
                 recent_hops: Arc::new(Mutex::new(VecDeque::new())),
                 bounce_tx: bounce_tx.clone(),
+                wake: Arc::clone(&wake_tx),
+                cells: Arc::clone(&cells),
                 hints: Arc::clone(&hints),
                 hinted: HashSet::new(),
                 epoch: Arc::clone(&epoch),
@@ -529,13 +584,14 @@ impl UdpDistributor {
                 socket,
                 local,
                 buf: Box::new([0u8; MAX_DATAGRAM]),
+                wake,
                 feeds,
                 depths,
                 capacity,
                 pending: (0..shards).map(|_| PendingBatch::default()).collect(),
                 bounce_rx,
                 hints,
-                cells: Arc::new(StatsCells::default()),
+                cells,
             },
             channels,
         ))
@@ -583,21 +639,41 @@ impl UdpDistributor {
     /// Drains the socket and the bounce queue for `wall_ms` wall-clock
     /// milliseconds, routing every datagram to a shard queue — a batch
     /// per shard per round, not a queue send per datagram. Each round:
-    /// gather bounces, pull a socket burst (up to `FEED_BATCH`; the
-    /// burst-ending receive waits out the socket's 1 ms read timeout,
-    /// which is what paces an idle distributor), flush every shard's
-    /// accumulated batch with one channel send.
+    /// gather bounces, pull a socket burst (until the kernel queue is
+    /// empty, at most `FEED_BATCH`), flush every shard's accumulated
+    /// batch with one channel send. A round that emptied the socket then
+    /// waits for a datagram, a bounce, or the deadline, whichever comes
+    /// first.
     pub fn pump(&mut self, wall_ms: u64) {
         // mosh-lint: allow(no-wallclock-in-sim): pump's budget is wall time spent on the real socket thread, outside any simulated schedule
         let deadline = Instant::now() + Duration::from_millis(wall_ms);
         loop {
             self.gather_bounces();
-            self.drain_socket(FEED_BATCH);
+            let emptied = self.drain_socket(FEED_BATCH);
             self.flush();
             // mosh-lint: allow(no-wallclock-in-sim): same wall-time pump budget as above
-            if Instant::now() >= deadline {
+            let now = Instant::now();
+            if now >= deadline {
                 return;
             }
+            if emptied {
+                self.wait(deadline.saturating_duration_since(now));
+            }
+        }
+    }
+
+    /// Blocks until the socket is readable, a bouncer has signalled, or
+    /// `timeout` passes. Signals are consumed here; the next round
+    /// gathers the bounces they announce.
+    fn wait(&mut self, timeout: Duration) {
+        let mut fds = [
+            PollFd::readable(&*self.socket),
+            PollFd::readable(&self.wake),
+        ];
+        wait_readable(&mut fds, timeout);
+        if fds[1].ready() {
+            let mut signal = [0u8; 1];
+            while self.wake.recv(&mut signal).is_ok() {}
         }
     }
 
@@ -616,17 +692,21 @@ impl UdpDistributor {
     }
 
     /// Pulls one socket burst, up to `max` datagrams, into this round's
-    /// pending batches. The first receive may wait out the socket's
-    /// short read timeout; the rest only as long as the kernel queue
-    /// stays non-empty. A timeout or a transient error ends the burst.
-    fn drain_socket(&mut self, max: usize) {
+    /// pending batches without blocking, reading past transient errors.
+    /// Returns true when the burst ended because the kernel queue was
+    /// empty, false when it stopped at `max` with more possibly queued.
+    fn drain_socket(&mut self, max: usize) -> bool {
         for _ in 0..max {
-            let Ok(dg) = recv_raw(&self.socket, &mut self.buf[..], self.local) else {
-                break;
-            };
-            let shard = self.base_shard(dg.from);
-            self.stage(shard, (dg, 0), false);
+            match recv_raw(&self.socket, &mut self.buf[..], self.local) {
+                Ok(dg) => {
+                    let shard = self.base_shard(dg.from);
+                    self.stage(shard, (dg, 0), false);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
+                Err(_) => continue,
+            }
         }
+        false
     }
 
     /// Stages one datagram into `shard`'s pending batch, enforcing the

@@ -13,16 +13,17 @@
 //!   arrives anywhere else — which is what makes a hub driving N
 //!   simulated sessions byte-identical to N dedicated loops.
 //! * [`UdpPoller`] is readiness-style over nonblocking sockets: a wait
-//!   sweeps every registered socket's receive queue (via
-//!   [`UdpChannel::drain`]) and returns as soon as *any* source has
-//!   traffic, so one blocked session never delays another's input.
+//!   is one `poll(2)` over every registered socket that ends when *any*
+//!   of them has traffic — the sockets it found ready are drained (via
+//!   [`UdpChannel::drain`]) — or at the deadline, so one blocked session
+//!   never delays another's input.
 //!
 //! Sources are identified by a [`Token`] handed out at registration, in
 //! the spirit of `mio`; per-session clocks stay per-source because
 //! emulated worlds advance independently (and two real sockets have two
 //! epochs).
 
-use crate::channel::Channel;
+use crate::channel::{wait_readable, Channel, PollFd};
 use crate::{Addr, Datagram, Millis, SimChannel, UdpChannel};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -244,28 +245,25 @@ impl<C: Channel> Poller for ChannelPoller<C> {
 // UdpPoller
 // ---------------------------------------------------------------------
 
-/// Granularity of the readiness sweep while a wait is pending.
-const SWEEP: Duration = Duration::from_millis(1);
-
 /// The readiness-style poller over real nonblocking UDP sockets.
 ///
-/// A wait sweeps every registered socket without blocking (via
-/// [`UdpChannel::drain`]) and sleeps in 1 ms slices until the deadline
-/// or the first arrival anywhere. With a single registered socket it
-/// degrades gracefully to the channel's own blocking wait (no sweep
-/// loop, no wakeup tax). Everything except the wait is
-/// [`ChannelPoller`]'s registry, shared by delegation.
+/// A wait blocks in one `poll(2)` over every registered socket until the
+/// deadline or the first arrival anywhere, then drains the sockets it
+/// found ready (via [`UdpChannel::drain`]). Everything except the wait
+/// is [`ChannelPoller`]'s registry, shared by delegation.
 #[derive(Debug, Default)]
 pub struct UdpPoller {
     inner: ChannelPoller<UdpChannel>,
+    /// The wait set, one entry per registered source in token order,
+    /// rebuilt per wait (a source may have been rebound or extracted
+    /// since).
+    fds: Vec<PollFd>,
 }
 
 impl UdpPoller {
     /// An empty poller.
     pub fn new() -> Self {
-        UdpPoller {
-            inner: ChannelPoller::new(),
-        }
+        UdpPoller::default()
     }
 }
 
@@ -297,28 +295,32 @@ impl Poller for UdpPoller {
     }
 
     fn wait_until(&mut self, tok: Token, deadline: Millis) -> Millis {
-        if self.inner.channels.len() == 1 {
-            // One socket: the channel's own blocking wait is strictly
-            // better than a sweep loop.
-            return self.inner.wait_until(tok, deadline);
+        let UdpPoller { inner, fds } = self;
+        fds.clear();
+        let mut got = false;
+        for (i, ch) in inner.channels.iter().enumerate() {
+            let Some(ch) = ch else { continue };
+            if ch.pending() {
+                inner.ready.push(i);
+                got = true;
+            }
+            fds.push(ch.poll_fd());
         }
         loop {
-            let mut got = false;
-            for (i, ch) in self.inner.channels.iter_mut().enumerate() {
-                let Some(ch) = ch.as_mut() else { continue };
-                if ch.drain() {
-                    self.inner.ready.push(i);
-                    got = true;
-                }
-            }
-            let now = self.inner.channel(tok).now();
+            let now = inner.channel(tok).now();
             if got || now >= deadline {
                 return now;
             }
-            // Saturating: `now` is re-read after the drain sweep, so it
-            // can land past `deadline` — a bare subtraction here would
-            // underflow.
-            std::thread::sleep(SWEEP.min(Duration::from_millis(deadline.saturating_sub(now))));
+            // Saturating on principle, like `UdpChannel::wait_until`.
+            wait_readable(fds, Duration::from_millis(deadline.saturating_sub(now)));
+            let live = inner.channels.iter_mut().enumerate();
+            let live = live.filter_map(|(i, ch)| Some((i, ch.as_mut()?)));
+            for (fd, (i, ch)) in fds.iter().zip(live) {
+                if fd.ready() && ch.drain() {
+                    inner.ready.push(i);
+                    got = true;
+                }
+            }
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   the *endpoint* re-targets its peer address whenever an authentic
 //!   datagram arrives with a new-high sequence number.
 
-use crate::rtt::RttEstimator;
+use crate::rtt::{RttEstimator, MAX_RTT_SAMPLE};
 use crate::wire::{get_opt, put_opt, put_varint, Reader};
 use crate::{Millis, SspError};
 use mosh_crypto::session::{Direction, Session};
@@ -278,9 +278,12 @@ impl DatagramLayer {
         }
 
         if ts_reply != TS_NONE {
-            // 16-bit wrap-around subtraction: valid for RTTs under 65 s.
+            // 16-bit wrap-around subtraction: valid for RTTs under 65 s,
+            // and only samples under 5 s count (see `MAX_RTT_SAMPLE`).
             let sample = ((now & 0xffff) as u16).wrapping_sub(ts_reply);
-            self.rtt.observe(f64::from(sample));
+            if sample < MAX_RTT_SAMPLE {
+                self.rtt.observe(f64::from(sample));
+            }
         }
 
         Ok(Received {
@@ -395,6 +398,50 @@ mod tests {
         let reply = encode(&mut server, t0 + 5, b"pong");
         decode(&mut client, t0 + 10, &reply).unwrap();
         assert_eq!(client.srtt(), 10.0);
+    }
+
+    /// A client that has measured one 20 ms round trip then sends at
+    /// `reply_ts` and hears the server's immediate echo at `reply_at`:
+    /// its `(srtt, rttvar)` before and after that second sample.
+    fn estimate_around(reply_at: Millis, reply_ts: Millis) -> ((f64, f64), (f64, f64)) {
+        let (mut client, mut server) = pair();
+        let w = encode(&mut client, 1000, b"ping");
+        decode(&mut server, 1010, &w).unwrap();
+        let pong = encode(&mut server, 1010, b"pong");
+        decode(&mut client, 1020, &pong).unwrap();
+        let before = (client.srtt(), client.rtt.rttvar());
+        let w = encode(&mut client, reply_ts, b"ping");
+        decode(&mut server, 2000, &w).unwrap();
+        let reply = encode(&mut server, 2000, b"pong");
+        decode(&mut client, reply_at, &reply).unwrap();
+        (before, (client.srtt(), client.rtt.rttvar()))
+    }
+
+    #[test]
+    fn an_echo_from_the_future_is_not_a_sample() {
+        // Millisecond clocks on a sub-millisecond path: the echo names
+        // an instant 1 ms after the client's own `now`. The −1 ms sample
+        // wraps to 65 535 ms and must not reach the estimator.
+        let (before, after) = estimate_around(1500, 1501);
+        assert_eq!(before, (20.0, 10.0));
+        assert_eq!(after, before);
+    }
+
+    #[test]
+    fn a_sample_of_five_seconds_or_more_is_dropped() {
+        // Mosh drops R >= 5000 ms ("e.g. server was Ctrl-Zed").
+        let (before, after) = estimate_around(8000, 2000);
+        assert_eq!(after, before);
+        let (before, after) = estimate_around(7000, 2000);
+        assert_eq!(after, before, "exactly 5 s is dropped too");
+    }
+
+    #[test]
+    fn an_ordinary_sample_is_still_observed() {
+        let (before, after) = estimate_around(2100, 2000);
+        // RTTVAR = 0.75·10 + 0.25·|20 − 100| = 27.5; SRTT = 0.875·20 + 0.125·100 = 30.
+        assert_eq!(before, (20.0, 10.0));
+        assert_eq!(after, (30.0, 27.5));
     }
 
     #[test]

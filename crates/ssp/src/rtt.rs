@@ -9,6 +9,13 @@
 //! 3. The lower bound on the retransmission timeout is **50 ms** rather
 //!    than one second — SSH over TCP "generally cannot detect a dropped
 //!    keystroke in less than a second."
+//!
+//! and one rule Mosh's receiver adds beside them: a sample of
+//! [`MAX_RTT_SAMPLE`] (5 s) or more is dropped, not fed to the estimator
+//! (Mosh's comment: "e.g. server was Ctrl-Zed"). The 16-bit echo makes
+//! this guard load-bearing on a fast path too: two millisecond clocks
+//! can put an echo 1 ms "in the future", and that −1 ms sample wraps to
+//! 65 535 ms. [`crate::datagram::DatagramLayer::accept`] applies it.
 
 use crate::wire::{get_bool, put_bool, put_varint, Reader};
 use crate::Millis;
@@ -17,6 +24,9 @@ use crate::Millis;
 pub const MIN_RTO: Millis = 50;
 /// Maximum retransmission timeout (Mosh clamps at one second).
 pub const MAX_RTO: Millis = 1000;
+/// RTT samples this large or larger are discarded, as Mosh's receiver
+/// discards them: a stalled peer, or a wrapped 16-bit echo.
+pub const MAX_RTT_SAMPLE: u16 = 5000;
 
 /// SRTT/RTTVAR estimator state.
 #[derive(Debug, Clone)]
