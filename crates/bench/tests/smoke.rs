@@ -5,27 +5,13 @@
 //! Cargo builds each `[[bin]]` target before running these tests and
 //! exposes its path through `CARGO_BIN_EXE_<name>`.
 
-use std::path::{Path, PathBuf};
 use std::process::Command;
 
+/// Runs `exe --quick`, asserting success and the expected stdout needles;
+/// returns the stdout.
 fn run_quick(exe: &str, expect: &[&str]) -> String {
-    run_quick_in(exe, None, &[], expect)
-}
-
-/// Runs `exe --quick`, optionally in `dir` (so binaries that write
-/// `BENCH_*.json` into their cwd don't race each other across parallel
-/// tests) with extra environment variables, asserting success and the
-/// expected stdout needles; returns the stdout.
-fn run_quick_in(exe: &str, dir: Option<&Path>, envs: &[(&str, &str)], expect: &[&str]) -> String {
-    let mut cmd = Command::new(exe);
-    cmd.arg("--quick");
-    if let Some(dir) = dir {
-        cmd.current_dir(dir);
-    }
-    for (k, v) in envs {
-        cmd.env(k, v);
-    }
-    let out = cmd
+    let out = Command::new(exe)
+        .arg("--quick")
         .output()
         .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
     assert!(
@@ -43,22 +29,6 @@ fn run_quick_in(exe: &str, dir: Option<&Path>, envs: &[(&str, &str)], expect: &[
         );
     }
     stdout.into_owned()
-}
-
-/// A fresh scratch directory for one test's bench artifacts.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mosh_bench_smoke_{name}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// Pulls the raw value of `"field": value` out of a JSON bench artifact.
-fn json_field(text: &str, field: &str) -> Option<f64> {
-    let at = text.find(&format!("\"{field}\":"))?;
-    let rest = text[at..].split_once(':')?.1;
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// The figure printed after `label` on the report line starting with
@@ -145,90 +115,15 @@ fn ablation_ctrlc_quick() {
 }
 
 #[test]
-fn hub_scaling_quick() {
-    let dir = scratch("hub_scaling");
-    run_quick_in(
-        env!("CARGO_BIN_EXE_hub_scaling"),
-        Some(&dir),
-        &[],
-        &[
-            "hub_scaling",
-            "sessions",
-            "shards",
-            "wakeups/user",
-            "per-user cost",
-            "speedup at 4 shards",
-        ],
-    );
-    // The trajectory artifact records the runner's core count, so
-    // cross-runner speedups stay interpretable.
-    let json = std::fs::read_to_string(dir.join("BENCH_hub_scaling.json")).expect("artifact");
-    assert!(json_field(&json, "cores").expect("cores recorded") >= 1.0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn hub_c100k_quick() {
-    let dir = scratch("hub_c100k");
-    // A scaled-down fleet keeps the smoke fast on the debug profile;
-    // the CI perf step runs the real --quick sizes in release.
-    run_quick_in(
-        env!("CARGO_BIN_EXE_hub_c100k"),
-        Some(&dir),
-        &[("MOSH_C100K_SESSIONS", "300")],
-        &["hub_c100k", "sessions", "p50 send (us)", "p99 send (us)"],
-    );
-    // Then hub_scaling writes into the same artifact: both sections must
-    // survive the merge, with live p50/p99 latency numbers.
-    run_quick_in(env!("CARGO_BIN_EXE_hub_scaling"), Some(&dir), &[], &[]);
-    let json = std::fs::read_to_string(dir.join("BENCH_hub_scaling.json")).expect("artifact");
-    assert!(json.contains("\"c100k\""), "c100k section present:\n{json}");
-    assert!(
-        json.contains("\"bench\": \"hub_scaling\""),
-        "merge kept both:\n{json}"
-    );
-    let p50 = json_field(&json, "p50_wakeup_to_send_us").expect("p50 recorded");
-    let p99 = json_field(&json, "p99_wakeup_to_send_us").expect("p99 recorded");
-    assert!(p50 > 0.0, "p50 non-zero: {p50}");
-    assert!(p99 > 0.0 && p99 >= p50, "p99 non-zero and ordered: {p99}");
-    assert!(json_field(&json, "cores").expect("cores recorded") >= 1.0);
-
-    // The checkpoint cadence sweep merges its own section: cadence axis
-    // present, bytes recorded, and monotone (a shorter cadence never
-    // writes fewer snapshot bytes — that ordering is also asserted
-    // inside the bin; here we pin that it reached the artifact).
-    assert!(
-        json.contains("\"checkpoint_cadence\""),
-        "cadence section present:\n{json}"
-    );
-    assert!(
-        json_field(&json, "checkpoint_bytes").expect("cadence bytes recorded") > 0.0,
-        "checkpointing wrote snapshot bytes:\n{json}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn crypto_ops_quick() {
-    run_quick(
-        env!("CARGO_BIN_EXE_crypto_ops"),
-        &["crypto_ops", "seal MB/s", "open MB/s", "speedup", "demux"],
-    );
-}
-
-#[test]
 fn term_ops_quick() {
-    let dir = scratch("term_ops");
     // The bin itself asserts the damage-tracked diff is byte-identical
     // to the full-scan oracle on every measured pair, and that
     // `Terminal::write` leaves the same terminal as the per-action route
     // on every stream (and, in release, the >= 3x editor/mostly-idle
     // diff gates and the flood >= 3x / editor >= 1x ingest gates); a
     // divergence exits non-zero and fails this smoke.
-    run_quick_in(
+    run_quick(
         env!("CARGO_BIN_EXE_term_ops"),
-        Some(&dir),
-        &[],
         &[
             "term_ops",
             "byte-identity-checked",
@@ -240,14 +135,4 @@ fn term_ops_quick() {
             "scroll ns/line",
         ],
     );
-    let json = std::fs::read_to_string(dir.join("BENCH_term.json")).expect("artifact");
-    for section in ["\"flood\"", "\"editor\"", "\"mostly_idle\"", "\"ingest\""] {
-        assert!(json.contains(section), "{section} section present:\n{json}");
-    }
-    assert!(json_field(&json, "write_ns_per_byte").expect("ingest ns recorded") > 0.0);
-    assert!(json_field(&json, "ingest_speedup").expect("ingest speedup recorded") > 0.0);
-    assert!(json_field(&json, "scroll_ns_per_line").expect("scroll ns recorded") > 0.0);
-    assert!(json_field(&json, "damage_ns_per_diff").expect("damage ns recorded") > 0.0);
-    assert!(json_field(&json, "speedup").expect("speedup recorded") > 0.0);
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -57,17 +57,17 @@ fn mid_flood() -> (MoshServer, Vec<Vec<u8>>, u64) {
         if fragmented {
             break;
         }
-        while let Some(dg) = ch.recv(S) {
+        while let Some(dg) = ch.network_mut().recv(S) {
             server.receive(now, dg.from, &dg.payload);
         }
-        while let Some(dg) = ch.recv(C) {
+        while let Some(dg) = ch.network_mut().recv(C) {
             client.receive(now, &dg.payload);
         }
     }
     // The paste's fragments arrive together; the server takes the first.
-    let first = ch.recv(S).expect("the paste arrived");
+    let first = ch.network_mut().recv(S).expect("the paste arrived");
     server.receive(now, first.from, &first.payload);
-    let rest: Vec<Vec<u8>> = std::iter::from_fn(|| ch.recv(S))
+    let rest: Vec<Vec<u8>> = std::iter::from_fn(|| ch.network_mut().recv(S))
         .map(|dg| dg.payload)
         .collect();
     // Stop on a tick that applied flood output and sent nothing.

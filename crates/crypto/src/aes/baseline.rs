@@ -1,7 +1,6 @@
 //! The compact byte-oriented AES-128 this crate shipped first, kept
-//! verbatim as (a) the reference implementation the fast tiers are
-//! pinned against and (b) the "before" side of the `crypto_ops` bench's
-//! speedup measurement. Do not use on the wire path — it is an order of
+//! verbatim as the reference implementation the fast tiers are pinned
+//! against. Do not use on the wire path — it is an order of
 //! magnitude slower, especially decryption (whose InvMixColumns runs a
 //! bitwise GF(2^8) multiply per byte), and its 256-byte S-box lookups
 //! are not constant-time.

@@ -22,8 +22,7 @@
 //! feeds: OCB gathers blocks from many packets and this tier crunches
 //! them four at a time. Single-block calls run a group with three idle
 //! lanes — correct, constant-time, and 4x wasteful, which is the
-//! documented cost of timing safety on hosts without hardware AES (the
-//! `crypto_ops` bench records it).
+//! documented cost of timing safety on hosts without hardware AES.
 
 use super::{expand_key, Block, BlockCipher, ROUND_KEYS};
 

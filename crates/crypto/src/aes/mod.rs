@@ -21,8 +21,7 @@
 //!   which makes the batch seam its natural shape.
 //! * [`baseline::Aes128`] — the compact byte-oriented implementation
 //!   (`SubBytes`/`ShiftRows`/`MixColumns` a byte at a time), kept as the
-//!   reference the fast paths are tested against and as the "before"
-//!   measurement in the `crypto_ops` bench.
+//!   reference the fast paths are tested against.
 //!
 //! OCB needs both directions of the block cipher (full ciphertext blocks
 //! are decrypted with the inverse cipher), so all implementations provide
@@ -33,12 +32,12 @@
 //! data-dependent values flow through word-wide boolean operations
 //! (including key expansion, whose `SubWord` runs the same bitsliced
 //! S-box circuit). The [`baseline`] reference still uses a 256-byte
-//! S-box lookup — it exists for correctness testing and benchmarking,
-//! never on the wire path.
+//! S-box lookup — it exists for correctness testing, never on the wire
+//! path.
 //!
-//! Throughput of each tier and of the cross-packet batch entry points is
-//! measured by `crates/bench/src/bin/crypto_ops.rs` (see
-//! `BENCH_crypto.json` for the recorded MB/s).
+//! What sealing and opening cost per datagram and per byte on the
+//! selected backend is reported by the benchmark (`benchmark/`) as
+//! `crypto.{seal,open}_ns_per_{byte,dgram}`.
 
 pub mod baseline;
 pub mod ct;
@@ -124,8 +123,7 @@ fn mask3(a: &Block, b: &Block, c: &Block) -> Block {
 /// The seam exists so the OCB layer can run over the dispatched
 /// [`Aes128`] (the product), the [`ct::Aes128`] bitsliced tier, or
 /// [`baseline::Aes128`] (the byte-oriented reference) — which is how the
-/// `crypto_ops` bench measures speedups and how the tests pin the
-/// implementations to each other.
+/// tests pin the implementations to each other.
 pub trait BlockCipher: Clone {
     /// Expands a 128-bit key.
     fn new(key: &[u8; 16]) -> Self;

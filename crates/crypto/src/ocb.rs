@@ -154,10 +154,10 @@ pub struct SealJob<'a> {
 
 /// An OCB3 encryption/decryption context bound to one AES-128 key.
 ///
-/// Generic over the [`BlockCipher`] seam so the `crypto_ops` bench can
-/// instantiate the same mode over `aes::baseline::Aes128` or the
-/// bitsliced `aes::ct::Aes128` and measure each tier; everything else
-/// uses the default (dispatched) cipher.
+/// Generic over the [`BlockCipher`] seam so the tests can instantiate
+/// the same mode over `aes::baseline::Aes128` or the bitsliced
+/// `aes::ct::Aes128` and pin each tier to the RFC 7253 vectors;
+/// everything else uses the default (dispatched) cipher.
 ///
 /// # Examples
 ///

@@ -30,6 +30,12 @@
 //! `file:line: [rule] message` findings, exit 1 on any) and as the
 //! workspace self-check test in `crates/lint/tests/rules.rs`, so tier-1
 //! catches regressions without a separate CI wiring.
+//!
+//! The same walk counts **production lines**: every line of a scanned
+//! file outside `#[cfg(test)]` / `#[test]` items, in files under no
+//! `tests/` or `examples/` directory ([`Analysis::production_lines`]).
+//! Only `src/` and `crates/` contribute; `vendor/` and `benchmark/` are
+//! never scanned.
 
 pub mod lexer;
 pub mod rules;
@@ -66,11 +72,12 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A whole-tree run: how many files were scanned and what survived
-/// suppression.
+/// A whole-tree run: how many files were scanned, how many production
+/// lines they hold, and what survived suppression.
 #[derive(Debug)]
 pub struct Report {
     pub files: usize,
+    pub production_lines: usize,
     pub findings: Vec<Finding>,
 }
 
@@ -109,6 +116,21 @@ impl Analysis {
         self.test_ranges
             .iter()
             .any(|&(a, b)| a <= line && line <= b)
+    }
+
+    /// Lines that ship: every line outside test items, or none when the
+    /// file sits under a `tests/` or `examples/` directory.
+    pub fn production_lines(&self) -> usize {
+        if self
+            .path
+            .split('/')
+            .any(|dir| dir == "tests" || dir == "examples")
+        {
+            return 0;
+        }
+        (1..=self.lines.len() as u32)
+            .filter(|&line| !self.is_test_line(line))
+            .count()
     }
 
     /// Raw text of a 1-based line ("" when out of range).
@@ -281,10 +303,13 @@ fn parse_suppressions(a: &Analysis) -> (Vec<Suppression>, Vec<Finding>) {
 /// Lint one file's source. `path` is repo-relative with `/` separators
 /// and drives rule scoping, so fixtures can impersonate any location.
 pub fn check_source(path: &str, src: &str) -> Vec<Finding> {
-    let a = Analysis::new(path, src);
+    check(&Analysis::new(path, src))
+}
+
+fn check(a: &Analysis) -> Vec<Finding> {
     let mut findings = Vec::new();
-    rules::check_all(&a, &mut findings);
-    let (supps, bad) = parse_suppressions(&a);
+    rules::check_all(a, &mut findings);
+    let (supps, bad) = parse_suppressions(a);
     findings.retain(|f| {
         !supps
             .iter()
@@ -295,9 +320,9 @@ pub fn check_source(path: &str, src: &str) -> Vec<Finding> {
     set.into_iter().collect()
 }
 
-/// Walk the workspace at `root` and lint every first-party `.rs` file:
-/// `src/`, `crates/`, `tests/`, `examples/`. `vendor/` and build output
-/// are not scanned.
+/// Walk the workspace at `root`, lint every first-party `.rs` file
+/// (`src/`, `crates/`, `tests/`, `examples/`) and count its production
+/// lines. `vendor/` and build output are not scanned.
 pub fn run_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
     for top in ["src", "crates", "tests", "examples"] {
@@ -308,6 +333,7 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
     }
     files.sort();
     let mut findings = Vec::new();
+    let mut production_lines = 0;
     for f in &files {
         let rel = f
             .strip_prefix(root)
@@ -316,12 +342,14 @@ pub fn run_workspace(root: &Path) -> io::Result<Report> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let src = fs::read_to_string(f)?;
-        findings.extend(check_source(&rel, &src));
+        let a = Analysis::new(&rel, &fs::read_to_string(f)?);
+        findings.extend(check(&a));
+        production_lines += a.production_lines();
     }
     findings.sort();
     Ok(Report {
         files: files.len(),
+        production_lines,
         findings,
     })
 }

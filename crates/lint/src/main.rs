@@ -1,5 +1,6 @@
 //! `mosh-lint` binary: lint the workspace tree, print findings as
-//! `file:line: [rule] message`, exit 1 if any survive suppression.
+//! `file:line: [rule] message`, exit 1 if any survive suppression. The
+//! summary line on stderr also gives the tree's production-line count.
 //!
 //! Usage: `cargo run -p mosh-lint [workspace-root]`. Without an
 //! argument the workspace root is found by walking up from the current
@@ -25,13 +26,17 @@ fn main() -> ExitCode {
                 println!("{f}");
             }
             if report.findings.is_empty() {
-                eprintln!("mosh-lint: clean — {} files, 0 findings", report.files);
+                eprintln!(
+                    "mosh-lint: clean — {} files, 0 findings, {} production lines",
+                    report.files, report.production_lines
+                );
                 ExitCode::SUCCESS
             } else {
                 eprintln!(
-                    "mosh-lint: {} finding(s) across {} files",
+                    "mosh-lint: {} finding(s) across {} files, {} production lines",
                     report.findings.len(),
-                    report.files
+                    report.files,
+                    report.production_lines
                 );
                 ExitCode::FAILURE
             }

@@ -7,7 +7,7 @@
 //! [`mosh_lint::check_source`] with a `crates/net/src/...` path — no
 //! temp files in the real tree.
 
-use mosh_lint::{check_source, Rule};
+use mosh_lint::{check_source, Analysis, Rule};
 use std::path::Path;
 
 /// Findings for `src` pretending to live at `path`, as rule names.
@@ -275,6 +275,32 @@ fn suppression_only_covers_its_own_rule_and_lines() {
                let a = 1;\n\
                let t = Instant::now();\n}";
     assert_eq!(rules_at(NET, far), vec!["no-wallclock-in-sim"]);
+}
+
+// ------------------------------------------------------ production lines
+
+/// Production lines are every line outside test items, blank lines and
+/// comments included; a `#[cfg(not(test))]` item ships; a file under
+/// `tests/` or `examples/` ships nothing.
+#[test]
+fn production_lines_skip_test_items_and_test_paths() {
+    let src = "//! A module.\n\
+               pub fn f() -> u8 { 1 }\n\
+               \n\
+               #[cfg(not(test))]\n\
+               fn g() {}\n\
+               #[cfg(test)]\n\
+               mod tests {\n\
+               #[test]\n\
+               fn t() { assert_eq!(super::f(), 1); }\n\
+               }\n\
+               // trailing\n";
+    let lines = |path| Analysis::new(path, src).production_lines();
+    assert_eq!(lines("crates/x/src/lib.rs"), 6);
+    assert_eq!(lines("src/lib.rs"), 6);
+    assert_eq!(lines("crates/x/tests/t.rs"), 0);
+    assert_eq!(lines("tests/t.rs"), 0);
+    assert_eq!(lines("examples/demo.rs"), 0);
 }
 
 // ----------------------------------------------------------- self-check

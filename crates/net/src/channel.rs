@@ -51,11 +51,8 @@ pub trait Channel {
     /// duplicated; never an error the caller must handle.
     fn send(&mut self, from: Addr, to: Addr, payload: Vec<u8>);
 
-    /// Takes the next delivered datagram addressed to `addr`, if any.
-    fn recv(&mut self, addr: Addr) -> Option<Datagram>;
-
     /// Takes the next delivered datagram for *any* endpoint, in delivery
-    /// order. Drivers use this instead of scanning every address.
+    /// order.
     fn poll_any(&mut self) -> Option<Datagram>;
 
     /// Time of the next already-scheduled delivery, if the substrate can
@@ -133,10 +130,6 @@ impl Channel for SimChannel {
 
     fn send(&mut self, from: Addr, to: Addr, payload: Vec<u8>) {
         self.net.send(from, to, payload);
-    }
-
-    fn recv(&mut self, addr: Addr) -> Option<Datagram> {
-        self.net.recv(addr)
     }
 
     fn poll_any(&mut self) -> Option<Datagram> {
@@ -415,11 +408,6 @@ impl Channel for UdpChannel {
     fn send(&mut self, _from: Addr, to: Addr, payload: Vec<u8>) {
         // A failed send is a lost datagram (see `send_raw`).
         let _ = send_raw(&self.socket, self.local.is_v6(), to, &payload);
-    }
-
-    fn recv(&mut self, addr: Addr) -> Option<Datagram> {
-        let idx = self.inbox.iter().position(|dg| dg.to == addr)?;
-        self.inbox.remove(idx)
     }
 
     fn poll_any(&mut self) -> Option<Datagram> {

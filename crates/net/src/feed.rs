@@ -282,27 +282,6 @@ impl FeedChannel {
         self.depth.fetch_sub(batch.len(), Ordering::Relaxed);
         self.inbox.extend(batch);
     }
-
-    fn drain_rx(&mut self) {
-        while let Ok(batch) = self.rx.try_recv() {
-            self.absorb(batch);
-        }
-    }
-
-    /// Consumes one queued datagram, filing its hop count for the
-    /// [`FeedBouncer`] (per-datagram, so batch-draining consumers bounce
-    /// with the right history).
-    fn take(&mut self, idx: usize) -> Option<Datagram> {
-        let (dg, hops) = self.inbox.remove(idx)?;
-        self.last_hops.store(hops, Ordering::Relaxed);
-        let mut ring = lock_ring(&self.recent_hops);
-        if ring.len() >= HOP_MEMORY {
-            ring.pop_front();
-        }
-        ring.push_back((hop_key(&dg), hops));
-        drop(ring);
-        Some(dg)
-    }
 }
 
 /// Locks the hop ring, shrugging off poisoning exactly like
@@ -362,15 +341,22 @@ impl Channel for FeedChannel {
         }
     }
 
-    fn recv(&mut self, addr: Addr) -> Option<Datagram> {
-        self.drain_rx();
-        let idx = self.inbox.iter().position(|(dg, _)| dg.to == addr)?;
-        self.take(idx)
-    }
-
+    /// Takes the oldest queued datagram and files its hop count for the
+    /// [`FeedBouncer`] (per datagram, so batch-draining consumers bounce
+    /// with the right history).
     fn poll_any(&mut self) -> Option<Datagram> {
-        self.drain_rx();
-        self.take(0)
+        while let Ok(batch) = self.rx.try_recv() {
+            self.absorb(batch);
+        }
+        let (dg, hops) = self.inbox.pop_front()?;
+        self.last_hops.store(hops, Ordering::Relaxed);
+        let mut ring = lock_ring(&self.recent_hops);
+        if ring.len() >= HOP_MEMORY {
+            ring.pop_front();
+        }
+        ring.push_back((hop_key(&dg), hops));
+        drop(ring);
+        Some(dg)
     }
 
     fn next_event_time(&self) -> Option<Millis> {

@@ -200,17 +200,6 @@ impl PredictionEngine {
         }
     }
 
-    /// True if any displayable (non-tentative, non-unknown) overlay exists.
-    pub fn active(&self) -> bool {
-        self.cursor
-            .map(|c| !c.tentative(self.confirmed_epoch))
-            .unwrap_or(false)
-            || self
-                .cells
-                .iter()
-                .any(|c| !c.unknown && !c.tentative(self.confirmed_epoch))
-    }
-
     /// Starts a new epoch: future predictions stay in the background until
     /// the server confirms one of them.
     pub fn become_tentative(&mut self) {

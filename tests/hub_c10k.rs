@@ -1,8 +1,9 @@
 //! The C10K loopback smoke: the persistent shard runtime plus the
 //! batched distributor path, under a mostly-idle fleet with a small live
 //! subset — the shape SSP was designed for (conf_usenix_WinsteinB12 §2:
-//! datagram state sync, no per-session connection churn), scaled down
-//! from the `hub_c100k` bench so it runs on every push.
+//! datagram state sync, no per-session connection churn), small enough
+//! to run on every push. The benchmark's `idle_fleet_sim` workload
+//! measures the same shape in simulation.
 //!
 //! Thousands of registered Mosh server sessions sit idle behind **one**
 //! UDP socket while a handful of real loopback clients type and wait for

@@ -123,8 +123,10 @@ struct Run {
     clients: Vec<Transcript>,
     servers: Vec<Transcript>,
     screens: Vec<String>,
-    /// (delivered, dropped, auth_routed) — cross-checked between runs.
+    /// Hub counters cross-checked between runs: sharding changes which
+    /// thread runs a session, never how often the hub wakes it.
     delivered: u64,
+    wakeups: u64,
 }
 
 /// Drives `users` sessions with any hub through one closure so the
@@ -204,7 +206,7 @@ fn single_threaded_run(texts: &[String], seed: u64, roam_after: usize) -> Run {
     );
     let stats = hub.stats();
     assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
-    collect(recs, stats.delivered)
+    collect(recs, stats.delivered, stats.wakeups)
 }
 
 fn sharded_run(texts: &[String], seed: u64, roam_after: usize, shards: usize) -> Run {
@@ -223,15 +225,20 @@ fn sharded_run(texts: &[String], seed: u64, roam_after: usize, shards: usize) ->
     );
     let stats = hub.stats();
     assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
-    collect(recs, stats.delivered)
+    collect(recs, stats.delivered, stats.wakeups)
 }
 
-fn collect(recs: Vec<(Recorder<MoshClient>, Recorder<MoshServer>)>, delivered: u64) -> Run {
+fn collect(
+    recs: Vec<(Recorder<MoshClient>, Recorder<MoshServer>)>,
+    delivered: u64,
+    wakeups: u64,
+) -> Run {
     let mut run = Run {
         clients: Vec::new(),
         servers: Vec::new(),
         screens: Vec::new(),
         delivered,
+        wakeups,
     };
     for (client, server) in recs {
         run.screens
@@ -274,6 +281,7 @@ proptest! {
             prop_assert_eq!(sharded.screens[i].as_str(), expected.as_str());
         }
         prop_assert_eq!(sharded.delivered, reference.delivered);
+        prop_assert_eq!(sharded.wakeups, reference.wakeups);
 
         // Sessions roamed onto ONE address really do live on different
         // shards (round-robin accept: user 0 on shard 0, user 1 on 1).
@@ -300,6 +308,11 @@ fn sharded_hub_matches_dedicated_loops_byte_for_byte() {
             );
             assert_eq!(sharded.servers[i], reference.servers[i]);
         }
+        assert!(reference.wakeups > 0);
+        assert_eq!(
+            sharded.wakeups, reference.wakeups,
+            "hub wakeups at {shards} shards"
+        );
     }
 
     // And the reference itself equals dedicated per-session loops.

@@ -27,7 +27,6 @@ use mosh::ssh::{SshClient, SshServer};
 use mosh::ssp::datagram::Opened;
 use mosh::tcp::TcpEndpoint;
 use mosh::trace::replay::{BulkFlow, BULK_CLIENT, BULK_SERVER};
-use mosh_bench::SendTimer;
 
 /// Checks one endpoint against the contract as it is driven.
 struct Probe<E> {
@@ -374,33 +373,4 @@ fn replay_bulk_instruments_keep_the_contract() {
     assert!(sender.sends > 0 && receiver.sends > 0);
     sender.assert_clean();
     receiver.assert_clean();
-}
-
-/// `hub_c100k`'s client wrapper, idle (the fleet's common case) and
-/// typing (the measured subset).
-#[test]
-fn hub_c100k_send_timer_keeps_the_contract() {
-    for typing in [false, true] {
-        let mut net = net(LinkConfig::lan(), LinkConfig::lan(), 21);
-        let (client, server) = mosh_pair(21);
-        let mut client = Probe::new("SendTimer", SendTimer::new(client));
-        let mut server = Probe::new("MoshServer", server);
-        while net.now() < 9_000 {
-            let now = net.now();
-            if typing && now >= 1_000 && now.is_multiple_of(333) {
-                client.inject(|c| c.keystroke(now, b"k"));
-            }
-            step_1ms(
-                &mut net,
-                &mut [Party::new(C, &mut client), Party::new(S, &mut server)],
-            );
-        }
-        assert_eq!(
-            client.inner.samples_us().is_empty(),
-            !typing,
-            "the stopwatch runs only for typed keys"
-        );
-        client.assert_clean();
-        server.assert_clean();
-    }
 }
