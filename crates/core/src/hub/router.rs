@@ -47,10 +47,10 @@
 use super::shard::ServerHub;
 use super::snapshot::CheckpointStore;
 use super::{HubSession, HubStats, SessionId};
-use crate::session::SessionEvent;
+use crate::session::{SessionDriver, SessionEvent};
 use crate::Millis;
 use mosh_net::{
-    Channel, ChannelPoller, DistributorStatsHandle, FeedChannel, Poller, Token, UdpDistributor,
+    ChannelPoller, DistributorStatsHandle, FeedBouncer, FeedChannel, Poller, Token, UdpDistributor,
 };
 use std::collections::HashMap;
 use std::io;
@@ -214,10 +214,8 @@ pub struct ShardedHub<P: Poller> {
     /// whole life — migration and resurrection rewrite the mapping, not
     /// the id.
     sessions: Vec<Option<(usize, SessionId)>>,
-    /// Accept-time assignment cursor (round-robin).
+    /// Accept-time assignment cursor (round-robin over healthy shards).
     next_shard: usize,
-    /// Per-shard token of the distributor-shared source, when one exists.
-    shared: Vec<Token>,
     /// The persistent worker pool, spawned on the first threaded pump
     /// and shut down (signal + join) when the hub drops.
     runtime: Option<ShardRuntime>,
@@ -248,7 +246,6 @@ impl<P: Poller> ShardedHub<P> {
             shards: pollers.into_iter().map(ServerHub::new).collect(),
             sessions: Vec::new(),
             next_shard: 0,
-            shared: Vec::new(),
             runtime: None,
             failed: vec![None; n],
             dist_stats: None,
@@ -281,14 +278,27 @@ impl<P: Poller> ShardedHub<P> {
     }
 
     /// Accepts a session living on its own private source: the session
-    /// is assigned to a shard **at accept time** (round-robin) and the
-    /// source is registered on that shard's poller. Returns the global
-    /// session id.
+    /// is assigned to a shard **at accept time** (round-robin over the
+    /// shards that are not quarantined) and the source is registered on
+    /// that shard's poller. Returns the global session id.
     pub fn add_session(&mut self, channel: P::Chan) -> SessionId {
-        let shard = self.next_shard;
-        self.next_shard = (self.next_shard + 1) % self.shards.len();
+        let shard = self.next_accept_shard();
         let tok = self.shards[shard].poller_mut().add(channel);
         self.add_session_on(shard, tok)
+    }
+
+    /// The one accept cursor: round-robin over the shards that are not
+    /// quarantined (nothing pumps those, so a session accepted there
+    /// would never be served). With every shard quarantined, plain
+    /// round-robin.
+    fn next_accept_shard(&mut self) -> usize {
+        let n = self.shards.len();
+        let shard = (0..n)
+            .map(|k| (self.next_shard + k) % n)
+            .find(|&i| self.failed[i].is_none())
+            .unwrap_or(self.next_shard);
+        self.next_shard = (shard + 1) % n;
+        shard
     }
 
     /// Accepts a session sharing the source (and therefore the shard) of
@@ -305,13 +315,34 @@ impl<P: Poller> ShardedHub<P> {
     /// Accepts a session on an explicit shard and source token (the
     /// low-level accept path the other accessors build on).
     pub fn add_session_on(&mut self, shard: usize, tok: Token) -> SessionId {
-        let local = self.shards[shard].add_session(tok);
         let sid = SessionId(self.sessions.len());
+        self.sessions.push(None);
+        self.place(sid, shard, tok, SessionDriver::new());
+        sid
+    }
+
+    /// Registers global session `sid` on `shard`'s source `tok` with the
+    /// scheduling state it arrives with, tracked for checkpoints under
+    /// its global id when crash recovery is on.
+    fn place(&mut self, sid: SessionId, shard: usize, tok: Token, driver: SessionDriver) {
+        let local = self.shards[shard].add_session_with_driver(tok, driver);
         if self.checkpoints.is_some() {
             self.shards[shard].set_checkpoint_key(local, sid.0);
         }
-        self.sessions.push(Some((shard, local)));
-        sid
+        self.sessions[sid.0] = Some((shard, local));
+    }
+
+    /// Where a session on `shard`'s source `tok` lives once it moves to
+    /// `target`: a distributor-shared source is swapped for the target's
+    /// own, a private source's channel moves across. `None` when the
+    /// target has no shared source or the poller cannot release the
+    /// channel.
+    fn rehome(&mut self, shard: usize, tok: Token, target: usize) -> Option<Token> {
+        if self.shards[shard].is_shared(tok) {
+            return self.shards[target].shared_source();
+        }
+        let chan = self.shards[shard].poller_mut().extract(tok)?;
+        Some(self.shards[target].poller_mut().add(chan))
     }
 
     /// The shard a session lives on and its local id there. Panics for
@@ -324,12 +355,8 @@ impl<P: Poller> ShardedHub<P> {
         }
     }
 
-    /// Retires a session (see [`ServerHub::remove_session`]), and evicts
-    /// any substrate routing state learned for it — for a session behind
-    /// the shared socket, the distributor's source hints
-    /// ([`mosh_net::Channel::evict_hint`]), which would otherwise grow
-    /// with every client address ever served and cost later traffic from
-    /// a reused address an extra bounce hop.
+    /// Retires a session (see [`ServerHub::remove_session`], which also
+    /// evicts the distributor's source hints for its routes).
     pub fn remove_session(&mut self, sid: SessionId) {
         let Some((shard, local)) = self.sessions[sid.0].take() else {
             return; // already removed (idempotent, like the shard's own)
@@ -345,13 +372,7 @@ impl<P: Poller> ShardedHub<P> {
             }
             return;
         }
-        let evicted = self.shards[shard].remove_session(local);
-        for (tok, addr) in evicted {
-            self.shards[shard]
-                .poller_mut()
-                .channel_mut(tok)
-                .evict_hint(addr);
-        }
+        self.shards[shard].remove_session(local);
     }
 
     /// Configures a session's peer-silence timeout.
@@ -460,46 +481,25 @@ impl<P: Poller> ShardedHub<P> {
             return true;
         }
         let tok = self.shards[shard].token_of(local);
-        let is_dist = self.shared.get(shard) == Some(&tok);
-        if !is_dist && self.shards[shard].sessions_on(tok) > 1 {
+        if !self.shards[shard].is_shared(tok) && self.shards[shard].sessions_on(tok) > 1 {
             return false;
         }
         let Some(ex) = self.shards[shard].extract_session(local) else {
             return false;
         };
-        // Evict substrate hints the old shard learned for this session
-        // (same contract as removal): stale hints would keep steering
-        // the client's datagrams at a shard that no longer claims them.
-        for (t, addr) in &ex.evicted_routes {
-            self.shards[shard]
-                .poller_mut()
-                .channel_mut(*t)
-                .evict_hint(*addr);
-        }
-        let new_tok = if is_dist {
-            self.shared[to_shard]
-        } else {
-            match self.shards[shard].poller_mut().extract(tok) {
-                Some(chan) => self.shards[to_shard].poller_mut().add(chan),
-                None => {
-                    // The poller cannot release the channel: undo — the
-                    // session re-registers on its old shard, unharmed.
-                    let relocal = self.shards[shard].add_session_with_driver(tok, ex.driver);
-                    if let Some(k) = ex.ckpt_key {
-                        self.shards[shard].set_checkpoint_key(relocal, k);
-                    }
-                    self.sessions[sid.0] = Some((shard, relocal));
-                    return false;
-                }
+        match self.rehome(shard, tok, to_shard) {
+            Some(new_tok) => {
+                self.place(sid, to_shard, new_tok, ex.driver);
+                self.migrated += 1;
+                true
             }
-        };
-        let new_local = self.shards[to_shard].add_session_with_driver(new_tok, ex.driver);
-        if let Some(k) = ex.ckpt_key {
-            self.shards[to_shard].set_checkpoint_key(new_local, k);
+            None => {
+                // Nowhere to go: undo — the session re-registers on its
+                // old shard, unharmed.
+                self.place(sid, shard, tok, ex.driver);
+                false
+            }
         }
-        self.sessions[sid.0] = Some((to_shard, new_local));
-        self.migrated += 1;
-        true
     }
 
     /// Load-aware rebalancing: migrates sessions from the most-loaded
@@ -587,36 +587,26 @@ impl<P: Poller> ShardedHub<P> {
                 continue;
             };
             let old_tok = self.shards[shard].token_of(local);
-            let (target, new_tok) = if self.shared.get(shard) == Some(&old_tok) {
-                // Distributor-fed: adopt the target shard's own feed.
-                let target = healthy[rr % healthy.len()];
-                rr += 1;
-                (target, self.shared[target])
-            } else if let Some(&home) = rehomed.get(&(shard, old_tok)) {
-                home // co-located sibling: follow the channel
-            } else {
-                // The channel object itself survived the panic (the
-                // unwind was in endpoint code; the poller's sources were
-                // not mid-mutation) — pull it out of the dead shard.
-                match self.shards[shard].poller_mut().extract(old_tok) {
-                    Some(chan) => {
-                        let target = healthy[rr % healthy.len()];
-                        rr += 1;
-                        let t = self.shards[target].poller_mut().add(chan);
-                        rehomed.insert((shard, old_tok), (target, t));
-                        (target, t)
-                    }
-                    None => {
+            let home = match rehomed.get(&(shard, old_tok)) {
+                Some(&home) => home, // co-located sibling: follow the channel
+                None => {
+                    // A private channel survived the panic (the unwind was
+                    // in endpoint code; the poller's sources were not
+                    // mid-mutation), so it can be pulled out of the dead
+                    // shard; its co-located siblings follow it.
+                    let target = healthy[rr % healthy.len()];
+                    rr += 1;
+                    let Some(new_tok) = self.rehome(shard, old_tok, target) else {
                         self.sessions[gid] = None; // channel unrecoverable
                         continue;
+                    };
+                    if !self.shards[shard].is_shared(old_tok) {
+                        rehomed.insert((shard, old_tok), (target, new_tok));
                     }
+                    (target, new_tok)
                 }
             };
-            let new_local = self.shards[target].add_session(new_tok);
-            if self.checkpoints.is_some() {
-                self.shards[target].set_checkpoint_key(new_local, gid);
-            }
-            self.sessions[gid] = Some((target, new_local));
+            self.place(SessionId(gid), home.0, home.1, SessionDriver::new());
             self.resurrected += 1;
             out.push((SessionId(gid), framed));
         }
@@ -786,59 +776,31 @@ impl ShardedHub<ChannelPoller<FeedChannel>> {
         socket: UdpSocket,
         shards: usize,
     ) -> io::Result<(Self, UdpDistributor)> {
-        Self::over_distributor_with_capacity(socket, shards, mosh_net::FEED_CAPACITY)
-    }
-
-    /// [`ShardedHub::over_distributor`] with an explicit per-shard feed
-    /// queue bound (see `UdpDistributor::with_capacity`): a shard more
-    /// than `capacity` datagrams behind sheds new arrivals, counted in
-    /// `HubStats::feed_overflow`.
-    pub fn over_distributor_with_capacity(
-        socket: UdpSocket,
-        shards: usize,
-        capacity: usize,
-    ) -> io::Result<(Self, UdpDistributor)> {
-        let (dist, feeds) = UdpDistributor::with_capacity(socket, shards, capacity)?;
-        let mut hub = ShardedHub {
-            shards: Vec::with_capacity(feeds.len()),
-            sessions: Vec::new(),
-            next_shard: 0,
-            shared: Vec::with_capacity(feeds.len()),
-            runtime: None,
-            failed: vec![None; feeds.len()],
-            dist_stats: Some(dist.stats_handle()),
-            checkpoints: None,
-            migrated: 0,
-            resurrected: 0,
-        };
-        for feed in feeds {
-            let bouncer = feed.bouncer();
-            let mut poller = ChannelPoller::new();
-            let tok = poller.add(feed);
-            let mut shard = ServerHub::new(poller);
+        let (dist, feeds) = UdpDistributor::new(socket, shards)?;
+        let bouncers: Vec<FeedBouncer> = feeds.iter().map(FeedChannel::bouncer).collect();
+        let mut hub = ShardedHub::new(feeds.into_iter().map(ChannelPoller::solo).collect());
+        hub.dist_stats = Some(dist.stats_handle());
+        for (shard, bouncer) in hub.shards.iter_mut().zip(bouncers) {
             // Only the shared source bounces; a private source's
             // unclaimed traffic is line noise, dropped as always. The
             // hook also marks the source shared, so the shard always
             // routes it by authentication — even with a single local
             // session, a foreign client's datagram must bounce onward
             // rather than be swallowed by the wrong endpoint.
-            shard.set_unclaimed(tok, Box::new(move |dg| bouncer.bounce(dg)));
-            hub.shards.push(shard);
-            hub.shared.push(tok);
+            shard.set_unclaimed(Token(0), Box::new(move |dg| bouncer.bounce(dg)));
         }
         Ok((hub, dist))
     }
 
-    /// Accepts a session behind the shared socket, assigned to a shard
-    /// round-robin at accept time.
+    /// Accepts a session behind the shared socket, on the shard the
+    /// accept cursor picks (see [`ShardedHub::add_session`]).
     pub fn add_distributed_session(&mut self) -> SessionId {
-        assert!(
-            !self.shared.is_empty(),
-            "no distributor: build with over_distributor"
-        );
-        let shard = self.next_shard;
-        self.next_shard = (self.next_shard + 1) % self.shards.len();
-        self.add_session_on(shard, self.shared[shard])
+        let shard = self.next_accept_shard();
+        let Some(tok) = self.shards[shard].shared_source() else {
+            // mosh-lint: allow(no-unwrap-hot-path): caller bug — accept time, before any session state exists
+            panic!("no distributor: build with over_distributor");
+        };
+        self.add_session_on(shard, tok)
     }
 }
 
@@ -1016,6 +978,42 @@ mod tests {
         assert_eq!(hub.session_count(), 2, "healthy shard's sessions only");
     }
 
+    /// Nothing pumps a quarantined shard, so accept must not hand it
+    /// new sessions: every one would wait forever, uncounted.
+    #[test]
+    fn accept_skips_quarantined_shards() {
+        let mut hub = ShardedHub::with_shards(2, SimPoller::new);
+        hub.add_session(sim_world(30));
+        let doomed = hub.add_session(sim_world(31));
+        let mut bomb = PanicEndpoint;
+        hub.pump(&mut [HubSession::new(
+            doomed,
+            &mut [Party::new(C, &mut bomb)],
+            100,
+        )]);
+        assert!(hub.shard_error(1).is_some());
+
+        let sids: Vec<SessionId> = (0..4).map(|i| hub.add_session(sim_world(40 + i))).collect();
+        assert!(sids.iter().all(|sid| hub.location(*sid).0 == 0));
+        let mut users: Vec<_> = (0..4).map(|i| pair(40 + i)).collect();
+        let mut leases: Vec<[Party<'_>; 2]> = users
+            .iter_mut()
+            .map(|(c, s)| [Party::new(C, c), Party::new(S, s)])
+            .collect();
+        let mut sessions: Vec<HubSession<'_, '_>> = leases
+            .iter_mut()
+            .zip(&sids)
+            .map(|(parties, sid)| HubSession::new(*sid, parties, 400))
+            .collect();
+        hub.pump(&mut sessions);
+        drop(sessions);
+        drop(leases);
+        for (client, _) in &users {
+            assert_eq!(client.server_frame().row_text(0), "$");
+        }
+        assert_eq!(hub.session_count(), 5, "the first session and the four");
+    }
+
     #[test]
     fn inline_single_shard_pump_also_contains_the_panic() {
         let mut hub = ShardedHub::with_shards(1, SimPoller::new);
@@ -1037,28 +1035,37 @@ mod tests {
         use std::time::Instant;
 
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let (mut hub, mut dist) = ShardedHub::over_distributor_with_capacity(socket, 1, 2).unwrap();
+        let (mut hub, mut dist) = ShardedHub::over_distributor(socket, 1).unwrap();
         let server_addr = dist.local_addr();
         let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
         let peer_addr = addr_from_socket(peer.local_addr().unwrap());
-        for _ in 0..4 {
-            peer.send_to(b"flood", socket_from_addr(server_addr))
-                .unwrap();
-        }
 
-        // Nobody pumps the lone shard, so its bounded queue (capacity 2)
-        // sheds the rest — and the shedding must be visible through the
-        // hub's stats, not just the distributor's.
+        // Nobody pumps the lone shard, so its bounded queue sheds past
+        // FEED_CAPACITY — and the shedding must be visible through the
+        // hub's stats, not just the distributor's. The flood goes out in
+        // bursts, each taken off the socket before the next, so the
+        // kernel's receive buffer drops none of it.
         let start = Instant::now();
-        while hub.stats().feed_overflow < 2 {
-            assert!(
-                start.elapsed().as_secs() < 10,
-                "overflow never surfaced: {:?}",
-                hub.stats()
-            );
-            dist.pump(5);
+        let (burst, mut sent) = (64, 0);
+        while sent < mosh_net::FEED_CAPACITY + 2 {
+            for _ in 0..burst {
+                peer.send_to(b"flood", socket_from_addr(server_addr))
+                    .unwrap();
+            }
+            sent += burst;
+            while dist.stats().routed + hub.stats().feed_overflow < sent as u64 {
+                assert!(
+                    start.elapsed().as_secs() < 10,
+                    "overflow never surfaced: {:?}",
+                    hub.stats()
+                );
+                dist.pump(5);
+            }
         }
-        assert_eq!(hub.stats().feed_overflow, 2);
+        assert_eq!(
+            hub.stats().feed_overflow,
+            (sent - mosh_net::FEED_CAPACITY) as u64
+        );
         assert_eq!(hub.stats().feed_hints, 0);
 
         // A shard reply teaches the distributor a source hint; the hub's

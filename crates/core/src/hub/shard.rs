@@ -34,7 +34,7 @@ use super::snapshot::{self, CheckpointStore};
 use super::{HubSession, HubStats, SessionId};
 use crate::session::{party_at, SessionDriver, SessionEvent};
 use crate::Millis;
-use mosh_net::{Addr, Datagram, Poller, Token};
+use mosh_net::{Addr, Channel, Datagram, Poller, Token};
 use mosh_ssp::datagram::Opened;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -56,17 +56,11 @@ pub type UnclaimedHook = Box<dyn FnMut(&Datagram) -> bool + Send>;
 /// caller-owned and never move; the channel moves separately, via
 /// [`Poller::extract`] for a private source.
 pub struct ExtractedSession {
-    /// The source the session lived on (still registered in the old
-    /// shard's poller when this is returned).
-    pub token: Token,
     /// Scheduling and silence bookkeeping, moved verbatim.
     pub driver: SessionDriver,
-    /// The global checkpoint-store key the session was tracked under,
-    /// if crash recovery is on (re-track it on the destination shard).
+    /// The checkpoint-store key the session was tracked under, if crash
+    /// recovery is on.
     pub ckpt_key: Option<usize>,
-    /// Route keys that no longer point at any session — same contract
-    /// as [`ServerHub::remove_session`]'s return value.
-    pub evicted_routes: Vec<(Token, Addr)>,
 }
 
 /// Registered per-session state that outlives any single pump.
@@ -235,8 +229,13 @@ impl<P: Poller> ServerHub<P> {
 
     /// True when `tok` is a distributor-shared source (it has an
     /// unclaimed-datagram hook), so routing on it must authenticate.
-    fn is_shared(&self, tok: Token) -> bool {
+    pub(super) fn is_shared(&self, tok: Token) -> bool {
         self.unclaimed.iter().any(|(t, _)| *t == tok)
+    }
+
+    /// This shard's distributor-shared source, if it has one.
+    pub(super) fn shared_source(&self) -> Option<Token> {
+        self.unclaimed.first().map(|(t, _)| *t)
     }
 
     /// Registers a session living on source `token`. Many sessions may
@@ -265,12 +264,16 @@ impl<P: Poller> ServerHub<P> {
         sid
     }
 
-    /// Detaches a live session for migration to another shard: the slot
-    /// is retired exactly as in [`ServerHub::remove_session`], but the
-    /// scheduling state and checkpoint bookkeeping are returned to the
-    /// caller instead of dropped. The channel itself is *not* touched —
-    /// the router extracts it from this shard's poller (private source)
-    /// or re-homes the session onto the destination's shared token.
+    /// Retires a live session and hands back what moves with it: its
+    /// wheel entries become stale, and every source-address route
+    /// pointing at it is dropped, so a long-running hub's memory tracks
+    /// *live* sessions. A route no session holds any more also leaves
+    /// the substrate ([`mosh_net::Channel::evict_hint`] — a
+    /// distributor's source hint), or later traffic from that address
+    /// would keep being steered at a shard that no longer claims it.
+    /// The channel itself stays registered: the router extracts it
+    /// (private source) or re-homes the session onto the destination's
+    /// shared source.
     ///
     /// Returns `None` if the session was already removed.
     pub fn extract_session(&mut self, sid: SessionId) -> Option<ExtractedSession> {
@@ -282,59 +285,29 @@ impl<P: Poller> ServerHub<P> {
         slot.gen += 1; // invalidate any queued wheel entry
         let driver = std::mem::take(&mut slot.driver);
         let ckpt_key = slot.ckpt.take().map(|c| c.key);
-        let token = slot.token;
         self.live_sessions -= 1;
-        let mut evicted_routes = Vec::new();
-        self.routes.retain(|key, sids| {
+        let poller = &mut self.poller;
+        self.routes.retain(|&(tok, addr), sids| {
             sids.retain(|s| *s != sid);
             if sids.is_empty() {
-                evicted_routes.push(*key);
-                false
-            } else {
-                true
+                poller.channel_mut(tok).evict_hint(addr);
             }
+            !sids.is_empty()
         });
-        Some(ExtractedSession {
-            token,
-            driver,
-            ckpt_key,
-            evicted_routes,
-        })
+        Some(ExtractedSession { driver, ckpt_key })
     }
 
-    /// Retires a session (the user logged out, the session timed out):
-    /// its wheel entries become stale, its driver state is dropped, and
-    /// every source-address route pointing at it is evicted, so a
-    /// long-running hub's memory tracks *live* sessions, not historical
-    /// ones. The id is never reused; leasing a retired id panics.
-    ///
-    /// Returns the `(token, source address)` route keys that no longer
-    /// point at any session, so a front end can evict matching state of
-    /// its own (a distributor's source hints — see
-    /// `ShardedHub::remove_session`).
-    pub fn remove_session(&mut self, sid: SessionId) -> Vec<(Token, Addr)> {
-        let slot = &mut self.slots[sid.0];
-        if !slot.live {
-            return Vec::new();
+    /// Retires a session for good (the user logged out, the session
+    /// timed out): [`ServerHub::extract_session`], with the driver state
+    /// and the checkpoint dropped, so it never resurrects. The id is
+    /// never reused; leasing a retired id panics.
+    pub fn remove_session(&mut self, sid: SessionId) {
+        let Some(ex) = self.extract_session(sid) else {
+            return;
+        };
+        if let (Some(key), Some((store, _))) = (ex.ckpt_key, &self.checkpoints) {
+            store.remove(key);
         }
-        slot.live = false;
-        slot.gen += 1; // invalidate any queued wheel entry
-        slot.driver = SessionDriver::new(); // drop silence bookkeeping
-        if let (Some(ck), Some((store, _))) = (slot.ckpt.take(), self.checkpoints.as_ref()) {
-            store.remove(ck.key); // a removed session never resurrects
-        }
-        self.live_sessions -= 1;
-        let mut evicted = Vec::new();
-        self.routes.retain(|key, sids| {
-            sids.retain(|s| *s != sid);
-            if sids.is_empty() {
-                evicted.push(*key);
-                false
-            } else {
-                true
-            }
-        });
-        evicted
     }
 
     /// Configures a session's peer-silence timeout (see
@@ -458,9 +431,9 @@ impl<P: Poller> ServerHub<P> {
         // whatever arrived anywhere, re-arm everyone it woke.
         while let Some((due, sid)) = self.pop_due() {
             let Some(&i) = pos.get(&sid) else {
-                // A stale entry for a session not leased this pump
-                // (possible only if a caller abandoned a pump mid-way —
-                // defensive, not a normal path).
+                // The wheel entry of a session left out of this pump: it
+                // stays parked (this pump drops the entry; the session's
+                // next pump re-arms it).
                 continue;
             };
             self.stats.wakeups += 1;

@@ -6,6 +6,11 @@
 //! this file, where a test pinned the two equal). Version 2 carried the
 //! server's Figure 3 log — here 62 shipped pairs and 213 arrival times —
 //! between the `started` flag and the application's state.
+//!
+//! `fixtures/server_v3.snap` is the same server's version-3 snapshot,
+//! stored before the format moves again: it pins today's
+//! `snapshot_server` bytes for the server's state, whatever the
+//! in-memory layout becomes.
 
 use mosh_core::hub::snapshot::{self, SnapshotError};
 use mosh_core::{LineShell, MoshClient, MoshServer};
@@ -14,6 +19,7 @@ use mosh_net::{Addr, Channel, LinkConfig, Network, Side, SimChannel};
 use mosh_prediction::DisplayPreference;
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/server_v2.snap");
+const FIXTURE_V3: &[u8] = include_bytes!("fixtures/server_v3.snap");
 
 const C: Addr = Addr::new(1, 1000);
 const S: Addr = Addr::new(2, 60001);
@@ -133,6 +139,34 @@ fn a_v2_snapshot_restores_resumes_and_is_written_back_as_v3() {
     }
     assert!(live.activity_marker().0 > ACTIVITY_MARKER.0, "frames left");
     assert_eq!(from_v2.frame().to_text(), live.frame().to_text());
+}
+
+#[test]
+fn the_v3_fixture_is_todays_snapshot_and_resumes_like_its_v2_twin() {
+    assert_eq!(FIXTURE_V3[4..6], 3u16.to_be_bytes());
+    let (mut live, rest, now) = mid_flood();
+    assert_eq!(
+        snapshot::snapshot_server(&live),
+        FIXTURE_V3,
+        "the snapshot bytes of one server state changed"
+    );
+
+    let mut from_v3 = restore(FIXTURE_V3).expect("version 3 is read");
+    let mut from_v2 = restore(FIXTURE).expect("version 2 is read");
+    assert_eq!(from_v3.frame().to_text(), screen());
+    assert_eq!(from_v3.next_seq(), NEXT_SEQ);
+    assert_eq!(from_v3.activity_marker(), ACTIVITY_MARKER);
+    for server in [&mut live, &mut from_v3, &mut from_v2] {
+        for wire in &rest {
+            server.receive(now, C, wire);
+        }
+    }
+    for t in now..now + 400 {
+        let wires = from_v2.tick(t);
+        assert_eq!(from_v3.tick(t), wires, "v3 fixture at {t}");
+        assert_eq!(live.tick(t), wires, "live server at {t}");
+    }
+    assert_eq!(from_v3.frame().to_text(), from_v2.frame().to_text());
 }
 
 #[test]

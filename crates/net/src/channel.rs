@@ -78,8 +78,8 @@ pub trait Channel {
     /// exactly like [`Channel::send`]. The default is the portable
     /// fallback (a `send` loop); substrates that can amortize per-send
     /// bookkeeping across the batch override it (see
-    /// `feed::FeedChannel`, which checks its hint-eviction epoch once
-    /// per batch instead of once per datagram).
+    /// `feed::FeedChannel`, which takes the hint-map lock once per batch
+    /// instead of once per datagram).
     fn send_many(&mut self, from: Addr, batch: Vec<(Addr, Vec<u8>)>) {
         for (to, payload) in batch {
             self.send(from, to, payload);

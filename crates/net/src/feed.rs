@@ -18,17 +18,24 @@
 //! * **Source hints** are learned from *outbound* traffic: a Mosh server
 //!   only ever targets the source of an authentic datagram (§2.2), so
 //!   when shard `i` sends to address `X`, datagrams *from* `X` are
-//!   authenticated traffic of a session on shard `i`. The common case
-//!   routes on one hash-map lookup and is opened once, by its owner.
+//!   authenticated traffic of a session on shard `i`. Every send writes
+//!   its targets into the shared hint map, one lock per batch, so the
+//!   map follows the shard that replied last (two NAT-collided sessions
+//!   on different shards take turns; the bounce covers either). The
+//!   common case routes on one hash-map lookup and is opened once, by
+//!   its owner.
 //! * **Unhinted or mis-hinted datagrams fan out**: the receiving shard
 //!   probes its own sessions cryptographically (`Endpoint::try_open` —
 //!   one OCB open per probed key, and the winner's probe *is* its
 //!   delivery decrypt); if no local session claims the wire, the shard
 //!   **bounces** it back and the distributor forwards it to the next
-//!   shard. A wire no shard claims after a full cycle is dropped. The
-//!   plaintext is never decrypted twice by its owner, and never
-//!   misrouted: exactly the single-hub auth fallback, spread over
-//!   threads.
+//!   shard. The distributor thread alone counts the hops: it remembers
+//!   how many shards declined each datagram that has bounced (a
+//!   bounded ring keyed by a wire fingerprint, so the queues carry
+//!   plain datagrams and nothing is locked per datagram), and drops a
+//!   wire no shard claims after a full cycle. The plaintext is never
+//!   decrypted twice by its owner, and never misrouted: exactly the
+//!   single-hub auth fallback, spread over threads.
 //!
 //! Hint updates can race a bounce cycle (the hint map shifts while a
 //! datagram is mid-fan-out), which can cost one extra probe or drop that
@@ -44,13 +51,12 @@
 //! is empty and flushes each shard's batch at once: a burst still moves
 //! as one queue send per shard, and a lone keystroke waits for no timer.
 //!
-//! Every queue is **bounded** ([`FEED_CAPACITY`] by default): a stalled
-//! or unleased shard sheds its overflow (counted in
+//! Every queue is **bounded** by [`FEED_CAPACITY`]: a stalled or
+//! unleased shard sheds its overflow (counted in
 //! [`DistributorStats::overflow`]) instead of growing without bound or
-//! stalling the distributor, and hints are evicted when their session is
-//! removed (`ShardedHub::remove_session` →
-//! [`Channel::evict_hint`]), so a long-running server's maps track
-//! live sessions, not history. Because the shared socket is
+//! stalling the distributor, and a shard evicts the hints of a session
+//! it retires ([`Channel::evict_hint`]), so a long-running server's
+//! maps track live sessions, not history. Because the shared socket is
 //! nonblocking, a reply the kernel cannot take at once is lost rather
 //! than stalling its shard, and counted
 //! ([`DistributorStats::send_failed`]).
@@ -59,30 +65,21 @@ use crate::channel::{
     addr_from_socket, recv_raw, send_raw, wait_readable, Channel, PollFd, MAX_DATAGRAM,
 };
 use crate::{Addr, Datagram, Millis};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::UdpSocket;
 use std::os::unix::net::UnixDatagram;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// A datagram in flight between the distributor and a shard, with the
-/// number of shards that have already declined it.
-type Fed = (Datagram, u32);
-
-/// The fingerprint a consumed datagram's hop count is filed under:
+/// The fingerprint a bounced datagram's hop count is filed under:
 /// source address, payload length, and the wire's first 8 bytes (the
 /// clear sequence header, unique per datagram in practice — a collision
 /// requires a byte-identical duplicate, whose hop mix-up is at worst one
 /// extra or one fewer bounce hop, ordinary datagram semantics).
 type HopKey = (Addr, usize, [u8; 8]);
-
-/// How many consumed datagrams' hop counts are remembered for the
-/// bouncer: comfortably more than any one drain round, so every bounce
-/// decision made batch-wise still finds its own datagram's count.
-const HOP_MEMORY: usize = 4 * FEED_BATCH;
 
 fn hop_key(dg: &Datagram) -> HopKey {
     let mut head = [0u8; 8];
@@ -91,22 +88,22 @@ fn hop_key(dg: &Datagram) -> HopKey {
     (dg.from, dg.payload.len(), head)
 }
 
-/// What actually crosses a distributor→shard queue: a *batch* of fed
+/// What actually crosses a distributor→shard queue: a *batch* of
 /// datagrams, so one channel send moves a socket drain's worth of
 /// traffic instead of paying the queue synchronization per datagram
 /// (the `recvmmsg`/`sendmmsg` shape, carried through to the shard).
-type Batch = Vec<Fed>;
+type Batch = Vec<Datagram>;
 
 /// Most datagrams the distributor packs into one queue batch (and pulls
 /// off the socket per drain round). Keeps a single batch's latency
 /// bounded while still amortizing the queue handoff ~64× under load.
 pub(crate) const FEED_BATCH: usize = 64;
 
-/// Default bound on each distributor→shard queue and on the bounce
-/// queue, counted in **datagrams** (batches are bounded by their
-/// contents). A stalled (or this-pump-unleased) shard can hold at most
-/// this many datagrams before the distributor starts shedding new ones
-/// for it — drop-on-overflow is ordinary datagram semantics (SSP
+/// The bound on each distributor→shard queue, counted in **datagrams**
+/// (batches are bounded by their contents); the bounce queue holds this
+/// many per shard. A stalled (or this-pump-unleased) shard can hold at
+/// most this many datagrams before the distributor starts shedding new
+/// ones for it — drop-on-overflow is ordinary datagram semantics (SSP
 /// retransmits), unbounded memory under a wedged consumer is not.
 pub const FEED_CAPACITY: usize = 1024;
 
@@ -202,19 +199,8 @@ pub struct FeedChannel {
     /// consumed here): the distributor's per-shard capacity check reads
     /// it, this side decrements it as batches are taken off the queue.
     depth: Arc<AtomicUsize>,
-    inbox: VecDeque<Fed>,
-    /// Hop count of the most recently consumed datagram — the fallback
-    /// the [`FeedBouncer`] uses when a datagram has aged out of
-    /// `recent_hops`.
-    last_hops: Arc<AtomicU32>,
-    /// Hop counts of recently consumed datagrams, keyed by a cheap wire
-    /// fingerprint, so a **batching** consumer — one that drains many
-    /// datagrams before making its bounce-or-deliver decisions — still
-    /// bounces each datagram with its own hop count rather than the hop
-    /// count of whatever was consumed last. Bounded ring: delivered
-    /// datagrams' entries simply age out.
-    recent_hops: Arc<Mutex<VecDeque<(HopKey, u32)>>>,
-    bounce_tx: SyncSender<Fed>,
+    inbox: VecDeque<Datagram>,
+    bounce_tx: SyncSender<Datagram>,
     /// The writing end of the distributor's wake descriptor, handed to
     /// every [`FeedBouncer`].
     wake: Arc<UnixDatagram>,
@@ -224,21 +210,6 @@ pub struct FeedChannel {
     /// session for `X` lives on this shard (servers only target
     /// authenticated sources).
     hints: Arc<Mutex<HashMap<Addr, usize>>>,
-    /// Targets this shard has already hinted, so the steady-state send
-    /// path never touches the shared lock (only the first datagram to a
-    /// new target does). Purely shard-local: if another shard later
-    /// claims the same address (two NAT-collided sessions on different
-    /// shards), its hint wins in the shared map and any resulting
-    /// mis-route simply bounces — hints are ordering, never identity.
-    /// Valid only while `seen_epoch` matches the shared [`Self::epoch`]:
-    /// an eviction anywhere clears it lazily, so a stale entry can never
-    /// block a live session's reply from re-teaching the shared map.
-    hinted: HashSet<Addr>,
-    /// Shared hint-eviction epoch (bumped by [`Channel::evict_hint`] on
-    /// any shard).
-    epoch: Arc<AtomicU64>,
-    /// The epoch `hinted` was built under.
-    seen_epoch: u64,
 }
 
 impl FeedChannel {
@@ -251,20 +222,10 @@ impl FeedChannel {
     /// The bounce half for this shard: wire it into the shard hub's
     /// unclaimed-datagram hook so wires no local session authenticates
     /// return to the distributor instead of being dropped.
-    ///
-    /// Hop counts are carried alongside each consumed datagram (a
-    /// bounded fingerprint ring), so a **batching** consumer — one that
-    /// drains a whole burst before making its bounce-or-deliver
-    /// decisions, as `ServerHub::pump` does — still bounces every
-    /// datagram with its own hop count. A datagram that ages out of the
-    /// ring (more than `HOP_MEMORY` consumes before its decision)
-    /// falls back to the most recent hop count.
     pub fn bouncer(&self) -> FeedBouncer {
         FeedBouncer {
             tx: self.bounce_tx.clone(),
             wake: Arc::clone(&self.wake),
-            last_hops: Arc::clone(&self.last_hops),
-            recent_hops: Arc::clone(&self.recent_hops),
         }
     }
 
@@ -284,56 +245,25 @@ impl FeedChannel {
     }
 }
 
-/// Locks the hop ring, shrugging off poisoning exactly like
-/// [`lock_hints`]: every access is a short push/scan, never a
-/// multi-step update a panicking holder could have torn.
-fn lock_ring(
-    ring: &Mutex<VecDeque<(HopKey, u32)>>,
-) -> std::sync::MutexGuard<'_, VecDeque<(HopKey, u32)>> {
-    ring.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 impl Channel for FeedChannel {
     fn now(&self) -> Millis {
         self.start.elapsed().as_millis() as Millis
     }
 
+    /// Sends one reply, first hinting its target: this shard owns
+    /// `to`'s session.
     fn send(&mut self, _from: Addr, to: Addr, payload: Vec<u8>) {
-        // The authenticated-source hint: this shard owns `to`'s session.
-        // Inserted once per new target — the hot send path stays off the
-        // shared lock (one relaxed load). A hint eviction anywhere
-        // invalidates every shard's memo: without this, a shard whose
-        // memo predates the eviction could never re-teach the shared map
-        // for an address it still serves.
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        if epoch != self.seen_epoch {
-            self.hinted.clear();
-            self.seen_epoch = epoch;
-        }
-        if self.hinted.insert(to) {
-            lock_hints(&self.hints).insert(to, self.shard);
-        }
+        lock_hints(&self.hints).insert(to, self.shard);
         self.send_out(to, &payload);
     }
 
-    /// The batched transmit path: one epoch check and at most one hint-
-    /// map lock for the whole batch (new targets are hinted together),
+    /// The batched transmit path: every target hinted under one lock,
     /// then every datagram straight out the shared socket.
     fn send_many(&mut self, _from: Addr, batch: Vec<(Addr, Vec<u8>)>) {
-        let epoch = self.epoch.load(Ordering::Relaxed);
-        if epoch != self.seen_epoch {
-            self.hinted.clear();
-            self.seen_epoch = epoch;
-        }
-        let fresh: Vec<Addr> = batch
-            .iter()
-            .map(|(to, _)| *to)
-            .filter(|to| self.hinted.insert(*to))
-            .collect();
-        if !fresh.is_empty() {
+        {
             let mut map = lock_hints(&self.hints);
-            for to in fresh {
-                map.insert(to, self.shard);
+            for (to, _) in &batch {
+                map.insert(*to, self.shard);
             }
         }
         for (to, payload) in batch {
@@ -341,22 +271,11 @@ impl Channel for FeedChannel {
         }
     }
 
-    /// Takes the oldest queued datagram and files its hop count for the
-    /// [`FeedBouncer`] (per datagram, so batch-draining consumers bounce
-    /// with the right history).
     fn poll_any(&mut self) -> Option<Datagram> {
         while let Ok(batch) = self.rx.try_recv() {
             self.absorb(batch);
         }
-        let (dg, hops) = self.inbox.pop_front()?;
-        self.last_hops.store(hops, Ordering::Relaxed);
-        let mut ring = lock_ring(&self.recent_hops);
-        if ring.len() >= HOP_MEMORY {
-            ring.pop_front();
-        }
-        ring.push_back((hop_key(&dg), hops));
-        drop(ring);
-        Some(dg)
+        self.inbox.pop_front()
     }
 
     fn next_event_time(&self) -> Option<Millis> {
@@ -387,59 +306,35 @@ impl Channel for FeedChannel {
     }
 
     /// Forgets the authenticated-source hint for `addr` (its session was
-    /// removed): the shared map entry is dropped when it still points at
-    /// this shard — another shard's later claim is left alone — and the
-    /// shard-local memo always is, so a future send re-hints. Keeps a
-    /// long-running distributor's maps tracking *live* sessions, not
-    /// every client address ever replied to.
+    /// removed) when it still points at this shard — another shard's
+    /// later claim is left alone, and any shard still serving `addr`
+    /// re-hints it with its next reply. Keeps a long-running
+    /// distributor's map tracking *live* sessions, not every client
+    /// address ever replied to.
     fn evict_hint(&mut self, addr: Addr) {
-        self.hinted.remove(&addr);
-        {
-            let mut map = lock_hints(&self.hints);
-            if map.get(&addr) == Some(&self.shard) {
-                map.remove(&addr);
-            }
+        let mut map = lock_hints(&self.hints);
+        if map.get(&addr) == Some(&self.shard) {
+            map.remove(&addr);
         }
-        // Other shards may hold memo entries for `addr` from before the
-        // eviction; bump the epoch so their next send revalidates
-        // against the shared map instead of trusting a stale memo.
-        self.epoch.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Returns unclaimed datagrams to the distributor, remembering how many
-/// shards have already declined them (see [`FeedChannel::bouncer`]).
+/// Returns unclaimed datagrams to the distributor (see
+/// [`FeedChannel::bouncer`]), which counts their hops.
 #[derive(Debug, Clone)]
 pub struct FeedBouncer {
-    tx: SyncSender<Fed>,
+    tx: SyncSender<Datagram>,
     wake: Arc<UnixDatagram>,
-    last_hops: Arc<AtomicU32>,
-    recent_hops: Arc<Mutex<VecDeque<(HopKey, u32)>>>,
 }
 
 impl FeedBouncer {
-    /// Bounces one unclaimed datagram back to the distributor with its
-    /// own hop count (looked up per datagram, so batch-draining
-    /// consumers bounce correctly), and wakes the distributor so the
-    /// bounce moves on at once, not when the socket next has traffic.
-    /// Returns false when the distributor is gone or the bounce queue is
-    /// full (the caller should then count the datagram dropped — never
-    /// block a shard's event loop behind a stalled distributor).
+    /// Bounces one unclaimed datagram back to the distributor and wakes
+    /// it, so the bounce moves on at once, not when the socket next has
+    /// traffic. Returns false when the distributor is gone or the bounce
+    /// queue is full (the caller should then count the datagram dropped
+    /// — never block a shard's event loop behind a stalled distributor).
     pub fn bounce(&self, dg: &Datagram) -> bool {
-        let key = hop_key(dg);
-        let hops = {
-            let mut ring = lock_ring(&self.recent_hops);
-            // Newest match wins: a re-fed duplicate's later consume is
-            // the one this decision belongs to.
-            match ring.iter().rposition(|(k, _)| *k == key) {
-                Some(i) => {
-                    let (_, hops) = ring.remove(i).unwrap_or((key, 0));
-                    hops
-                }
-                None => self.last_hops.load(Ordering::Relaxed),
-            }
-        };
-        let queued = self.tx.try_send((dg.clone(), hops + 1)).is_ok();
+        let queued = self.tx.try_send(dg.clone()).is_ok();
         if queued {
             // Queued first, signalled second: a distributor that reads
             // the signal always finds the bounce. A full wake buffer
@@ -475,11 +370,17 @@ pub struct UdpDistributor {
     /// (they decrement as they consume): the capacity bound is enforced
     /// in datagrams even though the queues carry batches.
     depths: Vec<Arc<AtomicUsize>>,
-    /// Per-shard datagram bound (see [`FEED_CAPACITY`]).
-    capacity: usize,
     /// This round's not-yet-flushed batch per shard.
     pending: Vec<PendingBatch>,
-    bounce_rx: Receiver<Fed>,
+    bounce_rx: Receiver<Datagram>,
+    /// How many shards have declined each datagram that has bounced,
+    /// touched by this thread only. Bounded: `hop_order` lists keys
+    /// oldest first, and the oldest is forgotten past
+    /// `2 × FEED_CAPACITY` per shard — what the feed queues and the
+    /// bounce queue hold when all are full, so a datagram still mid-cycle
+    /// keeps its count. A delivered datagram's entry simply ages out.
+    hops: HashMap<HopKey, usize>,
+    hop_order: VecDeque<HopKey>,
     hints: Arc<Mutex<HashMap<Addr, usize>>>,
     cells: Arc<StatsCells>,
 }
@@ -490,31 +391,18 @@ pub struct UdpDistributor {
 /// lands on the queue).
 #[derive(Debug, Default)]
 struct PendingBatch {
-    items: Vec<Fed>,
+    items: Vec<Datagram>,
     from_socket: u64,
     from_bounce: u64,
 }
 
 impl UdpDistributor {
     /// Splits `socket` into a distributor plus one [`FeedChannel`] per
-    /// shard, with the default per-shard queue bound
-    /// ([`FEED_CAPACITY`]). The socket must already be bound; every
-    /// shard sends through it and receives from its own queue.
+    /// shard, each queue bounded by [`FEED_CAPACITY`]. The socket must
+    /// already be bound; every shard sends through it and receives from
+    /// its own queue.
     pub fn new(socket: UdpSocket, shards: usize) -> io::Result<(Self, Vec<FeedChannel>)> {
-        Self::with_capacity(socket, shards, FEED_CAPACITY)
-    }
-
-    /// [`UdpDistributor::new`] with an explicit per-shard queue bound:
-    /// a shard more than `capacity` datagrams behind sheds new arrivals
-    /// (counted in [`DistributorStats::overflow`]) instead of growing
-    /// without bound.
-    pub fn with_capacity(
-        socket: UdpSocket,
-        shards: usize,
-        capacity: usize,
-    ) -> io::Result<(Self, Vec<FeedChannel>)> {
         assert!(shards > 0, "a distributor needs at least one shard");
-        assert!(capacity > 0, "a shard queue needs room for one datagram");
         let local = addr_from_socket(socket.local_addr()?);
         // Nonblocking for good: the distributor reads until `WouldBlock`
         // and waits on readiness, and shard replies never wait on a full
@@ -529,20 +417,19 @@ impl UdpDistributor {
         // mosh-lint: allow(no-wallclock-in-sim): the distributor is a real-UDP substrate like UdpChannel; this anchors the Millis epoch every shard behind the socket shares
         let start = Instant::now();
         let hints = Arc::new(Mutex::new(HashMap::new()));
-        let epoch = Arc::new(AtomicU64::new(0));
         // Every shard produces into the one bounce queue, so size it for
         // the worst-case wave — all shards declining full queues at once
         // (hintless restart) — or declined datagrams would be dropped
         // instead of continuing the fan-out cycle.
-        let (bounce_tx, bounce_rx) = sync_channel(capacity.saturating_mul(shards));
+        let (bounce_tx, bounce_rx) = sync_channel(FEED_CAPACITY * shards);
         let mut feeds = Vec::with_capacity(shards);
         let mut depths = Vec::with_capacity(shards);
         let mut channels = Vec::with_capacity(shards);
         for shard in 0..shards {
             // Batch queues: the depth gauge bounds queued *datagrams* at
-            // `capacity`, and every batch holds at least one, so the
-            // channel itself can never see more than `capacity` batches.
-            let (tx, rx) = sync_channel::<Batch>(capacity);
+            // `FEED_CAPACITY`, and every batch holds at least one, so the
+            // channel itself can never see more batches than that.
+            let (tx, rx) = sync_channel::<Batch>(FEED_CAPACITY);
             let depth = Arc::new(AtomicUsize::new(0));
             feeds.push(tx);
             depths.push(Arc::clone(&depth));
@@ -554,15 +441,10 @@ impl UdpDistributor {
                 rx,
                 depth,
                 inbox: VecDeque::new(),
-                last_hops: Arc::new(AtomicU32::new(0)),
-                recent_hops: Arc::new(Mutex::new(VecDeque::new())),
                 bounce_tx: bounce_tx.clone(),
                 wake: Arc::clone(&wake_tx),
                 cells: Arc::clone(&cells),
                 hints: Arc::clone(&hints),
-                hinted: HashSet::new(),
-                epoch: Arc::clone(&epoch),
-                seen_epoch: 0,
             });
         }
         Ok((
@@ -573,9 +455,10 @@ impl UdpDistributor {
                 wake,
                 feeds,
                 depths,
-                capacity,
                 pending: (0..shards).map(|_| PendingBatch::default()).collect(),
                 bounce_rx,
+                hops: HashMap::new(),
+                hop_order: VecDeque::new(),
                 hints,
                 cells,
             },
@@ -663,17 +546,31 @@ impl UdpDistributor {
         }
     }
 
-    /// Forwards bounced datagrams to the next shard in their cycle, into
-    /// this round's pending batches.
+    /// Counts one more decline of each bounced datagram (an unseen one
+    /// has none) and forwards it to the next shard in its cycle, into
+    /// this round's pending batches — or drops it once every shard has
+    /// declined it.
     fn gather_bounces(&mut self) {
-        while let Ok((dg, hops)) = self.bounce_rx.try_recv() {
-            if hops as usize >= self.feeds.len() {
+        let shards = self.feeds.len();
+        while let Ok(dg) = self.bounce_rx.try_recv() {
+            let key = hop_key(&dg);
+            let hops = self.hops.get(&key).map_or(1, |h| h + 1);
+            if hops >= shards {
                 // No shard claimed it after a full fan-out cycle.
+                self.hops.remove(&key);
                 self.cells.dropped.fetch_add(1, Ordering::Relaxed);
-            } else {
-                let next = (self.base_shard(dg.from) + hops as usize) % self.feeds.len();
-                self.stage(next, (dg, hops), true);
+                continue;
             }
+            if self.hops.insert(key, hops).is_none() {
+                self.hop_order.push_back(key);
+                if self.hop_order.len() > 2 * FEED_CAPACITY * shards {
+                    if let Some(old) = self.hop_order.pop_front() {
+                        self.hops.remove(&old);
+                    }
+                }
+            }
+            let next = (self.base_shard(dg.from) + hops) % shards;
+            self.stage(next, dg, true);
         }
     }
 
@@ -686,7 +583,7 @@ impl UdpDistributor {
             match recv_raw(&self.socket, &mut self.buf[..], self.local) {
                 Ok(dg) => {
                     let shard = self.base_shard(dg.from);
-                    self.stage(shard, (dg, 0), false);
+                    self.stage(shard, dg, false);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(_) => continue,
@@ -701,14 +598,14 @@ impl UdpDistributor {
     /// drop-on-overflow is ordinary datagram semantics (SSP
     /// retransmits), and a stalled shard must never back-pressure the
     /// socket drain for everyone else.
-    fn stage(&mut self, shard: usize, fed: Fed, bounce: bool) {
+    fn stage(&mut self, shard: usize, dg: Datagram, bounce: bool) {
         let staged = &mut self.pending[shard];
         let queued = self.depths[shard].load(Ordering::Relaxed) + staged.items.len();
-        if queued >= self.capacity {
+        if queued >= FEED_CAPACITY {
             self.cells.overflow.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        staged.items.push(fed);
+        staged.items.push(dg);
         if bounce {
             staged.from_bounce += 1;
         } else {
@@ -736,8 +633,8 @@ impl UdpDistributor {
                     self.cells.routed.fetch_add(from_socket, Ordering::Relaxed);
                     self.cells.bounced.fetch_add(from_bounce, Ordering::Relaxed);
                 }
-                // Unreachable while the depth gauge holds (≤ capacity
-                // datagrams queued ⇒ ≤ capacity batches), kept as shed-
+                // Unreachable while the depth gauge holds (≤ FEED_CAPACITY
+                // datagrams queued ⇒ as many batches at most), kept as shed-
                 // not-stall defense in depth.
                 Err(TrySendError::Full(_)) => {
                     self.cells.overflow.fetch_add(len, Ordering::Relaxed);
@@ -827,28 +724,33 @@ mod tests {
     #[test]
     fn full_shard_queue_sheds_overflow_instead_of_growing() {
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let (mut dist, feeds) = UdpDistributor::with_capacity(socket, 1, 2).unwrap();
-        let server_addr = dist.local_addr();
+        let (mut dist, feeds) = UdpDistributor::new(socket, 1).unwrap();
+        let to = crate::channel::socket_from_addr(dist.local_addr());
         let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
-        for _ in 0..4 {
-            peer.send_to(b"flood", crate::channel::socket_from_addr(server_addr))
-                .unwrap();
-        }
 
-        // Nobody drains the lone shard: its queue holds two datagrams,
-        // the rest are shed and counted, and the distributor never
-        // blocks.
+        // Nobody drains the lone shard: its queue holds FEED_CAPACITY
+        // datagrams, the rest are shed and counted, and the distributor
+        // never blocks. The flood goes out in bursts, each routed or
+        // shed before the next, so the kernel's receive buffer drops
+        // none of it.
         let start = Instant::now();
-        while dist.stats().routed + dist.stats().overflow < 4 {
-            assert!(
-                start.elapsed().as_secs() < 10,
-                "datagrams never drained: {:?}",
-                dist.stats()
-            );
-            dist.pump(5);
+        let mut sent = 0;
+        while sent < FEED_CAPACITY + 4 {
+            for _ in 0..FEED_BATCH {
+                peer.send_to(b"flood", to).unwrap();
+            }
+            sent += FEED_BATCH;
+            while dist.stats().routed + dist.stats().overflow < sent as u64 {
+                assert!(
+                    start.elapsed().as_secs() < 10,
+                    "datagrams never drained: {:?}",
+                    dist.stats()
+                );
+                dist.pump(5);
+            }
         }
-        assert_eq!(dist.stats().routed, 2);
-        assert_eq!(dist.stats().overflow, 2);
+        assert_eq!(dist.stats().routed, FEED_CAPACITY as u64);
+        assert_eq!(dist.stats().overflow, (sent - FEED_CAPACITY) as u64);
         drop(feeds);
     }
 

@@ -12,13 +12,20 @@
 //!   UDP socket, routed by the distributor with cross-shard
 //!   authentication fan-out, and requires that no endpoint ever accepts
 //!   (or is even fed) a foreign datagram.
+//! * Behind that socket, a session migrates to another session's shard,
+//!   and both are resurrected from their checkpoints after that shard
+//!   panics, while both clients keep typing.
 
+use mosh::core::hub::snapshot::resurrect_server;
 use mosh::core::{
     Endpoint, HubSession, LineShell, MoshClient, MoshServer, Party, ServerHub, SessionEvent,
     SessionId, SessionLoop, ShardedHub,
 };
 use mosh::crypto::Base64Key;
-use mosh::net::{Addr, LinkConfig, Network, Poller, Side, SimChannel, SimPoller, UdpChannel};
+use mosh::net::{
+    Addr, ChannelPoller, FeedChannel, LinkConfig, Network, Poller, Side, SimChannel, SimPoller,
+    UdpChannel, UdpDistributor,
+};
 use mosh::prediction::DisplayPreference;
 use mosh::ssp::datagram::Opened;
 use proptest::prelude::*;
@@ -576,4 +583,218 @@ fn one_session_per_shard_bounces_wrong_hash_clients() {
     }
     assert_eq!(hub.session_count(), 0);
     assert_eq!(dist.hint_count(), 0, "removed sessions' hints evicted");
+}
+
+/// An endpoint whose first tick panics: the fault that quarantines the
+/// shard it is leased on.
+struct PanicEndpoint;
+
+impl Endpoint for PanicEndpoint {
+    fn receive(&mut self, _: u64, _: Addr, _: &[u8], _: &mut Vec<SessionEvent>) {}
+
+    fn tick(&mut self, _: u64, _: &mut Vec<(Addr, Vec<u8>)>, _: &mut Vec<SessionEvent>) {
+        panic!("injected endpoint panic");
+    }
+
+    fn next_wakeup(&self, now: u64) -> u64 {
+        now
+    }
+}
+
+/// One 10 ms round behind the shared socket: each server pumps on its
+/// shard's worker while this thread seats the distributor, beside a
+/// panicking endpoint leased as `bomb` when one is given.
+fn serve(
+    hub: &mut ShardedHub<ChannelPoller<FeedChannel>>,
+    dist: &mut UdpDistributor,
+    sids: &[SessionId],
+    servers: &mut [MoshServer],
+    bomb: Option<SessionId>,
+) {
+    let addr = dist.local_addr();
+    let target = hub.now(sids[0]) + 10;
+    let mut panicker = PanicEndpoint;
+    let mut leases: Vec<Vec<Party<'_>>> = servers
+        .iter_mut()
+        .map(|s| vec![Party::new(addr, s)])
+        .collect();
+    let mut leased = sids.to_vec();
+    if let Some(sid) = bomb {
+        leases.push(vec![Party::new(addr, &mut panicker)]);
+        leased.push(sid);
+    }
+    let mut sessions: Vec<HubSession<'_, '_>> = leases
+        .iter_mut()
+        .zip(&leased)
+        .map(|(parties, sid)| HubSession::new(*sid, parties, target))
+        .collect();
+    hub.pump_with(&mut sessions, || dist.pump(10));
+}
+
+/// The distributor branch of migration and crash recovery, live: two
+/// clients behind one socket, one session per shard, each client typing
+/// one key per echo. Session 0 migrates to shard 1 mid-conversation; then
+/// a panicking endpoint on shard 1's shared source quarantines it, and
+/// both sessions are rebuilt on shard 0 from their checkpoints. Both
+/// conversations finish, and no datagram is lost to a full bounce cycle.
+#[test]
+fn distributor_sessions_survive_migration_and_resurrection() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// What the test thread and one client thread share.
+    #[derive(Default)]
+    struct Typist {
+        /// Keys the test lets the client type so far.
+        allowed: AtomicUsize,
+        /// Keys whose echo the client's screen shows.
+        echoed: AtomicUsize,
+        /// Set by the test: stop pumping (and so sending).
+        hold: AtomicBool,
+        /// Set by the client while it holds.
+        held: AtomicBool,
+    }
+
+    const TEXT: &str = "abcdefghij";
+    let shown = |typed: usize| match typed {
+        0 => "$".to_string(),
+        k => format!("$ {}", &TEXT[..k]),
+    };
+    let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("server socket");
+    let server_addr = mosh::net::channel::addr_from_socket(socket.local_addr().unwrap());
+    let (mut hub, mut dist) = ShardedHub::over_distributor(socket, 2).expect("distributor");
+    hub.enable_checkpointing(50);
+    let sids = [hub.add_distributed_session(), hub.add_distributed_session()];
+    assert_eq!((hub.location(sids[0]).0, hub.location(sids[1]).0), (0, 1));
+    let mut servers: Vec<MoshServer> = (0..2)
+        .map(|i| MoshServer::new(key(i), Box::new(LineShell::new())))
+        .collect();
+
+    let typists: Arc<[Typist; 2]> = Arc::default();
+    let allow = |keys: usize| {
+        for t in typists.iter() {
+            t.allowed.store(keys, Ordering::SeqCst);
+        }
+    };
+    allow(3);
+    let clients: Vec<_> = (0..2)
+        .map(|i| {
+            let typists = typists.clone();
+            let key = key(i);
+            std::thread::spawn(move || {
+                let me = &typists[i];
+                // Client 0's source port hashes to shard 1, where its
+                // session moves: once its hint is evicted it routes
+                // straight to its new shard.
+                let channel = loop {
+                    let ch = UdpChannel::bind("127.0.0.1:0").expect("client socket");
+                    if i != 0 || ch.local_addr().port % 2 == 1 {
+                        break ch;
+                    }
+                };
+                let addr = channel.local_addr();
+                let mut client =
+                    MoshClient::new(key, server_addr, 80, 24, DisplayPreference::Never);
+                let mut sl = SessionLoop::new(channel);
+                let start = Instant::now();
+                let mut k = 0;
+                loop {
+                    assert!(
+                        start.elapsed() < Duration::from_secs(60),
+                        "client {i} stuck at {:?}",
+                        client.server_frame().row_text(0)
+                    );
+                    if me.hold.load(Ordering::SeqCst) {
+                        me.held.store(true, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_millis(1));
+                        continue;
+                    }
+                    me.held.store(false, Ordering::SeqCst);
+                    if client.server_frame().row_text(0) == shown(k) {
+                        me.echoed.store(k, Ordering::SeqCst);
+                        if k == TEXT.len() {
+                            return;
+                        }
+                        if k < me.allowed.load(Ordering::SeqCst) {
+                            client.keystroke(sl.now(), &TEXT.as_bytes()[k..=k]);
+                            k += 1;
+                        }
+                    }
+                    let t = sl.now() + 5;
+                    sl.pump_until(&mut [Party::new(addr, &mut client)], t);
+                }
+            })
+        })
+        .collect();
+
+    let start = Instant::now();
+    let mut migrated = false;
+    let mut resurrected_at: Option<Instant> = None;
+    let echoed = |keys: usize| {
+        typists
+            .iter()
+            .all(|t| t.echoed.load(Ordering::SeqCst) >= keys)
+    };
+    while clients.iter().any(|c| !c.is_finished()) {
+        assert!(start.elapsed() < Duration::from_secs(60), "timed out");
+        if let Some(at) = resurrected_at {
+            assert!(
+                at.elapsed() < Duration::from_secs(10),
+                "no convergence within 10 s of the resurrection"
+            );
+        }
+        if !migrated && echoed(3) {
+            // Quiet client 0 and drain shard 0 first, so none of its
+            // datagrams is still queued there when the session leaves.
+            typists[0].hold.store(true, Ordering::SeqCst);
+            while !typists[0].held.load(Ordering::SeqCst) {
+                assert!(start.elapsed() < Duration::from_secs(60), "never held");
+                serve(&mut hub, &mut dist, &sids, &mut servers, None);
+            }
+            for _ in 0..5 {
+                serve(&mut hub, &mut dist, &sids, &mut servers, None);
+            }
+            assert!(hub.migrate_session(sids[0], 1), "migration refused");
+            migrated = true;
+            allow(6);
+            typists[0].hold.store(false, Ordering::SeqCst);
+        }
+        let bomb = (migrated && resurrected_at.is_none() && echoed(6))
+            .then(|| hub.add_session_sharing(sids[1]));
+        serve(&mut hub, &mut dist, &sids, &mut servers, bomb);
+
+        if bomb.is_some() {
+            assert!(
+                hub.shard_error(1).is_some(),
+                "the panic quarantined shard 1"
+            );
+            let recovered = hub.resurrect_quarantined();
+            let ids: Vec<SessionId> = recovered.iter().map(|(sid, _)| *sid).collect();
+            assert_eq!(ids, sids, "the panicker had no checkpoint");
+            for (server, (sid, framed)) in servers.iter_mut().zip(&recovered) {
+                assert_eq!(hub.location(*sid).0, 0);
+                *server = resurrect_server(framed, Box::new(LineShell::new()))
+                    .expect("checkpoint decodes");
+            }
+            resurrected_at = Some(Instant::now());
+            allow(TEXT.len());
+        }
+    }
+    for c in clients {
+        c.join().expect("client thread");
+    }
+
+    assert!(resurrected_at.is_some());
+    for (i, server) in servers.iter().enumerate() {
+        assert_eq!(server.frame().row_text(0), shown(TEXT.len()), "server {i}");
+    }
+    let stats = hub.stats();
+    assert_eq!(stats.sessions_migrated, 1, "{stats:?}");
+    assert_eq!(stats.sessions_resurrected, 2, "{stats:?}");
+    assert_eq!(stats.shard_panics, 1, "{stats:?}");
+    // Client 0's first hello hashed to shard 1 and was bounced on; no
+    // wire went round every shard unclaimed.
+    assert!(stats.feed_bounced >= 1, "{stats:?}");
+    assert_eq!(stats.feed_dropped, 0, "{stats:?}");
 }
