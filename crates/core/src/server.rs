@@ -222,10 +222,8 @@ impl MoshServer {
         }
         // Apply newly arrived user events to the application/terminal.
         // Split borrows twice over: the remote user stream is iterated in
-        // place (it holds every event of the session, so cloning it per
-        // datagram would cost ever more as the session ages), and the
-        // terminal is the transport's own current state, mutated in place
-        // alongside it.
+        // place, and the terminal is the transport's own current state,
+        // mutated in place alongside it.
         let Self {
             transport,
             app,
@@ -236,6 +234,9 @@ impl MoshServer {
             ..
         } = self;
         let (terminal, remote) = transport.split_states();
+        // The receiver prunes what its oldest retained state holds; that
+        // state is never newer than the last one applied here.
+        debug_assert!(remote.base_index() <= *applied_through);
         for (idx, ev) in remote.events_from(*applied_through) {
             match ev {
                 UserEvent::Keystroke(bytes) => {
@@ -843,20 +844,28 @@ pub(crate) mod tests {
         assert_eq!(server.frame().to_text(), restored.frame().to_text());
     }
 
-    /// Snapshot size of a server whose shell has run `yes` until `until`,
-    /// with a client acknowledging its frames or with nobody listening.
-    fn snapshot_len_after_flooding(heard: bool, until: Millis) -> usize {
+    /// Snapshot size at `until` of a server whose shell runs `yes` (with a
+    /// client acknowledging its frames, or with nobody listening), or,
+    /// without `flood`, whose client types one key every 50 ms: a letter
+    /// and Backspace in turn, so the screen stays put while the input
+    /// history grows.
+    fn snapshot_len_at(until: Millis, flood: bool, heard: bool) -> usize {
         let mut shell = LineShell::new();
         let mut input = UserStream::new();
-        if heard {
+        if flood && heard {
             input.push_keystroke(b"yes\r");
-        } else {
+        } else if flood {
             shell.on_input(0, b"yes\r"); // nobody to type it
         }
         let mut server = MoshServer::new(key(), Box::new(shell));
         let mut client = client_transport();
         client.set_current_state(input, 0);
         for now in 0..until {
+            if !flood && now % 50 == 0 {
+                let key: &[u8] = if now % 100 == 0 { b"a" } else { b"\x7f" };
+                client.current_state_mut().push_keystroke(key);
+                client.commit_current(now);
+            }
             if heard {
                 pump(&mut client, &mut server, now);
             }
@@ -870,12 +879,12 @@ pub(crate) mod tests {
 
     #[test]
     fn snapshot_size_does_not_grow_with_session_age() {
-        for heard in [true, false] {
-            let young = snapshot_len_after_flooding(heard, 5_000);
-            let old = snapshot_len_after_flooding(heard, 60_000);
+        for (flood, heard) in [(true, true), (true, false), (false, true)] {
+            let young = snapshot_len_at(5_000, flood, heard);
+            let old = snapshot_len_at(60_000, flood, heard);
             assert!(
                 old.abs_diff(young) < 2_000,
-                "heard {heard}: {young} B after 5 s of flood, {old} B after 60 s"
+                "flood {flood}, heard {heard}: {young} B after 5 s, {old} B after 60 s"
             );
         }
     }

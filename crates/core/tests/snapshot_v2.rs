@@ -120,7 +120,7 @@ fn a_v2_snapshot_restores_resumes_and_is_written_back_as_v3() {
     let v3 = snapshot::snapshot_server(&from_v2);
     assert_eq!(v3[4..6], 3u16.to_be_bytes());
     assert_eq!(v3, snapshot::snapshot_server(&live));
-    assert_eq!(FIXTURE.len() - v3.len(), 533);
+    assert_eq!(FIXTURE.len() - v3.len(), 563);
 
     // It resumes as a v3 round trip of that server does. The paste's
     // other two fragments complete the instruction whose first the

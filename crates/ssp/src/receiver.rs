@@ -8,7 +8,7 @@
 //! will retransmit from an acknowledged state).
 
 use crate::instruction::Instruction;
-use crate::sender::{decode_states, encode_states, TimestampedState};
+use crate::sender::{decode_states, encode_states, subtract_oldest, TimestampedState};
 use crate::state::SyncState;
 use crate::wire::{put_varint, Reader};
 use crate::Millis;
@@ -72,15 +72,19 @@ impl<R: SyncState> Receiver<R> {
 
     /// Reads a receiver written by [`Receiver::encode_into`]. `None` when
     /// the state list is empty or its numbers are not strictly increasing.
+    /// A snapshot written before receivers pruned is pruned here, so a
+    /// restored receiver re-encodes as a live one would.
     pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(Receiver {
+        let mut receiver = Receiver {
             states: decode_states(r)?,
             stats: ReceiverStats {
                 applied: r.varint().ok()?,
                 duplicates: r.varint().ok()?,
                 missing_source: r.varint().ok()?,
             },
-        })
+        };
+        receiver.prune();
+        Some(receiver)
     }
 
     /// Receiver counters.
@@ -103,6 +107,10 @@ impl<R: SyncState> Receiver<R> {
         // Throwaway: the sender promises never to reference older states.
         let keep_from = instruction.throwaway_num;
         self.states.retain(|s| s.num >= keep_from);
+        // Before any early return, so every path leaves the list pruned;
+        // a state inserted below is built on a pruned source, so it is
+        // pruned too.
+        self.prune();
         if self.states.is_empty() {
             // Defensive: the protocol never throws away the sender's own
             // diff source, so this indicates a misbehaving peer; without
@@ -167,6 +175,17 @@ impl<R: SyncState> Receiver<R> {
             new_state: true,
             advanced,
             duplicate_data: false,
+        }
+    }
+
+    /// Reclaims the history every retained state shares with the oldest,
+    /// as Mosh's receiver does after each receive (the sender runs the
+    /// same pass on each ack). The application has already consumed that
+    /// history, and a diff applies to a pruned state as it did to the
+    /// whole one. Skipped for states whose `subtract` is a no-op.
+    fn prune(&mut self) {
+        if R::SUBTRACTS {
+            subtract_oldest(&mut self.states);
         }
     }
 }

@@ -81,6 +81,20 @@ pub(crate) fn decode_states<S: SyncState>(r: &mut Reader<'_>) -> Option<Vec<Time
     (!states.is_empty()).then_some(states)
 }
 
+/// Subtracts the oldest of `states` from every other, then from itself
+/// through a clone: the pass each end runs to reclaim the history its
+/// retained states share. A no-op on an empty list.
+pub(crate) fn subtract_oldest<S: SyncState>(states: &mut [TimestampedState<S>]) {
+    let Some((first, rest)) = states.split_first_mut() else {
+        return;
+    };
+    for s in rest {
+        s.state.subtract(&first.state);
+    }
+    let p = first.state.clone();
+    first.state.subtract(&p);
+}
+
 /// What the sender wants transmitted this tick.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Outgoing {
@@ -350,13 +364,8 @@ impl<S: SyncState> Sender<S> {
         if !S::SUBTRACTS {
             return;
         }
-        let (first, rest) = self.sent_states.split_first_mut().expect("never empty");
-        self.current.subtract(&first.state);
-        for s in rest {
-            s.state.subtract(&first.state);
-        }
-        let p = first.state.clone();
-        first.state.subtract(&p);
+        self.current.subtract(&self.sent_states[0].state);
+        subtract_oldest(&mut self.sent_states);
     }
 
     /// True if the current state has not been shipped yet. While a resync

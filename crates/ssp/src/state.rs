@@ -43,10 +43,11 @@ impl std::error::Error for StateError {}
 /// state, not a log of everything that happened.
 pub trait SyncState: Clone {
     /// True when [`SyncState::subtract`] actually reclaims memory for
-    /// this type. The sender consults it to skip the snapshot clones the
-    /// subtraction pass needs: for states whose `subtract` is the default
-    /// no-op (terminal screens), pruning acknowledged history would clone
-    /// whole snapshots for nothing on every ack.
+    /// this type. The sender and the receiver consult it to skip the
+    /// snapshot clones the subtraction pass needs: for states whose
+    /// `subtract` is the default no-op (terminal screens), pruning shared
+    /// history would clone whole snapshots for nothing on every ack and
+    /// every receive.
     const SUBTRACTS: bool = false;
 
     /// Computes the logical diff that transforms `source` into `self`.
@@ -85,7 +86,8 @@ pub trait SyncState: Clone {
 
     /// Discards the portion of history covered by `prefix`, which both ends
     /// are known to share. Memory reclamation only — must never change what
-    /// [`SyncState::diff_from`] produces. Defaults to a no-op.
+    /// [`SyncState::diff_from`] produces, nor what [`SyncState::apply_diff`]
+    /// makes of a diff. Defaults to a no-op.
     fn subtract(&mut self, _prefix: &Self) {}
 }
 

@@ -120,7 +120,8 @@ impl UserStream {
 
 impl SyncState for UserStream {
     /// `subtract` genuinely prunes acknowledged history here (global
-    /// indices make it invisible to diffs), so the sender runs it.
+    /// indices make it invisible to diffs), so the sender and the receiver
+    /// run it.
     const SUBTRACTS: bool = true;
 
     /// Every intervening event from `source`'s end to ours, with the
@@ -129,9 +130,8 @@ impl SyncState for UserStream {
         let start = source.end_index().max(self.base);
         let mut out = Vec::new();
         put_varint(&mut out, start);
-        let events: Vec<&UserEvent> = self.events_from(start).map(|(_, e)| e).collect();
-        put_varint(&mut out, events.len() as u64);
-        for e in events {
+        put_varint(&mut out, self.end_index().saturating_sub(start));
+        for (_, e) in self.events_from(start) {
             Self::encode_event(&mut out, e);
         }
         out

@@ -83,9 +83,12 @@ pub fn new_frame_full_scan(initialized: bool, last: &Framebuffer, target: &Frame
 
 /// Row comparison for skip decisions: damage proof first (O(1)), content
 /// equality as the fallback — both sides of the `||` imply byte-identical
-/// rows, so enabling damage never changes the outcome, only the cost.
+/// rows, so enabling damage never changes the outcome, only the cost. The
+/// fallback compares the cells themselves, so the full-scan oracle stays a
+/// full scan whatever shortcut `Row::eq` takes.
 fn rows_match(target: &Row, sim: &Row, use_damage: bool) -> bool {
-    (use_damage && matches!(target.delta_from(sim), RowDelta::Identical)) || target == sim
+    (use_damage && matches!(target.delta_from(sim), RowDelta::Identical))
+        || target.cells() == sim.cells()
 }
 
 fn frame_diff(
@@ -195,7 +198,7 @@ fn frame_diff(
                 RowDelta::Unknown => {}
             }
         }
-        if shown != wanted {
+        if shown.cells() != wanted.cells() {
             d.diff_row(row, Some(shown.cells()), wanted.cells(), 0, width - 1);
         }
     }
