@@ -89,13 +89,6 @@ impl MoshClient {
         self.transport.open(wire).ok()
     }
 
-    /// [`MoshClient::try_open`] over a whole drained batch in one cipher
-    /// pass, appending one verdict per wire to `out` (strictly per
-    /// wire: a bad packet never affects its batch siblings).
-    pub fn try_open_many(&mut self, wires: &[&[u8]], out: &mut Vec<Option<Opened>>) {
-        out.extend(self.transport.open_many(wires).into_iter().map(Result::ok));
-    }
-
     /// Number of OCB open attempts this endpoint has performed
     /// (decrypt-once instrumentation).
     pub fn decrypt_count(&self) -> u64 {

@@ -20,7 +20,10 @@
 //!   probe is `Endpoint::try_open`, which *keeps* the verified
 //!   plaintext: the winning session consumes the already-opened token,
 //!   so an ambiguous-address datagram crosses AES-OCB **exactly once**
-//!   (the decrypt-once receive pipeline).
+//!   under its own key (the decrypt-once receive pipeline). Datagrams
+//!   are routed one at a time, in poll order, each against the hints the
+//!   datagrams before it left: a source whose owner changes costs one
+//!   failed probe, then the new owner is probed first.
 //!
 //! This is the tree's one session event loop: the single-session
 //! [`crate::session::SessionLoop`] is a `ServerHub` with one source and
@@ -38,12 +41,6 @@ use mosh_net::{Addr, Channel, Datagram, Poller, Token};
 use mosh_ssp::datagram::Opened;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-
-/// Most datagrams the pump drains from the poller before routing them as
-/// one batch — the unit of cross-packet AES/OCB batching on the receive
-/// path (matches the distributor's feed batch, so a distributor-fed
-/// shard typically opens a whole queue handoff in one cipher pass).
-const RECV_BATCH: usize = 64;
 
 /// The unclaimed-datagram hook: called with datagrams no session claims
 /// on its registered source, returning true to take ownership of the
@@ -114,20 +111,13 @@ impl TimerWheel {
 }
 
 /// Buffers one [`ServerHub::pump`] reuses across its wakeups, so the
-/// event loop allocates per pump, not per wakeup or per drained batch.
+/// event loop allocates per pump, not per wakeup or per datagram.
 #[derive(Default)]
 struct PumpScratch {
     /// Leases to re-tick after this wakeup's deliveries, and the same set
     /// as a per-lease flag (membership without scanning `woken`).
     woken: Vec<usize>,
     is_woken: Vec<bool>,
-    /// Per drained datagram: the speculative probe's `(lease, verdict)`.
-    spec: Vec<Option<(usize, Option<Opened>)>>,
-    /// `(lease, party position, drained index)` of every datagram that
-    /// gets a speculative probe; sorted, a run per endpoint.
-    grouped: Vec<(usize, usize, usize)>,
-    /// One endpoint's batch verdicts.
-    opened: Vec<Option<Opened>>,
     /// [`ServerHub::route`]'s hinted candidates for one datagram.
     hinted: Vec<usize>,
 }
@@ -373,6 +363,12 @@ impl<P: Poller> ServerHub<P> {
     /// parked: their state persists, but datagrams arriving for them are
     /// dropped like any unclaimed traffic.
     ///
+    /// Each wakeup drains the poller one datagram at a time: `poll_any`,
+    /// then `route` (hinted candidates first, one `try_open` per probe),
+    /// then delivery to the winner (the raw wire, or the token its
+    /// routing probe opened). The arrival time is the source clock when
+    /// the datagram is polled.
+    ///
     /// Only what is due is ticked. A session opens the pump with a tick
     /// only if the wakeup it reported when last re-armed has come, or its
     /// endpoints now report one that has (caller input since the last
@@ -384,7 +380,6 @@ impl<P: Poller> ServerHub<P> {
     pub fn pump(&mut self, sessions: &mut [HubSession<'_, '_>]) -> Vec<(SessionId, SessionEvent)> {
         let mut events: Vec<(SessionId, SessionEvent)> = Vec::new();
         let mut scratch: Vec<SessionEvent> = Vec::new();
-        let mut drained: Vec<(Token, Millis, Datagram)> = Vec::with_capacity(RECV_BATCH);
         let mut ps = PumpScratch {
             is_woken: vec![false; sessions.len()],
             ..PumpScratch::default()
@@ -440,66 +435,46 @@ impl<P: Poller> ServerHub<P> {
             let tok = self.slots[sid.0].token;
             self.poller.wait_until(tok, due);
 
-            // Route and deliver everything that arrived, on any source —
-            // drained up to RECV_BATCH at a time so hinted datagrams bound
-            // for the same endpoint cross AES-OCB as one batched cipher
-            // call (`speculate`), then consumed strictly in arrival order.
-            // Arrival timestamps are captured at drain time, so batching
-            // is observably identical to the sequential loop it replaced.
-            loop {
-                drained.clear();
-                while drained.len() < RECV_BATCH {
-                    let Some((t2, dg)) = self.poller.poll_any() else {
-                        break;
-                    };
-                    let at = self.poller.now(t2);
-                    drained.push((t2, at, dg));
-                }
-                if drained.is_empty() {
-                    break;
-                }
-                self.speculate(&drained, sessions, &to_index, &mut ps);
-                for (idx, (t2, at, dg)) in drained.iter().enumerate() {
-                    let spec = ps.spec[idx].take();
-                    match self.route(*t2, dg, sessions, &to_index, spec, &mut ps.hinted) {
-                        Some((j, opened)) => {
-                            let sj = sessions[j].id;
-                            scratch.clear();
-                            let driver = &mut self.slots[sj.0].driver;
-                            match opened {
-                                // Ambiguous address: the routing probe
-                                // already opened the datagram — deliver the
-                                // plaintext token, never a second decrypt.
-                                Some(op) => driver.deliver_opened(
-                                    sessions[j].parties,
-                                    *at,
-                                    dg.from,
-                                    dg.to,
-                                    op,
-                                    &mut scratch,
-                                ),
-                                None => driver.deliver(sessions[j].parties, *at, dg, &mut scratch),
-                            };
-                            self.stats.delivered += 1;
-                            events.extend(scratch.drain(..).map(|e| (sj, e)));
-                            ps.wake(j);
-                        }
-                        None => {
-                            let bounced = self
-                                .unclaimed
-                                .iter_mut()
-                                .find(|(t, _)| *t == *t2)
-                                .is_some_and(|(_, hook)| hook(dg));
-                            if bounced {
-                                self.stats.bounced += 1;
-                            } else {
-                                self.stats.dropped += 1;
-                            }
+            // Route and deliver everything that arrived, on any source, in
+            // poll order: each datagram's routing decision is made once,
+            // against the hints every earlier datagram left behind.
+            while let Some((t2, dg)) = self.poller.poll_any() {
+                let at = self.poller.now(t2);
+                match self.route(t2, &dg, sessions, &to_index, &mut ps.hinted) {
+                    Some((j, opened)) => {
+                        let sj = sessions[j].id;
+                        scratch.clear();
+                        let driver = &mut self.slots[sj.0].driver;
+                        match opened {
+                            // Ambiguous address: the routing probe already
+                            // opened the datagram — deliver the plaintext
+                            // token, never a second decrypt.
+                            Some(op) => driver.deliver_opened(
+                                sessions[j].parties,
+                                at,
+                                dg.from,
+                                dg.to,
+                                op,
+                                &mut scratch,
+                            ),
+                            None => driver.deliver(sessions[j].parties, at, &dg, &mut scratch),
+                        };
+                        self.stats.delivered += 1;
+                        events.extend(scratch.drain(..).map(|e| (sj, e)));
+                        ps.wake(j);
+                    }
+                    None => {
+                        let bounced = self
+                            .unclaimed
+                            .iter_mut()
+                            .find(|(t, _)| *t == t2)
+                            .is_some_and(|(_, hook)| hook(&dg));
+                        if bounced {
+                            self.stats.bounced += 1;
+                        } else {
+                            self.stats.dropped += 1;
                         }
                     }
-                }
-                if drained.len() < RECV_BATCH {
-                    break; // the poller ran dry mid-batch
                 }
             }
 
@@ -635,75 +610,6 @@ impl<P: Poller> ServerHub<P> {
         None
     }
 
-    /// Plans and executes the batched speculative probes for one drained
-    /// receive batch — the cross-packet AES/OCB seam on the hub's receive
-    /// path. Datagrams that must be routed by authentication *and* whose
-    /// source carries a usable hint are grouped by (lease, receiving
-    /// party) and opened with **one** [`crate::session::Endpoint::try_open_many`]
-    /// call per group, so their AES blocks interleave in the cipher
-    /// lanes. Each speculative verdict is exactly the probe [`ServerHub::route`]
-    /// would have run first for that datagram; `route` consumes it instead
-    /// of re-opening. Cold datagrams (no hint — including every
-    /// adversarial injection from an unknown source), raw fast-path
-    /// datagrams, and unclaimed addresses are deliberately left out: they
-    /// take the sequential path unchanged, preserving the hub's exact
-    /// decrypt accounting (one cold probe per new source, zero decrypts on
-    /// the private fast path). A failed speculative probe (`None` verdict,
-    /// e.g. one tampered wire inside the batch) fails *alone*: its verdict
-    /// slot is per-datagram, so siblings in the same cipher call still
-    /// deliver.
-    fn speculate(
-        &self,
-        drained: &[(Token, Millis, Datagram)],
-        sessions: &mut [HubSession<'_, '_>],
-        to_index: &HashMap<(Token, Addr), Vec<usize>>,
-        ps: &mut PumpScratch,
-    ) {
-        ps.spec.clear();
-        ps.spec.resize_with(drained.len(), || None);
-        // Group the hinted auth-path datagrams by the endpoint their hint
-        // front names: (lease index, party position).
-        ps.grouped.clear();
-        for (idx, (tok, _, dg)) in drained.iter().enumerate() {
-            let Some(cands) = to_index.get(&(*tok, dg.to)) else {
-                continue; // unclaimed: never decrypted here
-            };
-            if cands.len() == 1 && !self.is_shared(*tok) {
-                continue; // raw fast path: the hub never decrypts these
-            }
-            let Some(j) = self.routes.get(&(*tok, dg.from)).and_then(|sids| {
-                sids.iter()
-                    .find_map(|sid| cands.iter().copied().find(|&j| sessions[j].id == *sid))
-            }) else {
-                continue; // cold source: sequential probing (the +1 probe)
-            };
-            let Some(pp) = sessions[j].parties.iter().position(|p| p.addr == dg.to) else {
-                continue;
-            };
-            ps.grouped.push((j, pp, idx));
-        }
-        // Endpoints in (lease, party) order, each one's datagrams in
-        // arrival order.
-        ps.grouped.sort_unstable();
-        for group in ps.grouped.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let (j, pp, _) = group[0];
-            let wires: Vec<&[u8]> = group
-                .iter()
-                .map(|&(_, _, idx)| drained[idx].2.payload.as_slice())
-                .collect();
-            ps.opened.clear();
-            sessions[j].parties[pp]
-                .endpoint
-                .try_open_many(&wires, &mut ps.opened);
-            // Zip stops at the shorter side: a misbehaving endpoint that
-            // returns fewer verdicts than wires only downgrades the tail
-            // to the sequential path, never mis-attributes a verdict.
-            for (&(_, _, idx), op) in group.iter().zip(ps.opened.drain(..)) {
-                ps.spec[idx] = Some((j, op));
-            }
-        }
-    }
-
     /// Decides which leased session a datagram belongs to, returning the
     /// lease index and — when authentication had to decide — the
     /// already-opened datagram token.
@@ -725,23 +631,12 @@ impl<P: Poller> ServerHub<P> {
     ///    against one key; roaming collisions degrade to trying every
     ///    candidate. No candidate authenticates → unclaimed: bounced to
     ///    the distributor when the source has a hook, dropped otherwise.
-    ///
-    /// `spec` carries the batched speculative probe for this datagram, if
-    /// [`ServerHub::speculate`] ran one: `(lease, verdict)` where the
-    /// verdict is what `try_open` against that lease would return. The
-    /// probe loop *consumes* it when it reaches that lease — at whatever
-    /// hint position the lease occupies by then — so a datagram never
-    /// crosses the cipher twice even when an earlier datagram in the same
-    /// batch reordered the hints. (The one cost of that rare mid-batch
-    /// roam: the moved hint's new front is probed live, one extra decrypt
-    /// for that datagram — bounded by one per batch per roam event.)
     fn route(
         &mut self,
         tok: Token,
         dg: &Datagram,
         sessions: &mut [HubSession<'_, '_>],
         to_index: &HashMap<(Token, Addr), Vec<usize>>,
-        mut spec: Option<(usize, Option<Opened>)>,
         hinted: &mut Vec<usize>,
     ) -> Option<(usize, Option<Opened>)> {
         let cands = to_index.get(&(tok, dg.to))?;
@@ -760,23 +655,10 @@ impl<P: Poller> ServerHub<P> {
         }
         let hinted = &*hinted;
         let rest = cands.iter().copied().filter(|j| !hinted.contains(j));
-        let mut winner = None;
-        for j in hinted.iter().copied().chain(rest) {
-            let verdict = match spec.take_if(|(sj, _)| *sj == j) {
-                Some((_, verdict)) => verdict,
-                None => {
-                    let Some(p) = party_at(sessions[j].parties, dg.to) else {
-                        continue;
-                    };
-                    p.endpoint.try_open(&dg.payload)
-                }
-            };
-            if let Some(opened) = verdict {
-                winner = Some((j, opened));
-                break;
-            }
-        }
-        let (j, opened) = winner?;
+        let (j, opened) = hinted.iter().copied().chain(rest).find_map(|j| {
+            let p = party_at(sessions[j].parties, dg.to)?;
+            Some((j, p.endpoint.try_open(&dg.payload)?))
+        })?;
 
         self.stats.auth_routed += 1;
         let route = self.routes.entry((tok, dg.from)).or_default();

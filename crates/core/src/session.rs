@@ -138,13 +138,12 @@ pub trait Endpoint: Send {
         None
     }
 
-    /// The batched demux probe: [`Endpoint::try_open`] over a whole
-    /// drained receive batch, appending one verdict per wire to `out` —
-    /// strictly per wire, so one inauthentic packet never affects its
-    /// batch siblings. Crypto-capable endpoints override this to cross
-    /// the cipher once for the whole batch (interleaving AES blocks from
-    /// different packets); the default simply probes wire by wire, which
-    /// keeps wrappers' per-wire accounting exact.
+    /// [`Endpoint::try_open`] over several wires, appending one verdict
+    /// per wire to `out`. This default loop is the only implementation
+    /// in the workspace, and the hub never calls it: it routes each
+    /// datagram with one `try_open` per probe. It stays because the
+    /// benchmark's adapter (`benchmark/src/adapter.rs`) times its server
+    /// probes through it.
     fn try_open_many(&mut self, wires: &[&[u8]], out: &mut Vec<Option<Opened>>) {
         for wire in wires {
             let opened = self.try_open(wire);
@@ -234,10 +233,6 @@ impl Endpoint for MoshClient {
         MoshClient::try_open(self, wire)
     }
 
-    fn try_open_many(&mut self, wires: &[&[u8]], out: &mut Vec<Option<Opened>>) {
-        MoshClient::try_open_many(self, wires, out);
-    }
-
     fn receive_opened(
         &mut self,
         now: Millis,
@@ -295,10 +290,6 @@ impl Endpoint for MoshServer {
 
     fn try_open(&mut self, wire: &[u8]) -> Option<Opened> {
         MoshServer::try_open(self, wire)
-    }
-
-    fn try_open_many(&mut self, wires: &[&[u8]], out: &mut Vec<Option<Opened>>) {
-        MoshServer::try_open_many(self, wires, out);
     }
 
     fn receive_opened(

@@ -11,7 +11,8 @@
 //! 4) *independent* blocks in flight per round-key load; on parts with
 //! AVX-512 VAES the wide kernels push that to 16 blocks per group, four
 //! per instruction. This is what lets OCB interleave blocks drawn from
-//! different packets of a drained receive batch.
+//! different packets of one batch, such as the fragments of an
+//! instruction sealed together.
 
 use super::{Block, ROUND_KEYS};
 use std::arch::x86_64::{

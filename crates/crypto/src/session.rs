@@ -106,8 +106,8 @@ pub struct Session {
     /// Reusable plaintext buffers, lent out via [`Session::take_scratch`]
     /// and returned via [`Session::recycle_scratch`], so the steady-state
     /// per-datagram path does zero heap allocation. A small pool (not a
-    /// single buffer) because the batched receive path holds one buffer
-    /// per packet of a drained batch simultaneously.
+    /// single buffer) because the sender's `encode_many` holds one
+    /// plaintext per fragment of an instruction at once.
     scratch: Vec<Vec<u8>>,
 }
 
@@ -182,7 +182,7 @@ impl Session {
     /// Lends out a reusable plaintext buffer (empty, but with its
     /// accumulated capacity). Pair with [`Session::recycle_scratch`] so
     /// the steady-state receive path never allocates. Buffers come from
-    /// a small pool, so a batched receive can hold one per packet.
+    /// a small pool, so a sealed batch can hold one per fragment.
     pub fn take_scratch(&mut self) -> Vec<u8> {
         self.scratch.pop().unwrap_or_default()
     }

@@ -187,28 +187,6 @@ impl DatagramLayer {
         }
     }
 
-    /// Opens a whole drained receive batch in one cipher pass: the
-    /// batched twin of [`DatagramLayer::open`], with per-wire verdicts —
-    /// one bad tag never affects its batch siblings. Like `open`, this
-    /// changes no sequence, RTT, or timestamp state.
-    pub fn open_many(&mut self, wires: &[&[u8]]) -> Vec<Result<Opened, SspError>> {
-        let mut bufs: Vec<Vec<u8>> = (0..wires.len())
-            .map(|_| self.session.take_scratch())
-            .collect();
-        let verdicts = self.session.decrypt_many_into(wires, &mut bufs);
-        verdicts
-            .into_iter()
-            .zip(bufs)
-            .map(|(verdict, buf)| match verdict {
-                Ok(seq) => Ok(Opened { seq, payload: buf }),
-                Err(e) => {
-                    self.session.recycle_scratch(buf);
-                    Err(SspError::Crypto(e))
-                }
-            })
-            .collect()
-    }
-
     /// Encrypts a batch of transport payloads into wire datagrams, all
     /// stamped `now`, in one cipher pass. A batch of N is byte-identical
     /// to N batches of one: encoding never mutates the saved timestamp,
@@ -493,28 +471,6 @@ mod tests {
             assert_eq!(*wire, encode(&mut looped, 75, payload));
             assert_eq!(decode(&mut server, 80, wire).unwrap().payload, *payload);
         }
-    }
-
-    #[test]
-    fn open_many_matches_per_packet_open() {
-        let (mut client, mut batched) = pair();
-        let (_, mut looped) = pair();
-        let good0 = encode(&mut client, 0, b"first");
-        let mut tampered = encode(&mut client, 1, b"second");
-        tampered[9] ^= 1;
-        let good1 = encode(&mut client, 2, b"third");
-        let wires: Vec<&[u8]> = vec![&good0, &tampered, &[0u8; 5], &good1];
-        let opened = batched.open_many(&wires);
-        for (wire, batch_verdict) in wires.iter().zip(opened) {
-            match (batch_verdict, looped.open(wire)) {
-                (Ok(a), Ok(b)) => assert_eq!((a.seq, &a.payload), (b.seq, &b.payload)),
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("batch said {a:?}, single said {b:?}"),
-            }
-        }
-        assert_eq!(batched.decrypt_count(), looped.decrypt_count());
-        // Opening a batch, like opening one wire, consumes nothing.
-        assert_eq!(batched.max_seq_seen(), None);
     }
 
     #[test]

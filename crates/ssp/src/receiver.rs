@@ -105,16 +105,11 @@ impl<R: SyncState> Receiver<R> {
     /// Processes one instruction at `now`.
     pub fn process(&mut self, instruction: &Instruction, now: Millis) -> Processed {
         // Throwaway: the sender promises never to reference older states.
+        // One past every state we hold comes only from a misbehaving peer
+        // (the protocol never throws away the sender's own diff source):
+        // refused whole, so the list is never emptied.
         let keep_from = instruction.throwaway_num;
-        self.states.retain(|s| s.num >= keep_from);
-        // Before any early return, so every path leaves the list pruned;
-        // a state inserted below is built on a pruned source, so it is
-        // pruned too.
-        self.prune();
-        if self.states.is_empty() {
-            // Defensive: the protocol never throws away the sender's own
-            // diff source, so this indicates a misbehaving peer; without
-            // any source state we can only wait for a full retransmit.
+        if keep_from > self.latest_num() {
             self.stats.missing_source += 1;
             return Processed {
                 new_state: false,
@@ -122,6 +117,11 @@ impl<R: SyncState> Receiver<R> {
                 duplicate_data: false,
             };
         }
+        self.states.retain(|s| s.num >= keep_from);
+        // Before any early return below, so every path leaves the list pruned;
+        // a state inserted below is built on a pruned source, so it is
+        // pruned too.
+        self.prune();
 
         // Duplicate of a state we already have?
         if self.states.iter().any(|s| s.num == instruction.new_num) {

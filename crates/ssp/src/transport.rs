@@ -361,15 +361,6 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         self.datagram.open(wire)
     }
 
-    /// Opens a whole drained receive batch in one cipher pass — the
-    /// batched twin of [`Transport::open`], with strictly per-wire
-    /// verdicts (one bad tag never affects its batch siblings) and the
-    /// same non-consuming semantics: no transport, sequence, RTT, or
-    /// counter state changes.
-    pub fn open_many(&mut self, wires: &[&[u8]]) -> Vec<Result<Opened, SspError>> {
-        self.datagram.open_many(wires)
-    }
-
     /// Consumes one wire datagram received at `now`.
     pub fn receive(&mut self, now: Millis, wire: &[u8]) -> Result<ReceiveEvent, SspError> {
         match self.datagram.open(wire) {
@@ -598,32 +589,6 @@ mod tests {
         assert!(e2.new_high_seq);
         let e1 = server.receive(302, &w1[0]).unwrap();
         assert!(!e1.new_high_seq);
-    }
-
-    #[test]
-    fn open_many_matches_open_per_wire() {
-        let (mut client, mut server) = pair();
-        client.set_current_state(BlobState(vec![0x5a; 4000]), 0);
-        let wires = client.tick(8);
-        assert!(wires.len() >= 2, "state must have fragmented");
-        let mut tampered = wires[0].clone();
-        tampered[12] ^= 0xff;
-        let mut batch: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
-        batch.push(&tampered);
-        let opened = server.open_many(&batch);
-        // A second server walks the singles path; verdicts must agree.
-        let (_, mut twin) = pair();
-        for (wire, batched) in batch.iter().zip(opened) {
-            match (batched, twin.open(wire)) {
-                (Ok(a), Ok(b)) => assert_eq!((a.seq, &a.payload), (b.seq, &b.payload)),
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("batch said {a:?}, single said {b:?}"),
-            }
-        }
-        assert_eq!(server.decrypt_count(), twin.decrypt_count());
-        // open_many consumed nothing: the transport state is untouched.
-        assert_eq!(server.stats().datagrams_received, 0);
-        assert_eq!(server.stats().datagrams_rejected, 0);
     }
 
     /// `t` through its own bytes.

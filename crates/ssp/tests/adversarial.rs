@@ -10,9 +10,15 @@
 //!   work, not line noise aimed at this session),
 //! * `receive` (actual consumption) must fail *and* bump the
 //!   rejected-datagrams counter.
+//!
+//! A fifth wire is authentic but its instruction is hostile: a peer with
+//! the key telling the receiver to throw away every state it holds.
 
 use mosh_crypto::session::Direction;
 use mosh_crypto::{Base64Key, CryptoError};
+use mosh_ssp::datagram::DatagramLayer;
+use mosh_ssp::fragment::Fragment;
+use mosh_ssp::instruction::{Instruction, PROTOCOL_VERSION};
 use mosh_ssp::state::BlobState;
 use mosh_ssp::transport::Transport;
 use mosh_ssp::SspError;
@@ -125,48 +131,37 @@ fn cross_session_key_confusion_is_rejected_everywhere() {
 }
 
 #[test]
-fn bad_packets_inside_a_batch_fail_alone() {
-    // A drained receive batch carrying every attack class at once: each
-    // bad wire must fail with its precise error while its siblings open
-    // cleanly — batching must never let one packet poison another.
-    let mut client = transport(6, Direction::ToServer);
-    let mut server = transport(6, Direction::ToClient);
-    client.set_current_state(BlobState(b"keystroke".to_vec()), 0);
-    let good: Vec<Vec<u8>> = client.tick(10);
-    assert!(!good.is_empty());
-    let mut flipped = good[0].clone();
-    let last = flipped.len() - 1;
-    flipped[last] ^= 0x01;
-    let truncated = &good[0][..23];
-    let reflected = {
-        let mut s = transport(6, Direction::ToClient);
-        s.set_current_state(BlobState(b"frame".to_vec()), 0);
-        s.tick(10).into_iter().next().unwrap()
-    };
+fn an_authentic_throwaway_past_every_state_changes_nothing() {
+    // A peer holding the key seals an instruction that tells the
+    // receiver to throw away every state it holds. Honest senders never
+    // do this; the receiver must survive it with its state intact.
+    let mut client = transport(7, Direction::ToServer);
+    let mut server = transport(7, Direction::ToClient);
+    server.receive(11, &authentic_wire(&mut client)).unwrap();
+    let held = server.remote_state_num();
+    assert_eq!(server.remote_state().0, b"keystroke");
 
-    let batch: Vec<&[u8]> = vec![&good[0], &flipped, truncated, &reflected];
-    let verdicts = server.open_many(&batch);
-    assert!(verdicts[0].is_ok(), "sibling of bad packets must survive");
-    assert!(matches!(
-        verdicts[1],
-        Err(SspError::Crypto(CryptoError::BadTag))
-    ));
-    assert!(matches!(
-        verdicts[2],
-        Err(SspError::Crypto(CryptoError::Truncated))
-    ));
-    assert!(matches!(
-        verdicts[3],
-        Err(SspError::Crypto(CryptoError::BadDirection))
-    ));
-    // The truncated wire never reached OCB; the other three each cost
-    // exactly one pass. Failed probes are not rejected datagrams.
-    assert_eq!(server.decrypt_count(), 3);
-    assert_eq!(server.stats().datagrams_rejected, 0);
-    // The surviving token still consumes normally.
-    let opened = verdicts.into_iter().next().unwrap().unwrap();
-    server.recv_opened(11, opened).unwrap();
-    assert_eq!(server.stats().datagrams_received, 1);
+    let bogus = Instruction {
+        protocol_version: PROTOCOL_VERSION,
+        old_num: held,
+        new_num: held + 5,
+        ack_num: 0,
+        throwaway_num: held + 5,
+        diff: b"bogus".to_vec(),
+    };
+    let fragment = Fragment {
+        id: 100,
+        num: 0,
+        last: true,
+        contents: bogus.encode(&[]),
+    };
+    let mut sealer = DatagramLayer::new(Base64Key::from_bytes([7; 16]), Direction::ToServer);
+    sealer.skip_seq_to(client.next_seq());
+    let wire = sealer.encode_many(20, &[&fragment.encode()]).remove(0);
+    assert!(server.receive(21, &wire).is_ok(), "an authentic datagram");
+    assert_eq!(server.stats().datagrams_received, 2);
+    assert_eq!(server.remote_state_num(), held);
+    assert_eq!(server.remote_state().0, b"keystroke");
 }
 
 #[test]
@@ -184,6 +179,9 @@ fn open_then_recv_opened_consumes_exactly_like_receive() {
 
     let ev_wire = via_wire.receive(11, &wire_a).unwrap();
     let opened = via_token.open(&wire_b).unwrap();
+    // Opening an authentic wire consumes nothing.
+    assert_eq!(via_token.stats().datagrams_received, 0);
+    assert_eq!(via_token.remote_state().0, b"init");
     let ev_token = via_token.recv_opened(11, opened).unwrap();
     assert_eq!(ev_wire, ev_token);
     assert_eq!(via_wire.remote_state().0, via_token.remote_state().0);

@@ -94,15 +94,10 @@ impl Server {
 }
 
 /// A throwaway past every retained state, which only a misbehaving peer
-/// sends, empties the list: pruning it is a no-op and the instruction is
-/// counted as missing its source.
-///
-/// This pins `Receiver::process` alone. The transport above it still
-/// panics on the emptied list when it next asks for `latest_num` (see the
-/// ROADMAP open item "An authenticated throwaway past every state panics
-/// the receiving transport"), so this is not coverage for that.
+/// sends, is refused whole: the instruction is counted as missing its
+/// source and every state stays as it was.
 #[test]
-fn process_prunes_an_emptied_list_without_panicking() {
+fn a_throwaway_past_every_state_is_refused_whole() {
     let mut receiver = Receiver::new(UserStream::new());
     let mut input = UserStream::new();
     input.push_keystroke(b"a");
@@ -116,6 +111,14 @@ fn process_prunes_an_emptied_list_without_panicking() {
     };
     assert!(!receiver.process(&bogus, 10).new_state);
     assert_eq!(receiver.stats().missing_source, 1);
+    assert_eq!(receiver.latest_num(), 0);
+    // State 0 is still held: the honest instruction sourced from it applies.
+    let honest = Instruction {
+        throwaway_num: 0,
+        ..bogus
+    };
+    assert!(receiver.process(&honest, 20).new_state);
+    assert_eq!(receiver.latest_num(), 1);
 }
 
 proptest! {

@@ -342,6 +342,104 @@ fn ambiguous_datagrams_are_decrypted_exactly_once_and_transcripts_match() {
     }
 }
 
+/// Ticks `client` from `*now` until it emits, returning that burst's wires.
+fn next_burst(client: &mut MoshClient, now: &mut u64) -> Vec<Vec<u8>> {
+    loop {
+        let burst = client.tick(*now);
+        *now += 1;
+        if !burst.is_empty() {
+            return burst.into_iter().map(|(_, w)| w).collect();
+        }
+    }
+}
+
+/// Two clients NAT'd onto one source address X reach two sessions behind
+/// one server address, so only authentication tells their datagrams
+/// apart, and the hint for X names whichever session won last. A drain
+/// in which X's owner changes and then sends several datagrams costs one
+/// failed probe per change of owner, not one per datagram behind it.
+#[test]
+fn a_hint_that_moves_mid_drain_costs_one_probe_per_switch() {
+    const X: Addr = Addr::new(5, 5000);
+    let mut net = Network::new(LinkConfig::lan(), LinkConfig::lan(), 99);
+    net.register(X, Side::Client);
+    net.register(S, Side::Server);
+    let mut hub = ServerHub::new(SimPoller::new());
+    let tok = hub.poller_mut().add(SimChannel::new(net));
+    let sids: Vec<SessionId> = (0..2).map(|_| hub.add_session(tok)).collect();
+    let (mut c0, mut s0) = endpoints(0);
+    let (mut c1, mut s1) = endpoints(1);
+
+    // The wires, made off the hub: session 1's first two bursts and a
+    // paste on session 0 long enough to fragment.
+    let (mut t0, mut t1) = (0, 0);
+    c0.keystroke(0, &[b'x'; 1500]);
+    let paste = next_burst(&mut c0, &mut t0);
+    assert!(paste.len() >= 3, "the paste fragments: {}", paste.len());
+    c1.keystroke(0, b"a");
+    let first = next_burst(&mut c1, &mut t1);
+    c1.keystroke(t1, b"b");
+    let second = next_burst(&mut c1, &mut t1);
+
+    // Which session owns each datagram, in the order they land.
+    let mut owners: Vec<usize> = Vec::new();
+    let mut land = |hub: &mut ServerHub<SimPoller>,
+                    drain: Vec<(usize, Vec<u8>)>,
+                    servers: [&mut MoshServer; 2]| {
+        for (owner, wire) in drain {
+            owners.push(owner);
+            hub.poller_mut()
+                .channel_mut(tok)
+                .network_mut()
+                .send(X, S, wire);
+        }
+        let target = hub.now(sids[0]) + 10;
+        let [s0, s1] = servers;
+        let mut p0 = [Party::new(S, s0)];
+        let mut p1 = [Party::new(S, s1)];
+        hub.pump(&mut [
+            HubSession::new(sids[0], &mut p0, target),
+            HubSession::new(sids[1], &mut p1, target),
+        ]);
+    };
+    // Session 1 wins X first (a cold probe of session 0 misses). Then
+    // one drain: session 0's fragments, then session 1 again.
+    land(
+        &mut hub,
+        first.into_iter().map(|w| (1, w)).collect(),
+        [&mut s0, &mut s1],
+    );
+    let drain: Vec<(usize, Vec<u8>)> = paste
+        .into_iter()
+        .map(|w| (0, w))
+        .chain(second.into_iter().map(|w| (1, w)))
+        .collect();
+    land(&mut hub, drain, [&mut s0, &mut s1]);
+
+    let received =
+        s0.transport_stats().datagrams_received + s1.transport_stats().datagrams_received;
+    assert_eq!(received, owners.len() as u64);
+    assert_eq!(
+        s0.last_heard(),
+        s1.last_heard(),
+        "the second drain landed at one instant"
+    );
+    // With no hint, session 0 is probed first: that is the owner before
+    // the first datagram.
+    let switches = std::iter::once(0)
+        .chain(owners.iter().copied())
+        .collect::<Vec<_>>()
+        .windows(2)
+        .filter(|w| w[0] != w[1])
+        .count() as u64;
+    assert_eq!(switches, 3);
+    assert_eq!(
+        s0.decrypt_count() + s1.decrypt_count(),
+        received + switches,
+        "one failed probe per change of owner"
+    );
+}
+
 /// The same bar through the sharded runtime: two sessions sharing one
 /// world and one server address are co-located on one shard at accept
 /// time (a shared source has exactly one owning thread), a third
