@@ -1,12 +1,12 @@
-//! Constant-time bitsliced AES-128 — the portable software tier.
+//! Constant-time bitsliced AES-128 — the software tier for hosts without
+//! hardware AES.
 //!
-//! This replaces the former 32-bit T-table tier, which traded away
-//! timing safety for speed: 4 KiB of key/data-indexed table loads is the
-//! classic AES cache-timing side channel. Here the state of up to four
-//! blocks is transposed into eight 64-bit *bit-planes* (plane `p` holds
-//! bit `p` of every state byte of every lane) and each round is computed
-//! with word-wide boolean algebra only — XOR, AND, rotate by public
-//! constants. No data- or key-dependent memory access or branch exists
+//! A table-driven AES trades away timing safety for speed: 4 KiB of
+//! key/data-indexed table loads is the classic AES cache-timing side
+//! channel. Here the state of up to four blocks is transposed into eight
+//! 64-bit *bit-planes* (plane `p` holds bit `p` of every state byte of
+//! every lane) and each round is computed with word-wide boolean algebra
+//! only — XOR, AND, rotate by public constants. No data- or key-dependent memory access or branch exists
 //! anywhere in the block path, including `SubBytes`, which evaluates the
 //! S-box as a GF(2^8) inversion circuit (Fermat: `x^254`) plus the
 //! affine map instead of a table lookup.
@@ -17,12 +17,10 @@
 //! rotations and `MixColumns`' row-shifted reads are whole-word
 //! rotations by multiples of 16 — both free of per-byte shuffles.
 //!
-//! The natural unit is a 4-block group, which is exactly the shape the
-//! cross-packet batch seam ([`super::BlockCipher::encrypt_blocks`])
-//! feeds: OCB gathers blocks from many packets and this tier crunches
-//! them four at a time. Single-block calls run a group with three idle
-//! lanes — correct, constant-time, and 4x wasteful, which is the
-//! documented cost of timing safety on hosts without hardware AES.
+//! The circuit's natural unit is a 4-block group, but OCB asks for one
+//! block at a time, so each call runs a group with three idle lanes —
+//! correct, constant-time, and 4x wasteful, which is the documented cost
+//! of timing safety on hosts without hardware AES.
 
 use super::{expand_key, Block, BlockCipher, ROUND_KEYS};
 
@@ -83,20 +81,6 @@ impl Aes128 {
         one[0]
     }
 
-    /// Encrypts every block in place, four lanes at a time.
-    pub fn encrypt_blocks(&self, blocks: &mut [Block]) {
-        for group in blocks.chunks_mut(LANES) {
-            self.encrypt_group(group);
-        }
-    }
-
-    /// Decrypts every block in place, four lanes at a time.
-    pub fn decrypt_blocks(&self, blocks: &mut [Block]) {
-        for group in blocks.chunks_mut(LANES) {
-            self.decrypt_group(group);
-        }
-    }
-
     /// One group (1–4 blocks) through the forward cipher.
     fn encrypt_group(&self, blocks: &mut [Block]) {
         let mut s = slice(blocks);
@@ -144,14 +128,6 @@ impl BlockCipher for Aes128 {
 
     fn decrypt_block(&self, block: &Block) -> Block {
         Aes128::decrypt_block(self, block)
-    }
-
-    fn encrypt_blocks(&self, blocks: &mut [Block]) {
-        Aes128::encrypt_blocks(self, blocks)
-    }
-
-    fn decrypt_blocks(&self, blocks: &mut [Block]) {
-        Aes128::decrypt_blocks(self, blocks)
     }
 }
 

@@ -5,27 +5,21 @@
 //! * **Hardware AES** (`ni`, AES-NI on x86-64) — when the CPU
 //!   advertises the `aes` feature (detected once at key expansion,
 //!   cached in the backend choice), [`Aes128`] dispatches to
-//!   `AESENC`/`AESDEC` instructions. The batch entry points
-//!   ([`BlockCipher::encrypt_blocks`]/[`BlockCipher::decrypt_blocks`])
-//!   interleave 8 independent blocks per round-key load — or, on parts
-//!   with AVX-512 VAES, 16 blocks as four zmm lanes of four blocks per
-//!   instruction — so blocks drawn from *different* packets fill the
-//!   AES unit's pipeline instead of serializing on one packet's
-//!   dependency chain.
-//! * **Constant-time bitsliced software** ([`ct`]) — the portable tier.
-//!   The state of four blocks is transposed into eight 64-bit bit-planes
-//!   and every round is computed with boolean algebra only: no
-//!   key- or data-indexed table load anywhere, so the classic AES
-//!   cache-timing side channel (the reason the former T-table tier was
-//!   retired) does not exist by construction. Inherently 4 blocks wide,
-//!   which makes the batch seam its natural shape.
+//!   `AESENC`/`AESDEC` instructions, one block per call.
+//! * **Constant-time bitsliced software** ([`ct`]) — the tier for hosts
+//!   without hardware AES. A block's state is transposed into eight
+//!   64-bit bit-planes and every round is computed with boolean algebra
+//!   only: no key- or data-indexed table load anywhere, so the classic
+//!   AES cache-timing side channel does not exist by construction.
 //! * [`baseline::Aes128`] — the compact byte-oriented implementation
 //!   (`SubBytes`/`ShiftRows`/`MixColumns` a byte at a time), kept as the
 //!   reference the fast paths are tested against.
 //!
-//! OCB needs both directions of the block cipher (full ciphertext blocks
-//! are decrypted with the inverse cipher), so all implementations provide
-//! the inverse cipher as well.
+//! The first two are the wire tiers; exactly one of them serves a given
+//! host. OCB seals and opens one packet at a time, so it asks the cipher
+//! for one block per call. It needs both directions (full ciphertext
+//! blocks are decrypted with the inverse cipher), so every implementation
+//! provides the inverse cipher as well.
 //!
 //! **Timing side channels.** The hardware path is constant-time by
 //! construction; the bitsliced path is constant-time because its only
@@ -110,14 +104,6 @@ const fn gmul(a: u8, b: u8) -> u8 {
     p
 }
 
-/// `a ^ b ^ c` over blocks — application of an OCB whitening mask
-/// (`pre ^ init`) to a block, used by the unfused fallback of the
-/// whitened batch seam.
-#[inline]
-fn mask3(a: &Block, b: &Block, c: &Block) -> Block {
-    (u128::from_ne_bytes(*a) ^ u128::from_ne_bytes(*b) ^ u128::from_ne_bytes(*c)).to_ne_bytes()
-}
-
 /// A 128-bit block cipher, both directions.
 ///
 /// The seam exists so the OCB layer can run over the dispatched
@@ -131,71 +117,6 @@ pub trait BlockCipher: Clone {
     fn encrypt_block(&self, block: &Block) -> Block;
     /// Decrypts one 16-byte block (the inverse cipher).
     fn decrypt_block(&self, block: &Block) -> Block;
-    /// Encrypts every block in place. The blocks are independent (ECB
-    /// shape — OCB's whitening makes that safe), so implementations may
-    /// interleave them across hardware pipelines or bitslice lanes; the
-    /// result must be byte-identical to a per-block loop.
-    fn encrypt_blocks(&self, blocks: &mut [Block]) {
-        for b in blocks.iter_mut() {
-            *b = self.encrypt_block(b);
-        }
-    }
-    /// Decrypts every block in place (see [`BlockCipher::encrypt_blocks`]).
-    fn decrypt_blocks(&self, blocks: &mut [Block]) {
-        for b in blocks.iter_mut() {
-            *b = self.decrypt_block(b);
-        }
-    }
-    /// Encrypts a run of OCB-whitened blocks:
-    /// `dst[i] = E(src[i] ^ pre[i] ^ init) ^ pre[i] ^ init`.
-    ///
-    /// `pre` is the nonce-*independent* offset-increment prefix table
-    /// (`pre[i] = L_{ntz(1)} ^ … ^ L_{ntz(i+1)}`) shared by every packet
-    /// in a batch; `init` is one packet's nonce-derived `Offset_0`.
-    /// Fusing the mask into the cipher call lets implementations keep it
-    /// in registers for the whole round trip instead of spending two
-    /// extra memory passes per packet (whiten, then un-whiten) — the
-    /// bookkeeping that a serial stream hides under cipher latency but a
-    /// batch path pays for in the open. The result must be
-    /// byte-identical to the unfused formula.
-    ///
-    /// `dst` and `pre` must be exactly as long as `src` (debug-asserted).
-    fn encrypt_blocks_whitened(
-        &self,
-        src: &[Block],
-        dst: &mut [Block],
-        pre: &[Block],
-        init: &Block,
-    ) {
-        debug_assert_eq!(src.len(), dst.len());
-        debug_assert_eq!(src.len(), pre.len());
-        for ((d, s), p) in dst.iter_mut().zip(src).zip(pre) {
-            *d = mask3(s, p, init);
-        }
-        self.encrypt_blocks(dst);
-        for (d, p) in dst.iter_mut().zip(pre) {
-            *d = mask3(&*d, p, init);
-        }
-    }
-    /// Decrypts a run of OCB-whitened blocks (see
-    /// [`BlockCipher::encrypt_blocks_whitened`]).
-    fn decrypt_blocks_whitened(
-        &self,
-        src: &[Block],
-        dst: &mut [Block],
-        pre: &[Block],
-        init: &Block,
-    ) {
-        debug_assert_eq!(src.len(), dst.len());
-        debug_assert_eq!(src.len(), pre.len());
-        for ((d, s), p) in dst.iter_mut().zip(src).zip(pre) {
-            *d = mask3(s, p, init);
-        }
-        self.decrypt_blocks(dst);
-        for (d, p) in dst.iter_mut().zip(pre) {
-            *d = mask3(&*d, p, init);
-        }
-    }
 }
 
 /// `InvMixColumns` of one big-endian round-key word, via GF(2^8)
@@ -271,9 +192,6 @@ enum Backend {
     Ni {
         ek: [[u8; 16]; ROUND_KEYS],
         dk: [[u8; 16]; ROUND_KEYS],
-        /// Whether the batch entry points may use the 512-bit VAES
-        /// kernels (AVX-512F + VAES, detected once at key expansion).
-        vaes: bool,
     },
     /// The constant-time bitsliced software tier.
     Ct(ct::Aes128),
@@ -311,11 +229,7 @@ impl Aes128 {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("aes") {
             return Aes128 {
-                backend: Backend::Ni {
-                    ek,
-                    dk,
-                    vaes: ni::vaes_available(),
-                },
+                backend: Backend::Ni { ek, dk },
             };
         }
         Aes128 {
@@ -356,118 +270,6 @@ impl Aes128 {
             Backend::Ct(ct) => ct.decrypt_block(block),
         }
     }
-
-    /// Encrypts every block in place, interleaved across hardware
-    /// pipelines (four blocks per instruction on VAES parts, 8 blocks
-    /// per round-key load otherwise) or bitslice lanes (4 blocks per
-    /// group).
-    pub fn encrypt_blocks(&self, blocks: &mut [Block]) {
-        match &self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Ni` backend is only constructed after runtime
-            // detection of the `aes` CPU feature in `Aes128::new`, and
-            // `vaes` is only true after detection of `avx512f` + `vaes`
-            // there too.
-            Backend::Ni { ek, vaes, .. } => unsafe {
-                if *vaes {
-                    ni::encrypt_blocks_vaes(ek, blocks)
-                } else {
-                    ni::encrypt_blocks(ek, blocks)
-                }
-            },
-            Backend::Ct(ct) => ct.encrypt_blocks(blocks),
-        }
-    }
-
-    /// Decrypts every block in place (see [`Aes128::encrypt_blocks`]).
-    pub fn decrypt_blocks(&self, blocks: &mut [Block]) {
-        match &self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Ni` backend is only constructed after runtime
-            // detection of the `aes` CPU feature in `Aes128::new`, and
-            // `vaes` is only true after detection of `avx512f` + `vaes`
-            // there too.
-            Backend::Ni { dk, vaes, .. } => unsafe {
-                if *vaes {
-                    ni::decrypt_blocks_vaes(dk, blocks)
-                } else {
-                    ni::decrypt_blocks(dk, blocks)
-                }
-            },
-            Backend::Ct(ct) => ct.decrypt_blocks(blocks),
-        }
-    }
-
-    /// Encrypts a run of OCB-whitened blocks with the masks fused into
-    /// the hardware kernels (see
-    /// [`BlockCipher::encrypt_blocks_whitened`] for the contract).
-    pub fn encrypt_blocks_whitened(
-        &self,
-        src: &[Block],
-        dst: &mut [Block],
-        pre: &[Block],
-        init: &Block,
-    ) {
-        debug_assert_eq!(src.len(), dst.len());
-        debug_assert_eq!(src.len(), pre.len());
-        match &self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: the `Ni` backend is only constructed after runtime
-            // detection of the `aes` CPU feature in `Aes128::new`, and
-            // `vaes` is only true after detection of `avx512f` + `vaes`
-            // there too; the equal slice lengths are debug-asserted
-            // above and upheld by the OCB callers.
-            Backend::Ni { ek, vaes, .. } => unsafe {
-                if *vaes {
-                    ni::encrypt_blocks_whitened_vaes(ek, src, dst, pre, init)
-                } else {
-                    ni::encrypt_blocks_whitened(ek, src, dst, pre, init)
-                }
-            },
-            Backend::Ct(ct) => {
-                for ((d, s), p) in dst.iter_mut().zip(src).zip(pre) {
-                    *d = mask3(s, p, init);
-                }
-                ct.encrypt_blocks(dst);
-                for (d, p) in dst.iter_mut().zip(pre) {
-                    *d = mask3(&*d, p, init);
-                }
-            }
-        }
-    }
-
-    /// Decrypts a run of OCB-whitened blocks (see
-    /// [`Aes128::encrypt_blocks_whitened`]).
-    pub fn decrypt_blocks_whitened(
-        &self,
-        src: &[Block],
-        dst: &mut [Block],
-        pre: &[Block],
-        init: &Block,
-    ) {
-        debug_assert_eq!(src.len(), dst.len());
-        debug_assert_eq!(src.len(), pre.len());
-        match &self.backend {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: as in `encrypt_blocks_whitened`.
-            Backend::Ni { dk, vaes, .. } => unsafe {
-                if *vaes {
-                    ni::decrypt_blocks_whitened_vaes(dk, src, dst, pre, init)
-                } else {
-                    ni::decrypt_blocks_whitened(dk, src, dst, pre, init)
-                }
-            },
-            Backend::Ct(ct) => {
-                for ((d, s), p) in dst.iter_mut().zip(src).zip(pre) {
-                    *d = mask3(s, p, init);
-                }
-                ct.decrypt_blocks(dst);
-                for (d, p) in dst.iter_mut().zip(pre) {
-                    *d = mask3(&*d, p, init);
-                }
-            }
-        }
-    }
 }
 
 impl BlockCipher for Aes128 {
@@ -481,34 +283,6 @@ impl BlockCipher for Aes128 {
 
     fn decrypt_block(&self, block: &Block) -> Block {
         Aes128::decrypt_block(self, block)
-    }
-
-    fn encrypt_blocks(&self, blocks: &mut [Block]) {
-        Aes128::encrypt_blocks(self, blocks)
-    }
-
-    fn decrypt_blocks(&self, blocks: &mut [Block]) {
-        Aes128::decrypt_blocks(self, blocks)
-    }
-
-    fn encrypt_blocks_whitened(
-        &self,
-        src: &[Block],
-        dst: &mut [Block],
-        pre: &[Block],
-        init: &Block,
-    ) {
-        Aes128::encrypt_blocks_whitened(self, src, dst, pre, init)
-    }
-
-    fn decrypt_blocks_whitened(
-        &self,
-        src: &[Block],
-        dst: &mut [Block],
-        pre: &[Block],
-        init: &Block,
-    ) {
-        Aes128::decrypt_blocks_whitened(self, src, dst, pre, init)
     }
 }
 
@@ -632,83 +406,6 @@ mod tests {
                 assert_eq!(sliced.decrypt_block(&ct_), block, "decrypt k={k} n={n}");
             }
         }
-    }
-
-    /// The batch seam must be byte-identical to a per-block loop for
-    /// every backend and every length (covering the 8-, 4-, and
-    /// single-lane tails of the NI path and the 4-lane groups of the
-    /// bitsliced path).
-    #[test]
-    fn blocks_seam_matches_per_block_loop() {
-        fn check<C: BlockCipher>(cipher: &C) {
-            for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16, 17, 23, 32] {
-                let mut blocks: Vec<Block> = (0..len)
-                    .map(|i| {
-                        let mut b = [0u8; 16];
-                        for (j, byte) in b.iter_mut().enumerate() {
-                            *byte = (i as u8).wrapping_mul(31).wrapping_add(j as u8);
-                        }
-                        b
-                    })
-                    .collect();
-                let expect_e: Vec<Block> = blocks.iter().map(|b| cipher.encrypt_block(b)).collect();
-                let mut batch = blocks.clone();
-                cipher.encrypt_blocks(&mut batch);
-                assert_eq!(batch, expect_e, "encrypt len={len}");
-
-                let expect_d: Vec<Block> = blocks.iter().map(|b| cipher.decrypt_block(b)).collect();
-                cipher.decrypt_blocks(&mut blocks);
-                assert_eq!(blocks, expect_d, "decrypt len={len}");
-            }
-        }
-        let key = hex16("2b7e151628aed2a6abf7158809cf4f3c");
-        check(&Aes128::new(&key));
-        check(&ct::Aes128::new(&key));
-        check(&baseline::Aes128::new(&key));
-    }
-
-    /// The fused whitened seam must equal the unfused formula
-    /// (`mask → per-block cipher → mask`) for every backend and length
-    /// (covering the VAES 16-block groups and the 8-, 4-, and
-    /// single-lane tails).
-    #[test]
-    fn whitened_seam_matches_unfused_formula() {
-        fn check<C: BlockCipher>(cipher: &C) {
-            for len in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 32, 33, 48, 87] {
-                let src: Vec<Block> = (0..len)
-                    .map(|i| {
-                        std::array::from_fn(|j| (i as u8).wrapping_mul(59).wrapping_add(j as u8))
-                    })
-                    .collect();
-                let pre: Vec<Block> = (0..len)
-                    .map(|i| std::array::from_fn(|j| (i as u8).wrapping_mul(17) ^ (j as u8)))
-                    .collect();
-                let init: Block = std::array::from_fn(|j| (j as u8).wrapping_mul(77) ^ 0x5a);
-
-                let expect_e: Vec<Block> = (0..len)
-                    .map(|i| {
-                        let w = mask3(&src[i], &pre[i], &init);
-                        mask3(&cipher.encrypt_block(&w), &pre[i], &init)
-                    })
-                    .collect();
-                let mut dst = vec![[0u8; 16]; len];
-                cipher.encrypt_blocks_whitened(&src, &mut dst, &pre, &init);
-                assert_eq!(dst, expect_e, "encrypt len={len}");
-
-                let expect_d: Vec<Block> = (0..len)
-                    .map(|i| {
-                        let w = mask3(&src[i], &pre[i], &init);
-                        mask3(&cipher.decrypt_block(&w), &pre[i], &init)
-                    })
-                    .collect();
-                cipher.decrypt_blocks_whitened(&src, &mut dst, &pre, &init);
-                assert_eq!(dst, expect_d, "decrypt len={len}");
-            }
-        }
-        let key = hex16("2b7e151628aed2a6abf7158809cf4f3c");
-        check(&Aes128::new(&key));
-        check(&ct::Aes128::new(&key));
-        check(&baseline::Aes128::new(&key));
     }
 
     #[test]

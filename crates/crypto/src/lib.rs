@@ -4,12 +4,13 @@
 //! (OCB) mode**, which provides confidentiality and authenticity with a single
 //! secret key. This crate implements that stack from scratch:
 //!
-//! * [`aes`] — the AES-128 block cipher (FIPS 197), both directions: a
-//!   32-bit T-table hot path with `const`-evaluated tables, plus the
-//!   byte-oriented [`aes::baseline`] reference it is pinned against.
+//! * [`aes`] — the AES-128 block cipher (FIPS 197), both directions, in
+//!   two wire tiers picked once per key: AES-NI where the CPU has it, a
+//!   constant-time bitsliced circuit everywhere else. Both are pinned
+//!   against the byte-oriented [`aes::baseline`] reference.
 //! * [`ocb`] — OCB3 authenticated encryption (RFC 7253) with a 128-bit
-//!   tag; `seal_into`/`open_into` append into reused buffers so the
-//!   per-datagram hot path never allocates.
+//!   tag, one pass per packet; `seal_into`/`open_into` append into
+//!   reused buffers so the per-datagram hot path never allocates.
 //! * [`base64`] — key encoding, matching Mosh's 22-character printable keys.
 //! * [`session`] — the datagram-layer crypto framing: a 64-bit
 //!   direction+sequence nonce sent in the clear, with everything else

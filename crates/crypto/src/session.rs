@@ -17,7 +17,7 @@
 //! ```
 
 use crate::base64::Base64Key;
-use crate::ocb::{Ocb, OpenJob, SealJob, TAG_LEN};
+use crate::ocb::{Ocb, TAG_LEN};
 use crate::CryptoError;
 use std::cell::Cell;
 
@@ -106,8 +106,9 @@ pub struct Session {
     /// Reusable plaintext buffers, lent out via [`Session::take_scratch`]
     /// and returned via [`Session::recycle_scratch`], so the steady-state
     /// per-datagram path does zero heap allocation. A small pool (not a
-    /// single buffer) because the sender's `encode_many` holds one
-    /// plaintext per fragment of an instruction at once.
+    /// single buffer) because a receive-side token keeps its plaintext
+    /// buffer until the datagram is consumed, so a caller may hold more
+    /// than one at a time.
     scratch: Vec<Vec<u8>>,
 }
 
@@ -182,7 +183,7 @@ impl Session {
     /// Lends out a reusable plaintext buffer (empty, but with its
     /// accumulated capacity). Pair with [`Session::recycle_scratch`] so
     /// the steady-state receive path never allocates. Buffers come from
-    /// a small pool, so a sealed batch can hold one per fragment.
+    /// a small pool, so several can be out at once.
     pub fn take_scratch(&mut self) -> Vec<u8> {
         self.scratch.pop().unwrap_or_default()
     }
@@ -206,17 +207,29 @@ impl Session {
     }
 
     /// Encrypts a payload into a wire datagram, consuming one sequence
-    /// number: [`Session::encrypt_many_into`] with a batch of one.
+    /// number.
     ///
     /// # Panics
     ///
     /// Panics if the session has exhausted its 2^63 sequence numbers; callers
     /// must rekey long before this (Mosh sessions never approach it).
     pub fn encrypt(&mut self, payload: &[u8]) -> Vec<u8> {
-        let mut wire = [Vec::new()];
-        self.encrypt_many_into(&[payload], &mut wire);
-        let [wire] = wire;
+        let mut wire = Vec::new();
+        self.encrypt_into(payload, &mut wire);
         wire
+    }
+
+    /// [`Session::encrypt`] into a reused `wire` buffer (cleared first):
+    /// the one place a datagram is sealed.
+    fn encrypt_into(&mut self, payload: &[u8], wire: &mut Vec<u8>) {
+        assert!(self.next_seq <= MAX_SEQ, "sequence number space exhausted");
+        let dir_seq = self.direction.bit() | self.next_seq;
+        self.next_seq += 1;
+        wire.clear();
+        wire.reserve(8 + payload.len() + TAG_LEN);
+        wire.extend_from_slice(&dir_seq.to_be_bytes());
+        self.ocb
+            .seal_into(&Self::nonce(dir_seq), &[], payload, wire);
     }
 
     /// Authenticates and decrypts a wire datagram from the peer.
@@ -253,48 +266,28 @@ impl Session {
     }
 
     /// Encrypts a batch of payloads into wire datagrams, consuming one
-    /// sequence number per payload in order. A batch of N is
-    /// byte-identical to N batches of one, but all its packets cross the
-    /// cipher through [`Ocb::seal_many_into`] so their blocks interleave
-    /// in the AES pipeline.
+    /// sequence number per payload in order: a loop over
+    /// [`Session::encrypt`] that reuses each `wires` buffer.
     ///
     /// # Panics
     ///
-    /// Panics if the batch would exhaust the 2^63 sequence numbers, or
-    /// if `payloads` and `wires` differ in length.
+    /// Panics if the batch would exhaust the 2^63 sequence numbers (checked
+    /// before any payload is sealed), or if `payloads` and `wires` differ
+    /// in length.
     pub fn encrypt_many_into(&mut self, payloads: &[&[u8]], wires: &mut [Vec<u8>]) {
         assert_eq!(payloads.len(), wires.len(), "one wire buffer per payload");
         assert!(
             self.next_seq <= MAX_SEQ - (payloads.len() as u64).saturating_sub(1),
             "sequence number space exhausted"
         );
-        let mut nonces: Vec<[u8; 12]> = Vec::with_capacity(payloads.len());
         for (payload, wire) in payloads.iter().zip(wires.iter_mut()) {
-            let dir_seq = self.direction.bit() | self.next_seq;
-            self.next_seq += 1;
-            wire.clear();
-            wire.reserve(8 + payload.len() + TAG_LEN);
-            wire.extend_from_slice(&dir_seq.to_be_bytes());
-            nonces.push(Self::nonce(dir_seq));
+            self.encrypt_into(payload, wire);
         }
-        let jobs: Vec<SealJob> = payloads
-            .iter()
-            .zip(nonces.iter())
-            .map(|(payload, nonce)| SealJob {
-                nonce,
-                ad: &[],
-                plaintext: payload,
-            })
-            .collect();
-        self.ocb.seal_many_into(&jobs, wires);
     }
 
     /// Authenticates and decrypts a batch of wire datagrams, each into
-    /// its own `payloads` buffer (cleared first) — the batched twin of
-    /// [`Session::decrypt_into`], with identical per-packet results and
-    /// decrypt accounting (truncated wires never reach OCB and are not
-    /// counted). Verdicts are strictly per packet: one bad tag never
-    /// affects its batch siblings.
+    /// its own `payloads` buffer: a loop over [`Session::decrypt_into`],
+    /// with its per-packet verdicts and decrypt accounting.
     ///
     /// # Panics
     ///
@@ -305,55 +298,11 @@ impl Session {
         payloads: &mut [Vec<u8>],
     ) -> Vec<Result<u64, CryptoError>> {
         assert_eq!(wires.len(), payloads.len(), "one payload buffer per wire");
-        let mut results: Vec<Result<u64, CryptoError>> =
-            vec![Err(CryptoError::Truncated); wires.len()];
-        let mut live: Vec<usize> = Vec::with_capacity(wires.len());
-        let mut nonces: Vec<[u8; 12]> = Vec::with_capacity(wires.len());
-        let mut dir_seqs: Vec<u64> = Vec::with_capacity(wires.len());
-        for (k, wire) in wires.iter().enumerate() {
-            payloads[k].clear();
-            if wire.len() < 8 + TAG_LEN {
-                continue; // stays Truncated, never reaches OCB, not counted
-            }
-            self.decrypt_ops.set(self.decrypt_ops.get() + 1);
-            let dir_seq = u64::from_be_bytes(wire[..8].try_into().expect("length checked"));
-            live.push(k);
-            nonces.push(Self::nonce(dir_seq));
-            dir_seqs.push(dir_seq);
-        }
-        // Lend the live packets' buffers to OCB (capacity moves with
-        // them), then hand them back with the per-packet verdicts.
-        let jobs: Vec<OpenJob> = live
+        wires
             .iter()
-            .zip(nonces.iter())
-            .map(|(&k, nonce)| OpenJob {
-                nonce,
-                ad: &[],
-                sealed: &wires[k][8..],
-            })
-            .collect();
-        let mut outs: Vec<Vec<u8>> = live
-            .iter()
-            .map(|&k| std::mem::take(&mut payloads[k]))
-            .collect();
-        let verdicts = self.ocb.open_many_into(&jobs, &mut outs);
-        for (((&k, out), verdict), &dir_seq) in
-            live.iter().zip(outs).zip(verdicts).zip(dir_seqs.iter())
-        {
-            payloads[k] = out;
-            results[k] = match verdict {
-                Ok(()) => {
-                    if dir_seq & (1 << 63) != self.direction.opposite().bit() {
-                        payloads[k].clear();
-                        Err(CryptoError::BadDirection)
-                    } else {
-                        Ok(dir_seq & MAX_SEQ)
-                    }
-                }
-                Err(e) => Err(e),
-            };
-        }
-        results
+            .zip(payloads.iter_mut())
+            .map(|(wire, payload)| self.decrypt_into(wire, payload))
+            .collect()
     }
 }
 

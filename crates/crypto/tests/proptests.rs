@@ -1,8 +1,8 @@
 //! Property-based tests for the crypto stack.
 
-use mosh_crypto::aes::Aes128;
+use mosh_crypto::aes::{baseline, ct, Aes128};
 use mosh_crypto::base64;
-use mosh_crypto::ocb::{Ocb, OpenJob, SealJob};
+use mosh_crypto::ocb::Ocb;
 use mosh_crypto::session::{Direction, Session};
 use mosh_crypto::{Base64Key, CryptoError};
 use proptest::prelude::*;
@@ -74,49 +74,20 @@ proptest! {
     }
 
     #[test]
-    fn ocb_batch_paths_match_per_packet_loop(
+    fn ocb_tiers_agree_on_any_packet(
         key in any::<[u8; 16]>(),
-        packets in proptest::collection::vec(
-            (
-                any::<[u8; 12]>(),
-                proptest::collection::vec(any::<u8>(), 0..32),
-                proptest::collection::vec(any::<u8>(), 0..300),
-            ),
-            0..12,
-        ),
+        nonce in any::<[u8; 12]>(),
+        ad in proptest::collection::vec(any::<u8>(), 0..32),
+        pt in proptest::collection::vec(any::<u8>(), 0..300),
     ) {
-        // seal_many_into/open_many_into are byte-identical to a
-        // per-packet seal_into/open_into loop, for any batch size and
-        // any mix of (ragged) packet lengths, and append semantics hold.
-        let ocb = Ocb::new(&key);
-        let expected: Vec<Vec<u8>> = packets
-            .iter()
-            .map(|(nonce, ad, pt)| ocb.seal(nonce, ad, pt))
-            .collect();
-
-        let jobs: Vec<SealJob> = packets
-            .iter()
-            .map(|(nonce, ad, pt)| SealJob { nonce, ad, plaintext: pt })
-            .collect();
-        let mut outs: Vec<Vec<u8>> = (0..packets.len()).map(|k| vec![k as u8]).collect();
-        ocb.seal_many_into(&jobs, &mut outs);
-        for (k, out) in outs.iter().enumerate() {
-            prop_assert_eq!(out[0], k as u8, "seal append semantics");
-            prop_assert_eq!(&out[1..], &expected[k][..], "batch seal packet {}", k);
-        }
-
-        let open_jobs: Vec<OpenJob> = packets
-            .iter()
-            .zip(expected.iter())
-            .map(|((nonce, ad, _), sealed)| OpenJob { nonce, ad, sealed })
-            .collect();
-        let mut opened: Vec<Vec<u8>> = (0..packets.len()).map(|k| vec![k as u8]).collect();
-        let verdicts = ocb.open_many_into(&open_jobs, &mut opened);
-        for (k, v) in verdicts.iter().enumerate() {
-            prop_assert_eq!(v, &Ok(()), "batch open verdict {}", k);
-            prop_assert_eq!(opened[k][0], k as u8, "open append semantics");
-            prop_assert_eq!(&opened[k][1..], &packets[k].2[..], "batch open packet {}", k);
-        }
+        // Whichever tier a host runs, a packet of any (ragged) length
+        // seals to the same wire bytes and opens on every other tier.
+        let sealed = Ocb::new(&key).seal(&nonce, &ad, &pt);
+        let sliced: Ocb<ct::Aes128> = Ocb::with_cipher(&key);
+        let slow: Ocb<baseline::Aes128> = Ocb::with_cipher(&key);
+        prop_assert_eq!(&sliced.seal(&nonce, &ad, &pt), &sealed, "bitsliced seal");
+        prop_assert_eq!(&slow.seal(&nonce, &ad, &pt), &sealed, "baseline seal");
+        prop_assert_eq!(sliced.open(&nonce, &ad, &sealed).unwrap(), pt);
     }
 
     #[test]

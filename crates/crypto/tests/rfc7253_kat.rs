@@ -7,14 +7,14 @@
 //!   cipher (hardware or constant-time bitsliced) and the byte-oriented
 //!   `baseline` reference.
 //! * AES-128-OCB-TAGLEN128 against every RFC 7253 Appendix A sample
-//!   vector, plus the RFC's iterative all-lengths self-test. The
-//!   allocating `seal`/`open` are thin wrappers over the buffer-reusing
-//!   `seal_into`/`open_into`, and the vectors pin both shapes — plus the
-//!   cross-packet batch path (`seal_many_into`/`open_many_into`), which
-//!   must produce the same wire bytes.
+//!   vector, plus the RFC's iterative all-lengths self-test, over the
+//!   dispatched cipher, the constant-time bitsliced tier and the
+//!   `baseline` reference. The allocating `seal`/`open` are thin wrappers
+//!   over the buffer-reusing `seal_into`/`open_into`, and the vectors pin
+//!   both shapes.
 
 use mosh_crypto::aes::{baseline, ct, Aes128, BlockCipher};
-use mosh_crypto::ocb::{Ocb, OpenJob, SealJob};
+use mosh_crypto::ocb::Ocb;
 
 fn unhex(s: &str) -> Vec<u8> {
     assert!(s.len().is_multiple_of(2), "odd hex length: {s:?}");
@@ -188,6 +188,7 @@ fn ocb_rfc7253_sample_vectors_into_variants_and_baseline_cipher() {
         .try_into()
         .unwrap();
     let ocb = Ocb::new(&key);
+    let sliced: Ocb<ct::Aes128> = Ocb::with_cipher(&key);
     let slow: Ocb<baseline::Aes128> = Ocb::with_cipher(&key);
     let mut sealed = Vec::new();
     let mut opened = Vec::new();
@@ -205,90 +206,65 @@ fn ocb_rfc7253_sample_vectors_into_variants_and_baseline_cipher() {
             .unwrap_or_else(|e| panic!("open_into failed for nonce {nonce}: {e:?}"));
         assert_eq!(opened, unhex(pt), "open_into mismatch for nonce {nonce}");
 
-        // ...and so does OCB over the byte-oriented baseline cipher.
-        assert_eq!(
-            slow.seal(&unhex(nonce), &unhex(ad), &unhex(pt)),
-            unhex(expected),
-            "baseline seal mismatch for nonce {nonce}"
-        );
-        assert_eq!(
-            slow.open(&unhex(nonce), &unhex(ad), &sealed).unwrap(),
-            unhex(pt),
-            "baseline open mismatch for nonce {nonce}"
-        );
+        // ...and so does OCB over the bitsliced tier and the
+        // byte-oriented baseline cipher.
+        let (n, a, p) = (unhex(nonce), unhex(ad), unhex(pt));
+        for (tier, resealed, reopened) in [
+            (
+                "bitsliced",
+                sliced.seal(&n, &a, &p),
+                sliced.open(&n, &a, &sealed),
+            ),
+            (
+                "baseline",
+                slow.seal(&n, &a, &p),
+                slow.open(&n, &a, &sealed),
+            ),
+        ] {
+            assert_eq!(
+                resealed,
+                unhex(expected),
+                "{tier} seal mismatch for nonce {nonce}"
+            );
+            assert_eq!(
+                reopened.unwrap(),
+                p,
+                "{tier} open mismatch for nonce {nonce}"
+            );
+        }
     }
-}
-
-/// All sixteen RFC 7253 Appendix A sample vectors as ONE batch through
-/// `seal_many_into`/`open_many_into`, for the dispatched cipher, the
-/// constant-time bitsliced tier, and the byte-oriented baseline — the
-/// golden vectors routed through the cross-packet batch path must yield
-/// the same wire bytes as the per-packet loop they replace.
-#[test]
-fn ocb_rfc7253_sample_vectors_through_batch_path() {
-    fn check<C: mosh_crypto::aes::BlockCipher>() {
-        let key: [u8; 16] = unhex("000102030405060708090A0B0C0D0E0F")
-            .try_into()
-            .unwrap();
-        let ocb: Ocb<C> = Ocb::with_cipher(&key);
-        let nonces: Vec<Vec<u8>> = RFC7253_VECTORS.iter().map(|v| unhex(v.0)).collect();
-        let ads: Vec<Vec<u8>> = RFC7253_VECTORS.iter().map(|v| unhex(v.1)).collect();
-        let pts: Vec<Vec<u8>> = RFC7253_VECTORS.iter().map(|v| unhex(v.2)).collect();
-        let expected: Vec<Vec<u8>> = RFC7253_VECTORS.iter().map(|v| unhex(v.3)).collect();
-
-        let jobs: Vec<SealJob> = (0..RFC7253_VECTORS.len())
-            .map(|k| SealJob {
-                nonce: &nonces[k],
-                ad: &ads[k],
-                plaintext: &pts[k],
-            })
-            .collect();
-        let mut outs: Vec<Vec<u8>> = vec![Vec::new(); jobs.len()];
-        ocb.seal_many_into(&jobs, &mut outs);
-        assert_eq!(outs, expected, "batch seal vectors");
-
-        let open_jobs: Vec<OpenJob> = (0..RFC7253_VECTORS.len())
-            .map(|k| OpenJob {
-                nonce: &nonces[k],
-                ad: &ads[k],
-                sealed: &expected[k],
-            })
-            .collect();
-        let mut opened: Vec<Vec<u8>> = vec![Vec::new(); open_jobs.len()];
-        let verdicts = ocb.open_many_into(&open_jobs, &mut opened);
-        assert!(verdicts.iter().all(|v| v.is_ok()), "batch open verdicts");
-        assert_eq!(opened, pts, "batch open plaintexts");
-    }
-    check::<Aes128>();
-    check::<ct::Aes128>();
-    check::<baseline::Aes128>();
 }
 
 /// RFC 7253 Appendix A iterative self-test: encrypts messages of every
 /// length 0..128 bytes (as plaintext and as associated data), then checks
 /// the single 16-byte digest the RFC publishes for
-/// AES-128-OCB-TAGLEN128.
+/// AES-128-OCB-TAGLEN128 — over every cipher tier.
 #[test]
 fn ocb_rfc7253_iterative_all_lengths() {
-    // K = zeros(KEYLEN - 8) || num2str(TAGLEN, 8)
-    let mut key = [0u8; 16];
-    key[15] = 128;
-    let ocb = Ocb::new(&key);
+    fn digest<C: BlockCipher>() -> Vec<u8> {
+        // K = zeros(KEYLEN - 8) || num2str(TAGLEN, 8)
+        let mut key = [0u8; 16];
+        key[15] = 128;
+        let ocb: Ocb<C> = Ocb::with_cipher(&key);
 
-    // 96-bit big-endian counter nonce.
-    let nonce = |n: u64| -> [u8; 12] {
-        let mut out = [0u8; 12];
-        out[4..].copy_from_slice(&n.to_be_bytes());
-        out
-    };
+        // 96-bit big-endian counter nonce.
+        let nonce = |n: u64| -> [u8; 12] {
+            let mut out = [0u8; 12];
+            out[4..].copy_from_slice(&n.to_be_bytes());
+            out
+        };
 
-    let mut c = Vec::new();
-    for i in 0..128u64 {
-        let s = vec![0u8; i as usize];
-        c.extend_from_slice(&ocb.seal(&nonce(3 * i + 1), &s, &s));
-        c.extend_from_slice(&ocb.seal(&nonce(3 * i + 2), &[], &s));
-        c.extend_from_slice(&ocb.seal(&nonce(3 * i + 3), &s, &[]));
+        let mut c = Vec::new();
+        for i in 0..128u64 {
+            let s = vec![0u8; i as usize];
+            c.extend_from_slice(&ocb.seal(&nonce(3 * i + 1), &s, &s));
+            c.extend_from_slice(&ocb.seal(&nonce(3 * i + 2), &[], &s));
+            c.extend_from_slice(&ocb.seal(&nonce(3 * i + 3), &s, &[]));
+        }
+        ocb.seal(&nonce(385), &c, &[])
     }
-    let output = ocb.seal(&nonce(385), &c, &[]);
-    assert_eq!(output, unhex("67E944D23256C5E0B6C61FA22FDF1EA2"));
+    let expected = unhex("67E944D23256C5E0B6C61FA22FDF1EA2");
+    assert_eq!(digest::<Aes128>(), expected, "dispatched");
+    assert_eq!(digest::<ct::Aes128>(), expected, "bitsliced");
+    assert_eq!(digest::<baseline::Aes128>(), expected, "baseline");
 }

@@ -188,9 +188,10 @@ impl DatagramLayer {
     }
 
     /// Encrypts a batch of transport payloads into wire datagrams, all
-    /// stamped `now`, in one cipher pass. A batch of N is byte-identical
-    /// to N batches of one: encoding never mutates the saved timestamp,
-    /// so every packet of a same-instant burst carries the same echo.
+    /// stamped `now`, one OCB pass per payload. A batch of N is
+    /// byte-identical to N batches of one: encoding never mutates the
+    /// saved timestamp, so every packet of a same-instant burst carries
+    /// the same echo.
     pub fn encode_many(&mut self, now: Millis, payloads: &[&[u8]]) -> Vec<Vec<u8>> {
         let ts = (now & 0xffff) as u16;
         // Adjust the echo by our holding time (paper §2.2, change #2).
@@ -201,24 +202,18 @@ impl DatagramLayer {
                 (their_ts as u64).wrapping_add(held) as u16
             }
         };
-        // Assemble the plaintexts in the session's recycled scratch so
-        // the only allocations on this path are the returned wires.
-        let mut plains: Vec<Vec<u8>> = Vec::with_capacity(payloads.len());
+        // Frame each plaintext in one recycled scratch buffer and seal it
+        // at once, so the only allocations on this path are the wires.
+        let mut plain = self.session.take_scratch();
+        let mut wires = Vec::with_capacity(payloads.len());
         for payload in payloads {
-            let mut plain = self.session.take_scratch();
-            plain.reserve(4 + payload.len());
+            plain.clear();
             plain.extend_from_slice(&ts.to_be_bytes());
             plain.extend_from_slice(&ts_reply.to_be_bytes());
             plain.extend_from_slice(payload);
-            plains.push(plain);
+            wires.push(self.session.encrypt(&plain));
         }
-        let refs: Vec<&[u8]> = plains.iter().map(Vec::as_slice).collect();
-        let mut wires = vec![Vec::new(); payloads.len()];
-        self.session.encrypt_many_into(&refs, &mut wires);
-        drop(refs);
-        for plain in plains {
-            self.session.recycle_scratch(plain);
-        }
+        self.session.recycle_scratch(plain);
         wires
     }
 

@@ -323,8 +323,6 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         let id = self.next_instruction_id;
         self.next_instruction_id += 1;
 
-        // All fragments of the instruction cross the cipher in one
-        // batched pass (byte-identical to encoding them one by one).
         let encoded_fragments: Vec<Vec<u8>> = fragment(id, &encoded, FRAGMENT_PAYLOAD)
             .into_iter()
             .map(|f: Fragment| f.encode())
