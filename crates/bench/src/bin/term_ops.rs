@@ -1,33 +1,33 @@
-//! Terminal hot-path throughput: damage-tracked frame diffing vs the
-//! full-scan oracle, and one-pass ingest vs the per-action route.
+//! Terminal hot-path throughput: frame diffing that skips shared rows vs
+//! the full-scan oracle, and one-pass ingest vs the per-action route.
 //!
 //! The frame differ runs on every dirty tick of every session (paper
 //! §2.1/§3: the server ships *diffs between framebuffer states*), so at
-//! C100K fleet scale its cost is a per-session tax. PR 10 made diffing
-//! proportional to **damage** — per-row generation counters plus
-//! per-cell dirty ranges recorded by every emulator mutation — with the
-//! original full-scan differ kept as the byte-identical correctness
-//! oracle. This bench measures both on the three workload shapes that
-//! bound the design space:
+//! C100K fleet scale its cost is a per-session tax. Rows are
+//! copy-on-write, so a row no write touched since the receiver's frame
+//! still shares that frame's storage, and `display::new_frame_into`
+//! skips it on one pointer compare; every other row is compared cell by
+//! cell. The full-scan differ, which compares every row's cells, is kept
+//! as the byte-identical correctness oracle. This bench measures both on
+//! the three workload shapes that bound the design space:
 //!
 //! * **flood**: full-screen rewrites every frame (`yes`, build logs) —
-//!   everything is damaged, so damage tracking can only add overhead;
-//!   the gate is merely that it stays in the same ballpark.
+//!   no row is shared, so skipping can only add overhead; the gate is
+//!   merely that it stays in the same ballpark.
 //! * **editor**: a cursor line plus a status bar change per frame while
 //!   the other ~22 rows stay still — the interactive shape Mosh exists
 //!   for.
 //! * **mostly-idle**: the C100K fleet shape — almost every tick diffs a
 //!   frame against an identical predecessor (echo-ack-only traffic);
-//!   the damage path proves identity in O(rows) pointer checks without
-//!   even cloning the differ simulation.
+//!   the skip path proves identity in O(rows) pointer checks.
 //!
 //! Every measured pair is first checked **byte-identical** between the
-//! damage path and the oracle — a fast-but-wrong diff fails the bin,
-//! not just CI. The enforced perf gates are ratios (wall-clock varies
-//! by machine): damage-tracked diffing must be ≥ 3× the oracle on the
-//! editor and mostly-idle traces. Results are printed, not written: the
-//! bin exists for its gates, and `benchmark/` reports the terminal's
-//! per-stage costs on the named workloads.
+//! skip path and the oracle — a fast-but-wrong diff fails the bin, not
+//! just CI. The enforced perf gates are ratios (wall-clock varies by
+//! machine): the skip path must be ≥ 3× the oracle on the editor and
+//! mostly-idle traces. Results are printed, not written: the bin exists
+//! for its gates, and `benchmark/` reports the terminal's per-stage costs
+//! on the named workloads.
 
 use mosh_terminal::{display, Framebuffer, Terminal};
 use std::time::Instant;
@@ -55,7 +55,7 @@ fn snapshots(stream: &Stream) -> Vec<Framebuffer> {
     frames
 }
 
-/// Full-screen rewrites: scrolling flood output, every row damaged.
+/// Full-screen rewrites: scrolling flood output, every row rewritten.
 fn stream_flood(ticks: usize) -> Stream {
     (0..ticks)
         .map(|i| {
@@ -117,10 +117,10 @@ fn stream_mostly_idle(ticks: usize) -> Stream {
 
 struct TraceResult {
     name: &'static str,
-    damage_ns: f64,
+    skip_ns: f64,
     full_ns: f64,
     speedup: f64,
-    damage_fps: f64,
+    skip_fps: f64,
 }
 
 /// Nanoseconds per diff sweeping all consecutive pairs of `frames`,
@@ -149,20 +149,19 @@ fn ns_per_diff(
 }
 
 fn run_trace(name: &'static str, frames: &[Framebuffer], window_ms: u64) -> TraceResult {
-    // Correctness first: the damage-tracked diff must be byte-identical
-    // to the full-scan oracle on every pair before its speed means
-    // anything.
+    // Correctness first: the skip path's diff must be byte-identical to
+    // the full-scan oracle on every pair before its speed means anything.
     let mut scratch = String::new();
     for pair in frames.windows(2) {
         display::new_frame_into(true, &pair[0], &pair[1], &mut scratch);
         let oracle = display::new_frame_full_scan(true, &pair[0], &pair[1]);
         assert_eq!(
             scratch, oracle,
-            "{name}: damage diff diverged from the full-scan oracle"
+            "{name}: skip diff diverged from the full-scan oracle"
         );
     }
 
-    let damage_ns = ns_per_diff(frames, window_ms, |a, b| {
+    let skip_ns = ns_per_diff(frames, window_ms, |a, b| {
         display::new_frame_into(true, a, b, &mut scratch);
     });
     let full_ns = ns_per_diff(frames, window_ms, |a, b| {
@@ -170,10 +169,10 @@ fn run_trace(name: &'static str, frames: &[Framebuffer], window_ms: u64) -> Trac
     });
     TraceResult {
         name,
-        damage_ns,
+        skip_ns,
         full_ns,
-        speedup: full_ns / damage_ns,
-        damage_fps: 1e9 / damage_ns,
+        speedup: full_ns / skip_ns,
+        skip_fps: 1e9 / skip_ns,
     }
 }
 
@@ -276,7 +275,7 @@ fn main() {
     let quick = mosh_bench::quick();
     let (ticks, window_ms): (usize, u64) = if quick { (96, 60) } else { (400, 400) };
 
-    println!("=== term_ops: damage-tracked frame diffing vs the full-scan oracle ===");
+    println!("=== term_ops: frame diffing that skips shared rows vs the full-scan oracle ===");
     println!("  ({WIDTH}x{HEIGHT} screen, {ticks} ticks per trace, {window_ms} ms per measurement; every pair byte-identity-checked)\n");
 
     let streams = [
@@ -290,19 +289,19 @@ fn main() {
 
     println!(
         "  {:>12}  {:>14}  {:>14}  {:>9}  {:>14}",
-        "trace", "damage ns/diff", "oracle ns/diff", "speedup", "damage fr/s"
+        "trace", "skip ns/diff", "oracle ns/diff", "speedup", "skip fr/s"
     );
     for t in &traces {
         println!(
             "  {:>12}  {:>14.0}  {:>14.0}  {:>8.1}x  {:>14.0}",
-            t.name, t.damage_ns, t.full_ns, t.speedup, t.damage_fps
+            t.name, t.skip_ns, t.full_ns, t.speedup, t.skip_fps
         );
     }
 
-    // The gates: interactive and idle shapes must repay the bookkeeping
-    // at least 3x; the flood shape must not pathologically regress. Only
+    // The gates: interactive and idle shapes must be at least 3x the
+    // oracle; the flood shape must not pathologically regress. Only
     // meaningful in release — a debug build runs the differ's full
-    // convergence `debug_assert` inside every damage-path diff, which is
+    // convergence `debug_assert` inside every skip-path diff, which is
     // exactly the scan the fast path exists to skip.
     if cfg!(debug_assertions) {
         println!("\n  (debug build: byte-identity checked, perf gates skipped)");
@@ -310,14 +309,14 @@ fn main() {
         for t in &traces[1..] {
             assert!(
                 t.speedup >= 3.0,
-                "{}: damage-tracked diff must be >= 3x the full-scan oracle (got {:.1}x)",
+                "{}: the skip diff must be >= 3x the full-scan oracle (got {:.1}x)",
                 t.name,
                 t.speedup
             );
         }
         assert!(
             traces[0].speedup >= 0.5,
-            "flood: damage tracking must stay within 2x of the oracle (got {:.2}x)",
+            "flood: the skip diff must stay within 2x of the oracle (got {:.2}x)",
             traces[0].speedup
         );
     }
@@ -360,7 +359,7 @@ fn main() {
     }
 
     println!(
-        "\ndiff cost tracks damage, not screen size: editor {:.0}x, mostly-idle {:.0}x over full scans",
+        "\ndiff cost tracks the rows written, not screen size: editor {:.0}x, mostly-idle {:.0}x over full scans",
         traces[1].speedup, traces[2].speedup
     );
 }

@@ -116,7 +116,7 @@ fn ablation_ctrlc_quick() {
 
 #[test]
 fn term_ops_quick() {
-    // The bin itself asserts the damage-tracked diff is byte-identical
+    // The bin itself asserts the skip-path diff is byte-identical
     // to the full-scan oracle on every measured pair, and that
     // `Terminal::write` leaves the same terminal as the per-action route
     // on every stream (and, in release, the >= 3x editor/mostly-idle
@@ -127,7 +127,7 @@ fn term_ops_quick() {
         &[
             "term_ops",
             "byte-identity-checked",
-            "damage ns/diff",
+            "skip ns/diff",
             "oracle ns/diff",
             "mostly_idle",
             "snapshot-identity-checked",

@@ -51,9 +51,7 @@ impl MoshClient {
             UserStream::new(),
             CompleteTerminal::initial(),
         );
-        transport
-            .current_state_mut()
-            .push_resize(width as u16, height as u16);
+        transport.current_state_mut().push_resize(width, height);
         transport.commit_current(0);
         MoshClient {
             transport,
@@ -156,12 +154,16 @@ impl MoshClient {
         )
     }
 
-    /// Notifies the server of a window-size change.
+    /// Notifies the server of a window-size change. A size the server
+    /// would refuse (a dimension of 0 or above 5000) is ignored.
     pub fn resize(&mut self, now: Millis, width: usize, height: usize) {
-        self.transport
+        if self
+            .transport
             .current_state_mut()
-            .push_resize(width as u16, height as u16);
-        self.transport.commit_current(now);
+            .push_resize(width, height)
+        {
+            self.transport.commit_current(now);
+        }
     }
 
     /// Handles one wire datagram at `now`.
@@ -426,6 +428,12 @@ mod tests {
         );
         p.client.keystroke(0, b"a");
         run(&mut p, 300);
+        // Sizes the server would refuse never reach the wire, where they
+        // would hold up every later input diff.
+        let queued = p.client.input_end_index();
+        p.client.resize(p.now(), 0, 40);
+        p.client.resize(p.now(), 65_536 + 120, 40);
+        assert_eq!(p.client.input_end_index(), queued);
         p.client.resize(p.now(), 120, 40);
         let t = p.now() + 500;
         run(&mut p, t);

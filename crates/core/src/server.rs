@@ -541,6 +541,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::apps::LineShell;
     use crate::hub::snapshot::{snapshot_server, VERSION};
+    use mosh_ssp::state::BlobState;
 
     fn key() -> Base64Key {
         Base64Key::from_bytes([8u8; 16])
@@ -620,6 +621,29 @@ pub(crate) mod tests {
         server.tick(21);
         assert_eq!(server.frame().width(), 100);
         assert_eq!(server.frame().height(), 30);
+    }
+
+    #[test]
+    fn a_resize_to_zero_is_refused_without_a_panic() {
+        let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
+        server.tick(0);
+        // A client whose input diff is hand-built bytes: start 0, one
+        // event, a resize to 0 × 30.
+        let mut client = Transport::new(
+            key(),
+            Direction::ToServer,
+            BlobState::default(),
+            CompleteTerminal::initial(),
+        );
+        client.set_current_state(BlobState(vec![0, 1, 2, 0, 30]), 5);
+        let wires = client.tick(20);
+        assert!(!wires.is_empty(), "the diff went out");
+        for w in wires {
+            server.receive(20, client_addr(), &w);
+        }
+        server.tick(21);
+        assert_eq!(server.frame().width(), 80);
+        assert_eq!(server.frame().height(), 24);
     }
 
     #[test]

@@ -126,8 +126,8 @@ impl SyncState for CompleteTerminal {
             put_varint(&mut out, dst.width() as u64);
             put_varint(&mut out, dst.height() as u64);
         }
-        // Diff into the reusable scratch buffer: the damage-tracked differ
-        // plus a warmed buffer make the common per-tick diff allocation-free.
+        // Diff into the reusable scratch buffer: the differ plus a warmed
+        // buffer make the common per-tick diff allocation-free.
         let mut buf = self.scratch.take();
         display::new_frame_into(true, src, dst, &mut buf);
         if !buf.is_empty() {
@@ -170,7 +170,8 @@ impl SyncState for CompleteTerminal {
                 REC_RESIZE => {
                     let w = r.varint().map_err(|_| StateError::Malformed)? as usize;
                     let h = r.varint().map_err(|_| StateError::Malformed)? as usize;
-                    if w == 0 || h == 0 || w > 5000 || h > 5000 {
+                    let max = usize::from(crate::MAX_DIMENSION);
+                    if w == 0 || h == 0 || w > max || h > max {
                         return Err(StateError::Malformed);
                     }
                     self.terminal.resize(w, h);

@@ -16,5 +16,10 @@
 pub mod complete;
 pub mod user;
 
+/// The largest window width or height a diff may carry, in either
+/// direction: a resize to anything larger, or to 0, is refused as
+/// malformed.
+pub(crate) const MAX_DIMENSION: u16 = 5000;
+
 pub use complete::CompleteTerminal;
 pub use user::{UserEvent, UserStream};

@@ -9,6 +9,7 @@
 //! end (via [`mosh_ssp::SyncState::subtract`]) never changes what a diff
 //! contains.
 
+use crate::MAX_DIMENSION;
 use mosh_ssp::wire::{put_bytes, put_varint, Reader};
 use mosh_ssp::{StateError, SyncState};
 use std::collections::VecDeque;
@@ -64,9 +65,16 @@ impl UserStream {
         self.events.push_back(UserEvent::Keystroke(bytes.to_vec()));
     }
 
-    /// Appends a window resize.
-    pub fn push_resize(&mut self, width: u16, height: u16) {
+    /// Appends a window resize, unless the receiver would refuse it (a
+    /// dimension of 0 or above 5000): a diff carrying one is dropped whole,
+    /// so every later diff would be too. Returns whether it was appended.
+    pub fn push_resize(&mut self, width: usize, height: usize) -> bool {
+        let checked = |d: usize| u64::try_from(d).ok().and_then(dimension);
+        let (Some(width), Some(height)) = (checked(width), checked(height)) else {
+            return false;
+        };
         self.events.push_back(UserEvent::Resize { width, height });
+        true
     }
 
     /// Global index one past the last event (total events ever appended).
@@ -109,13 +117,24 @@ impl UserStream {
                 r.bytes().map_err(|_| StateError::Malformed)?.to_vec(),
             )),
             2 => {
-                let width = r.varint().map_err(|_| StateError::Malformed)? as u16;
-                let height = r.varint().map_err(|_| StateError::Malformed)? as u16;
+                let mut next = || {
+                    let v = r.varint().map_err(|_| StateError::Malformed)?;
+                    dimension(v).ok_or(StateError::Malformed)
+                };
+                let width = next()?;
+                let height = next()?;
                 Ok(UserEvent::Resize { width, height })
             }
             _ => Err(StateError::Malformed),
         }
     }
+}
+
+/// `v` as a window dimension the receiver accepts: 1 to [`MAX_DIMENSION`].
+fn dimension(v: u64) -> Option<u16> {
+    u16::try_from(v)
+        .ok()
+        .filter(|d| (1..=MAX_DIMENSION).contains(d))
 }
 
 impl SyncState for UserStream {
@@ -340,6 +359,33 @@ mod tests {
         let mut s = UserStream::new();
         assert_eq!(s.apply_diff(&[0xff]), Err(StateError::Malformed));
         assert_eq!(s.apply_diff(&[0, 1, 9, 9]), Err(StateError::Malformed));
+    }
+
+    #[test]
+    fn resizes_the_receiver_would_refuse_are_refused() {
+        // start 0, one event: a resize to `width` × 30.
+        let resize_diff = |width: u64| {
+            let mut d = vec![0, 1, 2];
+            put_varint(&mut d, width);
+            put_varint(&mut d, 30);
+            d
+        };
+        let mut s = UserStream::new();
+        for width in [0, 5001, 65_536, 65_537] {
+            assert_eq!(
+                s.apply_diff(&resize_diff(width)),
+                Err(StateError::Malformed),
+                "width {width}"
+            );
+            assert_eq!(s.end_index(), 0);
+        }
+        s.apply_diff(&resize_diff(5000)).unwrap();
+        assert_eq!(s.end_index(), 1);
+        // The sender refuses to queue what the receiver would refuse.
+        for (width, height) in [(0, 30), (80, 5001), (65_536, 30)] {
+            assert!(!s.push_resize(width, height));
+        }
+        assert_eq!(s.end_index(), 1);
     }
 
     #[test]

@@ -152,7 +152,7 @@ proptest! {
                 0 | 1 => {
                     let input = sender.current_mut();
                     if arg % 16 == 0 {
-                        input.push_resize(80 + (arg % 7) as u16, 24);
+                        input.push_resize(80 + (arg % 7) as usize, 24);
                     } else {
                         input.push_keystroke(&[arg as u8]);
                     }

@@ -10,7 +10,9 @@
 //! The differ tracks what each byte it emits does to the receiving
 //! terminal — cursor, pen, scroll offset, the one cell a print can blank
 //! beside itself — over the *borrowed* rows of the frame the receiver
-//! shows, so a warm diff allocates nothing. Correctness is the invariant
+//! shows, so a warm diff allocates nothing. A row that still shares storage
+//! with the receiver's row is skipped unread; every other row is compared
+//! cell by cell. Correctness is the invariant
 //! `apply(new_frame(init, a, b), a) == b`, which debug builds assert on
 //! every diff through a real terminal and the property tests in `tests/`
 //! check against randomized screens.
@@ -18,7 +20,7 @@
 use std::fmt::Write;
 
 use crate::cell::{Attrs, Cell};
-use crate::framebuffer::{Cursor, Framebuffer, Row, RowDelta};
+use crate::framebuffer::{Cursor, Framebuffer, Row};
 
 /// Minimum run of trailing blanks for which erase-to-end-of-line is used
 /// instead of printing spaces.
@@ -58,11 +60,11 @@ pub fn new_frame(initialized: bool, last: &Framebuffer, target: &Framebuffer) ->
 /// [`new_frame`] into a caller-provided buffer: `out` is cleared and then
 /// filled, so a per-tick sender can reuse one allocation across diffs.
 ///
-/// Uses the framebuffer's damage stamps ([`Row::delta_from`]) to visit only
-/// rows that provably changed since `last`, and within a damaged row only
-/// the dirty column span. Every shortcut skips provably byte-identical
-/// content only, so the output is identical to [`new_frame_full_scan`] —
-/// an invariant the proptests and the `term_ops` bench both assert.
+/// Skips without reading them the rows that share storage with the row
+/// the receiver shows ([`Row::same_data`]), which hold the same cells, and
+/// compares the cells of every other row, so the output is identical to
+/// [`new_frame_full_scan`] — an invariant the proptests and the `term_ops`
+/// bench both assert.
 pub fn new_frame_into(
     initialized: bool,
     last: &Framebuffer,
@@ -72,23 +74,21 @@ pub fn new_frame_into(
     frame_diff(initialized, last, target, out, true);
 }
 
-/// The correctness oracle: same contract as [`new_frame`], but every row is
-/// content-compared and every damaged row fully re-scanned, ignoring damage
-/// stamps — the shape the differ had before damage tracking existed.
+/// The correctness oracle: same contract as [`new_frame`], but every row's
+/// cells are compared, shared storage or not.
 pub fn new_frame_full_scan(initialized: bool, last: &Framebuffer, target: &Framebuffer) -> String {
     let mut out = String::new();
     frame_diff(initialized, last, target, &mut out, false);
     out
 }
 
-/// Row comparison for skip decisions: damage proof first (O(1)), content
-/// equality as the fallback — both sides of the `||` imply byte-identical
-/// rows, so enabling damage never changes the outcome, only the cost. The
-/// fallback compares the cells themselves, so the full-scan oracle stays a
-/// full scan whatever shortcut `Row::eq` takes.
-fn rows_match(target: &Row, sim: &Row, use_damage: bool) -> bool {
-    (use_damage && matches!(target.delta_from(sim), RowDelta::Identical))
-        || target.cells() == sim.cells()
+/// Row comparison for skip decisions: shared storage first (O(1)), cell
+/// equality as the fallback — both sides of the `||` imply identical
+/// cells, so skipping shared rows never changes the outcome, only the
+/// cost. The fallback compares the cells themselves, so the full-scan
+/// oracle stays a full scan whatever shortcut `Row::eq` takes.
+fn rows_match(target: &Row, sim: &Row, skip_shared: bool) -> bool {
+    (skip_shared && Row::same_data(target, sim)) || target.cells() == sim.cells()
 }
 
 fn frame_diff(
@@ -96,24 +96,23 @@ fn frame_diff(
     last: &Framebuffer,
     target: &Framebuffer,
     out: &mut String,
-    use_damage: bool,
+    skip_shared: bool,
 ) {
     out.clear();
     let same_canvas =
         initialized && last.width() == target.width() && last.height() == target.height();
 
-    // Idle fast path: when every row is *provably* unchanged and the scalar
-    // state matches, the diff is empty — on a mostly-idle fleet this is the
-    // common case (echo-ack-only state changes diff equal frames every
-    // tick).
-    if use_damage
+    // Idle fast path: when every row shares storage with the receiver's and
+    // the scalar state matches, the diff is empty — on a mostly-idle fleet
+    // this is the common case (echo-ack-only state changes diff equal
+    // frames every tick).
+    if skip_shared
         && same_canvas
         && last.title() == target.title()
         && last.bell_count() == target.bell_count()
         && last.modes.cursor_visible == target.modes.cursor_visible
         && last.cursor == target.cursor
-        && (0..target.height())
-            .all(|r| matches!(target.row(r).delta_from(last.row(r)), RowDelta::Identical))
+        && (0..target.height()).all(|r| Row::same_data(target.row(r), last.row(r)))
     {
         return;
     }
@@ -157,10 +156,10 @@ fn frame_diff(
 
     // Scroll optimization: if the new frame is the old one shifted up by k
     // rows (tail-grew terminal output, pagers), scroll instead of repainting.
-    // Ring rotation moves row identity with the rows, so damage proofs keep
+    // Ring rotation moves row storage with the rows, so shared rows keep
     // matching the shifted positions afterwards.
     if same_canvas {
-        if let Some(k) = detect_scroll(last, target, use_damage) {
+        if let Some(k) = detect_scroll(last, target, skip_shared) {
             // Default renditions first: the rows scrolled in are blank in
             // the pen's background.
             d.set_attrs(Attrs::default());
@@ -170,36 +169,14 @@ fn frame_diff(
         }
     }
 
-    // Per-row repaint of whatever still differs. A damage proof can either
-    // skip the row outright or confine the cell walk to the dirty span;
-    // rows without a proof get the full content comparison.
-    let width = target.width();
+    // Per-row repaint of whatever still differs.
     for row in 0..target.height() {
         let wanted = target.row(row);
-        let Some(shown) = d.receiver_row(row) else {
-            if !wanted.cells().iter().all(|c| *c == Cell::default()) {
-                d.diff_row(row, None, wanted.cells(), 0, width - 1);
-            }
-            continue;
-        };
-        if use_damage {
-            match wanted.delta_from(shown) {
-                RowDelta::Identical => continue,
-                RowDelta::Damaged(lo, hi) => {
-                    d.diff_row(
-                        row,
-                        Some(shown.cells()),
-                        wanted.cells(),
-                        lo,
-                        hi.min(width - 1),
-                    );
-                    continue;
-                }
-                RowDelta::Unknown => {}
-            }
-        }
-        if shown.cells() != wanted.cells() {
-            d.diff_row(row, Some(shown.cells()), wanted.cells(), 0, width - 1);
+        match d.receiver_row(row) {
+            None if wanted.cells().iter().all(|c| *c == Cell::default()) => {}
+            None => d.diff_row(row, None, wanted.cells()),
+            Some(shown) if rows_match(wanted, shown, skip_shared) => {}
+            Some(shown) => d.diff_row(row, Some(shown.cells()), wanted.cells()),
         }
     }
 
@@ -246,15 +223,15 @@ fn converges(same_canvas: bool, last: &Framebuffer, target: &Framebuffer, diff: 
 /// Finds the largest upward shift `k` such that the top `height - k` rows of
 /// `target` are exactly the bottom rows of `shown`. Requires the preserved
 /// region to cover at least half the screen to be worthwhile.
-fn detect_scroll(shown: &Framebuffer, target: &Framebuffer, use_damage: bool) -> Option<usize> {
+fn detect_scroll(shown: &Framebuffer, target: &Framebuffer, skip_shared: bool) -> Option<usize> {
     let h = target.height();
     for k in 1..h {
         let kept = h - k;
         if kept < h.div_ceil(2) {
             break;
         }
-        if (0..kept).all(|i| rows_match(target.row(i), shown.row(i + k), use_damage))
-            && (0..kept).any(|i| !rows_match(target.row(i), shown.row(i), use_damage))
+        if (0..kept).all(|i| rows_match(target.row(i), shown.row(i + k), skip_shared))
+            && (0..kept).any(|i| !rows_match(target.row(i), shown.row(i), skip_shared))
         {
             return Some(k);
         }
@@ -315,19 +292,8 @@ impl<'a> Differ<'a> {
     }
 
     /// Repaints the cells of `row` where what the receiver shows (`shown`;
-    /// `None` for a blank row) differs from `wanted`, consulting only
-    /// columns whose span overlaps the inclusive `[lo, hi]` range — callers
-    /// pass the full width unless a damage proof guarantees the outside
-    /// columns are already identical (in which case skipping them without
-    /// comparing changes nothing but the cost).
-    fn diff_row(
-        &mut self,
-        row: usize,
-        shown: Option<&[Cell]>,
-        wanted: &[Cell],
-        lo: usize,
-        hi: usize,
-    ) {
+    /// `None` for a blank row) differs from `wanted`.
+    fn diff_row(&mut self, row: usize, shown: Option<&[Cell]>, wanted: &[Cell]) {
         let width = wanted.len();
         // A print changes one receiver cell beyond those it writes: when
         // the last cell it overwrites led a wide pair, the orphaned
@@ -349,10 +315,6 @@ impl<'a> Differ<'a> {
             // emulator-made frame holds one, and it must not index past
             // the row.)
             let span = if tcell.wide && col + 1 < width { 2 } else { 1 };
-            if col + span <= lo || col > hi {
-                col += span;
-                continue;
-            }
             let matches = receiver(col, blanked) == tcell
                 && (span == 1 || receiver(col + 1, blanked) == wanted[col + 1]);
             if matches {

@@ -13,7 +13,7 @@
 //! [`Perform`] sink, so [`Terminal::write`] builds no list of actions; and
 //! while the parser sits in its ground state, `write` hands each maximal
 //! run of printable ASCII to [`Framebuffer::print_run`], which writes a
-//! whole row segment under one damage stamp. Everything else — escape
+//! whole row segment at a time. Everything else — escape
 //! sequences, non-ASCII and wide characters — goes byte by byte through
 //! [`Parser::advance`] to the per-character [`Framebuffer::print`] and the
 //! dispatch below. [`Terminal::perform`] replays a collected [`Action`]

@@ -44,4 +44,4 @@ mod wirefmt;
 
 pub use cell::{Attrs, Cell, Color};
 pub use emulator::Terminal;
-pub use framebuffer::{Cursor, Framebuffer, Row, RowDelta};
+pub use framebuffer::{Cursor, Framebuffer, Row};

@@ -232,18 +232,17 @@ proptest! {
         prop_assert_eq!(whole.frame(), parts.frame());
     }
 
-    /// Damage soundness (`Grid.tla`'s `DamageSound`): whatever a row's
-    /// delta claims about a snapshot must be literally true — `Identical`
-    /// means byte-identical, `Damaged(lo, hi)` means every cell outside
-    /// `[lo, hi]` is byte-identical. The differ's fast path skips exactly
-    /// what these claims cover, so an unsound claim is a wrong frame.
+    /// Sharing soundness (`Grid.tla`'s `DamageSound`, with shared storage
+    /// as the only claim): a row that shares storage with the same row of
+    /// an earlier clone holds that clone's cells. The differ skips exactly
+    /// the shared rows, so an unsound share is a wrong frame.
     #[test]
-    fn damage_claims_are_sound(a in terminal_bytes(), b in terminal_bytes()) {
+    fn shared_rows_hold_their_clones_cells(a in terminal_bytes(), b in terminal_bytes()) {
         let mut term = Terminal::new(60, 16);
         term.write(&a);
         let snap = term.frame().clone();
         term.write(&b);
-        check_damage_claims(term.frame(), &snap)?;
+        check_shared_rows(term.frame(), &snap)?;
     }
 
     /// Scrolls build their blank row in the storage of the row they evict
@@ -252,10 +251,10 @@ proptest! {
     /// itself taken at random points (so some of its evicted rows are
     /// shared and some are not), the other never does (so it reuses every
     /// time). They must stay the same terminal by snapshot; every held
-    /// clone must stay byte for byte what it was when taken; and every
-    /// damage claim of the live screen against a held clone must be true —
-    /// a reused row has a new `id`, so against the frames that knew its
-    /// storage under the old one it can only answer `Unknown`.
+    /// clone must stay byte for byte what it was when taken; and every row
+    /// of the live screen that shares storage with a held clone's row must
+    /// hold that clone's cells — storage a clone still holds is never
+    /// reused.
     #[test]
     fn scrolls_reuse_only_rows_no_clone_holds(
         limit in prop_oneof![Just(0usize), Just(1usize), Just(3usize), Just(200usize)],
@@ -303,16 +302,16 @@ proptest! {
                 prop_assert_eq!(&clone.snapshot_bytes(), taken, "a held clone changed");
                 let (now, then) = (holder.frame(), clone.frame());
                 if (now.width(), now.height()) == (then.width(), then.height()) {
-                    check_damage_claims(now, then)?;
+                    check_shared_rows(now, then)?;
                 }
             }
         }
     }
 
     /// `Row::eq` / `Framebuffer::eq` are content equality whatever the
-    /// rows' identity (shared storage, damage stamps, lineage): across
-    /// clone → mutate → revert → sibling-lineage → cross-lineage (a
-    /// client built from diffs vs. the server that made them) pairs,
+    /// rows' storage (shared or copied): across clone → mutate → revert →
+    /// sibling-lineage → cross-lineage (a client built from diffs vs. the
+    /// server that made them) pairs,
     /// equality agrees with a cell-by-cell oracle that never looks at
     /// identity. An identity shortcut added to either may only ever
     /// short-circuit a *true* answer; this is the test it has to pass.
@@ -331,14 +330,14 @@ proptest! {
         prop_assert!(frames_agree(term.frame(), &snap));
         prop_assert!(term.frame() == &snap);
 
-        // A sibling lineage: same row ids, its own mutation stamps.
+        // A sibling lineage: same row storage until each side writes.
         let mut sibling = term.clone();
 
         // Mutate.
         term.write(&b);
         prop_assert!(frames_agree(term.frame(), &snap));
 
-        // Mutate one cell and put it back: stamps moved, content did not.
+        // Mutate one cell and put it back: storage moved, content did not.
         let mut reverted = term.clone();
         let original = *reverted.frame().cell(row, col);
         *reverted.frame_mut().cell_mut(row, col) = mosh_terminal::Cell::default();
@@ -347,8 +346,8 @@ proptest! {
         prop_assert!(frames_agree(reverted.frame(), term.frame()));
         prop_assert!(reverted.frame() == term.frame());
 
-        // The sibling replays the same bytes (equal content, distinct
-        // stamps under shared ids), then diverges.
+        // The sibling replays the same bytes (equal content in distinct
+        // storage), then diverges.
         sibling.write(&b);
         prop_assert!(frames_agree(sibling.frame(), term.frame()));
         prop_assert!(sibling.frame() == term.frame());
@@ -369,11 +368,11 @@ proptest! {
         prop_assert!(frames_agree(client.frame(), sibling.frame()));
     }
 
-    /// The damage-tracked differ is byte-identical to the full-scan
-    /// oracle — damage only changes what gets *visited*, never what gets
-    /// emitted.
+    /// The differ that skips shared rows is byte-identical to the
+    /// full-scan oracle — sharing only changes what gets *visited*, never
+    /// what gets emitted.
     #[test]
-    fn damage_diff_matches_full_scan_oracle(
+    fn skip_diff_matches_full_scan_oracle(
         a in terminal_bytes(),
         b in terminal_bytes(),
         initialized in any::<bool>(),
@@ -420,7 +419,7 @@ proptest! {
         }
     }
 
-    /// A damaged / scrolled / scrolled-back / resized terminal survives
+    /// A written / scrolled / scrolled-back / resized terminal survives
     /// the snapshot (wirefmt) path byte-identically — scrollback rows and
     /// the viewport offset included (the PR 9 container rides on this).
     #[test]
@@ -481,10 +480,9 @@ proptest! {
     }
 
     /// `print_run(run)` is `print` of each byte in turn: same terminal by
-    /// snapshot, and the same damage claim for every row against the
-    /// pre-state (one stamp per span dirties the same union of columns).
-    /// The cursor's row is paved with wide pairs from column 0 or 1 in
-    /// two cases of three, so both ends of most spans cut one in half.
+    /// snapshot. The cursor's row is paved with wide pairs from column 0
+    /// or 1 in two cases of three, so both ends of most spans cut one in
+    /// half.
     #[test]
     fn print_run_matches_per_character_print(
         shape in prop_oneof![
@@ -510,57 +508,24 @@ proptest! {
         let mut by_run = Terminal::new(w, h);
         by_run.write(&setup);
         let mut by_char = by_run.clone();
-        let before = by_run.frame().clone();
 
         by_run.frame_mut().print_run(run.as_bytes());
         for c in run.chars() {
             by_char.frame_mut().print(c);
         }
         prop_assert_eq!(by_run.snapshot_bytes(), by_char.snapshot_bytes());
-        for r in 0..shape.1 {
-            prop_assert_eq!(
-                by_run.frame().row(r).delta_from(before.row(r)),
-                by_char.frame().row(r).delta_from(before.row(r)),
-                "row {} damage claim",
-                r
-            );
-        }
     }
 }
 
-/// Whatever each row of `cur` claims about the same row of `snap`, an
-/// earlier clone of the same framebuffer, must be literally true.
-fn check_damage_claims(
+/// Every row of `cur` that shares storage with the same row of `snap`, an
+/// earlier clone of the same framebuffer, must hold `snap`'s cells.
+fn check_shared_rows(
     cur: &mosh_terminal::Framebuffer,
     snap: &mosh_terminal::Framebuffer,
 ) -> Result<(), TestCaseError> {
     for r in 0..cur.height() {
-        match cur.row(r).delta_from(snap.row(r)) {
-            mosh_terminal::RowDelta::Identical => {
-                prop_assert_eq!(cur.row(r), snap.row(r), "row {} claimed Identical", r);
-            }
-            mosh_terminal::RowDelta::Damaged(lo, hi) => {
-                for (col, (c, s)) in cur
-                    .row(r)
-                    .cells()
-                    .iter()
-                    .zip(snap.row(r).cells())
-                    .enumerate()
-                {
-                    if col < lo || col > hi {
-                        prop_assert_eq!(
-                            c,
-                            s,
-                            "row {} col {} outside damage [{}, {}] differs",
-                            r,
-                            col,
-                            lo,
-                            hi
-                        );
-                    }
-                }
-            }
-            mosh_terminal::RowDelta::Unknown => {}
+        if mosh_terminal::Row::same_data(cur.row(r), snap.row(r)) {
+            prop_assert_eq!(cur.row(r).cells(), snap.row(r).cells(), "shared row {}", r);
         }
     }
     Ok(())
