@@ -106,9 +106,9 @@ pub struct HubStats {
     /// Live source hints in the distributor's map (a gauge, not a
     /// counter: one per client address currently claimed by a shard).
     pub feed_hints: u64,
-    /// Sessions moved live between shards (`ShardedHub::migrate_session`
-    /// and `rebalance`) — the session keeps pumping on its new shard
-    /// with a byte-identical transcript.
+    /// Sessions moved live between shards (`ShardedHub::migrate_session`)
+    /// — the session keeps pumping on its new shard with a
+    /// byte-identical transcript.
     pub sessions_migrated: u64,
     /// Sessions rebuilt from their last checkpoint after their shard
     /// was quarantined (`ShardedHub::resurrect_quarantined`).
@@ -116,26 +116,10 @@ pub struct HubStats {
     /// Total framed snapshot bytes written by the checkpoint cadence
     /// (cumulative, across all sessions and checkpoints).
     pub checkpoint_bytes: u64,
-    /// Per-shard load signals ([`ShardedHub`] only; empty on a single
-    /// [`ServerHub`]): index `i` is shard `i`'s own wakeup/delivery
-    /// counters. This is the observability a rebalance policy needs —
-    /// compare entries to find hot shards before calling
-    /// `ShardedHub::migrate_session` / `rebalance`.
-    pub shard_loads: Vec<ShardLoad>,
-}
-
-/// One shard's share of the hub load (see [`HubStats::shard_loads`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardLoad {
-    /// Timer-wheel pops this shard serviced.
-    pub wakeups: u64,
-    /// Datagrams this shard delivered to a session.
-    pub deliveries: u64,
 }
 
 impl HubStats {
-    /// Member-wise sum (aggregating shard counters). `shard_loads` is
-    /// not summed — the aggregator fills it with one entry per shard.
+    /// Member-wise sum (aggregating shard counters).
     pub(crate) fn add(&mut self, other: HubStats) {
         self.wakeups += other.wakeups;
         self.overdue_wakeups += other.overdue_wakeups;

@@ -405,12 +405,7 @@ impl<P: Poller> ShardedHub<P> {
     pub fn stats(&self) -> HubStats {
         let mut total = HubStats::default();
         for s in &self.shards {
-            let st = s.stats();
-            total.shard_loads.push(super::ShardLoad {
-                wakeups: st.wakeups,
-                deliveries: st.delivered,
-            });
-            total.add(st);
+            total.add(s.stats());
         }
         total.shard_panics = self.failed.iter().filter(|f| f.is_some()).count() as u64;
         total.sessions_migrated = self.migrated;
@@ -500,46 +495,6 @@ impl<P: Poller> ShardedHub<P> {
                 false
             }
         }
-    }
-
-    /// Load-aware rebalancing: migrates sessions from the most-loaded
-    /// healthy shard to the least-loaded until the spread is at most
-    /// one session (or no remaining session can move — co-location and
-    /// unextractable channels are respected, never forced). Returns how
-    /// many sessions moved.
-    pub fn rebalance(&mut self) -> usize {
-        let mut moved = 0;
-        loop {
-            let mut max_s = None;
-            let mut min_s = None;
-            for i in 0..self.shards.len() {
-                if self.failed[i].is_some() {
-                    continue;
-                }
-                let c = self.shards[i].session_count();
-                if max_s.is_none_or(|(_, mc)| c > mc) {
-                    max_s = Some((i, c));
-                }
-                if min_s.is_none_or(|(_, mc)| c < mc) {
-                    min_s = Some((i, c));
-                }
-            }
-            let (Some((from, fc)), Some((to, tc))) = (max_s, min_s) else {
-                break;
-            };
-            if fc <= tc + 1 {
-                break; // balanced: no move can reduce the spread
-            }
-            let candidate = (0..self.sessions.len()).find(|&gid| {
-                self.sessions[gid].is_some_and(|(s, _)| s == from)
-                    && self.migrate_session(SessionId(gid), to)
-            });
-            if candidate.is_none() {
-                break; // nothing on the loaded shard can move
-            }
-            moved += 1;
-        }
-        moved
     }
 
     /// Crash recovery: re-registers every quarantined shard's sessions
@@ -633,7 +588,9 @@ impl<P: Poller + Send> ShardedHub<P> {
     /// genuinely run concurrently (a blocked shard may be waiting on a
     /// datagram only `side` can feed it), every shard gets a worker
     /// thread here, even a lone one — the inline fast path belongs to
-    /// [`ShardedHub::pump`] alone.
+    /// [`ShardedHub::pump`] alone. Every healthy shard is pumped, leased
+    /// or not, so one that owns no session still bounces what `side`
+    /// feeds it (see [`ServerHub::pump`]).
     pub fn pump_with(
         &mut self,
         sessions: &mut [HubSession<'_, '_>],
@@ -697,12 +654,15 @@ impl<P: Poller + Send> ShardedHub<P> {
         // (spawned on first use), run `side` on this thread while they
         // pump, then block for every reply — the borrows the jobs carry
         // must not outlive this frame. Shards with no leases this pump
-        // stay parked on their command channels, like unleased sessions.
+        // stay parked on their command channels, like unleased sessions —
+        // except behind a shared socket, where every healthy shard runs:
+        // an unleased one bounces what the distributor fed it onward.
+        let shared = side.is_some();
         let runtime = self.runtime.get_or_insert_with(|| ShardRuntime::spawn(n)) as &ShardRuntime;
         let mut dispatched = vec![false; n];
         let mut new_failures: Vec<(usize, String)> = Vec::new();
         for (i, leases) in shard_leases.iter_mut().enumerate() {
-            if leases.is_empty() {
+            if self.failed[i].is_some() || (leases.is_empty() && !shared) {
                 continue;
             }
             let job = PumpJob {
@@ -883,20 +843,8 @@ mod tests {
             assert!(hub.stats().delivered > 0);
             assert_eq!(hub.stats().dropped, 0);
 
-            // Per-shard load signals: one entry per shard, and the
-            // entries sum back to the aggregate counters.
-            let stats = hub.stats();
-            assert_eq!(stats.shard_loads.len(), shards);
-            assert_eq!(
-                stats.shard_loads.iter().map(|l| l.wakeups).sum::<u64>(),
-                stats.wakeups
-            );
-            assert_eq!(
-                stats.shard_loads.iter().map(|l| l.deliveries).sum::<u64>(),
-                stats.delivered
-            );
             // Round-robin accept spread real work over every shard.
-            assert!(stats.shard_loads.iter().all(|l| l.wakeups > 0));
+            assert!((0..shards).all(|i| hub.shard(i).stats().wakeups > 0));
         }
     }
 
@@ -1108,6 +1056,13 @@ mod tests {
         // And independent sessions still spread out.
         let third = hub.add_session(sim_world(8));
         assert_ne!(hub.location(third).0, shard_a);
+        // The pair shares one channel, so it moves together or not at
+        // all: migrating either member alone is refused.
+        let elsewhere = hub.location(third).0;
+        assert!(!hub.migrate_session(first, elsewhere));
+        assert!(!hub.migrate_session(second, elsewhere));
+        assert_eq!(hub.location(first).0, shard_a);
+        assert_eq!(hub.stats().sessions_migrated, 0);
     }
 
     /// One full conversation, with and without two mid-way migrations:
@@ -1144,33 +1099,6 @@ mod tests {
         assert_eq!(row_moved, "$ hi");
         assert_eq!(row_moved, row_still);
         assert_eq!(snap_moved, snap_still, "server state bit-for-bit equal");
-    }
-
-    #[test]
-    fn rebalance_spreads_load_and_respects_colocation() {
-        let mut hub = ShardedHub::with_shards(3, SimPoller::new);
-        // Pile everything onto shard 0: three singles plus a co-located
-        // pair sharing one world.
-        let mut singles = Vec::new();
-        for i in 0..3u64 {
-            let tok = hub.shard_mut(0).poller_mut().add(sim_world(50 + i));
-            singles.push(hub.add_session_on(0, tok));
-        }
-        let anchor_tok = hub.shard_mut(0).poller_mut().add(sim_world(60));
-        let anchor = hub.add_session_on(0, anchor_tok);
-        let tenant = hub.add_session_sharing(anchor);
-        assert_eq!(hub.shard(0).session_count(), 5);
-
-        let moved = hub.rebalance();
-        let counts: Vec<usize> = (0..3).map(|i| hub.shard(i).session_count()).collect();
-        let spread = counts.iter().max().unwrap() - counts.iter().min().unwrap();
-        assert!(spread <= 1, "balanced: {counts:?}");
-        assert_eq!(moved, 3, "the three singles moved");
-        assert_eq!(hub.stats().sessions_migrated, moved as u64);
-        // The pair shares one channel, so it moved together or not at all.
-        assert_eq!(hub.location(anchor).0, hub.location(tenant).0);
-        // And a direct migrate of either pair member is refused.
-        assert!(!hub.migrate_session(anchor, 1));
     }
 
     /// A shorter checkpoint cadence buys a fresher resurrection point,

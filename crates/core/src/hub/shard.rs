@@ -361,7 +361,9 @@ impl<P: Poller> ServerHub<P> {
     /// keeps the schedule identical to a 1 ms reference loop (receive →
     /// inject → tick at each instant). Sessions left out of a pump are
     /// parked: their state persists, but datagrams arriving for them are
-    /// dropped like any unclaimed traffic.
+    /// dropped like any unclaimed traffic. A pump with no lease at all
+    /// hands whatever its shared sources hold to their unclaimed hooks,
+    /// so a shard that owns no session still passes its feed on.
     ///
     /// Each wakeup drains the poller one datagram at a time: `poll_any`,
     /// then `route` (hinted candidates first, one `try_open` per probe),
@@ -378,6 +380,19 @@ impl<P: Poller> ServerHub<P> {
     /// contract every tick skipped this way was a no-op, and simulated
     /// substrates never end a wait early, so transcripts are unchanged.
     pub fn pump(&mut self, sessions: &mut [HubSession<'_, '_>]) -> Vec<(SessionId, SessionEvent)> {
+        if sessions.is_empty() && !self.unclaimed.is_empty() {
+            // A zero-length wait marks each shared source ready, since
+            // the poller only drains sources it has waited on.
+            for k in 0..self.unclaimed.len() {
+                let tok = self.unclaimed[k].0;
+                let now = self.poller.now(tok);
+                self.poller.wait_until(tok, now);
+            }
+            while let Some((tok, dg)) = self.poller.poll_any() {
+                self.bounce_or_drop(tok, &dg);
+            }
+            return Vec::new();
+        }
         let mut events: Vec<(SessionId, SessionEvent)> = Vec::new();
         let mut scratch: Vec<SessionEvent> = Vec::new();
         let mut ps = PumpScratch {
@@ -463,18 +478,7 @@ impl<P: Poller> ServerHub<P> {
                         events.extend(scratch.drain(..).map(|e| (sj, e)));
                         ps.wake(j);
                     }
-                    None => {
-                        let bounced = self
-                            .unclaimed
-                            .iter_mut()
-                            .find(|(t, _)| *t == t2)
-                            .is_some_and(|(_, hook)| hook(&dg));
-                        if bounced {
-                            self.stats.bounced += 1;
-                        } else {
-                            self.stats.dropped += 1;
-                        }
-                    }
+                    None => self.bounce_or_drop(t2, &dg),
                 }
             }
 
@@ -505,6 +509,21 @@ impl<P: Poller> ServerHub<P> {
             }
         }
         events
+    }
+
+    /// Hands a datagram no lease claims to `tok`'s unclaimed hook,
+    /// counting it bounced if the hook takes it and dropped otherwise.
+    fn bounce_or_drop(&mut self, tok: Token, dg: &Datagram) {
+        let bounced = self
+            .unclaimed
+            .iter_mut()
+            .find(|(t, _)| *t == tok)
+            .is_some_and(|(_, hook)| hook(dg));
+        if bounced {
+            self.stats.bounced += 1;
+        } else {
+            self.stats.dropped += 1;
+        }
     }
 
     /// Ticks lease `i`'s parties at `now`, shipping their output on its

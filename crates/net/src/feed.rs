@@ -43,16 +43,16 @@
 //! then the hint is warm — and only ever affect a session's *first*
 //! packets.
 //!
-//! The distributor hands each datagram over when it arrives. It blocks
-//! in one readiness wait (a `poll(2)`, as under every real socket here)
-//! on the socket and on a wake descriptor every [`FeedBouncer`] signals,
-//! until a datagram lands, a shard bounces one, or its pump's deadline
-//! comes. It then reads the (nonblocking) socket until the kernel queue
-//! is empty and flushes each shard's batch at once: a burst still moves
-//! as one queue send per shard, and a lone keystroke waits for no timer.
+//! The distributor hands each datagram over when it arrives, one queue
+//! slot per datagram. It blocks in one readiness wait (a `poll(2)`, as
+//! under every real socket here) on the socket and on a wake descriptor
+//! every [`FeedBouncer`] signals, until a datagram lands, a shard bounces
+//! one, or its pump's deadline comes. It then reads the (nonblocking)
+//! socket until the kernel queue is empty, sending each datagram to its
+//! shard as it reads it, so a lone keystroke waits for no timer.
 //!
-//! Every queue is **bounded** by [`FEED_CAPACITY`]: a stalled or
-//! unleased shard sheds its overflow (counted in
+//! Every queue is **bounded** by [`FEED_CAPACITY`]: a stalled shard
+//! sheds its overflow (counted in
 //! [`DistributorStats::overflow`]) instead of growing without bound or
 //! stalling the distributor, and a shard evicts the hints of a session
 //! it retires ([`Channel::evict_hint`]), so a long-running server's
@@ -69,7 +69,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::UdpSocket;
 use std::os::unix::net::UnixDatagram;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -88,23 +88,17 @@ fn hop_key(dg: &Datagram) -> HopKey {
     (dg.from, dg.payload.len(), head)
 }
 
-/// What actually crosses a distributor→shard queue: a *batch* of
-/// datagrams, so one channel send moves a socket drain's worth of
-/// traffic instead of paying the queue synchronization per datagram
-/// (the `recvmmsg`/`sendmmsg` shape, carried through to the shard).
-type Batch = Vec<Datagram>;
+/// Most datagrams the distributor reads off the socket in one pump
+/// round before it gathers bounces again, so a socket burst never keeps
+/// a bounced datagram waiting for long.
+const FEED_BATCH: usize = 64;
 
-/// Most datagrams the distributor packs into one queue batch (and pulls
-/// off the socket per drain round). Keeps a single batch's latency
-/// bounded while still amortizing the queue handoff ~64× under load.
-pub(crate) const FEED_BATCH: usize = 64;
-
-/// The bound on each distributor→shard queue, counted in **datagrams**
-/// (batches are bounded by their contents); the bounce queue holds this
-/// many per shard. A stalled (or this-pump-unleased) shard can hold at
-/// most this many datagrams before the distributor starts shedding new
-/// ones for it — drop-on-overflow is ordinary datagram semantics (SSP
-/// retransmits), unbounded memory under a wedged consumer is not.
+/// The bound on each distributor→shard queue, in datagrams (one per
+/// slot); the bounce queue holds this many per shard. A stalled shard
+/// can hold at most this many datagrams before the distributor starts
+/// shedding new ones for it — drop-on-overflow is ordinary datagram
+/// semantics (SSP retransmits), unbounded memory under a wedged
+/// consumer is not.
 pub const FEED_CAPACITY: usize = 1024;
 
 /// Distributor counters (a point-in-time snapshot; see
@@ -194,12 +188,10 @@ pub struct FeedChannel {
     socket: Arc<UdpSocket>,
     local: Addr,
     start: Instant,
-    rx: Receiver<Batch>,
-    /// Datagrams currently queued (sent by the distributor, not yet
-    /// consumed here): the distributor's per-shard capacity check reads
-    /// it, this side decrements it as batches are taken off the queue.
-    depth: Arc<AtomicUsize>,
-    inbox: VecDeque<Datagram>,
+    rx: Receiver<Datagram>,
+    /// The datagram a blocking wait took off the queue, held for the
+    /// next [`Channel::poll_any`].
+    held: Option<Datagram>,
     bounce_tx: SyncSender<Datagram>,
     /// The writing end of the distributor's wake descriptor, handed to
     /// every [`FeedBouncer`].
@@ -235,14 +227,6 @@ impl FeedChannel {
             self.cells.send_failed.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// Moves one received batch into the inbox, keeping the shared depth
-    /// gauge honest (the distributor stops feeding a shard whose depth
-    /// hits capacity).
-    fn absorb(&mut self, batch: Batch) {
-        self.depth.fetch_sub(batch.len(), Ordering::Relaxed);
-        self.inbox.extend(batch);
-    }
 }
 
 impl Channel for FeedChannel {
@@ -272,10 +256,7 @@ impl Channel for FeedChannel {
     }
 
     fn poll_any(&mut self) -> Option<Datagram> {
-        while let Ok(batch) = self.rx.try_recv() {
-            self.absorb(batch);
-        }
-        self.inbox.pop_front()
+        self.held.take().or_else(|| self.rx.try_recv().ok())
     }
 
     fn next_event_time(&self) -> Option<Millis> {
@@ -284,7 +265,7 @@ impl Channel for FeedChannel {
 
     fn wait_until(&mut self, deadline: Millis) -> Millis {
         let now = self.now();
-        if now >= deadline || !self.inbox.is_empty() {
+        if now >= deadline || self.held.is_some() {
             return now;
         }
         // Saturating: the guard above makes `now < deadline` today, but
@@ -295,8 +276,8 @@ impl Channel for FeedChannel {
             .rx
             .recv_timeout(Duration::from_millis(deadline.saturating_sub(now)))
         {
-            Ok(batch) => {
-                self.absorb(batch);
+            Ok(dg) => {
+                self.held = Some(dg);
                 self.now()
             }
             Err(RecvTimeoutError::Timeout) => self.now(),
@@ -346,14 +327,11 @@ impl FeedBouncer {
     }
 }
 
-/// Owns the shared socket and routes its datagrams to shard queues, a
-/// drained **batch** at a time: each pump round pulls what the kernel
-/// has queued, up to `FEED_BATCH` datagrams (plus any bounces), groups
-/// them by target shard, and moves each group into its shard's queue
-/// with **one** channel send — the `recvmmsg`/`sendmmsg` shape, so the
-/// per-datagram cost under load is one `recvfrom` plus a vector push,
-/// not a full queue synchronization. Between rounds it waits for
-/// readiness (see the module docs), never for a timer.
+/// Owns the shared socket and routes its datagrams to shard queues, one
+/// queue send per datagram: each pump round forwards the bounces, then
+/// reads what the kernel has queued, up to `FEED_BATCH` datagrams.
+/// Between rounds it waits for readiness (see the module docs), never
+/// for a timer.
 ///
 /// Run [`UdpDistributor::pump`] on its own thread (or interleaved with
 /// other work on the accept thread) while the shards pump their hubs.
@@ -365,13 +343,7 @@ pub struct UdpDistributor {
     /// The reading end of the wake descriptor [`FeedBouncer::bounce`]
     /// signals (nonblocking, drained after every wait it ends).
     wake: UnixDatagram,
-    feeds: Vec<SyncSender<Batch>>,
-    /// Per-shard queued-datagram depth, shared with the [`FeedChannel`]s
-    /// (they decrement as they consume): the capacity bound is enforced
-    /// in datagrams even though the queues carry batches.
-    depths: Vec<Arc<AtomicUsize>>,
-    /// This round's not-yet-flushed batch per shard.
-    pending: Vec<PendingBatch>,
+    feeds: Vec<SyncSender<Datagram>>,
     bounce_rx: Receiver<Datagram>,
     /// How many shards have declined each datagram that has bounced,
     /// touched by this thread only. Bounded: `hop_order` lists keys
@@ -383,17 +355,6 @@ pub struct UdpDistributor {
     hop_order: VecDeque<HopKey>,
     hints: Arc<Mutex<HashMap<Addr, usize>>>,
     cells: Arc<StatsCells>,
-}
-
-/// One shard's accumulating batch for the current pump round, tagged
-/// with how many of its datagrams came off the socket vs. the bounce
-/// cycle (the counters are attributed only when the batch actually
-/// lands on the queue).
-#[derive(Debug, Default)]
-struct PendingBatch {
-    items: Vec<Datagram>,
-    from_socket: u64,
-    from_bounce: u64,
 }
 
 impl UdpDistributor {
@@ -423,24 +384,17 @@ impl UdpDistributor {
         // instead of continuing the fan-out cycle.
         let (bounce_tx, bounce_rx) = sync_channel(FEED_CAPACITY * shards);
         let mut feeds = Vec::with_capacity(shards);
-        let mut depths = Vec::with_capacity(shards);
         let mut channels = Vec::with_capacity(shards);
         for shard in 0..shards {
-            // Batch queues: the depth gauge bounds queued *datagrams* at
-            // `FEED_CAPACITY`, and every batch holds at least one, so the
-            // channel itself can never see more batches than that.
-            let (tx, rx) = sync_channel::<Batch>(FEED_CAPACITY);
-            let depth = Arc::new(AtomicUsize::new(0));
+            let (tx, rx) = sync_channel(FEED_CAPACITY);
             feeds.push(tx);
-            depths.push(Arc::clone(&depth));
             channels.push(FeedChannel {
                 shard,
                 socket: Arc::clone(&socket),
                 local,
                 start,
                 rx,
-                depth,
-                inbox: VecDeque::new(),
+                held: None,
                 bounce_tx: bounce_tx.clone(),
                 wake: Arc::clone(&wake_tx),
                 cells: Arc::clone(&cells),
@@ -454,8 +408,6 @@ impl UdpDistributor {
                 buf: Box::new([0u8; MAX_DATAGRAM]),
                 wake,
                 feeds,
-                depths,
-                pending: (0..shards).map(|_| PendingBatch::default()).collect(),
                 bounce_rx,
                 hops: HashMap::new(),
                 hop_order: VecDeque::new(),
@@ -487,13 +439,6 @@ impl UdpDistributor {
         }
     }
 
-    /// Number of live source hints (one per client address currently
-    /// claimed by a shard) — eviction observability for long-running
-    /// servers.
-    pub fn hint_count(&self) -> usize {
-        lock_hints(&self.hints).len()
-    }
-
     /// The shard a datagram from `from` starts its routing at: the
     /// learned hint when one exists, a stable hash of the source
     /// otherwise (so retries of an unknown source probe shards in a
@@ -506,20 +451,17 @@ impl UdpDistributor {
     }
 
     /// Drains the socket and the bounce queue for `wall_ms` wall-clock
-    /// milliseconds, routing every datagram to a shard queue — a batch
-    /// per shard per round, not a queue send per datagram. Each round:
-    /// gather bounces, pull a socket burst (until the kernel queue is
-    /// empty, at most `FEED_BATCH`), flush every shard's accumulated
-    /// batch with one channel send. A round that emptied the socket then
-    /// waits for a datagram, a bounce, or the deadline, whichever comes
-    /// first.
+    /// milliseconds, routing every datagram to a shard queue. Each round
+    /// forwards the bounces, then reads the socket until the kernel queue
+    /// is empty, at most `FEED_BATCH` datagrams. A round that emptied the
+    /// socket then waits for a datagram, a bounce, or the deadline,
+    /// whichever comes first.
     pub fn pump(&mut self, wall_ms: u64) {
         // mosh-lint: allow(no-wallclock-in-sim): pump's budget is wall time spent on the real socket thread, outside any simulated schedule
         let deadline = Instant::now() + Duration::from_millis(wall_ms);
         loop {
             self.gather_bounces();
             let emptied = self.drain_socket(FEED_BATCH);
-            self.flush();
             // mosh-lint: allow(no-wallclock-in-sim): same wall-time pump budget as above
             let now = Instant::now();
             if now >= deadline {
@@ -547,9 +489,8 @@ impl UdpDistributor {
     }
 
     /// Counts one more decline of each bounced datagram (an unseen one
-    /// has none) and forwards it to the next shard in its cycle, into
-    /// this round's pending batches — or drops it once every shard has
-    /// declined it.
+    /// has none) and forwards it to the next shard in its cycle — or
+    /// drops it once every shard has declined it.
     fn gather_bounces(&mut self) {
         let shards = self.feeds.len();
         while let Ok(dg) = self.bounce_rx.try_recv() {
@@ -570,12 +511,12 @@ impl UdpDistributor {
                 }
             }
             let next = (self.base_shard(dg.from) + hops) % shards;
-            self.stage(next, dg, true);
+            self.feed(next, dg, true);
         }
     }
 
-    /// Pulls one socket burst, up to `max` datagrams, into this round's
-    /// pending batches without blocking, reading past transient errors.
+    /// Routes one socket burst, up to `max` datagrams, without blocking,
+    /// reading past transient errors.
     /// Returns true when the burst ended because the kernel queue was
     /// empty, false when it stopped at `max` with more possibly queued.
     fn drain_socket(&mut self, max: usize) -> bool {
@@ -583,7 +524,7 @@ impl UdpDistributor {
             match recv_raw(&self.socket, &mut self.buf[..], self.local) {
                 Ok(dg) => {
                     let shard = self.base_shard(dg.from);
-                    self.stage(shard, dg, false);
+                    self.feed(shard, dg, false);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(_) => continue,
@@ -592,58 +533,18 @@ impl UdpDistributor {
         false
     }
 
-    /// Stages one datagram into `shard`'s pending batch, enforcing the
-    /// per-shard datagram bound against queue depth + already-staged
-    /// items: a shard at capacity sheds (counted) instead of growing —
-    /// drop-on-overflow is ordinary datagram semantics (SSP
-    /// retransmits), and a stalled shard must never back-pressure the
-    /// socket drain for everyone else.
-    fn stage(&mut self, shard: usize, dg: Datagram, bounce: bool) {
-        let staged = &mut self.pending[shard];
-        let queued = self.depths[shard].load(Ordering::Relaxed) + staged.items.len();
-        if queued >= FEED_CAPACITY {
-            self.cells.overflow.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        staged.items.push(dg);
-        if bounce {
-            staged.from_bounce += 1;
-        } else {
-            staged.from_socket += 1;
-        }
-    }
-
-    /// Moves every shard's staged batch onto its queue — one channel
-    /// send per shard per round, however many datagrams the round
-    /// carried.
-    fn flush(&mut self) {
-        for shard in 0..self.feeds.len() {
-            let staged = &mut self.pending[shard];
-            if staged.items.is_empty() {
-                continue;
-            }
-            let batch = std::mem::take(&mut staged.items);
-            let (from_socket, from_bounce) = (staged.from_socket, staged.from_bounce);
-            staged.from_socket = 0;
-            staged.from_bounce = 0;
-            let len = batch.len() as u64;
-            match self.feeds[shard].try_send(batch) {
-                Ok(()) => {
-                    self.depths[shard].fetch_add(len as usize, Ordering::Relaxed);
-                    self.cells.routed.fetch_add(from_socket, Ordering::Relaxed);
-                    self.cells.bounced.fetch_add(from_bounce, Ordering::Relaxed);
-                }
-                // Unreachable while the depth gauge holds (≤ FEED_CAPACITY
-                // datagrams queued ⇒ as many batches at most), kept as shed-
-                // not-stall defense in depth.
-                Err(TrySendError::Full(_)) => {
-                    self.cells.overflow.fetch_add(len, Ordering::Relaxed);
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.cells.dropped.fetch_add(len, Ordering::Relaxed);
-                }
-            }
-        }
+    /// Sends one datagram (a bounce's forward when `bounce`) to
+    /// `shard`'s queue. A full queue sheds it, counted: drop-on-overflow
+    /// is ordinary datagram semantics (SSP retransmits), and a stalled
+    /// shard must never back-pressure the socket drain for everyone else.
+    fn feed(&self, shard: usize, dg: Datagram, bounce: bool) {
+        let counter = match self.feeds[shard].try_send(dg) {
+            Ok(()) if bounce => &self.cells.bounced,
+            Ok(()) => &self.cells.routed,
+            Err(TrySendError::Full(_)) => &self.cells.overflow,
+            Err(TrySendError::Disconnected(_)) => &self.cells.dropped,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -724,34 +625,46 @@ mod tests {
     #[test]
     fn full_shard_queue_sheds_overflow_instead_of_growing() {
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let (mut dist, feeds) = UdpDistributor::new(socket, 1).unwrap();
+        let (mut dist, mut feeds) = UdpDistributor::new(socket, 1).unwrap();
         let to = crate::channel::socket_from_addr(dist.local_addr());
         let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
 
-        // Nobody drains the lone shard: its queue holds FEED_CAPACITY
-        // datagrams, the rest are shed and counted, and the distributor
-        // never blocks. The flood goes out in bursts, each routed or
-        // shed before the next, so the kernel's receive buffer drops
-        // none of it.
+        // Sends `bursts` bursts of FEED_BATCH datagrams, each routed or
+        // shed before the next, so the kernel's receive buffer drops none.
         let start = Instant::now();
         let mut sent = 0;
-        while sent < FEED_CAPACITY + 4 {
-            for _ in 0..FEED_BATCH {
-                peer.send_to(b"flood", to).unwrap();
+        let mut flood = |dist: &mut UdpDistributor, bursts: usize| {
+            for _ in 0..bursts {
+                for _ in 0..FEED_BATCH {
+                    peer.send_to(b"flood", to).unwrap();
+                }
+                sent += FEED_BATCH as u64;
+                while dist.stats().routed + dist.stats().overflow < sent {
+                    assert!(
+                        start.elapsed().as_secs() < 10,
+                        "datagrams never drained: {:?}",
+                        dist.stats()
+                    );
+                    dist.pump(5);
+                }
             }
-            sent += FEED_BATCH;
-            while dist.stats().routed + dist.stats().overflow < sent as u64 {
-                assert!(
-                    start.elapsed().as_secs() < 10,
-                    "datagrams never drained: {:?}",
-                    dist.stats()
-                );
-                dist.pump(5);
-            }
-        }
+        };
+        let full = FEED_CAPACITY / FEED_BATCH;
+
+        // Nobody drains the lone shard: its queue holds FEED_CAPACITY
+        // datagrams, the rest are shed and counted, and the distributor
+        // never blocks.
+        flood(&mut dist, full + 1);
         assert_eq!(dist.stats().routed, FEED_CAPACITY as u64);
-        assert_eq!(dist.stats().overflow, (sent - FEED_CAPACITY) as u64);
-        drop(feeds);
+        assert_eq!(dist.stats().overflow, FEED_BATCH as u64);
+
+        // The shard drains its queue, which frees every slot: the next
+        // FEED_CAPACITY datagrams are all routed, none shed.
+        let drained = std::iter::from_fn(|| feeds[0].poll_any()).count();
+        assert_eq!(drained, FEED_CAPACITY);
+        flood(&mut dist, full);
+        assert_eq!(dist.stats().routed, 2 * FEED_CAPACITY as u64);
+        assert_eq!(dist.stats().overflow, FEED_BATCH as u64);
     }
 
     #[test]
@@ -764,22 +677,30 @@ mod tests {
 
         // Shard 0 replies to the peer: one hint.
         feeds[0].send(server_addr, peer_addr, b"hi".to_vec());
-        assert_eq!(dist.hint_count(), 1);
+        assert_eq!(dist.stats_handle().hint_count(), 1);
 
         // The peer's session later lands on shard 1 (roam/reconnect):
         // shard 1's send takes over the hint, and shard 0's eviction
         // must not destroy shard 1's claim.
         feeds[1].send(server_addr, peer_addr, b"again".to_vec());
         feeds[0].evict_hint(peer_addr);
-        assert_eq!(dist.hint_count(), 1, "shard 1's hint survives");
+        assert_eq!(
+            dist.stats_handle().hint_count(),
+            1,
+            "shard 1's hint survives"
+        );
 
         feeds[1].evict_hint(peer_addr);
-        assert_eq!(dist.hint_count(), 0, "owning shard's eviction lands");
+        assert_eq!(
+            dist.stats_handle().hint_count(),
+            0,
+            "owning shard's eviction lands"
+        );
 
         // After eviction the shard-local memo is cold too: a new send
         // re-teaches the shared map rather than skipping it.
         feeds[1].send(server_addr, peer_addr, b"back".to_vec());
-        assert_eq!(dist.hint_count(), 1);
+        assert_eq!(dist.stats_handle().hint_count(), 1);
     }
 
     #[test]
@@ -804,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_feed_preserves_order_and_depth_accounting() {
+    fn feed_preserves_arrival_order() {
         let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
         let (mut dist, mut feeds) = UdpDistributor::new(socket, 1).unwrap();
         let server_addr = dist.local_addr();
@@ -822,17 +743,14 @@ mod tests {
                 got.push(dg.payload[0]);
             }
         }
-        // One sender over loopback: arrival order is send order, and
-        // batching must not reorder within or across batches.
+        // One sender over loopback: arrival order is send order, and the
+        // feed must not reorder it.
         assert_eq!(got, (0..10u8).collect::<Vec<_>>());
         assert_eq!(dist.stats().routed, 10);
-        // Everything consumed: the shared depth gauge is back to zero,
-        // so the capacity check sees an empty queue.
-        assert_eq!(dist.depths[0].load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    fn batch_draining_bounces_each_datagram_with_its_own_hops() {
+    fn each_bounce_keeps_its_own_hop_count() {
         // A once-bounced datagram and a fresh one land in the same shard
         // queue; the shard drains BOTH before deciding, then declines
         // both. Each must bounce with its own hop count: the old one
@@ -862,8 +780,8 @@ mod tests {
         peer.send_to(b"fresh one", crate::channel::socket_from_addr(server_addr))
             .unwrap();
         // The fresh datagram routes to `base`; pump until both queues
-        // hold their datagram, then batch-drain each shard fully before
-        // any decision.
+        // hold their datagram, then drain each shard fully before any
+        // decision.
         let mut got_other: Vec<Datagram> = Vec::new();
         let mut got_base: Vec<Datagram> = Vec::new();
         let start = Instant::now();
@@ -875,7 +793,7 @@ mod tests {
         }
         assert_eq!(got_other[0].payload, b"veteran");
         assert_eq!(got_base[0].payload, b"fresh one");
-        // Decline everything, batch-wise, in arbitrary decision order.
+        // Decline everything, in arbitrary decision order.
         assert!(feeds[base].bouncer().bounce(&got_base[0]));
         assert!(feeds[other].bouncer().bounce(&got_other[0]));
         dist.pump(5);
@@ -906,8 +824,12 @@ mod tests {
         // the stale memo (which would leave the address permanently
         // unhinted: every inbound datagram paying the bounce fan-out).
         feeds[1].evict_hint(peer_addr);
-        assert_eq!(dist.hint_count(), 0);
+        assert_eq!(dist.stats_handle().hint_count(), 0);
         feeds[0].send(server_addr, peer_addr, b"mine".to_vec());
-        assert_eq!(dist.hint_count(), 1, "live shard re-taught its hint");
+        assert_eq!(
+            dist.stats_handle().hint_count(),
+            1,
+            "live shard re-taught its hint"
+        );
     }
 }

@@ -15,6 +15,8 @@
 //! * Behind that socket, a session migrates to another session's shard,
 //!   and both are resurrected from their checkpoints after that shard
 //!   panics, while both clients keep typing.
+//! * A shard that owns no session still hands what the distributor
+//!   feeds it on to the shard that does.
 
 use mosh::core::hub::snapshot::resurrect_server;
 use mosh::core::{
@@ -577,12 +579,19 @@ fn one_session_per_shard_bounces_wrong_hash_clients() {
 
     // Retiring the sessions evicts their distributor hints, so a
     // long-running front end's hint map tracks live sessions only.
-    assert!(dist.hint_count() > 0, "replies taught source hints");
+    assert!(
+        dist.stats_handle().hint_count() > 0,
+        "replies taught source hints"
+    );
     for sid in sids {
         hub.remove_session(sid);
     }
     assert_eq!(hub.session_count(), 0);
-    assert_eq!(dist.hint_count(), 0, "removed sessions' hints evicted");
+    assert_eq!(
+        dist.stats_handle().hint_count(),
+        0,
+        "removed sessions' hints evicted"
+    );
 }
 
 /// An endpoint whose first tick panics: the fault that quarantines the
@@ -797,4 +806,50 @@ fn distributor_sessions_survive_migration_and_resurrection() {
     // wire went round every shard unclaimed.
     assert!(stats.feed_bounced >= 1, "{stats:?}");
     assert_eq!(stats.feed_dropped, 0, "{stats:?}");
+}
+
+/// A shard that owns no session still passes its feed queue on: both
+/// sessions live on shard 0, and the client's odd source port hashes its
+/// hello to shard 1, which must bounce it to shard 0 rather than sit on
+/// it because nothing there is leased.
+#[test]
+fn an_unleased_shard_bounces_its_feed_onward() {
+    use std::time::{Duration, Instant};
+
+    let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("server socket");
+    let server_addr = mosh::net::channel::addr_from_socket(socket.local_addr().unwrap());
+    let (mut hub, mut dist) = ShardedHub::over_distributor(socket, 2).expect("distributor");
+    let first = hub.add_distributed_session();
+    let sids = [first, hub.add_session_sharing(first)];
+    assert!(sids.iter().all(|sid| hub.location(*sid).0 == 0));
+    let mut servers: Vec<MoshServer> = (0..2)
+        .map(|i| MoshServer::new(key(i), Box::new(LineShell::new())))
+        .collect();
+
+    let client = std::thread::spawn(move || {
+        let channel = loop {
+            let ch = UdpChannel::bind("127.0.0.1:0").expect("client socket");
+            if ch.local_addr().port % 2 == 1 {
+                break ch;
+            }
+        };
+        let addr = channel.local_addr();
+        let mut client = MoshClient::new(key(0), server_addr, 80, 24, DisplayPreference::Never);
+        let mut sl = SessionLoop::new(channel);
+        let start = Instant::now();
+        while client.server_frame().row_text(0) != "$" {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "client never heard"
+            );
+            let t = sl.now() + 5;
+            sl.pump_until(&mut [Party::new(addr, &mut client)], t);
+        }
+    });
+    while !client.is_finished() {
+        serve(&mut hub, &mut dist, &sids, &mut servers, None);
+    }
+    client.join().expect("client thread");
+    let stats = hub.stats();
+    assert!(stats.feed_bounced >= 1, "{stats:?}");
 }
