@@ -5,12 +5,13 @@
 //! sequences continue to work" — within about one RTT. SSH, in contrast,
 //! must deliver the entire backlog through the choked link first.
 
-use mosh_core::session::{Party, SessionLoop};
-use mosh_core::{LineShell, MoshClient, MoshServer};
+use mosh_core::session::{Endpoint, Party, SessionLoop};
+use mosh_core::{LineShell, Millis, MoshClient, MoshServer};
 use mosh_crypto::Base64Key;
 use mosh_net::{Addr, LinkConfig, Network, Side, SimChannel};
 use mosh_prediction::DisplayPreference;
 use mosh_ssh::{SshClient, SshServer};
+use mosh_terminal::Framebuffer;
 
 /// A narrow link with a deep buffer: a flood fills it in under a second.
 fn narrow() -> LinkConfig {
@@ -22,102 +23,79 @@ fn narrow() -> LinkConfig {
     }
 }
 
-fn main() {
-    println!("=== Ablation: Control-C responsiveness during output flood ===");
-
-    // --- Mosh ---
-    let key = Base64Key::from_bytes([1u8; 16]);
-    let c = Addr::new(1, 1000);
-    let s = Addr::new(2, 60001);
+/// Types `yes` into a shell behind the narrow downlink, lets the flood
+/// rage for five seconds, presses Control-C, and returns how long `^C`
+/// took to show on the client's `screen` — `None` if not within `limit`.
+fn ctrl_c_ms<C: Endpoint, S: Endpoint>(
+    (c, mut client): (Addr, C),
+    (s, mut server): (Addr, S),
+    mut press: impl FnMut(&mut C, Millis, &[u8]),
+    screen: impl Fn(&C) -> &Framebuffer,
+    limit: Millis,
+) -> Option<Millis> {
     let mut net = Network::new(LinkConfig::lan(), narrow(), 1);
     net.register(c, Side::Client);
     net.register(s, Side::Server);
-    let mut client = MoshClient::new(key.clone(), s, 80, 24, DisplayPreference::Never);
-    let mut server = MoshServer::new(key, Box::new(LineShell::new()));
     let mut sl = SessionLoop::new(SimChannel::new(net));
-
-    sl.pump_until(
-        &mut [Party::new(c, &mut client), Party::new(s, &mut server)],
-        1000,
-    );
-    for b in b"yes\r" {
-        client.keystroke(sl.now(), &[*b]);
-        let t = sl.now() + 50;
+    let mut run = |sl: &mut SessionLoop<SimChannel>, client: &mut C, until| {
         sl.pump_until(
-            &mut [Party::new(c, &mut client), Party::new(s, &mut server)],
-            t,
+            &mut [Party::new(c, client), Party::new(s, &mut server)],
+            until,
         );
+    };
+
+    run(&mut sl, &mut client, 1000);
+    for b in b"yes\r" {
+        press(&mut client, sl.now(), &[*b]);
+        let t = sl.now() + 50;
+        run(&mut sl, &mut client, t);
     }
     let t = sl.now() + 5000;
-    sl.pump_until(
-        &mut [Party::new(c, &mut client), Party::new(s, &mut server)],
-        t,
-    ); // flood rages
-    client.keystroke(sl.now(), &[0x03]);
+    run(&mut sl, &mut client, t); // flood rages
+    press(&mut client, sl.now(), &[0x03]);
     let pressed = sl.now();
-    let mut stopped_at = None;
-    while sl.now() < pressed + 60_000 {
+    while sl.now() < pressed + limit {
         let t = sl.now() + 10;
-        sl.pump_until(
-            &mut [Party::new(c, &mut client), Party::new(s, &mut server)],
-            t,
-        );
-        if client.server_frame().to_text().contains("^C") {
-            stopped_at = Some(sl.now());
-            break;
+        run(&mut sl, &mut client, t);
+        if screen(&client).to_text().contains("^C") {
+            return Some(sl.now() - pressed);
         }
     }
-    let mosh_ms = stopped_at.map(|t| t - pressed);
+    None
+}
+
+fn main() {
+    println!("=== Ablation: Control-C responsiveness during output flood ===");
+
+    let key = Base64Key::from_bytes([1u8; 16]);
+    let s = Addr::new(2, 60001);
+    let mosh_ms = ctrl_c_ms(
+        (
+            Addr::new(1, 1000),
+            MoshClient::new(key.clone(), s, 80, 24, DisplayPreference::Never),
+        ),
+        (s, MoshServer::new(key, Box::new(LineShell::new()))),
+        |client, now, bytes| {
+            client.keystroke(now, bytes);
+        },
+        MoshClient::server_frame,
+        60_000,
+    );
     println!(
         "  Mosh: ^C visible after {} (paper: within one RTT ≈ 100 ms + frame interval)",
         mosh_ms.map(|m| format!("{m} ms")).unwrap_or("NEVER".into())
     );
 
-    // --- SSH ---
-    let mut net = Network::new(LinkConfig::lan(), narrow(), 1);
-    let ca = Addr::new(1, 5001);
-    let sa = Addr::new(2, 22);
-    net.register(ca, Side::Client);
-    net.register(sa, Side::Server);
-    let mut sclient = SshClient::new(ca, sa, 80, 24);
-    let mut sserver = SshServer::new(sa, ca, Box::new(LineShell::new()));
-    let mut sl = SessionLoop::new(SimChannel::new(net));
-
-    sl.pump_until(
-        &mut [Party::new(ca, &mut sclient), Party::new(sa, &mut sserver)],
-        1000,
+    let (c, s) = (Addr::new(1, 5001), Addr::new(2, 22));
+    let ssh_ms = ctrl_c_ms(
+        (c, SshClient::new(c, s, 80, 24)),
+        (s, SshServer::new(s, c, Box::new(LineShell::new()))),
+        SshClient::keystroke,
+        SshClient::frame,
+        120_000,
     );
-    for b in b"yes\r" {
-        sclient.keystroke(sl.now(), &[*b]);
-        let t = sl.now() + 50;
-        sl.pump_until(
-            &mut [Party::new(ca, &mut sclient), Party::new(sa, &mut sserver)],
-            t,
-        );
-    }
-    let t = sl.now() + 5000;
-    sl.pump_until(
-        &mut [Party::new(ca, &mut sclient), Party::new(sa, &mut sserver)],
-        t,
-    );
-    sclient.keystroke(sl.now(), &[0x03]);
-    let pressed = sl.now();
-    let mut stopped_at = None;
-    while sl.now() < pressed + 120_000 {
-        let t = sl.now() + 10;
-        sl.pump_until(
-            &mut [Party::new(ca, &mut sclient), Party::new(sa, &mut sserver)],
-            t,
-        );
-        if sclient.frame().to_text().contains("^C") {
-            stopped_at = Some(sl.now());
-            break;
-        }
-    }
     println!(
         "  SSH:  ^C visible after {} (backlog must drain through the choked link first)",
-        stopped_at
-            .map(|t| format!("{} ms", t - pressed))
-            .unwrap_or(">120 s".into())
+        ssh_ms.map(|m| format!("{m} ms")).unwrap_or(">120 s".into())
     );
 }

@@ -4,7 +4,7 @@
 //! Paper: Mosh median 5 ms / mean 173 ms; SSH median 503 ms / mean 515 ms;
 //! ~70% of keystrokes displayed instantly; 0.9% mispredictions.
 
-use mosh_bench::{fmt_ms, mosh_cfg, print_row, run_mosh, run_ssh, traces};
+use mosh_bench::{mosh_cfg, print_row, run_mosh, run_ssh, traces};
 use mosh_net::LinkConfig;
 
 fn main() {
@@ -36,5 +36,4 @@ fn main() {
             100.0 * ssh.latencies.fraction_below(t)
         );
     }
-    let _ = fmt_ms(0.0);
 }

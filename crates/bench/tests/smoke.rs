@@ -108,9 +108,18 @@ fn ablation_ack_quick() {
 
 #[test]
 fn ablation_ctrlc_quick() {
-    run_quick(
+    let out = run_quick(
         env!("CARGO_BIN_EXE_ablation_ctrlc"),
         &["Ablation", "Control-C", "visible after"],
+    );
+    // Mosh's ^C shows within about one RTT plus a frame (it reads 80 ms);
+    // SSH's waits behind the whole backlog, past its two-minute limit.
+    let mosh = printed(&out, "Mosh:", "visible after");
+    assert!(mosh <= 300.0, "Mosh ^C after {mosh} ms:\n{out}");
+    assert!(
+        out.lines()
+            .any(|l| l.trim_start().starts_with("SSH:  ^C visible after >120 s")),
+        "SSH row:\n{out}"
     );
 }
 

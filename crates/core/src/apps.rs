@@ -20,6 +20,7 @@
 
 use crate::Millis;
 use mosh_ssp::wire::{get_bool, put_bool, put_bytes, put_varint, Reader};
+use std::collections::VecDeque;
 
 /// Application-kind tags leading every [`Application::save_state`] body,
 /// so restoring onto the wrong kind of app is caught instead of silently
@@ -97,6 +98,75 @@ pub trait Application: Send {
     /// application is left unchanged in that case — never half-applied.
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
         bytes.is_empty()
+    }
+}
+
+/// An application as a server hosts it: started on the first
+/// [`AppHost::due`], its writes queued by due time and handed out once
+/// due. The Mosh server and the SSH baseline both host through one, so
+/// the two systems replay the same output on the same schedule.
+pub struct AppHost {
+    pub(crate) app: Box<dyn Application>,
+    /// Writes not yet due, sorted by `at`, ties in scheduling order.
+    pub(crate) queue: VecDeque<TimedWrite>,
+    pub(crate) started: bool,
+}
+
+impl AppHost {
+    /// Hosts `app`, not yet started.
+    pub fn new(app: Box<dyn Application>) -> Self {
+        AppHost {
+            app,
+            queue: VecDeque::new(),
+            started: false,
+        }
+    }
+
+    /// Hands user input (or a terminal reply) to the application.
+    pub fn input(&mut self, now: Millis, bytes: &[u8]) {
+        let writes = self.app.on_input(now, bytes);
+        self.schedule(writes);
+    }
+
+    /// Tells the application its window changed size.
+    pub fn resize(&mut self, now: Millis, width: usize, height: usize) {
+        let writes = self.app.on_resize(now, width, height);
+        self.schedule(writes);
+    }
+
+    /// Starts the application on the first call, polls it, then yields
+    /// every write due by `now`, in order.
+    pub fn due(&mut self, now: Millis) -> impl Iterator<Item = TimedWrite> + '_ {
+        if !self.started {
+            self.started = true;
+            let writes = self.app.start(now);
+            self.schedule(writes);
+        }
+        let polled = self.app.poll(now);
+        self.schedule(polled);
+        let due = self.queue.partition_point(|w| w.at <= now);
+        self.queue.drain(..due)
+    }
+
+    /// When [`AppHost::due`] next has work: `now` before the start, then
+    /// the earlier of the application's wakeup and the next queued write.
+    pub fn next_wakeup(&self, now: Millis) -> Option<Millis> {
+        if !self.started {
+            return Some(now);
+        }
+        let write = self.queue.front().map(|w| w.at);
+        self.app.next_wakeup(now).into_iter().chain(write).min()
+    }
+
+    /// Queues writes by due time, stable for equal times. The queue is
+    /// sorted (only this adds to it, and a restored server refuses an
+    /// unsorted one), so each slot is a binary search and a command's
+    /// in-order burst appends without shifting anything.
+    fn schedule(&mut self, writes: Vec<TimedWrite>) {
+        for w in writes {
+            let pos = self.queue.partition_point(|p| p.at <= w.at);
+            self.queue.insert(pos, w);
+        }
     }
 }
 
@@ -1152,5 +1222,101 @@ mod tests {
             bytes
         };
         assert_eq!(run(), run());
+    }
+
+    /// Writes a banner at start and echoes each input 5 ms later.
+    struct Probe;
+
+    impl Application for Probe {
+        fn start(&mut self, now: Millis) -> Vec<TimedWrite> {
+            vec![TimedWrite {
+                at: now,
+                bytes: b"start".to_vec(),
+            }]
+        }
+
+        fn on_input(&mut self, now: Millis, bytes: &[u8]) -> Vec<TimedWrite> {
+            vec![TimedWrite {
+                at: now + 5,
+                bytes: bytes.to_vec(),
+            }]
+        }
+    }
+
+    fn due_bytes(host: &mut AppHost, now: Millis) -> Vec<Vec<u8>> {
+        host.due(now).map(|w| w.bytes).collect()
+    }
+
+    #[test]
+    fn app_host_starts_once_and_keeps_tied_writes_in_order() {
+        let mut host = AppHost::new(Box::new(Probe));
+        assert_eq!(host.next_wakeup(7), Some(7), "due at once until started");
+        assert_eq!(due_bytes(&mut host, 10), [b"start"]);
+        assert_eq!(host.next_wakeup(10), None, "started, nothing queued");
+        host.input(11, b"b");
+        host.input(10, b"a");
+        host.input(10, b"c");
+        assert_eq!(host.next_wakeup(12), Some(15));
+        assert!(due_bytes(&mut host, 14).is_empty());
+        assert_eq!(due_bytes(&mut host, 20), [b"a", b"c", b"b"]);
+        assert!(due_bytes(&mut host, 30).is_empty(), "started only once");
+    }
+
+    /// The insertion `AppHost::schedule` replaced: scan from the front for
+    /// the first write due later. Kept here as the order oracle.
+    fn schedule_linear(queue: &mut VecDeque<TimedWrite>, writes: Vec<TimedWrite>) {
+        for w in writes {
+            let pos = queue
+                .iter()
+                .position(|p| p.at > w.at)
+                .unwrap_or(queue.len());
+            queue.insert(pos, w);
+        }
+    }
+
+    /// Produces nothing of its own, so a host's queue holds only what a
+    /// test schedules.
+    struct Silent;
+
+    impl Application for Silent {
+        fn on_input(&mut self, _now: Millis, _bytes: &[u8]) -> Vec<TimedWrite> {
+            Vec::new()
+        }
+    }
+
+    proptest::proptest! {
+        /// Batches with tied and out-of-order due times, scheduled while
+        /// `due` drains the front of the queue: the binary search leaves
+        /// exactly the queue the linear scan did, and hands out the same
+        /// writes, each told apart by its bytes.
+        #[test]
+        fn app_host_orders_writes_like_the_linear_scan(
+            steps in proptest::collection::vec(
+                (proptest::collection::vec(0u64..12, 0..24), 0u64..6),
+                1..40,
+            ),
+        ) {
+            let mut host = AppHost::new(Box::new(Silent));
+            let mut slow = VecDeque::new();
+            let (mut now, mut tag) = (0u64, 0u32);
+            for (offsets, advance) in steps {
+                let batch: Vec<TimedWrite> = offsets
+                    .iter()
+                    .map(|off| {
+                        tag += 1;
+                        TimedWrite { at: now + off, bytes: tag.to_be_bytes().to_vec() }
+                    })
+                    .collect();
+                host.schedule(batch.clone());
+                schedule_linear(&mut slow, batch);
+                proptest::prop_assert_eq!(&host.queue, &slow);
+                now += advance;
+                for w in host.due(now).collect::<Vec<_>>() {
+                    proptest::prop_assert_eq!(Some(w), slow.pop_front());
+                }
+                proptest::prop_assert!(slow.front().is_none_or(|w| w.at > now));
+                proptest::prop_assert_eq!(&host.queue, &slow);
+            }
+        }
     }
 }

@@ -588,9 +588,9 @@ impl<P: Poller + Send> ShardedHub<P> {
     /// genuinely run concurrently (a blocked shard may be waiting on a
     /// datagram only `side` can feed it), every shard gets a worker
     /// thread here, even a lone one — the inline fast path belongs to
-    /// [`ShardedHub::pump`] alone. Every healthy shard is pumped, leased
-    /// or not, so one that owns no session still bounces what `side`
-    /// feeds it (see [`ServerHub::pump`]).
+    /// [`ShardedHub::pump`] alone. Every shard is pumped, leased or not,
+    /// quarantined or not, so one that serves no session still bounces
+    /// what `side` feeds it (see [`ServerHub::pump`]).
     pub fn pump_with(
         &mut self,
         sessions: &mut [HubSession<'_, '_>],
@@ -655,14 +655,16 @@ impl<P: Poller + Send> ShardedHub<P> {
         // pump, then block for every reply — the borrows the jobs carry
         // must not outlive this frame. Shards with no leases this pump
         // stay parked on their command channels, like unleased sessions —
-        // except behind a shared socket, where every healthy shard runs:
-        // an unleased one bounces what the distributor fed it onward.
+        // except behind a shared socket, where every shard runs: an
+        // unleased or quarantined one bounces what the distributor fed it
+        // onward. A quarantined shard has no leases, so its pump touches
+        // only its poller and its unclaimed hook, never its sessions.
         let shared = side.is_some();
         let runtime = self.runtime.get_or_insert_with(|| ShardRuntime::spawn(n)) as &ShardRuntime;
         let mut dispatched = vec![false; n];
         let mut new_failures: Vec<(usize, String)> = Vec::new();
         for (i, leases) in shard_leases.iter_mut().enumerate() {
-            if self.failed[i].is_some() || (leases.is_empty() && !shared) {
+            if leases.is_empty() && !shared {
                 continue;
             }
             let job = PumpJob {
@@ -707,7 +709,8 @@ impl<P: Poller + Send> ShardedHub<P> {
             });
         }
         for (i, msg) in new_failures {
-            self.failed[i] = Some(msg);
+            // A quarantined shard keeps its first panic's message.
+            self.failed[i].get_or_insert(msg);
         }
         if let Some(Err(payload)) = side_outcome {
             resume_unwind(payload);

@@ -36,7 +36,7 @@ pub mod hub;
 pub mod server;
 pub mod session;
 
-pub use apps::{Application, Editor, LineShell, MailReader, Pager, TimedWrite};
+pub use apps::{AppHost, Application, Editor, LineShell, MailReader, Pager, TimedWrite};
 pub use client::MoshClient;
 pub use hub::{
     CheckpointStore, HubSession, HubStats, ServerHub, SessionId, ShardedHub, SnapshotError,

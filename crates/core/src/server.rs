@@ -15,7 +15,7 @@
 //!   before, it sets the packet's source IP address and UDP port number as
 //!   its new target."
 
-use crate::apps::{Application, TimedWrite};
+use crate::apps::{AppHost, Application, TimedWrite};
 use crate::Millis;
 use mosh_crypto::session::Direction;
 use mosh_crypto::Base64Key;
@@ -56,7 +56,7 @@ pub trait WriteObserver: Send {
 /// shipped.
 pub struct MoshServer {
     transport: Transport<CompleteTerminal, UserStream>,
-    app: Box<dyn Application>,
+    host: AppHost,
     /// True when the terminal changed since the last commit to the
     /// sender's collection clock.
     dirty: bool,
@@ -64,11 +64,8 @@ pub struct MoshServer {
     applied_through: u64,
     /// Keystrokes applied but not yet echo-acked: (index+1, applied_at).
     echo_queue: VecDeque<(u64, Millis)>,
-    /// Application writes not yet due.
-    pending_writes: VecDeque<TimedWrite>,
     /// Where to send packets: the source of the newest authentic datagram.
     target: Option<Addr>,
-    started: bool,
     observer: Option<Box<dyn WriteObserver>>,
 }
 
@@ -82,13 +79,11 @@ impl MoshServer {
                 CompleteTerminal::initial(),
                 UserStream::new(),
             ),
-            app,
+            host: AppHost::new(app),
             dirty: false,
             applied_through: 0,
             echo_queue: VecDeque::new(),
-            pending_writes: VecDeque::new(),
             target: None,
-            started: false,
             observer: None,
         }
     }
@@ -169,24 +164,6 @@ impl MoshServer {
         self.transport.next_seq()
     }
 
-    fn schedule_writes(&mut self, writes: Vec<TimedWrite>) {
-        Self::schedule_into(&mut self.pending_writes, writes);
-    }
-
-    /// Queues writes ordered by due time (stable for equal times); an
-    /// associated fn so callers holding other field borrows can use it.
-    ///
-    /// The queue is sorted by `at` — only this function adds to it, and
-    /// [`Self::decode_snapshot_body`] rejects a body that is not — so the
-    /// slot is a binary search, and a command's in-order burst appends
-    /// without shifting anything.
-    fn schedule_into(pending_writes: &mut VecDeque<TimedWrite>, writes: Vec<TimedWrite>) {
-        for w in writes {
-            let pos = pending_writes.partition_point(|p| p.at <= w.at);
-            pending_writes.insert(pos, w);
-        }
-    }
-
     /// Handles one wire datagram from `from`, arriving at `now`.
     pub fn receive(&mut self, now: Millis, from: Addr, wire: &[u8]) {
         let Ok(event) = self.transport.receive(now, wire) else {
@@ -219,11 +196,10 @@ impl MoshServer {
         // mutated in place alongside it.
         let Self {
             transport,
-            app,
+            host,
             dirty,
             applied_through,
             echo_queue,
-            pending_writes,
             ..
         } = self;
         let (terminal, remote) = transport.split_states();
@@ -232,15 +208,11 @@ impl MoshServer {
         debug_assert!(remote.base_index() <= *applied_through);
         for (idx, ev) in remote.events_from(*applied_through) {
             match ev {
-                UserEvent::Keystroke(bytes) => {
-                    let writes = app.on_input(now, bytes);
-                    Self::schedule_into(pending_writes, writes);
-                }
+                UserEvent::Keystroke(bytes) => host.input(now, bytes),
                 UserEvent::Resize { width, height } => {
                     terminal.resize(*width as usize, *height as usize);
                     *dirty = true;
-                    let writes = app.on_resize(now, *width as usize, *height as usize);
-                    Self::schedule_into(pending_writes, writes);
+                    host.resize(now, *width as usize, *height as usize);
                 }
             }
             echo_queue.push_back((idx + 1, now));
@@ -250,22 +222,9 @@ impl MoshServer {
 
     /// Runs timers at `now`; returns datagrams to send to [`Self::target`].
     pub fn tick(&mut self, now: Millis) -> Vec<(Addr, Vec<u8>)> {
-        if !self.started {
-            self.started = true;
-            let writes = self.app.start(now);
-            self.schedule_writes(writes);
-        }
-        // Spontaneous application output (floods).
-        let polled = self.app.poll(now);
-        self.schedule_writes(polled);
-
         // Apply due writes to the authoritative terminal (the sender's
         // current state, mutated in place).
-        while let Some(w) = self.pending_writes.front() {
-            if w.at > now {
-                break;
-            }
-            let w = self.pending_writes.pop_front().expect("peeked");
+        for w in self.host.due(now) {
             self.transport.current_state_mut().act(&w.bytes);
             if let Some(observer) = &mut self.observer {
                 observer.write_applied(w.at.max(now));
@@ -276,8 +235,7 @@ impl MoshServer {
         // Terminal replies (DA/DSR) feed back into the application.
         let answerback = self.transport.current_state_mut().take_answerback();
         if !answerback.is_empty() {
-            let writes = self.app.on_input(now, &answerback);
-            self.schedule_writes(writes);
+            self.host.input(now, &answerback);
         }
 
         // Echo ack: keystrokes presented >= 50 ms ago (or already echoed —
@@ -322,12 +280,12 @@ impl MoshServer {
 
     /// The earliest time `tick` needs to run again (event-driven stepping).
     ///
-    /// Purely schedule-driven: the application's own wakeup, the pending
-    /// write queue, the echo-ack timer, and the transport's timers. There
-    /// is no polling floor — `Application::next_wakeup`'s contract is that
-    /// `None` means no spontaneous output until input re-arms it, so a
-    /// quiet session sleeps until its next real deadline instead of
-    /// burning a wakeup every 50 ms.
+    /// Purely schedule-driven: the hosted application's wakeup (see
+    /// [`AppHost::next_wakeup`]), the echo-ack timer, and the transport's
+    /// timers. There is no polling floor — `Application::next_wakeup`'s
+    /// contract is that `None` means no spontaneous output until input
+    /// re-arms it, so a quiet session sleeps until its next real deadline
+    /// instead of burning a wakeup every 50 ms.
     ///
     /// Both halves of the [`crate::session::Endpoint::next_wakeup`]
     /// contract hold here: `tick` does nothing before the returned time
@@ -338,16 +296,7 @@ impl MoshServer {
     /// `target`; until then a server sleeps on its application alone and
     /// the first receive re-arms the schedule.
     pub fn next_wakeup(&self, now: Millis) -> Millis {
-        if !self.started {
-            return now; // the first tick starts the application
-        }
-        let mut next = Millis::MAX;
-        if let Some(t) = self.app.next_wakeup(now) {
-            next = next.min(t);
-        }
-        if let Some(w) = self.pending_writes.front() {
-            next = next.min(w.at);
-        }
+        let mut next = self.host.next_wakeup(now).unwrap_or(Millis::MAX);
         if let Some(&(_, at)) = self.echo_queue.front() {
             next = next.min(at + ECHO_TIMEOUT);
         }
@@ -419,8 +368,8 @@ impl MoshServer {
             put_varint(out, idx);
             put_varint(out, at);
         }
-        put_varint(out, self.pending_writes.len() as u64);
-        for w in &self.pending_writes {
+        put_varint(out, self.host.queue.len() as u64);
+        for w in &self.host.queue {
             put_varint(out, w.at);
             put_bytes(out, &w.bytes);
         }
@@ -431,8 +380,8 @@ impl MoshServer {
                 put_addr(out, addr);
             }
         }
-        put_bool(out, self.started);
-        put_bytes(out, &self.app.save_state());
+        put_bool(out, self.host.started);
+        put_bytes(out, &self.host.app.save_state());
     }
 
     /// Rebuilds a server from a snapshot body of format `version` (the
@@ -460,16 +409,16 @@ impl MoshServer {
             echo_queue.push_back((r.varint().ok()?, r.varint().ok()?));
         }
         let n = r.varint().ok()?;
-        let mut pending_writes: VecDeque<TimedWrite> = VecDeque::new();
+        let mut queue: VecDeque<TimedWrite> = VecDeque::new();
         for _ in 0..n {
             let at = r.varint().ok()?;
-            // `schedule_into` binary-searches this queue: an unsorted one
-            // would reorder application output from here on.
-            if pending_writes.back().is_some_and(|prev| at < prev.at) {
+            // `AppHost` binary-searches this queue: an unsorted one would
+            // reorder application output from here on.
+            if queue.back().is_some_and(|prev| at < prev.at) {
                 return None;
             }
             let bytes = r.bytes().ok()?.to_vec();
-            pending_writes.push_back(TimedWrite { at, bytes });
+            queue.push_back(TimedWrite { at, bytes });
         }
         let target = match r.varint().ok()? {
             0 => None,
@@ -495,13 +444,15 @@ impl MoshServer {
 
         Some(MoshServer {
             transport,
-            app,
+            host: AppHost {
+                app,
+                queue,
+                started,
+            },
             dirty,
             applied_through,
             echo_queue,
-            pending_writes,
             target,
-            started,
             observer: None,
         })
     }
@@ -829,7 +780,7 @@ pub(crate) mod tests {
         for now in 10..60 {
             server.tick(now);
         }
-        assert!(server.pending_writes.len() > 100, "burst still queued");
+        assert!(server.host.queue.len() > 100, "burst still queued");
         server
     }
 
@@ -839,7 +790,7 @@ pub(crate) mod tests {
         let mut server = mid_cat_server(&mut client);
         let body = server.checkpoint_body();
         let mut restored = restore(&body).expect("decodes");
-        assert_eq!(restored.pending_writes, server.pending_writes);
+        assert_eq!(restored.host.queue, server.host.queue);
         // The rest of the burst, and a second command scheduled into the
         // restored queue, come out the same on both.
         let mut input = UserStream::new();
@@ -857,7 +808,7 @@ pub(crate) mod tests {
             }
             assert_eq!(server.tick(now), restored.tick(now), "wire at {now}");
         }
-        assert!(server.pending_writes.is_empty());
+        assert!(server.host.queue.is_empty());
         assert_eq!(server.frame().to_text(), restored.frame().to_text());
     }
 
@@ -911,70 +862,24 @@ pub(crate) mod tests {
         let mut client = client_transport();
         let mut server = mid_cat_server(&mut client);
         // Writes due at the same time may come in either order …
-        let tied = (1..server.pending_writes.len())
-            .find(|&i| server.pending_writes[i - 1].at == server.pending_writes[i].at)
+        let tied = (1..server.host.queue.len())
+            .find(|&i| server.host.queue[i - 1].at == server.host.queue[i].at)
             .expect("cat writes four lines per millisecond");
-        server.pending_writes.swap(tied - 1, tied);
+        server.host.queue.swap(tied - 1, tied);
         let mut body = Vec::new();
         server.encode_snapshot_body(&mut body);
         assert!(restore(&body).is_some());
         // … but a later write ahead of an earlier one is a corrupt body:
-        // `schedule_into` would binary-search a queue that is not sorted.
-        let last = server.pending_writes.len() - 1;
-        assert!(server.pending_writes[0].at < server.pending_writes[last].at);
-        server.pending_writes.swap(0, last);
+        // `AppHost` would binary-search a queue that is not sorted.
+        let last = server.host.queue.len() - 1;
+        assert!(server.host.queue[0].at < server.host.queue[last].at);
+        server.host.queue.swap(0, last);
         body.clear();
         server.encode_snapshot_body(&mut body);
         assert!(
             restore(&body).is_none(),
             "a decreasing due time must reject the snapshot whole"
         );
-    }
-
-    /// The insertion `schedule_into` replaced: scan from the front for the
-    /// first write due later. Kept here as the order oracle.
-    fn schedule_linear(pending_writes: &mut VecDeque<TimedWrite>, writes: Vec<TimedWrite>) {
-        for w in writes {
-            let pos = pending_writes
-                .iter()
-                .position(|p| p.at > w.at)
-                .unwrap_or(pending_writes.len());
-            pending_writes.insert(pos, w);
-        }
-    }
-
-    proptest::proptest! {
-        /// Batches with tied and out-of-order due times, scheduled while
-        /// the front of the queue drains as `tick` drains it: the binary
-        /// search leaves exactly the queue the linear scan did, each write
-        /// told apart by its bytes.
-        #[test]
-        fn schedule_into_orders_like_the_linear_scan(
-            steps in proptest::collection::vec(
-                (proptest::collection::vec(0u64..12, 0..24), 0u64..6),
-                1..40,
-            ),
-        ) {
-            let (mut fast, mut slow) = (VecDeque::new(), VecDeque::new());
-            let (mut now, mut tag) = (0u64, 0u32);
-            for (offsets, advance) in steps {
-                let batch: Vec<TimedWrite> = offsets
-                    .iter()
-                    .map(|off| {
-                        tag += 1;
-                        TimedWrite { at: now + off, bytes: tag.to_be_bytes().to_vec() }
-                    })
-                    .collect();
-                MoshServer::schedule_into(&mut fast, batch.clone());
-                schedule_linear(&mut slow, batch);
-                proptest::prop_assert_eq!(&fast, &slow);
-                now += advance;
-                while fast.front().is_some_and(|w| w.at <= now) {
-                    proptest::prop_assert_eq!(fast.pop_front(), slow.pop_front());
-                }
-                proptest::prop_assert_eq!(&fast, &slow);
-            }
-        }
     }
 
     #[test]

@@ -37,11 +37,11 @@
 //!   decrypted twice by its owner, and never misrouted: exactly the
 //!   single-hub auth fallback, spread over threads.
 //!
-//! Hint updates can race a bounce cycle (the hint map shifts while a
-//! datagram is mid-fan-out), which can cost one extra probe or drop that
-//! one datagram. Both are datagram semantics — SSP retransmits, and by
-//! then the hint is warm — and only ever affect a session's *first*
-//! packets.
+//! A bounce goes to the shard after the one that declined it, so a cycle
+//! visits every shard once even when the hint map shifts mid-fan-out (a
+//! resurrected server replying from its new shard). Only a session that
+//! itself changes shards mid-cycle can miss that one datagram — datagram
+//! semantics: SSP retransmits, and by then the hint is warm.
 //!
 //! The distributor hands each datagram over when it arrives, one queue
 //! slot per datagram. It blocks in one readiness wait (a `poll(2)`, as
@@ -192,7 +192,7 @@ pub struct FeedChannel {
     /// The datagram a blocking wait took off the queue, held for the
     /// next [`Channel::poll_any`].
     held: Option<Datagram>,
-    bounce_tx: SyncSender<Datagram>,
+    bounce_tx: SyncSender<(usize, Datagram)>,
     /// The writing end of the distributor's wake descriptor, handed to
     /// every [`FeedBouncer`].
     wake: Arc<UnixDatagram>,
@@ -216,6 +216,7 @@ impl FeedChannel {
     /// return to the distributor instead of being dropped.
     pub fn bouncer(&self) -> FeedBouncer {
         FeedBouncer {
+            shard: self.shard,
             tx: self.bounce_tx.clone(),
             wake: Arc::clone(&self.wake),
         }
@@ -301,10 +302,12 @@ impl Channel for FeedChannel {
 }
 
 /// Returns unclaimed datagrams to the distributor (see
-/// [`FeedChannel::bouncer`]), which counts their hops.
+/// [`FeedChannel::bouncer`]), tagged with the shard that declined them;
+/// the distributor counts their hops.
 #[derive(Debug, Clone)]
 pub struct FeedBouncer {
-    tx: SyncSender<Datagram>,
+    shard: usize,
+    tx: SyncSender<(usize, Datagram)>,
     wake: Arc<UnixDatagram>,
 }
 
@@ -315,7 +318,7 @@ impl FeedBouncer {
     /// queue is full (the caller should then count the datagram dropped
     /// — never block a shard's event loop behind a stalled distributor).
     pub fn bounce(&self, dg: &Datagram) -> bool {
-        let queued = self.tx.try_send(dg.clone()).is_ok();
+        let queued = self.tx.try_send((self.shard, dg.clone())).is_ok();
         if queued {
             // Queued first, signalled second: a distributor that reads
             // the signal always finds the bounce. A full wake buffer
@@ -344,7 +347,8 @@ pub struct UdpDistributor {
     /// signals (nonblocking, drained after every wait it ends).
     wake: UnixDatagram,
     feeds: Vec<SyncSender<Datagram>>,
-    bounce_rx: Receiver<Datagram>,
+    /// Bounced datagrams, each with the shard that declined it.
+    bounce_rx: Receiver<(usize, Datagram)>,
     /// How many shards have declined each datagram that has bounced,
     /// touched by this thread only. Bounded: `hop_order` lists keys
     /// oldest first, and the oldest is forgotten past
@@ -489,11 +493,14 @@ impl UdpDistributor {
     }
 
     /// Counts one more decline of each bounced datagram (an unseen one
-    /// has none) and forwards it to the next shard in its cycle — or
-    /// drops it once every shard has declined it.
+    /// has none) and forwards it to the shard after the one that declined
+    /// it — or drops it once every shard has declined it. The cycle
+    /// follows the decliners, not the hint map, so a hint that moves
+    /// mid-cycle cannot send a datagram back to a shard that just
+    /// declined it.
     fn gather_bounces(&mut self) {
         let shards = self.feeds.len();
-        while let Ok(dg) = self.bounce_rx.try_recv() {
+        while let Ok((declined, dg)) = self.bounce_rx.try_recv() {
             let key = hop_key(&dg);
             let hops = self.hops.get(&key).map_or(1, |h| h + 1);
             if hops >= shards {
@@ -510,8 +517,7 @@ impl UdpDistributor {
                     }
                 }
             }
-            let next = (self.base_shard(dg.from) + hops) % shards;
-            self.feed(next, dg, true);
+            self.feed((declined + 1) % shards, dg, true);
         }
     }
 
@@ -619,6 +625,39 @@ mod tests {
         assert!(feeds[base].poll_any().is_none());
         assert!(feeds[other].poll_any().is_none());
         assert_eq!(dist.stats().dropped, 1);
+        assert_eq!(dist.stats().bounced, 1);
+    }
+
+    #[test]
+    fn a_bounce_moves_past_its_decliner_when_the_hint_moves() {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (mut dist, mut feeds) = UdpDistributor::new(socket, 3).unwrap();
+        let server_addr = dist.local_addr();
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let peer_addr = addr_from_socket(peer.local_addr().unwrap());
+
+        // Shard 1 replies to the peer, so the peer's datagram routes there.
+        feeds[1].send(server_addr, peer_addr, b"hi".to_vec());
+        peer.send_to(b"mid-cycle", crate::channel::socket_from_addr(server_addr))
+            .unwrap();
+        let start = Instant::now();
+        let dg = loop {
+            assert!(start.elapsed().as_secs() < 10, "never arrived");
+            dist.pump(5);
+            if let Some(dg) = feeds[1].poll_any() {
+                break dg;
+            }
+        };
+
+        // Shard 0 replies to the peer too (a session resurrected there),
+        // which moves the hint; then shard 1 declines the datagram. It
+        // goes on to shard 2, not back to shard 1 (hint 0 plus one hop).
+        feeds[0].send(server_addr, peer_addr, b"moved".to_vec());
+        assert!(feeds[1].bouncer().bounce(&dg));
+        dist.pump(5);
+        assert!(feeds[1].poll_any().is_none(), "back to its decliner");
+        let next = feeds[2].poll_any().expect("forwarded to shard 2");
+        assert_eq!(next.payload, b"mid-cycle");
         assert_eq!(dist.stats().bounced, 1);
     }
 

@@ -9,12 +9,11 @@
 //! SSH's encryption adds microseconds of CPU and no latency structure, so
 //! the baseline omits it (see DESIGN.md, substitution #3).
 
-use mosh_core::apps::{Application, TimedWrite};
+use mosh_core::apps::{AppHost, Application};
 use mosh_core::session::{Endpoint, SessionEvent};
 use mosh_net::{Addr, Millis};
 use mosh_tcp::TcpEndpoint;
 use mosh_terminal::Terminal;
-use std::collections::VecDeque;
 
 /// The client half: sends keystrokes, renders arriving output.
 pub struct SshClient {
@@ -89,9 +88,7 @@ impl SshClient {
 /// every write (octet stream, nothing skipped).
 pub struct SshServer {
     tcp: TcpEndpoint,
-    app: Box<dyn Application>,
-    pending: VecDeque<TimedWrite>,
-    started: bool,
+    host: AppHost,
     /// Cumulative bytes written toward the client.
     output_bytes: u64,
 }
@@ -101,9 +98,7 @@ impl SshServer {
     pub fn new(addr: Addr, client: Addr, app: Box<dyn Application>) -> Self {
         SshServer {
             tcp: TcpEndpoint::new(addr, client),
-            app,
-            pending: VecDeque::new(),
-            started: false,
+            host: AppHost::new(app),
             output_bytes: 0,
         }
     }
@@ -123,41 +118,18 @@ impl SshServer {
         self.tcp.stats()
     }
 
-    fn schedule(&mut self, writes: Vec<TimedWrite>) {
-        for w in writes {
-            let pos = self
-                .pending
-                .iter()
-                .position(|p| p.at > w.at)
-                .unwrap_or(self.pending.len());
-            self.pending.insert(pos, w);
-        }
-    }
-
     /// Handles one wire datagram.
     pub fn receive(&mut self, now: Millis, wire: &[u8]) {
         self.tcp.receive(now, wire);
         let input = self.tcp.read();
         if !input.is_empty() {
-            let writes = self.app.on_input(now, &input);
-            self.schedule(writes);
+            self.host.input(now, &input);
         }
     }
 
     /// Runs timers; returns addressed datagrams.
     pub fn tick(&mut self, now: Millis) -> Vec<(Addr, Vec<u8>)> {
-        if !self.started {
-            self.started = true;
-            let writes = self.app.start(now);
-            self.schedule(writes);
-        }
-        let polled = self.app.poll(now);
-        self.schedule(polled);
-        while let Some(w) = self.pending.front() {
-            if w.at > now {
-                break;
-            }
-            let w = self.pending.pop_front().expect("peeked");
+        for w in self.host.due(now) {
             self.output_bytes += w.bytes.len() as u64;
             // SSH must transmit every octet — no skipping, no coalescing
             // beyond TCP's own segmentation.
@@ -168,14 +140,8 @@ impl SshServer {
 
     /// The earliest time `tick` needs to run again (event stepping).
     pub fn next_wakeup(&self, now: Millis) -> Millis {
-        let mut next = self.tcp.next_wakeup(now);
-        if let Some(t) = self.app.next_wakeup(now) {
-            next = next.min(t);
-        }
-        if let Some(w) = self.pending.front() {
-            next = next.min(w.at);
-        }
-        next.max(now)
+        let app = self.host.next_wakeup(now).unwrap_or(Millis::MAX);
+        self.tcp.next_wakeup(now).min(app).max(now)
     }
 }
 

@@ -31,6 +31,11 @@
 //! [`SessionEvent::BytesRendered`] for SSH), so the measured schedule is
 //! identical to the historical 1 ms pump and to dedicated per-user loops
 //! alike (see `tests/schedule_identity.rs` and `tests/hub_identity.rs`).
+//!
+//! Both systems run through that one loop. They differ only in what a
+//! typed key waits for (`Typist::press`: nothing when a prediction shows
+//! it, else an echo-ack level for Mosh, a rendered-byte count for SSH)
+//! and in which event reports that level (`level`).
 
 use crate::stats::Latencies;
 use crate::synth::{KeyKind, TraceKey, UserTrace};
@@ -206,50 +211,6 @@ pub fn replay_ssh(trace: &UserTrace, cfg: &ReplayConfig) -> ReplayOutcome {
         .expect("one trace in, one outcome out")
 }
 
-/// Per-user replay state shared by the Mosh and SSH engines: the
-/// flattened script, the per-keystroke response-byte targets, and the
-/// measurement accumulators.
-struct UserRun {
-    sid: SessionId,
-    keys: Vec<(Millis, Vec<u8>, KeyKind, bool)>,
-    targets: Vec<u64>,
-    next_key: usize,
-    /// Virtual time this user's world is driven to in the current round.
-    round_target: Millis,
-    end: Millis,
-    done: bool,
-    latencies: Latencies,
-    instant: u64,
-    measured: u64,
-}
-
-impl UserRun {
-    fn new(sid: SessionId, flat: FlatTrace, targets: Vec<u64>, settle: Millis) -> Self {
-        let end = flat.keys.last().map(|k| k.0).unwrap_or(0) + settle;
-        UserRun {
-            sid,
-            keys: flat.keys,
-            targets,
-            next_key: 0,
-            round_target: 0,
-            end,
-            done: false,
-            latencies: Latencies::new(),
-            instant: 0,
-            measured: 0,
-        }
-    }
-
-    /// The next instant this user needs control back: its next keystroke,
-    /// or the post-trace settle deadline.
-    fn next_target(&self) -> Millis {
-        self.keys
-            .get(self.next_key)
-            .map(|k| k.0)
-            .unwrap_or(self.end)
-    }
-}
-
 /// Replays a batch of traces through full Mosh sessions — one
 /// [`mosh_core::ServerHub`] driving every user concurrently, each in its own
 /// emulated network world (same links, same seed: users are statistically
@@ -258,98 +219,27 @@ impl UserRun {
 /// to running each trace through a dedicated loop.
 pub fn replay_mosh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayOutcome> {
     let key = Base64Key::from_bytes([0x4d; 16]);
-    let c_addr = Addr::new(1, 1000);
     let s_addr = Addr::new(2, 60001);
-
-    let mut hub = ShardedHub::with_shards(cfg.shards_for(traces.len()), SimPoller::new);
-    let mut users: Vec<UserRun> = Vec::new();
-    let mut endpoints: Vec<(MoshClient, MoshServer, Option<BulkFlow>)> = Vec::new();
     let mut write_logs = Vec::new();
-    // Outstanding unresolved keystrokes per user: (index, typed at, counted).
-    let mut pendings: Vec<VecDeque<(u64, Millis, bool)>> = Vec::new();
-    for trace in traces {
-        let flat = flatten(trace);
-        let targets = dry_run(&flat);
-        let mut net = Network::new(cfg.up.clone(), cfg.down.clone(), cfg.seed);
-        net.register(c_addr, Side::Client);
-        net.register(s_addr, Side::Server);
+    let users = replay_many(traces, cfg, (Addr::new(1, 1000), s_addr), 20_000, |app| {
         let client = MoshClient::new(key.clone(), s_addr, 80, 24, cfg.preference);
-        let mut server =
-            MoshServer::new(key.clone(), Box::new(WorkloadApp::new(flat.apps.clone())));
+        let mut server = MoshServer::new(key.clone(), Box::new(app));
         if let Some(md) = cfg.mindelay {
             server.set_mindelay(md);
         }
         write_logs.push(WriteDelayLog::install(&mut server));
-        let bulk = cfg.bulk_download.then(|| BulkFlow::new(&mut net));
-        let sid = hub.add_session(SimChannel::new(net));
-        users.push(UserRun::new(sid, flat, targets, 20_000));
-        endpoints.push((client, server, bulk));
-        pendings.push(VecDeque::new());
-    }
-
-    loop {
-        let events = pump_live_users(&mut hub, &mut users, &mut endpoints, |eps| {
-            mosh_parties(eps, c_addr, s_addr)
-        });
-        if events.is_none() {
-            break;
-        }
-        // Resolve keystrokes against the frames that arrived: the first
-        // frame event whose echo ack covers a keystroke fixes its latency.
-        for (sid, ev) in events.expect("checked above") {
-            let u = &mut users[sid.0];
-            if let SessionEvent::FrameAdvanced { at, echo_ack, .. } = ev {
-                while let Some(&(idx, typed_at, countable)) = pendings[sid.0].front() {
-                    if echo_ack >= idx {
-                        if countable {
-                            u.measured += 1;
-                            u.latencies.push((at - typed_at) as f64);
-                        }
-                        pendings[sid.0].pop_front();
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        // Inject every keystroke due now; the next pump ticks it out.
-        for (u, (client, _, _)) in users.iter_mut().zip(endpoints.iter_mut()) {
-            if u.done {
-                continue;
-            }
-            if u.next_key >= u.keys.len() {
-                u.done = true;
-                continue;
-            }
-            let target = u.round_target;
-            while u.next_key < u.keys.len() && u.keys[u.next_key].0 <= target {
-                let (_, bytes, _, count_it) = &u.keys[u.next_key];
-                let shown = client.keystroke(target, bytes);
-                let idx = client.input_end_index();
-                let countable = *count_it && u.targets[u.next_key] != 0;
-                if shown && countable {
-                    u.instant += 1;
-                    u.measured += 1;
-                    u.latencies.push(0.0);
-                } else {
-                    pendings[u.sid.0].push_back((idx, target, countable));
-                }
-                u.next_key += 1;
-            }
-        }
-    }
-
+        (client, server)
+    });
     users
         .into_iter()
-        .zip(endpoints)
         .zip(write_logs)
-        .map(|((u, (client, server, _)), write_log)| ReplayOutcome {
+        .map(|(u, write_log)| ReplayOutcome {
+            mispredicted: u.client.prediction_stats().mispredicted,
+            sender_stats: *u.server.sender_stats(),
+            write_delays: write_log.try_iter().collect(),
             latencies: u.latencies,
             instant: u.instant,
             measured: u.measured,
-            mispredicted: client.prediction_stats().mispredicted,
-            write_delays: write_log.try_iter().collect(),
-            sender_stats: *server.sender_stats(),
         })
         .collect()
 }
@@ -357,83 +247,18 @@ pub fn replay_mosh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayO
 /// Replays a batch of traces through the SSH baseline — one [`mosh_core::ServerHub`]
 /// driving every user concurrently (see [`replay_mosh_many`]).
 pub fn replay_ssh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayOutcome> {
-    let c_addr = Addr::new(1, 5001);
-    let s_addr = Addr::new(2, 22);
-
-    let mut hub = ShardedHub::with_shards(cfg.shards_for(traces.len()), SimPoller::new);
-    let mut users: Vec<UserRun> = Vec::new();
-    let mut endpoints: Vec<(SshClient, SshServer, Option<BulkFlow>)> = Vec::new();
-    // Outstanding keystrokes per user: (response byte target, typed at).
-    let mut pendings: Vec<VecDeque<(u64, Millis)>> = Vec::new();
-    for trace in traces {
-        let flat = flatten(trace);
-        let targets = dry_run(&flat);
-        let mut net = Network::new(cfg.up.clone(), cfg.down.clone(), cfg.seed);
-        net.register(c_addr, Side::Client);
-        net.register(s_addr, Side::Server);
-        let client = SshClient::new(c_addr, s_addr, 80, 24);
-        let server = SshServer::new(
-            s_addr,
-            c_addr,
-            Box::new(WorkloadApp::new(flat.apps.clone())),
-        );
-        let bulk = cfg.bulk_download.then(|| BulkFlow::new(&mut net));
-        let sid = hub.add_session(SimChannel::new(net));
-        users.push(UserRun::new(sid, flat, targets, 130_000));
-        endpoints.push((client, server, bulk));
-        pendings.push(VecDeque::new());
-    }
-
-    loop {
-        let events = pump_live_users(&mut hub, &mut users, &mut endpoints, |eps| {
-            ssh_parties(eps, c_addr, s_addr)
-        });
-        if events.is_none() {
-            break;
-        }
-        // A keystroke's response is visible once the client has rendered
-        // every byte the application produced for it (octet stream: all
-        // output arrives in full and in order).
-        for (sid, ev) in events.expect("checked above") {
-            let u = &mut users[sid.0];
-            if let SessionEvent::BytesRendered { at, total } = ev {
-                while let Some(&(byte_target, typed_at)) = pendings[sid.0].front() {
-                    if total >= byte_target {
-                        u.measured += 1;
-                        u.latencies.push((at - typed_at) as f64);
-                        pendings[sid.0].pop_front();
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        for (u, (client, _, _)) in users.iter_mut().zip(endpoints.iter_mut()) {
-            if u.done {
-                continue;
-            }
-            if u.next_key >= u.keys.len() {
-                u.done = true;
-                continue;
-            }
-            let target = u.round_target;
-            while u.next_key < u.keys.len() && u.keys[u.next_key].0 <= target {
-                let (_, bytes, _, count_it) = &u.keys[u.next_key];
-                client.keystroke(target, bytes);
-                if *count_it && u.targets[u.next_key] != 0 {
-                    pendings[u.sid.0].push_back((u.targets[u.next_key], target));
-                }
-                u.next_key += 1;
-            }
-        }
-    }
-
+    let (c_addr, s_addr) = (Addr::new(1, 5001), Addr::new(2, 22));
+    let users = replay_many(traces, cfg, (c_addr, s_addr), 130_000, |app| {
+        (
+            SshClient::new(c_addr, s_addr, 80, 24),
+            SshServer::new(s_addr, c_addr, Box::new(app)),
+        )
+    });
     users
         .into_iter()
-        .zip(endpoints)
-        .map(|(u, _)| ReplayOutcome {
+        .map(|u| ReplayOutcome {
             latencies: u.latencies,
-            instant: 0,
+            instant: u.instant,
             measured: u.measured,
             mispredicted: 0,
             write_delays: Vec::new(),
@@ -442,68 +267,195 @@ pub fn replay_ssh_many(traces: &[UserTrace], cfg: &ReplayConfig) -> Vec<ReplayOu
         .collect()
 }
 
-/// One hub round: every not-yet-finished user is leased to the hub and
-/// driven to its own next target (its next keystroke instant, or its
-/// settle deadline) — each user on its owning shard's worker thread.
-/// Returns `None` once every user has finished — otherwise the tagged
-/// events of the round.
-fn pump_live_users<E>(
-    hub: &mut ShardedHub<SimPoller>,
-    users: &mut [UserRun],
-    endpoints: &mut [E],
-    mut parties_of: impl FnMut(&mut E) -> Vec<Party<'_>>,
-) -> Option<Vec<(SessionId, SessionEvent)>> {
-    for u in users.iter_mut() {
-        if !u.done {
-            u.round_target = u.next_target();
+/// A system's client as the replay types on it.
+trait Typist: Endpoint {
+    /// Types `bytes` at `at`, whose application response ends at
+    /// cumulative byte `response`. Returns the [`level`] at which the
+    /// response is visible, or `None` when the screen already shows it.
+    fn press(&mut self, at: Millis, bytes: &[u8], response: u64) -> Option<u64>;
+}
+
+impl Typist for MoshClient {
+    /// Visible at once when a prediction shows the key; otherwise once a
+    /// frame's echo ack covers it (see the module docs).
+    fn press(&mut self, at: Millis, bytes: &[u8], _response: u64) -> Option<u64> {
+        let shown = self.keystroke(at, bytes);
+        (!shown).then(|| self.input_end_index())
+    }
+}
+
+impl Typist for SshClient {
+    /// Visible once every byte of the response has been rendered.
+    fn press(&mut self, at: Millis, bytes: &[u8], response: u64) -> Option<u64> {
+        self.keystroke(at, bytes);
+        Some(response)
+    }
+}
+
+/// How far a session event proves the client's screen has come, and
+/// when: a Mosh frame's echo ack, or the SSH client's rendered bytes.
+/// Both only ever grow.
+fn level(ev: &SessionEvent) -> Option<(Millis, u64)> {
+    match *ev {
+        SessionEvent::FrameAdvanced { at, echo_ack, .. } => Some((at, echo_ack)),
+        SessionEvent::BytesRendered { at, total } => Some((at, total)),
+        _ => None,
+    }
+}
+
+/// One user's replay: the flattened script, its response-byte targets,
+/// the two endpoints (and the bulk flow beside them), the keystrokes
+/// waiting for their response, and the measurements.
+struct User<C, S> {
+    sid: SessionId,
+    keys: Vec<(Millis, Vec<u8>, KeyKind, bool)>,
+    targets: Vec<u64>,
+    next_key: usize,
+    /// The settle deadline after the last keystroke.
+    end: Millis,
+    done: bool,
+    client: C,
+    server: S,
+    bulk: Option<BulkFlow>,
+    /// Counted keystrokes not yet visible: ([`level`] needed, typed at).
+    waiting: VecDeque<(u64, Millis)>,
+    latencies: Latencies,
+    instant: u64,
+    measured: u64,
+}
+
+impl<C: Typist, S: Endpoint> User<C, S> {
+    /// The next instant this user needs control back: its next keystroke,
+    /// or the post-trace settle deadline.
+    fn next_target(&self) -> Millis {
+        self.keys
+            .get(self.next_key)
+            .map(|k| k.0)
+            .unwrap_or(self.end)
+    }
+
+    /// The user's lease. Party order matters for determinism: it fixes
+    /// the order same-instant datagrams enter the emulator, exactly as
+    /// the historical loop ticked them.
+    fn parties(&mut self, c_addr: Addr, s_addr: Addr) -> Vec<Party<'_>> {
+        let mut parties = vec![
+            Party::new(c_addr, &mut self.client),
+            Party::new(s_addr, &mut self.server),
+        ];
+        if let Some(b) = &mut self.bulk {
+            parties.push(Party::new(BULK_SERVER, &mut b.sender));
+            parties.push(Party::new(BULK_CLIENT, &mut b.receiver));
+        }
+        parties
+    }
+
+    /// Resolves every waiting keystroke that a frame at `level`, arriving
+    /// at `at`, makes visible.
+    fn resolve(&mut self, at: Millis, level: u64) {
+        while let Some(&(need, typed_at)) = self.waiting.front() {
+            if level < need {
+                break;
+            }
+            self.waiting.pop_front();
+            self.measured += 1;
+            self.latencies.push((at - typed_at) as f64);
         }
     }
-    let mut leases: Vec<(SessionId, Millis, Vec<Party<'_>>)> = users
+
+    /// Types every keystroke due by the round's target; the next pump
+    /// ticks them out. The round after the last keystroke runs to the
+    /// settle deadline, and the user is done after it.
+    fn type_due_keys(&mut self) {
+        if self.next_key >= self.keys.len() {
+            self.done = true;
+            return;
+        }
+        let at = self.next_target();
+        while let Some((key_at, bytes, _, count_it)) = self.keys.get(self.next_key) {
+            if *key_at > at {
+                break;
+            }
+            let response = self.targets[self.next_key];
+            let counted = *count_it && response != 0;
+            match self.client.press(at, bytes, response) {
+                None if counted => {
+                    self.instant += 1;
+                    self.measured += 1;
+                    self.latencies.push(0.0);
+                }
+                Some(need) if counted => self.waiting.push_back((need, at)),
+                _ => {}
+            }
+            self.next_key += 1;
+        }
+    }
+}
+
+/// The replay loop both systems share. Every user gets its own network
+/// world and one hub session; `build` makes its client and server around
+/// the user's application. Each round leases every user that is not done
+/// to its own next target (its next keystroke, or its settle deadline),
+/// pumps the hub — each user on its owning shard's worker thread —
+/// resolves keystrokes against the events that arrived, then types the
+/// keys that are due.
+fn replay_many<C: Typist, S: Endpoint>(
+    traces: &[UserTrace],
+    cfg: &ReplayConfig,
+    (c_addr, s_addr): (Addr, Addr),
+    settle: Millis,
+    mut build: impl FnMut(WorkloadApp) -> (C, S),
+) -> Vec<User<C, S>> {
+    let mut hub = ShardedHub::with_shards(cfg.shards_for(traces.len()), SimPoller::new);
+    let mut users: Vec<User<C, S>> = traces
         .iter()
-        .zip(endpoints.iter_mut())
-        .filter(|(u, _)| !u.done)
-        .map(|(u, eps)| (u.sid, u.round_target, parties_of(eps)))
+        .map(|trace| {
+            let flat = flatten(trace);
+            let targets = dry_run(&flat);
+            let mut net = Network::new(cfg.up.clone(), cfg.down.clone(), cfg.seed);
+            net.register(c_addr, Side::Client);
+            net.register(s_addr, Side::Server);
+            let (client, server) = build(WorkloadApp::new(flat.apps));
+            let bulk = cfg.bulk_download.then(|| BulkFlow::new(&mut net));
+            User {
+                sid: hub.add_session(SimChannel::new(net)),
+                end: flat.keys.last().map_or(0, |k| k.0) + settle,
+                keys: flat.keys,
+                targets,
+                next_key: 0,
+                done: false,
+                client,
+                server,
+                bulk,
+                waiting: VecDeque::new(),
+                latencies: Latencies::new(),
+                instant: 0,
+                measured: 0,
+            }
+        })
         .collect();
-    if leases.is_empty() {
-        return None;
-    }
-    let mut sessions: Vec<HubSession<'_, '_>> = leases
-        .iter_mut()
-        .map(|(sid, target, parties)| HubSession::new(*sid, parties, *target))
-        .collect();
-    Some(hub.pump(&mut sessions))
-}
 
-/// A Mosh user's lease. Party order matters for determinism: it fixes the
-/// order same-instant datagrams enter the emulator, exactly as the
-/// historical loop ticked them.
-fn mosh_parties(
-    eps: &mut (MoshClient, MoshServer, Option<BulkFlow>),
-    c_addr: Addr,
-    s_addr: Addr,
-) -> Vec<Party<'_>> {
-    let (client, server, bulk) = eps;
-    let mut parties = vec![Party::new(c_addr, client), Party::new(s_addr, server)];
-    if let Some(b) = bulk {
-        parties.push(Party::new(BULK_SERVER, &mut b.sender));
-        parties.push(Party::new(BULK_CLIENT, &mut b.receiver));
+    loop {
+        let mut leases: Vec<(SessionId, Millis, Vec<Party<'_>>)> = users
+            .iter_mut()
+            .filter(|u| !u.done)
+            .map(|u| (u.sid, u.next_target(), u.parties(c_addr, s_addr)))
+            .collect();
+        if leases.is_empty() {
+            return users;
+        }
+        let mut sessions: Vec<HubSession<'_, '_>> = leases
+            .iter_mut()
+            .map(|(sid, target, parties)| HubSession::new(*sid, parties, *target))
+            .collect();
+        for (sid, ev) in hub.pump(&mut sessions) {
+            if let Some((at, level)) = level(&ev) {
+                users[sid.0].resolve(at, level);
+            }
+        }
+        for u in users.iter_mut().filter(|u| !u.done) {
+            u.type_due_keys();
+        }
     }
-    parties
-}
-
-/// An SSH user's lease (see [`mosh_parties`]).
-fn ssh_parties(
-    eps: &mut (SshClient, SshServer, Option<BulkFlow>),
-    c_addr: Addr,
-    s_addr: Addr,
-) -> Vec<Party<'_>> {
-    let (client, server, bulk) = eps;
-    let mut parties: Vec<Party<'_>> = vec![Party::new(c_addr, client), Party::new(s_addr, server)];
-    if let Some(b) = bulk {
-        parties.push(Party::new(BULK_SERVER, &mut b.sender));
-        parties.push(Party::new(BULK_CLIENT, &mut b.receiver));
-    }
-    parties
 }
 
 /// Address the bulk download's client side receives on.

@@ -1,9 +1,10 @@
 //! Replay under event-driven stepping is statistic-identical to the
 //! seed's 1 ms pump.
 //!
-//! `replay_mosh`/`replay_ssh` now drive sessions with `SessionLoop`,
-//! resolving keystroke latencies from typed events instead of polling
-//! per millisecond. This test keeps the **historical 1 ms replay loop**
+//! `replay_mosh`/`replay_ssh` drive each user as a session of one
+//! `ShardedHub`, through one replay loop both systems share, resolving
+//! keystroke latencies from typed events instead of polling per
+//! millisecond. This test keeps the **historical 1 ms replay loop**
 //! verbatim as a reference implementation and demands the ported engine
 //! reproduce it exactly: the same latency samples in the same order, the
 //! same instant/measured counts, the same server-side write delays, the

@@ -15,8 +15,8 @@
 //! * Behind that socket, a session migrates to another session's shard,
 //!   and both are resurrected from their checkpoints after that shard
 //!   panics, while both clients keep typing.
-//! * A shard that owns no session still hands what the distributor
-//!   feeds it on to the shard that does.
+//! * A shard that owns no session, or that a panic quarantined, still
+//!   hands what the distributor feeds it on to the shard that does.
 
 use mosh::core::hub::snapshot::resurrect_server;
 use mosh::core::{
@@ -852,4 +852,53 @@ fn an_unleased_shard_bounces_its_feed_onward() {
     client.join().expect("client thread");
     let stats = hub.stats();
     assert!(stats.feed_bounced >= 1, "{stats:?}");
+}
+
+/// A quarantined shard still passes its feed queue on: a panicking
+/// endpoint quarantines shard 1, and a client whose odd source port
+/// hashes its hello there must still reach its session on shard 0.
+#[test]
+fn a_quarantined_shard_bounces_its_feed_onward() {
+    use std::time::{Duration, Instant};
+
+    let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("server socket");
+    let server_addr = mosh::net::channel::addr_from_socket(socket.local_addr().unwrap());
+    let (mut hub, mut dist) = ShardedHub::over_distributor(socket, 2).expect("distributor");
+    let sids = [hub.add_distributed_session()];
+    let bomb = hub.add_distributed_session();
+    assert_eq!((hub.location(sids[0]).0, hub.location(bomb).0), (0, 1));
+    let mut servers = vec![MoshServer::new(key(0), Box::new(LineShell::new()))];
+    serve(&mut hub, &mut dist, &sids, &mut servers, Some(bomb));
+    assert!(
+        hub.shard_error(1).is_some(),
+        "the panic quarantined shard 1"
+    );
+
+    let client = std::thread::spawn(move || {
+        let channel = loop {
+            let ch = UdpChannel::bind("127.0.0.1:0").expect("client socket");
+            if ch.local_addr().port % 2 == 1 {
+                break ch;
+            }
+        };
+        let addr = channel.local_addr();
+        let mut client = MoshClient::new(key(0), server_addr, 80, 24, DisplayPreference::Never);
+        let mut sl = SessionLoop::new(channel);
+        let start = Instant::now();
+        while client.server_frame().row_text(0) != "$" {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "client never heard"
+            );
+            let t = sl.now() + 5;
+            sl.pump_until(&mut [Party::new(addr, &mut client)], t);
+        }
+    });
+    while !client.is_finished() {
+        serve(&mut hub, &mut dist, &sids, &mut servers, None);
+    }
+    client.join().expect("client thread");
+    let stats = hub.stats();
+    assert!(stats.feed_bounced >= 1, "{stats:?}");
+    assert_eq!(stats.shard_panics, 1, "{stats:?}");
 }
