@@ -170,7 +170,7 @@ impl SyncState for CompleteTerminal {
                 REC_RESIZE => {
                     let w = r.varint().map_err(|_| StateError::Malformed)? as usize;
                     let h = r.varint().map_err(|_| StateError::Malformed)? as usize;
-                    let max = usize::from(crate::MAX_DIMENSION);
+                    let max = usize::from(mosh_terminal::MAX_DIMENSION);
                     if w == 0 || h == 0 || w > max || h > max {
                         return Err(StateError::Malformed);
                     }

@@ -9,9 +9,9 @@
 //! end (via [`mosh_ssp::SyncState::subtract`]) never changes what a diff
 //! contains.
 
-use crate::MAX_DIMENSION;
 use mosh_ssp::wire::{put_bytes, put_varint, Reader};
 use mosh_ssp::{StateError, SyncState};
+use mosh_terminal::MAX_DIMENSION;
 use std::collections::VecDeque;
 
 /// One unit of user input.

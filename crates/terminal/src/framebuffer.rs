@@ -1,220 +1,23 @@
-//! The screen grid and its editing primitives.
+//! The screen state and the VT editing operations on it.
 //!
-//! [`Framebuffer`] holds everything the *user can see*: the cell grid, the
-//! cursor, the window title, and the bell count. It also carries the
+//! [`Framebuffer`] holds everything the *user can see* — the screen's
+//! rows, the cursor, the window title, the bell count — and the
 //! interpreter state that decides how future bytes are rendered (pen,
-//! scrolling region, modes, tab stops) — but only the visible portion
-//! participates in equality, because SSP synchronizes what the user sees,
-//! not the interpreter internals (the client never feeds application bytes
-//! into its own framebuffer; it only applies self-contained diffs).
+//! scrolling region, modes, tab stops, the saved cursor, the primary
+//! screen stashed behind the alternate one). Only the visible portion
+//! participates in equality: SSP synchronizes what the user sees, and the
+//! client only ever applies self-contained diffs to its framebuffer.
 //!
-//! # Shared rows
-//!
-//! Every row is a copy-on-write handle ([`Row`]) around shared cell
-//! storage. Cloning a framebuffer — which the sender does for every
-//! shipped state — is O(height) pointer bumps, and the first mutation of
-//! a shared row copies its cells. Storage is written in place only while
-//! no other handle holds it, so two rows that share storage
-//! ([`Row::same_data`]) hold the same cells: the display differ skips
-//! those without reading them and compares the cells of every other row,
-//! so the emitted bytes are identical to a full scan by construction.
-//!
-//! A scroll's blank row may be built in the storage of the row that scroll
-//! evicted (see "Scrollback"), but only when no earlier frame shares that
-//! storage, so no earlier frame can mistake the new row for its old one.
-//!
-//! # Scrollback
-//!
-//! The grid itself is a ring buffer, so a full-screen scroll is O(1)
-//! pointer math rather than a row rotation. Rows evicted off the top of
-//! the primary screen land in a bounded scrollback deque; `display_offset`
-//! selects how far back the viewport is scrolled (0 = live screen).
-//! Scrollback and the offset ride session snapshots, so they survive
-//! migration and checkpoint/resurrect, but they are *not* part of
-//! framebuffer equality: SSP synchronizes the visible screen only.
-//!
-//! Every scroll discards exactly one row for good — the oldest history
-//! line once scrollback is full, the top row itself where no history is
-//! kept (alternate screen, a limit of 0), the row a region scroll, a
-//! scroll-down, IL or DL pushes out of the region — and needs exactly one
-//! blank row. The blank row is built in the discarded row's storage
-//! whenever no clone of the framebuffer (a state the sender still retains)
-//! shares it, so a flooding terminal in steady state scrolls without
-//! touching the allocator; a shared row stays with its sharers, untouched,
-//! and the scroll allocates a new one.
+//! The rows, with the history above them, live in one store in `grid.rs`;
+//! this module turns each VT operation into edits of those rows.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use crate::cell::{Attrs, Cell};
+use crate::cell::{Attrs, Cell, Color};
+use crate::grid::{blank_cell, Grid, MAX_DIMENSION};
+use crate::wirefmt::{put_attrs, put_bool, put_bytes, put_char, put_varint, Reader};
 
-/// Rows of scrollback a fresh framebuffer retains (see
-/// [`Framebuffer::set_scrollback_limit`]).
-pub const DEFAULT_SCROLLBACK: usize = 200;
-
-/// One row of the grid: a copy-on-write handle to shared cell storage,
-/// always exactly the screen width long.
-///
-/// Cloning is O(1); the first mutation after a clone copies the cells.
-#[derive(Debug, Clone)]
-pub struct Row {
-    data: Arc<Vec<Cell>>,
-}
-
-/// A blank cell carrying only the given background color.
-fn blank_cell(bg: crate::cell::Color) -> Cell {
-    Cell::blank(Attrs {
-        bg,
-        ..Attrs::default()
-    })
-}
-
-impl Row {
-    /// A row of blank cells carrying only the given background color.
-    pub fn blank(width: usize, bg: crate::cell::Color) -> Self {
-        Row::from_cells(vec![blank_cell(bg); width])
-    }
-
-    pub(crate) fn from_cells(cells: Vec<Cell>) -> Self {
-        Row {
-            data: Arc::new(cells),
-        }
-    }
-
-    /// Makes this handle — a row some scroll has just evicted for good —
-    /// a [`Row::blank`]. When no other handle shares the storage (no clone
-    /// of the framebuffer still shows the evicted line) the row is rebuilt
-    /// in place and nothing is allocated; otherwise the sharers keep the
-    /// old storage untouched and this handle gets its own.
-    fn reblank(&mut self, width: usize, bg: crate::cell::Color) {
-        match Arc::get_mut(&mut self.data) {
-            Some(cells) => {
-                cells.clear();
-                cells.resize(width, blank_cell(bg));
-            }
-            None => *self = Row::blank(width, bg),
-        }
-    }
-
-    /// The row's cells, always exactly the screen width.
-    pub fn cells(&self) -> &[Cell] {
-        &self.data
-    }
-
-    /// True when both handles share the same storage, and so the same
-    /// cells: storage is only ever written while no other handle holds it.
-    pub fn same_data(a: &Row, b: &Row) -> bool {
-        Arc::ptr_eq(&a.data, &b.data)
-    }
-
-    /// Mutable access to the cells, copying them first if another handle
-    /// shares them.
-    fn cells_mut(&mut self) -> &mut Vec<Cell> {
-        Arc::make_mut(&mut self.data)
-    }
-
-    /// Pads or truncates to `width`. A wide lead the cut leaves dangling in
-    /// the last column is blanked.
-    fn set_width(&mut self, width: usize) {
-        let cells = self.cells_mut();
-        if width < cells.len() {
-            cells.truncate(width);
-            if let Some(last) = cells.last_mut() {
-                if last.wide {
-                    *last = Cell::default();
-                }
-            }
-        } else {
-            let pad = width - cells.len();
-            cells.extend(std::iter::repeat_n(Cell::default(), pad));
-        }
-    }
-}
-
-/// Row equality is *content* equality: frames that share no storage — a
-/// client applying diffs versus the server that generated them — must
-/// still compare equal. It compares the cells, never the handles: `==` on
-/// two `Arc`s short-cuts on a shared pointer.
-impl PartialEq for Row {
-    fn eq(&self, other: &Self) -> bool {
-        *self.data == *other.data
-    }
-}
-
-impl Eq for Row {}
-
-/// The visible grid as a ring buffer: visual row `i` lives at
-/// `buf[(head + i) % height]`, so a full-screen scroll is O(1) index math
-/// and rows keep their storage (and so stay shared with earlier clones) as
-/// they move up the screen.
-#[derive(Debug, Clone)]
-struct Ring {
-    buf: Vec<Row>,
-    head: usize,
-}
-
-impl Ring {
-    fn new(rows: Vec<Row>) -> Self {
-        Ring { buf: rows, head: 0 }
-    }
-
-    fn idx(&self, i: usize) -> usize {
-        let j = self.head + i;
-        if j >= self.buf.len() {
-            j - self.buf.len()
-        } else {
-            j
-        }
-    }
-
-    fn get(&self, i: usize) -> &Row {
-        &self.buf[self.idx(i)]
-    }
-
-    fn get_mut(&mut self, i: usize) -> &mut Row {
-        let j = self.idx(i);
-        &mut self.buf[j]
-    }
-
-    fn swap(&mut self, i: usize, j: usize) {
-        let (a, b) = (self.idx(i), self.idx(j));
-        self.buf.swap(a, b);
-    }
-
-    /// O(1) full-screen scroll up: every row moves up one line. Returns
-    /// the slot that is now the bottom row and still holds the evicted
-    /// top row, for the caller to replace.
-    fn rotate_up(&mut self) -> &mut Row {
-        let slot = self.head;
-        self.head = if self.head + 1 == self.buf.len() {
-            0
-        } else {
-            self.head + 1
-        };
-        &mut self.buf[slot]
-    }
-
-    /// O(1) full-screen scroll down: every row moves down one line.
-    /// Returns the slot that is now the top row and still holds the
-    /// evicted bottom row, for the caller to replace.
-    fn rotate_down(&mut self) -> &mut Row {
-        self.head = if self.head == 0 {
-            self.buf.len() - 1
-        } else {
-            self.head - 1
-        };
-        &mut self.buf[self.head]
-    }
-
-    /// Drains into a contiguous top-to-bottom vector (for rebuilds).
-    fn take_rows(&mut self) -> Vec<Row> {
-        let head = self.head;
-        self.head = 0;
-        let mut rows = std::mem::take(&mut self.buf);
-        rows.rotate_left(head);
-        rows
-    }
-}
+pub use crate::grid::{Row, DEFAULT_SCROLLBACK};
 
 /// Cursor state (position is 0-based internally).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,16 +72,15 @@ impl Default for Modes {
 
 /// The terminal screen state.
 ///
-/// Equality compares only what the user can observe: grid contents, cursor
-/// position and visibility, window title, and the bell count. That is the
-/// contract the display differ ([`crate::display`]) reproduces. Scrollback
-/// and the display offset are deliberately excluded — they are server-side
-/// view state, not synchronized screen content.
+/// Equality compares only what the user can observe: screen contents,
+/// cursor position and visibility, window title, and the bell count. That
+/// is the contract the display differ ([`crate::display`]) reproduces.
+/// Scrollback and the display offset are deliberately excluded — they are
+/// server-side view state, not synchronized screen content.
 #[derive(Debug, Clone)]
 pub struct Framebuffer {
-    width: usize,
-    height: usize,
-    grid: Ring,
+    /// The screen's rows and the history above them.
+    grid: Grid,
     /// Current cursor.
     pub cursor: Cursor,
     /// Current graphic renditions for new text.
@@ -296,13 +98,6 @@ pub struct Framebuffer {
     saved_cursor: Option<SavedCursor>,
     /// Primary-screen stash while the alternate screen is active.
     alt_saved: Option<(Vec<Row>, Cursor)>,
-    /// Rows scrolled off the top of the primary screen, oldest first,
-    /// bounded by `scrollback_limit`.
-    scrollback: VecDeque<Row>,
-    scrollback_limit: usize,
-    /// How far back the viewport is scrolled, `0..=scrollback.len()`;
-    /// 0 shows the live screen.
-    display_offset: usize,
     /// Replies the terminal owes the host (DSR/DA reports).
     answerback: Vec<u8>,
     /// Last printed character, for REP.
@@ -313,9 +108,9 @@ pub struct Framebuffer {
 
 impl PartialEq for Framebuffer {
     fn eq(&self, other: &Self) -> bool {
-        self.width == other.width
-            && self.height == other.height
-            && (0..self.height).all(|r| self.grid.get(r) == other.grid.get(r))
+        self.width() == other.width()
+            && self.height() == other.height()
+            && (0..self.height()).all(|r| self.row(r) == other.row(r))
             && self.cursor == other.cursor
             && self.modes.cursor_visible == other.modes.cursor_visible
             && self.title == other.title
@@ -334,17 +129,7 @@ impl Framebuffer {
     pub fn new(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "framebuffer must be at least 1x1");
         Framebuffer {
-            width,
-            height,
-            // Each position gets its own `Row::blank` call: a scroll
-            // rebuilds the row it evicts in place only when no other handle
-            // shares its storage, so rows of `vec![blank; h]` would make
-            // every scroll allocate.
-            grid: Ring::new(
-                (0..height)
-                    .map(|_| Row::blank(width, crate::cell::Color::Default))
-                    .collect(),
-            ),
+            grid: Grid::new(width, height),
             cursor: Cursor { row: 0, col: 0 },
             pen: Attrs::default(),
             modes: Modes::default(),
@@ -356,9 +141,6 @@ impl Framebuffer {
             wrap_pending: false,
             saved_cursor: None,
             alt_saved: None,
-            scrollback: VecDeque::new(),
-            scrollback_limit: DEFAULT_SCROLLBACK,
-            display_offset: 0,
             answerback: Vec::new(),
             last_printed: None,
             line_drawing: false,
@@ -367,12 +149,12 @@ impl Framebuffer {
 
     /// Screen width in columns.
     pub fn width(&self) -> usize {
-        self.width
+        self.grid.width()
     }
 
     /// Screen height in rows.
     pub fn height(&self) -> usize {
-        self.height
+        self.grid.height()
     }
 
     /// The row at visual position `i` (0 = top of the live screen).
@@ -381,7 +163,7 @@ impl Framebuffer {
     ///
     /// Panics if `i >= height`.
     pub fn row(&self, i: usize) -> &Row {
-        self.grid.get(i)
+        self.grid.row(i)
     }
 
     /// The cell at `(row, col)`.
@@ -390,14 +172,14 @@ impl Framebuffer {
     ///
     /// Panics if out of bounds.
     pub fn cell(&self, row: usize, col: usize) -> &Cell {
-        &self.grid.get(row).cells()[col]
+        &self.grid.row(row).cells()[col]
     }
 
     /// Mutable cell access (used by tests and the prediction engine).
     /// Copies the row first if a clone shares it; the wide-pair invariant
     /// is the caller's responsibility.
     pub fn cell_mut(&mut self, row: usize, col: usize) -> &mut Cell {
-        &mut self.grid.get_mut(row).cells_mut()[col]
+        &mut self.grid.row_mut(row).cells_mut()[col]
     }
 
     /// The window title (OSC 0/2).
@@ -455,22 +237,18 @@ impl Framebuffer {
 
     /// Maximum rows of scrollback retained.
     pub fn scrollback_limit(&self) -> usize {
-        self.scrollback_limit
+        self.grid.scrollback_limit()
     }
 
     /// Sets the scrollback bound, discarding the oldest rows (and clamping
     /// the display offset) if the new bound is smaller.
     pub fn set_scrollback_limit(&mut self, limit: usize) {
-        self.scrollback_limit = limit;
-        while self.scrollback.len() > limit {
-            self.scrollback.pop_front();
-        }
-        self.display_offset = self.display_offset.min(self.scrollback.len());
+        self.grid.set_scrollback_limit(limit);
     }
 
     /// Rows currently held in scrollback.
     pub fn scrollback_len(&self) -> usize {
-        self.scrollback.len()
+        self.grid.scrollback_len()
     }
 
     /// A scrollback row; `i = 0` is the line just above the live screen,
@@ -480,19 +258,18 @@ impl Framebuffer {
     ///
     /// Panics if `i >= scrollback_len()`.
     pub fn history_row(&self, i: usize) -> &Row {
-        &self.scrollback[self.scrollback.len() - 1 - i]
+        self.grid.history_row(i)
     }
 
     /// How far back the viewport is scrolled (0 = live screen).
     pub fn display_offset(&self) -> usize {
-        self.display_offset
+        self.grid.display_offset()
     }
 
     /// Moves the viewport `delta` lines into history (negative values move
     /// back toward the live screen), clamped to the available scrollback.
     pub fn scroll_view(&mut self, delta: isize) {
-        let next = self.display_offset as isize + delta;
-        self.display_offset = next.clamp(0, self.scrollback.len() as isize) as usize;
+        self.grid.scroll_view(delta);
     }
 
     /// The row shown at viewport position `i` under the current display
@@ -502,11 +279,7 @@ impl Framebuffer {
     ///
     /// Panics if `i >= height`.
     pub fn view_row(&self, i: usize) -> &Row {
-        if i < self.display_offset {
-            self.history_row(self.display_offset - 1 - i)
-        } else {
-            self.grid.get(i - self.display_offset)
-        }
+        self.grid.view_row(i)
     }
 
     // ------------------------------------------------------------------
@@ -519,10 +292,10 @@ impl Framebuffer {
         let (top, bottom) = if self.modes.origin {
             (self.scroll_top, self.scroll_bottom)
         } else {
-            (0, self.height - 1)
+            (0, self.height() - 1)
         };
         self.cursor.row = (top + row).min(bottom);
-        self.cursor.col = col.min(self.width - 1);
+        self.cursor.col = col.min(self.width() - 1);
         self.wrap_pending = false;
     }
 
@@ -530,8 +303,8 @@ impl Framebuffer {
     pub fn move_relative(&mut self, dr: isize, dc: isize) {
         let row = self.cursor.row as isize + dr;
         let col = self.cursor.col as isize + dc;
-        self.cursor.row = row.clamp(0, self.height as isize - 1) as usize;
-        self.cursor.col = col.clamp(0, self.width as isize - 1) as usize;
+        self.cursor.row = row.clamp(0, self.height() as isize - 1) as usize;
+        self.cursor.col = col.clamp(0, self.width() as isize - 1) as usize;
         self.wrap_pending = false;
     }
 
@@ -553,7 +326,7 @@ impl Framebuffer {
             // cells in this implementation; they are dropped.
             return;
         }
-        if w == 2 && self.width < 2 {
+        if w == 2 && self.width() < 2 {
             // A double-width character cannot fit on a one-column screen.
             return;
         }
@@ -563,7 +336,7 @@ impl Framebuffer {
             self.line_feed();
         }
         // A wide character that doesn't fit on this line wraps early.
-        if w == 2 && self.cursor.col == self.width - 1 {
+        if w == 2 && self.cursor.col == self.width() - 1 {
             let erase = self.erase_cell();
             self.put_cell(self.cursor.row, self.cursor.col, erase);
             if self.modes.autowrap {
@@ -601,8 +374,8 @@ impl Framebuffer {
         }
         self.last_printed = Some(ch);
         let new_col = col + w;
-        if new_col >= self.width {
-            self.cursor.col = self.width - 1;
+        if new_col >= self.width() {
+            self.cursor.col = self.width() - 1;
             if self.modes.autowrap {
                 self.wrap_pending = true;
             }
@@ -629,7 +402,7 @@ impl Framebuffer {
         let Some(&last_byte) = run.last() else {
             return;
         };
-        let (width, pen, erase) = (self.width, self.pen, self.erase_cell());
+        let (width, pen, erase) = (self.width(), self.pen, self.erase_cell());
         while !run.is_empty() {
             if self.wrap_pending {
                 self.cursor.col = 0;
@@ -638,7 +411,7 @@ impl Framebuffer {
             let col = self.cursor.col;
             let (segment, rest) = run.split_at(run.len().min(width - col));
             let last = col + segment.len() - 1;
-            let cells = self.grid.get_mut(self.cursor.row).cells_mut();
+            let cells = self.grid.row_mut(self.cursor.row).cells_mut();
             // The wide-pair invariant at the two ends of the span: a pair
             // the span cuts in half loses its other half too (`lo`/`hi`
             // step outward onto it; otherwise they are the span's own ends
@@ -687,8 +460,8 @@ impl Framebuffer {
     /// have an intact continuation: overwriting either half blanks the other.
     fn put_cell(&mut self, row: usize, col: usize, cell: Cell) {
         let erase = self.erase_cell();
-        let width = self.width;
-        let cells = self.grid.get_mut(row).cells_mut();
+        let width = self.width();
+        let cells = self.grid.row_mut(row).cells_mut();
         let old = cells[col];
         if old.wide && col + 1 < width {
             cells[col + 1] = erase;
@@ -704,8 +477,8 @@ impl Framebuffer {
     /// (the same blanking `put_cell` performs cell by cell).
     fn fill_erase(&mut self, row: usize, lo: usize, hi: usize) {
         let erase = self.erase_cell();
-        let width = self.width;
-        let cells = self.grid.get_mut(row).cells_mut();
+        let width = self.width();
+        let cells = self.grid.row_mut(row).cells_mut();
         let lo = lo - usize::from(cells[lo].wide_continuation && lo > 0);
         let hi = hi + usize::from(cells[hi].wide && hi + 1 < width);
         cells[lo..=hi].fill(erase);
@@ -719,7 +492,7 @@ impl Framebuffer {
     pub fn line_feed(&mut self) {
         if self.cursor.row == self.scroll_bottom {
             self.scroll_up(1);
-        } else if self.cursor.row < self.height - 1 {
+        } else if self.cursor.row < self.height() - 1 {
             self.cursor.row += 1;
         }
         self.wrap_pending = false;
@@ -736,45 +509,15 @@ impl Framebuffer {
     }
 
     /// Scrolls the scroll region up by `n` lines (text moves up). With the
-    /// full screen as the region this is O(1) ring rotation per line, and
-    /// on the primary screen the evicted top row retires into scrollback.
+    /// full screen as the region on the primary screen, each top row
+    /// retires into history; anywhere else it is discarded.
     pub fn scroll_up(&mut self, n: usize) {
-        let n = n.min(self.scroll_bottom - self.scroll_top + 1);
-        let full_screen = self.scroll_top == 0 && self.scroll_bottom == self.height - 1;
-        for _ in 0..n {
-            if full_screen {
-                self.rotate_screen_up();
-            } else {
-                // Region scroll: the evicted region-top row is discarded,
-                // never scrollback.
-                self.shift_rows_up(self.scroll_top, self.scroll_bottom);
-            }
-        }
-    }
-
-    /// One line of full-screen scroll up.
-    fn rotate_screen_up(&mut self) {
-        let (width, bg) = (self.width, self.pen.bg);
-        let slot = self.grid.rotate_up();
-        if self.alt_saved.is_some() || self.scrollback_limit == 0 {
-            // No history is kept: the top row itself leaves for good.
-            slot.reblank(width, bg);
-            return;
-        }
-        // The top row retires into scrollback, so the row that leaves for
-        // good is the oldest history line, once scrollback is full.
-        let fresh = if self.scrollback.len() == self.scrollback_limit {
-            let mut oldest = self.scrollback.pop_front().expect("limit > 0");
-            oldest.reblank(width, bg);
-            oldest
+        let (top, bottom, bg) = (self.scroll_top, self.scroll_bottom, self.pen.bg);
+        let n = n.min(bottom - top + 1);
+        if top == 0 && bottom == self.height() - 1 && self.alt_saved.is_none() {
+            self.grid.scroll_into_history(n, bg);
         } else {
-            Row::blank(width, bg)
-        };
-        self.scrollback.push_back(std::mem::replace(slot, fresh));
-        // A scrolled-back viewport stays anchored on the same history
-        // lines by following the eviction.
-        if self.display_offset > 0 {
-            self.display_offset = (self.display_offset + 1).min(self.scrollback.len());
+            self.grid.shift_up(top, bottom, n, bg);
         }
     }
 
@@ -782,49 +525,22 @@ impl Framebuffer {
     /// evicted bottom row is discarded; scroll-down never pulls history
     /// back onto the screen.
     pub fn scroll_down(&mut self, n: usize) {
-        let n = n.min(self.scroll_bottom - self.scroll_top + 1);
-        let (width, bg) = (self.width, self.pen.bg);
-        let full_screen = self.scroll_top == 0 && self.scroll_bottom == self.height - 1;
-        for _ in 0..n {
-            if full_screen {
-                self.grid.rotate_down().reblank(width, bg);
-            } else {
-                self.shift_rows_down(self.scroll_top, self.scroll_bottom);
-            }
-        }
-    }
-
-    /// Moves rows `top + 1..=bottom` up one line; the row at `top` is
-    /// discarded and its handle becomes the blank row at `bottom`.
-    fn shift_rows_up(&mut self, top: usize, bottom: usize) {
-        for r in top..bottom {
-            self.grid.swap(r, r + 1);
-        }
-        let (width, bg) = (self.width, self.pen.bg);
-        self.grid.get_mut(bottom).reblank(width, bg);
-    }
-
-    /// Moves rows `top..bottom` down one line; the row at `bottom` is
-    /// discarded and its handle becomes the blank row at `top`.
-    fn shift_rows_down(&mut self, top: usize, bottom: usize) {
-        for r in (top..bottom).rev() {
-            self.grid.swap(r + 1, r);
-        }
-        let (width, bg) = (self.width, self.pen.bg);
-        self.grid.get_mut(top).reblank(width, bg);
+        let (top, bottom) = (self.scroll_top, self.scroll_bottom);
+        self.grid
+            .shift_down(top, bottom, n.min(bottom - top + 1), self.pen.bg);
     }
 
     /// Sets the scroll region from 1-based inclusive coordinates, moving the
     /// cursor home (DECSTBM). Invalid regions reset to the full screen.
     pub fn set_scroll_region(&mut self, top1: usize, bottom1: usize) {
         let top = top1.max(1) - 1;
-        let bottom = if bottom1 == 0 { self.height } else { bottom1 } - 1;
-        if top < bottom && bottom < self.height {
+        let bottom = if bottom1 == 0 { self.height() } else { bottom1 } - 1;
+        if top < bottom && bottom < self.height() {
             self.scroll_top = top;
             self.scroll_bottom = bottom;
         } else {
             self.scroll_top = 0;
-            self.scroll_bottom = self.height - 1;
+            self.scroll_bottom = self.height() - 1;
         }
         self.move_to(0, 0);
     }
@@ -837,10 +553,10 @@ impl Framebuffer {
     pub fn insert_chars(&mut self, n: usize) {
         let row = self.cursor.row;
         let col = self.cursor.col;
-        let n = n.min(self.width - col);
-        let width = self.width;
+        let n = n.min(self.width() - col);
+        let width = self.width();
         let erase = self.erase_cell();
-        let cells = self.grid.get_mut(row).cells_mut();
+        let cells = self.grid.row_mut(row).cells_mut();
         // Splitting a wide pair at the insertion point orphans both halves.
         if cells[col].wide_continuation {
             cells[col] = erase;
@@ -862,10 +578,10 @@ impl Framebuffer {
     pub fn delete_chars(&mut self, n: usize) {
         let row = self.cursor.row;
         let col = self.cursor.col;
-        let n = n.min(self.width - col);
-        let width = self.width;
+        let n = n.min(self.width() - col);
+        let width = self.width();
         let erase = self.erase_cell();
-        let cells = self.grid.get_mut(row).cells_mut();
+        let cells = self.grid.row_mut(row).cells_mut();
         // Deleting the continuation but not the lead orphans the lead.
         if cells[col].wide_continuation && col > 0 {
             cells[col - 1] = erase;
@@ -881,7 +597,7 @@ impl Framebuffer {
     /// Erases `n` characters at the cursor without shifting (ECH).
     pub fn erase_chars(&mut self, n: usize) {
         let col = self.cursor.col;
-        let n = n.min(self.width - col);
+        let n = n.min(self.width() - col);
         if n > 0 {
             self.fill_erase(self.cursor.row, col, col + n - 1);
         }
@@ -893,10 +609,9 @@ impl Framebuffer {
         if self.cursor.row < self.scroll_top || self.cursor.row > self.scroll_bottom {
             return;
         }
-        let n = n.min(self.scroll_bottom - self.cursor.row + 1);
-        for _ in 0..n {
-            self.shift_rows_down(self.cursor.row, self.scroll_bottom);
-        }
+        let (top, bottom) = (self.cursor.row, self.scroll_bottom);
+        self.grid
+            .shift_down(top, bottom, n.min(bottom - top + 1), self.pen.bg);
         self.cursor.col = 0;
         self.wrap_pending = false;
     }
@@ -907,10 +622,9 @@ impl Framebuffer {
         if self.cursor.row < self.scroll_top || self.cursor.row > self.scroll_bottom {
             return;
         }
-        let n = n.min(self.scroll_bottom - self.cursor.row + 1);
-        for _ in 0..n {
-            self.shift_rows_up(self.cursor.row, self.scroll_bottom);
-        }
+        let (top, bottom) = (self.cursor.row, self.scroll_bottom);
+        self.grid
+            .shift_up(top, bottom, n.min(bottom - top + 1), self.pen.bg);
         self.cursor.col = 0;
         self.wrap_pending = false;
     }
@@ -919,9 +633,9 @@ impl Framebuffer {
     pub fn erase_line(&mut self, mode: u16) {
         let row = self.cursor.row;
         let (lo, hi) = match mode {
-            0 => (self.cursor.col, self.width - 1),
+            0 => (self.cursor.col, self.width() - 1),
             1 => (0, self.cursor.col),
-            _ => (0, self.width - 1),
+            _ => (0, self.width() - 1),
         };
         self.fill_erase(row, lo, hi);
     }
@@ -932,23 +646,22 @@ impl Framebuffer {
         match mode {
             0 => {
                 self.erase_line(0);
-                for r in self.cursor.row + 1..self.height {
-                    self.fill_erase(r, 0, self.width - 1);
+                for r in self.cursor.row + 1..self.height() {
+                    self.fill_erase(r, 0, self.width() - 1);
                 }
             }
             1 => {
                 self.erase_line(1);
                 for r in 0..self.cursor.row {
-                    self.fill_erase(r, 0, self.width - 1);
+                    self.fill_erase(r, 0, self.width() - 1);
                 }
             }
             _ => {
-                for r in 0..self.height {
-                    self.fill_erase(r, 0, self.width - 1);
+                for r in 0..self.height() {
+                    self.fill_erase(r, 0, self.width() - 1);
                 }
                 if mode == 3 {
-                    self.scrollback.clear();
-                    self.display_offset = 0;
+                    self.grid.clear_history();
                 }
             }
         }
@@ -961,7 +674,7 @@ impl Framebuffer {
     /// Moves to the next tab stop (or the right margin).
     pub fn tab_forward(&mut self) {
         let mut col = self.cursor.col;
-        while col + 1 < self.width {
+        while col + 1 < self.width() {
             col += 1;
             if self.tabs[col] {
                 break;
@@ -1016,8 +729,8 @@ impl Framebuffer {
     pub fn restore_cursor(&mut self) {
         if let Some(s) = self.saved_cursor {
             self.cursor = Cursor {
-                row: s.cursor.row.min(self.height - 1),
-                col: s.cursor.col.min(self.width - 1),
+                row: s.cursor.row.min(self.height() - 1),
+                col: s.cursor.col.min(self.width() - 1),
             };
             self.pen = s.pen;
             self.modes.origin = s.origin_mode;
@@ -1036,28 +749,17 @@ impl Framebuffer {
         if self.alt_saved.is_some() {
             return;
         }
-        // One `Row::blank` per position, so scrolls can reuse storage —
-        // see `Framebuffer::new`.
-        let blank = Ring::new(
-            (0..self.height)
-                .map(|_| Row::blank(self.width, crate::cell::Color::Default))
-                .collect(),
-        );
-        let mut saved = std::mem::replace(&mut self.grid, blank);
-        self.alt_saved = Some((saved.take_rows(), self.cursor));
+        self.alt_saved = Some((self.grid.take_screen(), self.cursor));
         self.cursor = Cursor { row: 0, col: 0 };
         self.wrap_pending = false;
-        self.display_offset = 0;
     }
 
     /// Returns from the alternate screen, restoring the primary contents.
     pub fn exit_alternate_screen(&mut self) {
         if let Some((rows, cursor)) = self.alt_saved.take() {
-            self.grid = Ring::new(rows);
-            self.cursor = Cursor {
-                row: cursor.row.min(self.height - 1),
-                col: cursor.col.min(self.width - 1),
-            };
+            // `resize` and `decode` keep the stashed cursor on the screen.
+            self.grid.restore_screen(rows);
+            self.cursor = cursor;
             self.wrap_pending = false;
         }
     }
@@ -1067,25 +769,21 @@ impl Framebuffer {
     /// configured limit survive — only E3 discards history — but the
     /// viewport snaps back to the live screen.
     pub fn reset(&mut self) {
-        let title = std::mem::take(&mut self.title);
-        let bells = self.bell_count;
-        let scrollback = std::mem::take(&mut self.scrollback);
-        let limit = self.scrollback_limit;
-        *self = Framebuffer::new(self.width, self.height);
-        self.title = title;
-        self.bell_count = bells;
-        self.scrollback = scrollback;
-        self.scrollback_limit = limit;
+        let (width, height) = (self.width(), self.height());
+        let old = std::mem::replace(self, Framebuffer::new(width, height));
+        self.title = old.title;
+        self.bell_count = old.bell_count;
+        self.grid.adopt_history(old.grid);
     }
 
     /// DECALN: fill the screen with 'E' and reset margins (alignment test).
     pub fn screen_alignment_test(&mut self) {
         let cell = Cell::narrow('E', Attrs::default());
-        for r in 0..self.height {
-            self.grid.get_mut(r).cells_mut().fill(cell);
+        for r in 0..self.height() {
+            self.grid.row_mut(r).cells_mut().fill(cell);
         }
         self.scroll_top = 0;
-        self.scroll_bottom = self.height - 1;
+        self.scroll_bottom = self.height() - 1;
         self.cursor = Cursor { row: 0, col: 0 };
         self.wrap_pending = false;
     }
@@ -1101,44 +799,19 @@ impl Framebuffer {
     /// scrollback length is unchanged.
     pub fn resize(&mut self, width: usize, height: usize) {
         assert!(width > 0 && height > 0, "resize to at least 1x1");
-        if width == self.width && height == self.height {
+        if width == self.width() && height == self.height() {
             return;
         }
-        if width != self.width {
-            for r in 0..self.height {
-                self.grid.get_mut(r).set_width(width);
-            }
-            for row in self.scrollback.iter_mut() {
-                row.set_width(width);
-            }
-        }
-        let mut rows = self.grid.take_rows();
-        if height < rows.len() {
-            rows.truncate(height);
-        } else {
-            let pad = height - rows.len();
-            // One `Row::blank` per position — see `Framebuffer::new`.
-            rows.extend((0..pad).map(|_| Row::blank(width, crate::cell::Color::Default)));
-        }
-        self.grid = Ring::new(rows);
         // The alternate-screen stash must track the new size too.
         if let Some((rows, cursor)) = &mut self.alt_saved {
-            if width != self.width {
-                for row in rows.iter_mut() {
-                    row.set_width(width);
-                }
+            if width != self.grid.width() {
+                rows.iter_mut().for_each(|row| row.set_width(width));
             }
-            if height < rows.len() {
-                rows.truncate(height);
-            } else {
-                let pad = height - rows.len();
-                rows.extend((0..pad).map(|_| Row::blank(width, crate::cell::Color::Default)));
-            }
+            rows.resize_with(height, || Row::blank(width, Color::Default));
             cursor.row = cursor.row.min(height - 1);
             cursor.col = cursor.col.min(width - 1);
         }
-        self.width = width;
-        self.height = height;
+        self.grid.resize(width, height);
         self.scroll_top = 0;
         self.scroll_bottom = height - 1;
         self.cursor.row = self.cursor.row.min(height - 1);
@@ -1161,7 +834,7 @@ impl Framebuffer {
         self.modes.insert = false;
         self.modes.autowrap = true;
         self.scroll_top = 0;
-        self.scroll_bottom = self.height - 1;
+        self.scroll_bottom = self.height() - 1;
         self.line_drawing = false;
         self.wrap_pending = true;
     }
@@ -1177,15 +850,11 @@ impl Framebuffer {
     /// restored framebuffer interprets future bytes exactly like the
     /// original would have — and the user's history survives migration.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::wirefmt::{put_bool, put_bytes, put_char, put_varint};
-        put_varint(out, self.width as u64);
-        put_varint(out, self.height as u64);
-        for r in 0..self.height {
-            encode_row(out, self.grid.get(r));
-        }
-        put_varint(out, self.cursor.row as u64);
-        put_varint(out, self.cursor.col as u64);
-        encode_attrs(out, &self.pen);
+        put_varint(out, self.width() as u64);
+        put_varint(out, self.height() as u64);
+        (0..self.height()).for_each(|r| self.row(r).encode_into(out));
+        put_cursor(out, self.cursor);
+        put_attrs(out, &self.pen);
         out.push(
             u8::from(self.modes.autowrap)
                 | u8::from(self.modes.origin) << 1
@@ -1197,7 +866,7 @@ impl Framebuffer {
         );
         put_varint(out, self.scroll_top as u64);
         put_varint(out, self.scroll_bottom as u64);
-        let mut tab_bits = vec![0u8; self.width.div_ceil(8)];
+        let mut tab_bits = vec![0u8; self.width().div_ceil(8)];
         for (c, &set) in self.tabs.iter().enumerate() {
             if set {
                 tab_bits[c / 8] |= 1 << (c % 8);
@@ -1211,9 +880,8 @@ impl Framebuffer {
             None => out.push(0),
             Some(s) => {
                 out.push(1);
-                put_varint(out, s.cursor.row as u64);
-                put_varint(out, s.cursor.col as u64);
-                encode_attrs(out, &s.pen);
+                put_cursor(out, s.cursor);
+                put_attrs(out, &s.pen);
                 put_bool(out, s.origin_mode);
                 put_bool(out, s.wrap_pending);
             }
@@ -1222,11 +890,8 @@ impl Framebuffer {
             None => out.push(0),
             Some((rows, cursor)) => {
                 out.push(1);
-                for row in rows {
-                    encode_row(out, row);
-                }
-                put_varint(out, cursor.row as u64);
-                put_varint(out, cursor.col as u64);
+                rows.iter().for_each(|row| row.encode_into(out));
+                put_cursor(out, *cursor);
             }
         }
         put_bytes(out, &self.answerback);
@@ -1238,12 +903,10 @@ impl Framebuffer {
             }
         }
         put_bool(out, self.line_drawing);
-        put_varint(out, self.scrollback_limit as u64);
-        put_varint(out, self.scrollback.len() as u64);
-        for row in &self.scrollback {
-            encode_row(out, row);
-        }
-        put_varint(out, self.display_offset as u64);
+        put_varint(out, self.scrollback_limit() as u64);
+        put_varint(out, self.scrollback_len() as u64);
+        self.grid.history().for_each(|row| row.encode_into(out));
+        put_varint(out, self.display_offset() as u64);
     }
 
     /// Rebuilds a framebuffer from [`Self::encode_into`] output. Every
@@ -1251,24 +914,19 @@ impl Framebuffer {
     /// bounds, tab-vector length, scroll-region ordering, scrollback and
     /// offset bounds) is re-validated, so a decoded framebuffer can never
     /// panic later.
-    pub(crate) fn decode(r: &mut crate::wirefmt::Reader<'_>) -> Option<Self> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Option<Self> {
         let width = r.varint()? as usize;
         let height = r.varint()? as usize;
-        if width == 0 || height == 0 || width > 5000 || height > 5000 {
+        let max = usize::from(MAX_DIMENSION);
+        if width == 0 || height == 0 || width > max || height > max {
             return None;
         }
-        let mut rows = Vec::with_capacity(height);
-        for _ in 0..height {
-            rows.push(decode_row(r, width)?);
-        }
-        let cursor = Cursor {
-            row: r.varint()? as usize,
-            col: r.varint()? as usize,
-        };
+        let rows = decode_screen(r, width, height)?;
+        let cursor = decode_cursor(r)?;
         if cursor.row >= height || cursor.col >= width {
             return None;
         }
-        let pen = decode_attrs(r)?;
+        let pen = r.attrs()?;
         let m = r.byte()?;
         if m & 0x80 != 0 {
             return None;
@@ -1297,20 +955,13 @@ impl Framebuffer {
         let saved_cursor = match r.byte()? {
             0 => None,
             1 => {
-                let cursor = Cursor {
-                    row: r.varint()? as usize,
-                    col: r.varint()? as usize,
-                };
-                let pen = decode_attrs(r)?;
-                let origin_mode = r.boolean()?;
-                let wrap_pending = r.boolean()?;
                 // restore_cursor clamps, so out-of-range saved positions
                 // are tolerated the way a live resize tolerates them.
                 Some(SavedCursor {
-                    cursor,
-                    pen,
-                    origin_mode,
-                    wrap_pending,
+                    cursor: decode_cursor(r)?,
+                    pen: r.attrs()?,
+                    origin_mode: r.boolean()?,
+                    wrap_pending: r.boolean()?,
                 })
             }
             _ => return None,
@@ -1318,14 +969,8 @@ impl Framebuffer {
         let alt_saved = match r.byte()? {
             0 => None,
             1 => {
-                let mut alt_rows = Vec::with_capacity(height);
-                for _ in 0..height {
-                    alt_rows.push(decode_row(r, width)?);
-                }
-                let c = Cursor {
-                    row: r.varint()? as usize,
-                    col: r.varint()? as usize,
-                };
+                let alt_rows = decode_screen(r, width, height)?;
+                let c = decode_cursor(r)?;
                 if c.row >= height || c.col >= width {
                     return None;
                 }
@@ -1348,18 +993,19 @@ impl Framebuffer {
         if scrollback_len > scrollback_limit {
             return None;
         }
-        let mut scrollback = VecDeque::with_capacity(scrollback_len);
+        // Every row takes at least one byte, so what is left of the input
+        // bounds the history rows worth reserving room for.
+        let mut lines = VecDeque::with_capacity(scrollback_len.min(r.remaining()) + height);
         for _ in 0..scrollback_len {
-            scrollback.push_back(decode_row(r, width)?);
+            lines.push_back(Row::decode(r, width)?);
         }
+        lines.extend(rows);
         let display_offset = r.varint()? as usize;
         if display_offset > scrollback_len {
             return None;
         }
         Some(Framebuffer {
-            width,
-            height,
-            grid: Ring::new(rows),
+            grid: Grid::from_lines(width, height, lines, scrollback_limit, display_offset),
             cursor,
             pen,
             modes,
@@ -1371,9 +1017,6 @@ impl Framebuffer {
             wrap_pending,
             saved_cursor,
             alt_saved,
-            scrollback,
-            scrollback_limit,
-            display_offset,
             answerback,
             last_printed,
             line_drawing,
@@ -1387,8 +1030,7 @@ impl Framebuffer {
     /// The visible text of one row, with trailing blanks trimmed.
     pub fn row_text(&self, row: usize) -> String {
         let mut s: String = self
-            .grid
-            .get(row)
+            .row(row)
             .cells()
             .iter()
             .filter(|c| !c.wide_continuation)
@@ -1403,7 +1045,7 @@ impl Framebuffer {
     /// The visible text of the whole screen, one line per row, trailing
     /// blank rows trimmed. Intended for tests and examples.
     pub fn to_text(&self) -> String {
-        let mut lines: Vec<String> = (0..self.height).map(|r| self.row_text(r)).collect();
+        let mut lines: Vec<String> = (0..self.height()).map(|r| self.row_text(r)).collect();
         while lines.last().is_some_and(|l| l.is_empty()) {
             lines.pop();
         }
@@ -1411,118 +1053,30 @@ impl Framebuffer {
     }
 }
 
-fn encode_color(out: &mut Vec<u8>, c: crate::cell::Color) {
-    use crate::cell::Color;
-    match c {
-        Color::Default => out.push(0),
-        Color::Indexed(n) => {
-            out.push(1);
-            out.push(n);
-        }
-        Color::Rgb(r, g, b) => {
-            out.push(2);
-            out.extend_from_slice(&[r, g, b]);
-        }
-    }
+fn put_cursor(out: &mut Vec<u8>, c: Cursor) {
+    put_varint(out, c.row as u64);
+    put_varint(out, c.col as u64);
 }
 
-fn decode_color(r: &mut crate::wirefmt::Reader<'_>) -> Option<crate::cell::Color> {
-    use crate::cell::Color;
-    match r.byte()? {
-        0 => Some(Color::Default),
-        1 => Some(Color::Indexed(r.byte()?)),
-        2 => {
-            let rgb = r.take(3)?;
-            Some(Color::Rgb(rgb[0], rgb[1], rgb[2]))
-        }
-        _ => None,
-    }
-}
-
-fn encode_attrs(out: &mut Vec<u8>, a: &Attrs) {
-    out.push(
-        u8::from(a.bold)
-            | u8::from(a.faint) << 1
-            | u8::from(a.italic) << 2
-            | u8::from(a.underline) << 3
-            | u8::from(a.blink) << 4
-            | u8::from(a.inverse) << 5
-            | u8::from(a.invisible) << 6
-            | u8::from(a.strikethrough) << 7,
-    );
-    encode_color(out, a.fg);
-    encode_color(out, a.bg);
-}
-
-fn decode_attrs(r: &mut crate::wirefmt::Reader<'_>) -> Option<Attrs> {
-    let f = r.byte()?;
-    Some(Attrs {
-        bold: f & 1 != 0,
-        faint: f & 2 != 0,
-        italic: f & 4 != 0,
-        underline: f & 8 != 0,
-        blink: f & 16 != 0,
-        inverse: f & 32 != 0,
-        invisible: f & 64 != 0,
-        strikethrough: f & 128 != 0,
-        fg: decode_color(r)?,
-        bg: decode_color(r)?,
+fn decode_cursor(r: &mut Reader<'_>) -> Option<Cursor> {
+    Some(Cursor {
+        row: r.varint()? as usize,
+        col: r.varint()? as usize,
     })
 }
 
-fn encode_cell(out: &mut Vec<u8>, c: &Cell) {
-    out.push(u8::from(c.wide) | u8::from(c.wide_continuation) << 1);
-    crate::wirefmt::put_char(out, c.ch);
-    encode_attrs(out, &c.attrs);
-}
-
-fn decode_cell(r: &mut crate::wirefmt::Reader<'_>) -> Option<Cell> {
-    let f = r.byte()?;
-    if f > 3 {
-        return None;
+/// A screen's `height` rows of `width` cells, top to bottom.
+fn decode_screen(r: &mut Reader<'_>, width: usize, height: usize) -> Option<Vec<Row>> {
+    let mut rows = Vec::with_capacity(height);
+    for _ in 0..height {
+        rows.push(Row::decode(r, width)?);
     }
-    Some(Cell {
-        wide: f & 1 != 0,
-        wide_continuation: f & 2 != 0,
-        ch: r.ch()?,
-        attrs: decode_attrs(r)?,
-    })
-}
-
-/// Rows are run-length encoded (count, cell) so mostly-blank screens stay
-/// small in checkpoints.
-fn encode_row(out: &mut Vec<u8>, row: &Row) {
-    let cells = row.cells();
-    let mut i = 0;
-    while i < cells.len() {
-        let cell = cells[i];
-        let mut run = 1;
-        while i + run < cells.len() && cells[i + run] == cell {
-            run += 1;
-        }
-        crate::wirefmt::put_varint(out, run as u64);
-        encode_cell(out, &cell);
-        i += run;
-    }
-}
-
-fn decode_row(r: &mut crate::wirefmt::Reader<'_>, width: usize) -> Option<Row> {
-    let mut cells = Vec::with_capacity(width);
-    while cells.len() < width {
-        let run = r.varint()? as usize;
-        if run == 0 || run > width - cells.len() {
-            return None;
-        }
-        let cell = decode_cell(r)?;
-        cells.extend(std::iter::repeat_n(cell, run));
-    }
-    Some(Row::from_cells(cells))
+    Some(rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::Color;
 
     #[test]
     fn new_framebuffer_is_blank() {

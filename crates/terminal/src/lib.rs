@@ -7,7 +7,8 @@
 //!
 //! * [`Terminal`] — the emulator: an ECMA-48 / ISO 6429 interpreter covering
 //!   the subset used by xterm, gnome-terminal, Terminal.app, and PuTTY.
-//! * [`Framebuffer`] — the screen state: grid, cursor, title, bell, modes.
+//! * [`Framebuffer`] — the screen state: rows and their history, cursor,
+//!   title, bell, modes.
 //! * [`display::new_frame`] — the differ: the minimal ANSI message that
 //!   transforms one frame into another (paper §2.3).
 //! * [`parser::Parser`] — the streaming escape-sequence state machine, a
@@ -37,6 +38,7 @@ pub mod charset;
 pub mod display;
 pub mod emulator;
 pub mod framebuffer;
+mod grid;
 pub mod parser;
 pub mod utf8;
 pub mod width;
@@ -45,3 +47,4 @@ mod wirefmt;
 pub use cell::{Attrs, Cell, Color};
 pub use emulator::Terminal;
 pub use framebuffer::{Cursor, Framebuffer, Row};
+pub use grid::MAX_DIMENSION;

@@ -2,9 +2,12 @@
 //!
 //! The terminal crate is dependency-free, so the snapshot encoding used by
 //! [`crate::Terminal::snapshot_bytes`] carries its own tiny LEB128
-//! vocabulary instead of borrowing `mosh_ssp::wire`. Decoding is strict:
+//! vocabulary instead of borrowing `mosh_ssp::wire`, plus the cell words
+//! built on it (colour, renditions, cell). Decoding is strict:
 //! every reader returns `None` on truncation, overlong varints, or invalid
 //! payloads, so a corrupt snapshot is rejected rather than misread.
+
+use crate::cell::{Attrs, Cell, Color};
 
 /// Appends `v` as a LEB128 varint.
 pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -97,11 +100,89 @@ impl<'a> Reader<'a> {
     pub(crate) fn ch(&mut self) -> Option<char> {
         char::from_u32(u32::try_from(self.varint()?).ok()?)
     }
+
+    fn color(&mut self) -> Option<Color> {
+        match self.byte()? {
+            0 => Some(Color::Default),
+            1 => Some(Color::Indexed(self.byte()?)),
+            2 => {
+                let rgb = self.take(3)?;
+                Some(Color::Rgb(rgb[0], rgb[1], rgb[2]))
+            }
+            _ => None,
+        }
+    }
+
+    pub(crate) fn attrs(&mut self) -> Option<Attrs> {
+        let f = self.byte()?;
+        Some(Attrs {
+            bold: f & 1 != 0,
+            faint: f & 2 != 0,
+            italic: f & 4 != 0,
+            underline: f & 8 != 0,
+            blink: f & 16 != 0,
+            inverse: f & 32 != 0,
+            invisible: f & 64 != 0,
+            strikethrough: f & 128 != 0,
+            fg: self.color()?,
+            bg: self.color()?,
+        })
+    }
+
+    pub(crate) fn cell(&mut self) -> Option<Cell> {
+        let f = self.byte()?;
+        if f > 3 {
+            return None;
+        }
+        Some(Cell {
+            wide: f & 1 != 0,
+            wide_continuation: f & 2 != 0,
+            ch: self.ch()?,
+            attrs: self.attrs()?,
+        })
+    }
 }
 
 /// Appends a `char` as a varint of its code point.
 pub(crate) fn put_char(out: &mut Vec<u8>, c: char) {
     put_varint(out, u64::from(u32::from(c)));
+}
+
+fn put_color(out: &mut Vec<u8>, c: Color) {
+    match c {
+        Color::Default => out.push(0),
+        Color::Indexed(n) => {
+            out.push(1);
+            out.push(n);
+        }
+        Color::Rgb(r, g, b) => {
+            out.push(2);
+            out.extend_from_slice(&[r, g, b]);
+        }
+    }
+}
+
+/// Appends renditions: one byte of flags, then the two colours.
+pub(crate) fn put_attrs(out: &mut Vec<u8>, a: &Attrs) {
+    out.push(
+        u8::from(a.bold)
+            | u8::from(a.faint) << 1
+            | u8::from(a.italic) << 2
+            | u8::from(a.underline) << 3
+            | u8::from(a.blink) << 4
+            | u8::from(a.inverse) << 5
+            | u8::from(a.invisible) << 6
+            | u8::from(a.strikethrough) << 7,
+    );
+    put_color(out, a.fg);
+    put_color(out, a.bg);
+}
+
+/// Appends a cell: its two wide flags, its character, its renditions.
+pub(crate) fn put_cell(out: &mut Vec<u8>, c: &Cell) {
+    out.push(u8::from(c.wide) | u8::from(c.wide_continuation) << 1);
+    put_char(out, c.ch);
+    put_attrs(out, &c.attrs);
 }
 
 #[cfg(test)]

@@ -8,10 +8,11 @@
 //! builds its blank row in the storage of the row it evicts, and pays for
 //! a new row only while a clone still holds the evicted one — and the
 //! differ writes its cursor moves and rendition changes into the caller's
-//! buffer.
+//! buffer. The snapshot decoder reserves no room for rows its input does
+//! not hold.
 //!
 //! Its own test binary, because a `#[global_allocator]` is per binary.
-//! The counter is thread-local, so the harness running these tests on
+//! The counters are thread-local, so the harness running these tests on
 //! parallel threads does not mix their counts.
 
 use mosh_terminal::{display, Terminal};
@@ -20,22 +21,25 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+/// Counts one request of `size` bytes and keeps the largest.
+fn count(size: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
 }
 
 // SAFETY: every method forwards to `System` with the caller's own
-// arguments; the counter is a thread-local `Cell` with a constant
-// initialiser and no destructor, so touching it allocates nothing and is
+// arguments; each counter is a thread-local `Cell` with a constant
+// initialiser and no destructor, so touching one allocates nothing and is
 // valid at any point of a thread's life.
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: the caller's contract is `System.alloc`'s, passed through.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -46,13 +50,13 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: the caller's contract is `System.alloc_zeroed`'s, passed through.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     // SAFETY: the caller's contract is `System.realloc`'s, passed through.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -65,6 +69,14 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     let before = ALLOCS.with(Cell::get);
     f();
     ALLOCS.with(Cell::get) - before
+}
+
+/// The largest single request, in bytes, this thread makes inside `f`,
+/// and what `f` returned.
+fn largest_request_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    LARGEST.with(|c| c.set(0));
+    let out = f();
+    (LARGEST.with(Cell::get), out)
 }
 
 /// Writes `stream` once to warm the terminal (the parser's parameter
@@ -182,4 +194,26 @@ fn warm_diff_between_editor_frames_allocates_nothing() {
     );
     let allocations = allocations_in(|| display::new_frame_into(true, &before, &after, &mut out));
     assert_eq!(allocations, 0);
+}
+
+#[test]
+fn a_snapshot_claiming_rows_it_lacks_reserves_no_room_for_them() {
+    // A blank 80x24 terminal whose snapshot tail claims 1 000 000 history
+    // rows, under a limit of as many, then ends before the first of them.
+    let mut bytes = Terminal::new(80, 24).snapshot_bytes();
+    // The fresh tail: limit 200 (varint c8 01), no history, offset 0.
+    let tail = [0xc8, 0x01, 0x00, 0x00];
+    assert!(bytes.ends_with(&tail));
+    bytes.truncate(bytes.len() - tail.len());
+    for _ in 0..2 {
+        // 1 000 000 as a LEB128 varint.
+        bytes.extend_from_slice(&[0xc0, 0x84, 0x3d]);
+    }
+    let (largest, restored) = largest_request_in(|| Terminal::from_snapshot_bytes(&bytes));
+    assert!(restored.is_none());
+    assert!(
+        largest < 64 * 1024,
+        "decoding {} bytes asked for {largest} bytes at once",
+        bytes.len()
+    );
 }

@@ -388,18 +388,26 @@ proptest! {
         prop_assert_eq!(fast, display::new_frame_full_scan(initialized, &before, &after));
     }
 
-    /// Viewport bounds (`Grid.tla`'s `OffsetInBounds`): across writes,
-    /// scroll-view motions, and resizes, the display offset never exceeds
-    /// the scrollback depth, and the depth never exceeds the limit.
+    /// `Grid.tla`'s invariants across writes, scroll-view motions,
+    /// resizes, alternate-screen toggles and scrollback limits, after every
+    /// step: the cursor stays on the screen; the display offset never
+    /// exceeds the scrollback depth, nor the depth the limit
+    /// (`OffsetInBounds`); every row is the screen's width; and a line
+    /// feed at the bottom of a full-screen region adds exactly one history
+    /// row on the primary screen until the limit is reached, and none on
+    /// the alternate screen (`total_lines`).
     #[test]
     fn display_offset_stays_in_bounds(
         steps in proptest::collection::vec(
             prop_oneof![
                 terminal_bytes().prop_map(Step::Write),
                 (-30isize..30).prop_map(Step::Scroll),
-                (2usize..90, 2usize..30).prop_map(|(w, h)| Step::Resize(w, h)),
+                (1usize..90, 1usize..30).prop_map(|(w, h)| Step::Resize(w, h)),
+                any::<bool>().prop_map(Step::AltScreen),
+                (0usize..40).prop_map(Step::Limit),
+                any::<bool>().prop_map(Step::FeedAtBottom),
             ],
-            1..12,
+            1..16,
         ),
     ) {
         let mut term = Terminal::new(80, 24);
@@ -408,15 +416,70 @@ proptest! {
                 Step::Write(bytes) => term.write(&bytes),
                 Step::Scroll(delta) => term.frame_mut().scroll_view(delta),
                 Step::Resize(w, h) => term.resize(w, h),
+                Step::AltScreen(on) => term.write(alt_screen(on)),
+                Step::Limit(limit) => term.frame_mut().set_scrollback_limit(limit),
+                Step::FeedAtBottom(alt) => {
+                    // On the chosen screen, with the whole screen as the
+                    // region, from its bottom row.
+                    term.write(alt_screen(alt));
+                    term.write(format!("\x1b[r\x1b[{};1H", term.frame().height()).as_bytes());
+                    let before = term.frame().scrollback_len();
+                    term.write(b"\n");
+                    let f = term.frame();
+                    let want = if alt { before } else { (before + 1).min(f.scrollback_limit()) };
+                    prop_assert_eq!(f.scrollback_len(), want, "history after a line feed");
+                }
             }
             let f = term.frame();
+            prop_assert!(f.cursor.row < f.height() && f.cursor.col < f.width());
             prop_assert!(f.display_offset() <= f.scrollback_len());
             prop_assert!(f.scrollback_len() <= f.scrollback_limit());
-            // Every viewport position resolves (would panic otherwise).
+            // Every screen, viewport and history row resolves (a bad index
+            // panics) and is the screen's width.
             for i in 0..f.height() {
-                let _ = f.view_row(i);
+                prop_assert_eq!(f.row(i).cells().len(), f.width());
+                prop_assert_eq!(f.view_row(i).cells().len(), f.width());
+            }
+            for i in 0..f.scrollback_len() {
+                prop_assert_eq!(f.history_row(i).cells().len(), f.width());
             }
         }
+    }
+
+    /// Hostile snapshots: a reachable terminal's snapshot with bits
+    /// flipped, cut short or spliced. The decoder never panics; whatever
+    /// it accepts re-encodes to bytes that decode to the same bytes again,
+    /// and survives a write, a resize and a viewport scroll. Screens are
+    /// small, so the header fields (cursor, region, history length,
+    /// offset) take a fair share of the damage rather than the cells.
+    #[test]
+    fn snapshot_decoder_survives_hostile_bytes(
+        shape in (1usize..16, 1usize..8),
+        state in terminal_bytes(),
+        damage in proptest::collection::vec(damage(), 1..3),
+        more in terminal_bytes(),
+        w in 1usize..90,
+        h in 1usize..30,
+        back in -40isize..40,
+    ) {
+        let mut term = Terminal::new(shape.0, shape.1);
+        term.write(&state);
+        let mut bytes = term.snapshot_bytes();
+        for d in &damage {
+            d.apply(&mut bytes);
+        }
+        let Some(mut restored) = Terminal::from_snapshot_bytes(&bytes) else {
+            return Ok(());
+        };
+        let again = restored.snapshot_bytes();
+        let reread = Terminal::from_snapshot_bytes(&again);
+        prop_assert!(reread.is_some(), "a re-encoded snapshot must decode");
+        prop_assert_eq!(reread.map(|t| t.snapshot_bytes()), Some(again));
+        read_every_row(restored.frame());
+        restored.write(&more);
+        restored.resize(w, h);
+        restored.frame_mut().scroll_view(back);
+        read_every_row(restored.frame());
     }
 
     /// A written / scrolled / scrolled-back / resized terminal survives
@@ -650,6 +713,81 @@ enum Step {
     Write(Vec<u8>),
     Scroll(isize),
     Resize(usize, usize),
+    /// Enters (`true`) or leaves the alternate screen.
+    AltScreen(bool),
+    /// Sets the scrollback limit.
+    Limit(usize),
+    /// A line feed at the bottom of a full-screen region, on the alternate
+    /// screen (`true`) or the primary one.
+    FeedAtBottom(bool),
+}
+
+/// Reads every screen, viewport and history row (each read panics if the
+/// frame's bounds are broken).
+fn read_every_row(f: &mosh_terminal::Framebuffer) {
+    for i in 0..f.height() {
+        let _ = (f.row(i), f.view_row(i));
+    }
+    for i in 0..f.scrollback_len() {
+        let _ = f.history_row(i);
+    }
+}
+
+/// DECSET/DECRST 1049: enter or leave the alternate screen.
+fn alt_screen(on: bool) -> &'static [u8] {
+    if on {
+        b"\x1b[?1049h"
+    } else {
+        b"\x1b[?1049l"
+    }
+}
+
+/// One corruption of a snapshot's bytes; a position indexes the bytes as
+/// they are when it applies.
+#[derive(Debug, Clone)]
+enum Damage {
+    /// Flips bit `b` of one byte.
+    Flip(prop::sample::Index, u8),
+    /// Cuts the bytes short.
+    Truncate(prop::sample::Index),
+    /// Replaces up to `n` bytes from a position with other bytes.
+    Splice(prop::sample::Index, usize, Vec<u8>),
+}
+
+impl Damage {
+    fn apply(&self, bytes: &mut Vec<u8>) {
+        let len = bytes.len();
+        if len == 0 {
+            return;
+        }
+        match self {
+            Damage::Flip(at, b) => bytes[at.index(len)] ^= 1 << b,
+            Damage::Truncate(at) => bytes.truncate(at.index(len)),
+            Damage::Splice(at, n, with) => {
+                let at = at.index(len);
+                let end = (at + n).min(len);
+                bytes.splice(at..end, with.iter().copied());
+            }
+        }
+    }
+}
+
+/// Bit flips twice as often as either other kind: a flip is the damage
+/// most likely to leave a snapshot the decoder accepts, and so to reach
+/// the code past it (a cut is always refused).
+fn damage() -> impl Strategy<Value = Damage> {
+    let flip = || (any::<prop::sample::Index>(), 0u8..8).prop_map(|(at, b)| Damage::Flip(at, b));
+    prop_oneof![
+        flip(),
+        flip(),
+        any::<prop::sample::Index>().prop_map(Damage::Truncate),
+        (
+            any::<prop::sample::Index>(),
+            0usize..8,
+            proptest::collection::vec(any::<u8>(), 0..8),
+        )
+            .prop_map(|(at, n, with)| Damage::Splice(at, n, with)),
+    ]
 }
 
 /// Checks `Row::eq` and `Framebuffer::eq` against a comparison that
