@@ -106,10 +106,6 @@ pub struct HubStats {
     /// Live source hints in the distributor's map (a gauge, not a
     /// counter: one per client address currently claimed by a shard).
     pub feed_hints: u64,
-    /// Sessions moved live between shards (`ShardedHub::migrate_session`)
-    /// — the session keeps pumping on its new shard with a
-    /// byte-identical transcript.
-    pub sessions_migrated: u64,
     /// Sessions rebuilt from their last checkpoint after their shard
     /// was quarantined (`ShardedHub::resurrect_quarantined`).
     pub sessions_resurrected: u64,
@@ -133,7 +129,6 @@ impl HubStats {
         self.feed_dropped += other.feed_dropped;
         self.feed_send_failed += other.feed_send_failed;
         self.feed_hints += other.feed_hints;
-        self.sessions_migrated += other.sessions_migrated;
         self.sessions_resurrected += other.sessions_resurrected;
         self.checkpoint_bytes += other.checkpoint_bytes;
     }

@@ -47,7 +47,7 @@
 use super::shard::ServerHub;
 use super::snapshot::CheckpointStore;
 use super::{HubSession, HubStats, SessionId};
-use crate::session::{SessionDriver, SessionEvent};
+use crate::session::SessionEvent;
 use crate::Millis;
 use mosh_net::{
     ChannelPoller, DistributorStatsHandle, FeedBouncer, FeedChannel, Poller, Token, UdpDistributor,
@@ -211,8 +211,7 @@ pub struct ShardedHub<P: Poller> {
     /// Global session id → (owning shard, its local id there). `None`
     /// is a tombstone: the session was removed, or lost with its
     /// quarantined shard. The *global* id is stable for a session's
-    /// whole life — migration and resurrection rewrite the mapping, not
-    /// the id.
+    /// whole life — resurrection rewrites the mapping, not the id.
     sessions: Vec<Option<(usize, SessionId)>>,
     /// Accept-time assignment cursor (round-robin over healthy shards).
     next_shard: usize,
@@ -232,8 +231,7 @@ pub struct ShardedHub<P: Poller> {
     /// [`ShardedHub::enable_checkpointing`]): the shared store and the
     /// per-session checkpoint cadence.
     checkpoints: Option<(CheckpointStore, Millis)>,
-    /// Router-level recovery counters, folded into [`ShardedHub::stats`].
-    migrated: u64,
+    /// Sessions resurrected so far, folded into [`ShardedHub::stats`].
     resurrected: u64,
 }
 
@@ -250,7 +248,6 @@ impl<P: Poller> ShardedHub<P> {
             failed: vec![None; n],
             dist_stats: None,
             checkpoints: None,
-            migrated: 0,
             resurrected: 0,
         }
     }
@@ -317,15 +314,15 @@ impl<P: Poller> ShardedHub<P> {
     pub fn add_session_on(&mut self, shard: usize, tok: Token) -> SessionId {
         let sid = SessionId(self.sessions.len());
         self.sessions.push(None);
-        self.place(sid, shard, tok, SessionDriver::new());
+        self.place(sid, shard, tok);
         sid
     }
 
-    /// Registers global session `sid` on `shard`'s source `tok` with the
-    /// scheduling state it arrives with, tracked for checkpoints under
-    /// its global id when crash recovery is on.
-    fn place(&mut self, sid: SessionId, shard: usize, tok: Token, driver: SessionDriver) {
-        let local = self.shards[shard].add_session_with_driver(tok, driver);
+    /// Registers global session `sid` in a new slot on `shard`'s source
+    /// `tok`, tracked for checkpoints under its global id when crash
+    /// recovery is on.
+    fn place(&mut self, sid: SessionId, shard: usize, tok: Token) {
+        let local = self.shards[shard].add_session(tok);
         if self.checkpoints.is_some() {
             self.shards[shard].set_checkpoint_key(local, sid.0);
         }
@@ -408,7 +405,6 @@ impl<P: Poller> ShardedHub<P> {
             total.add(s.stats());
         }
         total.shard_panics = self.failed.iter().filter(|f| f.is_some()).count() as u64;
-        total.sessions_migrated = self.migrated;
         total.sessions_resurrected = self.resurrected;
         if let Some(h) = &self.dist_stats {
             let d = h.snapshot();
@@ -432,7 +428,7 @@ impl<P: Poller> ShardedHub<P> {
     /// sessions into one shared [`CheckpointStore`] at most every
     /// `cadence` ms of session time (idle sessions cost nothing — see
     /// [`ServerHub::enable_checkpointing`]). Sessions are tracked under
-    /// their **global** ids, which survive migration and resurrection.
+    /// their **global** ids, which survive resurrection.
     /// Returns a handle to the store (it is `Clone`; the hub keeps one).
     pub fn enable_checkpointing(&mut self, cadence: Millis) -> CheckpointStore {
         let store = CheckpointStore::new();
@@ -451,50 +447,6 @@ impl<P: Poller> ShardedHub<P> {
     /// The shared checkpoint store, when crash recovery is on.
     pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
         self.checkpoints.as_ref().map(|(s, _)| s)
-    }
-
-    /// Moves a live session to `to_shard` between pumps: its scheduling
-    /// state and its channel move; its endpoints stay with the caller,
-    /// untouched, so the transcript is **byte-identical** to never
-    /// having moved. The global id is stable — the caller keeps leasing
-    /// the same [`SessionId`].
-    ///
-    /// Returns false (and moves nothing) when the move is impossible:
-    /// either shard quarantined, the session removed, the session
-    /// co-located with others on one private source (they move together
-    /// or not at all), or the poller unable to release the channel.
-    /// A session behind the shared distributor socket re-homes onto the
-    /// destination shard's own feed instead of moving a channel.
-    pub fn migrate_session(&mut self, sid: SessionId, to_shard: usize) -> bool {
-        let Some((shard, local)) = self.sessions[sid.0] else {
-            return false;
-        };
-        if self.failed[shard].is_some() || self.failed[to_shard].is_some() {
-            return false;
-        }
-        if shard == to_shard {
-            return true;
-        }
-        let tok = self.shards[shard].token_of(local);
-        if !self.shards[shard].is_shared(tok) && self.shards[shard].sessions_on(tok) > 1 {
-            return false;
-        }
-        let Some(ex) = self.shards[shard].extract_session(local) else {
-            return false;
-        };
-        match self.rehome(shard, tok, to_shard) {
-            Some(new_tok) => {
-                self.place(sid, to_shard, new_tok, ex.driver);
-                self.migrated += 1;
-                true
-            }
-            None => {
-                // Nowhere to go: undo — the session re-registers on its
-                // old shard, unharmed.
-                self.place(sid, shard, tok, ex.driver);
-                false
-            }
-        }
     }
 
     /// Crash recovery: re-registers every quarantined shard's sessions
@@ -561,7 +513,9 @@ impl<P: Poller> ShardedHub<P> {
                     (target, new_tok)
                 }
             };
-            self.place(SessionId(gid), home.0, home.1, SessionDriver::new());
+            let timeout = self.shards[shard].peer_timeout(local); // the caller's setting
+            self.place(SessionId(gid), home.0, home.1);
+            self.set_peer_timeout(SessionId(gid), timeout);
             self.resurrected += 1;
             out.push((SessionId(gid), framed));
         }
@@ -1059,49 +1013,102 @@ mod tests {
         // And independent sessions still spread out.
         let third = hub.add_session(sim_world(8));
         assert_ne!(hub.location(third).0, shard_a);
-        // The pair shares one channel, so it moves together or not at
-        // all: migrating either member alone is refused.
-        let elsewhere = hub.location(third).0;
-        assert!(!hub.migrate_session(first, elsewhere));
-        assert!(!hub.migrate_session(second, elsewhere));
-        assert_eq!(hub.location(first).0, shard_a);
-        assert_eq!(hub.stats().sessions_migrated, 0);
     }
 
-    /// One full conversation, with and without two mid-way migrations:
-    /// the client's view and the server's entire explicit state (its
-    /// snapshot bytes — keys, sequence numbers, shipped-state lists, RTT
-    /// estimate, everything) must be byte-identical.
+    /// Sessions sharing one private channel on a quarantined shard
+    /// resurrect together: the channel moves once, to one healthy
+    /// shard, and every session on it follows onto the same new token.
     #[test]
-    fn live_migration_is_invisible_to_the_session() {
-        let run = |migrate: bool| {
+    fn co_located_sessions_resurrect_onto_one_shard_and_source() {
+        let mut hub = ShardedHub::with_shards(3, SimPoller::new);
+        hub.enable_checkpointing(50);
+        hub.add_session(sim_world(50)); // shard 0
+        let first = hub.add_session(sim_world(51)); // shard 1
+        let second = hub.add_session_sharing(first);
+        hub.add_session(sim_world(52)); // shard 2
+        let (mut client_a, mut server_a) = pair(5);
+        let (mut client_b, mut server_b) = pair(6);
+        {
+            // Both pairs share one world's addresses; the shard tells
+            // them apart by key.
+            let mut pa = vec![Party::new(C, &mut client_a), Party::new(S, &mut server_a)];
+            let mut pb = vec![Party::new(C, &mut client_b), Party::new(S, &mut server_b)];
+            hub.pump(&mut [
+                HubSession::new(first, &mut pa, 300),
+                HubSession::new(second, &mut pb, 300),
+            ]);
+        }
+        let store = hub.checkpoint_store().expect("checkpointing on").clone();
+        assert!(store.get(first.0).is_some() && store.get(second.0).is_some());
+
+        let doomed = hub.add_session_sharing(first);
+        hub.pump(&mut [HubSession::new(
+            doomed,
+            &mut [Party::new(C, &mut PanicEndpoint)],
+            400,
+        )]);
+        assert!(hub.shard_error(1).is_some());
+
+        let recovered = hub.resurrect_quarantined();
+        let ids: Vec<SessionId> = recovered.iter().map(|(sid, _)| *sid).collect();
+        assert_eq!(ids, [first, second], "the panicker had no checkpoint");
+        let (shard_a, local_a) = hub.location(first);
+        let (shard_b, local_b) = hub.location(second);
+        assert_ne!(shard_a, 1, "off the quarantined shard");
+        assert_eq!(shard_a, shard_b, "one channel, one owning shard");
+        assert_eq!(
+            hub.shard(shard_a).token_of(local_a),
+            hub.shard(shard_b).token_of(local_b),
+            "one channel, one new token"
+        );
+        assert_eq!(hub.stats().sessions_resurrected, 2);
+    }
+
+    /// A peer-silence timeout is the caller's setting, not the shard's:
+    /// a session resurrected onto another shard still reports a client
+    /// that fell silent, exactly as the same session does when nothing
+    /// crashed.
+    #[test]
+    fn resurrection_keeps_the_peer_timeout() {
+        use super::super::snapshot;
+
+        let run = |crash: bool| {
             let mut hub = ShardedHub::with_shards(2, SimPoller::new);
-            let sid = hub.add_session(sim_world(42));
-            let (mut client, mut server) = pair(9);
-            for (target, key) in [(300u64, Some(b"h")), (600, Some(b"i")), (900, None)] {
+            hub.enable_checkpointing(50);
+            hub.add_session(sim_world(60)); // shard 0
+            let victim = hub.add_session(sim_world(61)); // shard 1
+            hub.set_peer_timeout(victim, Some(500));
+            let (mut client, mut server) = pair(7);
+            {
                 let mut parties = vec![Party::new(C, &mut client), Party::new(S, &mut server)];
-                hub.pump(&mut [HubSession::new(sid, &mut parties, target)]);
-                drop(parties);
-                if let Some(k) = key {
-                    client.keystroke(target, k);
-                }
-                if migrate {
-                    let to = (hub.location(sid).0 + 1) % 2;
-                    assert!(hub.migrate_session(sid, to), "migration refused");
-                    assert_eq!(hub.location(sid).0, to);
-                }
+                hub.pump(&mut [HubSession::new(victim, &mut parties, 300)]);
             }
-            if migrate {
-                assert_eq!(hub.stats().sessions_migrated, 3);
+            if crash {
+                let doomed = hub.add_session_sharing(victim);
+                hub.pump(&mut [HubSession::new(
+                    doomed,
+                    &mut [Party::new(C, &mut PanicEndpoint)],
+                    400,
+                )]);
+                let recovered = hub.resurrect_quarantined();
+                assert_eq!(recovered.len(), 1);
+                assert_eq!(hub.location(victim).0, 0);
+                server = snapshot::resurrect_server(&recovered[0].1, Box::new(LineShell::new()))
+                    .expect("checkpoint decodes");
             }
-            let row = client.server_frame().row_text(0);
-            (row, super::super::snapshot::snapshot_server(&server))
+            // The client falls silent: only the server is leased.
+            let events = hub.pump(&mut [HubSession::new(
+                victim,
+                &mut [Party::new(S, &mut server)],
+                4_000,
+            )]);
+            events
+                .iter()
+                .filter(|(sid, e)| *sid == victim && matches!(e, SessionEvent::PeerTimeout { .. }))
+                .count()
         };
-        let (row_moved, snap_moved) = run(true);
-        let (row_still, snap_still) = run(false);
-        assert_eq!(row_moved, "$ hi");
-        assert_eq!(row_moved, row_still);
-        assert_eq!(snap_moved, snap_still, "server state bit-for-bit equal");
+        assert_eq!(run(false), 1, "undisturbed");
+        assert_eq!(run(true), 1, "resurrected");
     }
 
     /// A shorter checkpoint cadence buys a fresher resurrection point,

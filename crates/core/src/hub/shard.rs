@@ -48,18 +48,6 @@ use std::collections::{BinaryHeap, HashMap};
 /// dropped.
 pub type UnclaimedHook = Box<dyn FnMut(&Datagram) -> bool + Send>;
 
-/// Everything that moves with a session in a live shard-to-shard
-/// migration (see [`ServerHub::extract_session`]). The endpoints are
-/// caller-owned and never move; the channel moves separately, via
-/// [`Poller::extract`] for a private source.
-pub struct ExtractedSession {
-    /// Scheduling and silence bookkeeping, moved verbatim.
-    pub driver: SessionDriver,
-    /// The checkpoint-store key the session was tracked under, if crash
-    /// recovery is on.
-    pub ckpt_key: Option<usize>,
-}
-
 /// Registered per-session state that outlives any single pump.
 struct Slot {
     token: Token,
@@ -83,11 +71,11 @@ struct Slot {
 /// One tracked session's checkpoint bookkeeping.
 struct CkptState {
     /// Key in the shared store — a [`super::ShardedHub`]'s *global*
-    /// session id, stable across migrations.
+    /// session id, stable across resurrection.
     key: usize,
     /// When the cadence last ran for this session (`None` = never: the
     /// first service after tracking starts checkpoints immediately, so
-    /// a freshly added or migrated-in session always has a snapshot).
+    /// a freshly added or resurrected session always has a snapshot).
     last_at: Option<Millis>,
     /// Activity marker captured by the last stored checkpoint — an
     /// unchanged marker means the session saw no new traffic and the
@@ -184,13 +172,8 @@ impl<P: Poller> ServerHub<P> {
         self.checkpoints = Some((store, cadence));
     }
 
-    /// The store the checkpoint cadence writes to, when enabled.
-    pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.checkpoints.as_ref().map(|(s, _)| s)
-    }
-
     /// Tracks `sid` in the checkpoint store under `key` (a sharded
-    /// hub's *global* session id — stable across migrations). The next
+    /// hub's *global* session id — stable across resurrection). The next
     /// service of the session writes its first checkpoint immediately.
     pub fn set_checkpoint_key(&mut self, sid: SessionId, key: usize) {
         self.slots[sid.0].ckpt = Some(CkptState {
@@ -232,19 +215,10 @@ impl<P: Poller> ServerHub<P> {
     /// share one token (a UDP socket serving hundreds of clients); a
     /// simulated session typically gets its own.
     pub fn add_session(&mut self, token: Token) -> SessionId {
-        self.add_session_with_driver(token, SessionDriver::new())
-    }
-
-    /// Registers a session that arrives with scheduling state already —
-    /// the receiving half of a live migration: the driver (silence
-    /// bookkeeping, outbox scratch) moves verbatim from the old shard,
-    /// so the session's behavior is indistinguishable from never having
-    /// moved.
-    pub fn add_session_with_driver(&mut self, token: Token, driver: SessionDriver) -> SessionId {
         let sid = SessionId(self.slots.len());
         self.slots.push(Slot {
             token,
-            driver,
+            driver: SessionDriver::default(),
             gen: 0,
             wakeup: 0,
             live: true,
@@ -254,27 +228,25 @@ impl<P: Poller> ServerHub<P> {
         sid
     }
 
-    /// Retires a live session and hands back what moves with it: its
-    /// wheel entries become stale, and every source-address route
-    /// pointing at it is dropped, so a long-running hub's memory tracks
-    /// *live* sessions. A route no session holds any more also leaves
-    /// the substrate ([`mosh_net::Channel::evict_hint`] — a
-    /// distributor's source hint), or later traffic from that address
-    /// would keep being steered at a shard that no longer claims it.
-    /// The channel itself stays registered: the router extracts it
-    /// (private source) or re-homes the session onto the destination's
-    /// shared source.
-    ///
-    /// Returns `None` if the session was already removed.
-    pub fn extract_session(&mut self, sid: SessionId) -> Option<ExtractedSession> {
+    /// Retires a session for good (the user logged out, the session
+    /// timed out): its wheel entries go stale, its checkpoint is dropped
+    /// so it never resurrects, and every source-address route to it is
+    /// dropped, so memory tracks *live* sessions. A route no session
+    /// holds any more also leaves the substrate
+    /// ([`mosh_net::Channel::evict_hint`]), or later traffic from that
+    /// address would keep being steered at this shard. The channel stays
+    /// registered. The id is never reused; leasing a retired id panics.
+    pub fn remove_session(&mut self, sid: SessionId) {
         let slot = &mut self.slots[sid.0];
         if !slot.live {
-            return None;
+            return;
         }
         slot.live = false;
         slot.gen += 1; // invalidate any queued wheel entry
-        let driver = std::mem::take(&mut slot.driver);
-        let ckpt_key = slot.ckpt.take().map(|c| c.key);
+        slot.driver = SessionDriver::default(); // frees its scratch
+        if let (Some(ckpt), Some((store, _))) = (slot.ckpt.take(), &self.checkpoints) {
+            store.remove(ckpt.key);
+        }
         self.live_sessions -= 1;
         let poller = &mut self.poller;
         self.routes.retain(|&(tok, addr), sids| {
@@ -284,26 +256,17 @@ impl<P: Poller> ServerHub<P> {
             }
             !sids.is_empty()
         });
-        Some(ExtractedSession { driver, ckpt_key })
-    }
-
-    /// Retires a session for good (the user logged out, the session
-    /// timed out): [`ServerHub::extract_session`], with the driver state
-    /// and the checkpoint dropped, so it never resurrects. The id is
-    /// never reused; leasing a retired id panics.
-    pub fn remove_session(&mut self, sid: SessionId) {
-        let Some(ex) = self.extract_session(sid) else {
-            return;
-        };
-        if let (Some(key), Some((store, _))) = (ex.ckpt_key, &self.checkpoints) {
-            store.remove(key);
-        }
     }
 
     /// Configures a session's peer-silence timeout (see
     /// [`SessionEvent::PeerTimeout`]); `None` disables.
     pub fn set_peer_timeout(&mut self, sid: SessionId, timeout: Option<Millis>) {
         self.slots[sid.0].driver.set_peer_timeout(timeout);
+    }
+
+    /// A session's configured peer-silence timeout.
+    pub(super) fn peer_timeout(&self, sid: SessionId) -> Option<Millis> {
+        self.slots[sid.0].driver.peer_timeout()
     }
 
     /// Number of sessions registered and not yet removed.
@@ -314,16 +277,6 @@ impl<P: Poller> ServerHub<P> {
     /// The source a session lives on.
     pub fn token_of(&self, sid: SessionId) -> Token {
         self.slots[sid.0].token
-    }
-
-    /// Number of live sessions registered on source `tok` (migration
-    /// feasibility: a private source moves shards only with *all* its
-    /// co-located sessions, or not at all).
-    pub fn sessions_on(&self, tok: Token) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.live && s.token == tok)
-            .count()
     }
 
     /// Current time on a session's source clock.

@@ -21,10 +21,8 @@
 //! the new build reads what the old one left and writes its own format
 //! from then on.
 //!
-//! Three consumers, three entry points:
+//! Two consumers, two entry points:
 //!
-//! * **Migration** within one process moves the live endpoint value —
-//!   no snapshot involved. (See `ShardedHub::migrate_session`.)
 //! * **Handoff** across processes uses [`snapshot_server`] /
 //!   [`restore_server`]: the old process was shut down cleanly, so the
 //!   restored session resumes byte-identical — same sequence numbers,
@@ -56,7 +54,7 @@ pub const MAGIC: [u8; 4] = *b"MSHS";
 ///
 /// History: v1 — initial container; v2 — [`mosh_terminal::Framebuffer`]
 /// encoding grew bounded scrollback and a `display_offset` (scrollback
-/// now survives migration, checkpoint/resurrect, and roaming); v3 — the
+/// now survives handoff, checkpoint/resurrect, and roaming); v3 — the
 /// server's Figure 3 measurement log (two lists that grew by one entry
 /// per application write) is gone from the body, which is otherwise v2's
 /// field for field; a v2 frame is read by skipping them.

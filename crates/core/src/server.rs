@@ -107,9 +107,9 @@ impl MoshServer {
     /// Scrolls the host-side viewport `delta` lines into scrollback
     /// (negative values move back toward the live screen). Viewport
     /// state — scrollback plus [`Framebuffer::display_offset`] — rides
-    /// session snapshots (migration, checkpoint/resurrect, handoff) but
-    /// is never part of the synchronized state the client sees, so this
-    /// needs no sender commit and changes no wire traffic.
+    /// session snapshots (checkpoint/resurrect, handoff) but is never
+    /// part of the synchronized state the client sees, so this needs no
+    /// sender commit and changes no wire traffic.
     ///
     /// [`Framebuffer::display_offset`]: mosh_terminal::Framebuffer::display_offset
     pub fn scroll_view(&mut self, delta: isize) {
@@ -312,7 +312,7 @@ impl MoshServer {
     }
 
     // -----------------------------------------------------------------
-    // Session snapshots (migration / crash recovery / handoff)
+    // Session snapshots (crash recovery / handoff)
     // -----------------------------------------------------------------
 
     /// A cheap activity fingerprint for checkpoint cadence decisions: it

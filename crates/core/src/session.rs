@@ -175,7 +175,7 @@ pub trait Endpoint: Send {
         None
     }
 
-    /// Serializes this endpoint for migration or crash recovery,
+    /// Serializes this endpoint for handoff or crash recovery,
     /// returning the snapshot body and (as a side effect on the endpoint)
     /// capping its outgoing acks at what the snapshot contains. `None`
     /// (the default) marks an endpoint that does not support
@@ -352,15 +352,15 @@ pub struct SessionDriver {
 }
 
 impl SessionDriver {
-    /// A driver with no peer timeout configured.
-    pub fn new() -> Self {
-        SessionDriver::default()
-    }
-
     /// Emits [`SessionEvent::PeerTimeout`] when a party's peer has been
     /// silent for `timeout` (once per silence episode); `None` disables.
     pub fn set_peer_timeout(&mut self, timeout: Option<Millis>) {
         self.peer_timeout = timeout;
+    }
+
+    /// The peer-silence timeout, if one is configured.
+    pub(crate) fn peer_timeout(&self) -> Option<Millis> {
+        self.peer_timeout
     }
 
     /// Ticks every party at `now`, flushing each party's whole outbox as

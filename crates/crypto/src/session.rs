@@ -349,7 +349,7 @@ mod tests {
 
     #[test]
     fn session_is_send_for_shard_handoff() {
-        // Sessions migrate to shard worker threads whole; `Cell` keeps
+        // Sessions move to shard worker threads whole; `Cell` keeps
         // them !Sync, so concurrent sharing cannot compile.
         fn is_send<T: Send>() {}
         is_send::<Session>();

@@ -106,9 +106,9 @@ pub trait Poller {
     }
 
     /// Removes a registered source and returns its channel, for moving a
-    /// session's source to another poller (shard-to-shard live
-    /// migration). The token is retired, never reused; touching it
-    /// afterwards panics like any out-of-range token. Pollers that cannot
+    /// session's source to another poller (crash recovery, or a rolling
+    /// restart handing its socket on). The token is retired, never
+    /// reused; touching it afterwards panics like any out-of-range token. Pollers that cannot
     /// release a source (e.g. a shared-socket substrate) return `None` —
     /// the default.
     fn extract(&mut self, tok: Token) -> Option<Self::Chan> {
@@ -140,8 +140,8 @@ pub trait Poller {
 /// world, advanced only when explicitly waited on. See [`SimPoller`].
 #[derive(Debug)]
 pub struct ChannelPoller<C: Channel> {
-    /// `None` marks a source extracted for migration: its token is
-    /// retired (positions are tokens, so slots are never compacted).
+    /// `None` marks an extracted source: its token is retired
+    /// (positions are tokens, so slots are never compacted).
     channels: Vec<Option<C>>,
     ready: ReadySet,
 }

@@ -92,7 +92,7 @@ impl FragmentAssembly {
     /// Appends the assembler for a session snapshot — the newest
     /// instruction id, the pieces that have arrived, and the expected
     /// piece count once the final fragment is in — so a half-assembled
-    /// instruction survives migration and resumes where it left off.
+    /// instruction survives a restore and resumes where it left off.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         put_opt(out, self.current_id);
         put_varint(out, self.pieces.len() as u64);

@@ -111,7 +111,7 @@ impl Terminal {
     /// Serializes the complete emulator state — screen, interpreter
     /// internals, and the parser's mid-sequence position — so a restored
     /// terminal behaves byte-for-byte like the original on all future
-    /// input. Used by session snapshots (migration / crash recovery).
+    /// input. Used by session snapshots (handoff / crash recovery).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.parser.encode_into(&mut out);

@@ -848,7 +848,7 @@ impl Framebuffer {
     /// modes, scroll region, tabs, saved cursors, the alternate-screen
     /// stash, scrollback, and the display offset all round-trip, so a
     /// restored framebuffer interprets future bytes exactly like the
-    /// original would have — and the user's history survives migration.
+    /// original would have — and the user's history survives a restore.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         put_varint(out, self.width() as u64);
         put_varint(out, self.height() as u64);

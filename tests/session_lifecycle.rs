@@ -1,13 +1,8 @@
 //! The session-lifecycle acceptance bar: a [`ShardedHub`] session is a
-//! *value* — it can be checkpointed, moved between shards, shipped to a
-//! new process, and resurrected after its shard dies — and none of that
-//! is allowed to change what the session's peer observes.
+//! *value* — it can be checkpointed, shipped to a new process, and
+//! resurrected after its shard dies — and none of that is allowed to
+//! change what the session's peer observes.
 //!
-//! * **Live migration** mid-replay is transcript-invisible: a proptest
-//!   migrates every session between shards after every step and requires
-//!   the full per-session wire transcripts (both directions, raw bytes,
-//!   with timestamps) to be byte-identical to the single-threaded hub,
-//!   at every shard count.
 //! * **Cross-process handoff** is byte-identical: mid-replay, every
 //!   session is snapshotted into a handoff file, a *fresh* hub with a
 //!   different shard count restores them, and the replay continues with
@@ -189,59 +184,6 @@ fn reference_run(texts: &[String], seed: u64) -> Vec<(Transcript, Transcript, St
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Migrating every session to another shard after **every** step of
-    /// the replay changes nothing either peer can observe, at any shard
-    /// count: full wire transcripts stay byte-identical to the
-    /// single-threaded hub that never migrates.
-    #[test]
-    fn migration_mid_replay_is_transcript_invisible(
-        seed in any::<u64>(),
-        texts in proptest::collection::vec("[a-z]{1,5}", 2..4),
-        shards in 2usize..5,
-    ) {
-        let reference = reference_run(&texts, seed);
-
-        let mut hub = ShardedHub::with_shards(shards, SimPoller::new);
-        let mut recs: Vec<_> = (0..texts.len()).map(endpoints).collect();
-        let sids: Vec<SessionId> = (0..texts.len())
-            .map(|i| hub.add_session(world(i, seed)))
-            .collect();
-        let longest = texts.iter().map(|t| t.len()).max().unwrap_or(0);
-        let mut now = 0u64;
-        let mut migrations = 0u64;
-        for step in 0..=longest {
-            now += STEP_MS;
-            pump_step(now, &sids, &mut recs, |s| {
-                hub.pump(s);
-            });
-            // Every session hops one shard over, every step.
-            for sid in &sids {
-                let to = (hub.location(*sid).0 + 1) % shards;
-                prop_assert!(hub.migrate_session(*sid, to));
-                migrations += 1;
-            }
-            for (i, text) in texts.iter().enumerate() {
-                if let Some(b) = text.as_bytes().get(step) {
-                    recs[i].0.inner.keystroke(now, &[*b]);
-                }
-            }
-        }
-        now += SETTLE_MS;
-        pump_step(now, &sids, &mut recs, |s| {
-            hub.pump(s);
-        });
-        prop_assert_eq!(hub.stats().sessions_migrated, migrations);
-
-        for (i, ((c, s), text)) in recs.iter().zip(texts.iter()).enumerate() {
-            let (ref_c, ref_s, ref_screen) = &reference[i];
-            prop_assert_eq!(&c.log, ref_c, "user {} client transcript diverged", i);
-            prop_assert_eq!(&s.log, ref_s, "user {} server transcript diverged", i);
-            let screen = c.inner.server_frame().row_text(0).to_string();
-            prop_assert_eq!(&screen, ref_screen);
-            prop_assert_eq!(screen, format!("$ {text}"));
-        }
-    }
-
     /// Random truncations and bit flips of a real session snapshot are
     /// rejected at decode — never half-applied — and the pristine frame
     /// still restores afterwards.
@@ -401,12 +343,11 @@ impl Endpoint for PanicEndpoint {
 
 /// Scrollback and the viewport offset are session state: rows that
 /// scrolled off the top, and how far back the host-side viewport is
-/// scrolled, ride the snapshot container through restore (handoff),
-/// resurrect (crash recovery), and live migration — and the viewport
-/// stays anchored on the same content as the session keeps scrolling
-/// afterwards.
+/// scrolled, ride the snapshot container through restore (handoff) and
+/// resurrect (crash recovery) — and the viewport stays anchored on the
+/// same content as the session keeps scrolling afterwards.
 #[test]
-fn scrollback_and_viewport_survive_snapshot_and_migration() {
+fn scrollback_and_viewport_survive_snapshot_and_restore() {
     let seed = 1717u64;
     let mut hub = ShardedHub::with_shards(2, SimPoller::new);
     let (mut c, mut s) = endpoints(0);
@@ -465,15 +406,12 @@ fn scrollback_and_viewport_survive_snapshot_and_migration() {
         assert_eq!(restored.frame(), s.inner.frame());
     }
 
-    // Swap in the restored server (handoff style), migrate the session
-    // to the other shard, and keep typing: the session must keep
-    // converging, new evictions must keep feeding scrollback, and the
+    // Swap in the restored server (handoff style) and keep typing: the
+    // session must keep converging, new evictions must keep feeding scrollback, and the
     // scrolled-back viewport must stay anchored on the same rows.
     let restored = snapshot::restore_server(&framed, Box::new(LineShell::new())).expect("restores");
     let old = std::mem::replace(&mut s, Recorder::new(restored));
     s.log = old.log;
-    let to = (hub.location(sid).0 + 1) % 2;
-    assert!(hub.migrate_session(sid, to));
     for _ in 0..6 {
         now += STEP_MS;
         {
@@ -512,7 +450,7 @@ fn scrollback_and_viewport_survive_snapshot_and_migration() {
         assert_eq!(
             s.inner.frame().view_row(i),
             row,
-            "anchored view row {i} drifted after migration"
+            "anchored view row {i} drifted after restore"
         );
     }
 }

@@ -12,9 +12,9 @@
 //!   UDP socket, routed by the distributor with cross-shard
 //!   authentication fan-out, and requires that no endpoint ever accepts
 //!   (or is even fed) a foreign datagram.
-//! * Behind that socket, a session migrates to another session's shard,
-//!   and both are resurrected from their checkpoints after that shard
-//!   panics, while both clients keep typing.
+//! * Behind that socket, a panic quarantines one shard and its session
+//!   is resurrected from its checkpoint onto the other, while both
+//!   clients keep typing.
 //! * A shard that owns no session, or that a panic quarantined, still
 //!   hands what the distributor feeds it on to the shard that does.
 
@@ -640,15 +640,15 @@ fn serve(
     hub.pump_with(&mut sessions, || dist.pump(10));
 }
 
-/// The distributor branch of migration and crash recovery, live: two
-/// clients behind one socket, one session per shard, each client typing
-/// one key per echo. Session 0 migrates to shard 1 mid-conversation; then
-/// a panicking endpoint on shard 1's shared source quarantines it, and
-/// both sessions are rebuilt on shard 0 from their checkpoints. Both
-/// conversations finish, and no datagram is lost to a full bounce cycle.
+/// The distributor branch of crash recovery, live: two clients behind
+/// one socket, one session per shard, each client typing one key per
+/// echo. Mid-conversation a panicking endpoint on shard 1's shared
+/// source quarantines it, and shard 1's session is rebuilt on shard 0
+/// from its checkpoint. Both conversations finish, and no datagram is
+/// lost to a full bounce cycle.
 #[test]
-fn distributor_sessions_survive_migration_and_resurrection() {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+fn distributor_sessions_survive_resurrection() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
@@ -659,10 +659,6 @@ fn distributor_sessions_survive_migration_and_resurrection() {
         allowed: AtomicUsize,
         /// Keys whose echo the client's screen shows.
         echoed: AtomicUsize,
-        /// Set by the test: stop pumping (and so sending).
-        hold: AtomicBool,
-        /// Set by the client while it holds.
-        held: AtomicBool,
     }
 
     const TEXT: &str = "abcdefghij";
@@ -693,9 +689,8 @@ fn distributor_sessions_survive_migration_and_resurrection() {
             let key = key(i);
             std::thread::spawn(move || {
                 let me = &typists[i];
-                // Client 0's source port hashes to shard 1, where its
-                // session moves: once its hint is evicted it routes
-                // straight to its new shard.
+                // Client 0's source port hashes to shard 1, but its
+                // session lives on shard 0: its hello must bounce on.
                 let channel = loop {
                     let ch = UdpChannel::bind("127.0.0.1:0").expect("client socket");
                     if i != 0 || ch.local_addr().port % 2 == 1 {
@@ -714,12 +709,6 @@ fn distributor_sessions_survive_migration_and_resurrection() {
                         "client {i} stuck at {:?}",
                         client.server_frame().row_text(0)
                     );
-                    if me.hold.load(Ordering::SeqCst) {
-                        me.held.store(true, Ordering::SeqCst);
-                        std::thread::sleep(Duration::from_millis(1));
-                        continue;
-                    }
-                    me.held.store(false, Ordering::SeqCst);
                     if client.server_frame().row_text(0) == shown(k) {
                         me.echoed.store(k, Ordering::SeqCst);
                         if k == TEXT.len() {
@@ -738,7 +727,6 @@ fn distributor_sessions_survive_migration_and_resurrection() {
         .collect();
 
     let start = Instant::now();
-    let mut migrated = false;
     let mut resurrected_at: Option<Instant> = None;
     let echoed = |keys: usize| {
         typists
@@ -753,24 +741,8 @@ fn distributor_sessions_survive_migration_and_resurrection() {
                 "no convergence within 10 s of the resurrection"
             );
         }
-        if !migrated && echoed(3) {
-            // Quiet client 0 and drain shard 0 first, so none of its
-            // datagrams is still queued there when the session leaves.
-            typists[0].hold.store(true, Ordering::SeqCst);
-            while !typists[0].held.load(Ordering::SeqCst) {
-                assert!(start.elapsed() < Duration::from_secs(60), "never held");
-                serve(&mut hub, &mut dist, &sids, &mut servers, None);
-            }
-            for _ in 0..5 {
-                serve(&mut hub, &mut dist, &sids, &mut servers, None);
-            }
-            assert!(hub.migrate_session(sids[0], 1), "migration refused");
-            migrated = true;
-            allow(6);
-            typists[0].hold.store(false, Ordering::SeqCst);
-        }
-        let bomb = (migrated && resurrected_at.is_none() && echoed(6))
-            .then(|| hub.add_session_sharing(sids[1]));
+        let bomb =
+            (resurrected_at.is_none() && echoed(3)).then(|| hub.add_session_sharing(sids[1]));
         serve(&mut hub, &mut dist, &sids, &mut servers, bomb);
 
         if bomb.is_some() {
@@ -780,12 +752,10 @@ fn distributor_sessions_survive_migration_and_resurrection() {
             );
             let recovered = hub.resurrect_quarantined();
             let ids: Vec<SessionId> = recovered.iter().map(|(sid, _)| *sid).collect();
-            assert_eq!(ids, sids, "the panicker had no checkpoint");
-            for (server, (sid, framed)) in servers.iter_mut().zip(&recovered) {
-                assert_eq!(hub.location(*sid).0, 0);
-                *server = resurrect_server(framed, Box::new(LineShell::new()))
-                    .expect("checkpoint decodes");
-            }
+            assert_eq!(ids, [sids[1]], "the panicker had no checkpoint");
+            assert_eq!(hub.location(sids[1]).0, 0);
+            servers[1] = resurrect_server(&recovered[0].1, Box::new(LineShell::new()))
+                .expect("checkpoint decodes");
             resurrected_at = Some(Instant::now());
             allow(TEXT.len());
         }
@@ -799,8 +769,7 @@ fn distributor_sessions_survive_migration_and_resurrection() {
         assert_eq!(server.frame().row_text(0), shown(TEXT.len()), "server {i}");
     }
     let stats = hub.stats();
-    assert_eq!(stats.sessions_migrated, 1, "{stats:?}");
-    assert_eq!(stats.sessions_resurrected, 2, "{stats:?}");
+    assert_eq!(stats.sessions_resurrected, 1, "{stats:?}");
     assert_eq!(stats.shard_panics, 1, "{stats:?}");
     // Client 0's first hello hashed to shard 1 and was bounced on; no
     // wire went round every shard unclaimed.
