@@ -15,6 +15,10 @@ use mosh_ssp::transport::{ReceiveEvent, Transport};
 use mosh_states::{CompleteTerminal, UserStream};
 use mosh_terminal::Framebuffer;
 
+/// The client's collection interval, not the server's 8 ms: "minimal delay
+/// on outgoing keystrokes", 1 ms (Mosh's `src/frontend/stmclient.cc`).
+const SEND_DELAY: Millis = 1;
+
 /// The client half of a Mosh session.
 ///
 /// The authoritative input history lives *inside* the transport's sender
@@ -51,6 +55,7 @@ impl MoshClient {
             UserStream::new(),
             CompleteTerminal::initial(),
         );
+        transport.set_mindelay(SEND_DELAY);
         transport.current_state_mut().push_resize(width, height);
         transport.commit_current(0);
         MoshClient {
@@ -489,5 +494,49 @@ mod tests {
         // was applied then, and is not told again.
         assert_eq!(client.remote_state_num(), frames);
         assert_eq!(format!("{:?}", client.prediction), told);
+    }
+
+    #[test]
+    fn a_keystroke_leaves_after_the_client_hold_and_its_echo_after_the_server_hold() {
+        use mosh_ssp::sender::SEND_MINDELAY;
+        let mut client = MoshClient::new(key(), Addr::new(2, 1), 80, 24, DisplayPreference::Never);
+        let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
+        let from = Addr::new(1, 1);
+        let exchange = |client: &mut MoshClient, server: &mut MoshServer, now| {
+            let up = client.tick(now);
+            for (_, wire) in &up {
+                server.receive(now, from, wire);
+            }
+            let down = server.tick(now);
+            for (_, wire) in &down {
+                client.receive(now, wire);
+            }
+            (up.len(), down.len())
+        };
+        // Hello, prompt and acks settle over a zero-delay link.
+        for now in 0..1000 {
+            exchange(&mut client, &mut server, now);
+        }
+
+        let t = 1000;
+        client.keystroke(t, b"x");
+        assert_eq!(exchange(&mut client, &mut server, t), (0, 0));
+        assert_eq!(exchange(&mut client, &mut server, t + SEND_DELAY).0, 1);
+
+        // The echo reaches the server's screen, and its frame waits out the
+        // server's own collection interval.
+        let mut echoed = t + SEND_DELAY;
+        while server.frame().row_text(0) != "$ x" {
+            echoed += 1;
+            assert_eq!(exchange(&mut client, &mut server, echoed), (0, 0));
+        }
+        for now in echoed + 1..echoed + SEND_MINDELAY {
+            assert_eq!(exchange(&mut client, &mut server, now), (0, 0));
+        }
+        assert_eq!(
+            exchange(&mut client, &mut server, echoed + SEND_MINDELAY).1,
+            1
+        );
+        assert_eq!(client.server_frame().row_text(0), "$ x");
     }
 }

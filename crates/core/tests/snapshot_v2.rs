@@ -29,6 +29,13 @@ const S: Addr = Addr::new(2, 60001);
 /// waiting for its echo ack, and the first fragment of a three-fragment
 /// paste received. Returns it with the fragments still in flight and the
 /// time it stopped at.
+///
+/// The fixtures were recorded while the client held keystrokes for 8 ms.
+/// It now holds them for 1 ms, so each key is pressed 1 ms before the
+/// tick at which the 8 ms hold released it (`y` and `e` typed at 20 and
+/// 25 left together at 28, `s` and `\r` at 48, `q` at 298): the server
+/// receives the same datagrams at the same times and reaches the same
+/// state, byte for byte.
 fn mid_flood() -> (MoshServer, Vec<Vec<u8>>, u64) {
     let key = Base64Key::from_bytes([0x76; 16]);
     let mut net = Network::new(LinkConfig::lan(), LinkConfig::lan(), 17);
@@ -42,12 +49,20 @@ fn mid_flood() -> (MoshServer, Vec<Vec<u8>>, u64) {
     let mut fragmented = false;
     loop {
         match now {
-            20 => drop(client.keystroke(now, b"y")),
-            25 => drop(client.keystroke(now, b"e")),
-            30 => drop(client.keystroke(now, b"s")),
-            35 => drop(client.keystroke(now, b"\r")),
-            290 => drop(client.keystroke(now, b"q")),
-            300 => drop(client.keystroke(now, &[b'p'; 1300])),
+            27 => {
+                let _ = client.keystroke(now, b"y");
+                let _ = client.keystroke(now, b"e");
+            }
+            47 => {
+                let _ = client.keystroke(now, b"s");
+                let _ = client.keystroke(now, b"\r");
+            }
+            297 => {
+                let _ = client.keystroke(now, b"q");
+            }
+            300 => {
+                let _ = client.keystroke(now, &[b'p'; 1300]);
+            }
             _ => {}
         }
         let wires = client.tick(now);

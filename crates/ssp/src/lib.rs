@@ -11,8 +11,8 @@
 //!   timestamp echoes, and RFC 6298 RTT estimation with a 50 ms RTO floor.
 //! * **Transport layer** ([`sender`], [`receiver`], [`transport`]) —
 //!   numbered state snapshots, diff-based [`instruction`]s, frame-rate
-//!   control at `SRTT/2` (20–250 ms), an 8 ms collection interval, 100 ms
-//!   delayed acks, 3 s heartbeats, and MTU [`fragment`]ation.
+//!   control at `SRTT/2` (20–250 ms), an 8 ms collection interval (1 ms on
+//!   the client), 100 ms delayed acks, 3 s heartbeats, MTU [`fragment`]ation.
 //! * **Object interface** ([`state::SyncState`]) — the protocol is
 //!   agnostic to what it synchronizes; diffs are object-defined.
 //!

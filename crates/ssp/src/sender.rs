@@ -7,7 +7,8 @@
 //! flight to the receiver at any time":
 //!
 //! * frame interval = `clamp(SRTT/2, 20 ms, 250 ms)` (50 Hz cap),
-//! * collection interval (`SEND_MINDELAY`) = 8 ms after the first change,
+//! * collection interval after the first change: the server's
+//!   `SEND_MINDELAY` = 8 ms, the client's 1 ms,
 //! * delayed acks ride along within 100 ms,
 //! * a heartbeat goes out every 3 s of silence,
 //! * un-acknowledged states are retransmitted after `RTO + ACK_DELAY`.
@@ -21,8 +22,9 @@ use crate::Millis;
 pub const SEND_INTERVAL_MIN: Millis = 20;
 /// Maximum interval between frames.
 pub const SEND_INTERVAL_MAX: Millis = 250;
-/// Default collection interval after the first write (paper §4, Figure 3:
-/// "we adjusted that to 8 ms, the minimum of the curve").
+/// Default collection interval after the first write: the server's (paper
+/// §4, Figure 3: "we adjusted that to 8 ms, the minimum of the curve"). The
+/// client sets its own 1 ms with [`Sender::set_mindelay`], as Mosh's does.
 pub const SEND_MINDELAY: Millis = 8;
 /// Delayed-ack window: "a delay of 100 ms was sufficient to let the
 /// delayed ACK piggyback on host data" in >99.9% of cases (paper §2.3).
@@ -258,7 +260,8 @@ impl<S: SyncState> Sender<S> {
         })
     }
 
-    /// Overrides the collection interval (Figure 3's sweep parameter).
+    /// Overrides the collection interval: the client's 1 ms keystroke
+    /// hold, and Figure 3's sweep parameter on the server.
     pub fn set_mindelay(&mut self, mindelay: Millis) {
         self.mindelay = mindelay;
     }

@@ -189,7 +189,7 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         }
     }
 
-    /// Overrides the collection interval (Figure 3 sweeps this).
+    /// Overrides the collection interval (see [`Sender::set_mindelay`]).
     pub fn set_mindelay(&mut self, mindelay: Millis) {
         self.sender.set_mindelay(mindelay);
     }

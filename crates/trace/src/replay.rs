@@ -11,8 +11,10 @@
 //! * **Mosh** — zero when the prediction engine displayed the keystroke's
 //!   effect speculatively at input time; otherwise the arrival time of the
 //!   first server frame whose echo ack covers the keystroke (the screen
-//!   then provably reflects it). The echo ack lags real screen content by
-//!   up to 50 ms, so this measure is *conservative against Mosh*.
+//!   then provably reflects it). The echo ack is set `ECHO_TIMEOUT` (50 ms)
+//!   after the key is applied and rides the next frame, up to
+//!   `SEND_INTERVAL_MAX` (250 ms) later: it lags the screen by up to 300 ms,
+//!   so this measure is *conservative against Mosh* (ROADMAP.md, 1(c)).
 //! * **SSH** — the time the client has rendered every output byte the
 //!   application produced in response to the keystroke (known exactly
 //!   from a deterministic dry run).
