@@ -374,7 +374,7 @@ impl PredictionEngine {
             self.put_prediction(key.predicts_cell(row, target, old, offset >= 2));
         }
 
-        let attrs = frame.cell(row, col).attrs;
+        let attrs = frame.cell(row, col).attrs();
         self.put_prediction(key.predicts_cell(row, col, Cell::narrow(ch, attrs), false));
         self.cursor = Some(key.predicts_cursor(row, (col + 1).min(width - 1)));
         true
@@ -446,7 +446,7 @@ impl PredictionEngine {
         let left = &frame.row(row).cells()[col - found..col];
         left.iter()
             .zip(tail)
-            .all(|(cell, ch)| cell.ch == *ch)
+            .all(|(cell, ch)| cell.ch() == *ch)
             .then_some(epoch)
     }
 
@@ -600,7 +600,9 @@ impl PredictionEngine {
             }
             let mut cell = p.replacement;
             if self.flagging {
-                cell.attrs.underline = true;
+                let mut attrs = cell.attrs();
+                attrs.underline = true;
+                cell.set_attrs(attrs);
             }
             *frame.cell_mut(p.row, p.col) = cell;
         }
@@ -694,7 +696,7 @@ mod tests {
         assert!(shown);
         let mut display = fb.clone();
         e.apply(&mut display);
-        assert_eq!(display.cell(0, 3).ch, 'l');
+        assert_eq!(display.cell(0, 3).ch(), 'l');
         assert_eq!(display.cursor.col, 4);
     }
 
@@ -755,7 +757,7 @@ mod tests {
         e.new_user_input(500, SLOW, b"q", &fb, 2);
         let mut display = fb.clone();
         e.apply(&mut display);
-        assert_eq!(display.cell(0, 3).ch, 'q');
+        assert_eq!(display.cell(0, 3).ch(), 'q');
 
         // Server disagrees: the app swallowed the keystroke (e.g. passwd).
         let server = frame(b"$ x");
@@ -828,7 +830,7 @@ mod tests {
         let mut display = confirmed.clone();
         e.apply(&mut display);
         assert!(
-            display.cell(0, 3).attrs.underline,
+            display.cell(0, 3).attrs().underline,
             "unconfirmed predictions underline on slow links"
         );
     }
@@ -844,8 +846,8 @@ mod tests {
         let mut display = fb.clone();
         e.apply(&mut display);
         // srtt_trigger hysteresis: still engaged (40 > 20) from before.
-        assert_eq!(display.cell(0, 3).ch, 'y');
-        assert!(!display.cell(0, 3).attrs.underline);
+        assert_eq!(display.cell(0, 3).ch(), 'y');
+        assert!(!display.cell(0, 3).attrs().underline);
     }
 
     #[test]
@@ -875,8 +877,8 @@ mod tests {
         e.apply(&mut display);
         // 'Z' lands at the cursor; 'a' visibly slides right ("unknown"
         // cells beyond the horizon are not displayed).
-        assert_eq!(display.cell(0, 3).ch, 'Z');
-        assert_eq!(display.cell(0, 4).ch, 'a');
+        assert_eq!(display.cell(0, 3).ch(), 'Z');
+        assert_eq!(display.cell(0, 4).ch(), 'a');
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl CellPrediction {
         if self.row >= frame.height() || self.col >= frame.width() {
             return Validity::IncorrectOrExpired;
         }
-        let shown = frame.cell(self.row, self.col).ch == self.replacement.ch;
+        let shown = frame.cell(self.row, self.col).ch() == self.replacement.ch();
         judge(
             self.expiration_index,
             applied,

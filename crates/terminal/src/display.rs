@@ -17,10 +17,9 @@
 //! every diff through a real terminal and the property tests in `tests/`
 //! check against randomized screens.
 
-use std::fmt::Write;
-
-use crate::cell::{Attrs, Cell};
+use crate::cell::{common_prefix, push_decimal, Cell};
 use crate::framebuffer::{Cursor, Framebuffer, Row};
+use crate::grid::blank_cell;
 
 /// Minimum run of trailing blanks for which erase-to-end-of-line is used
 /// instead of printing spaces.
@@ -82,13 +81,22 @@ pub fn new_frame_full_scan(initialized: bool, last: &Framebuffer, target: &Frame
     out
 }
 
-/// Row comparison for skip decisions: shared storage first (O(1)), cell
-/// equality as the fallback — both sides of the `||` imply identical
-/// cells, so skipping shared rows never changes the outcome, only the
-/// cost. The fallback compares the cells themselves, so the full-scan
-/// oracle stays a full scan whatever shortcut `Row::eq` takes.
+/// Row comparison for the scroll search: shared storage first (O(1)), the
+/// cells themselves as the fallback — both imply identical cells, so the
+/// oracle, which never asks about storage, reaches the same answer.
 fn rows_match(target: &Row, sim: &Row, skip_shared: bool) -> bool {
     (skip_shared && Row::same_data(target, sim)) || target.cells() == sim.cells()
+}
+
+/// Whether the repaint may pass a row by. The skip path leaves every row
+/// that does not share storage to [`Differ::diff_row`], whose jumps read
+/// each matching cell once; the oracle compares every row's cells first.
+fn row_settled(wanted: &Row, shown: &Row, skip_shared: bool) -> bool {
+    if skip_shared {
+        Row::same_data(wanted, shown)
+    } else {
+        wanted.cells() == shown.cells()
+    }
 }
 
 fn frame_diff(
@@ -102,17 +110,23 @@ fn frame_diff(
     let same_canvas =
         initialized && last.width() == target.width() && last.height() == target.height();
 
-    // Idle fast path: when every row shares storage with the receiver's and
-    // the scalar state matches, the diff is empty — on a mostly-idle fleet
+    // The top rows that share storage with the receiver's (none on the
+    // oracle's path). Idle fast path: when that is every row and the
+    // scalar state matches, the diff is empty — on a mostly-idle fleet
     // this is the common case (echo-ack-only state changes diff equal
     // frames every tick).
-    if skip_shared
-        && same_canvas
+    let shared_top = if skip_shared && same_canvas {
+        (0..target.height())
+            .take_while(|&r| Row::same_data(target.row(r), last.row(r)))
+            .count()
+    } else {
+        0
+    };
+    if shared_top == target.height()
         && last.title() == target.title()
         && last.bell_count() == target.bell_count()
         && last.modes.cursor_visible == target.modes.cursor_visible
         && last.cursor == target.cursor
-        && (0..target.height()).all(|r| Row::same_data(target.row(r), last.row(r)))
     {
         return;
     }
@@ -126,7 +140,7 @@ fn frame_diff(
         // final print, so the first print must follow an explicit cursor
         // move (which clears it on both ends).
         wrap_pending: true,
-        pen: Attrs::default(),
+        pen: Cell::default(),
         attrs_known: false,
     };
 
@@ -162,20 +176,23 @@ fn frame_diff(
         if let Some(k) = detect_scroll(last, target, skip_shared) {
             // Default renditions first: the rows scrolled in are blank in
             // the pen's background.
-            d.set_attrs(Attrs::default());
-            // Writing to a `String` cannot fail (here and in `goto`).
-            let _ = write!(d.out, "\x1b[{k}S");
+            d.set_attrs(&Cell::default());
+            d.out.push_str("\x1b[");
+            push_decimal(&mut d.out, k);
+            d.out.push('S');
             d.shift = k;
         }
     }
 
-    // Per-row repaint of whatever still differs.
-    for row in 0..target.height() {
+    // Per-row repaint of whatever still differs; unless a scroll moved
+    // them, the shared top rows are known to match.
+    let first = if d.shift == 0 { shared_top } else { 0 };
+    for row in first..target.height() {
         let wanted = target.row(row);
         match d.receiver_row(row) {
             None if wanted.cells().iter().all(|c| *c == Cell::default()) => {}
             None => d.diff_row(row, None, wanted.cells()),
-            Some(shown) if rows_match(wanted, shown, skip_shared) => {}
+            Some(shown) if row_settled(wanted, shown, skip_shared) => {}
             Some(shown) => d.diff_row(row, Some(shown.cells()), wanted.cells()),
         }
     }
@@ -254,7 +271,9 @@ struct Differ<'a> {
     shift: usize,
     cursor: Cursor,
     wrap_pending: bool,
-    pen: Attrs,
+    /// A cell carrying the receiver's renditions, so that an unchanged pen
+    /// costs one [`Cell::same_attrs`]; its character is never read.
+    pen: Cell,
     /// False until the first SGR is emitted; the receiver's pen state is
     /// unknown at the start of a diff, so the first rendition change is
     /// emitted absolutely (reset + set).
@@ -275,20 +294,28 @@ impl<'a> Differ<'a> {
             return;
         }
         // CUP addresses the 0-based position 1-based.
-        let _ = write!(self.out, "\x1b[{};{}H", row + 1, col + 1);
+        self.out.push_str("\x1b[");
+        push_decimal(&mut self.out, row + 1);
+        self.out.push(';');
+        push_decimal(&mut self.out, col + 1);
+        self.out.push('H');
         self.cursor = to;
         self.wrap_pending = false;
     }
 
-    fn set_attrs(&mut self, target: Attrs) {
+    /// Switches the receiver's pen to `target`'s renditions.
+    fn set_attrs(&mut self, target: &Cell) {
         if !self.attrs_known {
             // Emit from a known baseline.
             self.out.push_str("\x1b[0m");
-            self.pen = Attrs::default();
+            self.pen = Cell::default();
             self.attrs_known = true;
         }
-        self.pen.write_sgr_update(&target, &mut self.out);
-        self.pen = target;
+        if !self.pen.same_attrs(target) {
+            let (from, to) = (self.pen.attrs(), target.attrs());
+            from.write_sgr_update(&to, &mut self.out);
+            self.pen = *target;
+        }
     }
 
     /// Repaints the cells of `row` where what the receiver shows (`shown`;
@@ -306,15 +333,35 @@ impl<'a> Differ<'a> {
         };
         let mut col = 0;
         while col < width {
+            // Jump over the run of cells the receiver already shows (once
+            // the walk has passed the cell a print blanked). A pair whose
+            // continuation ends the run differs as a pair: step back onto
+            // its lead.
+            if blanked.is_none_or(|(at, _)| at < col) {
+                let start = col;
+                col += match shown {
+                    Some(cells) => common_prefix(&cells[col..], &wanted[col..]),
+                    None => wanted[col..]
+                        .iter()
+                        .take_while(|cell| **cell == Cell::default())
+                        .count(),
+                };
+                if col == width {
+                    break;
+                }
+                if col > start && wanted[col - 1].wide() {
+                    col -= 1;
+                }
+            }
             let tcell = wanted[col];
-            if tcell.wide_continuation {
+            if tcell.wide_continuation() {
                 col += 1;
                 continue;
             }
             // (A lead in the last column has no continuation to span: no
             // emulator-made frame holds one, and it must not index past
             // the row.)
-            let span = if tcell.wide && col + 1 < width { 2 } else { 1 };
+            let span = 1 + usize::from(tcell.wide() && col + 1 < width);
             let matches = receiver(col, blanked) == tcell
                 && (span == 1 || receiver(col + 1, blanked) == wanted[col + 1]);
             if matches {
@@ -325,21 +372,19 @@ impl<'a> Differ<'a> {
             // Trailing-blank run: erase to end of line when long enough and
             // the blanks carry only a background color (EL semantics).
             if tcell.is_blank()
-                && is_erase_style(&tcell.attrs)
+                && is_erase_style(&tcell)
                 && width - col >= EL_THRESHOLD
-                && wanted[col..]
-                    .iter()
-                    .all(|cell| cell.is_blank() && cell.attrs == tcell.attrs)
+                && wanted[col..].iter().all(|cell| *cell == tcell)
             {
-                self.set_attrs(tcell.attrs);
+                self.set_attrs(&tcell);
                 self.goto(row, col);
                 self.out.push_str("\x1b[K");
                 return;
             }
 
             self.goto(row, col);
-            self.set_attrs(tcell.attrs);
-            self.out.push(tcell.ch);
+            self.set_attrs(&tcell);
+            self.out.push(tcell.ch());
             // What the print does to the receiver, as `Framebuffer::print`
             // would: the cells written, the orphan blanked, the cursor
             // advanced or left at the margin with a wrap pending.
@@ -347,14 +392,9 @@ impl<'a> Differ<'a> {
             // whole before its own continuation lands on the second cell.)
             let end = col + span - 1;
             let led_a_pair =
-                receiver(end, blanked).wide && !(span == 2 && receiver(col, blanked).wide);
-            blanked = (led_a_pair && end + 1 < width).then(|| {
-                let erase = Attrs {
-                    bg: tcell.attrs.bg,
-                    ..Attrs::default()
-                };
-                (end + 1, Cell::blank(erase))
-            });
+                receiver(end, blanked).wide() && !(span == 2 && receiver(col, blanked).wide());
+            blanked =
+                (led_a_pair && end + 1 < width).then(|| (end + 1, blank_cell(tcell.attrs().bg)));
             col += span;
             if col >= width {
                 self.cursor.col = width - 1;
@@ -366,20 +406,16 @@ impl<'a> Differ<'a> {
     }
 }
 
-/// True if the attributes are producible by an erase operation: background
-/// color only, nothing else set.
-fn is_erase_style(attrs: &Attrs) -> bool {
-    let erased = Attrs {
-        bg: attrs.bg,
-        ..Attrs::default()
-    };
-    *attrs == erased
+/// True if the cell's renditions are producible by an erase operation:
+/// background color only, nothing else set.
+fn is_erase_style(cell: &Cell) -> bool {
+    cell.same_attrs(&blank_cell(cell.attrs().bg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Terminal;
+    use crate::{Attrs, Terminal};
 
     /// Apply a diff through a real client and check convergence. The client
     /// is brought to `last` the way a real Mosh client gets there: by
@@ -451,6 +487,21 @@ mod tests {
     }
 
     #[test]
+    fn long_addresses_and_codes_are_written_digit_for_digit() {
+        let a = written(300, 120, b"");
+        let b = written(
+            300,
+            120,
+            b"\x1b[110;250H\x1b[38;5;208;48;2;100;200;255mX\x1b[1;107mY\x1b[120;300H",
+        );
+        let diff = check_round_trip(&a, &b);
+        assert_eq!(
+            diff,
+            "\x1b[110;250H\x1b[0m\x1b[38;5;208;48;2;100;200;255mX\x1b[1;107mY\x1b[120;300H"
+        );
+    }
+
+    #[test]
     fn title_change_emits_osc() {
         let a = written(20, 5, b"");
         let b = written(20, 5, b"\x1b]0;hi\x07");
@@ -497,6 +548,26 @@ mod tests {
         let a = written(20, 5, "日本語".as_bytes());
         let b = written(20, 5, "xx本語".as_bytes());
         check_round_trip(&a, &b);
+    }
+
+    #[test]
+    fn a_pair_whose_continuation_differs_is_repainted_from_its_lead() {
+        // The receiver's pair matches the target's at the lead only (no
+        // emulator makes such a pair; a stray cell write can): the run of
+        // matching cells ends on the continuation, and the diff steps back
+        // to print the whole pair again.
+        let target = written(20, 3, "ab漢".as_bytes());
+        let mut receiver = Terminal::new(20, 3);
+        *receiver.frame_mut() = target.clone();
+        let stray = Attrs {
+            underline: true,
+            ..Attrs::default()
+        };
+        receiver.frame_mut().cell_mut(0, 3).set_attrs(stray);
+        let diff = new_frame(true, receiver.frame(), &target);
+        assert_eq!(diff, "\x1b[1;3H\x1b[0m漢");
+        receiver.write(diff.as_bytes());
+        assert_eq!(receiver.frame(), &target);
     }
 
     #[test]

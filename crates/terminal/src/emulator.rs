@@ -35,7 +35,7 @@ use crate::parser::{Action, Parser, Perform};
 /// term.write(b"hello\r\n\x1b[1mworld\x1b[0m");
 /// assert_eq!(term.frame().row_text(0), "hello");
 /// assert_eq!(term.frame().row_text(1), "world");
-/// assert!(term.frame().cell(1, 0).attrs.bold);
+/// assert!(term.frame().cell(1, 0).attrs().bold);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Terminal {
@@ -466,7 +466,7 @@ mod tests {
     #[test]
     fn cursor_positioning() {
         let t = term(b"\x1b[3;4Hx");
-        assert_eq!(t.frame().cell(2, 3).ch, 'x');
+        assert_eq!(t.frame().cell(2, 3).ch(), 'x');
     }
 
     #[test]
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn sgr_sets_pen() {
         let t = term(b"\x1b[1;4;31;45mx");
-        let attrs = t.frame().cell(0, 0).attrs;
+        let attrs = t.frame().cell(0, 0).attrs();
         assert!(attrs.bold);
         assert!(attrs.underline);
         assert_eq!(attrs.fg, Color::Indexed(1));
@@ -499,7 +499,7 @@ mod tests {
     #[test]
     fn sgr_256_and_truecolor() {
         let t = term(b"\x1b[38;5;123m\x1b[48;2;10;20;30mx");
-        let attrs = t.frame().cell(0, 0).attrs;
+        let attrs = t.frame().cell(0, 0).attrs();
         assert_eq!(attrs.fg, Color::Indexed(123));
         assert_eq!(attrs.bg, Color::Rgb(10, 20, 30));
     }
@@ -507,15 +507,15 @@ mod tests {
     #[test]
     fn sgr_reset() {
         let t = term(b"\x1b[1mx\x1b[0my");
-        assert!(t.frame().cell(0, 0).attrs.bold);
-        assert!(!t.frame().cell(0, 1).attrs.bold);
+        assert!(t.frame().cell(0, 0).attrs().bold);
+        assert!(!t.frame().cell(0, 1).attrs().bold);
     }
 
     #[test]
     fn sgr_bright_colors() {
         let t = term(b"\x1b[91mx\x1b[102my");
-        assert_eq!(t.frame().cell(0, 0).attrs.fg, Color::Indexed(9));
-        assert_eq!(t.frame().cell(0, 1).attrs.bg, Color::Indexed(10));
+        assert_eq!(t.frame().cell(0, 0).attrs().fg, Color::Indexed(9));
+        assert_eq!(t.frame().cell(0, 1).attrs().bg, Color::Indexed(10));
     }
 
     #[test]
@@ -624,7 +624,7 @@ mod tests {
     #[test]
     fn vpa_and_cha() {
         let t = term(b"\x1b[3d\x1b[7G*");
-        assert_eq!(t.frame().cell(2, 6).ch, '*');
+        assert_eq!(t.frame().cell(2, 6).ch(), '*');
     }
 
     #[test]
@@ -758,7 +758,7 @@ mod tests {
         t.write(b"text line\x1b[5;1H\x1b[7m-- INSERT --\x1b[0m\x1b[1;10H");
         assert_eq!(t.frame().row_text(0), "text line");
         assert_eq!(t.frame().row_text(4), "-- INSERT --");
-        assert!(t.frame().cell(4, 0).attrs.inverse);
+        assert!(t.frame().cell(4, 0).attrs().inverse);
         assert_eq!(t.frame().cursor.row, 0);
         assert_eq!(t.frame().cursor.col, 9);
     }

@@ -353,24 +353,9 @@ impl Framebuffer {
         }
         let row = self.cursor.row;
         let col = self.cursor.col;
-        let cell = Cell {
-            ch,
-            wide: w == 2,
-            wide_continuation: false,
-            attrs: self.pen,
-        };
-        self.put_cell(row, col, cell);
+        self.put_cell(row, col, Cell::new(ch, w == 2, false, self.pen));
         if w == 2 {
-            self.put_cell(
-                row,
-                col + 1,
-                Cell {
-                    ch: ' ',
-                    wide: false,
-                    wide_continuation: true,
-                    attrs: self.pen,
-                },
-            );
+            self.put_cell(row, col + 1, Cell::new(' ', false, true, self.pen));
         }
         self.last_printed = Some(ch);
         let new_col = col + w;
@@ -402,7 +387,9 @@ impl Framebuffer {
         let Some(&last_byte) = run.last() else {
             return;
         };
-        let (width, pen, erase) = (self.width(), self.pen, self.erase_cell());
+        // The pen is packed once: each cell of the run is `template`
+        // holding its byte.
+        let (width, template, erase) = (self.width(), Cell::blank(self.pen), self.erase_cell());
         while !run.is_empty() {
             if self.wrap_pending {
                 self.cursor.col = 0;
@@ -417,12 +404,13 @@ impl Framebuffer {
             // step outward onto it; otherwise they are the span's own ends
             // and the fill overwrites them). Pairs wholly inside the span
             // are simply overwritten.
-            let lo = col - usize::from(cells[col].wide_continuation && col > 0);
-            let hi = last + usize::from(cells[last].wide && last + 1 < width);
+            let lo = col - usize::from(cells[col].wide_continuation() && col > 0);
+            let hi = last + usize::from(cells[last].wide() && last + 1 < width);
             cells[lo] = erase;
             cells[hi] = erase;
             for (cell, &b) in cells[col..=last].iter_mut().zip(segment) {
-                *cell = Cell::narrow(b as char, pen);
+                *cell = template;
+                cell.set_ch(char::from(b));
             }
             if last + 1 == width {
                 self.cursor.col = last;
@@ -463,10 +451,10 @@ impl Framebuffer {
         let width = self.width();
         let cells = self.grid.row_mut(row).cells_mut();
         let old = cells[col];
-        if old.wide && col + 1 < width {
+        if old.wide() && col + 1 < width {
             cells[col + 1] = erase;
         }
-        if old.wide_continuation && col > 0 {
+        if old.wide_continuation() && col > 0 {
             cells[col - 1] = erase;
         }
         cells[col] = cell;
@@ -479,8 +467,8 @@ impl Framebuffer {
         let erase = self.erase_cell();
         let width = self.width();
         let cells = self.grid.row_mut(row).cells_mut();
-        let lo = lo - usize::from(cells[lo].wide_continuation && lo > 0);
-        let hi = hi + usize::from(cells[hi].wide && hi + 1 < width);
+        let lo = lo - usize::from(cells[lo].wide_continuation() && lo > 0);
+        let hi = hi + usize::from(cells[hi].wide() && hi + 1 < width);
         cells[lo..=hi].fill(erase);
     }
 
@@ -558,7 +546,7 @@ impl Framebuffer {
         let erase = self.erase_cell();
         let cells = self.grid.row_mut(row).cells_mut();
         // Splitting a wide pair at the insertion point orphans both halves.
-        if cells[col].wide_continuation {
+        if cells[col].wide_continuation() {
             cells[col] = erase;
             if col > 0 {
                 cells[col - 1] = erase;
@@ -568,7 +556,7 @@ impl Framebuffer {
         cells.truncate(width);
         // A wide lead pushed against the right edge loses its continuation.
         if let Some(last) = cells.last_mut() {
-            if last.wide {
+            if last.wide() {
                 *last = erase;
             }
         }
@@ -583,11 +571,11 @@ impl Framebuffer {
         let erase = self.erase_cell();
         let cells = self.grid.row_mut(row).cells_mut();
         // Deleting the continuation but not the lead orphans the lead.
-        if cells[col].wide_continuation && col > 0 {
+        if cells[col].wide_continuation() && col > 0 {
             cells[col - 1] = erase;
         }
         // Deleting the lead but not the continuation orphans the latter.
-        if col + n < width && cells[col + n].wide_continuation {
+        if col + n < width && cells[col + n].wide_continuation() {
             cells[col + n] = erase;
         }
         cells.drain(col..col + n);
@@ -1033,8 +1021,8 @@ impl Framebuffer {
             .row(row)
             .cells()
             .iter()
-            .filter(|c| !c.wide_continuation)
-            .map(|c| c.ch)
+            .filter(|c| !c.wide_continuation())
+            .map(Cell::ch)
             .collect();
         while s.ends_with(' ') {
             s.pop();
@@ -1125,8 +1113,8 @@ mod tests {
     fn wide_char_occupies_two_cells() {
         let mut fb = Framebuffer::new(10, 2);
         fb.print('漢');
-        assert!(fb.cell(0, 0).wide);
-        assert!(fb.cell(0, 1).wide_continuation);
+        assert!(fb.cell(0, 0).wide());
+        assert!(fb.cell(0, 1).wide_continuation());
         assert_eq!(fb.cursor.col, 2);
     }
 
@@ -1137,7 +1125,7 @@ mod tests {
         fb.print('b');
         fb.print('漢');
         assert_eq!(fb.row_text(0), "ab");
-        assert!(fb.cell(1, 0).wide);
+        assert!(fb.cell(1, 0).wide());
     }
 
     #[test]
@@ -1146,9 +1134,9 @@ mod tests {
         fb.print('漢');
         fb.move_to(0, 0);
         fb.print('x');
-        assert_eq!(fb.cell(0, 0).ch, 'x');
-        assert!(!fb.cell(0, 1).wide_continuation);
-        assert_eq!(fb.cell(0, 1).ch, ' ');
+        assert_eq!(fb.cell(0, 0).ch(), 'x');
+        assert!(!fb.cell(0, 1).wide_continuation());
+        assert_eq!(fb.cell(0, 1).ch(), ' ');
     }
 
     #[test]
@@ -1157,9 +1145,9 @@ mod tests {
         fb.print('漢');
         fb.move_to(0, 1);
         fb.print('x');
-        assert_eq!(fb.cell(0, 0).ch, ' ');
-        assert!(!fb.cell(0, 0).wide);
-        assert_eq!(fb.cell(0, 1).ch, 'x');
+        assert_eq!(fb.cell(0, 0).ch(), ' ');
+        assert!(!fb.cell(0, 0).wide());
+        assert_eq!(fb.cell(0, 1).ch(), 'x');
     }
 
     #[test]
@@ -1255,8 +1243,8 @@ mod tests {
         let mut fb = Framebuffer::new(4, 1);
         fb.pen.bg = Color::Indexed(4);
         fb.erase_line(2);
-        assert_eq!(fb.cell(0, 0).attrs.bg, Color::Indexed(4));
-        assert!(!fb.cell(0, 0).attrs.bold);
+        assert_eq!(fb.cell(0, 0).attrs().bg, Color::Indexed(4));
+        assert!(!fb.cell(0, 0).attrs().bold);
     }
 
     #[test]
@@ -1478,14 +1466,14 @@ mod tests {
         // Unshared: the evicted top row comes back, blank, as the bottom
         // row, and shares nothing with the row it used to be.
         let top = fb.row(0).clone();
-        fb.cell_mut(0, 5).ch = 'y'; // copy-on-write: `top` keeps the old storage
+        fb.cell_mut(0, 5).set_ch('y'); // copy-on-write: `top` keeps the old storage
         let unshared = fb.row(0).cells().as_ptr();
         assert_ne!(unshared, storage);
         fb.scroll_up(1);
         assert_eq!(fb.row(2).cells().as_ptr(), unshared, "storage reused");
         assert_eq!(fb.row_text(2), "");
         assert!(!Row::same_data(fb.row(2), &top));
-        assert_eq!(top.cells()[0].ch, 'x');
+        assert_eq!(top.cells()[0].ch(), 'x');
         // Shared: a clone still shows the row this scroll evicts.
         let held = fb.clone();
         let shared = fb.row(0).cells().as_ptr();
@@ -1507,7 +1495,7 @@ mod tests {
         fb.move_to(1, 0);
         fb.line_feed();
         assert_eq!(fb.scrollback_len(), 1);
-        let hist: String = fb.history_row(0).cells().iter().map(|c| c.ch).collect();
+        let hist: String = fb.history_row(0).cells().iter().map(Cell::ch).collect();
         assert_eq!(hist.trim_end(), "a");
     }
 
@@ -1551,8 +1539,8 @@ mod tests {
         fb.move_to(1, 0);
         fb.line_feed(); // "1" scrolls into history; screen is ["2", ""]
         fb.scroll_view(1);
-        assert_eq!(fb.view_row(0).cells()[0].ch, '1');
-        assert_eq!(fb.view_row(1).cells()[0].ch, '2');
+        assert_eq!(fb.view_row(0).cells()[0].ch(), '1');
+        assert_eq!(fb.view_row(1).cells()[0].ch(), '2');
     }
 
     #[test]

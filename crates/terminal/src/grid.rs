@@ -118,7 +118,7 @@ impl Row {
         if width < cells.len() {
             cells.truncate(width);
             if let Some(last) = cells.last_mut() {
-                if last.wide {
+                if last.wide() {
                     *last = Cell::default();
                 }
             }

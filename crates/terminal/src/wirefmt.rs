@@ -114,19 +114,8 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn attrs(&mut self) -> Option<Attrs> {
-        let f = self.byte()?;
-        Some(Attrs {
-            bold: f & 1 != 0,
-            faint: f & 2 != 0,
-            italic: f & 4 != 0,
-            underline: f & 8 != 0,
-            blink: f & 16 != 0,
-            inverse: f & 32 != 0,
-            invisible: f & 64 != 0,
-            strikethrough: f & 128 != 0,
-            fg: self.color()?,
-            bg: self.color()?,
-        })
+        let flags = self.byte()?;
+        Some(Attrs::from_flags(flags, self.color()?, self.color()?))
     }
 
     pub(crate) fn cell(&mut self) -> Option<Cell> {
@@ -134,12 +123,7 @@ impl<'a> Reader<'a> {
         if f > 3 {
             return None;
         }
-        Some(Cell {
-            wide: f & 1 != 0,
-            wide_continuation: f & 2 != 0,
-            ch: self.ch()?,
-            attrs: self.attrs()?,
-        })
+        Some(Cell::new(self.ch()?, f & 1 != 0, f & 2 != 0, self.attrs()?))
     }
 }
 
@@ -164,25 +148,16 @@ fn put_color(out: &mut Vec<u8>, c: Color) {
 
 /// Appends renditions: one byte of flags, then the two colours.
 pub(crate) fn put_attrs(out: &mut Vec<u8>, a: &Attrs) {
-    out.push(
-        u8::from(a.bold)
-            | u8::from(a.faint) << 1
-            | u8::from(a.italic) << 2
-            | u8::from(a.underline) << 3
-            | u8::from(a.blink) << 4
-            | u8::from(a.inverse) << 5
-            | u8::from(a.invisible) << 6
-            | u8::from(a.strikethrough) << 7,
-    );
+    out.push(a.flags());
     put_color(out, a.fg);
     put_color(out, a.bg);
 }
 
 /// Appends a cell: its two wide flags, its character, its renditions.
 pub(crate) fn put_cell(out: &mut Vec<u8>, c: &Cell) {
-    out.push(u8::from(c.wide) | u8::from(c.wide_continuation) << 1);
-    put_char(out, c.ch);
-    put_attrs(out, &c.attrs);
+    out.push(u8::from(c.wide()) | u8::from(c.wide_continuation()) << 1);
+    put_char(out, c.ch());
+    put_attrs(out, &c.attrs());
 }
 
 #[cfg(test)]

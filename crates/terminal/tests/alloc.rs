@@ -7,8 +7,8 @@
 //! terminal: ingest allocates nothing, scrolled lines included — a scroll
 //! builds its blank row in the storage of the row it evicts, and pays for
 //! a new row only while a clone still holds the evicted one — and the
-//! differ writes its cursor moves and rendition changes into the caller's
-//! buffer. The snapshot decoder reserves no room for rows its input does
+//! differ writes its cursor moves and rendition changes, digit by digit,
+//! into the caller's buffer. The snapshot decoder reserves no room for rows its input does
 //! not hold.
 //!
 //! Its own test binary, because a `#[global_allocator]` is per binary.
@@ -190,6 +190,37 @@ fn warm_diff_between_editor_frames_allocates_nothing() {
     // Both paths under test ran: cursor addressing and a rendition change.
     assert!(
         out.contains("\x1b[7;") && out.contains("\x1b[7m"),
+        "{out:?}"
+    );
+    let allocations = allocations_in(|| display::new_frame_into(true, &before, &after, &mut out));
+    assert_eq!(allocations, 0);
+}
+
+/// The same on a screen wide and tall enough for three-digit cursor
+/// addresses, with indexed and direct colours: the differ writes their
+/// digits straight into the caller's buffer.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug builds replay each diff through a fresh terminal"
+)]
+fn warm_diff_with_colours_and_long_addresses_allocates_nothing() {
+    let mut term = Terminal::new(200, 120);
+    for row in (100..120).step_by(3) {
+        term.write(format!("\x1b[{row};150H\x1b[38;5;{row}mrow {row}\x1b[0m").as_bytes());
+    }
+    let before = term.frame().clone();
+    term.write(
+        b"\x1b[104;160H\x1b[1;38;2;250;128;7;48;5;236mwarm\x1b[0m\x1b[118;190H\x1b[97;101m!\x1b[0m\x1b[112;123H",
+    );
+    let after = term.frame().clone();
+
+    let mut out = String::new();
+    display::new_frame_into(true, &before, &after, &mut out);
+    assert!(
+        out.contains("\x1b[104;160H")
+            && out.contains("38;2;250;128;7;48;5;236")
+            && out.contains("\x1b[112;123H"),
         "{out:?}"
     );
     let allocations = allocations_in(|| display::new_frame_into(true, &before, &after, &mut out));

@@ -5,7 +5,7 @@
 //! `apply(new_frame(init, A, B), A) == B`. SSP relies on this to skip
 //! intermediate states safely (paper §2.3).
 
-use mosh_terminal::{display, Terminal};
+use mosh_terminal::{display, Attrs, Cell, Color, Terminal};
 use proptest::prelude::*;
 
 /// Bytes biased toward terminal-relevant content: printable ASCII, escape
@@ -340,7 +340,7 @@ proptest! {
         // Mutate one cell and put it back: storage moved, content did not.
         let mut reverted = term.clone();
         let original = *reverted.frame().cell(row, col);
-        *reverted.frame_mut().cell_mut(row, col) = mosh_terminal::Cell::default();
+        *reverted.frame_mut().cell_mut(row, col) = Cell::default();
         prop_assert!(frames_agree(reverted.frame(), term.frame()));
         *reverted.frame_mut().cell_mut(row, col) = original;
         prop_assert!(frames_agree(reverted.frame(), term.frame()));
@@ -578,6 +578,91 @@ proptest! {
         }
         prop_assert_eq!(by_run.snapshot_bytes(), by_char.snapshot_bytes());
     }
+
+    /// A `Cell` packs its character, width flags and renditions into three
+    /// words: every field reads back as written, the setters replace only
+    /// their own fields, and comparing the words is comparing the fields.
+    /// The second cell is the first with one field taken from another
+    /// random cell, so that equal and nearly equal pairs both occur.
+    #[test]
+    fn packed_cells_round_trip_and_compare_like_their_fields(
+        a in cell_fields(),
+        other in cell_fields(),
+        swap in 0usize..5,
+    ) {
+        let mut b = a;
+        match swap {
+            0 => b.0 = other.0,
+            1 => b.1 = other.1,
+            2 => b.2 = other.2,
+            3 => b.3 = other.3,
+            _ => b = other,
+        }
+        for (ch, wide, continuation, attrs) in [a, b] {
+            let cell = Cell::new(ch, wide, continuation, attrs);
+            prop_assert_eq!(
+                (cell.ch(), cell.wide(), cell.wide_continuation(), cell.attrs()),
+                (ch, wide, continuation, attrs)
+            );
+        }
+        let (x, y) = (Cell::new(a.0, a.1, a.2, a.3), Cell::new(b.0, b.1, b.2, b.3));
+        prop_assert_eq!(x == y, a == b);
+        prop_assert_eq!(x.same_attrs(&y), a.3 == b.3);
+
+        let mut edited = x;
+        edited.set_ch(b.0);
+        prop_assert_eq!(edited, Cell::new(b.0, a.1, a.2, a.3));
+        edited.set_attrs(b.3);
+        prop_assert_eq!(edited, Cell::new(b.0, a.1, a.2, b.3));
+
+        // The three colours a zero payload can stand for stay apart.
+        let zeros = [Color::Default, Color::Indexed(0), Color::Rgb(0, 0, 0)];
+        for (i, fg) in zeros.into_iter().enumerate() {
+            for (j, bg) in zeros.into_iter().enumerate() {
+                let tinted = Cell::new(a.0, a.1, a.2, Attrs { fg, bg, ..a.3 });
+                prop_assert_eq!(tinted == Cell::new(a.0, a.1, a.2, Attrs { fg: bg, bg: fg, ..a.3 }), i == j);
+            }
+        }
+    }
+}
+
+/// A `Cell`'s fields: any scalar value (the ends of the range and of the
+/// surrogate gap often), both width flags and any renditions.
+fn cell_fields() -> impl Strategy<Value = (char, bool, bool, Attrs)> {
+    let scalar = prop_oneof![
+        (0u32..=0x10_ffff).prop_map(|v| char::from_u32(v).unwrap_or('\u{fffd}')),
+        Just('\0'),
+        Just(' '),
+        Just('\u{d7ff}'),
+        Just('\u{e000}'),
+        Just(char::MAX),
+    ];
+    let attrs = (any::<u8>(), color(), color()).prop_map(|(f, fg, bg)| Attrs {
+        bold: f & 1 != 0,
+        faint: f & 2 != 0,
+        italic: f & 4 != 0,
+        underline: f & 8 != 0,
+        blink: f & 16 != 0,
+        inverse: f & 32 != 0,
+        invisible: f & 64 != 0,
+        strikethrough: f & 128 != 0,
+        fg,
+        bg,
+    });
+    (scalar, any::<bool>(), any::<bool>(), attrs)
+}
+
+/// Any colour, with the extremes of each kind often.
+fn color() -> impl Strategy<Value = Color> {
+    prop_oneof![
+        Just(Color::Default),
+        Just(Color::Indexed(0)),
+        Just(Color::Indexed(255)),
+        any::<u8>().prop_map(Color::Indexed),
+        Just(Color::Rgb(0, 0, 0)),
+        Just(Color::Rgb(255, 255, 255)),
+        any::<[u8; 3]>().prop_map(|[r, g, b]| Color::Rgb(r, g, b)),
+    ]
 }
 
 /// Every row of `cur` that shares storage with the same row of `snap`, an

@@ -123,7 +123,7 @@ fn mail_navigation_syncs_highlight() {
     se.run(until);
     // The highlight (inverse video) sits on the third message (index 2).
     let f = se.client.server_frame();
-    assert!(f.cell(3, 0).attrs.inverse, "bar on row 3 after two 'n'");
+    assert!(f.cell(3, 0).attrs().inverse, "bar on row 3 after two 'n'");
 }
 
 #[test]

@@ -222,7 +222,7 @@ fn drive(app: fn() -> Box<dyn Application>, script: &[Vec<u8>], seed: u64) -> Ta
             keys: typed + 1,
             cursor,
             col,
-            ch: display.cell(cursor.row, col).ch,
+            ch: display.cell(cursor.row, col).ch(),
         });
     }
     sl.pump_until(
@@ -238,7 +238,7 @@ fn drive(app: fn() -> Box<dyn Application>, script: &[Vec<u8>], seed: u64) -> Ta
     tally.shown = shown.len() as u64;
     for s in shown {
         let truth = truth(app(), &script[..s.keys], &arrivals);
-        if s.cursor != truth.cursor || s.ch != truth.cell(s.cursor.row, s.col).ch {
+        if s.cursor != truth.cursor || s.ch != truth.cell(s.cursor.row, s.col).ch() {
             tally.wrong += 1;
         }
     }
