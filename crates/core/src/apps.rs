@@ -19,7 +19,7 @@
 //! scheduled at absolute times, so the same session replays identically.
 
 use crate::Millis;
-use mosh_ssp::wire::{get_bool, put_bool, put_bytes, put_varint, Reader};
+use mosh_wire::{put_bool, put_bytes, put_varint, Reader};
 use std::collections::VecDeque;
 
 /// Application-kind tags leading every [`Application::save_state`] body,
@@ -36,8 +36,23 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
-fn get_string(r: &mut Reader<'_>) -> Option<String> {
-    String::from_utf8(r.bytes().ok()?.to_vec()).ok()
+/// Replaces `app` with what `decode` reads from `bytes` after the kind
+/// `tag`, when that consumes every byte; otherwise leaves `app` untouched
+/// and returns `false`.
+fn restore<A>(
+    app: &mut A,
+    bytes: &[u8],
+    tag: u64,
+    decode: impl FnOnce(&mut Reader<'_>, &A) -> Option<A>,
+) -> bool {
+    let mut r = Reader::new(bytes);
+    let restored = (|| {
+        (r.varint()? == tag).then_some(())?;
+        let new = decode(&mut r, app)?;
+        r.end()?;
+        Some(new)
+    })();
+    restored.map(|new| *app = new).is_some()
 }
 
 /// One chunk of application output, due at an absolute time.
@@ -384,41 +399,18 @@ impl Application for LineShell {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        type Parsed = (String, bool, Millis, bool, Millis, u64, bool);
-        fn parse(bytes: &[u8]) -> Option<Parsed> {
-            let mut r = Reader::new(bytes);
-            (r.varint().ok()? == kind_tag::LINE_SHELL).then_some(())?;
-            let line = get_string(&mut r)?;
-            let echo_on = get_bool(&mut r)?;
-            let echo_delay = r.varint().ok()?;
-            let flooding = get_bool(&mut r)?;
-            let next_flood_at = r.varint().ok()?;
-            let flood_line = r.varint().ok()?;
-            let passwd_pending = get_bool(&mut r)?;
-            (r.remaining() == 0).then_some(())?;
-            Some((
-                line,
-                echo_on,
-                echo_delay,
-                flooding,
-                next_flood_at,
-                flood_line,
-                passwd_pending,
-            ))
-        }
-        let Some((line, echo_on, echo_delay, flooding, next_flood_at, flood_line, passwd_pending)) =
-            parse(bytes)
-        else {
-            return false;
-        };
-        self.line = line;
-        self.echo_on = echo_on;
-        self.echo_delay = echo_delay;
-        self.flooding = flooding;
-        self.next_flood_at = next_flood_at;
-        self.flood_line = flood_line;
-        self.passwd_pending = passwd_pending;
-        true
+        restore(self, bytes, kind_tag::LINE_SHELL, |r, old| {
+            Some(LineShell {
+                line: r.string()?,
+                echo_on: r.bool()?,
+                prompt: old.prompt,
+                echo_delay: r.varint()?,
+                flooding: r.bool()?,
+                next_flood_at: r.varint()?,
+                flood_line: r.varint()?,
+                passwd_pending: r.bool()?,
+            })
+        })
     }
 }
 
@@ -582,7 +574,9 @@ impl Application for Editor {
                     Vec::new()
                 }
             }
-            [b] if *b >= 0x20 && *b != 0x7f => {
+            // Printable ASCII only, as in `LineShell`: one byte is one
+            // column, so `col` stays on a character boundary.
+            [b @ 0x20..=0x7e] => {
                 if self.insert_mode {
                     let ch = *b as char;
                     if self.col <= self.lines[self.row].len() {
@@ -625,50 +619,28 @@ impl Application for Editor {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        type Parsed = (Vec<String>, usize, usize, usize, usize, Millis, bool, bool);
-        fn parse(bytes: &[u8]) -> Option<Parsed> {
-            let mut r = Reader::new(bytes);
-            (r.varint().ok()? == kind_tag::EDITOR).then_some(())?;
-            let n = r.varint().ok()? as usize;
-            let mut lines = Vec::new();
-            for _ in 0..n {
-                lines.push(get_string(&mut r)?);
-            }
-            let row = r.varint().ok()? as usize;
-            let col = r.varint().ok()? as usize;
-            let width = r.varint().ok()? as usize;
-            let height = r.varint().ok()? as usize;
-            let echo_delay = r.varint().ok()?;
-            let insert_mode = get_bool(&mut r)?;
-            let started = get_bool(&mut r)?;
-            (r.remaining() == 0).then_some(())?;
-            // Cursor invariants the editor relies on everywhere.
-            (!lines.is_empty() && row < lines.len() && col <= lines[row].len()).then_some(())?;
-            (width >= 1 && height >= 2).then_some(())?;
-            Some((
-                lines,
-                row,
-                col,
-                width,
-                height,
-                echo_delay,
-                insert_mode,
-                started,
-            ))
-        }
-        let Some((lines, row, col, width, height, echo_delay, insert_mode, started)) = parse(bytes)
-        else {
-            return false;
-        };
-        self.lines = lines;
-        self.row = row;
-        self.col = col;
-        self.width = width;
-        self.height = height;
-        self.echo_delay = echo_delay;
-        self.insert_mode = insert_mode;
-        self.started = started;
-        true
+        restore(self, bytes, kind_tag::EDITOR, |r, _| {
+            let n = r.varint()?;
+            let editor = Editor {
+                lines: (0..n).map(|_| r.string()).collect::<Option<_>>()?,
+                row: r.varint()? as usize,
+                col: r.varint()? as usize,
+                width: r.varint()? as usize,
+                height: r.varint()? as usize,
+                echo_delay: r.varint()?,
+                insert_mode: r.bool()?,
+                started: r.bool()?,
+            };
+            // Cursor invariants the editor relies on everywhere; ASCII
+            // text keeps `col` and the redraw's width slice on character
+            // boundaries.
+            let line = editor.lines.get(editor.row)?;
+            let valid = editor.col <= line.len()
+                && editor.lines.iter().all(|l| l.is_ascii())
+                && editor.width >= 1
+                && editor.height >= 2;
+            valid.then_some(editor)
+        })
     }
 }
 
@@ -779,18 +751,13 @@ impl Application for Pager {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let mut r = Reader::new(bytes);
-        let Some(top) = (|| {
-            (r.varint().ok()? == kind_tag::PAGER).then_some(())?;
-            let top = r.varint().ok()? as usize;
-            (r.remaining() == 0).then_some(())?;
-            (top <= self.content.len()).then_some(())?;
-            Some(top)
-        })() else {
-            return false;
-        };
-        self.top = top;
-        true
+        restore(self, bytes, kind_tag::PAGER, |r, old| {
+            let top = r.varint()? as usize;
+            (top <= old.content.len()).then(|| Pager {
+                top,
+                ..Pager::new(old.content.len())
+            })
+        })
     }
 }
 
@@ -944,20 +911,15 @@ impl Application for MailReader {
     }
 
     fn restore_state(&mut self, bytes: &[u8]) -> bool {
-        let mut r = Reader::new(bytes);
-        let Some((selected, reading)) = (|| {
-            (r.varint().ok()? == kind_tag::MAIL_READER).then_some(())?;
-            let selected = r.varint().ok()? as usize;
-            let reading = get_bool(&mut r)?;
-            (r.remaining() == 0).then_some(())?;
-            (selected < self.subjects.len().max(1)).then_some(())?;
-            Some((selected, reading))
-        })() else {
-            return false;
-        };
-        self.selected = selected;
-        self.reading = reading;
-        true
+        restore(self, bytes, kind_tag::MAIL_READER, |r, old| {
+            let selected = r.varint()? as usize;
+            let reading = r.bool()?;
+            (selected < old.subjects.len().max(1)).then(|| MailReader {
+                selected,
+                reading,
+                ..MailReader::new(old.subjects.len())
+            })
+        })
     }
 }
 
@@ -1137,6 +1099,25 @@ mod tests {
         assert!(out.contains("Body paragraph"));
         m.on_input(20, b"i");
         assert!(!m.reading);
+    }
+
+    #[test]
+    fn editor_text_is_printable_ascii() {
+        // A Latin-1 terminal sends one byte ≥ 0x80 for "é". Inserted as a
+        // two-byte char, it left `col` inside it and the next insert
+        // panicked.
+        let mut ed = Editor::new();
+        ed.start(0);
+        assert!(ed.on_input(1, &[0xe9]).is_empty(), "not text: ignored");
+        ed.on_input(2, b"x");
+        assert_eq!(ed.lines[0], "xfn main() {");
+        assert_eq!(ed.col, 1);
+
+        // A snapshot holding a non-ASCII line is refused.
+        let mut edited = Editor::new();
+        edited.lines[0] = "é".into();
+        assert!(!ed.restore_state(&edited.save_state()));
+        assert_eq!(ed.lines[0], "xfn main() {");
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use mosh_ssp::wire::{put_bytes, put_varint, Reader};
+use mosh_wire::{put_bytes, put_varint, Reader};
 
 use crate::server::MoshServer;
 use crate::Application;
@@ -296,16 +296,14 @@ pub fn encode_handoff(entries: &[(usize, Vec<u8>)]) -> Vec<u8> {
 pub fn decode_handoff(bytes: &[u8]) -> Result<HandoffEntries, SnapshotError> {
     let (_, body) = unframe(bytes)?;
     let mut r = Reader::new(body);
-    let count = r.varint().map_err(|_| SnapshotError::Malformed)? as usize;
+    let count = r.varint().ok_or(SnapshotError::Malformed)? as usize;
     let mut entries = Vec::with_capacity(count.min(1024));
     for _ in 0..count {
-        let sid = r.varint().map_err(|_| SnapshotError::Malformed)? as usize;
-        let framed = r.bytes().map_err(|_| SnapshotError::Malformed)?;
+        let sid = r.varint().ok_or(SnapshotError::Malformed)? as usize;
+        let framed = r.bytes().ok_or(SnapshotError::Malformed)?;
         entries.push((sid, framed.to_vec()));
     }
-    if r.remaining() != 0 {
-        return Err(SnapshotError::Malformed);
-    }
+    r.end().ok_or(SnapshotError::Malformed)?;
     Ok(entries)
 }
 

@@ -22,8 +22,8 @@ use mosh_crypto::Base64Key;
 use mosh_net::{Addr, Host};
 use mosh_ssp::datagram::Opened;
 use mosh_ssp::transport::{ReceiveEvent, Transport};
-use mosh_ssp::wire::{get_bool, put_bool, put_bytes, put_varint, Reader};
 use mosh_states::{CompleteTerminal, UserEvent, UserStream};
+use mosh_wire::{put_bool, put_bytes, put_varint, Reader};
 use std::collections::VecDeque;
 
 /// Server-side echo acknowledgment timeout: "chosen to contain the vast
@@ -373,12 +373,9 @@ impl MoshServer {
             put_varint(out, w.at);
             put_bytes(out, &w.bytes);
         }
-        match self.target {
-            None => put_varint(out, 0),
-            Some(addr) => {
-                put_varint(out, 1);
-                put_addr(out, addr);
-            }
+        put_bool(out, self.target.is_some());
+        if let Some(addr) = self.target {
+            put_addr(out, addr);
         }
         put_bool(out, self.host.started);
         put_bytes(out, &self.host.app.save_state());
@@ -401,46 +398,44 @@ impl MoshServer {
     ) -> Option<Self> {
         let mut r = Reader::new(bytes);
         let transport = Transport::decode(&mut r, Direction::ToClient)?;
-        let dirty = get_bool(&mut r)?;
-        let applied_through = r.varint().ok()?;
-        let n = r.varint().ok()?;
+        let dirty = r.bool()?;
+        let applied_through = r.varint()?;
+        let n = r.varint()?;
         let mut echo_queue = VecDeque::new();
         for _ in 0..n {
-            echo_queue.push_back((r.varint().ok()?, r.varint().ok()?));
+            echo_queue.push_back((r.varint()?, r.varint()?));
         }
-        let n = r.varint().ok()?;
+        let n = r.varint()?;
         let mut queue: VecDeque<TimedWrite> = VecDeque::new();
         for _ in 0..n {
-            let at = r.varint().ok()?;
+            let at = r.varint()?;
             // `AppHost` binary-searches this queue: an unsorted one would
             // reorder application output from here on.
             if queue.back().is_some_and(|prev| at < prev.at) {
                 return None;
             }
-            let bytes = r.bytes().ok()?.to_vec();
+            let bytes = r.bytes()?.to_vec();
             queue.push_back(TimedWrite { at, bytes });
         }
-        let target = match r.varint().ok()? {
-            0 => None,
-            1 => Some(get_addr(&mut r)?),
-            _ => return None,
+        let target = match r.bool()? {
+            false => None,
+            true => Some(get_addr(&mut r)?),
         };
-        let started = get_bool(&mut r)?;
+        let started = r.bool()?;
         if version == 2 {
             // Version 2 kept Figure 3's log here: a list of (arrived,
             // shipped) pairs, then one of arrival times. Nothing resumes
             // from either; read past them.
             for varints_per_entry in [2, 1] {
-                let entries = r.varint().ok()?;
+                let entries = r.varint()?;
                 for _ in 0..entries.saturating_mul(varints_per_entry) {
-                    r.varint().ok()?;
+                    r.varint()?;
                 }
             }
         }
-        let app_state = r.bytes().ok()?;
-        if r.remaining() != 0 || !app.restore_state(app_state) {
-            return None;
-        }
+        let app_state = r.bytes()?;
+        r.end()?;
+        app.restore_state(app_state).then_some(())?;
 
         Some(MoshServer {
             transport,
@@ -474,16 +469,16 @@ fn put_addr(out: &mut Vec<u8>, addr: Addr) {
 }
 
 fn get_addr(r: &mut Reader<'_>) -> Option<Addr> {
-    let host = match r.varint().ok()? {
-        0 => Host::V4(u32::try_from(r.varint().ok()?).ok()?),
+    let host = match r.varint()? {
+        0 => Host::V4(u32::try_from(r.varint()?).ok()?),
         1 => {
-            let ip = u128::from_be_bytes(r.take(16).ok()?.try_into().ok()?);
-            let scope = u32::try_from(r.varint().ok()?).ok()?;
+            let ip = u128::from_be_bytes(r.take(16)?.try_into().ok()?);
+            let scope = u32::try_from(r.varint()?).ok()?;
             Host::V6(ip, scope)
         }
         _ => return None,
     };
-    let port = u16::try_from(r.varint().ok()?).ok()?;
+    let port = u16::try_from(r.varint()?).ok()?;
     Some(Addr { host, port })
 }
 

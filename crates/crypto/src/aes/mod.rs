@@ -11,9 +11,10 @@
 //!   64-bit bit-planes and every round is computed with boolean algebra
 //!   only: no key- or data-indexed table load anywhere, so the classic
 //!   AES cache-timing side channel does not exist by construction.
-//! * [`baseline::Aes128`] — the compact byte-oriented implementation
+//! * `baseline::Aes128` — the compact byte-oriented implementation
 //!   (`SubBytes`/`ShiftRows`/`MixColumns` a byte at a time), kept as the
-//!   reference the fast paths are tested against.
+//!   reference the fast paths are tested against. It is compiled into
+//!   test builds only.
 //!
 //! The first two are the wire tiers; exactly one of them serves a given
 //! host. OCB seals and opens one packet at a time, so it asks the cipher
@@ -25,15 +26,15 @@
 //! construction; the bitsliced path is constant-time because its only
 //! data-dependent values flow through word-wide boolean operations
 //! (including key expansion, whose `SubWord` runs the same bitsliced
-//! S-box circuit). The [`baseline`] reference still uses a 256-byte
-//! S-box lookup — it exists for correctness testing, never on the wire
-//! path.
+//! S-box circuit). The `baseline` reference still uses a 256-byte
+//! S-box lookup, so it and the table exist only in test builds.
 //!
 //! What sealing and opening cost per datagram and per byte on the
 //! selected backend is reported by the benchmark (`benchmark/`) as
 //! `crypto.{seal,open}_ns_per_{byte,dgram}`.
 
-pub mod baseline;
+#[cfg(test)]
+pub(crate) mod baseline;
 pub mod ct;
 #[cfg(target_arch = "x86_64")]
 mod ni;
@@ -44,8 +45,9 @@ pub type Block = [u8; 16];
 /// Number of AES-128 round keys (initial AddRoundKey + 10 rounds).
 const ROUND_KEYS: usize = 11;
 
-/// The AES S-box (used by [`baseline`] and by tests as the reference for
-/// the bitsliced S-box circuit; the wire-path tiers never index it).
+/// The AES S-box: the `baseline` reference's table and the tests'
+/// reference for the bitsliced S-box circuit.
+#[cfg(test)]
 #[rustfmt::skip]
 const SBOX: [u8; 256] = [
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
@@ -67,6 +69,7 @@ const SBOX: [u8; 256] = [
 ];
 
 /// The inverse AES S-box, `const`-derived from [`SBOX`].
+#[cfg(test)]
 const INV_SBOX: [u8; 256] = {
     let mut inv = [0u8; 256];
     let mut i = 0;
@@ -107,9 +110,9 @@ const fn gmul(a: u8, b: u8) -> u8 {
 /// A 128-bit block cipher, both directions.
 ///
 /// The seam exists so the OCB layer can run over the dispatched
-/// [`Aes128`] (the product), the [`ct::Aes128`] bitsliced tier, or
-/// [`baseline::Aes128`] (the byte-oriented reference) — which is how the
-/// tests pin the implementations to each other.
+/// [`Aes128`] (the product), the [`ct::Aes128`] bitsliced tier, or the
+/// test-only byte-oriented reference — which is how the tests pin the
+/// implementations to each other.
 pub trait BlockCipher: Clone {
     /// Expands a 128-bit key.
     fn new(key: &[u8; 16]) -> Self;

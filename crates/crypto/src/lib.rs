@@ -7,7 +7,7 @@
 //! * [`aes`] — the AES-128 block cipher (FIPS 197), both directions, in
 //!   two wire tiers picked once per key: AES-NI where the CPU has it, a
 //!   constant-time bitsliced circuit everywhere else. Both are pinned
-//!   against the byte-oriented [`aes::baseline`] reference.
+//!   against a byte-oriented reference compiled into test builds only.
 //! * [`ocb`] — OCB3 authenticated encryption (RFC 7253) with a 128-bit
 //!   tag, one pass per packet; `seal_into`/`open_into` append into
 //!   reused buffers so the per-datagram hot path never allocates.

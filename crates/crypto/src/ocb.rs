@@ -50,7 +50,7 @@ fn ntz(i: u64) -> usize {
 /// An OCB3 encryption/decryption context bound to one AES-128 key.
 ///
 /// Generic over the [`BlockCipher`] seam so the tests can instantiate
-/// the same mode over `aes::baseline::Aes128` or the bitsliced
+/// the same mode over the byte-oriented reference cipher or the bitsliced
 /// `aes::ct::Aes128` and pin each tier to the RFC 7253 vectors;
 /// everything else uses the default (dispatched) cipher.
 ///
@@ -294,6 +294,8 @@ impl<C: BlockCipher> Ocb<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::{baseline, ct};
+    use proptest::prelude::*;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -308,7 +310,112 @@ mod tests {
         Ocb::new(&key)
     }
 
-    fn check_vector(nonce_hex: &str, ad_hex: &str, pt_hex: &str, expected_hex: &str) {
+    /// One RFC 7253 sample vector, in hex.
+    type Vector = (&'static str, &'static str, &'static str, &'static str);
+
+    /// The sixteen AES-128-OCB-TAGLEN128 sample vectors from RFC 7253
+    /// Appendix A, all under key 000102030405060708090A0B0C0D0E0F.
+    /// Each row is (nonce, associated data, plaintext, ciphertext||tag).
+    const RFC7253_VECTORS: &[Vector] = &[
+        (
+            "BBAA99887766554433221100",
+            "",
+            "",
+            "785407BFFFC8AD9EDCC5520AC9111EE6",
+        ),
+        (
+            "BBAA99887766554433221101",
+            "0001020304050607",
+            "0001020304050607",
+            "6820B3657B6F615A5725BDA0D3B4EB3A257C9AF1F8F03009",
+        ),
+        (
+            "BBAA99887766554433221102",
+            "0001020304050607",
+            "",
+            "81017F8203F081277152FADE694A0A00",
+        ),
+        (
+            "BBAA99887766554433221103",
+            "",
+            "0001020304050607",
+            "45DD69F8F5AAE72414054CD1F35D82760B2CD00D2F99BFA9",
+        ),
+        (
+            "BBAA99887766554433221104",
+            "000102030405060708090A0B0C0D0E0F",
+            "000102030405060708090A0B0C0D0E0F",
+            "571D535B60B277188BE5147170A9A22C3AD7A4FF3835B8C5701C1CCEC8FC3358",
+        ),
+        (
+            "BBAA99887766554433221105",
+            "000102030405060708090A0B0C0D0E0F",
+            "",
+            "8CF761B6902EF764462AD86498CA6B97",
+        ),
+        (
+            "BBAA99887766554433221106",
+            "",
+            "000102030405060708090A0B0C0D0E0F",
+            "5CE88EC2E0692706A915C00AEB8B2396F40E1C743F52436BDF06D8FA1ECA343D",
+        ),
+        (
+            "BBAA99887766554433221107",
+            "000102030405060708090A0B0C0D0E0F1011121314151617",
+            "000102030405060708090A0B0C0D0E0F1011121314151617",
+            "1CA2207308C87C010756104D8840CE1952F09673A448A122C92C62241051F57356D7F3C90BB0E07F",
+        ),
+        (
+            "BBAA99887766554433221108",
+            "000102030405060708090A0B0C0D0E0F1011121314151617",
+            "",
+            "6DC225A071FC1B9F7C69F93B0F1E10DE",
+        ),
+        (
+            "BBAA99887766554433221109",
+            "",
+            "000102030405060708090A0B0C0D0E0F1011121314151617",
+            "221BD0DE7FA6FE993ECCD769460A0AF2D6CDED0C395B1C3CE725F32494B9F914D85C0B1EB38357FF",
+        ),
+        (
+            "BBAA9988776655443322110A",
+            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F",
+            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F",
+            "BD6F6C496201C69296C11EFD138A467ABD3C707924B964DEAFFC40319AF5A48540FBBA186C5553C68AD9F592A79A4240",
+        ),
+        (
+            "BBAA9988776655443322110B",
+            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F",
+            "",
+            "FE80690BEE8A485D11F32965BC9D2A32",
+        ),
+        (
+            "BBAA9988776655443322110C",
+            "",
+            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F",
+            "2942BFC773BDA23CABC6ACFD9BFD5835BD300F0973792EF46040C53F1432BCDFB5E1DDE3BC18A5F840B52E653444D5DF",
+        ),
+        (
+            "BBAA9988776655443322110D",
+            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F2021222324252627",
+            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F2021222324252627",
+            "D5CA91748410C1751FF8A2F618255B68A0A12E093FF454606E59F9C1D0DDC54B65E8628E568BAD7AED07BA06A4A69483A7035490C5769E60",
+        ),
+        (
+            "BBAA9988776655443322110E",
+            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F2021222324252627",
+            "",
+            "C5CD9D1850C141E358649994EE701B68",
+        ),
+        (
+            "BBAA9988776655443322110F",
+            "",
+            "000102030405060708090A0B0C0D0E0F101112131415161718191A1B1C1D1E1F2021222324252627",
+            "4412923493C57D5DE0D700F753CCE0D1D2D95060122E9F15A5DDBFC5787E50B5CC55EE507BCB084E479AD363AC366B95A98CA5F3000B1479",
+        ),
+    ];
+
+    fn check_vector((nonce_hex, ad_hex, pt_hex, expected_hex): Vector) {
         let ocb = rfc_ocb();
         let nonce = hex(nonce_hex);
         let ad = hex(ad_hex);
@@ -335,79 +442,44 @@ mod tests {
         // And the byte-oriented baseline cipher produces the same wire
         // bytes (the mode is cipher-agnostic; only speed differs).
         let key: [u8; 16] = hex("000102030405060708090A0B0C0D0E0F").try_into().unwrap();
-        let slow: Ocb<crate::aes::baseline::Aes128> = Ocb::with_cipher(&key);
+        let slow: Ocb<baseline::Aes128> = Ocb::with_cipher(&key);
         assert_eq!(slow.seal(&nonce, &ad, &pt), expected);
         assert_eq!(slow.open(&nonce, &ad, &sealed).unwrap(), pt);
     }
 
     #[test]
     fn rfc7253_vector_empty() {
-        check_vector(
-            "BBAA99887766554433221100",
-            "",
-            "",
-            "785407BFFFC8AD9EDCC5520AC9111EE6",
-        );
+        check_vector(RFC7253_VECTORS[0]);
     }
 
     #[test]
     fn rfc7253_vector_8byte_ad_and_pt() {
-        check_vector(
-            "BBAA99887766554433221101",
-            "0001020304050607",
-            "0001020304050607",
-            "6820B3657B6F615A5725BDA0D3B4EB3A257C9AF1F8F03009",
-        );
+        check_vector(RFC7253_VECTORS[1]);
     }
 
     #[test]
     fn rfc7253_vector_ad_only() {
-        check_vector(
-            "BBAA99887766554433221102",
-            "0001020304050607",
-            "",
-            "81017F8203F081277152FADE694A0A00",
-        );
+        check_vector(RFC7253_VECTORS[2]);
     }
 
     #[test]
     fn rfc7253_vector_pt_only() {
-        check_vector(
-            "BBAA99887766554433221103",
-            "",
-            "0001020304050607",
-            "45DD69F8F5AAE72414054CD1F35D82760B2CD00D2F99BFA9",
-        );
+        check_vector(RFC7253_VECTORS[3]);
     }
 
     #[test]
     fn rfc7253_vector_one_full_block() {
-        check_vector(
-            "BBAA99887766554433221104",
-            "000102030405060708090A0B0C0D0E0F",
-            "000102030405060708090A0B0C0D0E0F",
-            "571D535B60B277188BE5147170A9A22C3AD7A4FF3835B8C5701C1CCEC8FC3358",
-        );
+        check_vector(RFC7253_VECTORS[4]);
     }
 
     #[test]
     fn rfc7253_vector_full_block_ad_only() {
-        check_vector(
-            "BBAA99887766554433221105",
-            "000102030405060708090A0B0C0D0E0F",
-            "",
-            "8CF761B6902EF764462AD86498CA6B97",
-        );
+        check_vector(RFC7253_VECTORS[5]);
     }
 
     #[test]
     fn rfc7253_vector_full_block_pt_only() {
-        check_vector(
-            "BBAA99887766554433221106",
-            "",
-            "000102030405060708090A0B0C0D0E0F",
-            "5CE88EC2E0692706A915C00AEB8B2396F40E1C743F52436BDF06D8FA1ECA343D",
-        );
+        check_vector(RFC7253_VECTORS[6]);
     }
 
     #[test]
@@ -497,6 +569,140 @@ mod tests {
             let pt: Vec<u8> = (0..len as u8).collect();
             let sealed = ocb.seal(&[7u8; 12], b"ad", &pt);
             assert_eq!(ocb.open(&[7u8; 12], b"ad", &sealed).unwrap(), pt);
+        }
+    }
+
+    #[test]
+    fn ocb_rfc7253_sample_vectors_seal() {
+        let key: [u8; 16] = hex("000102030405060708090A0B0C0D0E0F").try_into().unwrap();
+        let ocb = Ocb::new(&key);
+        for (nonce, ad, pt, expected) in RFC7253_VECTORS {
+            let sealed = ocb.seal(&hex(nonce), &hex(ad), &hex(pt));
+            assert_eq!(sealed, hex(expected), "seal mismatch for nonce {nonce}");
+        }
+    }
+
+    #[test]
+    fn ocb_rfc7253_sample_vectors_open() {
+        let key: [u8; 16] = hex("000102030405060708090A0B0C0D0E0F").try_into().unwrap();
+        let ocb = Ocb::new(&key);
+        for (nonce, ad, pt, sealed) in RFC7253_VECTORS {
+            let opened = ocb
+                .open(&hex(nonce), &hex(ad), &hex(sealed))
+                .unwrap_or_else(|e| panic!("open failed for nonce {nonce}: {e:?}"));
+            assert_eq!(opened, hex(pt), "open mismatch for nonce {nonce}");
+
+            // Every vector also authenticates: flipping the last tag bit fails.
+            let mut tampered = hex(sealed);
+            *tampered.last_mut().unwrap() ^= 1;
+            assert!(
+                ocb.open(&hex(nonce), &hex(ad), &tampered).is_err(),
+                "tampered tag accepted for nonce {nonce}"
+            );
+        }
+    }
+
+    #[test]
+    fn ocb_rfc7253_sample_vectors_into_variants_and_baseline_cipher() {
+        let key: [u8; 16] = hex("000102030405060708090A0B0C0D0E0F").try_into().unwrap();
+        let ocb = Ocb::new(&key);
+        let sliced: Ocb<ct::Aes128> = Ocb::with_cipher(&key);
+        let slow: Ocb<baseline::Aes128> = Ocb::with_cipher(&key);
+        let mut sealed = Vec::new();
+        let mut opened = Vec::new();
+        for (nonce, ad, pt, expected) in RFC7253_VECTORS {
+            // The buffer-reusing hot-path variants hit every golden vector...
+            sealed.clear();
+            ocb.seal_into(&hex(nonce), &hex(ad), &hex(pt), &mut sealed);
+            assert_eq!(
+                sealed,
+                hex(expected),
+                "seal_into mismatch for nonce {nonce}"
+            );
+            opened.clear();
+            ocb.open_into(&hex(nonce), &hex(ad), &sealed, &mut opened)
+                .unwrap_or_else(|e| panic!("open_into failed for nonce {nonce}: {e:?}"));
+            assert_eq!(opened, hex(pt), "open_into mismatch for nonce {nonce}");
+
+            // ...and so does OCB over the bitsliced tier and the
+            // byte-oriented baseline cipher.
+            let (n, a, p) = (hex(nonce), hex(ad), hex(pt));
+            for (tier, resealed, reopened) in [
+                (
+                    "bitsliced",
+                    sliced.seal(&n, &a, &p),
+                    sliced.open(&n, &a, &sealed),
+                ),
+                (
+                    "baseline",
+                    slow.seal(&n, &a, &p),
+                    slow.open(&n, &a, &sealed),
+                ),
+            ] {
+                assert_eq!(
+                    resealed,
+                    hex(expected),
+                    "{tier} seal mismatch for nonce {nonce}"
+                );
+                assert_eq!(
+                    reopened.unwrap(),
+                    p,
+                    "{tier} open mismatch for nonce {nonce}"
+                );
+            }
+        }
+    }
+
+    /// RFC 7253 Appendix A iterative self-test: encrypts messages of every
+    /// length 0..128 bytes (as plaintext and as associated data), then checks
+    /// the single 16-byte digest the RFC publishes for
+    /// AES-128-OCB-TAGLEN128 — over every cipher tier.
+    #[test]
+    fn ocb_rfc7253_iterative_all_lengths() {
+        fn digest<C: BlockCipher>() -> Vec<u8> {
+            // K = zeros(KEYLEN - 8) || num2str(TAGLEN, 8)
+            let mut key = [0u8; 16];
+            key[15] = 128;
+            let ocb: Ocb<C> = Ocb::with_cipher(&key);
+
+            // 96-bit big-endian counter nonce.
+            let nonce = |n: u64| -> [u8; 12] {
+                let mut out = [0u8; 12];
+                out[4..].copy_from_slice(&n.to_be_bytes());
+                out
+            };
+
+            let mut c = Vec::new();
+            for i in 0..128u64 {
+                let s = vec![0u8; i as usize];
+                c.extend_from_slice(&ocb.seal(&nonce(3 * i + 1), &s, &s));
+                c.extend_from_slice(&ocb.seal(&nonce(3 * i + 2), &[], &s));
+                c.extend_from_slice(&ocb.seal(&nonce(3 * i + 3), &s, &[]));
+            }
+            ocb.seal(&nonce(385), &c, &[])
+        }
+        let expected = hex("67E944D23256C5E0B6C61FA22FDF1EA2");
+        assert_eq!(digest::<Aes128>(), expected, "dispatched");
+        assert_eq!(digest::<ct::Aes128>(), expected, "bitsliced");
+        assert_eq!(digest::<baseline::Aes128>(), expected, "baseline");
+    }
+
+    proptest! {
+        #[test]
+        fn ocb_tiers_agree_on_any_packet(
+            key in any::<[u8; 16]>(),
+            nonce in any::<[u8; 12]>(),
+            ad in proptest::collection::vec(any::<u8>(), 0..32),
+            pt in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            // Whichever tier a host runs, a packet of any (ragged) length
+            // seals to the same wire bytes and opens on every other tier.
+            let sealed = Ocb::new(&key).seal(&nonce, &ad, &pt);
+            let sliced: Ocb<ct::Aes128> = Ocb::with_cipher(&key);
+            let slow: Ocb<baseline::Aes128> = Ocb::with_cipher(&key);
+            prop_assert_eq!(&sliced.seal(&nonce, &ad, &pt), &sealed, "bitsliced seal");
+            prop_assert_eq!(&slow.seal(&nonce, &ad, &pt), &sealed, "baseline seal");
+            prop_assert_eq!(sliced.open(&nonce, &ad, &sealed).unwrap(), pt);
         }
     }
 }

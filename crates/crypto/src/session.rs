@@ -19,6 +19,7 @@
 use crate::base64::Base64Key;
 use crate::ocb::{Ocb, TAG_LEN};
 use crate::CryptoError;
+use mosh_wire::{put_varint, Reader};
 use std::cell::Cell;
 
 /// Which way a datagram travels. The bit prevents reflection attacks: a
@@ -134,17 +135,15 @@ impl Session {
         put_varint(out, self.decrypt_ops.get());
     }
 
-    /// Rebuilds an endpoint from the front of `bytes`, written by
-    /// [`Session::encode_into`], and advances `bytes` past what it read.
+    /// Reads an endpoint written by [`Session::encode_into`] off `r`.
     /// The direction is the caller's to know; the cipher schedule is
     /// re-derived from the key and the scratch pool starts empty. `None`
     /// for truncated input or a sequence number beyond [`MAX_SEQ`].
-    pub fn decode(bytes: &mut &[u8], direction: Direction) -> Option<Self> {
-        let (key, rest) = bytes.split_first_chunk::<16>()?;
-        *bytes = rest;
-        let next_seq = take_varint(bytes).filter(|&seq| seq <= MAX_SEQ)?;
-        let decrypt_ops = take_varint(bytes)?;
-        let mut session = Session::new(Base64Key::from_bytes(*key), direction);
+    pub fn decode(r: &mut Reader<'_>, direction: Direction) -> Option<Self> {
+        let key: [u8; 16] = r.take(16)?.try_into().ok()?;
+        let next_seq = r.varint().filter(|&seq| seq <= MAX_SEQ)?;
+        let decrypt_ops = r.varint()?;
+        let mut session = Session::new(Base64Key::from_bytes(key), direction);
         session.next_seq = next_seq;
         session.decrypt_ops.set(decrypt_ops);
         Some(session)
@@ -304,35 +303,6 @@ impl Session {
             .map(|(wire, payload)| self.decrypt_into(wire, payload))
             .collect()
     }
-}
-
-/// Appends a `u64` as an LEB128 varint: seven bits per byte, low group
-/// first, the high bit set on every byte but the last. The one varint
-/// writer of the snapshot and instruction formats; `mosh_ssp::wire`
-/// re-exports it.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-/// Reads one [`put_varint`] varint off the front of `bytes` and advances
-/// past it; `None` when it is truncated or does not fit 64 bits.
-pub fn take_varint(bytes: &mut &[u8]) -> Option<u64> {
-    let mut v = 0u64;
-    for (i, &byte) in bytes.iter().enumerate().take(10) {
-        if i == 9 && byte > 1 {
-            return None;
-        }
-        v |= u64::from(byte & 0x7f) << (7 * i);
-        if byte & 0x80 == 0 {
-            *bytes = &bytes[i + 1..];
-            return Some(v);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -558,13 +528,13 @@ mod tests {
         let mut bytes = Vec::new();
         client.encode_into(&mut bytes);
         bytes.push(0xee); // the next layer's first byte
-        let mut rest = &bytes[..];
-        let mut twin = Session::decode(&mut rest, Direction::ToServer).expect("decodes");
-        assert_eq!(rest, [0xee], "reads exactly its own bytes");
+        let mut r = Reader::new(&bytes);
+        let mut twin = Session::decode(&mut r, Direction::ToServer).expect("decodes");
+        assert_eq!(r.byte(), Some(0xee), "reads exactly its own bytes");
         assert_eq!(twin.encrypt(b"next"), client.encrypt(b"next"));
         bytes.clear();
         server.encode_into(&mut bytes);
-        let twin = Session::decode(&mut &bytes[..], Direction::ToClient).expect("decodes");
+        let twin = Session::decode(&mut Reader::new(&bytes), Direction::ToClient).expect("decodes");
         assert_eq!(twin.decrypt_count(), 1);
 
         // A sequence number past the last usable one would panic in the
@@ -572,7 +542,7 @@ mod tests {
         let mut spent = vec![3u8; 16];
         put_varint(&mut spent, MAX_SEQ + 1);
         put_varint(&mut spent, 0);
-        assert!(Session::decode(&mut &spent[..], Direction::ToClient).is_none());
+        assert!(Session::decode(&mut Reader::new(&spent), Direction::ToClient).is_none());
     }
 
     #[test]

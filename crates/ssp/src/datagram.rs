@@ -12,10 +12,10 @@
 //!   datagram arrives with a new-high sequence number.
 
 use crate::rtt::{RttEstimator, MAX_RTT_SAMPLE};
-use crate::wire::{get_opt, put_opt, put_varint, Reader};
 use crate::{Millis, SspError};
 use mosh_crypto::session::{Direction, Session};
 use mosh_crypto::Base64Key;
+use mosh_wire::{put_bool, put_opt, put_varint, Reader};
 
 /// Sentinel meaning "no timestamp to echo".
 const TS_NONE: u16 = 0xffff;
@@ -86,29 +86,22 @@ impl DatagramLayer {
         self.session.encode_into(out);
         self.rtt.encode_into(out);
         put_opt(out, self.max_seq_seen);
-        match self.saved_timestamp {
-            None => put_varint(out, 0),
-            Some((ts, at)) => {
-                put_varint(out, 1);
-                put_varint(out, u64::from(ts));
-                put_varint(out, at);
-            }
+        put_bool(out, self.saved_timestamp.is_some());
+        if let Some((ts, at)) = self.saved_timestamp {
+            put_varint(out, u64::from(ts));
+            put_varint(out, at);
         }
     }
 
     /// Reads a layer written by [`DatagramLayer::encode_into`]; the
     /// direction is not stored, the caller knows which end it is.
     pub fn decode(r: &mut Reader<'_>, direction: Direction) -> Option<Self> {
-        let session = r.sub(|bytes| Session::decode(bytes, direction))?;
+        let session = Session::decode(r, direction)?;
         let rtt = RttEstimator::decode(r)?;
-        let max_seq_seen = get_opt(r)?;
-        let saved_timestamp = match r.varint().ok()? {
-            0 => None,
-            1 => {
-                let ts = u16::try_from(r.varint().ok()?).ok()?;
-                Some((ts, r.varint().ok()?))
-            }
-            _ => return None,
+        let max_seq_seen = r.opt()?;
+        let saved_timestamp = match r.bool()? {
+            false => None,
+            true => Some((u16::try_from(r.varint()?).ok()?, r.varint()?)),
         };
         Some(DatagramLayer {
             session,

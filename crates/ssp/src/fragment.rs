@@ -7,8 +7,8 @@
 //! older instruction once a newer one exists, because every instruction is
 //! a self-contained fast-forward (paper §2.2's idempotency principle).
 
-use crate::wire::{get_opt, put_bytes, put_opt, put_varint, Reader};
 use crate::SspError;
+use mosh_wire::{put_bool, put_bytes, put_opt, put_varint, Reader};
 
 /// Maximum bytes of fragment *payload* per datagram. Mosh uses a
 /// conservative 500-byte MTU to survive exotic tunnels.
@@ -41,14 +41,15 @@ impl Fragment {
     /// Parses a fragment from a datagram payload.
     pub fn decode(buf: &[u8]) -> Result<Fragment, SspError> {
         let mut r = Reader::new(buf);
-        let id = r.u64()?;
-        let num_field = r.u16()?;
-        let contents = r.take(r.remaining())?.to_vec();
+        let (Some(id), Some(num_field), Some(contents)) = (r.u64(), r.u16(), r.take(r.remaining()))
+        else {
+            return Err(SspError::Malformed);
+        };
         Ok(Fragment {
             id,
             num: num_field & 0x7fff,
             last: num_field & 0x8000 != 0,
-            contents,
+            contents: contents.to_vec(),
         })
     }
 }
@@ -97,12 +98,9 @@ impl FragmentAssembly {
         put_opt(out, self.current_id);
         put_varint(out, self.pieces.len() as u64);
         for p in &self.pieces {
-            match p {
-                None => put_varint(out, 0),
-                Some(b) => {
-                    put_varint(out, 1);
-                    put_bytes(out, b);
-                }
+            put_bool(out, p.is_some());
+            if let Some(b) = p {
+                put_bytes(out, b);
             }
         }
         put_opt(out, self.total.map(|t| t as u64));
@@ -112,16 +110,15 @@ impl FragmentAssembly {
     /// `arrived` is recounted. `None` for pieces or a total without an
     /// instruction id, or a total of zero.
     pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let current_id = get_opt(r)?;
+        let current_id = r.opt()?;
         let mut pieces = Vec::new();
-        for _ in 0..r.varint().ok()? {
-            pieces.push(match r.varint().ok()? {
-                0 => None,
-                1 => Some(r.bytes().ok()?.to_vec()),
-                _ => return None,
+        for _ in 0..r.varint()? {
+            pieces.push(match r.bool()? {
+                false => None,
+                true => Some(r.bytes()?.to_vec()),
             });
         }
-        let total = match get_opt(r)? {
+        let total = match r.opt()? {
             None => None,
             Some(t) => Some(usize::try_from(t).ok()?),
         };

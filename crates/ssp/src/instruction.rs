@@ -7,8 +7,8 @@
 //! and tells the receiver which old states it may discard
 //! (`throwaway_num`).
 
-use crate::wire::{put_bytes, put_varint, Reader};
 use crate::SspError;
+use mosh_wire::{put_bytes, put_varint, Reader};
 
 /// The protocol version this implementation speaks.
 pub const PROTOCOL_VERSION: u64 = 2;
@@ -49,24 +49,23 @@ impl Instruction {
     /// Parses an instruction, discarding the chaff.
     pub fn decode(buf: &[u8]) -> Result<Instruction, SspError> {
         let mut r = Reader::new(buf);
-        let protocol_version = r.varint()?;
+        let protocol_version = r.varint().ok_or(SspError::Malformed)?;
         if protocol_version != PROTOCOL_VERSION {
             return Err(SspError::VersionMismatch);
         }
-        let old_num = r.varint()?;
-        let new_num = r.varint()?;
-        let ack_num = r.varint()?;
-        let throwaway_num = r.varint()?;
-        let diff = r.bytes()?.to_vec();
-        let _chaff = r.bytes()?;
-        Ok(Instruction {
-            protocol_version,
-            old_num,
-            new_num,
-            ack_num,
-            throwaway_num,
-            diff,
-        })
+        let mut fields = || {
+            let instruction = Instruction {
+                protocol_version,
+                old_num: r.varint()?,
+                new_num: r.varint()?,
+                ack_num: r.varint()?,
+                throwaway_num: r.varint()?,
+                diff: r.bytes()?.to_vec(),
+            };
+            r.bytes()?; // the chaff
+            Some(instruction)
+        };
+        fields().ok_or(SspError::Malformed)
     }
 }
 

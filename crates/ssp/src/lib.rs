@@ -58,7 +58,6 @@ pub mod rtt;
 pub mod sender;
 pub mod state;
 pub mod transport;
-pub mod wire;
 
 pub use state::{StateError, SyncState};
 pub use transport::{ReceiveEvent, Transport};

@@ -10,8 +10,8 @@
 use crate::instruction::Instruction;
 use crate::sender::{decode_states, encode_states, subtract_oldest, TimestampedState};
 use crate::state::SyncState;
-use crate::wire::{put_varint, Reader};
 use crate::Millis;
+use mosh_wire::{put_varint, Reader};
 
 /// Cap on stored received states (Mosh keeps up to 1024).
 const MAX_RECEIVED_STATES: usize = 1024;
@@ -78,9 +78,9 @@ impl<R: SyncState> Receiver<R> {
         let mut receiver = Receiver {
             states: decode_states(r)?,
             stats: ReceiverStats {
-                applied: r.varint().ok()?,
-                duplicates: r.varint().ok()?,
-                missing_source: r.varint().ok()?,
+                applied: r.varint()?,
+                duplicates: r.varint()?,
+                missing_source: r.varint()?,
             },
         };
         receiver.prune();

@@ -17,8 +17,8 @@
 //! can put an echo 1 ms "in the future", and that −1 ms sample wraps to
 //! 65 535 ms. [`crate::datagram::DatagramLayer::accept`] applies it.
 
-use crate::wire::{get_bool, put_bool, put_varint, Reader};
 use crate::Millis;
+use mosh_wire::{put_bool, put_varint, Reader};
 
 /// Minimum retransmission timeout (the paper's headline change from TCP).
 pub const MIN_RTO: Millis = 50;
@@ -67,9 +67,9 @@ impl RttEstimator {
     /// for values no run of [`RttEstimator::observe`] can produce
     /// (negative, infinite, NaN).
     pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let srtt = f64::from_bits(r.varint().ok()?);
-        let rttvar = f64::from_bits(r.varint().ok()?);
-        let have_sample = get_bool(r)?;
+        let srtt = f64::from_bits(r.varint()?);
+        let rttvar = f64::from_bits(r.varint()?);
+        let have_sample = r.bool()?;
         let sane = |v: f64| v.is_finite() && v >= 0.0;
         (sane(srtt) && sane(rttvar)).then_some(RttEstimator {
             srtt,

@@ -14,8 +14,8 @@
 //! * un-acknowledged states are retransmitted after `RTO + ACK_DELAY`.
 
 use crate::state::SyncState;
-use crate::wire::{get_bool, get_opt, put_bool, put_opt, put_varint, Reader};
 use crate::Millis;
+use mosh_wire::{put_bool, put_opt, put_varint, Reader};
 
 /// Minimum interval between frames: caps the rate at 50 Hz, "roughly the
 /// limit of human perception" (paper footnote 1).
@@ -67,12 +67,12 @@ pub(crate) fn encode_states<S: SyncState>(states: &[TimestampedState<S>], out: &
 /// take its first and last entries unchecked and look states up by number.
 pub(crate) fn decode_states<S: SyncState>(r: &mut Reader<'_>) -> Option<Vec<TimestampedState<S>>> {
     let mut states: Vec<TimestampedState<S>> = Vec::new();
-    for _ in 0..r.varint().ok()? {
-        let num = r.varint().ok()?;
+    for _ in 0..r.varint()? {
+        let num = r.varint()?;
         if states.last().is_some_and(|prev| prev.num >= num) {
             return None;
         }
-        let timestamp = r.varint().ok()?;
+        let timestamp = r.varint()?;
         let state = S::decode(r)?;
         states.push(TimestampedState {
             num,
@@ -240,22 +240,22 @@ impl<S: SyncState> Sender<S> {
         Some(Sender {
             sent_states: decode_states(r)?,
             current: S::decode(r)?,
-            mindelay_clock: get_opt(r)?,
-            mindelay: r.varint().ok()?,
-            ack_num: r.varint().ok()?,
-            next_ack_time: r.varint().ok()?,
-            ack_pending: get_bool(r)?,
-            sent_anything: get_bool(r)?,
+            mindelay_clock: r.opt()?,
+            mindelay: r.varint()?,
+            ack_num: r.varint()?,
+            next_ack_time: r.varint()?,
+            ack_pending: r.bool()?,
+            sent_anything: r.bool()?,
             // A restored sender may be resuming from a checkpoint older
             // than the peer's view; future acks are then legitimate.
             accept_future_acks: true,
             resync_base: None,
             stats: SenderStats {
-                data: r.varint().ok()?,
-                retransmits: r.varint().ok()?,
-                pure_acks: r.varint().ok()?,
-                heartbeats: r.varint().ok()?,
-                piggybacked_acks: r.varint().ok()?,
+                data: r.varint()?,
+                retransmits: r.varint()?,
+                pure_acks: r.varint()?,
+                heartbeats: r.varint()?,
+                piggybacked_acks: r.varint()?,
             },
         })
     }

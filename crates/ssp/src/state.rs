@@ -6,7 +6,7 @@
 //! twice — user-input streams (client→server) and terminal screens
 //! (server→client) — both defined in the `mosh-states` crate.
 
-use crate::wire::{put_bytes, Reader};
+use mosh_wire::{put_bytes, Reader};
 
 /// Errors raised by state objects when applying diffs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +116,7 @@ impl SyncState for BlobState {
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(BlobState(r.bytes().ok()?.to_vec()))
+        Some(BlobState(r.bytes()?.to_vec()))
     }
 
     fn equivalent(&self, other: &Self) -> bool {

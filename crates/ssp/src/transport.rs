@@ -14,10 +14,10 @@ use crate::instruction::{Instruction, PROTOCOL_VERSION};
 use crate::receiver::Receiver;
 use crate::sender::{Sender, SenderStats};
 use crate::state::SyncState;
-use crate::wire::{get_opt, put_opt, put_varint, Reader};
 use crate::{Millis, SspError};
 use mosh_crypto::session::Direction;
 use mosh_crypto::Base64Key;
+use mosh_wire::{put_opt, put_varint, Reader};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,14 +125,14 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         let sender = Sender::decode(r)?;
         let receiver = Receiver::decode(r)?;
         let assembly = FragmentAssembly::decode(r)?;
-        let next_instruction_id = r.varint().ok()?;
+        let next_instruction_id = r.varint()?;
         let stats = TransportStats {
-            datagrams_sent: r.varint().ok()?,
-            datagrams_received: r.varint().ok()?,
-            datagrams_rejected: r.varint().ok()?,
+            datagrams_sent: r.varint()?,
+            datagrams_received: r.varint()?,
+            datagrams_rejected: r.varint()?,
         };
-        let last_heard = get_opt(r)?;
-        let ack_ceiling = get_opt(r)?;
+        let last_heard = r.opt()?;
+        let ack_ceiling = r.opt()?;
         let mut chaff_rng = StdRng::from_seed(chaff_seed(datagram.key(), direction));
         for _ in 0..next_instruction_id {
             // Replay the draws `tick` made per instruction (length, then

@@ -9,7 +9,7 @@ use mosh_crypto::Base64Key;
 use mosh_net::{Addr, LinkConfig, Network, Side};
 use mosh_ssp::state::BlobState;
 use mosh_ssp::transport::Transport;
-use mosh_ssp::wire::{put_bytes, put_varint, Reader};
+use mosh_wire::{put_bytes, put_varint, Reader};
 use proptest::prelude::*;
 
 type T = Transport<BlobState, BlobState>;

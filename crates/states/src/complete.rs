@@ -8,9 +8,9 @@
 //! server-side 50 ms acknowledgment (§3.2) that tells the prediction
 //! engine which keystrokes the current screen must already reflect.
 
-use mosh_ssp::wire::{put_bytes, put_varint, Reader};
 use mosh_ssp::{StateError, SyncState};
 use mosh_terminal::{display, Framebuffer, Terminal};
+use mosh_wire::{put_bytes, put_varint, Reader};
 
 /// Record tags inside a complete-terminal diff.
 const REC_RESIZE: u64 = 1;
@@ -166,10 +166,10 @@ impl SyncState for CompleteTerminal {
     fn apply_diff(&mut self, diff: &[u8]) -> Result<(), StateError> {
         let mut r = Reader::new(diff);
         while r.remaining() > 0 {
-            match r.varint().map_err(|_| StateError::Malformed)? {
+            match r.varint().ok_or(StateError::Malformed)? {
                 REC_RESIZE => {
-                    let w = r.varint().map_err(|_| StateError::Malformed)? as usize;
-                    let h = r.varint().map_err(|_| StateError::Malformed)? as usize;
+                    let w = r.varint().ok_or(StateError::Malformed)? as usize;
+                    let h = r.varint().ok_or(StateError::Malformed)? as usize;
                     let max = usize::from(mosh_terminal::MAX_DIMENSION);
                     if w == 0 || h == 0 || w > max || h > max {
                         return Err(StateError::Malformed);
@@ -177,11 +177,11 @@ impl SyncState for CompleteTerminal {
                     self.terminal.resize(w, h);
                 }
                 REC_BYTES => {
-                    let bytes = r.bytes().map_err(|_| StateError::Malformed)?;
+                    let bytes = r.bytes().ok_or(StateError::Malformed)?;
                     self.terminal.write(bytes);
                 }
                 REC_ECHO_ACK => {
-                    let ack = r.varint().map_err(|_| StateError::Malformed)?;
+                    let ack = r.varint().ok_or(StateError::Malformed)?;
                     self.echo_ack = self.echo_ack.max(ack);
                 }
                 _ => return Err(StateError::Malformed),
@@ -199,8 +199,8 @@ impl SyncState for CompleteTerminal {
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let terminal = Terminal::from_snapshot_bytes(r.bytes().ok()?)?;
-        let echo_ack = r.varint().ok()?;
+        let terminal = Terminal::from_snapshot_bytes(r.bytes()?)?;
+        let echo_ack = r.varint()?;
         Some(CompleteTerminal {
             terminal,
             echo_ack,

@@ -9,9 +9,9 @@
 //! end (via [`mosh_ssp::SyncState::subtract`]) never changes what a diff
 //! contains.
 
-use mosh_ssp::wire::{put_bytes, put_varint, Reader};
 use mosh_ssp::{StateError, SyncState};
 use mosh_terminal::MAX_DIMENSION;
+use mosh_wire::{put_bytes, put_varint, Reader};
 use std::collections::VecDeque;
 
 /// One unit of user input.
@@ -111,21 +111,14 @@ impl UserStream {
         }
     }
 
-    fn decode_event(r: &mut Reader<'_>) -> Result<UserEvent, StateError> {
-        match r.varint().map_err(|_| StateError::Malformed)? {
-            1 => Ok(UserEvent::Keystroke(
-                r.bytes().map_err(|_| StateError::Malformed)?.to_vec(),
-            )),
-            2 => {
-                let mut next = || {
-                    let v = r.varint().map_err(|_| StateError::Malformed)?;
-                    dimension(v).ok_or(StateError::Malformed)
-                };
-                let width = next()?;
-                let height = next()?;
-                Ok(UserEvent::Resize { width, height })
-            }
-            _ => Err(StateError::Malformed),
+    fn decode_event(r: &mut Reader<'_>) -> Option<UserEvent> {
+        match r.varint()? {
+            1 => Some(UserEvent::Keystroke(r.bytes()?.to_vec())),
+            2 => Some(UserEvent::Resize {
+                width: dimension(r.varint()?)?,
+                height: dimension(r.varint()?)?,
+            }),
+            _ => None,
         }
     }
 }
@@ -169,14 +162,14 @@ impl SyncState for UserStream {
 
     fn apply_diff(&mut self, diff: &[u8]) -> Result<(), StateError> {
         let mut r = Reader::new(diff);
-        let start = r.varint().map_err(|_| StateError::Malformed)?;
-        let count = r.varint().map_err(|_| StateError::Malformed)?;
+        let start = r.varint().ok_or(StateError::Malformed)?;
+        let count = r.varint().ok_or(StateError::Malformed)?;
         if start > self.end_index() {
             // A gap would mean lost keystrokes; SSP numbering prevents it.
             return Err(StateError::WrongSource);
         }
         for i in 0..count {
-            let event = Self::decode_event(&mut r)?;
+            let event = Self::decode_event(&mut r).ok_or(StateError::Malformed)?;
             let idx = start + i;
             if idx < self.end_index() {
                 continue; // Overlap with already-known events.
@@ -197,11 +190,11 @@ impl SyncState for UserStream {
     }
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        let base = r.varint().ok()?;
-        let count = r.varint().ok()?;
+        let base = r.varint()?;
+        let count = r.varint()?;
         let mut events = VecDeque::new();
         for _ in 0..count {
-            events.push_back(Self::decode_event(r).ok()?);
+            events.push_back(Self::decode_event(r)?);
         }
         Some(UserStream { base, events })
     }

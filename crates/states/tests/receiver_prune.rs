@@ -15,9 +15,9 @@
 use mosh_ssp::instruction::{Instruction, PROTOCOL_VERSION};
 use mosh_ssp::receiver::Receiver;
 use mosh_ssp::sender::{Outgoing, Sender};
-use mosh_ssp::wire::Reader;
 use mosh_ssp::{Millis, SyncState};
 use mosh_states::user::{UserEvent, UserStream};
+use mosh_wire::Reader;
 use proptest::prelude::*;
 
 const SRTT: f64 = 100.0;

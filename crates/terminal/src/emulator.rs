@@ -125,12 +125,10 @@ impl Terminal {
     /// truncated, carry trailing garbage, or describe a state the live
     /// emulator could not reach.
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut r = crate::wirefmt::Reader::new(bytes);
+        let mut r = mosh_wire::Reader::new(bytes);
         let parser = Parser::decode(&mut r)?;
         let frame = Framebuffer::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return None;
-        }
+        r.end()?;
         Some(Terminal { parser, frame })
     }
 

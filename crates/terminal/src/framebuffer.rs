@@ -15,7 +15,8 @@ use std::collections::VecDeque;
 
 use crate::cell::{Attrs, Cell, Color};
 use crate::grid::{blank_cell, Grid, MAX_DIMENSION};
-use crate::wirefmt::{put_attrs, put_bool, put_bytes, put_char, put_varint, Reader};
+use crate::wirefmt::{get_attrs, get_char, put_attrs, put_char};
+use mosh_wire::{put_bool, put_bytes, put_varint, Reader};
 
 pub use crate::grid::{Row, DEFAULT_SCROLLBACK};
 
@@ -864,31 +865,22 @@ impl Framebuffer {
         put_bytes(out, self.title.as_bytes());
         put_varint(out, self.bell_count);
         put_bool(out, self.wrap_pending);
-        match &self.saved_cursor {
-            None => out.push(0),
-            Some(s) => {
-                out.push(1);
-                put_cursor(out, s.cursor);
-                put_attrs(out, &s.pen);
-                put_bool(out, s.origin_mode);
-                put_bool(out, s.wrap_pending);
-            }
+        put_bool(out, self.saved_cursor.is_some());
+        if let Some(s) = &self.saved_cursor {
+            put_cursor(out, s.cursor);
+            put_attrs(out, &s.pen);
+            put_bool(out, s.origin_mode);
+            put_bool(out, s.wrap_pending);
         }
-        match &self.alt_saved {
-            None => out.push(0),
-            Some((rows, cursor)) => {
-                out.push(1);
-                rows.iter().for_each(|row| row.encode_into(out));
-                put_cursor(out, *cursor);
-            }
+        put_bool(out, self.alt_saved.is_some());
+        if let Some((rows, cursor)) = &self.alt_saved {
+            rows.iter().for_each(|row| row.encode_into(out));
+            put_cursor(out, *cursor);
         }
         put_bytes(out, &self.answerback);
-        match self.last_printed {
-            None => out.push(0),
-            Some(c) => {
-                out.push(1);
-                put_char(out, c);
-            }
+        put_bool(out, self.last_printed.is_some());
+        if let Some(c) = self.last_printed {
+            put_char(out, c);
         }
         put_bool(out, self.line_drawing);
         put_varint(out, self.scrollback_limit() as u64);
@@ -914,7 +906,7 @@ impl Framebuffer {
         if cursor.row >= height || cursor.col >= width {
             return None;
         }
-        let pen = r.attrs()?;
+        let pen = get_attrs(r)?;
         let m = r.byte()?;
         if m & 0x80 != 0 {
             return None;
@@ -937,26 +929,23 @@ impl Framebuffer {
         let tabs: Vec<bool> = (0..width)
             .map(|c| tab_bits[c / 8] & (1 << (c % 8)) != 0)
             .collect();
-        let title = String::from_utf8(r.bytes()?.to_vec()).ok()?;
+        let title = r.string()?;
         let bell_count = r.varint()?;
-        let wrap_pending = r.boolean()?;
-        let saved_cursor = match r.byte()? {
-            0 => None,
-            1 => {
-                // restore_cursor clamps, so out-of-range saved positions
-                // are tolerated the way a live resize tolerates them.
-                Some(SavedCursor {
-                    cursor: decode_cursor(r)?,
-                    pen: r.attrs()?,
-                    origin_mode: r.boolean()?,
-                    wrap_pending: r.boolean()?,
-                })
-            }
-            _ => return None,
+        let wrap_pending = r.bool()?;
+        let saved_cursor = match r.bool()? {
+            false => None,
+            // restore_cursor clamps, so out-of-range saved positions
+            // are tolerated the way a live resize tolerates them.
+            true => Some(SavedCursor {
+                cursor: decode_cursor(r)?,
+                pen: get_attrs(r)?,
+                origin_mode: r.bool()?,
+                wrap_pending: r.bool()?,
+            }),
         };
-        let alt_saved = match r.byte()? {
-            0 => None,
-            1 => {
+        let alt_saved = match r.bool()? {
+            false => None,
+            true => {
                 let alt_rows = decode_screen(r, width, height)?;
                 let c = decode_cursor(r)?;
                 if c.row >= height || c.col >= width {
@@ -964,15 +953,13 @@ impl Framebuffer {
                 }
                 Some((alt_rows, c))
             }
-            _ => return None,
         };
         let answerback = r.bytes()?.to_vec();
-        let last_printed = match r.byte()? {
-            0 => None,
-            1 => Some(r.ch()?),
-            _ => return None,
+        let last_printed = match r.bool()? {
+            false => None,
+            true => Some(get_char(r)?),
         };
-        let line_drawing = r.boolean()?;
+        let line_drawing = r.bool()?;
         let scrollback_limit = r.varint()? as usize;
         if scrollback_limit > 1_000_000 {
             return None;
@@ -1602,7 +1589,7 @@ mod tests {
         fb.scroll_view(2);
         let mut bytes = Vec::new();
         fb.encode_into(&mut bytes);
-        let mut reader = crate::wirefmt::Reader::new(&bytes);
+        let mut reader = Reader::new(&bytes);
         let back = Framebuffer::decode(&mut reader).expect("decode");
         assert_eq!(back, fb);
         assert_eq!(back.scrollback_len(), fb.scrollback_len());

@@ -32,7 +32,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::cell::{Attrs, Cell, Color};
-use crate::wirefmt::Reader;
+use crate::wirefmt::{get_cell, put_cell};
+use mosh_wire::{put_varint, Reader};
 
 /// Rows of scrollback a fresh framebuffer retains (see
 /// [`Framebuffer::set_scrollback_limit`](crate::Framebuffer::set_scrollback_limit)).
@@ -139,8 +140,8 @@ impl Row {
             while i + run < cells.len() && cells[i + run] == cell {
                 run += 1;
             }
-            crate::wirefmt::put_varint(out, run as u64);
-            crate::wirefmt::put_cell(out, &cell);
+            put_varint(out, run as u64);
+            put_cell(out, &cell);
             i += run;
         }
     }
@@ -153,7 +154,7 @@ impl Row {
             if run == 0 || run > width - cells.len() {
                 return None;
             }
-            let cell = r.cell()?;
+            let cell = get_cell(r)?;
             cells.extend(std::iter::repeat_n(cell, run));
         }
         Some(Row::from_cells(cells))

@@ -230,7 +230,7 @@ impl Parser {
     /// Serializes the full parser state (including any half-collected
     /// sequence and pending UTF-8 bytes) for a session snapshot.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::wirefmt::{put_bool, put_bytes, put_varint};
+        use mosh_wire::{put_bool, put_bytes, put_varint};
         out.push(match self.state {
             State::Ground => 0,
             State::Escape => 1,
@@ -248,12 +248,9 @@ impl Parser {
             put_varint(out, u64::from(p));
         }
         put_bool(out, self.param_started);
-        match self.private {
-            None => out.push(0),
-            Some(b) => {
-                out.push(1);
-                out.push(b);
-            }
+        put_bool(out, self.private.is_some());
+        if let Some(b) = self.private {
+            out.push(b);
         }
         put_bytes(out, &self.intermediates);
         put_bytes(out, &self.osc);
@@ -262,7 +259,7 @@ impl Parser {
 
     /// Rebuilds a parser from [`Self::encode_into`] output, rejecting any
     /// state the live parser could never reach (oversized collections).
-    pub(crate) fn decode(r: &mut crate::wirefmt::Reader<'_>) -> Option<Self> {
+    pub(crate) fn decode(r: &mut mosh_wire::Reader<'_>) -> Option<Self> {
         let state = match r.byte()? {
             0 => State::Ground,
             1 => State::Escape,
@@ -284,11 +281,10 @@ impl Parser {
         for _ in 0..nparams {
             params.push(u16::try_from(r.varint()?).ok()?);
         }
-        let param_started = r.boolean()?;
-        let private = match r.byte()? {
-            0 => None,
-            1 => Some(r.byte()?),
-            _ => return None,
+        let param_started = r.bool()?;
+        let private = match r.bool()? {
+            false => None,
+            true => Some(r.byte()?),
         };
         let intermediates = r.bytes()?.to_vec();
         if intermediates.len() > MAX_INTERMEDIATES {
@@ -298,7 +294,7 @@ impl Parser {
         if osc.len() > MAX_OSC {
             return None;
         }
-        let string_esc = r.boolean()?;
+        let string_esc = r.bool()?;
         Some(Parser {
             state,
             utf8,

@@ -150,13 +150,13 @@ impl Utf8Decoder {
 
     /// Serializes the mid-sequence decoding state for a session snapshot.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        crate::wirefmt::put_varint(out, u64::from(self.acc));
+        mosh_wire::put_varint(out, u64::from(self.acc));
         out.push(self.needed);
-        crate::wirefmt::put_varint(out, u64::from(self.min));
+        mosh_wire::put_varint(out, u64::from(self.min));
     }
 
     /// Rebuilds a decoder from [`Self::encode_into`] output.
-    pub(crate) fn decode(r: &mut crate::wirefmt::Reader<'_>) -> Option<Self> {
+    pub(crate) fn decode(r: &mut mosh_wire::Reader<'_>) -> Option<Self> {
         let acc = u32::try_from(r.varint()?).ok()?;
         let needed = r.byte()?;
         if needed > 3 {

@@ -1,135 +1,21 @@
-//! Minimal varint wire helpers for terminal snapshots.
-//!
-//! The terminal crate is dependency-free, so the snapshot encoding used by
-//! [`crate::Terminal::snapshot_bytes`] carries its own tiny LEB128
-//! vocabulary instead of borrowing `mosh_ssp::wire`, plus the cell words
-//! built on it (colour, renditions, cell). Decoding is strict:
-//! every reader returns `None` on truncation, overlong varints, or invalid
-//! payloads, so a corrupt snapshot is rejected rather than misread.
+//! The terminal snapshot's cell words — character, colour, renditions and
+//! cell — written in the shared [`mosh_wire`] vocabulary that every
+//! snapshot layer uses. Decoding is strict: every reader returns `None`
+//! on truncation or an invalid payload, so a corrupt snapshot is rejected
+//! rather than misread.
 
 use crate::cell::{Attrs, Cell, Color};
-
-/// Appends `v` as a LEB128 varint.
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-/// Appends a length-prefixed byte string.
-pub(crate) fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_varint(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-/// Appends a bool as one byte (0 or 1).
-pub(crate) fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
-}
-
-/// A strict, bounds-checked reader over a snapshot body.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    pub(crate) fn byte(&mut self) -> Option<u8> {
-        let b = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    pub(crate) fn boolean(&mut self) -> Option<bool> {
-        match self.byte()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn varint(&mut self) -> Option<u64> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.byte()?;
-            if shift == 63 && b > 1 {
-                return None; // overflow past u64
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Some(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return None;
-            }
-        }
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.remaining() < n {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-
-    pub(crate) fn bytes(&mut self) -> Option<&'a [u8]> {
-        let n = self.varint()? as usize;
-        self.take(n)
-    }
-
-    /// A decoded `char`; rejects surrogate/out-of-range code points.
-    pub(crate) fn ch(&mut self) -> Option<char> {
-        char::from_u32(u32::try_from(self.varint()?).ok()?)
-    }
-
-    fn color(&mut self) -> Option<Color> {
-        match self.byte()? {
-            0 => Some(Color::Default),
-            1 => Some(Color::Indexed(self.byte()?)),
-            2 => {
-                let rgb = self.take(3)?;
-                Some(Color::Rgb(rgb[0], rgb[1], rgb[2]))
-            }
-            _ => None,
-        }
-    }
-
-    pub(crate) fn attrs(&mut self) -> Option<Attrs> {
-        let flags = self.byte()?;
-        Some(Attrs::from_flags(flags, self.color()?, self.color()?))
-    }
-
-    pub(crate) fn cell(&mut self) -> Option<Cell> {
-        let f = self.byte()?;
-        if f > 3 {
-            return None;
-        }
-        Some(Cell::new(self.ch()?, f & 1 != 0, f & 2 != 0, self.attrs()?))
-    }
-}
+use mosh_wire::{put_varint, Reader};
 
 /// Appends a `char` as a varint of its code point.
 pub(crate) fn put_char(out: &mut Vec<u8>, c: char) {
     put_varint(out, u64::from(u32::from(c)));
+}
+
+/// Reads a [`put_char`] `char`; refuses surrogate and out-of-range code
+/// points.
+pub(crate) fn get_char(r: &mut Reader<'_>) -> Option<char> {
+    char::from_u32(u32::try_from(r.varint()?).ok()?)
 }
 
 fn put_color(out: &mut Vec<u8>, c: Color) {
@@ -146,11 +32,29 @@ fn put_color(out: &mut Vec<u8>, c: Color) {
     }
 }
 
+fn get_color(r: &mut Reader<'_>) -> Option<Color> {
+    match r.byte()? {
+        0 => Some(Color::Default),
+        1 => Some(Color::Indexed(r.byte()?)),
+        2 => {
+            let rgb = r.take(3)?;
+            Some(Color::Rgb(rgb[0], rgb[1], rgb[2]))
+        }
+        _ => None,
+    }
+}
+
 /// Appends renditions: one byte of flags, then the two colours.
 pub(crate) fn put_attrs(out: &mut Vec<u8>, a: &Attrs) {
     out.push(a.flags());
     put_color(out, a.fg);
     put_color(out, a.bg);
+}
+
+/// Reads [`put_attrs`] renditions.
+pub(crate) fn get_attrs(r: &mut Reader<'_>) -> Option<Attrs> {
+    let flags = r.byte()?;
+    Some(Attrs::from_flags(flags, get_color(r)?, get_color(r)?))
 }
 
 /// Appends a cell: its two wide flags, its character, its renditions.
@@ -160,40 +64,94 @@ pub(crate) fn put_cell(out: &mut Vec<u8>, c: &Cell) {
     put_attrs(out, &c.attrs());
 }
 
+/// Reads a [`put_cell`] cell.
+pub(crate) fn get_cell(r: &mut Reader<'_>) -> Option<Cell> {
+    let f = r.byte()?;
+    if f > 3 {
+        return None;
+    }
+    Some(Cell::new(
+        get_char(r)?,
+        f & 1 != 0,
+        f & 2 != 0,
+        get_attrs(r)?,
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn varint_round_trip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut out = Vec::new();
-            put_varint(&mut out, v);
-            assert_eq!(Reader::new(&out).varint(), Some(v));
-        }
+    fn rgb_cell() -> Vec<u8> {
+        let attrs = Attrs {
+            fg: Color::Rgb(1, 2, 3),
+            bg: Color::Indexed(200),
+            ..Attrs::default()
+        };
+        let mut out = Vec::new();
+        put_cell(&mut out, &Cell::new('漢', true, false, attrs));
+        out
     }
 
     #[test]
     fn truncation_rejected() {
-        let mut out = Vec::new();
-        put_bytes(&mut out, b"hello");
-        out.pop();
-        assert!(Reader::new(&out).bytes().is_none());
+        let full = rgb_cell();
+        assert!(get_cell(&mut Reader::new(&full)).is_some());
+        for cut in 0..full.len() {
+            assert!(
+                get_cell(&mut Reader::new(&full[..cut])).is_none(),
+                "cut at {cut}"
+            );
+        }
     }
 
     #[test]
     fn bool_strictness() {
-        assert_eq!(Reader::new(&[2]).boolean(), None);
-        assert_eq!(Reader::new(&[1]).boolean(), Some(true));
+        // The cell's first byte holds its two wide flags and nothing else;
+        // a colour's tag is one of three.
+        let mut bad_flags = rgb_cell();
+        bad_flags[0] = 4;
+        assert!(get_cell(&mut Reader::new(&bad_flags)).is_none());
+        let mut bad_color = Vec::new();
+        put_attrs(&mut bad_color, &Attrs::default());
+        bad_color[1] = 3;
+        assert!(get_attrs(&mut Reader::new(&bad_color)).is_none());
+    }
+
+    #[test]
+    fn varint_round_trip() {
+        // A char is its code point as a varint: one byte per seven bits,
+        // so the group edges below the Unicode limit take 1, 2 and 3 bytes.
+        for (c, len) in [
+            ('\0', 1),
+            ('\x7f', 1),
+            ('\u{80}', 2),
+            ('\u{3fff}', 2),
+            ('\u{4000}', 3),
+            (char::MAX, 3),
+        ] {
+            let mut out = Vec::new();
+            put_char(&mut out, c);
+            assert_eq!(out.len(), len, "{c:?} encodes in {len} bytes");
+            let mut r = Reader::new(&out);
+            assert_eq!(get_char(&mut r), Some(c));
+            assert_eq!(r.remaining(), 0);
+        }
+        // Varints past the Unicode and u32 ranges are no char.
+        for v in [0x11_0000, u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(get_char(&mut Reader::new(&out)), None, "{v:#x}");
+        }
     }
 
     #[test]
     fn char_round_trip_and_rejection() {
         let mut out = Vec::new();
         put_char(&mut out, '漢');
-        assert_eq!(Reader::new(&out).ch(), Some('漢'));
+        assert_eq!(get_char(&mut Reader::new(&out)), Some('漢'));
         let mut bad = Vec::new();
         put_varint(&mut bad, 0xd800); // surrogate
-        assert!(Reader::new(&bad).ch().is_none());
+        assert!(get_char(&mut Reader::new(&bad)).is_none());
     }
 }

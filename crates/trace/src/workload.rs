@@ -8,7 +8,7 @@
 
 use mosh_core::apps::{Application, Editor, LineShell, MailReader, Pager, TimedWrite};
 use mosh_core::Millis;
-use mosh_ssp::wire::{put_bytes, put_varint, Reader};
+use mosh_wire::{put_bytes, put_varint, Reader};
 
 /// The control byte that advances to the next application in the workload.
 pub const SWITCH_BYTE: u8 = 0x1d;
@@ -111,10 +111,11 @@ impl Application for WorkloadApp {
         // Parse and validate everything before touching self: a rejected
         // snapshot leaves the workload exactly as it was.
         let mut r = Reader::new(bytes);
-        let Ok(active) = r.varint() else { return false };
-        let Ok(inner) = r.bytes() else { return false };
+        let (Some(active), Some(inner), Some(())) = (r.varint(), r.bytes(), r.end()) else {
+            return false;
+        };
         let active = active as usize;
-        if r.remaining() != 0 || active >= self.kinds.len() {
+        if active >= self.kinds.len() {
             return false;
         }
         // The inner app's own kind tag rejects a snapshot whose segment
