@@ -244,7 +244,7 @@ fn ns_per_byte(
 
 fn run_ingest(name: &'static str, stream: &Stream, window_ms: u64) -> IngestResult {
     // Correctness first: both routes must leave the same terminal —
-    // screen, scrollback, interpreter and parser state.
+    // screen, interpreter and parser state.
     assert_eq!(
         ingest(stream, Terminal::write).snapshot_bytes(),
         ingest(stream, write_per_action).snapshot_bytes(),
@@ -263,14 +263,13 @@ fn run_ingest(name: &'static str, stream: &Stream, window_ms: u64) -> IngestResu
 }
 
 /// Nanoseconds per short line written at the bottom margin of a terminal
-/// whose scrollback is already full — the steady state of a flood, where
-/// each line retires the top row into history and the oldest history row
-/// comes back as the blank bottom row. A figure, not a gate: there is no
-/// second route to hold it against.
+/// whose screen is already full — the steady state of a flood, where each
+/// line discards the top row and its storage comes back as the blank
+/// bottom row. A figure, not a gate: there is no second route to hold it
+/// against.
 fn scroll_ns_per_line(window_ms: u64) -> f64 {
     let mut term = Terminal::new(WIDTH, HEIGHT);
-    let fill = HEIGHT + term.frame().scrollback_limit();
-    for _ in 0..fill {
+    for _ in 0..HEIGHT {
         term.write(b"\r\ny");
     }
     let start = Instant::now();
@@ -355,7 +354,7 @@ fn main() {
     }
     let scroll_ns = scroll_ns_per_line(window_ms);
     println!(
-        "  {:>12}  {:>9}  {:>13.1}  (scroll ns/line: one short line at the bottom margin, scrollback full)",
+        "  {:>12}  {:>9}  {:>13.1}  (scroll ns/line: one short line at the bottom margin, screen full)",
         "scroll", "-", scroll_ns
     );
     // Release only, like the diff gates: a debug build's per-byte costs

@@ -36,6 +36,16 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     put_bytes(out, s.as_bytes());
 }
 
+/// The longest echo delay, in milliseconds, a restored application takes.
+/// The applications here echo after 2–4 ms; a snapshot that claims more
+/// is refused, so no due time `now + echo_delay` can overflow.
+const MAX_ECHO_DELAY: Millis = 60_000;
+
+/// Reads an echo delay, refusing one above [`MAX_ECHO_DELAY`].
+fn get_echo_delay(r: &mut Reader<'_>) -> Option<Millis> {
+    r.varint().filter(|&delay| delay <= MAX_ECHO_DELAY)
+}
+
 /// Replaces `app` with what `decode` reads from `bytes` after the kind
 /// `tag`, when that consumes every byte; otherwise leaves `app` untouched
 /// and returns `false`.
@@ -367,7 +377,9 @@ impl Application for LineShell {
                 let ys = 1 + (self.flood_line % 40) as usize;
                 bytes.resize(bytes.len() + ys, b'y');
                 bytes.extend_from_slice(b"\r\n");
-                self.flood_line += 1;
+                // Only `flood_line % 40` is read, and a restored count can
+                // sit anywhere: wrap rather than overflow.
+                self.flood_line = self.flood_line.wrapping_add(1);
             }
             out.push(TimedWrite {
                 at: self.next_flood_at,
@@ -404,7 +416,7 @@ impl Application for LineShell {
                 line: r.string()?,
                 echo_on: r.bool()?,
                 prompt: old.prompt,
-                echo_delay: r.varint()?,
+                echo_delay: get_echo_delay(r)?,
                 flooding: r.bool()?,
                 next_flood_at: r.varint()?,
                 flood_line: r.varint()?,
@@ -627,7 +639,7 @@ impl Application for Editor {
                 col: r.varint()? as usize,
                 width: r.varint()? as usize,
                 height: r.varint()? as usize,
-                echo_delay: r.varint()?,
+                echo_delay: get_echo_delay(r)?,
                 insert_mode: r.bool()?,
                 started: r.bool()?,
             };
@@ -1022,6 +1034,33 @@ mod tests {
             assert_eq!((twin.flood_line, twin.next_flood_at), (line, at));
         }
         assert!(line >= 20 * 200, "the flood ran");
+    }
+
+    /// A snapshot is outside input. An echo delay near `u64::MAX` would
+    /// overflow the next key's due time, so restoring one is refused and
+    /// leaves the app as it was; a flood's line count near `u64::MAX`
+    /// keeps counting without overflowing.
+    #[test]
+    fn restored_delays_and_counts_cannot_overflow() {
+        let mut sh = LineShell::new();
+        sh.echo_delay = u64::MAX;
+        let mut twin = LineShell::new();
+        assert!(!twin.restore_state(&sh.save_state()));
+        assert_eq!(twin.on_input(100, b"l")[0].at, 102);
+
+        let mut ed = Editor::new();
+        ed.echo_delay = u64::MAX;
+        let mut twin = Editor::new();
+        assert!(!twin.restore_state(&ed.save_state()));
+        twin.start(0);
+        assert!(!twin.on_input(10, b"x").is_empty());
+
+        let mut sh = LineShell::new();
+        sh.on_input(0, b"yes\r");
+        sh.flood_line = u64::MAX;
+        let mut twin = LineShell::new();
+        assert!(twin.restore_state(&sh.save_state()));
+        assert!(!twin.poll(100).is_empty());
     }
 
     #[test]

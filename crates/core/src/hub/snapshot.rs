@@ -53,11 +53,13 @@ pub const MAGIC: [u8; 4] = *b"MSHS";
 /// readers reject newer frames whole.
 ///
 /// History: v1 — initial container; v2 — [`mosh_terminal::Framebuffer`]
-/// encoding grew bounded scrollback and a `display_offset` (scrollback
-/// now survives handoff, checkpoint/resurrect, and roaming); v3 — the
+/// encoding grew bounded history and a viewport offset into it; v3 — the
 /// server's Figure 3 measurement log (two lists that grew by one entry
 /// per application write) is gone from the body, which is otherwise v2's
-/// field for field; a v2 frame is read by skipping them.
+/// field for field; a v2 frame is read by skipping them. A framebuffer
+/// now keeps no history, as Mosh's keeps none: its three history fields
+/// are written empty, and history an older writer stored is read, checked
+/// and dropped, so the layout and this version stay as they were.
 pub const VERSION: u16 = 3;
 
 /// Nonce gap burned when resurrecting from a possibly-stale checkpoint:

@@ -104,18 +104,6 @@ impl MoshServer {
         self.transport.current_state().frame()
     }
 
-    /// Scrolls the host-side viewport `delta` lines into scrollback
-    /// (negative values move back toward the live screen). Viewport
-    /// state — scrollback plus [`Framebuffer::display_offset`] — rides
-    /// session snapshots (checkpoint/resurrect, handoff) but is never
-    /// part of the synchronized state the client sees, so this needs no
-    /// sender commit and changes no wire traffic.
-    ///
-    /// [`Framebuffer::display_offset`]: mosh_terminal::Framebuffer::display_offset
-    pub fn scroll_view(&mut self, delta: isize) {
-        self.transport.current_state_mut().scroll_view(delta);
-    }
-
     /// Smoothed RTT as the server sees it.
     pub fn srtt(&self) -> f64 {
         self.transport.srtt()

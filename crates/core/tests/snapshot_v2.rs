@@ -8,9 +8,12 @@
 //! between the `started` flag and the application's state.
 //!
 //! `fixtures/server_v3.snap` is the same server's version-3 snapshot,
-//! stored before the format moves again: it pins today's
-//! `snapshot_server` bytes for the server's state, whatever the
-//! in-memory layout becomes.
+//! stored before the format moves again. Both were written while a
+//! framebuffer kept history: the screen's lines that had scrolled off its
+//! top, [`HISTORY_BYTES`] of each file. A framebuffer keeps none now, so
+//! either restores to a server that writes those fields empty, and
+//! otherwise to today's `snapshot_server` bytes for the server's state,
+//! whatever the in-memory layout becomes.
 
 use mosh_core::hub::snapshot::{self, SnapshotError};
 use mosh_core::{LineShell, MoshClient, MoshServer};
@@ -98,6 +101,12 @@ fn mid_flood() -> (MoshServer, Vec<Vec<u8>>, u64) {
     (server, rest, now)
 }
 
+/// The bytes of history in each fixture: the limit, length and offset
+/// fields and the rows the flood had scrolled off the screen, in every
+/// framebuffer the snapshot holds, less the three zero bytes written in
+/// their place today.
+const HISTORY_BYTES: usize = 4804;
+
 const NEXT_SEQ: u64 = 7;
 const ACTIVITY_MARKER: (u64, u64) = (5, 4);
 
@@ -130,12 +139,12 @@ fn a_v2_snapshot_restores_resumes_and_is_written_back_as_v3() {
 
     // Written back it is the v3 snapshot of the server the fixture was
     // taken from — the same bytes, not merely an equivalent session —
-    // and the log is all that went.
+    // and the log and the history are all that went.
     let (mut live, rest, now) = mid_flood();
     let v3 = snapshot::snapshot_server(&from_v2);
     assert_eq!(v3[4..6], 3u16.to_be_bytes());
     assert_eq!(v3, snapshot::snapshot_server(&live));
-    assert_eq!(FIXTURE.len() - v3.len(), 563);
+    assert_eq!(FIXTURE.len() - v3.len(), 563 + HISTORY_BYTES);
 
     // It resumes as a v3 round trip of that server does. The paste's
     // other two fragments complete the instruction whose first the
@@ -160,13 +169,15 @@ fn a_v2_snapshot_restores_resumes_and_is_written_back_as_v3() {
 fn the_v3_fixture_is_todays_snapshot_and_resumes_like_its_v2_twin() {
     assert_eq!(FIXTURE_V3[4..6], 3u16.to_be_bytes());
     let (mut live, rest, now) = mid_flood();
+    let mut from_v3 = restore(FIXTURE_V3).expect("version 3 is read");
+    let today = snapshot::snapshot_server(&live);
     assert_eq!(
-        snapshot::snapshot_server(&live),
-        FIXTURE_V3,
+        snapshot::snapshot_server(&from_v3),
+        today,
         "the snapshot bytes of one server state changed"
     );
+    assert_eq!(FIXTURE_V3.len() - today.len(), HISTORY_BYTES);
 
-    let mut from_v3 = restore(FIXTURE_V3).expect("version 3 is read");
     let mut from_v2 = restore(FIXTURE).expect("version 2 is read");
     assert_eq!(from_v3.frame().to_text(), screen());
     assert_eq!(from_v3.next_seq(), NEXT_SEQ);

@@ -90,14 +90,6 @@ impl CompleteTerminal {
         self.terminal.frame()
     }
 
-    /// Scrolls the local viewport `delta` lines into scrollback (negative
-    /// values move back toward the live screen). Viewport state rides the
-    /// frame through snapshots but is *not* synchronized state: it never
-    /// appears in diffs or state equality, so no sender commit is needed.
-    pub fn scroll_view(&mut self, delta: isize) {
-        self.terminal.frame_mut().scroll_view(delta);
-    }
-
     /// Drains any device reports the emulator owes the application.
     pub fn take_answerback(&mut self) -> Vec<u8> {
         self.terminal.take_answerback()

@@ -5,8 +5,8 @@
 //! the ECMA-48 "Select Graphic Rendition" attributes: intensity, underline,
 //! colors, and so on.
 //!
-//! Every framebuffer a session keeps (the live screen and its history, the
-//! states the sender retains, the client's copy) is mostly cells, so a
+//! Every framebuffer a session keeps (the live screen, the states the
+//! sender retains, the client's copy) is mostly cells, so a
 //! [`Cell`] is packed into three `u32`s, 12 bytes:
 //!
 //! - `glyph`: the scalar value (bits 0–20), the wide flag (21), the

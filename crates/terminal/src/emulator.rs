@@ -661,10 +661,9 @@ mod tests {
 
     #[test]
     fn rep_at_its_largest_matches_per_character_printing() {
-        // CSI 65535 b: eight bytes that fill the screen and the scrollback
-        // many times over, row-sized spans at a time. The result — screen,
-        // scrollback, cursor, pending wrap — is what printing the
-        // character 65 535 times leaves.
+        // CSI 65535 b: eight bytes that fill the screen many times over,
+        // row-sized spans at a time. The result — screen, cursor, pending
+        // wrap — is what printing the character 65 535 times leaves.
         for (w, h) in [(80, 24), (1, 1)] {
             let mut rep = Terminal::new(w, h);
             rep.write(b"x\x1b[65535b");

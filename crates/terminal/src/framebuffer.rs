@@ -8,17 +8,19 @@
 //! participates in equality: SSP synchronizes what the user sees, and the
 //! client only ever applies self-contained diffs to its framebuffer.
 //!
-//! The rows, with the history above them, live in one store in `grid.rs`;
-//! this module turns each VT operation into edits of those rows.
+//! A framebuffer holds exactly the screen's `height` rows, as Mosh's own
+//! `Terminal::Framebuffer` does: a line scrolled off the top is gone. The
+//! rows are copy-on-write handles (`grid.rs`); this module turns each VT
+//! operation into edits of those rows.
 
 use std::collections::VecDeque;
 
 use crate::cell::{Attrs, Cell, Color};
-use crate::grid::{blank_cell, Grid, MAX_DIMENSION};
+use crate::grid::{blank_cell, blank_rows, MAX_DIMENSION};
 use crate::wirefmt::{get_attrs, get_char, put_attrs, put_char};
 use mosh_wire::{put_bool, put_bytes, put_varint, Reader};
 
-pub use crate::grid::{Row, DEFAULT_SCROLLBACK};
+pub use crate::grid::Row;
 
 /// Cursor state (position is 0-based internally).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,12 +78,11 @@ impl Default for Modes {
 /// Equality compares only what the user can observe: screen contents,
 /// cursor position and visibility, window title, and the bell count. That
 /// is the contract the display differ ([`crate::display`]) reproduces.
-/// Scrollback and the display offset are deliberately excluded — they are
-/// server-side view state, not synchronized screen content.
 #[derive(Debug, Clone)]
 pub struct Framebuffer {
-    /// The screen's rows and the history above them.
-    grid: Grid,
+    width: usize,
+    /// The screen's `height` rows, top to bottom, each `width` cells.
+    rows: VecDeque<Row>,
     /// Current cursor.
     pub cursor: Cursor,
     /// Current graphic renditions for new text.
@@ -98,7 +99,7 @@ pub struct Framebuffer {
     wrap_pending: bool,
     saved_cursor: Option<SavedCursor>,
     /// Primary-screen stash while the alternate screen is active.
-    alt_saved: Option<(Vec<Row>, Cursor)>,
+    alt_saved: Option<(VecDeque<Row>, Cursor)>,
     /// Replies the terminal owes the host (DSR/DA reports).
     answerback: Vec<u8>,
     /// Last printed character, for REP.
@@ -130,7 +131,8 @@ impl Framebuffer {
     pub fn new(width: usize, height: usize) -> Self {
         assert!(width > 0 && height > 0, "framebuffer must be at least 1x1");
         Framebuffer {
-            grid: Grid::new(width, height),
+            width,
+            rows: blank_rows(width, height).collect(),
             cursor: Cursor { row: 0, col: 0 },
             pen: Attrs::default(),
             modes: Modes::default(),
@@ -150,12 +152,12 @@ impl Framebuffer {
 
     /// Screen width in columns.
     pub fn width(&self) -> usize {
-        self.grid.width()
+        self.width
     }
 
     /// Screen height in rows.
     pub fn height(&self) -> usize {
-        self.grid.height()
+        self.rows.len()
     }
 
     /// The row at visual position `i` (0 = top of the live screen).
@@ -164,7 +166,7 @@ impl Framebuffer {
     ///
     /// Panics if `i >= height`.
     pub fn row(&self, i: usize) -> &Row {
-        self.grid.row(i)
+        &self.rows[i]
     }
 
     /// The cell at `(row, col)`.
@@ -173,14 +175,14 @@ impl Framebuffer {
     ///
     /// Panics if out of bounds.
     pub fn cell(&self, row: usize, col: usize) -> &Cell {
-        &self.grid.row(row).cells()[col]
+        &self.rows[row].cells()[col]
     }
 
     /// Mutable cell access (used by tests and the prediction engine).
     /// Copies the row first if a clone shares it; the wide-pair invariant
     /// is the caller's responsibility.
     pub fn cell_mut(&mut self, row: usize, col: usize) -> &mut Cell {
-        &mut self.grid.row_mut(row).cells_mut()[col]
+        &mut self.rows[row].cells_mut()[col]
     }
 
     /// The window title (OSC 0/2).
@@ -230,57 +232,6 @@ impl Framebuffer {
     /// Blank cell carrying only the pen's background (BCE erase semantics).
     pub(crate) fn erase_cell(&self) -> Cell {
         blank_cell(self.pen.bg)
-    }
-
-    // ------------------------------------------------------------------
-    // Scrollback and the display offset.
-    // ------------------------------------------------------------------
-
-    /// Maximum rows of scrollback retained.
-    pub fn scrollback_limit(&self) -> usize {
-        self.grid.scrollback_limit()
-    }
-
-    /// Sets the scrollback bound, discarding the oldest rows (and clamping
-    /// the display offset) if the new bound is smaller.
-    pub fn set_scrollback_limit(&mut self, limit: usize) {
-        self.grid.set_scrollback_limit(limit);
-    }
-
-    /// Rows currently held in scrollback.
-    pub fn scrollback_len(&self) -> usize {
-        self.grid.scrollback_len()
-    }
-
-    /// A scrollback row; `i = 0` is the line just above the live screen,
-    /// higher `i` reaches further into history.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= scrollback_len()`.
-    pub fn history_row(&self, i: usize) -> &Row {
-        self.grid.history_row(i)
-    }
-
-    /// How far back the viewport is scrolled (0 = live screen).
-    pub fn display_offset(&self) -> usize {
-        self.grid.display_offset()
-    }
-
-    /// Moves the viewport `delta` lines into history (negative values move
-    /// back toward the live screen), clamped to the available scrollback.
-    pub fn scroll_view(&mut self, delta: isize) {
-        self.grid.scroll_view(delta);
-    }
-
-    /// The row shown at viewport position `i` under the current display
-    /// offset: history rows first, then the top of the live screen.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= height`.
-    pub fn view_row(&self, i: usize) -> &Row {
-        self.grid.view_row(i)
     }
 
     // ------------------------------------------------------------------
@@ -399,7 +350,7 @@ impl Framebuffer {
             let col = self.cursor.col;
             let (segment, rest) = run.split_at(run.len().min(width - col));
             let last = col + segment.len() - 1;
-            let cells = self.grid.row_mut(self.cursor.row).cells_mut();
+            let cells = self.rows[self.cursor.row].cells_mut();
             // The wide-pair invariant at the two ends of the span: a pair
             // the span cuts in half loses its other half too (`lo`/`hi`
             // step outward onto it; otherwise they are the span's own ends
@@ -450,7 +401,7 @@ impl Framebuffer {
     fn put_cell(&mut self, row: usize, col: usize, cell: Cell) {
         let erase = self.erase_cell();
         let width = self.width();
-        let cells = self.grid.row_mut(row).cells_mut();
+        let cells = self.rows[row].cells_mut();
         let old = cells[col];
         if old.wide() && col + 1 < width {
             cells[col + 1] = erase;
@@ -467,7 +418,7 @@ impl Framebuffer {
     fn fill_erase(&mut self, row: usize, lo: usize, hi: usize) {
         let erase = self.erase_cell();
         let width = self.width();
-        let cells = self.grid.row_mut(row).cells_mut();
+        let cells = self.rows[row].cells_mut();
         let lo = lo - usize::from(cells[lo].wide_continuation() && lo > 0);
         let hi = hi + usize::from(cells[hi].wide() && hi + 1 < width);
         cells[lo..=hi].fill(erase);
@@ -497,26 +448,38 @@ impl Framebuffer {
         self.wrap_pending = false;
     }
 
-    /// Scrolls the scroll region up by `n` lines (text moves up). With the
-    /// full screen as the region on the primary screen, each top row
-    /// retires into history; anywhere else it is discarded.
+    /// Scrolls the scroll region up by `n` lines (text moves up); each row
+    /// leaving at the top is discarded.
     pub fn scroll_up(&mut self, n: usize) {
-        let (top, bottom, bg) = (self.scroll_top, self.scroll_bottom, self.pen.bg);
-        let n = n.min(bottom - top + 1);
-        if top == 0 && bottom == self.height() - 1 && self.alt_saved.is_none() {
-            self.grid.scroll_into_history(n, bg);
-        } else {
-            self.grid.shift_up(top, bottom, n, bg);
+        self.shift_up(self.scroll_top, self.scroll_bottom, n);
+    }
+
+    /// Scrolls the scroll region down by `n` lines (text moves down); each
+    /// row leaving at the bottom is discarded.
+    pub fn scroll_down(&mut self, n: usize) {
+        self.shift_down(self.scroll_top, self.scroll_bottom, n);
+    }
+
+    /// Moves rows `top + n..=bottom` up `n` lines (`n` capped at the
+    /// span); each row leaving at `top` is discarded and its handle comes
+    /// back, blank in the pen's background, at `bottom`.
+    fn shift_up(&mut self, top: usize, bottom: usize, n: usize) {
+        for _ in 0..n.min(bottom - top + 1) {
+            let mut row = self.rows.remove(top).expect("row on screen");
+            row.reblank(self.width, self.pen.bg);
+            self.rows.insert(bottom, row);
         }
     }
 
-    /// Scrolls the scroll region down by `n` lines (text moves down). The
-    /// evicted bottom row is discarded; scroll-down never pulls history
-    /// back onto the screen.
-    pub fn scroll_down(&mut self, n: usize) {
-        let (top, bottom) = (self.scroll_top, self.scroll_bottom);
-        self.grid
-            .shift_down(top, bottom, n.min(bottom - top + 1), self.pen.bg);
+    /// Moves rows `top..=bottom - n` down `n` lines (`n` capped at the
+    /// span); each row leaving at `bottom` is discarded and its handle
+    /// comes back, blank in the pen's background, at `top`.
+    fn shift_down(&mut self, top: usize, bottom: usize, n: usize) {
+        for _ in 0..n.min(bottom - top + 1) {
+            let mut row = self.rows.remove(bottom).expect("row on screen");
+            row.reblank(self.width, self.pen.bg);
+            self.rows.insert(top, row);
+        }
     }
 
     /// Sets the scroll region from 1-based inclusive coordinates, moving the
@@ -545,7 +508,7 @@ impl Framebuffer {
         let n = n.min(self.width() - col);
         let width = self.width();
         let erase = self.erase_cell();
-        let cells = self.grid.row_mut(row).cells_mut();
+        let cells = self.rows[row].cells_mut();
         // Splitting a wide pair at the insertion point orphans both halves.
         if cells[col].wide_continuation() {
             cells[col] = erase;
@@ -570,7 +533,7 @@ impl Framebuffer {
         let n = n.min(self.width() - col);
         let width = self.width();
         let erase = self.erase_cell();
-        let cells = self.grid.row_mut(row).cells_mut();
+        let cells = self.rows[row].cells_mut();
         // Deleting the continuation but not the lead orphans the lead.
         if cells[col].wide_continuation() && col > 0 {
             cells[col - 1] = erase;
@@ -598,9 +561,7 @@ impl Framebuffer {
         if self.cursor.row < self.scroll_top || self.cursor.row > self.scroll_bottom {
             return;
         }
-        let (top, bottom) = (self.cursor.row, self.scroll_bottom);
-        self.grid
-            .shift_down(top, bottom, n.min(bottom - top + 1), self.pen.bg);
+        self.shift_down(self.cursor.row, self.scroll_bottom, n);
         self.cursor.col = 0;
         self.wrap_pending = false;
     }
@@ -611,9 +572,7 @@ impl Framebuffer {
         if self.cursor.row < self.scroll_top || self.cursor.row > self.scroll_bottom {
             return;
         }
-        let (top, bottom) = (self.cursor.row, self.scroll_bottom);
-        self.grid
-            .shift_up(top, bottom, n.min(bottom - top + 1), self.pen.bg);
+        self.shift_up(self.cursor.row, self.scroll_bottom, n);
         self.cursor.col = 0;
         self.wrap_pending = false;
     }
@@ -630,7 +589,8 @@ impl Framebuffer {
     }
 
     /// Erase in display (ED): 0 = cursor to end, 1 = start to cursor,
-    /// 2 = whole screen, 3 = whole screen plus scrollback (xterm E3).
+    /// 2 and 3 = whole screen (xterm's E3 also clears saved lines, and
+    /// none are kept).
     pub fn erase_display(&mut self, mode: u16) {
         match mode {
             0 => {
@@ -648,9 +608,6 @@ impl Framebuffer {
             _ => {
                 for r in 0..self.height() {
                     self.fill_erase(r, 0, self.width() - 1);
-                }
-                if mode == 3 {
-                    self.grid.clear_history();
                 }
             }
         }
@@ -732,13 +689,12 @@ impl Framebuffer {
     }
 
     /// Switches to the alternate screen (clearing it). No-op if already on.
-    /// Snaps the viewport back to the live screen; scrollback is retained
-    /// but never fed while the alternate screen is active.
     pub fn enter_alternate_screen(&mut self) {
         if self.alt_saved.is_some() {
             return;
         }
-        self.alt_saved = Some((self.grid.take_screen(), self.cursor));
+        let blank = blank_rows(self.width, self.height()).collect();
+        self.alt_saved = Some((std::mem::replace(&mut self.rows, blank), self.cursor));
         self.cursor = Cursor { row: 0, col: 0 };
         self.wrap_pending = false;
     }
@@ -747,29 +703,25 @@ impl Framebuffer {
     pub fn exit_alternate_screen(&mut self) {
         if let Some((rows, cursor)) = self.alt_saved.take() {
             // `resize` and `decode` keep the stashed cursor on the screen.
-            self.grid.restore_screen(rows);
+            self.rows = rows;
             self.cursor = cursor;
             self.wrap_pending = false;
         }
     }
 
-    /// RIS: reset to initial state (size and title are kept; everything
-    /// else returns to power-on defaults). Scrollback *content* and the
-    /// configured limit survive — only E3 discards history — but the
-    /// viewport snaps back to the live screen.
+    /// RIS: reset to initial state (size, title and bell count are kept;
+    /// everything else returns to power-on defaults).
     pub fn reset(&mut self) {
-        let (width, height) = (self.width(), self.height());
-        let old = std::mem::replace(self, Framebuffer::new(width, height));
+        let old = std::mem::replace(self, Framebuffer::new(self.width, self.height()));
         self.title = old.title;
         self.bell_count = old.bell_count;
-        self.grid.adopt_history(old.grid);
     }
 
     /// DECALN: fill the screen with 'E' and reset margins (alignment test).
     pub fn screen_alignment_test(&mut self) {
         let cell = Cell::narrow('E', Attrs::default());
         for r in 0..self.height() {
-            self.grid.row_mut(r).cells_mut().fill(cell);
+            self.rows[r].cells_mut().fill(cell);
         }
         self.scroll_top = 0;
         self.scroll_bottom = self.height() - 1;
@@ -783,9 +735,7 @@ impl Framebuffer {
 
     /// Resizes the screen, preserving the top-left contents (Mosh keeps
     /// content anchored at the top on resize). Resets the scroll region and
-    /// clamps the cursor. Scrollback rows are padded or truncated to the
-    /// new width; the display offset stays within bounds because the
-    /// scrollback length is unchanged.
+    /// clamps the cursor.
     pub fn resize(&mut self, width: usize, height: usize) {
         assert!(width > 0 && height > 0, "resize to at least 1x1");
         if width == self.width() && height == self.height() {
@@ -793,14 +743,12 @@ impl Framebuffer {
         }
         // The alternate-screen stash must track the new size too.
         if let Some((rows, cursor)) = &mut self.alt_saved {
-            if width != self.grid.width() {
-                rows.iter_mut().for_each(|row| row.set_width(width));
-            }
-            rows.resize_with(height, || Row::blank(width, Color::Default));
+            reshape(rows, self.width, width, height);
             cursor.row = cursor.row.min(height - 1);
             cursor.col = cursor.col.min(width - 1);
         }
-        self.grid.resize(width, height);
+        reshape(&mut self.rows, self.width, width, height);
+        self.width = width;
         self.scroll_top = 0;
         self.scroll_bottom = height - 1;
         self.cursor.row = self.cursor.row.min(height - 1);
@@ -834,10 +782,9 @@ impl Framebuffer {
 
     /// Serializes the complete screen *and* interpreter state for a session
     /// snapshot. Unlike the display differ, nothing is normalized away: pen,
-    /// modes, scroll region, tabs, saved cursors, the alternate-screen
-    /// stash, scrollback, and the display offset all round-trip, so a
-    /// restored framebuffer interprets future bytes exactly like the
-    /// original would have — and the user's history survives a restore.
+    /// modes, scroll region, tabs, saved cursors and the alternate-screen
+    /// stash all round-trip, so a restored framebuffer interprets future
+    /// bytes exactly like the original would have.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         put_varint(out, self.width() as u64);
         put_varint(out, self.height() as u64);
@@ -883,17 +830,15 @@ impl Framebuffer {
             put_char(out, c);
         }
         put_bool(out, self.line_drawing);
-        put_varint(out, self.scrollback_limit() as u64);
-        put_varint(out, self.scrollback_len() as u64);
-        self.grid.history().for_each(|row| row.encode_into(out));
-        put_varint(out, self.display_offset() as u64);
+        // The format's history fields (a limit, that many rows at most and
+        // a viewport offset into them), written empty: none is kept.
+        out.extend_from_slice(&[0, 0, 0]);
     }
 
     /// Rebuilds a framebuffer from [`Self::encode_into`] output. Every
     /// structural invariant the editing primitives rely on (row/column
-    /// bounds, tab-vector length, scroll-region ordering, scrollback and
-    /// offset bounds) is re-validated, so a decoded framebuffer can never
-    /// panic later.
+    /// bounds, tab-vector length, scroll-region ordering) is re-validated,
+    /// so a decoded framebuffer can never panic later.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Option<Self> {
         let width = r.varint()? as usize;
         let height = r.varint()? as usize;
@@ -960,27 +905,23 @@ impl Framebuffer {
             true => Some(get_char(r)?),
         };
         let line_drawing = r.bool()?;
-        let scrollback_limit = r.varint()? as usize;
-        if scrollback_limit > 1_000_000 {
+        // History, which older writers kept: checked, so that every
+        // input refused while history was kept is still refused, then
+        // skipped and dropped.
+        let limit = r.varint()?;
+        let len = r.varint()?;
+        if limit > 1_000_000 || len > limit {
             return None;
         }
-        let scrollback_len = r.varint()? as usize;
-        if scrollback_len > scrollback_limit {
-            return None;
+        for _ in 0..len {
+            Row::skip(r, width)?;
         }
-        // Every row takes at least one byte, so what is left of the input
-        // bounds the history rows worth reserving room for.
-        let mut lines = VecDeque::with_capacity(scrollback_len.min(r.remaining()) + height);
-        for _ in 0..scrollback_len {
-            lines.push_back(Row::decode(r, width)?);
-        }
-        lines.extend(rows);
-        let display_offset = r.varint()? as usize;
-        if display_offset > scrollback_len {
+        if r.varint()? > len {
             return None;
         }
         Some(Framebuffer {
-            grid: Grid::from_lines(width, height, lines, scrollback_limit, display_offset),
+            width,
+            rows,
             cursor,
             pen,
             modes,
@@ -1041,12 +982,17 @@ fn decode_cursor(r: &mut Reader<'_>) -> Option<Cursor> {
 }
 
 /// A screen's `height` rows of `width` cells, top to bottom.
-fn decode_screen(r: &mut Reader<'_>, width: usize, height: usize) -> Option<Vec<Row>> {
-    let mut rows = Vec::with_capacity(height);
-    for _ in 0..height {
-        rows.push(Row::decode(r, width)?);
+fn decode_screen(r: &mut Reader<'_>, width: usize, height: usize) -> Option<VecDeque<Row>> {
+    (0..height).map(|_| Row::decode(r, width)).collect()
+}
+
+/// Pads or cuts `rows`, now `from` cells wide, to `width` cells each and,
+/// at the bottom, to `height` rows.
+fn reshape(rows: &mut VecDeque<Row>, from: usize, width: usize, height: usize) {
+    if width != from {
+        rows.iter_mut().for_each(|row| row.set_width(width));
     }
-    Some(rows)
+    rows.resize_with(height, || Row::blank(width, Color::Default));
 }
 
 #[cfg(test)]
@@ -1415,7 +1361,7 @@ mod tests {
     }
 
     // --------------------------------------------------------------
-    // Shared rows and scrollback.
+    // Shared rows.
     // --------------------------------------------------------------
 
     #[test]
@@ -1447,7 +1393,6 @@ mod tests {
     #[test]
     fn scroll_reuses_only_unshared_storage_under_a_new_identity() {
         let mut fb = Framebuffer::new(10, 3);
-        fb.set_scrollback_limit(0);
         fb.print('x');
         let storage = fb.row(0).cells().as_ptr();
         // Unshared: the evicted top row comes back, blank, as the bottom
@@ -1474,129 +1419,20 @@ mod tests {
     }
 
     #[test]
-    fn scrolled_rows_land_in_scrollback() {
-        let mut fb = Framebuffer::new(5, 2);
+    fn erase_display_3_erases_the_whole_screen() {
+        let mut fb = Framebuffer::new(3, 2);
         fb.print('a');
-        fb.move_to(1, 0);
+        fb.move_to(1, 2);
         fb.print('b');
-        fb.move_to(1, 0);
-        fb.line_feed();
-        assert_eq!(fb.scrollback_len(), 1);
-        let hist: String = fb.history_row(0).cells().iter().map(Cell::ch).collect();
-        assert_eq!(hist.trim_end(), "a");
-    }
-
-    #[test]
-    fn scrollback_is_bounded() {
-        let mut fb = Framebuffer::new(3, 2);
-        fb.set_scrollback_limit(4);
-        for _ in 0..10 {
-            fb.move_to(1, 0);
-            fb.line_feed();
-        }
-        assert_eq!(fb.scrollback_len(), 4);
-    }
-
-    #[test]
-    fn display_offset_clamps_and_follows_scrolls() {
-        let mut fb = Framebuffer::new(3, 2);
-        for _ in 0..5 {
-            fb.move_to(1, 0);
-            fb.line_feed();
-        }
-        assert_eq!(fb.scrollback_len(), 5);
-        fb.scroll_view(100);
-        assert_eq!(fb.display_offset(), 5);
-        fb.scroll_view(-2);
-        assert_eq!(fb.display_offset(), 3);
-        // A new eviction keeps the viewport anchored on the same lines.
-        fb.move_to(1, 0);
-        fb.line_feed();
-        assert_eq!(fb.display_offset(), 4);
-        fb.scroll_view(-100);
-        assert_eq!(fb.display_offset(), 0);
-    }
-
-    #[test]
-    fn view_row_blends_history_and_live_screen() {
-        let mut fb = Framebuffer::new(3, 2);
-        fb.print('1');
-        fb.move_to(1, 0);
-        fb.print('2');
-        fb.move_to(1, 0);
-        fb.line_feed(); // "1" scrolls into history; screen is ["2", ""]
-        fb.scroll_view(1);
-        assert_eq!(fb.view_row(0).cells()[0].ch(), '1');
-        assert_eq!(fb.view_row(1).cells()[0].ch(), '2');
-    }
-
-    #[test]
-    fn region_scrolls_do_not_feed_scrollback() {
-        let mut fb = Framebuffer::new(5, 4);
-        fb.set_scroll_region(1, 3);
-        fb.move_to(2, 0);
-        fb.line_feed();
-        assert_eq!(fb.scrollback_len(), 0);
-    }
-
-    #[test]
-    fn alternate_screen_does_not_feed_scrollback() {
-        let mut fb = Framebuffer::new(5, 2);
-        fb.enter_alternate_screen();
-        fb.move_to(1, 0);
-        fb.line_feed();
-        assert_eq!(fb.scrollback_len(), 0);
-        fb.exit_alternate_screen();
-    }
-
-    #[test]
-    fn erase_display_3_clears_scrollback() {
-        let mut fb = Framebuffer::new(3, 2);
-        fb.move_to(1, 0);
-        fb.line_feed();
-        fb.scroll_view(1);
-        assert_eq!(fb.scrollback_len(), 1);
+        let mut plain = fb.clone();
         fb.erase_display(3);
-        assert_eq!(fb.scrollback_len(), 0);
-        assert_eq!(fb.display_offset(), 0);
-        // Plain ED 2 keeps history.
-        fb.move_to(1, 0);
-        fb.line_feed();
-        fb.erase_display(2);
-        assert_eq!(fb.scrollback_len(), 1);
-    }
-
-    #[test]
-    fn resize_pads_scrollback_rows_to_new_width() {
-        let mut fb = Framebuffer::new(4, 2);
-        fb.print('w');
-        fb.move_to(1, 0);
-        fb.line_feed();
-        fb.resize(8, 3);
-        assert_eq!(fb.history_row(0).cells().len(), 8);
-        fb.resize(2, 3);
-        assert_eq!(fb.history_row(0).cells().len(), 2);
-        assert!(fb.display_offset() <= fb.scrollback_len());
-    }
-
-    #[test]
-    fn snapshot_roundtrips_scrollback_and_offset() {
-        let mut fb = Framebuffer::new(5, 2);
-        fb.print('q');
-        fb.move_to(1, 0);
-        fb.line_feed();
-        fb.line_feed();
-        fb.scroll_view(2);
-        let mut bytes = Vec::new();
-        fb.encode_into(&mut bytes);
-        let mut reader = Reader::new(&bytes);
-        let back = Framebuffer::decode(&mut reader).expect("decode");
-        assert_eq!(back, fb);
-        assert_eq!(back.scrollback_len(), fb.scrollback_len());
-        assert_eq!(back.display_offset(), 2);
-        assert_eq!(back.scrollback_limit(), fb.scrollback_limit());
-        for i in 0..fb.scrollback_len() {
-            assert_eq!(back.history_row(i), fb.history_row(i));
-        }
+        plain.erase_display(2);
+        assert_eq!(fb.to_text(), "");
+        let bytes = |f: &Framebuffer| {
+            let mut out = Vec::new();
+            f.encode_into(&mut out);
+            out
+        };
+        assert_eq!(bytes(&fb), bytes(&plain), "ED 3 is ED 2");
     }
 }

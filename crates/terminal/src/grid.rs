@@ -1,17 +1,4 @@
-//! The screen's rows and the history above them, in one store.
-//!
-//! [`Grid`] keeps the primary screen and the lines that scrolled off its
-//! top as one run of rows: history first, oldest line at the front, then
-//! the screen's `height` rows. It is the single buffer `Grid.tla` models:
-//! `total_lines` is the store's length, and the viewport is the `height`
-//! rows that end `display_offset` rows above the bottom. A full-screen
-//! scroll on the primary screen moves no row — the top row already lies
-//! where the newest history line belongs — so it is one push of a blank
-//! row at the back, and once history is full that blank row is the oldest
-//! line, popped from the front. While the alternate screen is shown its
-//! rows stand in the primary screen's place (the framebuffer stashes
-//! those), and its scrolls never feed history. History and the offset
-//! ride snapshots but are not part of framebuffer equality.
+//! The rows of the screen grid.
 //!
 //! Every row is a copy-on-write handle ([`Row`]) around shared cell
 //! storage, so cloning a framebuffer — which the sender does for every
@@ -20,31 +7,25 @@
 //! ([`Row::same_data`]) hold the same cells and the display differ skips
 //! them unread.
 //!
-//! A scroll that discards a row for good — the oldest history line once
-//! history is full, or the row a scroll pushes out of its region (the top
-//! row itself where no history is kept) — builds its blank row in that
+//! A scroll discards the row it pushes out of its region (the top row of
+//! the screen on a full-screen scroll) and builds its blank row in that
 //! row's storage whenever no clone shares it. A flooding terminal in
 //! steady state therefore scrolls without touching the allocator, and no
 //! earlier frame can mistake the new row for its old one; a shared row
 //! stays with its sharers and the scroll allocates.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::cell::{Attrs, Cell, Color};
 use crate::wirefmt::{get_cell, put_cell};
 use mosh_wire::{put_varint, Reader};
 
-/// Rows of scrollback a fresh framebuffer retains (see
-/// [`Framebuffer::set_scrollback_limit`](crate::Framebuffer::set_scrollback_limit)).
-pub const DEFAULT_SCROLLBACK: usize = 200;
-
 /// The largest screen width or height accepted from outside the process:
 /// a snapshot, or a resize or frame diff from the peer, that carries a
 /// larger one (or a 0) is refused whole as malformed.
 pub const MAX_DIMENSION: u16 = 5000;
 
-/// One row of the grid: a copy-on-write handle to shared cell storage,
+/// One row of the screen: a copy-on-write handle to shared cell storage,
 /// always exactly the screen width long.
 ///
 /// Cloning is O(1); the first mutation after a clone copies the cells.
@@ -64,7 +45,7 @@ pub(crate) fn blank_cell(bg: Color) -> Cell {
 /// `n` blank rows, each with its own storage: a scroll rebuilds the row
 /// it evicts in place only when no other handle shares its storage, so
 /// `n` clones of one blank row would make every scroll allocate.
-fn blank_rows(width: usize, n: usize) -> impl Iterator<Item = Row> {
+pub(crate) fn blank_rows(width: usize, n: usize) -> impl Iterator<Item = Row> {
     (0..n).map(move |_| Row::blank(width, Color::Default))
 }
 
@@ -85,7 +66,7 @@ impl Row {
     /// of the framebuffer still shows the evicted line) the row is rebuilt
     /// in place and nothing is allocated; otherwise the sharers keep the
     /// old storage untouched and this handle gets its own.
-    fn reblank(&mut self, width: usize, bg: Color) {
+    pub(crate) fn reblank(&mut self, width: usize, bg: Color) {
         match Arc::get_mut(&mut self.data) {
             Some(cells) => {
                 cells.clear();
@@ -149,16 +130,32 @@ impl Row {
     /// Reads a row of exactly `width` cells written by [`Self::encode_into`].
     pub(crate) fn decode(r: &mut Reader<'_>, width: usize) -> Option<Row> {
         let mut cells = Vec::with_capacity(width);
-        while cells.len() < width {
-            let run = r.varint()? as usize;
-            if run == 0 || run > width - cells.len() {
-                return None;
-            }
-            let cell = get_cell(r)?;
-            cells.extend(std::iter::repeat_n(cell, run));
-        }
+        read_runs(r, width, |run, cell| {
+            cells.extend(std::iter::repeat_n(cell, run))
+        })?;
         Some(Row::from_cells(cells))
     }
+
+    /// Reads past a row written by [`Self::encode_into`], refusing what
+    /// [`Self::decode`] refuses, without building its cells.
+    pub(crate) fn skip(r: &mut Reader<'_>, width: usize) -> Option<()> {
+        read_runs(r, width, |_, _| {})
+    }
+}
+
+/// Reads the (count, cell) runs of one row, handing each to `run`, until
+/// they cover exactly `width` cells.
+fn read_runs(r: &mut Reader<'_>, width: usize, mut run: impl FnMut(usize, Cell)) -> Option<()> {
+    let mut left = width;
+    while left > 0 {
+        let n = r.varint()? as usize;
+        if n == 0 || n > left {
+            return None;
+        }
+        run(n, get_cell(r)?);
+        left -= n;
+    }
+    Some(())
 }
 
 /// Row equality is *content* equality: frames that share no storage — a
@@ -172,191 +169,3 @@ impl PartialEq for Row {
 }
 
 impl Eq for Row {}
-
-/// The screen and its history: one store of rows, history first.
-#[derive(Debug, Clone)]
-pub(crate) struct Grid {
-    width: usize,
-    height: usize,
-    /// History, oldest first, then the screen's `height` rows.
-    lines: VecDeque<Row>,
-    scrollback_limit: usize,
-    /// How far back the viewport is scrolled, `0..=scrollback_len()`.
-    display_offset: usize,
-}
-
-impl Grid {
-    /// A blank screen with no history and the default limit.
-    pub(crate) fn new(width: usize, height: usize) -> Self {
-        let lines = blank_rows(width, height).collect();
-        Grid::from_lines(width, height, lines, DEFAULT_SCROLLBACK, 0)
-    }
-
-    /// A grid over `lines`: history oldest first, then `height` screen
-    /// rows, all `width` wide.
-    pub(crate) fn from_lines(
-        width: usize,
-        height: usize,
-        lines: VecDeque<Row>,
-        scrollback_limit: usize,
-        display_offset: usize,
-    ) -> Self {
-        Grid {
-            width,
-            height,
-            lines,
-            scrollback_limit,
-            display_offset,
-        }
-    }
-
-    pub(crate) fn width(&self) -> usize {
-        self.width
-    }
-
-    pub(crate) fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Screen row `i`, 0 at the top.
-    pub(crate) fn row(&self, i: usize) -> &Row {
-        &self.lines[self.scrollback_len() + i]
-    }
-
-    pub(crate) fn row_mut(&mut self, i: usize) -> &mut Row {
-        let j = self.scrollback_len() + i;
-        &mut self.lines[j]
-    }
-
-    pub(crate) fn scrollback_len(&self) -> usize {
-        self.lines.len() - self.height
-    }
-
-    pub(crate) fn scrollback_limit(&self) -> usize {
-        self.scrollback_limit
-    }
-
-    /// Bounds history at `limit`, dropping its oldest lines and pulling
-    /// the viewport in with them.
-    pub(crate) fn set_scrollback_limit(&mut self, limit: usize) {
-        self.scrollback_limit = limit;
-        self.lines
-            .drain(..self.scrollback_len().saturating_sub(limit));
-        self.display_offset = self.display_offset.min(self.scrollback_len());
-    }
-
-    /// History line `i`, counted up from the line just above the screen.
-    pub(crate) fn history_row(&self, i: usize) -> &Row {
-        &self.lines[self.scrollback_len() - 1 - i]
-    }
-
-    /// History, oldest line first.
-    pub(crate) fn history(&self) -> impl Iterator<Item = &Row> {
-        self.lines.range(..self.scrollback_len())
-    }
-
-    pub(crate) fn clear_history(&mut self) {
-        self.lines.drain(..self.scrollback_len());
-        self.display_offset = 0;
-    }
-
-    pub(crate) fn display_offset(&self) -> usize {
-        self.display_offset
-    }
-
-    pub(crate) fn scroll_view(&mut self, delta: isize) {
-        let next = self.display_offset as isize + delta;
-        self.display_offset = next.clamp(0, self.scrollback_len() as isize) as usize;
-    }
-
-    /// Viewport row `i`: the window of `height` rows ending
-    /// `display_offset` rows above the bottom.
-    pub(crate) fn view_row(&self, i: usize) -> &Row {
-        assert!(i < self.height, "viewport row {i} out of range");
-        &self.lines[self.scrollback_len() - self.display_offset + i]
-    }
-
-    /// `n` lines of full-screen scroll up on the primary screen: each top
-    /// row becomes the newest history line where it lies, and a blank row
-    /// enters at the bottom. With no history kept the top row itself
-    /// leaves, as in a region scroll.
-    pub(crate) fn scroll_into_history(&mut self, n: usize, bg: Color) {
-        if self.scrollback_limit == 0 {
-            return self.shift_up(0, self.height - 1, n, bg);
-        }
-        for _ in 0..n {
-            let fresh = if self.scrollback_len() >= self.scrollback_limit {
-                let mut oldest = self.lines.pop_front().expect("history is full");
-                oldest.reblank(self.width, bg);
-                oldest
-            } else {
-                Row::blank(self.width, bg)
-            };
-            self.lines.push_back(fresh);
-            // A scrolled-back viewport stays anchored on the same history
-            // lines by following the eviction.
-            if self.display_offset > 0 {
-                self.display_offset = (self.display_offset + 1).min(self.scrollback_len());
-            }
-        }
-    }
-
-    /// Moves screen rows `top + n..=bottom` up `n` lines; each row leaving
-    /// at `top` is discarded and its handle comes back, blank, at `bottom`.
-    pub(crate) fn shift_up(&mut self, top: usize, bottom: usize, n: usize, bg: Color) {
-        let base = self.scrollback_len();
-        for _ in 0..n {
-            let mut row = self.lines.remove(base + top).expect("row on screen");
-            row.reblank(self.width, bg);
-            self.lines.insert(base + bottom, row);
-        }
-    }
-
-    /// Moves screen rows `top..=bottom - n` down `n` lines; each row leaving
-    /// at `bottom` is discarded and its handle comes back, blank, at `top`.
-    pub(crate) fn shift_down(&mut self, top: usize, bottom: usize, n: usize, bg: Color) {
-        let base = self.scrollback_len();
-        for _ in 0..n {
-            let mut row = self.lines.remove(base + bottom).expect("row on screen");
-            row.reblank(self.width, bg);
-            self.lines.insert(base + top, row);
-        }
-    }
-
-    /// Swaps the screen for `height` blank rows and returns its rows, top
-    /// to bottom; the viewport snaps back to the live screen.
-    pub(crate) fn take_screen(&mut self) -> Vec<Row> {
-        let screen = self.lines.drain(self.scrollback_len()..).collect();
-        self.lines.extend(blank_rows(self.width, self.height));
-        self.display_offset = 0;
-        screen
-    }
-
-    /// Shows `rows` (`height` rows of `width`) in place of the screen.
-    pub(crate) fn restore_screen(&mut self, rows: Vec<Row>) {
-        self.lines.truncate(self.scrollback_len());
-        self.lines.extend(rows);
-    }
-
-    /// Takes `old`'s history and limit above this grid's screen.
-    pub(crate) fn adopt_history(&mut self, mut old: Grid) {
-        old.lines.truncate(old.scrollback_len());
-        old.lines.append(&mut self.lines);
-        self.lines = old.lines;
-        self.scrollback_limit = old.scrollback_limit;
-    }
-
-    /// Pads or cuts every row to `width`, and the screen at its bottom to
-    /// `height` rows. History keeps its length, so the viewport stays in
-    /// bounds.
-    pub(crate) fn resize(&mut self, width: usize, height: usize) {
-        if width != self.width {
-            self.lines.iter_mut().for_each(|row| row.set_width(width));
-        }
-        let history = self.scrollback_len();
-        self.lines
-            .resize_with(history + height, || Row::blank(width, Color::Default));
-        self.width = width;
-        self.height = height;
-    }
-}

@@ -7,8 +7,8 @@
 //!
 //! * [`Terminal`] — the emulator: an ECMA-48 / ISO 6429 interpreter covering
 //!   the subset used by xterm, gnome-terminal, Terminal.app, and PuTTY.
-//! * [`Framebuffer`] — the screen state: rows and their history, cursor,
-//!   title, bell, modes.
+//! * [`Framebuffer`] — the screen state: its rows (and only those, as in
+//!   Mosh), cursor, title, bell, modes.
 //! * [`display::new_frame`] — the differ: the minimal ANSI message that
 //!   transforms one frame into another (paper §2.3).
 //! * [`parser::Parser`] — the streaming escape-sequence state machine, a

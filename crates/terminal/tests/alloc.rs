@@ -9,13 +9,14 @@
 //! a new row only while a clone still holds the evicted one — and the
 //! differ writes its cursor moves and rendition changes, digit by digit,
 //! into the caller's buffer. The snapshot decoder reserves no room for rows its input does
-//! not hold.
+//! not hold, and builds none of the history rows an older writer stored.
 //!
 //! Its own test binary, because a `#[global_allocator]` is per binary.
 //! The counters are thread-local, so the harness running these tests on
 //! parallel threads does not mix their counts.
 
 use mosh_terminal::{display, Terminal};
+use mosh_wire::put_varint;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -113,33 +114,30 @@ fn warm_write_of_cursor_addressed_text_allocates_nothing() {
     assert_eq!(warm_write_allocations(stream), 0);
 }
 
-/// A terminal that has scrolled until its bounded scrollback is full, so
-/// every further line evicts the oldest history row for good.
-fn terminal_with_full_scrollback() -> Terminal {
+/// A terminal that has written lines until its screen is full, so every
+/// further line discards the top row for good.
+fn terminal_with_a_full_screen() -> Terminal {
     let mut term = Terminal::new(80, 24);
-    for i in 0..400 {
+    for i in 0..24 {
         term.write(format!("\r\nline {i}").as_bytes());
     }
-    assert_eq!(
-        term.frame().scrollback_len(),
-        term.frame().scrollback_limit()
-    );
+    assert_eq!(term.frame().row_text(23), "line 23");
     term
 }
 
 #[test]
-fn a_line_that_scrolls_allocates_nothing_once_scrollback_is_full() {
-    let mut term = terminal_with_full_scrollback();
-    // The evicted history row's storage comes back as the bottom row.
+fn a_line_that_scrolls_allocates_nothing_once_the_screen_is_full() {
+    let mut term = terminal_with_a_full_screen();
+    // The discarded top row's storage comes back as the bottom row.
     let allocations = allocations_in(|| term.write(b"\r\none more line of output"));
     assert_eq!(allocations, 0);
 }
 
 #[test]
 fn a_line_that_scrolls_allocates_only_its_new_row() {
-    let mut term = terminal_with_full_scrollback();
-    // A clone (a shipped state) still shows the history row this scroll
-    // evicts, so its storage is not the terminal's to reuse: the bottom
+    let mut term = terminal_with_a_full_screen();
+    // A clone (a shipped state) still shows the top row this scroll
+    // discards, so its storage is not the terminal's to reuse: the bottom
     // row is new — its cells and the shared handle around them. A count
     // of 0 here would mean the clone's row was blanked under it.
     let held = term.clone();
@@ -149,7 +147,7 @@ fn a_line_that_scrolls_allocates_only_its_new_row() {
         "a scrolled line allocated {allocations} times"
     );
     drop(held);
-    // With the clone gone the next evicted row is unshared again.
+    // With the clone gone the next discarded row is unshared again.
     assert_eq!(allocations_in(|| term.write(b"\r\nand another")), 0);
 }
 
@@ -231,14 +229,9 @@ fn warm_diff_with_colours_and_long_addresses_allocates_nothing() {
 fn a_snapshot_claiming_rows_it_lacks_reserves_no_room_for_them() {
     // A blank 80x24 terminal whose snapshot tail claims 1 000 000 history
     // rows, under a limit of as many, then ends before the first of them.
-    let mut bytes = Terminal::new(80, 24).snapshot_bytes();
-    // The fresh tail: limit 200 (varint c8 01), no history, offset 0.
-    let tail = [0xc8, 0x01, 0x00, 0x00];
-    assert!(bytes.ends_with(&tail));
-    bytes.truncate(bytes.len() - tail.len());
+    let mut bytes = without_history(Terminal::new(80, 24).snapshot_bytes());
     for _ in 0..2 {
-        // 1 000 000 as a LEB128 varint.
-        bytes.extend_from_slice(&[0xc0, 0x84, 0x3d]);
+        put_varint(&mut bytes, 1_000_000);
     }
     let (largest, restored) = largest_request_in(|| Terminal::from_snapshot_bytes(&bytes));
     assert!(restored.is_none());
@@ -247,4 +240,40 @@ fn a_snapshot_claiming_rows_it_lacks_reserves_no_room_for_them() {
         "decoding {} bytes asked for {largest} bytes at once",
         bytes.len()
     );
+}
+
+/// `snapshot` without its last three bytes: the history fields (limit,
+/// length, viewport offset), which today's writer leaves empty.
+fn without_history(mut snapshot: Vec<u8>) -> Vec<u8> {
+    assert!(snapshot.ends_with(&[0, 0, 0]));
+    snapshot.truncate(snapshot.len() - 3);
+    snapshot
+}
+
+/// The snapshot of a blank 5 000-wide, one-row terminal as an older writer
+/// that kept history would leave it, with `lines` history rows: each is
+/// one run of 5 000 blanks, seven bytes that a row built from them turns
+/// into 60 kB of cells.
+fn snapshot_with_history(lines: u64) -> Vec<u8> {
+    let mut bytes = without_history(Terminal::new(5000, 1).snapshot_bytes());
+    put_varint(&mut bytes, lines); // the limit
+    put_varint(&mut bytes, lines);
+    for _ in 0..lines {
+        put_varint(&mut bytes, 5000);
+        // A blank cell: no wide flags, ' ', no renditions, default colours.
+        bytes.extend_from_slice(&[0, b' ', 0, 0, 0]);
+    }
+    bytes.push(0); // the viewport offset
+    bytes
+}
+
+#[test]
+fn history_an_older_writer_stored_is_read_without_being_built() {
+    let decode = |lines| {
+        let bytes = snapshot_with_history(lines);
+        allocations_in(|| {
+            Terminal::from_snapshot_bytes(&bytes).expect("an older writer's history is read");
+        })
+    };
+    assert_eq!(decode(1_000), decode(1));
 }

@@ -257,7 +257,6 @@ proptest! {
     /// reused.
     #[test]
     fn scrolls_reuse_only_rows_no_clone_holds(
-        limit in prop_oneof![Just(0usize), Just(1usize), Just(3usize), Just(200usize)],
         steps in proptest::collection::vec(
             // Half the steps write (the offline `prop_oneof!` has no
             // weights; a repeated arm is one).
@@ -273,7 +272,6 @@ proptest! {
         ),
     ) {
         let mut reuser = Terminal::new(8, 6);
-        reuser.frame_mut().set_scrollback_limit(limit);
         let mut holder = reuser.clone();
         let mut held: Vec<(Terminal, Vec<u8>)> = Vec::new();
         for step in steps {
@@ -388,23 +386,19 @@ proptest! {
         prop_assert_eq!(fast, display::new_frame_full_scan(initialized, &before, &after));
     }
 
-    /// `Grid.tla`'s invariants across writes, scroll-view motions,
-    /// resizes, alternate-screen toggles and scrollback limits, after every
-    /// step: the cursor stays on the screen; the display offset never
-    /// exceeds the scrollback depth, nor the depth the limit
-    /// (`OffsetInBounds`); every row is the screen's width; and a line
-    /// feed at the bottom of a full-screen region adds exactly one history
-    /// row on the primary screen until the limit is reached, and none on
-    /// the alternate screen (`total_lines`).
+    /// The screen keeps its shape across writes, resizes and
+    /// alternate-screen toggles, after every step: the cursor stays on the
+    /// screen and every row is the screen's width. A line feed at the
+    /// bottom of a full-screen region, on either screen, leaves exactly
+    /// `height` rows: each row moves up one, the top row is gone and the
+    /// bottom one is blank.
     #[test]
-    fn display_offset_stays_in_bounds(
+    fn screen_keeps_its_shape(
         steps in proptest::collection::vec(
             prop_oneof![
                 terminal_bytes().prop_map(Step::Write),
-                (-30isize..30).prop_map(Step::Scroll),
                 (1usize..90, 1usize..30).prop_map(|(w, h)| Step::Resize(w, h)),
                 any::<bool>().prop_map(Step::AltScreen),
-                (0usize..40).prop_map(Step::Limit),
                 any::<bool>().prop_map(Step::FeedAtBottom),
             ],
             1..16,
@@ -414,34 +408,30 @@ proptest! {
         for step in steps {
             match step {
                 Step::Write(bytes) => term.write(&bytes),
-                Step::Scroll(delta) => term.frame_mut().scroll_view(delta),
                 Step::Resize(w, h) => term.resize(w, h),
                 Step::AltScreen(on) => term.write(alt_screen(on)),
-                Step::Limit(limit) => term.frame_mut().set_scrollback_limit(limit),
                 Step::FeedAtBottom(alt) => {
                     // On the chosen screen, with the whole screen as the
                     // region, from its bottom row.
                     term.write(alt_screen(alt));
                     term.write(format!("\x1b[r\x1b[{};1H", term.frame().height()).as_bytes());
-                    let before = term.frame().scrollback_len();
+                    let before = term.frame().clone();
                     term.write(b"\n");
                     let f = term.frame();
-                    let want = if alt { before } else { (before + 1).min(f.scrollback_limit()) };
-                    prop_assert_eq!(f.scrollback_len(), want, "history after a line feed");
+                    let h = f.height();
+                    prop_assert_eq!(h, before.height());
+                    for i in 1..h {
+                        prop_assert_eq!(f.row(i - 1), before.row(i), "row {} moved up", i);
+                    }
+                    prop_assert_eq!(f.row_text(h - 1), "", "a blank row at the bottom");
                 }
             }
             let f = term.frame();
             prop_assert!(f.cursor.row < f.height() && f.cursor.col < f.width());
-            prop_assert!(f.display_offset() <= f.scrollback_len());
-            prop_assert!(f.scrollback_len() <= f.scrollback_limit());
-            // Every screen, viewport and history row resolves (a bad index
-            // panics) and is the screen's width.
+            // Every row resolves (a bad index panics) and is the screen's
+            // width.
             for i in 0..f.height() {
                 prop_assert_eq!(f.row(i).cells().len(), f.width());
-                prop_assert_eq!(f.view_row(i).cells().len(), f.width());
-            }
-            for i in 0..f.scrollback_len() {
-                prop_assert_eq!(f.history_row(i).cells().len(), f.width());
             }
         }
     }
@@ -449,9 +439,9 @@ proptest! {
     /// Hostile snapshots: a reachable terminal's snapshot with bits
     /// flipped, cut short or spliced. The decoder never panics; whatever
     /// it accepts re-encodes to bytes that decode to the same bytes again,
-    /// and survives a write, a resize and a viewport scroll. Screens are
-    /// small, so the header fields (cursor, region, history length,
-    /// offset) take a fair share of the damage rather than the cells.
+    /// and survives a write and a resize. Screens are small, so the header
+    /// fields (cursor, region, the empty history fields) take a fair share
+    /// of the damage rather than the cells.
     #[test]
     fn snapshot_decoder_survives_hostile_bytes(
         shape in (1usize..16, 1usize..8),
@@ -460,7 +450,6 @@ proptest! {
         more in terminal_bytes(),
         w in 1usize..90,
         h in 1usize..30,
-        back in -40isize..40,
     ) {
         let mut term = Terminal::new(shape.0, shape.1);
         term.write(&state);
@@ -478,18 +467,16 @@ proptest! {
         read_every_row(restored.frame());
         restored.write(&more);
         restored.resize(w, h);
-        restored.frame_mut().scroll_view(back);
         read_every_row(restored.frame());
     }
 
-    /// A written / scrolled / scrolled-back / resized terminal survives
-    /// the snapshot (wirefmt) path byte-identically — scrollback rows and
-    /// the viewport offset included (the PR 9 container rides on this).
+    /// A written / scrolled / resized terminal survives the snapshot
+    /// (wirefmt) path byte-identically (the session snapshot container
+    /// rides on this).
     #[test]
-    fn snapshot_roundtrips_scrollback_and_viewport(
+    fn snapshot_roundtrips_a_written_and_resized_terminal(
         a in terminal_bytes(),
         b in terminal_bytes(),
-        back in 0isize..40,
         w in 2usize..90,
         h in 2usize..30,
     ) {
@@ -497,24 +484,12 @@ proptest! {
         term.write(&a);
         term.resize(w, h);
         term.write(&b);
-        term.frame_mut().scroll_view(back);
 
-        let restored = Terminal::from_snapshot_bytes(&term.snapshot_bytes())
+        let bytes = term.snapshot_bytes();
+        let restored = Terminal::from_snapshot_bytes(&bytes)
             .expect("snapshot of a live terminal decodes");
-        // Frame equality covers grid/cursor/title/bell; viewport state is
-        // deliberately outside `Eq`, so pin it field by field.
         prop_assert_eq!(restored.frame(), term.frame());
-        prop_assert_eq!(restored.frame().scrollback_len(), term.frame().scrollback_len());
-        prop_assert_eq!(restored.frame().display_offset(), term.frame().display_offset());
-        prop_assert_eq!(restored.frame().scrollback_limit(), term.frame().scrollback_limit());
-        for i in 0..term.frame().scrollback_len() {
-            prop_assert_eq!(
-                restored.frame().history_row(i),
-                term.frame().history_row(i),
-                "history row {} diverged",
-                i
-            );
-        }
+        prop_assert_eq!(restored.snapshot_bytes(), bytes);
     }
 
     /// Ingest equivalence on terminal-shaped input: `write` (push parser,
@@ -792,29 +767,22 @@ fn render_prestate(w: usize, h: usize, pieces: &[(u8, u16, u16)]) -> Vec<u8> {
     out
 }
 
-/// One step of the viewport-bounds walk.
+/// One step of the screen-shape walk.
 #[derive(Debug, Clone)]
 enum Step {
     Write(Vec<u8>),
-    Scroll(isize),
     Resize(usize, usize),
     /// Enters (`true`) or leaves the alternate screen.
     AltScreen(bool),
-    /// Sets the scrollback limit.
-    Limit(usize),
     /// A line feed at the bottom of a full-screen region, on the alternate
     /// screen (`true`) or the primary one.
     FeedAtBottom(bool),
 }
 
-/// Reads every screen, viewport and history row (each read panics if the
-/// frame's bounds are broken).
+/// Reads every row (each read panics if the frame's bounds are broken).
 fn read_every_row(f: &mosh_terminal::Framebuffer) {
     for i in 0..f.height() {
-        let _ = (f.row(i), f.view_row(i));
-    }
-    for i in 0..f.scrollback_len() {
-        let _ = f.history_row(i);
+        let _ = f.row(i);
     }
 }
 
