@@ -11,6 +11,12 @@
 //!   decision, not a locking problem — per-session transcripts are
 //!   byte-identical to the single-threaded hub for every shard count.
 //!
+//! As in Mosh, where each session is its own `mosh-server` process, a
+//! crash costs one session: a panic in a session's endpoint code is
+//! caught inside the pump, the other sessions pump on, and the caller
+//! restores the crashed one in place, on the same shard and source, from
+//! the checkpoint its [`crate::session::SessionEvent::Crashed`] carries.
+//!
 //! The types shared by both layers — [`SessionId`], the per-pump
 //! [`HubSession`] lease, and the [`HubStats`] counters — live here.
 
@@ -84,9 +90,8 @@ pub struct HubStats {
     /// of being dropped (a sharded front end's bounce path — the wire
     /// goes back to the distributor to try the next shard).
     pub bounced: u64,
-    /// Shard workers quarantined after an endpoint panic ([`ShardedHub`]
-    /// only): the shard's sessions stop, the others keep pumping. See
-    /// `ShardedHub::shard_error` for the panic messages.
+    /// Endpoint panics caught; each cost one session (reported as
+    /// [`crate::session::SessionEvent::Crashed`]), never its shard.
     pub shard_panics: u64,
     /// Datagrams the shared-socket distributor shed because the target
     /// shard's feed queue was at capacity — the operator-visible signal
@@ -106,9 +111,6 @@ pub struct HubStats {
     /// Live source hints in the distributor's map (a gauge, not a
     /// counter: one per client address currently claimed by a shard).
     pub feed_hints: u64,
-    /// Sessions rebuilt from their last checkpoint after their shard
-    /// was quarantined (`ShardedHub::resurrect_quarantined`).
-    pub sessions_resurrected: u64,
     /// Total framed snapshot bytes written by the checkpoint cadence
     /// (cumulative, across all sessions and checkpoints).
     pub checkpoint_bytes: u64,
@@ -129,7 +131,6 @@ impl HubStats {
         self.feed_dropped += other.feed_dropped;
         self.feed_send_failed += other.feed_send_failed;
         self.feed_hints += other.feed_hints;
-        self.sessions_resurrected += other.sessions_resurrected;
         self.checkpoint_bytes += other.checkpoint_bytes;
     }
 }

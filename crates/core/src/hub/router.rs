@@ -39,10 +39,14 @@
 //! hub. One shard runs inline (a `ShardedHub` of 1 *is* a `ServerHub`,
 //! thread overhead included); dropping the hub shuts the workers down.
 //!
-//! A panicking endpoint costs its **shard**, not the hub: the worker
-//! catches the panic, the shard is quarantined (its sessions stop; see
-//! [`ShardedHub::shard_error`] and `HubStats::shard_panics`), and every
-//! other shard keeps pumping.
+//! Sessions never move between shards: a session lives on the shard that
+//! accepted it until it is removed. A panicking endpoint costs its
+//! **session** alone, inside its shard's pump (see [`ServerHub::pump`]):
+//! the caller restores it in place from the checkpoint its
+//! [`SessionEvent::Crashed`] carries. Any other panic in a shard's pump is
+//! a hub bug. The worker still catches it, because the borrows a pump job
+//! carries need every reply collected, and the pumping thread resumes it
+//! once all replies are in.
 
 use super::shard::ServerHub;
 use super::snapshot::CheckpointStore;
@@ -107,8 +111,8 @@ enum Command {
 }
 
 /// One pump's outcome from one worker: the shard's events, or the
-/// message of the panic that killed it.
-type PumpReply = Result<Vec<(SessionId, SessionEvent)>, String>;
+/// panic its pump raised outside any endpoint's code.
+type PumpReply = std::thread::Result<Vec<(SessionId, SessionEvent)>>;
 
 /// One persistent shard worker: a parked thread plus its command and
 /// reply channels.
@@ -169,7 +173,7 @@ impl Drop for ShardRuntime {
 /// The worker body: park on the command channel, pump on demand, and
 /// **always** reply — a caught panic becomes an `Err` reply, never a
 /// missing one, because the pumping thread blocks on every reply before
-/// releasing the borrows the job carries.
+/// releasing the borrows the job carries (and then resumes the panic).
 fn worker_loop(rx: Receiver<Command>, reply: SyncSender<PumpReply>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
@@ -180,8 +184,7 @@ fn worker_loop(rx: Receiver<Command>, reply: SyncSender<PumpReply>) {
                 // them, so the pointers are valid for this whole call.
                 let result = catch_unwind(AssertUnwindSafe(|| unsafe {
                     (job.run)(job.shard, job.leases)
-                }))
-                .map_err(panic_message);
+                }));
                 if reply.send(result).is_err() {
                     // The hub is gone mid-pump (its thread is unwinding);
                     // nothing left to serve.
@@ -193,62 +196,39 @@ fn worker_loop(rx: Receiver<Command>, reply: SyncSender<PumpReply>) {
     }
 }
 
-/// Renders a caught panic payload (`panic!` carries `&str` or `String`;
-/// anything else is opaque).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// The sharding front end: N worker threads, each a private [`ServerHub`].
 pub struct ShardedHub<P: Poller> {
     shards: Vec<ServerHub<P>>,
     /// Global session id → (owning shard, its local id there). `None`
-    /// is a tombstone: the session was removed, or lost with its
-    /// quarantined shard. The *global* id is stable for a session's
-    /// whole life — resurrection rewrites the mapping, not the id.
+    /// is a tombstone: the session was removed, or crashed with no
+    /// checkpoint to restore it from. The mapping never changes while
+    /// the session lives.
     sessions: Vec<Option<(usize, SessionId)>>,
-    /// Accept-time assignment cursor (round-robin over healthy shards).
+    /// Accept-time assignment cursor (round-robin).
     next_shard: usize,
     /// The persistent worker pool, spawned on the first threaded pump
     /// and shut down (signal + join) when the hub drops.
     runtime: Option<ShardRuntime>,
-    /// Per-shard quarantine: the panic message once an endpoint panic
-    /// killed that shard's pump. A quarantined shard is skipped by later
-    /// pumps — its state is suspect — while every other shard keeps
-    /// serving its sessions.
-    failed: Vec<Option<String>>,
     /// Live distributor counters when built over a shared socket
     /// ([`ShardedHub::over_distributor`]); folded into
     /// [`ShardedHub::stats`] so feed-queue shedding is operator-visible.
     dist_stats: Option<DistributorStatsHandle>,
-    /// Crash-recovery config mirrored from the shards (see
-    /// [`ShardedHub::enable_checkpointing`]): the shared store and the
-    /// per-session checkpoint cadence.
-    checkpoints: Option<(CheckpointStore, Millis)>,
-    /// Sessions resurrected so far, folded into [`ShardedHub::stats`].
-    resurrected: u64,
+    /// The shared checkpoint store, when crash recovery is on (see
+    /// [`ShardedHub::enable_checkpointing`]).
+    checkpoints: Option<CheckpointStore>,
 }
 
 impl<P: Poller> ShardedHub<P> {
     /// A sharded hub over one poller per worker thread.
     pub fn new(pollers: Vec<P>) -> Self {
         assert!(!pollers.is_empty(), "a hub needs at least one shard");
-        let n = pollers.len();
         ShardedHub {
             shards: pollers.into_iter().map(ServerHub::new).collect(),
             sessions: Vec::new(),
             next_shard: 0,
             runtime: None,
-            failed: vec![None; n],
             dist_stats: None,
             checkpoints: None,
-            resurrected: 0,
         }
     }
 
@@ -275,26 +255,19 @@ impl<P: Poller> ShardedHub<P> {
     }
 
     /// Accepts a session living on its own private source: the session
-    /// is assigned to a shard **at accept time** (round-robin over the
-    /// shards that are not quarantined) and the source is registered on
-    /// that shard's poller. Returns the global session id.
+    /// is assigned to a shard **at accept time** (round-robin) and the
+    /// source is registered on that shard's poller. Returns the global
+    /// session id.
     pub fn add_session(&mut self, channel: P::Chan) -> SessionId {
         let shard = self.next_accept_shard();
         let tok = self.shards[shard].poller_mut().add(channel);
         self.add_session_on(shard, tok)
     }
 
-    /// The one accept cursor: round-robin over the shards that are not
-    /// quarantined (nothing pumps those, so a session accepted there
-    /// would never be served). With every shard quarantined, plain
-    /// round-robin.
+    /// The one accept cursor: round-robin over the shards.
     fn next_accept_shard(&mut self) -> usize {
-        let n = self.shards.len();
-        let shard = (0..n)
-            .map(|k| (self.next_shard + k) % n)
-            .find(|&i| self.failed[i].is_none())
-            .unwrap_or(self.next_shard);
-        self.next_shard = (shard + 1) % n;
+        let shard = self.next_shard;
+        self.next_shard = (shard + 1) % self.shards.len();
         shard
     }
 
@@ -310,40 +283,20 @@ impl<P: Poller> ShardedHub<P> {
     }
 
     /// Accepts a session on an explicit shard and source token (the
-    /// low-level accept path the other accessors build on).
+    /// low-level accept path the other accessors build on), tracked for
+    /// checkpoints under its global id when crash recovery is on.
     pub fn add_session_on(&mut self, shard: usize, tok: Token) -> SessionId {
         let sid = SessionId(self.sessions.len());
-        self.sessions.push(None);
-        self.place(sid, shard, tok);
-        sid
-    }
-
-    /// Registers global session `sid` in a new slot on `shard`'s source
-    /// `tok`, tracked for checkpoints under its global id when crash
-    /// recovery is on.
-    fn place(&mut self, sid: SessionId, shard: usize, tok: Token) {
         let local = self.shards[shard].add_session(tok);
         if self.checkpoints.is_some() {
             self.shards[shard].set_checkpoint_key(local, sid.0);
         }
-        self.sessions[sid.0] = Some((shard, local));
-    }
-
-    /// Where a session on `shard`'s source `tok` lives once it moves to
-    /// `target`: a distributor-shared source is swapped for the target's
-    /// own, a private source's channel moves across. `None` when the
-    /// target has no shared source or the poller cannot release the
-    /// channel.
-    fn rehome(&mut self, shard: usize, tok: Token, target: usize) -> Option<Token> {
-        if self.shards[shard].is_shared(tok) {
-            return self.shards[target].shared_source();
-        }
-        let chan = self.shards[shard].poller_mut().extract(tok)?;
-        Some(self.shards[target].poller_mut().add(chan))
+        self.sessions.push(Some((shard, local)));
+        sid
     }
 
     /// The shard a session lives on and its local id there. Panics for
-    /// a removed (or lost-with-its-shard) session, like leasing one.
+    /// a removed (or closed after a crash) session, like leasing one.
     pub fn location(&self, sid: SessionId) -> (usize, SessionId) {
         match self.sessions[sid.0] {
             Some(loc) => loc,
@@ -358,17 +311,6 @@ impl<P: Poller> ShardedHub<P> {
         let Some((shard, local)) = self.sessions[sid.0].take() else {
             return; // already removed (idempotent, like the shard's own)
         };
-        if self.failed[shard].is_some() {
-            // The owning shard is quarantined: never dispatch into its
-            // suspect state. Tombstoning the mapping is the removal —
-            // the shard's sessions are no longer pumped anyway — and
-            // dropping the checkpoint guarantees the session can't come
-            // back through `resurrect_quarantined`.
-            if let Some((store, _)) = &self.checkpoints {
-                store.remove(sid.0);
-            }
-            return;
-        }
         self.shards[shard].remove_session(local);
     }
 
@@ -379,15 +321,9 @@ impl<P: Poller> ShardedHub<P> {
     }
 
     /// Number of sessions registered and not yet removed, over all
-    /// **healthy** shards — a quarantined shard's sessions are not being
-    /// served (resurrect them to count again).
+    /// shards.
     pub fn session_count(&self) -> usize {
-        self.shards
-            .iter()
-            .zip(self.failed.iter())
-            .filter(|(_, f)| f.is_none())
-            .map(|(s, _)| s.session_count())
-            .sum()
+        self.shards.iter().map(ServerHub::session_count).sum()
     }
 
     /// Current time on a session's source clock.
@@ -396,16 +332,14 @@ impl<P: Poller> ShardedHub<P> {
         self.shards[shard].now(local)
     }
 
-    /// Aggregated counters over all shards, the quarantine count, and —
-    /// when the hub answers on a shared socket — the distributor's
-    /// routing/shedding counters and hint gauge.
+    /// Aggregated counters over all shards and — when the hub answers on
+    /// a shared socket — the distributor's routing/shedding counters and
+    /// hint gauge.
     pub fn stats(&self) -> HubStats {
         let mut total = HubStats::default();
         for s in &self.shards {
             total.add(s.stats());
         }
-        total.shard_panics = self.failed.iter().filter(|f| f.is_some()).count() as u64;
-        total.sessions_resurrected = self.resurrected;
         if let Some(h) = &self.dist_stats {
             let d = h.snapshot();
             total.feed_overflow = d.overflow;
@@ -417,18 +351,13 @@ impl<P: Poller> ShardedHub<P> {
         total
     }
 
-    /// The panic message that quarantined shard `i`, if any. A
-    /// quarantined shard's sessions are no longer pumped (its state is
-    /// suspect after the unwind); every other shard is unaffected.
-    pub fn shard_error(&self, i: usize) -> Option<&str> {
-        self.failed[i].as_deref()
-    }
-
     /// Turns on crash recovery: every shard checkpoints its tracked
     /// sessions into one shared [`CheckpointStore`] at most every
     /// `cadence` ms of session time (idle sessions cost nothing — see
     /// [`ServerHub::enable_checkpointing`]). Sessions are tracked under
-    /// their **global** ids, which survive resurrection.
+    /// their **global** ids. A session whose endpoint panics is reported
+    /// as [`SessionEvent::Crashed`] with its last checkpoint, to restore
+    /// in place under the same id.
     /// Returns a handle to the store (it is `Clone`; the hub keeps one).
     pub fn enable_checkpointing(&mut self, cadence: Millis) -> CheckpointStore {
         let store = CheckpointStore::new();
@@ -440,86 +369,13 @@ impl<P: Poller> ShardedHub<P> {
                 self.shards[shard].set_checkpoint_key(local, gid);
             }
         }
-        self.checkpoints = Some((store.clone(), cadence));
+        self.checkpoints = Some(store.clone());
         store
     }
 
     /// The shared checkpoint store, when crash recovery is on.
     pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.checkpoints.as_ref().map(|(s, _)| s)
-    }
-
-    /// Crash recovery: re-registers every quarantined shard's sessions
-    /// on healthy shards from their last checkpoints, returning each
-    /// recovered session's global id and framed snapshot. The *caller*
-    /// owns the endpoints, so rebuilding them is the caller's half:
-    /// decode each snapshot with [`super::snapshot::resurrect_server`]
-    /// (which burns the nonce gap a stale checkpoint demands) and lease
-    /// the new endpoint under the same [`SessionId`] from the next pump
-    /// on. Client endpoints never crashed and are kept as they are —
-    /// input the checkpoint missed is still unacked (the checkpoint
-    /// capped the acks), so the client retransmits it into the
-    /// resurrected server like any Mosh loss episode.
-    ///
-    /// Sessions with no checkpoint (never serviced while checkpointing
-    /// was on, or checkpointing off entirely) are **lost**: their
-    /// mapping is tombstoned. Sessions sharing one private channel stay
-    /// co-located on their new shard. The quarantined shards stay
-    /// quarantined — their remaining state is still suspect.
-    pub fn resurrect_quarantined(&mut self) -> Vec<(SessionId, Vec<u8>)> {
-        let store = match &self.checkpoints {
-            Some((store, _)) => store.clone(),
-            None => return Vec::new(),
-        };
-        let healthy: Vec<usize> = (0..self.shards.len())
-            .filter(|&i| self.failed[i].is_none())
-            .collect();
-        if healthy.is_empty() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let mut rr = 0usize;
-        // Where each dead shard's channel went, so co-located sessions
-        // land together: (old shard, old token) → (new shard, new token).
-        let mut rehomed: HashMap<(usize, Token), (usize, Token)> = HashMap::new();
-        for gid in 0..self.sessions.len() {
-            let Some((shard, local)) = self.sessions[gid] else {
-                continue;
-            };
-            if self.failed[shard].is_none() {
-                continue;
-            }
-            let Some(framed) = store.get(gid) else {
-                self.sessions[gid] = None; // no checkpoint: lost
-                continue;
-            };
-            let old_tok = self.shards[shard].token_of(local);
-            let home = match rehomed.get(&(shard, old_tok)) {
-                Some(&home) => home, // co-located sibling: follow the channel
-                None => {
-                    // A private channel survived the panic (the unwind was
-                    // in endpoint code; the poller's sources were not
-                    // mid-mutation), so it can be pulled out of the dead
-                    // shard; its co-located siblings follow it.
-                    let target = healthy[rr % healthy.len()];
-                    rr += 1;
-                    let Some(new_tok) = self.rehome(shard, old_tok, target) else {
-                        self.sessions[gid] = None; // channel unrecoverable
-                        continue;
-                    };
-                    if !self.shards[shard].is_shared(old_tok) {
-                        rehomed.insert((shard, old_tok), (target, new_tok));
-                    }
-                    (target, new_tok)
-                }
-            };
-            let timeout = self.shards[shard].peer_timeout(local); // the caller's setting
-            self.place(SessionId(gid), home.0, home.1);
-            self.set_peer_timeout(SessionId(gid), timeout);
-            self.resurrected += 1;
-            out.push((SessionId(gid), framed));
-        }
-        out
+        self.checkpoints.as_ref()
     }
 }
 
@@ -531,7 +387,9 @@ impl<P: Poller + Send> ShardedHub<P> {
     /// worlds, exactly as a poller's sources already are).
     ///
     /// Per-session semantics are exactly [`ServerHub::pump`]'s; a hub of
-    /// one shard pumps inline with no thread at all.
+    /// one shard pumps inline with no thread at all. A session reported
+    /// [`SessionEvent::Crashed`] with no checkpoint is closed: its id is
+    /// retired like a removed one's.
     pub fn pump(&mut self, sessions: &mut [HubSession<'_, '_>]) -> Vec<(SessionId, SessionEvent)> {
         self.pump_inner(sessions, None::<fn()>)
     }
@@ -543,8 +401,8 @@ impl<P: Poller + Send> ShardedHub<P> {
     /// datagram only `side` can feed it), every shard gets a worker
     /// thread here, even a lone one — the inline fast path belongs to
     /// [`ShardedHub::pump`] alone. Every shard is pumped, leased or not,
-    /// quarantined or not, so one that serves no session still bounces
-    /// what `side` feeds it (see [`ServerHub::pump`]).
+    /// so one that serves no session still bounces what `side` feeds it
+    /// (see [`ServerHub::pump`]).
     pub fn pump_with(
         &mut self,
         sessions: &mut [HubSession<'_, '_>],
@@ -558,45 +416,56 @@ impl<P: Poller + Send> ShardedHub<P> {
         sessions: &mut [HubSession<'_, '_>],
         side: Option<impl FnOnce()>,
     ) -> Vec<(SessionId, SessionEvent)> {
-        // Partition leases by owning shard — quarantined shards are
-        // skipped (their state is suspect after a caught panic; every
-        // healthy shard keeps serving) — remembering the local→global
+        // Partition leases by owning shard, remembering the local→global
         // mapping for the event tags.
         let n = self.shards.len();
         let mut shard_leases: Vec<Vec<HubSession<'_, '_>>> = (0..n).map(|_| Vec::new()).collect();
         let mut to_global: Vec<HashMap<SessionId, SessionId>> =
             (0..n).map(|_| HashMap::new()).collect();
         for s in sessions.iter_mut() {
-            let Some((shard, local)) = self.sessions[s.id.0] else {
-                // mosh-lint: allow(no-unwrap-hot-path): caller bug — leasing a retired SessionId, like an out-of-range token
-                panic!("session {:?} was removed", s.id);
-            };
-            if self.failed[shard].is_some() {
-                continue;
-            }
+            let (shard, local) = self.location(s.id);
             to_global[shard].insert(local, s.id);
             shard_leases[shard].push(HubSession::new(local, &mut *s.parties, s.target));
         }
 
-        if n == 1 && side.is_none() {
-            // The inline fast path: no runtime, no thread — but the same
-            // panic contract as the workers (an endpoint panic
-            // quarantines the shard, it does not unwind the caller).
-            let shard = &mut self.shards[0];
-            let leases = &mut shard_leases[0];
-            let events = match catch_unwind(AssertUnwindSafe(|| shard.pump(leases))) {
-                Ok(events) => events,
-                Err(payload) => {
-                    self.failed[0] = Some(panic_message(payload));
-                    Vec::new()
-                }
-            };
-            return events
-                .into_iter()
-                .map(|(local, ev)| (to_global[0][&local], ev))
-                .collect();
-        }
+        let per_shard = if n == 1 && side.is_none() {
+            // The inline fast path: no runtime, no thread.
+            vec![self.shards[0].pump(&mut shard_leases[0])]
+        } else {
+            self.pump_on_workers(&mut shard_leases, side)
+        };
 
+        let events: Vec<(SessionId, SessionEvent)> = per_shard
+            .into_iter()
+            .enumerate()
+            .flat_map(|(i, events)| {
+                let map = &to_global[i];
+                events.into_iter().map(move |(local, ev)| (map[&local], ev))
+            })
+            .collect();
+        for (sid, ev) in &events {
+            if matches!(
+                ev,
+                SessionEvent::Crashed {
+                    checkpoint: None,
+                    ..
+                }
+            ) {
+                // The shard closed the session; retire its global id.
+                self.sessions[sid.0] = None;
+            }
+        }
+        events
+    }
+
+    /// Pumps each shard's leases on its persistent worker (spawned on
+    /// first use) while `side` runs on this thread, returning each
+    /// shard's events in shard order.
+    fn pump_on_workers(
+        &mut self,
+        shard_leases: &mut [Vec<HubSession<'_, '_>>],
+        side: Option<impl FnOnce()>,
+    ) -> Vec<Vec<(SessionId, SessionEvent)>> {
         // The jobs carry type-erased borrows, so restate here what the
         // compiler can no longer see at the channel boundary: everything
         // a worker touches is Send.
@@ -604,19 +473,17 @@ impl<P: Poller + Send> ShardedHub<P> {
         assert_send(&self.shards);
         assert_send(&shard_leases);
 
-        // Dispatch one job per involved shard to the persistent workers
-        // (spawned on first use), run `side` on this thread while they
-        // pump, then block for every reply — the borrows the jobs carry
-        // must not outlive this frame. Shards with no leases this pump
-        // stay parked on their command channels, like unleased sessions —
-        // except behind a shared socket, where every shard runs: an
-        // unleased or quarantined one bounces what the distributor fed it
-        // onward. A quarantined shard has no leases, so its pump touches
-        // only its poller and its unclaimed hook, never its sessions.
+        // Dispatch one job per involved shard, run `side` on this thread
+        // while they pump, then block for every reply — the borrows the
+        // jobs carry must not outlive this frame. Shards with no leases
+        // this pump stay parked on their command channels, like unleased
+        // sessions — except behind a shared socket, where every shard
+        // runs: an unleased one bounces what the distributor fed it
+        // onward.
+        let n = self.shards.len();
         let shared = side.is_some();
         let runtime = self.runtime.get_or_insert_with(|| ShardRuntime::spawn(n)) as &ShardRuntime;
         let mut dispatched = vec![false; n];
-        let mut new_failures: Vec<(usize, String)> = Vec::new();
         for (i, leases) in shard_leases.iter_mut().enumerate() {
             if leases.is_empty() && !shared {
                 continue;
@@ -626,14 +493,10 @@ impl<P: Poller + Send> ShardedHub<P> {
                 shard: &mut self.shards[i] as *mut ServerHub<P> as *mut (),
                 leases: leases as *mut Vec<HubSession<'_, '_>> as *mut (),
             };
-            if runtime.workers[i].tx.send(Command::Pump(job)).is_ok() {
-                dispatched[i] = true;
-            } else {
-                // The worker's thread is gone (torn down externally):
-                // quarantine the shard like a panic and keep pumping
-                // the others rather than taking down the whole hub.
-                new_failures.push((i, "shard worker disconnected".to_string()));
-            }
+            // A worker that is gone has dropped its reply channel too, so
+            // a failed send surfaces as a failed receive below.
+            let _ = runtime.workers[i].tx.send(Command::Pump(job));
+            dispatched[i] = true;
         }
 
         // `side` may itself panic (it is arbitrary caller code): the
@@ -641,42 +504,26 @@ impl<P: Poller + Send> ShardedHub<P> {
         // touch freed lease memory while this frame unwinds.
         let side_outcome = side.map(|f| catch_unwind(AssertUnwindSafe(f)));
 
-        let mut per_shard: Vec<Vec<(SessionId, SessionEvent)>> = Vec::with_capacity(n);
-        for (i, worker) in runtime.workers.iter().enumerate() {
-            if !dispatched[i] {
-                per_shard.push(Vec::new());
-                continue;
-            }
-            per_shard.push(match worker.reply.recv() {
-                Ok(Ok(events)) => events,
-                Ok(Err(msg)) => {
-                    new_failures.push((i, msg));
-                    Vec::new()
-                }
-                // The worker died without replying — only possible if
-                // its thread was torn down externally. Quarantine, same
-                // as a panic.
-                Err(_) => {
-                    new_failures.push((i, "shard worker disconnected".to_string()));
-                    Vec::new()
-                }
-            });
-        }
-        for (i, msg) in new_failures {
-            // A quarantined shard keeps its first panic's message.
-            self.failed[i].get_or_insert(msg);
-        }
+        let replies: Vec<PumpReply> = runtime
+            .workers
+            .iter()
+            .zip(dispatched)
+            .map(|(worker, dispatched)| match dispatched {
+                false => Ok(Vec::new()),
+                true => worker
+                    .reply
+                    .recv()
+                    .unwrap_or_else(|_| Err(Box::new("shard worker disconnected"))),
+            })
+            .collect();
+        // Every borrow is back: a panic outside endpoint code (which the
+        // shards contain per session) is a hub bug, and unwinds here.
         if let Some(Err(payload)) = side_outcome {
             resume_unwind(payload);
         }
-
-        per_shard
+        replies
             .into_iter()
-            .enumerate()
-            .flat_map(|(i, events)| {
-                let map = &to_global[i];
-                events.into_iter().map(move |(local, ev)| (map[&local], ev))
-            })
+            .map(|reply| reply.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
 }
@@ -724,13 +571,14 @@ impl ShardedHub<ChannelPoller<FeedChannel>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apps::LineShell;
+    use crate::apps::{LineShell, TimedWrite};
     use crate::client::MoshClient;
     use crate::server::MoshServer;
     use crate::session::Party;
     use mosh_crypto::Base64Key;
     use mosh_net::{LinkConfig, Network, Side, SimChannel, SimPoller};
     use mosh_prediction::DisplayPreference;
+    use mosh_ssp::datagram::Opened;
 
     const C: Addr = Addr::new(1, 1000);
     const S: Addr = Addr::new(2, 60001);
@@ -805,8 +653,8 @@ mod tests {
         }
     }
 
-    /// An endpoint whose first timer tick panics — the injected fault
-    /// for the quarantine tests.
+    /// An endpoint whose first timer tick panics: a crash before the
+    /// session ever checkpoints.
     struct PanicEndpoint;
 
     impl crate::session::Endpoint for PanicEndpoint {
@@ -821,116 +669,383 @@ mod tests {
         }
     }
 
-    #[test]
-    fn panicking_endpoint_quarantines_its_shard_not_the_hub() {
-        let mut hub = ShardedHub::with_shards(2, SimPoller::new);
-        // Round-robin: sessions 0 and 2 land on shard 0 (healthy pairs),
-        // session 1 on shard 1 (the bomb).
-        let healthy_a = hub.add_session(sim_world(1));
-        let doomed = hub.add_session(sim_world(2));
-        let healthy_b = hub.add_session(sim_world(3));
-        assert_eq!(hub.location(doomed).0, 1);
+    /// The key a [`Tripwire`] shell panics on.
+    const TRIP: u8 = b'!';
 
-        let (mut client_a, mut server_a) = pair(1);
-        let (mut client_b, mut server_b) = pair(2);
-        let mut bomb = PanicEndpoint;
-        let mut parties_a = vec![Party::new(C, &mut client_a), Party::new(S, &mut server_a)];
-        let mut parties_b = vec![Party::new(C, &mut client_b), Party::new(S, &mut server_b)];
-        let mut parties_doomed = vec![Party::new(C, &mut bomb)];
-        let mut sessions = vec![
-            HubSession::new(healthy_a, &mut parties_a, 400),
-            HubSession::new(doomed, &mut parties_doomed, 400),
-            HubSession::new(healthy_b, &mut parties_b, 400),
-        ];
+    /// A [`LineShell`] that panics when [`TRIP`] is typed: the injected
+    /// fault, raised in the server's receive path. It saves and restores
+    /// as a plain `LineShell`, which is what a crashed session is restored
+    /// with, since the client retransmits the key.
+    struct Tripwire(LineShell);
 
-        // The pump must return, not unwind: the panic costs shard 1 only.
-        let events = hub.pump(&mut sessions);
-        drop(sessions);
-        assert!(events
-            .iter()
-            .all(|(sid, _)| *sid == healthy_a || *sid == healthy_b));
-        assert_eq!(hub.stats().shard_panics, 1);
-        assert_eq!(hub.shard_error(0), None);
-        assert!(hub
-            .shard_error(1)
-            .expect("shard 1 quarantined")
-            .contains("injected endpoint panic"));
-        assert_eq!(client_a.server_frame().row_text(0), "$");
-        assert_eq!(client_b.server_frame().row_text(0), "$");
-        assert_eq!(hub.now(healthy_a), 400);
-
-        // Later pumps skip the quarantined shard and keep serving the
-        // healthy one.
-        let mut parties_a = vec![Party::new(C, &mut client_a), Party::new(S, &mut server_a)];
-        let mut parties_doomed = vec![Party::new(C, &mut bomb)];
-        let mut sessions = vec![
-            HubSession::new(healthy_a, &mut parties_a, 800),
-            HubSession::new(doomed, &mut parties_doomed, 800),
-        ];
-        hub.pump(&mut sessions);
-        drop(sessions);
-        assert_eq!(hub.now(healthy_a), 800);
-        assert_eq!(hub.stats().shard_panics, 1, "no second panic: skipped");
-
-        // Without checkpointing there is nothing to resurrect: recovery
-        // reports no sessions rather than half-restoring anything, and
-        // removing the doomed session must not dispatch into the
-        // quarantined shard's suspect state.
-        assert!(hub.resurrect_quarantined().is_empty());
-        assert_eq!(hub.stats().sessions_resurrected, 0);
-        hub.remove_session(doomed);
-        hub.remove_session(doomed); // idempotent on a tombstone
-        assert_eq!(hub.session_count(), 2, "healthy shard's sessions only");
-    }
-
-    /// Nothing pumps a quarantined shard, so accept must not hand it
-    /// new sessions: every one would wait forever, uncounted.
-    #[test]
-    fn accept_skips_quarantined_shards() {
-        let mut hub = ShardedHub::with_shards(2, SimPoller::new);
-        hub.add_session(sim_world(30));
-        let doomed = hub.add_session(sim_world(31));
-        let mut bomb = PanicEndpoint;
-        hub.pump(&mut [HubSession::new(
-            doomed,
-            &mut [Party::new(C, &mut bomb)],
-            100,
-        )]);
-        assert!(hub.shard_error(1).is_some());
-
-        let sids: Vec<SessionId> = (0..4).map(|i| hub.add_session(sim_world(40 + i))).collect();
-        assert!(sids.iter().all(|sid| hub.location(*sid).0 == 0));
-        let mut users: Vec<_> = (0..4).map(|i| pair(40 + i)).collect();
-        let mut leases: Vec<[Party<'_>; 2]> = users
-            .iter_mut()
-            .map(|(c, s)| [Party::new(C, c), Party::new(S, s)])
-            .collect();
-        let mut sessions: Vec<HubSession<'_, '_>> = leases
-            .iter_mut()
-            .zip(&sids)
-            .map(|(parties, sid)| HubSession::new(*sid, parties, 400))
-            .collect();
-        hub.pump(&mut sessions);
-        drop(sessions);
-        drop(leases);
-        for (client, _) in &users {
-            assert_eq!(client.server_frame().row_text(0), "$");
+    impl crate::Application for Tripwire {
+        fn start(&mut self, now: Millis) -> Vec<TimedWrite> {
+            self.0.start(now)
         }
-        assert_eq!(hub.session_count(), 5, "the first session and the four");
+
+        fn on_input(&mut self, now: Millis, bytes: &[u8]) -> Vec<TimedWrite> {
+            assert!(!bytes.contains(&TRIP), "tripwire key typed");
+            self.0.on_input(now, bytes)
+        }
+
+        fn poll(&mut self, now: Millis) -> Vec<TimedWrite> {
+            self.0.poll(now)
+        }
+
+        fn next_wakeup(&self, now: Millis) -> Option<Millis> {
+            self.0.next_wakeup(now)
+        }
+
+        fn on_resize(&mut self, now: Millis, width: usize, height: usize) -> Vec<TimedWrite> {
+            self.0.on_resize(now, width, height)
+        }
+
+        fn save_state(&self) -> Vec<u8> {
+            self.0.save_state()
+        }
+
+        fn restore_state(&mut self, bytes: &[u8]) -> bool {
+            self.0.restore_state(bytes)
+        }
     }
 
+    /// An endpoint that logs every datagram it sends: a session's client
+    /// and server logs together are its whole wire transcript.
+    struct Logged<E> {
+        inner: E,
+        sent: Vec<(Millis, Addr, Vec<u8>)>,
+    }
+
+    impl<E> Logged<E> {
+        fn new(inner: E) -> Self {
+            Logged {
+                inner,
+                sent: Vec::new(),
+            }
+        }
+    }
+
+    impl<E: crate::session::Endpoint> crate::session::Endpoint for Logged<E> {
+        fn receive(
+            &mut self,
+            now: Millis,
+            from: Addr,
+            wire: &[u8],
+            events: &mut Vec<SessionEvent>,
+        ) {
+            self.inner.receive(now, from, wire, events);
+        }
+
+        fn tick(
+            &mut self,
+            now: Millis,
+            out: &mut Vec<(Addr, Vec<u8>)>,
+            events: &mut Vec<SessionEvent>,
+        ) {
+            let start = out.len();
+            self.inner.tick(now, out, events);
+            let sent = out[start..]
+                .iter()
+                .map(|(to, wire)| (now, *to, wire.clone()));
+            self.sent.extend(sent);
+        }
+
+        fn next_wakeup(&self, now: Millis) -> Millis {
+            self.inner.next_wakeup(now)
+        }
+
+        fn last_heard(&self) -> Option<Millis> {
+            self.inner.last_heard()
+        }
+
+        fn try_open(&mut self, wire: &[u8]) -> Option<Opened> {
+            self.inner.try_open(wire)
+        }
+
+        fn receive_opened(
+            &mut self,
+            now: Millis,
+            from: Addr,
+            opened: Opened,
+            events: &mut Vec<SessionEvent>,
+        ) {
+            self.inner.receive_opened(now, from, opened, events);
+        }
+
+        fn activity_marker(&self) -> Option<(u64, u64)> {
+            self.inner.activity_marker()
+        }
+
+        fn checkpoint(&mut self, now: Millis) -> Option<Vec<u8>> {
+            self.inner.checkpoint(now)
+        }
+    }
+
+    /// What one [`crash_run`] leaves behind.
+    struct CrashRun {
+        /// Final screens: victim, sibling, bystander.
+        screens: Vec<String>,
+        /// The sibling's and the bystander's wire transcripts.
+        wires: Vec<Vec<(Millis, Addr, Vec<u8>)>>,
+        /// Each `Crashed` event: the session, and whether it carried a
+        /// checkpoint.
+        crashes: Vec<(SessionId, bool)>,
+        /// Each `PeerTimeout` event's session.
+        timeouts: Vec<SessionId>,
+        stats: HubStats,
+    }
+
+    /// One run on `shards` shards with checkpointing on: a victim (id 0),
+    /// a sibling sharing its source and so its shard (id 1), and a
+    /// bystander on a source of its own (id 2), each typing three keys.
+    /// The victim's second key is [`TRIP`]; with `trip` its shell is a
+    /// [`Tripwire`], and each crash with a checkpoint is answered by
+    /// restoring the server in place. With `bomb`, a [`PanicEndpoint`]
+    /// session sharing the victim's source (id 3) is leased for one pump.
+    /// At 3 s every client falls silent, and the servers pump on to 12 s
+    /// under a 4 s peer timeout.
+    fn crash_run(shards: usize, trip: bool, bomb: bool) -> CrashRun {
+        use super::super::snapshot;
+
+        let mut hub = ShardedHub::with_shards(shards, SimPoller::new);
+        hub.enable_checkpointing(50);
+        let victim = hub.add_session(sim_world(70));
+        let sids = [
+            victim,
+            hub.add_session_sharing(victim),
+            hub.add_session(sim_world(71)),
+        ];
+        let bomb = bomb.then(|| hub.add_session_sharing(victim));
+        for sid in sids {
+            hub.set_peer_timeout(sid, Some(4_000));
+        }
+        let home = hub.location(victim);
+        let token = hub.shard(home.0).token_of(home.1);
+        let mut users: Vec<(Logged<MoshClient>, Logged<MoshServer>)> = (0..3)
+            .map(|u| {
+                let (client, server) = pair(70 + u);
+                (Logged::new(client), Logged::new(server))
+            })
+            .collect();
+        if trip {
+            let key = Base64Key::from_bytes([70; 16]);
+            users[0].1.inner = MoshServer::new(key, Box::new(Tripwire(LineShell::new())));
+        }
+        let mut run = CrashRun {
+            screens: Vec::new(),
+            wires: Vec::new(),
+            crashes: Vec::new(),
+            timeouts: Vec::new(),
+            stats: HubStats::default(),
+        };
+        let keys: [[&[u8]; 3]; 3] = [
+            [b"l", b"s", b"x"],
+            [&[TRIP], b"t", b"y"],
+            [b"s", b"u", b"z"],
+        ];
+        for (step, target) in [300, 600, 900, 3_000, 12_000].into_iter().enumerate() {
+            let silent = target > 3_000;
+            let mut panicker = PanicEndpoint;
+            let mut leases: Vec<Vec<Party<'_>>> = users
+                .iter_mut()
+                .map(|(c, s)| match silent {
+                    false => vec![Party::new(C, c), Party::new(S, s)],
+                    true => vec![Party::new(S, s)],
+                })
+                .collect();
+            let mut leased = sids.to_vec();
+            if let Some(sid) = bomb.filter(|_| step == 1) {
+                leases.push(vec![Party::new(C, &mut panicker)]);
+                leased.push(sid);
+            }
+            let mut sessions: Vec<HubSession<'_, '_>> = leases
+                .iter_mut()
+                .zip(&leased)
+                .map(|(parties, sid)| HubSession::new(*sid, parties, target))
+                .collect();
+            let events = hub.pump(&mut sessions);
+            drop(sessions);
+            drop(leases);
+            for (sid, ev) in events {
+                match ev {
+                    SessionEvent::Crashed { checkpoint, .. } => {
+                        run.crashes.push((sid, checkpoint.is_some()));
+                        if let Some(framed) = checkpoint {
+                            users[sid.0].1.inner =
+                                snapshot::resurrect_server(&framed, Box::new(LineShell::new()))
+                                    .expect("checkpoint decodes");
+                        }
+                    }
+                    SessionEvent::PeerTimeout { .. } => run.timeouts.push(sid),
+                    _ => {}
+                }
+            }
+            // In place: the same shard, the same slot, the same source.
+            assert_eq!(hub.location(victim), home);
+            assert_eq!(hub.shard(home.0).token_of(home.1), token);
+            for ((client, _), key) in users.iter_mut().zip(keys.get(step).into_iter().flatten()) {
+                client.inner.keystroke(target, key);
+            }
+        }
+        if let Some(sid) = bomb {
+            let closed = catch_unwind(AssertUnwindSafe(|| hub.location(sid)));
+            assert!(
+                closed.is_err(),
+                "a crash with no checkpoint closes the session"
+            );
+        }
+        assert_eq!(hub.session_count(), 3);
+        run.screens = users
+            .iter()
+            .map(|(c, _)| c.inner.server_frame().row_text(0).to_string())
+            .collect();
+        run.wires = users
+            .drain(1..)
+            .flat_map(|(c, s)| [c.sent, s.sent])
+            .collect();
+        run.stats = hub.stats();
+        run
+    }
+
+    /// A panicking endpoint costs its session, not its shard: at 1 and 2
+    /// shards the crash is reported once and counted once, the victim is
+    /// restored in place and converges to the undisturbed run's screen,
+    /// and its sibling on the same source and shard and the bystander
+    /// send byte for byte what they send when nothing crashes.
+    #[test]
+    fn a_panicking_endpoint_costs_its_session_not_its_shard() {
+        for shards in [1, 2] {
+            let calm = crash_run(shards, false, false);
+            let crashed = crash_run(shards, true, false);
+            assert_eq!(calm.stats.shard_panics, 0);
+            assert!(calm.crashes.is_empty());
+            assert_eq!(crashed.crashes, [(SessionId(0), true)], "{shards} shards");
+            assert_eq!(crashed.stats.shard_panics, 1);
+            assert_eq!(calm.screens, ["$ l!s", "$ stu", "$ xyz"]);
+            assert_eq!(crashed.screens, calm.screens, "{shards} shards");
+            assert!(
+                crashed.wires == calm.wires,
+                "a sibling's wire changed at {shards} shards"
+            );
+            assert_eq!(crashed.stats.dropped, calm.stats.dropped);
+        }
+    }
+
+    /// The inline one-shard path contains a panic like the workers do: a
+    /// session with no checkpoint is closed, and the session beside it
+    /// pumps on.
     #[test]
     fn inline_single_shard_pump_also_contains_the_panic() {
         let mut hub = ShardedHub::with_shards(1, SimPoller::new);
         let doomed = hub.add_session(sim_world(4));
-        let mut bomb = PanicEndpoint;
-        let mut parties = vec![Party::new(C, &mut bomb)];
-        let mut sessions = vec![HubSession::new(doomed, &mut parties, 100)];
-        let events = hub.pump(&mut sessions);
-        drop(sessions);
-        assert!(events.is_empty());
+        let healthy = hub.add_session(sim_world(5));
+        let (mut client, mut server) = pair(5);
+        let events = hub.pump(&mut [
+            HubSession::new(doomed, &mut [Party::new(C, &mut PanicEndpoint)], 100),
+            HubSession::new(
+                healthy,
+                &mut [Party::new(C, &mut client), Party::new(S, &mut server)],
+                300,
+            ),
+        ]);
+        let crashes: Vec<&(SessionId, SessionEvent)> = events
+            .iter()
+            .filter(|(_, e)| matches!(e, SessionEvent::Crashed { .. }))
+            .collect();
+        let closed = (
+            doomed,
+            SessionEvent::Crashed {
+                at: 0,
+                checkpoint: None,
+            },
+        );
+        assert_eq!(crashes, [&closed]);
         assert_eq!(hub.stats().shard_panics, 1);
-        assert!(hub.shard_error(0).is_some());
+        assert_eq!(hub.session_count(), 1, "the doomed session was closed");
+        assert_eq!(client.server_frame().row_text(0), "$");
+        let retired = catch_unwind(AssertUnwindSafe(|| hub.location(doomed)));
+        assert!(retired.is_err(), "a closed session's id is retired");
+    }
+
+    /// A panic outside endpoint code is a hub bug and unwinds the caller
+    /// of `pump`, at 1 shard (inline) and at 2 (on the workers, after
+    /// every reply is in); dropping the hub afterwards joins its workers.
+    #[test]
+    fn a_poller_panic_unwinds_the_caller() {
+        /// A [`SimPoller`] whose waits panic once `armed`.
+        struct Faulty {
+            inner: SimPoller,
+            armed: bool,
+        }
+
+        impl Poller for Faulty {
+            type Chan = SimChannel;
+
+            fn add(&mut self, channel: SimChannel) -> Token {
+                self.inner.add(channel)
+            }
+
+            fn len(&self) -> usize {
+                self.inner.len()
+            }
+
+            fn channel(&self, tok: Token) -> &SimChannel {
+                self.inner.channel(tok)
+            }
+
+            fn channel_mut(&mut self, tok: Token) -> &mut SimChannel {
+                self.inner.channel_mut(tok)
+            }
+
+            fn next_event_time(&self, tok: Token) -> Option<Millis> {
+                self.inner.next_event_time(tok)
+            }
+
+            fn poll_any(&mut self) -> Option<(Token, mosh_net::Datagram)> {
+                self.inner.poll_any()
+            }
+
+            fn wait_until(&mut self, tok: Token, deadline: Millis) -> Millis {
+                assert!(!self.armed, "injected poller panic");
+                self.inner.wait_until(tok, deadline)
+            }
+        }
+
+        for shards in [1, 2] {
+            let mut hub = ShardedHub::with_shards(shards, || Faulty {
+                inner: SimPoller::new(),
+                armed: false,
+            });
+            let sids: Vec<SessionId> = (0..shards as u64)
+                .map(|i| hub.add_session(sim_world(80 + i)))
+                .collect();
+            hub.shard_mut(shards - 1).poller_mut().armed = true;
+            let mut users: Vec<_> = (0..shards as u8).map(|i| pair(80 + i)).collect();
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                let mut leases: Vec<[Party<'_>; 2]> = users
+                    .iter_mut()
+                    .map(|(c, s)| [Party::new(C, c), Party::new(S, s)])
+                    .collect();
+                let mut sessions: Vec<HubSession<'_, '_>> = leases
+                    .iter_mut()
+                    .zip(&sids)
+                    .map(|(parties, sid)| HubSession::new(*sid, parties, 300))
+                    .collect();
+                hub.pump(&mut sessions)
+            }));
+            let payload = unwound.expect_err("the poller's panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"injected poller panic")
+            );
+            if shards == 2 {
+                // Shard 0's worker replied before the pump unwound.
+                assert_eq!(users[0].0.server_frame().row_text(0), "$");
+                assert_eq!(hub.now(sids[0]), 300);
+            }
+            assert_eq!(hub.stats().shard_panics, 0, "not an endpoint panic");
+            drop(hub);
+        }
     }
 
     #[test]
@@ -1015,100 +1130,36 @@ mod tests {
         assert_ne!(hub.location(third).0, shard_a);
     }
 
-    /// Sessions sharing one private channel on a quarantined shard
-    /// resurrect together: the channel moves once, to one healthy
-    /// shard, and every session on it follows onto the same new token.
+    /// Two crashes on one source in one run: a session with no checkpoint
+    /// is closed, a session with one is restored in place onto the same
+    /// source as its surviving sibling, and the sibling's wire is byte for
+    /// byte the undisturbed run's.
     #[test]
     fn co_located_sessions_resurrect_onto_one_shard_and_source() {
-        let mut hub = ShardedHub::with_shards(3, SimPoller::new);
-        hub.enable_checkpointing(50);
-        hub.add_session(sim_world(50)); // shard 0
-        let first = hub.add_session(sim_world(51)); // shard 1
-        let second = hub.add_session_sharing(first);
-        hub.add_session(sim_world(52)); // shard 2
-        let (mut client_a, mut server_a) = pair(5);
-        let (mut client_b, mut server_b) = pair(6);
-        {
-            // Both pairs share one world's addresses; the shard tells
-            // them apart by key.
-            let mut pa = vec![Party::new(C, &mut client_a), Party::new(S, &mut server_a)];
-            let mut pb = vec![Party::new(C, &mut client_b), Party::new(S, &mut server_b)];
-            hub.pump(&mut [
-                HubSession::new(first, &mut pa, 300),
-                HubSession::new(second, &mut pb, 300),
-            ]);
-        }
-        let store = hub.checkpoint_store().expect("checkpointing on").clone();
-        assert!(store.get(first.0).is_some() && store.get(second.0).is_some());
-
-        let doomed = hub.add_session_sharing(first);
-        hub.pump(&mut [HubSession::new(
-            doomed,
-            &mut [Party::new(C, &mut PanicEndpoint)],
-            400,
-        )]);
-        assert!(hub.shard_error(1).is_some());
-
-        let recovered = hub.resurrect_quarantined();
-        let ids: Vec<SessionId> = recovered.iter().map(|(sid, _)| *sid).collect();
-        assert_eq!(ids, [first, second], "the panicker had no checkpoint");
-        let (shard_a, local_a) = hub.location(first);
-        let (shard_b, local_b) = hub.location(second);
-        assert_ne!(shard_a, 1, "off the quarantined shard");
-        assert_eq!(shard_a, shard_b, "one channel, one owning shard");
+        let calm = crash_run(3, false, false);
+        let crashed = crash_run(3, true, true);
         assert_eq!(
-            hub.shard(shard_a).token_of(local_a),
-            hub.shard(shard_b).token_of(local_b),
-            "one channel, one new token"
+            crashed.crashes,
+            [(SessionId(3), false), (SessionId(0), true)]
         );
-        assert_eq!(hub.stats().sessions_resurrected, 2);
+        assert_eq!(crashed.stats.shard_panics, 2);
+        assert_eq!(crashed.screens, calm.screens);
+        assert!(crashed.wires == calm.wires, "a sibling's wire changed");
     }
 
-    /// A peer-silence timeout is the caller's setting, not the shard's:
-    /// a session resurrected onto another shard still reports a client
-    /// that fell silent, exactly as the same session does when nothing
-    /// crashed.
+    /// A peer-silence timeout is the caller's setting and outlives a
+    /// crash: at 1 and 2 shards, once the clients fall silent every
+    /// server reports it once — the restored victim too — exactly as when
+    /// nothing crashed.
     #[test]
     fn resurrection_keeps_the_peer_timeout() {
-        use super::super::snapshot;
-
-        let run = |crash: bool| {
-            let mut hub = ShardedHub::with_shards(2, SimPoller::new);
-            hub.enable_checkpointing(50);
-            hub.add_session(sim_world(60)); // shard 0
-            let victim = hub.add_session(sim_world(61)); // shard 1
-            hub.set_peer_timeout(victim, Some(500));
-            let (mut client, mut server) = pair(7);
-            {
-                let mut parties = vec![Party::new(C, &mut client), Party::new(S, &mut server)];
-                hub.pump(&mut [HubSession::new(victim, &mut parties, 300)]);
-            }
-            if crash {
-                let doomed = hub.add_session_sharing(victim);
-                hub.pump(&mut [HubSession::new(
-                    doomed,
-                    &mut [Party::new(C, &mut PanicEndpoint)],
-                    400,
-                )]);
-                let recovered = hub.resurrect_quarantined();
-                assert_eq!(recovered.len(), 1);
-                assert_eq!(hub.location(victim).0, 0);
-                server = snapshot::resurrect_server(&recovered[0].1, Box::new(LineShell::new()))
-                    .expect("checkpoint decodes");
-            }
-            // The client falls silent: only the server is leased.
-            let events = hub.pump(&mut [HubSession::new(
-                victim,
-                &mut [Party::new(S, &mut server)],
-                4_000,
-            )]);
-            events
-                .iter()
-                .filter(|(sid, e)| *sid == victim && matches!(e, SessionEvent::PeerTimeout { .. }))
-                .count()
-        };
-        assert_eq!(run(false), 1, "undisturbed");
-        assert_eq!(run(true), 1, "resurrected");
+        for shards in [1, 2] {
+            let calm = crash_run(shards, false, false);
+            let crashed = crash_run(shards, true, false);
+            let all = [SessionId(0), SessionId(1), SessionId(2)];
+            assert_eq!(calm.timeouts, all, "{shards} shards, undisturbed");
+            assert_eq!(crashed.timeouts, all, "{shards} shards, restored");
+        }
     }
 
     /// A shorter checkpoint cadence buys a fresher resurrection point,
@@ -1146,13 +1197,15 @@ mod tests {
         assert!(often >= seldom, "500 ms: {often} B, 2000 ms: {seldom} B");
     }
 
-    /// The crash-recovery round trip (the tentpole's acceptance shape):
-    /// a real session checkpoints on cadence, its shard is killed by a
-    /// co-resident panicking endpoint, and resurrection brings it back
-    /// on a healthy shard — same global id, client endpoint untouched,
-    /// conversation continuing.
+    /// The crash-recovery round trip: a real session checkpoints on
+    /// cadence, panics on a key it receives, and is restored in place
+    /// from the checkpoint its `Crashed` event carries — same id, same
+    /// shard, same source, client endpoint untouched, nonces ahead of the
+    /// dead incarnation's. A panic the input itself triggers recurs after
+    /// a restore that keeps the fault, and each repeat is reported; a
+    /// restore without the fault converges.
     #[test]
-    fn quarantined_sessions_resurrect_from_checkpoints() {
+    fn crashed_sessions_restore_in_place_from_checkpoints() {
         use super::super::snapshot;
 
         let mut hub = ShardedHub::with_shards(2, SimPoller::new);
@@ -1160,87 +1213,74 @@ mod tests {
         // Round-robin: bystander on shard 0, victim on shard 1.
         let bystander = hub.add_session(sim_world(11));
         let victim = hub.add_session(sim_world(12));
+        let home = hub.location(victim);
         let (mut client_b, mut server_b) = pair(3);
-        let (mut client_v, mut server_v) = pair(4);
+        let (mut client_v, _) = pair(4);
+        let tripwire = || {
+            let key = Base64Key::from_bytes([4; 16]);
+            MoshServer::new(key, Box::new(Tripwire(LineShell::new())))
+        };
+        let mut server_v = tripwire();
+        let mut pump = |hub: &mut ShardedHub<SimPoller>,
+                        client_v: &mut MoshClient,
+                        server_v: &mut MoshServer,
+                        target: Millis| {
+            let mut pb = vec![Party::new(C, &mut client_b), Party::new(S, &mut server_b)];
+            let mut pv = vec![Party::new(C, client_v), Party::new(S, server_v)];
+            let events = hub.pump(&mut [
+                HubSession::new(bystander, &mut pb, target),
+                HubSession::new(victim, &mut pv, target),
+            ]);
+            assert_eq!(
+                client_b.server_frame().row_text(0),
+                "$",
+                "bystander untouched"
+            );
+            events
+                .into_iter()
+                .filter_map(|(sid, e)| match e {
+                    SessionEvent::Crashed { checkpoint, .. } => Some((sid, checkpoint)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
 
         // Reach the prompt, type, and let the cadence checkpoint the
         // typed-into state.
-        {
-            let mut pb = vec![Party::new(C, &mut client_b), Party::new(S, &mut server_b)];
-            let mut pv = vec![Party::new(C, &mut client_v), Party::new(S, &mut server_v)];
-            let mut sessions = vec![
-                HubSession::new(bystander, &mut pb, 300),
-                HubSession::new(victim, &mut pv, 300),
-            ];
-            hub.pump(&mut sessions);
-        }
+        assert!(pump(&mut hub, &mut client_v, &mut server_v, 300).is_empty());
         client_v.keystroke(300, b"l");
-        {
-            let mut pb = vec![Party::new(C, &mut client_b), Party::new(S, &mut server_b)];
-            let mut pv = vec![Party::new(C, &mut client_v), Party::new(S, &mut server_v)];
-            let mut sessions = vec![
-                HubSession::new(bystander, &mut pb, 600),
-                HubSession::new(victim, &mut pv, 600),
-            ];
-            hub.pump(&mut sessions);
-        }
+        assert!(pump(&mut hub, &mut client_v, &mut server_v, 600).is_empty());
         assert_eq!(client_v.server_frame().row_text(0), "$ l");
-        assert!(hub.stats().checkpoint_bytes > 0, "cadence ran");
-        let store = hub.checkpoint_store().expect("checkpointing on").clone();
-        assert!(store.get(victim.0).is_some(), "victim has a checkpoint");
 
-        // A bomb lands on the victim's shard and kills it mid-pump.
-        let bomb_tok = hub.shard_mut(1).poller_mut().add(sim_world(13));
-        let doomed = hub.add_session_on(1, bomb_tok);
-        let mut bomb = PanicEndpoint;
-        {
-            let mut pv = vec![Party::new(C, &mut client_v), Party::new(S, &mut server_v)];
-            let mut pd = vec![Party::new(C, &mut bomb)];
-            let mut sessions = vec![
-                HubSession::new(victim, &mut pv, 700),
-                HubSession::new(doomed, &mut pd, 700),
-            ];
-            hub.pump(&mut sessions);
-        }
+        // The tripwire key kills the victim's server as it arrives.
+        client_v.keystroke(600, &[TRIP]);
+        let crashes = pump(&mut hub, &mut client_v, &mut server_v, 700);
+        assert_eq!(crashes.len(), 1);
+        assert_eq!(crashes[0].0, victim);
+        let framed = crashes[0].1.clone().expect("victim has a checkpoint");
         assert_eq!(hub.stats().shard_panics, 1);
-        assert!(hub.shard_error(1).is_some());
+        assert_eq!(hub.location(victim), home, "restored in place");
+        assert_eq!(hub.session_count(), 2);
 
-        // Recovery: the victim resurrects from its checkpoint onto the
-        // healthy shard; the bomb has no checkpoint and is lost.
+        // Restored with the fault still in it, the retransmitted key
+        // panics again; the caller sees each repeat.
         let seq_dead = server_v.next_seq();
-        let recovered = hub.resurrect_quarantined();
-        assert_eq!(recovered.len(), 1);
-        assert_eq!(recovered[0].0, victim);
-        assert_eq!(hub.location(victim).0, 0);
-        assert_eq!(hub.stats().sessions_resurrected, 1);
-        assert_eq!(hub.session_count(), 2, "bystander + resurrected victim");
-
-        // The caller's half: rebuild the server endpoint from the
-        // snapshot. The client endpoint never crashed and is kept as-is;
-        // the resurrected server's nonces are strictly ahead of anything
-        // the dead incarnation could have sent.
-        let mut server_v2 = snapshot::resurrect_server(&recovered[0].1, Box::new(LineShell::new()))
+        server_v = snapshot::resurrect_server(&framed, Box::new(Tripwire(LineShell::new())))
             .expect("checkpoint decodes");
-        assert!(server_v2.next_seq() > seq_dead, "nonce margin burned");
-        drop(server_v);
+        assert!(server_v.next_seq() > seq_dead, "nonce margin burned");
+        let crashes = pump(&mut hub, &mut client_v, &mut server_v, 1_500);
+        assert_eq!(crashes.len(), 1, "the input trips it again");
+        assert_eq!(hub.stats().shard_panics, 2);
 
-        // The conversation continues: un-checkpointed tail retransmits,
-        // new input round-trips through the resurrected endpoint.
-        client_v.keystroke(700, b"s");
-        {
-            let mut pb = vec![Party::new(C, &mut client_b), Party::new(S, &mut server_b)];
-            let mut pv = vec![Party::new(C, &mut client_v), Party::new(S, &mut server_v2)];
-            let mut sessions = vec![
-                HubSession::new(bystander, &mut pb, 2000),
-                HubSession::new(victim, &mut pv, 2000),
-            ];
-            hub.pump(&mut sessions);
-        }
-        assert_eq!(client_v.server_frame().row_text(0), "$ ls");
-        assert_eq!(
-            client_b.server_frame().row_text(0),
-            "$",
-            "bystander untouched"
-        );
+        // Restored as a plain shell, the conversation continues: the
+        // un-checkpointed tail retransmits, new input round-trips.
+        let framed = crashes[0].1.clone().expect("still checkpointed");
+        server_v = snapshot::resurrect_server(&framed, Box::new(LineShell::new()))
+            .expect("checkpoint decodes");
+        client_v.keystroke(1_500, b"s");
+        assert!(pump(&mut hub, &mut client_v, &mut server_v, 3_000).is_empty());
+        assert_eq!(client_v.server_frame().row_text(0), "$ l!s");
+        assert_eq!(hub.location(victim), home);
+        assert_eq!(hub.stats().shard_panics, 2);
     }
 }

@@ -41,6 +41,7 @@ use mosh_net::{Addr, Channel, Datagram, Poller, Token};
 use mosh_ssp::datagram::Opened;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The unclaimed-datagram hook: called with datagrams no session claims
 /// on its registered source, returning true to take ownership of the
@@ -71,11 +72,11 @@ struct Slot {
 /// One tracked session's checkpoint bookkeeping.
 struct CkptState {
     /// Key in the shared store — a [`super::ShardedHub`]'s *global*
-    /// session id, stable across resurrection.
+    /// session id.
     key: usize,
     /// When the cadence last ran for this session (`None` = never: the
     /// first service after tracking starts checkpoints immediately, so
-    /// a freshly added or resurrected session always has a snapshot).
+    /// a freshly added or restored session always has a snapshot).
     last_at: Option<Millis>,
     /// Activity marker captured by the last stored checkpoint — an
     /// unchanged marker means the session saw no new traffic and the
@@ -106,8 +107,15 @@ struct PumpScratch {
     /// as a per-lease flag (membership without scanning `woken`).
     woken: Vec<usize>,
     is_woken: Vec<bool>,
-    /// [`ServerHub::route`]'s hinted candidates for one datagram.
-    hinted: Vec<usize>,
+    /// Leases whose endpoint code panicked this pump: cut off until it
+    /// ends (see [`ServerHub::contain`]).
+    cut: Vec<bool>,
+    /// [`ServerHub::route`]'s candidates for one datagram, in the order
+    /// it probes them.
+    probes: Vec<usize>,
+    /// What the pump returns, and one endpoint call's events on the way.
+    events: Vec<(SessionId, SessionEvent)>,
+    scratch: Vec<SessionEvent>,
 }
 
 impl PumpScratch {
@@ -173,7 +181,7 @@ impl<P: Poller> ServerHub<P> {
     }
 
     /// Tracks `sid` in the checkpoint store under `key` (a sharded
-    /// hub's *global* session id — stable across resurrection). The next
+    /// hub's *global* session id). The next
     /// service of the session writes its first checkpoint immediately.
     pub fn set_checkpoint_key(&mut self, sid: SessionId, key: usize) {
         self.slots[sid.0].ckpt = Some(CkptState {
@@ -202,7 +210,7 @@ impl<P: Poller> ServerHub<P> {
 
     /// True when `tok` is a distributor-shared source (it has an
     /// unclaimed-datagram hook), so routing on it must authenticate.
-    pub(super) fn is_shared(&self, tok: Token) -> bool {
+    fn is_shared(&self, tok: Token) -> bool {
         self.unclaimed.iter().any(|(t, _)| *t == tok)
     }
 
@@ -229,9 +237,9 @@ impl<P: Poller> ServerHub<P> {
     }
 
     /// Retires a session for good (the user logged out, the session
-    /// timed out): its wheel entries go stale, its checkpoint is dropped
-    /// so it never resurrects, and every source-address route to it is
-    /// dropped, so memory tracks *live* sessions. A route no session
+    /// timed out, or crashed with no checkpoint): its wheel entries go
+    /// stale, its checkpoint is dropped, and every source-address route
+    /// to it is dropped, so memory tracks *live* sessions. A route no session
     /// holds any more also leaves the substrate
     /// ([`mosh_net::Channel::evict_hint`]), or later traffic from that
     /// address would keep being steered at this shard. The channel stays
@@ -262,11 +270,6 @@ impl<P: Poller> ServerHub<P> {
     /// [`SessionEvent::PeerTimeout`]); `None` disables.
     pub fn set_peer_timeout(&mut self, sid: SessionId, timeout: Option<Millis>) {
         self.slots[sid.0].driver.set_peer_timeout(timeout);
-    }
-
-    /// A session's configured peer-silence timeout.
-    pub(super) fn peer_timeout(&self, sid: SessionId) -> Option<Millis> {
-        self.slots[sid.0].driver.peer_timeout()
     }
 
     /// Number of sessions registered and not yet removed.
@@ -332,6 +335,12 @@ impl<P: Poller> ServerHub<P> {
     /// untouched unless a delivery woke the session. By the wakeup
     /// contract every tick skipped this way was a no-op, and simulated
     /// substrates never end a wait early, so transcripts are unchanged.
+    ///
+    /// A panic in a session's endpoint code costs that session alone: it
+    /// is cut off for the rest of the pump and reported as
+    /// [`SessionEvent::Crashed`], and every other lease pumps on. A panic
+    /// anywhere else — the poller, the wheel, the routing — unwinds the
+    /// caller.
     pub fn pump(&mut self, sessions: &mut [HubSession<'_, '_>]) -> Vec<(SessionId, SessionEvent)> {
         if sessions.is_empty() && !self.unclaimed.is_empty() {
             // A zero-length wait marks each shared source ready, since
@@ -346,10 +355,9 @@ impl<P: Poller> ServerHub<P> {
             }
             return Vec::new();
         }
-        let mut events: Vec<(SessionId, SessionEvent)> = Vec::new();
-        let mut scratch: Vec<SessionEvent> = Vec::new();
         let mut ps = PumpScratch {
             is_woken: vec![false; sessions.len()],
+            cut: vec![false; sessions.len()],
             ..PumpScratch::default()
         };
 
@@ -382,12 +390,17 @@ impl<P: Poller> ServerHub<P> {
                 continue;
             }
             let idle = (slot.wakeup > now)
-                .then(|| slot.driver.earliest_wakeup(sessions[i].parties, now))
+                .then(|| {
+                    self.contain(i, now, sessions, &mut ps, |hub, lease, _| {
+                        hub.wakeup_of(lease, now)
+                    })
+                })
+                .flatten()
                 .filter(|&wakeup| wakeup > now);
             if idle.is_none() {
-                self.tick(i, now, sessions, &mut events, &mut scratch);
+                self.tick(i, now, sessions, &mut ps);
             }
-            self.rearm(i, now, sessions, idle);
+            self.rearm(i, now, sessions, &mut ps, idle);
         }
 
         // The event loop: always wake the earliest-due session, route
@@ -408,27 +421,28 @@ impl<P: Poller> ServerHub<P> {
             // against the hints every earlier datagram left behind.
             while let Some((t2, dg)) = self.poller.poll_any() {
                 let at = self.poller.now(t2);
-                match self.route(t2, &dg, sessions, &to_index, &mut ps.hinted) {
+                match self.route(t2, &dg, at, sessions, &to_index, &mut ps) {
+                    // Routed to a lease cut off earlier in this pump.
+                    Some((j, _)) if ps.cut[j] => self.stats.dropped += 1,
                     Some((j, opened)) => {
-                        let sj = sessions[j].id;
-                        scratch.clear();
-                        let driver = &mut self.slots[sj.0].driver;
-                        match opened {
-                            // Ambiguous address: the routing probe already
-                            // opened the datagram — deliver the plaintext
-                            // token, never a second decrypt.
-                            Some(op) => driver.deliver_opened(
-                                sessions[j].parties,
-                                at,
-                                dg.from,
-                                dg.to,
-                                op,
-                                &mut scratch,
-                            ),
-                            None => driver.deliver(sessions[j].parties, at, &dg, &mut scratch),
-                        };
+                        self.contain(j, at, sessions, &mut ps, |hub, lease, events| {
+                            let driver = &mut hub.slots[lease.id.0].driver;
+                            match opened {
+                                // Ambiguous address: the routing probe
+                                // already opened the datagram — deliver the
+                                // plaintext token, never a second decrypt.
+                                Some(op) => driver.deliver_opened(
+                                    lease.parties,
+                                    at,
+                                    dg.from,
+                                    dg.to,
+                                    op,
+                                    events,
+                                ),
+                                None => driver.deliver(lease.parties, at, &dg, events),
+                            };
+                        });
                         self.stats.delivered += 1;
-                        events.extend(scratch.drain(..).map(|e| (sj, e)));
                         ps.wake(j);
                     }
                     None => self.bounce_or_drop(t2, &dg),
@@ -442,26 +456,94 @@ impl<P: Poller> ServerHub<P> {
             // lease order for determinism.
             if self.poller.now(tok) >= due {
                 ps.wake(i);
-            } else if !ps.is_woken[i] {
+            } else if !ps.is_woken[i] && !ps.cut[i] {
                 self.wheel.schedule(due, sid.0, self.slots[sid.0].gen);
             }
             ps.woken.sort_unstable();
-            for j in ps.woken.drain(..) {
+            for k in 0..ps.woken.len() {
+                let j = ps.woken[k];
                 ps.is_woken[j] = false;
-                let sj = sessions[j].id;
-                let nowj = self.poller.now(self.slots[sj.0].token);
-                scratch.clear();
-                self.slots[sj.0]
-                    .driver
-                    .check_timeouts(sessions[j].parties, nowj, &mut scratch);
-                events.extend(scratch.drain(..).map(|e| (sj, e)));
+                let nowj = self.poller.now(self.slots[sessions[j].id.0].token);
+                self.contain(j, nowj, sessions, &mut ps, |hub, lease, events| {
+                    let driver = &mut hub.slots[lease.id.0].driver;
+                    driver.check_timeouts(lease.parties, nowj, events);
+                });
                 if nowj < sessions[j].target {
-                    self.tick(j, nowj, sessions, &mut events, &mut scratch);
-                    self.rearm(j, nowj, sessions, None);
+                    self.tick(j, nowj, sessions, &mut ps);
+                    self.rearm(j, nowj, sessions, &mut ps, None);
                 }
             }
+            ps.woken.clear();
         }
-        events
+        ps.events
+    }
+
+    /// Runs `call` — one call into lease `i`'s endpoint code, at its
+    /// session clock `now` — so that a panic there costs that session
+    /// alone. The events `call` appends are the lease's. Returns `None`
+    /// without calling when the lease was already cut off this pump, and
+    /// when the call panics: the lease is then cut off for the rest of
+    /// the pump, its half-reported events dropped (see
+    /// [`ServerHub::crash`]).
+    fn contain<R>(
+        &mut self,
+        i: usize,
+        now: Millis,
+        sessions: &mut [HubSession<'_, '_>],
+        ps: &mut PumpScratch,
+        call: impl FnOnce(&mut Self, &mut HubSession<'_, '_>, &mut Vec<SessionEvent>) -> R,
+    ) -> Option<R> {
+        if ps.cut[i] {
+            return None;
+        }
+        let lease = &mut sessions[i];
+        ps.scratch.clear();
+        match catch_unwind(AssertUnwindSafe(|| call(self, lease, &mut ps.scratch))) {
+            Ok(r) => {
+                ps.events
+                    .extend(ps.scratch.drain(..).map(|e| (lease.id, e)));
+                Some(r)
+            }
+            Err(_) => {
+                ps.cut[i] = true;
+                self.crash(lease.id, now, ps);
+                None
+            }
+        }
+    }
+
+    /// The earliest wakeup `lease`'s endpoints report at `now`.
+    fn wakeup_of(&self, lease: &HubSession<'_, '_>, now: Millis) -> Millis {
+        self.slots[lease.id.0]
+            .driver
+            .earliest_wakeup(lease.parties, now)
+    }
+
+    /// Restores session `sid` in place after its endpoint code panicked
+    /// at `at`, and reports it as [`SessionEvent::Crashed`] with its last
+    /// checkpoint. Its wheel entries go stale and its next pump ticks the
+    /// endpoint the caller leases in its place, which checkpoints again
+    /// on its first service. The peer-silence timeout and the route
+    /// hints stay. A session with no checkpoint is closed instead
+    /// ([`ServerHub::remove_session`]), as a crashed `mosh-server` is.
+    fn crash(&mut self, sid: SessionId, at: Millis, ps: &mut PumpScratch) {
+        self.stats.shard_panics += 1;
+        let slot = &mut self.slots[sid.0];
+        slot.gen += 1;
+        slot.wakeup = 0;
+        let checkpoint = match (slot.ckpt.as_mut(), &self.checkpoints) {
+            (Some(ck), Some((store, _))) => {
+                ck.last_at = None;
+                ck.last_marker = None;
+                store.get(ck.key)
+            }
+            _ => None,
+        };
+        if checkpoint.is_none() {
+            self.remove_session(sid);
+        }
+        ps.events
+            .push((sid, SessionEvent::Crashed { at, checkpoint }));
     }
 
     /// Hands a datagram no lease claims to `tok`'s unclaimed hook,
@@ -486,23 +568,21 @@ impl<P: Poller> ServerHub<P> {
         i: usize,
         now: Millis,
         sessions: &mut [HubSession<'_, '_>],
-        events: &mut Vec<(SessionId, SessionEvent)>,
-        scratch: &mut Vec<SessionEvent>,
+        ps: &mut PumpScratch,
     ) {
-        let sid = sessions[i].id;
-        let Self { poller, slots, .. } = self;
-        let slot = &mut slots[sid.0];
-        let tok = slot.token;
-        scratch.clear();
-        // Each party's burst leaves as one batch — the sendmmsg-shaped
-        // seam: the poller's substrate ships it whole when it can.
-        slot.driver.tick_parties(
-            sessions[i].parties,
-            now,
-            &mut |from, batch| poller.send_many(tok, from, batch),
-            scratch,
-        );
-        events.extend(scratch.drain(..).map(|e| (sid, e)));
+        self.contain(i, now, sessions, ps, |hub, lease, events| {
+            let Self { poller, slots, .. } = hub;
+            let slot = &mut slots[lease.id.0];
+            let tok = slot.token;
+            // Each party's burst leaves as one batch — the sendmmsg-shaped
+            // seam: the poller's substrate ships it whole when it can.
+            slot.driver.tick_parties(
+                lease.parties,
+                now,
+                &mut |from, batch| poller.send_many(tok, from, batch),
+                events,
+            );
+        });
     }
 
     /// Runs lease `i`'s checkpoint cadence at `now`, then schedules its
@@ -514,62 +594,73 @@ impl<P: Poller> ServerHub<P> {
         i: usize,
         now: Millis,
         sessions: &mut [HubSession<'_, '_>],
-        mut known: Option<Millis>,
+        ps: &mut PumpScratch,
+        known: Option<Millis>,
     ) {
-        let sid = sessions[i].id;
-        let Self {
-            poller,
-            slots,
-            wheel,
-            stats,
-            checkpoints,
-            ..
-        } = self;
-        let slot = &mut slots[sid.0];
-        let tok = slot.token;
-
-        // Crash-recovery cadence: when this session is tracked, due, and
-        // saw traffic since its last checkpoint, snapshot it into the
-        // shared store. Runs after the tick so the checkpoint contains
-        // everything this service step shipped.
-        if let (Some((store, cadence)), Some(ck)) = (checkpoints.as_ref(), slot.ckpt.as_mut()) {
-            let due = ck
-                .last_at
-                .is_none_or(|at| now.saturating_sub(at) >= *cadence);
-            if due {
-                let marker = sessions[i]
-                    .parties
-                    .iter()
-                    .find_map(|p| p.endpoint.activity_marker());
-                if let Some(marker) = marker.filter(|m| ck.last_marker != Some(*m)) {
-                    if let Some(body) = sessions[i]
-                        .parties
-                        .iter_mut()
-                        .find_map(|p| p.endpoint.checkpoint(now))
-                    {
-                        let framed = snapshot::frame(&body);
-                        stats.checkpoint_bytes += framed.len() as u64;
-                        store.put(ck.key, framed, marker);
-                        ck.last_marker = Some(marker);
-                        known = None;
-                    }
-                }
-                ck.last_at = Some(now);
-            }
-        }
-
-        let wakeup = known.unwrap_or_else(|| slot.driver.earliest_wakeup(sessions[i].parties, now));
+        let asked = self.contain(i, now, sessions, ps, |hub, lease, _| {
+            let checkpointed = hub.checkpoint_if_due(now, lease);
+            known
+                .filter(|_| !checkpointed)
+                .unwrap_or_else(|| hub.wakeup_of(lease, now))
+        });
+        let Some(wakeup) = asked else {
+            return;
+        };
         if wakeup <= now {
             // The clamp to `now + 1` below is about to fire because of an
             // endpoint, not the substrate: a wakeup-contract violation.
-            stats.overdue_wakeups += 1;
+            self.stats.overdue_wakeups += 1;
         }
-        let next =
-            slot.driver
-                .next_step(wakeup, now, sessions[i].target, poller.next_event_time(tok));
+        let lease = &sessions[i];
+        let slot = &mut self.slots[lease.id.0];
+        let next = slot.driver.next_step(
+            wakeup,
+            now,
+            lease.target,
+            self.poller.next_event_time(slot.token),
+        );
         slot.wakeup = wakeup;
         slot.gen += 1;
-        wheel.schedule(next, sid.0, slot.gen);
+        self.wheel.schedule(next, lease.id.0, slot.gen);
+    }
+
+    /// The crash-recovery cadence: when `lease` is tracked, due, and saw
+    /// traffic since its last checkpoint, snapshots it into the shared
+    /// store, returning whether it did. Runs after the tick so the
+    /// checkpoint contains everything this service step shipped.
+    fn checkpoint_if_due(&mut self, now: Millis, lease: &mut HubSession<'_, '_>) -> bool {
+        let (Some((store, cadence)), Some(ck)) = (
+            self.checkpoints.as_ref(),
+            self.slots[lease.id.0].ckpt.as_mut(),
+        ) else {
+            return false;
+        };
+        if ck
+            .last_at
+            .is_some_and(|at| now.saturating_sub(at) < *cadence)
+        {
+            return false;
+        }
+        ck.last_at = Some(now);
+        let marker = lease
+            .parties
+            .iter()
+            .find_map(|p| p.endpoint.activity_marker());
+        let Some(marker) = marker.filter(|m| ck.last_marker != Some(*m)) else {
+            return false;
+        };
+        let Some(body) = lease
+            .parties
+            .iter_mut()
+            .find_map(|p| p.endpoint.checkpoint(now))
+        else {
+            return false;
+        };
+        let framed = snapshot::frame(&body);
+        self.stats.checkpoint_bytes += framed.len() as u64;
+        store.put(ck.key, framed, marker);
+        ck.last_marker = Some(marker);
+        true
     }
 
     /// Pops the next live wheel entry, skipping stale generations.
@@ -582,9 +673,9 @@ impl<P: Poller> ServerHub<P> {
         None
     }
 
-    /// Decides which leased session a datagram belongs to, returning the
-    /// lease index and — when authentication had to decide — the
-    /// already-opened datagram token.
+    /// Decides which leased session a datagram that arrived at `at`
+    /// belongs to, returning the lease index and — when authentication
+    /// had to decide — the already-opened datagram token.
     ///
     /// 1. By receive address, on a **private** source only: if exactly
     ///    one lease claims `(token, to)`, it gets the raw datagram — the
@@ -603,13 +694,18 @@ impl<P: Poller> ServerHub<P> {
     ///    against one key; roaming collisions degrade to trying every
     ///    candidate. No candidate authenticates → unclaimed: bounced to
     ///    the distributor when the source has a hook, dropped otherwise.
+    ///
+    /// A lease cut off this pump is never probed: a datagram on a private
+    /// source with it as the only candidate is routed to it all the same,
+    /// and `pump` drops it; otherwise only the live candidates can claim.
     fn route(
         &mut self,
         tok: Token,
         dg: &Datagram,
+        at: Millis,
         sessions: &mut [HubSession<'_, '_>],
         to_index: &HashMap<(Token, Addr), Vec<usize>>,
-        hinted: &mut Vec<usize>,
+        ps: &mut PumpScratch,
     ) -> Option<(usize, Option<Opened>)> {
         let cands = to_index.get(&(tok, dg.to))?;
         if cands.len() == 1 && !self.is_shared(tok) {
@@ -618,27 +714,38 @@ impl<P: Poller> ServerHub<P> {
 
         // Hinted candidates first (sessions that previously authenticated
         // traffic from this source), then the rest in lease order.
-        hinted.clear();
+        ps.probes.clear();
         if let Some(sids) = self.routes.get(&(tok, dg.from)) {
-            hinted.extend(
+            ps.probes.extend(
                 sids.iter()
                     .filter_map(|sid| cands.iter().copied().find(|&j| sessions[j].id == *sid)),
             );
         }
-        let hinted = &*hinted;
-        let rest = cands.iter().copied().filter(|j| !hinted.contains(j));
-        let (j, opened) = hinted.iter().copied().chain(rest).find_map(|j| {
-            let p = party_at(sessions[j].parties, dg.to)?;
-            Some((j, p.endpoint.try_open(&dg.payload)?))
-        })?;
-
-        self.stats.auth_routed += 1;
-        let route = self.routes.entry((tok, dg.from)).or_default();
-        if route.first() != Some(&sessions[j].id) {
-            route.retain(|sid| *sid != sessions[j].id);
-            route.insert(0, sessions[j].id);
+        let hinted = ps.probes.len();
+        for &j in cands {
+            if !ps.probes[..hinted].contains(&j) {
+                ps.probes.push(j);
+            }
         }
-        Some((j, Some(opened)))
+        for k in 0..ps.probes.len() {
+            let j = ps.probes[k];
+            let opened = self.contain(j, at, sessions, ps, |_, lease, _| {
+                party_at(lease.parties, dg.to)?
+                    .endpoint
+                    .try_open(&dg.payload)
+            });
+            if let Some(opened) = opened.flatten() {
+                self.stats.auth_routed += 1;
+                let sid = sessions[j].id;
+                let route = self.routes.entry((tok, dg.from)).or_default();
+                if route.first() != Some(&sid) {
+                    route.retain(|s| *s != sid);
+                    route.insert(0, sid);
+                }
+                return Some((j, Some(opened)));
+            }
+        }
+        None
     }
 }
 

@@ -27,11 +27,14 @@
 //!   [`restore_server`]: the old process was shut down cleanly, so the
 //!   restored session resumes byte-identical — same sequence numbers,
 //!   same chaff, same wire.
-//! * **Crash recovery** uses [`resurrect_server`]: the snapshot is
-//!   *stale* (the crashed shard may have sent datagrams after the last
-//!   checkpoint), so the restored session burns a generous nonce gap
-//!   ([`SEQ_SKIP_MARGIN`]) to stay strictly ahead of anything the dead
-//!   incarnation could have emitted. Un-checkpointed client input is
+//! * **Crash recovery** uses [`resurrect_server`]: when a session's
+//!   endpoint panics, the hub reports `SessionEvent::Crashed` with the
+//!   session's last checkpoint, and the caller rebuilds the server from
+//!   it and leases it in place — same id, same shard, same source. The
+//!   snapshot is *stale* (the dead endpoint may have sent datagrams after
+//!   the last checkpoint), so the restored session burns a generous nonce
+//!   gap ([`SEQ_SKIP_MARGIN`]) to stay strictly ahead of anything the
+//!   dead incarnation could have emitted. Un-checkpointed client input is
 //!   recovered by SSP's own retransmit: a checkpoint caps the session's
 //!   outgoing acks at what it contains, so the client never stops
 //!   resending the tail.
@@ -214,8 +217,8 @@ pub struct Checkpoint {
 
 /// Shared checkpoint storage, keyed by a hub's global session id.
 ///
-/// Shards write into it on their checkpoint cadence; the router reads
-/// from it when a quarantined shard's sessions need resurrecting. The
+/// Shards write into it on their checkpoint cadence, and read a
+/// session's entry back when its endpoint panics. The
 /// store is deliberately dumb — a mutexed map — because checkpointing
 /// is rate-limited by cadence, not by contention.
 #[derive(Debug, Clone, Default)]

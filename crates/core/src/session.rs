@@ -71,6 +71,18 @@ pub enum SessionEvent {
         /// Cumulative rendered bytes.
         total: u64,
     },
+    /// An endpoint of this session panicked. The hub cut the session off
+    /// for the rest of the pump and sent nothing it half-emitted; the
+    /// caller rebuilds the server from `checkpoint` (see
+    /// [`crate::hub::snapshot::resurrect_server`]) and leases it again
+    /// under the same id. Without a checkpoint the session is closed, as a
+    /// crashed `mosh-server` is.
+    Crashed {
+        /// The session's clock when the panic was caught.
+        at: Millis,
+        /// The session's last framed checkpoint, if it has one.
+        checkpoint: Option<Vec<u8>>,
+    },
 }
 
 /// One timed state machine a [`SessionLoop`] drives: Mosh client or
@@ -347,8 +359,6 @@ pub struct SessionDriver {
     /// reported, so each silence episode yields one
     /// [`SessionEvent::PeerTimeout`] however the party is re-addressed.
     reported_silence: Vec<Option<Millis>>,
-    /// Scratch buffer for tick output (reused across steps).
-    outbox: Vec<(Addr, Vec<u8>)>,
 }
 
 impl SessionDriver {
@@ -358,18 +368,14 @@ impl SessionDriver {
         self.peer_timeout = timeout;
     }
 
-    /// The peer-silence timeout, if one is configured.
-    pub(crate) fn peer_timeout(&self) -> Option<Millis> {
-        self.peer_timeout
-    }
-
     /// Ticks every party at `now`, flushing each party's whole outbox as
     /// **one** batch: `flush` is called at most once per party, with
     /// `from = party.addr` and that party's datagrams in emit order.
     /// Party order fixes how same-instant datagrams enter the substrate,
     /// and the substrate sees each party's burst whole — the
     /// sendmmsg-shaped seam a live socket wants (see
-    /// `mosh_net::Poller::send_many`).
+    /// `mosh_net::Poller::send_many`). A party that panics mid-tick
+    /// flushes nothing: its half-built batch unwinds with it.
     pub fn tick_parties(
         &mut self,
         parties: &mut [Party<'_>],
@@ -378,9 +384,10 @@ impl SessionDriver {
         events: &mut Vec<SessionEvent>,
     ) {
         for p in parties.iter_mut() {
-            p.endpoint.tick(now, &mut self.outbox, events);
-            if !self.outbox.is_empty() {
-                flush(p.addr, std::mem::take(&mut self.outbox));
+            let mut out = Vec::new();
+            p.endpoint.tick(now, &mut out, events);
+            if !out.is_empty() {
+                flush(p.addr, out);
             }
         }
     }
@@ -556,11 +563,20 @@ impl<C: Channel> SessionLoop<C> {
     /// 1 ms loop exactly (receive → inject → tick at each instant).
     /// Datagrams for addresses no party claims (e.g. a roamed-away
     /// source) are dropped, as a real socket would.
+    ///
+    /// A panicking endpoint panics here too: a lone session keeps no
+    /// checkpoint to restore it from (see [`SessionEvent::Crashed`]).
     pub fn pump_until(&mut self, parties: &mut [Party<'_>], target: Millis) -> Vec<SessionEvent> {
         let events = self
             .hub
             .pump(&mut [HubSession::new(SESSION, parties, target)]);
-        events.into_iter().map(|(_, event)| event).collect()
+        events
+            .into_iter()
+            .map(|(_, event)| match event {
+                SessionEvent::Crashed { at, .. } => panic!("session endpoint panicked at {at} ms"),
+                event => event,
+            })
+            .collect()
     }
 }
 
@@ -720,6 +736,36 @@ mod tests {
             timeouts(&events),
             0,
             "same episode, new address: {events:?}"
+        );
+    }
+
+    /// A lone session has no checkpoint to restore a panicking endpoint
+    /// from: the hub contains the panic, and `pump_until` raises it again
+    /// rather than return as if nothing happened.
+    #[test]
+    fn a_panicking_endpoint_panics_the_session_loop() {
+        struct PanicEndpoint;
+
+        impl Endpoint for PanicEndpoint {
+            fn receive(&mut self, _: Millis, _: Addr, _: &[u8], _: &mut Vec<SessionEvent>) {}
+
+            fn tick(&mut self, _: Millis, _: &mut Vec<(Addr, Vec<u8>)>, _: &mut Vec<SessionEvent>) {
+                panic!("injected endpoint panic");
+            }
+
+            fn next_wakeup(&self, now: Millis) -> Millis {
+                now
+            }
+        }
+
+        let (mut sl, _, _, c, _) = sim_session(12);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sl.pump_until(&mut [Party::new(c, &mut PanicEndpoint)], 100)
+        }));
+        let payload = crashed.expect_err("the crash reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("session endpoint panicked at 0 ms")
         );
     }
 

@@ -8,13 +8,23 @@
 //! Each decoder gets arbitrary bytes twice: alone, and behind a cut of a
 //! valid encoding, so that the damage lands past the first fields as
 //! well as in them.
+//!
+//! Raw bytes never get past the OCB tag, so a second target seals
+//! arbitrary user events under the session key and feeds them through the
+//! server's receive path to every application.
 
 use mosh_core::hub::snapshot;
 use mosh_core::{Application, Editor, LineShell, MailReader, MoshServer, Pager};
-use mosh_ssp::fragment::Fragment;
+use mosh_crypto::session::Direction;
+use mosh_crypto::Base64Key;
+use mosh_net::Addr;
+use mosh_ssp::datagram::DatagramLayer;
+use mosh_ssp::fragment::{fragment, Fragment, FRAGMENT_PAYLOAD};
 use mosh_ssp::instruction::{Instruction, PROTOCOL_VERSION};
 use mosh_ssp::SyncState;
 use mosh_states::{CompleteTerminal, UserStream};
+use mosh_terminal::MAX_DIMENSION;
+use mosh_wire::{put_bytes, put_varint};
 use proptest::prelude::*;
 
 const SERVER_V2: &[u8] = include_bytes!("fixtures/server_v2.snap");
@@ -107,6 +117,153 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// One user event as the client's half of the wire would carry it,
+/// unchecked: a resize may claim any dimensions.
+#[derive(Debug, Clone)]
+enum UserInput {
+    Keys(Vec<u8>),
+    Resize(u64, u64),
+}
+
+/// A paste as large as the largest datagram the sockets here read
+/// (64 KiB), sent as one keystroke event.
+const PASTE_BYTES: usize = 64 * 1024;
+
+/// The client's address, as the server sees it.
+const CLIENT: Addr = Addr::new(1, 1000);
+
+/// The client's sending half, by hand: each call seals one instruction
+/// carrying `events` as a user diff from the last state the server
+/// accepted, fragmented and encrypted under the session key exactly as a
+/// `MoshClient` sends them — but nothing checks the events first.
+struct Typist {
+    layer: DatagramLayer,
+    /// The last state the server accepted: its number and end index.
+    accepted: (u64, u64),
+    next_num: u64,
+    next_id: u64,
+}
+
+impl Typist {
+    fn new(key: Base64Key) -> Self {
+        Typist {
+            layer: DatagramLayer::new(key, Direction::ToServer),
+            accepted: (0, 0),
+            next_num: 0,
+            next_id: 0,
+        }
+    }
+
+    /// Seals `events` and hands the wires to `server` at `now`,
+    /// returning whether the server took the new state.
+    fn send(&mut self, server: &mut MoshServer, now: u64, events: &[UserInput]) -> bool {
+        let (old_num, start) = self.accepted;
+        let mut diff = Vec::new();
+        put_varint(&mut diff, start);
+        put_varint(&mut diff, events.len() as u64);
+        for event in events {
+            match event {
+                UserInput::Keys(bytes) => {
+                    put_varint(&mut diff, 1);
+                    put_bytes(&mut diff, bytes);
+                }
+                UserInput::Resize(width, height) => {
+                    put_varint(&mut diff, 2);
+                    put_varint(&mut diff, *width);
+                    put_varint(&mut diff, *height);
+                }
+            }
+        }
+        self.next_num += 1;
+        let payload = Instruction {
+            protocol_version: PROTOCOL_VERSION,
+            old_num,
+            new_num: self.next_num,
+            ack_num: 0,
+            throwaway_num: old_num,
+            diff,
+        }
+        .encode(b"chaff");
+        let fragments: Vec<Vec<u8>> = fragment(self.next_id, &payload, FRAGMENT_PAYLOAD)
+            .iter()
+            .map(Fragment::encode)
+            .collect();
+        self.next_id += 1;
+        let refs: Vec<&[u8]> = fragments.iter().map(Vec::as_slice).collect();
+        for wire in self.layer.encode_many(now, &refs) {
+            server.receive(now, CLIENT, &wire);
+        }
+        let taken = server.activity_marker().1 == self.next_num;
+        if taken {
+            self.accepted = (self.next_num, start + events.len() as u64);
+        }
+        taken
+    }
+}
+
+/// Runs `server`'s timers from `from` to `to`, as often as it asks.
+fn settle(server: &mut MoshServer, from: u64, to: u64) {
+    let mut now = from;
+    while now < to {
+        server.tick(now);
+        now = server.next_wakeup(now).clamp(now + 1, to);
+    }
+}
+
+proptest! {
+    /// Authenticated user input never panics the server, whatever it
+    /// claims: arbitrary keystroke bytes (≥ 0x80 included), 64 KiB
+    /// pastes, and resizes to 1, 2, 3, any size up to 300, and the
+    /// largest screen in one dimension, sealed under the session key and
+    /// fed through `MoshServer`'s receive path to each application, which
+    /// is then typed into. A hand-built diff that claims a width or
+    /// height of 0 or `MAX_DIMENSION + 1` is refused whole: the server
+    /// takes none of its events. (A `MAX_DIMENSION`² screen is left out:
+    /// 300 MB of cells per case.)
+    #[test]
+    fn authenticated_hostile_input_never_panics(
+        picks in proptest::collection::vec((0u8..16, any::<u64>(), proptest::collection::vec(any::<u8>(), 1..8)), 0..10),
+        bad in 0usize..4,
+    ) {
+        let max = u64::from(MAX_DIMENSION);
+        let events: Vec<UserInput> = picks
+            .into_iter()
+            .map(|(kind, r, bytes)| match kind {
+                10 => UserInput::Resize(1 + r % 300, 1 + (r >> 32) % 300),
+                11 => UserInput::Resize(1 + r % 3, 1 + (r >> 8) % 3),
+                12 => UserInput::Resize(max, 1),
+                13 => UserInput::Resize(1, max),
+                14 => UserInput::Keys(bytes.iter().copied().cycle().take(PASTE_BYTES).collect()),
+                _ => UserInput::Keys(bytes),
+            })
+            .collect();
+        let (width, height) = [(0, 24), (80, 0), (max + 1, 24), (80, max + 1)][bad];
+        let key = Base64Key::from_bytes([0x5a; 16]);
+        for app in apps() {
+            let mut server = MoshServer::new(key.clone(), app);
+            let mut typist = Typist::new(key.clone());
+            let mut now = 0;
+            settle(&mut server, now, 10);
+            for event in &events {
+                now += 10;
+                prop_assert!(typist.send(&mut server, now, std::slice::from_ref(event)));
+                settle(&mut server, now, now + 10);
+            }
+            now += 10;
+            let before = server.activity_marker().1;
+            let hostile = [UserInput::Keys(b"z".to_vec()), UserInput::Resize(width, height)];
+            prop_assert!(!typist.send(&mut server, now, &hostile), "{}x{} taken", width, height);
+            prop_assert_eq!(server.activity_marker().1, before);
+            for keys in [&b"x"[..], b"\r", b"\x1b[B", b"\x7f", b"q", b" ", b"\xc3\xa9"] {
+                now += 10;
+                prop_assert!(typist.send(&mut server, now, &[UserInput::Keys(keys.to_vec())]));
+                settle(&mut server, now, now + 10);
+            }
+            settle(&mut server, now, now + 1_000);
         }
     }
 }

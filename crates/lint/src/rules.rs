@@ -409,7 +409,7 @@ fn no_unwrap_hot_path(a: &Analysis, emit: &mut impl FnMut(Rule, u32, String)) {
                 t.line,
                 format!(
                     "`.{}()` can take down a hub thread on a routine edge; propagate the error \
-                     or quarantine the shard",
+                     instead",
                     t.text
                 ),
             );
@@ -418,7 +418,7 @@ fn no_unwrap_hot_path(a: &Analysis, emit: &mut impl FnMut(Rule, u32, String)) {
             emit(
                 Rule::NoUnwrapHotPath,
                 t.line,
-                "`panic!` in a hot path; return an error or quarantine the shard".into(),
+                "`panic!` in a hot path; return an error instead".into(),
             );
         }
     }

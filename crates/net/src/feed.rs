@@ -38,10 +38,8 @@
 //!   single-hub auth fallback, spread over threads.
 //!
 //! A bounce goes to the shard after the one that declined it, so a cycle
-//! visits every shard once even when the hint map shifts mid-fan-out (a
-//! resurrected server replying from its new shard). Only a session that
-//! itself changes shards mid-cycle can miss that one datagram — datagram
-//! semantics: SSP retransmits, and by then the hint is warm.
+//! visits every shard once even when the hint map shifts mid-fan-out
+//! (NAT-collided sessions on two shards taking turns to reply).
 //!
 //! The distributor hands each datagram over when it arrives, one queue
 //! slot per datagram. It blocks in one readiness wait (a `poll(2)`, as
@@ -649,7 +647,7 @@ mod tests {
             }
         };
 
-        // Shard 0 replies to the peer too (a session resurrected there),
+        // Shard 0 replies to the peer too (a NAT-collided session there),
         // which moves the hint; then shard 1 declines the datagram. It
         // goes on to shard 2, not back to shard 1 (hint 0 plus one hop).
         feeds[0].send(server_addr, peer_addr, b"moved".to_vec());

@@ -450,6 +450,13 @@ fn replay_many<C: Typist, S: Endpoint>(
             .map(|(sid, target, parties)| HubSession::new(*sid, parties, *target))
             .collect();
         for (sid, ev) in hub.pump(&mut sessions) {
+            // A replay keeps no checkpoints: a crashed user's clock would
+            // stall, and this loop would never end.
+            assert!(
+                !matches!(ev, SessionEvent::Crashed { .. }),
+                "user {} crashed: {ev:?}",
+                sid.0
+            );
             if let Some((at, level)) = level(&ev) {
                 users[sid.0].resolve(at, level);
             }

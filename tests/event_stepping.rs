@@ -270,6 +270,7 @@ fn hub_run(seeds: &[u64]) -> Vec<(Transcript, Transcript, String)> {
     // Typing, a flood, loss and heartbeats: no endpoint ever reported a
     // wakeup its own tick declined to act on.
     assert_eq!(hub.stats().overdue_wakeups, 0);
+    assert_eq!(hub.stats().shard_panics, 0);
 
     recs.into_iter()
         .map(|(c, s)| {

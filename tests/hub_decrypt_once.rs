@@ -214,6 +214,7 @@ fn ambiguous_datagrams_are_decrypted_exactly_once_and_transcripts_match() {
         );
     }
     let stats = hub.stats();
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
     assert_eq!(stats.dropped, 0, "no legitimate datagram was dropped");
     assert!(
         stats.auth_routed > 0,
@@ -317,6 +318,7 @@ fn ambiguous_datagrams_are_decrypted_exactly_once_and_transcripts_match() {
     let target = hub.now(sids[0]) + 50;
     pump_all(&mut hub, &mut recs, target);
     let stats = hub.stats();
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
     assert_eq!(
         stats.dropped,
         dropped_before + n_injections,
@@ -565,6 +567,7 @@ fn sharded_hub_keeps_the_decrypt_once_bar() {
     );
 
     let stats = hub.stats();
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
     assert_eq!(stats.dropped, 0, "no legitimate datagram was dropped");
     assert!(stats.auth_routed > 0, "the ambiguous path was exercised");
 }

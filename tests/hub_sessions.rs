@@ -78,6 +78,7 @@ impl SimFleet {
             .map(|(parties, sid)| HubSession::new(*sid, parties, target))
             .collect();
         self.hub.pump(&mut sessions);
+        assert_eq!(self.hub.stats().shard_panics, 0);
     }
 }
 
@@ -109,6 +110,7 @@ fn one_hub_serves_64_concurrent_simulated_sessions() {
         assert_eq!(server.target(), Some(C), "session {i} learned its client");
     }
     let stats = fleet.hub.stats();
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
     assert_eq!(stats.dropped, 0, "no datagram lost in the demux");
     assert_eq!(
         stats.auth_routed, 0,
@@ -189,6 +191,7 @@ fn a_typing_session_over_evdo_stays_within_its_wakeup_budget() {
     pump(&mut hub, &mut client, &mut server, at + 2_000);
 
     let stats = hub.stats();
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
     let seconds = (at + 2_000 - start) as f64 / 1000.0;
     let per_second = (stats.wakeups - before) as f64 / seconds;
     assert!(typed > 80, "typed {typed} keys");
@@ -290,6 +293,7 @@ fn eight_udp_sessions_behind_one_socket() {
         );
     }
     let stats = hub.stats();
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
     assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
     assert!(
         stats.auth_routed >= stats.delivered,

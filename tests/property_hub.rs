@@ -73,6 +73,7 @@ impl TwoSessions {
             HubSession::new(self.sids[0], &mut pa, target),
             HubSession::new(self.sids[1], &mut pb, target),
         ]);
+        assert_eq!(self.hub.stats().shard_panics, 0);
     }
 
     fn now(&self) -> u64 {

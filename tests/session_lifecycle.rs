@@ -1,25 +1,25 @@
 //! The session-lifecycle acceptance bar: a [`ShardedHub`] session is a
 //! *value* — it can be checkpointed, shipped to a new process, and
-//! resurrected after its shard dies — and none of that is allowed to
-//! change what the session's peer observes.
+//! restored in place after its endpoint panics — and none of that is
+//! allowed to change what the session's peer observes.
 //!
 //! * **Cross-process handoff** is byte-identical: mid-replay, every
 //!   session is snapshotted into a handoff file, a *fresh* hub with a
 //!   different shard count restores them, and the replay continues with
 //!   transcripts equal to the uninterrupted run.
 //! * **Crash recovery loses zero checkpointed sessions**: a proptest
-//!   kills a shard mid-replay with an injected endpoint panic; every
-//!   session on it resurrects from its last checkpoint onto a healthy
-//!   shard and converges to the same final screen as the undisturbed
-//!   run — the un-checkpointed tail arrives by SSP retransmit, exactly
-//!   like a Mosh loss episode.
+//!   crashes one session mid-replay with a key its shell panics on; it is
+//!   restored in place from its last checkpoint and converges to the same
+//!   final screen as the undisturbed run — the un-checkpointed tail
+//!   arrives by SSP retransmit, exactly like a Mosh loss episode — while
+//!   every other session's wire is byte-identical to that run's.
 //! * **Corrupt snapshots are rejected whole**: random truncations and
 //!   bit flips never half-apply.
 
 use mosh::core::hub::snapshot;
 use mosh::core::{
-    Endpoint, HubSession, LineShell, MoshClient, MoshServer, Party, ServerHub, SessionEvent,
-    SessionId, ShardedHub,
+    Application, Endpoint, HubSession, LineShell, MoshClient, MoshServer, Party, ServerHub,
+    SessionEvent, SessionId, ShardedHub, TimedWrite,
 };
 use mosh::crypto::Base64Key;
 use mosh::net::{Addr, LinkConfig, Network, Poller, Side, SimChannel, SimPoller};
@@ -146,8 +146,19 @@ fn pump_step(
     pump(&mut sessions);
 }
 
+/// Peer-silence timeout of every session in the crash-recovery runs:
+/// longer than the 3 s heartbeat, so it fires only once the clients
+/// fall silent.
+const PEER_TIMEOUT_MS: u64 = 4_000;
+/// How long the servers pump on alone after the settle.
+const SILENCE_MS: u64 = 10_000;
+
+/// One user's observable outcome: client transcript, server transcript,
+/// final screen row.
+type Outcome = (Transcript, Transcript, String);
+
 /// The uninterrupted reference: every session in one single-threaded hub.
-fn reference_run(texts: &[String], seed: u64) -> Vec<(Transcript, Transcript, String)> {
+fn reference_run(texts: &[String], seed: u64) -> Vec<Outcome> {
     let mut hub = ServerHub::new(SimPoller::new());
     let mut recs: Vec<_> = (0..texts.len()).map(endpoints).collect();
     let sids: Vec<SessionId> = (0..texts.len())
@@ -173,12 +184,130 @@ fn reference_run(texts: &[String], seed: u64) -> Vec<(Transcript, Transcript, St
     pump_step(now, &sids, &mut recs, |s| {
         hub.pump(s);
     });
+    assert_eq!(hub.stats().shard_panics, 0);
     recs.into_iter()
         .map(|(c, s)| {
             let screen = c.inner.server_frame().row_text(0).to_string();
             (c.log, s.log, screen)
         })
         .collect()
+}
+
+/// What one [`crash_run`] leaves behind: each user's outcome (`None` for
+/// a closed session), each `Crashed` event's "had a checkpoint", and the
+/// sessions that reported a peer timeout once the clients fell silent.
+struct CrashRun {
+    outcomes: Vec<Option<Outcome>>,
+    crashes: Vec<bool>,
+    timeouts: Vec<SessionId>,
+}
+
+/// Replays `texts` through a [`ShardedHub`] of `shards` shards, each
+/// session under a [`PEER_TIMEOUT_MS`] peer timeout, then lets the
+/// clients fall silent for [`SILENCE_MS`] while the servers pump on.
+/// With `trip`, user `victim`'s shell is a [`Tripwire`]; a crash with a
+/// checkpoint is answered by restoring the server in place, and one
+/// without closes the session.
+fn crash_run(
+    texts: &[String],
+    seed: u64,
+    shards: usize,
+    checkpointing: bool,
+    victim: usize,
+    trip: bool,
+) -> CrashRun {
+    let mut hub = ShardedHub::with_shards(shards, SimPoller::new);
+    if checkpointing {
+        hub.enable_checkpointing(40);
+    }
+    let mut recs: Vec<_> = (0..texts.len()).map(endpoints).collect();
+    if trip {
+        recs[victim].1.inner = MoshServer::new(key(victim), Box::new(Tripwire(LineShell::new())));
+    }
+    let sids: Vec<SessionId> = (0..texts.len())
+        .map(|i| hub.add_session(world(i, seed)))
+        .collect();
+    for sid in &sids {
+        hub.set_peer_timeout(*sid, Some(PEER_TIMEOUT_MS));
+    }
+    let home = hub.location(sids[victim]);
+    let token = hub.shard(home.0).token_of(home.1);
+    let longest = texts.iter().map(|t| t.len()).max().unwrap_or(0);
+    let mut crashes = Vec::new();
+    let mut alive: Vec<usize> = (0..texts.len()).collect();
+
+    let mut now = 0u64;
+    for step in 0..=longest + 1 {
+        now += if step > longest { SETTLE_MS } else { STEP_MS };
+        let mut events = Vec::new();
+        pump_alive(now, &sids, &mut recs, &alive, |s| {
+            events = hub.pump(s);
+        });
+        for (sid, ev) in events {
+            let SessionEvent::Crashed { checkpoint, .. } = ev else {
+                continue;
+            };
+            assert_eq!(sid, sids[victim]);
+            crashes.push(checkpoint.is_some());
+            match checkpoint {
+                Some(framed) => {
+                    // In place: the same shard, slot and source.
+                    assert_eq!(hub.location(sid), home);
+                    assert_eq!(hub.shard(home.0).token_of(home.1), token);
+                    let restored = snapshot::resurrect_server(&framed, Box::new(LineShell::new()))
+                        .expect("stored checkpoint decodes");
+                    // Keep the transcript log; swap the endpoint.
+                    let old = std::mem::replace(&mut recs[victim].1, Recorder::new(restored));
+                    recs[victim].1.log = old.log;
+                }
+                None => alive.retain(|&i| i != victim),
+            }
+        }
+        if step <= longest {
+            for &i in &alive {
+                if let Some(b) = texts[i].as_bytes().get(step) {
+                    recs[i].0.inner.keystroke(now, &[*b]);
+                }
+            }
+        }
+    }
+    assert_eq!(hub.stats().shard_panics, crashes.len() as u64);
+    assert_eq!(hub.session_count(), alive.len());
+
+    // The clients fall silent: only the servers pump on.
+    let mut leases: Vec<(SessionId, [Party<'_>; 1])> = recs
+        .iter_mut()
+        .enumerate()
+        .filter(|(i, _)| alive.contains(i))
+        .map(|(i, (_, s))| (sids[i], [Party::new(S, s)]))
+        .collect();
+    let mut sessions: Vec<HubSession<'_, '_>> = leases
+        .iter_mut()
+        .map(|(sid, parties)| HubSession::new(*sid, parties, now + SILENCE_MS))
+        .collect();
+    let mut timeouts: Vec<SessionId> = hub
+        .pump(&mut sessions)
+        .into_iter()
+        .filter(|(_, e)| matches!(e, SessionEvent::PeerTimeout { .. }))
+        .map(|(sid, _)| sid)
+        .collect();
+    drop(sessions);
+    drop(leases);
+    timeouts.sort();
+
+    let outcomes = recs
+        .into_iter()
+        .enumerate()
+        .map(|(i, (c, s))| {
+            let screen = c.inner.server_frame().row_text(0).to_string();
+            alive.contains(&i).then_some((c.log, s.log, screen))
+        })
+        .collect();
+    CrashRun {
+        outcomes,
+        crashes,
+        timeouts,
+    }
 }
 
 proptest! {
@@ -207,6 +336,7 @@ proptest! {
             let mut parties = vec![Party::new(client_addr(0), &mut c), Party::new(S, &mut s)];
             hub.pump(&mut [HubSession::new(sid, &mut parties, 500)]);
         }
+        prop_assert_eq!(hub.stats().shard_panics, 0);
         let framed = snapshot::snapshot_server(&s.inner);
 
         let cut = (cut_seed as usize) % framed.len();
@@ -224,120 +354,129 @@ proptest! {
         prop_assert!(snapshot::restore_server(&framed, Box::new(LineShell::new())).is_ok());
     }
 
-    /// Kill a shard mid-replay with checkpointing on: **zero sessions
-    /// are lost**. Every session of the dead shard resurrects from its
-    /// last checkpoint onto a healthy shard, the client retransmits the
-    /// un-checkpointed tail, and every session converges to the same
-    /// final screen as the undisturbed reference run.
+    /// Crash one session mid-replay with checkpointing on: **zero
+    /// sessions are lost**. At 1 and 2 shards, the victim's shell panics
+    /// on a key; the session is restored in place (same shard, same
+    /// source) from its last checkpoint, the client retransmits the
+    /// un-checkpointed tail, and it converges to the same final screen
+    /// as the undisturbed reference run. Every other session — on the
+    /// victim's shard or not — keeps a byte-identical wire transcript to
+    /// the same hub's run without the panic, and once the clients fall
+    /// silent every server, the restored one too, reports its peer
+    /// timeout. With checkpointing off the victim is closed instead, and
+    /// the others still never notice.
     #[test]
     fn crash_recovery_loses_no_checkpointed_sessions(
         seed in any::<u64>(),
         texts in proptest::collection::vec("[a-z]{2,5}", 2..4),
-        shards in 2usize..4,
         crash_step in 1usize..3,
+        victim in 0usize..4,
+        checkpointing in any::<bool>(),
     ) {
+        // The victim types the tripwire key at `crash_step`; the
+        // undisturbed runs type it too, into a plain shell.
+        let victim = victim % texts.len();
+        let mut texts = texts;
+        let crash_step = crash_step.min(texts[victim].len());
+        texts[victim].insert(crash_step, TRIP as char);
         let reference = reference_run(&texts, seed);
 
-        let mut hub = ShardedHub::with_shards(shards, SimPoller::new);
-        hub.enable_checkpointing(40);
-        let mut recs: Vec<_> = (0..texts.len()).map(endpoints).collect();
-        let sids: Vec<SessionId> = (0..texts.len())
-            .map(|i| hub.add_session(world(i, seed)))
-            .collect();
-        let longest = texts.iter().map(|t| t.len()).max().unwrap_or(0);
-        let crash_step = crash_step.min(longest);
-        let victim_shard = 0usize;
+        for shards in [1usize, 2] {
+            let calm = crash_run(&texts, seed, shards, checkpointing, victim, false);
+            let crashed = crash_run(&texts, seed, shards, checkpointing, victim, true);
+            prop_assert!(calm.crashes.is_empty());
+            prop_assert_eq!(&crashed.crashes, &[checkpointing]);
+            let all: Vec<SessionId> = (0..texts.len()).map(SessionId).collect();
+            prop_assert_eq!(&calm.timeouts, &all);
+            let survivors: Vec<SessionId> = all
+                .into_iter()
+                .filter(|sid| checkpointing || sid.0 != victim)
+                .collect();
+            prop_assert_eq!(&crashed.timeouts, &survivors, "{} shards", shards);
 
-        let mut now = 0u64;
-        for step in 0..=longest {
-            now += STEP_MS;
-            if step == crash_step {
-                // A panicking endpoint lands on the victim shard and
-                // kills its pump; every session there is stranded.
-                let tok = hub.shard_mut(victim_shard).poller_mut().add(world(7, seed ^ 1));
-                let doomed = hub.add_session_on(victim_shard, tok);
-                let mut bomb = PanicEndpoint;
-                {
-                    let mut parties = vec![Party::new(client_addr(7), &mut bomb)];
-                    let mut lease = [HubSession::new(doomed, &mut parties, now)];
-                    hub.pump(&mut lease);
-                }
-                prop_assert!(hub.shard_error(victim_shard).is_some());
-
-                // Recovery: every one of *our* sessions that lived on the
-                // dead shard comes back; its caller rebuilds the server
-                // endpoint from the snapshot (the client never died).
-                let mut stranded: Vec<SessionId> = sids
-                    .iter()
-                    .copied()
-                    .filter(|sid| hub.location(*sid).0 == victim_shard)
-                    .collect();
-                let recovered = hub.resurrect_quarantined();
-                let mut brought_back: Vec<SessionId> =
-                    recovered.iter().map(|(sid, _)| *sid).collect();
-                for sid in &brought_back {
-                    prop_assert!(hub.location(*sid).0 != victim_shard);
-                }
-                // Zero loss: exactly the stranded set resurrects (the
-                // bomb checkpoints nothing and is the only casualty).
-                stranded.sort();
-                brought_back.sort();
-                prop_assert_eq!(&brought_back, &stranded);
-                prop_assert_eq!(
-                    hub.stats().sessions_resurrected,
-                    brought_back.len() as u64
-                );
-                prop_assert_eq!(hub.session_count(), texts.len());
-                for (sid, framed) in recovered {
-                    let i = sids
-                        .iter()
-                        .position(|s| *s == sid)
-                        .expect("recovered id is one of ours");
-                    let restored = snapshot::resurrect_server(&framed, Box::new(LineShell::new()))
-                        .expect("stored checkpoint decodes");
-                    // Keep the transcript log; swap the endpoint.
-                    let old = std::mem::replace(&mut recs[i].1, Recorder::new(restored));
-                    recs[i].1.log = old.log;
-                }
-            }
-            pump_step(now, &sids, &mut recs, |s| {
-                hub.pump(s);
-            });
             for (i, text) in texts.iter().enumerate() {
-                if let Some(b) = text.as_bytes().get(step) {
-                    recs[i].0.inner.keystroke(now, &[*b]);
+                let (calm_c, calm_s, calm_screen) = calm.outcomes[i].as_ref().expect("undisturbed");
+                prop_assert_eq!(calm_screen, &reference[i].2);
+                prop_assert_eq!(calm_screen, &format!("$ {text}"));
+                let Some((c, s, screen)) = &crashed.outcomes[i] else {
+                    prop_assert!(i == victim && !checkpointing, "user {} closed", i);
+                    continue;
+                };
+                // Convergence: the restored victim too ends on the
+                // reference run's final screen.
+                prop_assert_eq!(screen, calm_screen, "user {} diverged", i);
+                if i != victim {
+                    prop_assert!(c == calm_c, "user {} client wire changed", i);
+                    prop_assert!(s == calm_s, "user {} server wire changed", i);
                 }
             }
-        }
-        now += SETTLE_MS;
-        pump_step(now, &sids, &mut recs, |s| {
-            hub.pump(s);
-        });
-
-        // Convergence: every session — resurrected or bystander — ends
-        // on the reference run's final screen. (Wire transcripts differ
-        // by the retransmit of the un-checkpointed tail; the *outcome*
-        // must not.)
-        for (i, ((c, _), text)) in recs.iter().zip(texts.iter()).enumerate() {
-            let screen = c.inner.server_frame().row_text(0).to_string();
-            prop_assert_eq!(&screen, &reference[i].2, "user {} diverged", i);
-            prop_assert_eq!(screen, format!("$ {text}"));
         }
     }
 }
 
-/// An endpoint whose first timer tick panics — the injected shard fault.
-struct PanicEndpoint;
+/// [`pump_step`] for the `alive` users only.
+fn pump_alive(
+    now: u64,
+    sids: &[SessionId],
+    recs: &mut [(Recorder<MoshClient>, Recorder<MoshServer>)],
+    alive: &[usize],
+    mut pump: impl FnMut(&mut [HubSession<'_, '_>]),
+) {
+    let mut leases: Vec<(SessionId, Vec<Party<'_>>)> = recs
+        .iter_mut()
+        .enumerate()
+        .filter(|(i, _)| alive.contains(i))
+        .map(|(i, (c, s))| {
+            (
+                sids[i],
+                vec![Party::new(client_addr(i), c), Party::new(S, s)],
+            )
+        })
+        .collect();
+    let mut sessions: Vec<HubSession<'_, '_>> = leases
+        .iter_mut()
+        .map(|(sid, parties)| HubSession::new(*sid, parties, now))
+        .collect();
+    pump(&mut sessions);
+}
 
-impl Endpoint for PanicEndpoint {
-    fn receive(&mut self, _: u64, _: Addr, _: &[u8], _: &mut Vec<SessionEvent>) {}
+/// The key a [`Tripwire`] shell panics on.
+const TRIP: u8 = b'!';
 
-    fn tick(&mut self, _: u64, _: &mut Vec<(Addr, Vec<u8>)>, _: &mut Vec<SessionEvent>) {
-        panic!("injected endpoint panic");
+/// A [`LineShell`] that panics when [`TRIP`] is typed: the injected
+/// endpoint fault. It saves and restores as a plain `LineShell`, which is
+/// what the crashed session is restored with, since the client
+/// retransmits the key.
+struct Tripwire(LineShell);
+
+impl Application for Tripwire {
+    fn start(&mut self, now: u64) -> Vec<TimedWrite> {
+        self.0.start(now)
     }
 
-    fn next_wakeup(&self, now: u64) -> u64 {
-        now
+    fn on_input(&mut self, now: u64, bytes: &[u8]) -> Vec<TimedWrite> {
+        assert!(!bytes.contains(&TRIP), "tripwire key typed");
+        self.0.on_input(now, bytes)
+    }
+
+    fn poll(&mut self, now: u64) -> Vec<TimedWrite> {
+        self.0.poll(now)
+    }
+
+    fn next_wakeup(&self, now: u64) -> Option<u64> {
+        self.0.next_wakeup(now)
+    }
+
+    fn on_resize(&mut self, now: u64, width: usize, height: usize) -> Vec<TimedWrite> {
+        self.0.on_resize(now, width, height)
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        self.0.save_state()
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> bool {
+        self.0.restore_state(bytes)
     }
 }
 
@@ -421,6 +560,7 @@ fn a_scrolled_session_survives_snapshot_and_restore() {
         "session converges"
     );
     assert_eq!(c.inner.server_frame(), s.inner.frame());
+    assert_eq!(hub.stats().shard_panics, 0);
 }
 
 /// Mid-replay, snapshot every session into a handoff container, restart
@@ -484,6 +624,7 @@ fn cross_process_handoff_is_byte_identical() {
                 .expect("channel leaves the old process")
         })
         .collect();
+    assert_eq!(old_hub.stats().shard_panics, 0);
     drop(old_hub);
 
     // Phase 2: the new process — three shards now — restores each
@@ -515,6 +656,7 @@ fn cross_process_handoff_is_byte_identical() {
     pump_step(now, &new_sids, &mut recs, |s| {
         new_hub.pump(s);
     });
+    assert_eq!(new_hub.stats().shard_panics, 0);
 
     for (i, ((c, s), text)) in recs.iter().zip(texts.iter()).enumerate() {
         let (ref_c, ref_s, ref_screen) = &reference[i];

@@ -12,16 +12,16 @@
 //!   UDP socket, routed by the distributor with cross-shard
 //!   authentication fan-out, and requires that no endpoint ever accepts
 //!   (or is even fed) a foreign datagram.
-//! * Behind that socket, a panic quarantines one shard and its session
-//!   is resurrected from its checkpoint onto the other, while both
-//!   clients keep typing.
-//! * A shard that owns no session, or that a panic quarantined, still
-//!   hands what the distributor feeds it on to the shard that does.
+//! * Behind that socket, a session whose shell panics is restored in
+//!   place from its checkpoint, on its own shard, while both clients keep
+//!   typing; a panicking session with no checkpoint is closed.
+//! * A shard that owns no session still hands what the distributor feeds
+//!   it on to the shard that does.
 
 use mosh::core::hub::snapshot::resurrect_server;
 use mosh::core::{
-    Endpoint, HubSession, LineShell, MoshClient, MoshServer, Party, ServerHub, SessionEvent,
-    SessionId, SessionLoop, ShardedHub,
+    Application, Endpoint, HubSession, LineShell, MoshClient, MoshServer, Party, ServerHub,
+    SessionEvent, SessionId, SessionLoop, ShardedHub, TimedWrite,
 };
 use mosh::crypto::Base64Key;
 use mosh::net::{
@@ -215,6 +215,7 @@ fn single_threaded_run(texts: &[String], seed: u64, roam_after: usize) -> Run {
     );
     let stats = hub.stats();
     assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
+    assert_eq!(stats.shard_panics, 0);
     collect(recs, stats.delivered, stats.wakeups)
 }
 
@@ -234,6 +235,7 @@ fn sharded_run(texts: &[String], seed: u64, roam_after: usize, shards: usize) ->
     );
     let stats = hub.stats();
     assert_eq!(stats.overdue_wakeups, 0, "no endpoint asked to spin");
+    assert_eq!(stats.shard_panics, 0);
     collect(recs, stats.delivered, stats.wakeups)
 }
 
@@ -457,6 +459,7 @@ fn shards_share_one_socket_via_distributor() {
     }
     let stats = hub.stats();
     assert!(stats.delivered > 0, "real traffic flowed: {stats:?}");
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
     assert!(
         dist.stats().routed > 0,
         "the distributor carried the socket: {:?}",
@@ -566,6 +569,7 @@ fn one_session_per_shard_bounces_wrong_hash_clients() {
         );
     }
     let stats = hub.stats();
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
     assert!(
         stats.bounced >= SHARDS as u64,
         "each client's first hello was bounced off the wrong shard: {stats:?}"
@@ -594,8 +598,8 @@ fn one_session_per_shard_bounces_wrong_hash_clients() {
     );
 }
 
-/// An endpoint whose first tick panics: the fault that quarantines the
-/// shard it is leased on.
+/// An endpoint whose first tick panics: a crash before its session ever
+/// checkpoints.
 struct PanicEndpoint;
 
 impl Endpoint for PanicEndpoint {
@@ -610,6 +614,46 @@ impl Endpoint for PanicEndpoint {
     }
 }
 
+/// The key a [`Tripwire`] shell panics on.
+const TRIP: u8 = b'!';
+
+/// A [`LineShell`] that panics when [`TRIP`] is typed: the injected
+/// endpoint fault. It saves and restores as a plain `LineShell`, which is
+/// what the crashed session is restored with, since the client
+/// retransmits the key.
+struct Tripwire(LineShell);
+
+impl Application for Tripwire {
+    fn start(&mut self, now: u64) -> Vec<TimedWrite> {
+        self.0.start(now)
+    }
+
+    fn on_input(&mut self, now: u64, bytes: &[u8]) -> Vec<TimedWrite> {
+        assert!(!bytes.contains(&TRIP), "tripwire key typed");
+        self.0.on_input(now, bytes)
+    }
+
+    fn poll(&mut self, now: u64) -> Vec<TimedWrite> {
+        self.0.poll(now)
+    }
+
+    fn next_wakeup(&self, now: u64) -> Option<u64> {
+        self.0.next_wakeup(now)
+    }
+
+    fn on_resize(&mut self, now: u64, width: usize, height: usize) -> Vec<TimedWrite> {
+        self.0.on_resize(now, width, height)
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        self.0.save_state()
+    }
+
+    fn restore_state(&mut self, bytes: &[u8]) -> bool {
+        self.0.restore_state(bytes)
+    }
+}
+
 /// One 10 ms round behind the shared socket: each server pumps on its
 /// shard's worker while this thread seats the distributor, beside a
 /// panicking endpoint leased as `bomb` when one is given.
@@ -619,7 +663,7 @@ fn serve(
     sids: &[SessionId],
     servers: &mut [MoshServer],
     bomb: Option<SessionId>,
-) {
+) -> Vec<(SessionId, SessionEvent)> {
     let addr = dist.local_addr();
     let target = hub.now(sids[0]) + 10;
     let mut panicker = PanicEndpoint;
@@ -637,60 +681,56 @@ fn serve(
         .zip(&leased)
         .map(|(parties, sid)| HubSession::new(*sid, parties, target))
         .collect();
-    hub.pump_with(&mut sessions, || dist.pump(10));
+    hub.pump_with(&mut sessions, || dist.pump(10))
 }
 
-/// The distributor branch of crash recovery, live: two clients behind
-/// one socket, one session per shard, each client typing one key per
-/// echo. Mid-conversation a panicking endpoint on shard 1's shared
-/// source quarantines it, and shard 1's session is rebuilt on shard 0
-/// from its checkpoint. Both conversations finish, and no datagram is
-/// lost to a full bounce cycle.
+/// The distributor branch of crash recovery, live, at 1 and 2 shards:
+/// two clients behind one socket (one session per shard at 2), each
+/// typing one key per echo. A panicking endpoint with no checkpoint on
+/// the victim's shared source is closed at once. Mid-conversation the
+/// victim's shell panics on a key, and the session is restored in place
+/// — same shard, same source — from its checkpoint. Both conversations
+/// finish, no datagram is lost to a full bounce cycle, and once the
+/// clients are gone both servers report their peer timeout.
 #[test]
-fn distributor_sessions_survive_resurrection() {
-    use std::sync::atomic::{AtomicUsize, Ordering};
+fn distributor_sessions_survive_an_endpoint_panic() {
+    for shards in [1, 2] {
+        distributor_crash_run(shards);
+    }
+}
+
+fn distributor_crash_run(shards: usize) {
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    /// What the test thread and one client thread share.
-    #[derive(Default)]
-    struct Typist {
-        /// Keys the test lets the client type so far.
-        allowed: AtomicUsize,
-        /// Keys whose echo the client's screen shows.
-        echoed: AtomicUsize,
-    }
-
-    const TEXT: &str = "abcdefghij";
-    let shown = |typed: usize| match typed {
-        0 => "$".to_string(),
-        k => format!("$ {}", &TEXT[..k]),
-    };
+    const TEXT: &str = "abc!efghij";
     let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("server socket");
     let server_addr = mosh::net::channel::addr_from_socket(socket.local_addr().unwrap());
-    let (mut hub, mut dist) = ShardedHub::over_distributor(socket, 2).expect("distributor");
+    let (mut hub, mut dist) = ShardedHub::over_distributor(socket, shards).expect("distributor");
     hub.enable_checkpointing(50);
     let sids = [hub.add_distributed_session(), hub.add_distributed_session()];
-    assert_eq!((hub.location(sids[0]).0, hub.location(sids[1]).0), (0, 1));
-    let mut servers: Vec<MoshServer> = (0..2)
-        .map(|i| MoshServer::new(key(i), Box::new(LineShell::new())))
-        .collect();
+    let home = hub.location(sids[1]);
+    assert_eq!((hub.location(sids[0]).0, home.0), (0, shards - 1));
+    let token = hub.shard(home.0).token_of(home.1);
+    let bomb = hub.add_session_sharing(sids[1]);
+    for sid in sids {
+        hub.set_peer_timeout(sid, Some(1_000));
+    }
+    let mut servers = vec![
+        MoshServer::new(key(0), Box::new(LineShell::new())),
+        MoshServer::new(key(1), Box::new(Tripwire(LineShell::new()))),
+    ];
 
-    let typists: Arc<[Typist; 2]> = Arc::default();
-    let allow = |keys: usize| {
-        for t in typists.iter() {
-            t.allowed.store(keys, Ordering::SeqCst);
-        }
-    };
-    allow(3);
+    let finished: Arc<[AtomicBool; 2]> = Arc::default();
     let clients: Vec<_> = (0..2)
         .map(|i| {
-            let typists = typists.clone();
+            let finished = finished.clone();
             let key = key(i);
             std::thread::spawn(move || {
-                let me = &typists[i];
                 // Client 0's source port hashes to shard 1, but its
-                // session lives on shard 0: its hello must bounce on.
+                // session lives on shard 0: at 2 shards its hello must
+                // bounce on.
                 let channel = loop {
                     let ch = UdpChannel::bind("127.0.0.1:0").expect("client socket");
                     if i != 0 || ch.local_addr().port % 2 == 1 {
@@ -709,15 +749,17 @@ fn distributor_sessions_survive_resurrection() {
                         "client {i} stuck at {:?}",
                         client.server_frame().row_text(0)
                     );
-                    if client.server_frame().row_text(0) == shown(k) {
-                        me.echoed.store(k, Ordering::SeqCst);
+                    let shown = match k {
+                        0 => "$".to_string(),
+                        k => format!("$ {}", &TEXT[..k]),
+                    };
+                    if client.server_frame().row_text(0) == shown {
                         if k == TEXT.len() {
+                            finished[i].store(true, Ordering::SeqCst);
                             return;
                         }
-                        if k < me.allowed.load(Ordering::SeqCst) {
-                            client.keystroke(sl.now(), &TEXT.as_bytes()[k..=k]);
-                            k += 1;
-                        }
+                        client.keystroke(sl.now(), &TEXT.as_bytes()[k..=k]);
+                        k += 1;
                     }
                     let t = sl.now() + 5;
                     sl.pump_until(&mut [Party::new(addr, &mut client)], t);
@@ -727,53 +769,60 @@ fn distributor_sessions_survive_resurrection() {
         .collect();
 
     let start = Instant::now();
-    let mut resurrected_at: Option<Instant> = None;
-    let echoed = |keys: usize| {
-        typists
-            .iter()
-            .all(|t| t.echoed.load(Ordering::SeqCst) >= keys)
-    };
-    while clients.iter().any(|c| !c.is_finished()) {
+    let mut crashes = Vec::new();
+    let mut timeouts = Vec::new();
+    let mut lease_bomb = Some(bomb);
+    while timeouts.len() < 2 {
         assert!(start.elapsed() < Duration::from_secs(60), "timed out");
-        if let Some(at) = resurrected_at {
-            assert!(
-                at.elapsed() < Duration::from_secs(10),
-                "no convergence within 10 s of the resurrection"
-            );
-        }
-        let bomb =
-            (resurrected_at.is_none() && echoed(3)).then(|| hub.add_session_sharing(sids[1]));
-        serve(&mut hub, &mut dist, &sids, &mut servers, bomb);
-
-        if bomb.is_some() {
-            assert!(
-                hub.shard_error(1).is_some(),
-                "the panic quarantined shard 1"
-            );
-            let recovered = hub.resurrect_quarantined();
-            let ids: Vec<SessionId> = recovered.iter().map(|(sid, _)| *sid).collect();
-            assert_eq!(ids, [sids[1]], "the panicker had no checkpoint");
-            assert_eq!(hub.location(sids[1]).0, 0);
-            servers[1] = resurrect_server(&recovered[0].1, Box::new(LineShell::new()))
-                .expect("checkpoint decodes");
-            resurrected_at = Some(Instant::now());
-            allow(TEXT.len());
+        for (sid, ev) in serve(&mut hub, &mut dist, &sids, &mut servers, lease_bomb.take()) {
+            match ev {
+                SessionEvent::Crashed { checkpoint, .. } => {
+                    crashes.push((sid, checkpoint.is_some()));
+                    if let Some(framed) = checkpoint {
+                        assert_eq!(sid, sids[1]);
+                        servers[1] = resurrect_server(&framed, Box::new(LineShell::new()))
+                            .expect("checkpoint decodes");
+                    }
+                }
+                // Only the silence after a client is done counts: the
+                // other client may still be typing, and a restored
+                // server may not have heard its client yet.
+                SessionEvent::PeerTimeout { .. }
+                    if finished[usize::from(sid == sids[1])].load(Ordering::SeqCst) =>
+                {
+                    timeouts.push(sid);
+                }
+                _ => {}
+            }
         }
     }
     for c in clients {
         c.join().expect("client thread");
     }
 
-    assert!(resurrected_at.is_some());
+    assert_eq!(crashes, [(bomb, false), (sids[1], true)]);
+    let closed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hub.location(bomb)));
+    assert!(
+        closed.is_err(),
+        "a crash with no checkpoint closes the session"
+    );
+    assert_eq!(hub.session_count(), 2);
+    assert_eq!(hub.location(sids[1]), home, "restored in place");
+    assert_eq!(hub.shard(home.0).token_of(home.1), token);
+    timeouts.sort();
+    assert_eq!(timeouts, sids);
     for (i, server) in servers.iter().enumerate() {
-        assert_eq!(server.frame().row_text(0), shown(TEXT.len()), "server {i}");
+        assert_eq!(
+            server.frame().row_text(0),
+            format!("$ {TEXT}"),
+            "server {i}"
+        );
     }
     let stats = hub.stats();
-    assert_eq!(stats.sessions_resurrected, 1, "{stats:?}");
-    assert_eq!(stats.shard_panics, 1, "{stats:?}");
-    // Client 0's first hello hashed to shard 1 and was bounced on; no
-    // wire went round every shard unclaimed.
-    assert!(stats.feed_bounced >= 1, "{stats:?}");
+    assert_eq!(stats.shard_panics, 2, "{stats:?}");
+    // At 2 shards client 0's first hello hashed to shard 1 and was
+    // bounced on; no wire went round every shard unclaimed.
+    assert!(stats.feed_bounced >= (shards as u64 - 1), "{stats:?}");
     assert_eq!(stats.feed_dropped, 0, "{stats:?}");
 }
 
@@ -821,53 +870,5 @@ fn an_unleased_shard_bounces_its_feed_onward() {
     client.join().expect("client thread");
     let stats = hub.stats();
     assert!(stats.feed_bounced >= 1, "{stats:?}");
-}
-
-/// A quarantined shard still passes its feed queue on: a panicking
-/// endpoint quarantines shard 1, and a client whose odd source port
-/// hashes its hello there must still reach its session on shard 0.
-#[test]
-fn a_quarantined_shard_bounces_its_feed_onward() {
-    use std::time::{Duration, Instant};
-
-    let socket = std::net::UdpSocket::bind("127.0.0.1:0").expect("server socket");
-    let server_addr = mosh::net::channel::addr_from_socket(socket.local_addr().unwrap());
-    let (mut hub, mut dist) = ShardedHub::over_distributor(socket, 2).expect("distributor");
-    let sids = [hub.add_distributed_session()];
-    let bomb = hub.add_distributed_session();
-    assert_eq!((hub.location(sids[0]).0, hub.location(bomb).0), (0, 1));
-    let mut servers = vec![MoshServer::new(key(0), Box::new(LineShell::new()))];
-    serve(&mut hub, &mut dist, &sids, &mut servers, Some(bomb));
-    assert!(
-        hub.shard_error(1).is_some(),
-        "the panic quarantined shard 1"
-    );
-
-    let client = std::thread::spawn(move || {
-        let channel = loop {
-            let ch = UdpChannel::bind("127.0.0.1:0").expect("client socket");
-            if ch.local_addr().port % 2 == 1 {
-                break ch;
-            }
-        };
-        let addr = channel.local_addr();
-        let mut client = MoshClient::new(key(0), server_addr, 80, 24, DisplayPreference::Never);
-        let mut sl = SessionLoop::new(channel);
-        let start = Instant::now();
-        while client.server_frame().row_text(0) != "$" {
-            assert!(
-                start.elapsed() < Duration::from_secs(10),
-                "client never heard"
-            );
-            let t = sl.now() + 5;
-            sl.pump_until(&mut [Party::new(addr, &mut client)], t);
-        }
-    });
-    while !client.is_finished() {
-        serve(&mut hub, &mut dist, &sids, &mut servers, None);
-    }
-    client.join().expect("client thread");
-    let stats = hub.stats();
-    assert!(stats.feed_bounced >= 1, "{stats:?}");
-    assert_eq!(stats.shard_panics, 1, "{stats:?}");
+    assert_eq!(stats.shard_panics, 0, "{stats:?}");
 }
