@@ -2,6 +2,13 @@
 //! `--quick` mode and print its report. This keeps the evaluation
 //! binaries from silently rotting as the crates under them evolve.
 //!
+//! The seven paper bins' reports are deterministic, in debug and release
+//! builds alike, so each must also equal its stored golden,
+//! `tests/golden/<bin>.txt`, byte for byte. Regenerating a golden
+//! (`cargo run --release -q --bin <bin> -- --quick >
+//! crates/bench/tests/golden/<bin>.txt`) is a reviewed change that says
+//! which rows moved and why. `term_ops` prints timings and has none.
+//!
 //! Cargo builds each `[[bin]]` target before running these tests and
 //! exposes its path through `CARGO_BIN_EXE_<name>`.
 
@@ -29,6 +36,25 @@ fn run_quick(exe: &str, expect: &[&str]) -> String {
         );
     }
     stdout.into_owned()
+}
+
+/// Asserts `stdout` equals the stored `golden` report byte for byte,
+/// naming the first line that differs.
+fn assert_golden(stdout: &str, golden: &str) {
+    if stdout == golden {
+        return;
+    }
+    let (n, (got, want)) = stdout
+        .lines()
+        .chain(std::iter::repeat("<end of output>"))
+        .zip(golden.lines().chain(std::iter::repeat("<end of golden>")))
+        .enumerate()
+        .find(|(_, (got, want))| got != want)
+        .unwrap_or((0, ("<line endings differ>", "")));
+    panic!(
+        "report differs from its golden at line {}:\n  got:  {got:?}\n  want: {want:?}\nstdout:\n{stdout}",
+        n + 1
+    );
 }
 
 /// The figure printed after `label` on the report line starting with
@@ -70,22 +96,25 @@ fn fig2_evdo_quick() {
         mispredicted <= 1.5,
         "mispredictions {mispredicted} %:\n{out}"
     );
+    assert_golden(&out, include_str!("golden/fig2_evdo.txt"));
 }
 
 #[test]
 fn fig3_collection_quick() {
-    run_quick(
+    let out = run_quick(
         env!("CARGO_BIN_EXE_fig3_collection"),
         &["Figure 3", "curve minimum"],
     );
+    assert_golden(&out, include_str!("golden/fig3_collection.txt"));
 }
 
 #[test]
 fn table_loss_quick() {
-    run_quick(
+    let out = run_quick(
         env!("CARGO_BIN_EXE_table_loss"),
         &["packet loss", "SSH", "Mosh"],
     );
+    assert_golden(&out, include_str!("golden/table_loss.txt"));
 }
 
 #[test]
@@ -106,19 +135,22 @@ fn table_lte_quick() {
     assert_eq!(median, ["<", "5", "ms"], "Mosh median:\n{out}");
     let instant = printed(&out, "instant keystrokes", "instant keystrokes");
     assert!(instant >= 60.0, "instant keystrokes {instant} %:\n{out}");
+    assert_golden(&out, include_str!("golden/table_lte.txt"));
 }
 
 #[test]
 fn table_singapore_quick() {
-    run_quick(
+    let out = run_quick(
         env!("CARGO_BIN_EXE_table_singapore"),
         &["SSH", "Mosh", "instant keystrokes"],
     );
+    assert_golden(&out, include_str!("golden/table_singapore.txt"));
 }
 
 #[test]
 fn ablation_ack_quick() {
-    run_quick(env!("CARGO_BIN_EXE_ablation_ack"), &["Ablation", "acks"]);
+    let out = run_quick(env!("CARGO_BIN_EXE_ablation_ack"), &["Ablation", "acks"]);
+    assert_golden(&out, include_str!("golden/ablation_ack.txt"));
 }
 
 #[test]
@@ -136,6 +168,7 @@ fn ablation_ctrlc_quick() {
             .any(|l| l.trim_start().starts_with("SSH:  ^C visible after >120 s")),
         "SSH row:\n{out}"
     );
+    assert_golden(&out, include_str!("golden/ablation_ctrlc.txt"));
 }
 
 #[test]

@@ -32,8 +32,8 @@ use crate::session::Party;
 use crate::Millis;
 
 /// Identifies one session within a hub, in registration order. A
-/// [`ShardedHub`] hands out *global* ids and maps them to the owning
-/// shard's local ids internally.
+/// [`ShardedHub`] hands out hub-wide ids, and the owning shard knows the
+/// session by the same id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub usize);
 

@@ -40,13 +40,18 @@
 //! thread overhead included); dropping the hub shuts the workers down.
 //!
 //! Sessions never move between shards: a session lives on the shard that
-//! accepted it until it is removed. A panicking endpoint costs its
-//! **session** alone, inside its shard's pump (see [`ServerHub::pump`]):
-//! the caller restores it in place from the checkpoint its
-//! [`SessionEvent::Crashed`] carries. Any other panic in a shard's pump is
-//! a hub bug. The worker still catches it, because the borrows a pump job
-//! carries need every reply collected, and the pumping thread resumes it
-//! once all replies are in.
+//! accepted it until it is removed, and the shard knows it by the same
+//! hub-wide [`SessionId`] the caller does — its slot there sits at that
+//! index, and each id that lives on another shard leaves a vacant slot
+//! behind, like a removed session's. Leases, events and checkpoints
+//! carry one id all the way down, with no translation.
+//!
+//! A panicking endpoint costs its **session** alone, inside its shard's
+//! pump (see [`ServerHub::pump`]): the caller restores it in place from
+//! the checkpoint its [`SessionEvent::Crashed`] carries. Any other panic
+//! in a shard's pump is a hub bug. The worker still catches it, because
+//! the borrows a pump job carries need every reply collected, and the
+//! pumping thread resumes it once all replies are in.
 
 use super::shard::ServerHub;
 use super::snapshot::CheckpointStore;
@@ -56,7 +61,6 @@ use crate::Millis;
 use mosh_net::{
     ChannelPoller, DistributorStatsHandle, FeedBouncer, FeedChannel, Poller, Token, UdpDistributor,
 };
-use std::collections::HashMap;
 use std::io;
 use std::net::UdpSocket;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -199,11 +203,11 @@ fn worker_loop(rx: Receiver<Command>, reply: SyncSender<PumpReply>) {
 /// The sharding front end: N worker threads, each a private [`ServerHub`].
 pub struct ShardedHub<P: Poller> {
     shards: Vec<ServerHub<P>>,
-    /// Global session id → (owning shard, its local id there). `None`
-    /// is a tombstone: the session was removed, or crashed with no
-    /// checkpoint to restore it from. The mapping never changes while
-    /// the session lives.
-    sessions: Vec<Option<(usize, SessionId)>>,
+    /// Session id → the shard that owns it, which registered it under
+    /// that same id. `None` is a tombstone: the session was removed, or
+    /// crashed with no checkpoint to restore it from. The mapping never
+    /// changes while the session lives.
+    sessions: Vec<Option<usize>>,
     /// Accept-time assignment cursor (round-robin).
     next_shard: usize,
     /// The persistent worker pool, spawned on the first threaded pump
@@ -256,8 +260,8 @@ impl<P: Poller> ShardedHub<P> {
 
     /// Accepts a session living on its own private source: the session
     /// is assigned to a shard **at accept time** (round-robin) and the
-    /// source is registered on that shard's poller. Returns the global
-    /// session id.
+    /// source is registered on that shard's poller. Returns the session
+    /// id.
     pub fn add_session(&mut self, channel: P::Chan) -> SessionId {
         let shard = self.next_accept_shard();
         let tok = self.shards[shard].poller_mut().add(channel);
@@ -277,29 +281,27 @@ impl<P: Poller> ShardedHub<P> {
     /// by exactly one thread; the shard's demux handles the ambiguity
     /// exactly as a single-threaded hub would.
     pub fn add_session_sharing(&mut self, with: SessionId) -> SessionId {
-        let (shard, local) = self.location(with);
-        let tok = self.shards[shard].token_of(local);
+        let shard = self.location(with).0;
+        let tok = self.shards[shard].token_of(with);
         self.add_session_on(shard, tok)
     }
 
     /// Accepts a session on an explicit shard and source token (the
-    /// low-level accept path the other accessors build on), tracked for
-    /// checkpoints under its global id when crash recovery is on.
+    /// low-level accept path the other accessors build on). The shard
+    /// registers it under the id returned here.
     pub fn add_session_on(&mut self, shard: usize, tok: Token) -> SessionId {
         let sid = SessionId(self.sessions.len());
-        let local = self.shards[shard].add_session(tok);
-        if self.checkpoints.is_some() {
-            self.shards[shard].set_checkpoint_key(local, sid.0);
-        }
-        self.sessions.push(Some((shard, local)));
+        self.shards[shard].add_session_as(tok, sid);
+        self.sessions.push(Some(shard));
         sid
     }
 
-    /// The shard a session lives on and its local id there. Panics for
-    /// a removed (or closed after a crash) session, like leasing one.
+    /// The shard a session lives on, and the id it has there — its own.
+    /// Panics for a removed (or closed after a crash) session, like
+    /// leasing one.
     pub fn location(&self, sid: SessionId) -> (usize, SessionId) {
         match self.sessions[sid.0] {
-            Some(loc) => loc,
+            Some(shard) => (shard, sid),
             // mosh-lint: allow(no-unwrap-hot-path): caller bug — using a retired SessionId, like an out-of-range token
             None => panic!("session {sid:?} was removed"),
         }
@@ -308,16 +310,16 @@ impl<P: Poller> ShardedHub<P> {
     /// Retires a session (see [`ServerHub::remove_session`], which also
     /// evicts the distributor's source hints for its routes).
     pub fn remove_session(&mut self, sid: SessionId) {
-        let Some((shard, local)) = self.sessions[sid.0].take() else {
+        let Some(shard) = self.sessions[sid.0].take() else {
             return; // already removed (idempotent, like the shard's own)
         };
-        self.shards[shard].remove_session(local);
+        self.shards[shard].remove_session(sid);
     }
 
     /// Configures a session's peer-silence timeout.
     pub fn set_peer_timeout(&mut self, sid: SessionId, timeout: Option<Millis>) {
-        let (shard, local) = self.location(sid);
-        self.shards[shard].set_peer_timeout(local, timeout);
+        let shard = self.location(sid).0;
+        self.shards[shard].set_peer_timeout(sid, timeout);
     }
 
     /// Number of sessions registered and not yet removed, over all
@@ -328,8 +330,7 @@ impl<P: Poller> ShardedHub<P> {
 
     /// Current time on a session's source clock.
     pub fn now(&self, sid: SessionId) -> Millis {
-        let (shard, local) = self.location(sid);
-        self.shards[shard].now(local)
+        self.shards[self.location(sid).0].now(sid)
     }
 
     /// Aggregated counters over all shards and — when the hub answers on
@@ -351,23 +352,19 @@ impl<P: Poller> ShardedHub<P> {
         total
     }
 
-    /// Turns on crash recovery: every shard checkpoints its tracked
-    /// sessions into one shared [`CheckpointStore`] at most every
-    /// `cadence` ms of session time (idle sessions cost nothing — see
-    /// [`ServerHub::enable_checkpointing`]). Sessions are tracked under
-    /// their **global** ids. A session whose endpoint panics is reported
-    /// as [`SessionEvent::Crashed`] with its last checkpoint, to restore
-    /// in place under the same id.
-    /// Returns a handle to the store (it is `Clone`; the hub keeps one).
+    /// Turns on crash recovery: every shard checkpoints its sessions —
+    /// those already added and those added later — into one shared
+    /// [`CheckpointStore`] at most every `cadence` ms of session time
+    /// (idle sessions cost nothing — see
+    /// [`ServerHub::enable_checkpointing`]), each under its session id.
+    /// A session whose endpoint panics is reported as
+    /// [`SessionEvent::Crashed`] with its last checkpoint, to restore in
+    /// place under the same id. Returns a handle to the store (it is
+    /// `Clone`; the hub keeps one).
     pub fn enable_checkpointing(&mut self, cadence: Millis) -> CheckpointStore {
         let store = CheckpointStore::new();
         for shard in &mut self.shards {
             shard.enable_checkpointing(store.clone(), cadence);
-        }
-        for (gid, entry) in self.sessions.iter().enumerate() {
-            if let Some((shard, local)) = *entry {
-                self.shards[shard].set_checkpoint_key(local, gid);
-            }
         }
         self.checkpoints = Some(store.clone());
         store
@@ -382,7 +379,7 @@ impl<P: Poller> ShardedHub<P> {
 impl<P: Poller + Send> ShardedHub<P> {
     /// Drives every leased session until its own target — each shard's
     /// sessions on that shard's worker thread — returning all events
-    /// tagged by **global** session id, grouped by shard in shard order
+    /// tagged by session id, grouped by shard in shard order
     /// (cross-shard ordering carries no meaning: shards are independent
     /// worlds, exactly as a poller's sources already are).
     ///
@@ -416,16 +413,13 @@ impl<P: Poller + Send> ShardedHub<P> {
         sessions: &mut [HubSession<'_, '_>],
         side: Option<impl FnOnce()>,
     ) -> Vec<(SessionId, SessionEvent)> {
-        // Partition leases by owning shard, remembering the local→global
-        // mapping for the event tags.
+        // Partition leases by owning shard; each shard knows its sessions
+        // by the same ids, so leases and events pass through untouched.
         let n = self.shards.len();
         let mut shard_leases: Vec<Vec<HubSession<'_, '_>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut to_global: Vec<HashMap<SessionId, SessionId>> =
-            (0..n).map(|_| HashMap::new()).collect();
         for s in sessions.iter_mut() {
-            let (shard, local) = self.location(s.id);
-            to_global[shard].insert(local, s.id);
-            shard_leases[shard].push(HubSession::new(local, &mut *s.parties, s.target));
+            let shard = self.location(s.id).0;
+            shard_leases[shard].push(HubSession::new(s.id, &mut *s.parties, s.target));
         }
 
         let per_shard = if n == 1 && side.is_none() {
@@ -435,14 +429,7 @@ impl<P: Poller + Send> ShardedHub<P> {
             self.pump_on_workers(&mut shard_leases, side)
         };
 
-        let events: Vec<(SessionId, SessionEvent)> = per_shard
-            .into_iter()
-            .enumerate()
-            .flat_map(|(i, events)| {
-                let map = &to_global[i];
-                events.into_iter().map(move |(local, ev)| (map[&local], ev))
-            })
-            .collect();
+        let events: Vec<(SessionId, SessionEvent)> = per_shard.into_iter().flatten().collect();
         for (sid, ev) in &events {
             if matches!(
                 ev,
@@ -451,7 +438,7 @@ impl<P: Poller + Send> ShardedHub<P> {
                     ..
                 }
             ) {
-                // The shard closed the session; retire its global id.
+                // The shard closed the session; retire its id.
                 self.sessions[sid.0] = None;
             }
         }
@@ -600,7 +587,7 @@ mod tests {
     }
 
     /// The whole sharded runtime is Send: shards (with their pollers,
-    /// drivers, and boxed hooks) can move to worker threads.
+    /// slots, and boxed hooks) can move to worker threads.
     #[test]
     fn sharded_runtime_is_send() {
         fn assert_send<T: Send>() {}
@@ -1195,6 +1182,75 @@ mod tests {
         let (often, seldom) = (run(500), run(2_000));
         assert!(seldom > 0, "the cadence wrote snapshots");
         assert!(often >= seldom, "500 ms: {often} B, 2000 ms: {seldom} B");
+    }
+
+    /// Checkpointing switched on after sessions exist covers them as it
+    /// covers the sessions added later: at 1, 2 and 3 shards, one pump
+    /// stores each session's checkpoint under the id `add_session`
+    /// returned (its restored server opens that session's client wires
+    /// and no other's), every event carries a leased id, and removing a
+    /// session drops exactly its entry.
+    #[test]
+    fn checkpointing_switched_on_late_keys_every_session_by_its_id() {
+        use super::super::snapshot;
+
+        for shards in [1, 2, 3] {
+            let mut hub = ShardedHub::with_shards(shards, SimPoller::new);
+            let mut sids: Vec<SessionId> =
+                (0..3).map(|i| hub.add_session(sim_world(90 + i))).collect();
+            let store = hub.enable_checkpointing(50);
+            sids.extend((3..5).map(|i| hub.add_session(sim_world(90 + i))));
+            sids.push(hub.add_session_sharing(sids[1]));
+            let mut users: Vec<_> = (0..6).map(|i| pair(90 + i)).collect();
+
+            let mut leases: Vec<[Party<'_>; 2]> = users
+                .iter_mut()
+                .map(|(c, s)| [Party::new(C, c), Party::new(S, s)])
+                .collect();
+            let mut sessions: Vec<HubSession<'_, '_>> = leases
+                .iter_mut()
+                .zip(&sids)
+                .map(|(parties, sid)| HubSession::new(*sid, parties, 300))
+                .collect();
+            let events = hub.pump(&mut sessions);
+            drop(sessions);
+            drop(leases);
+
+            assert!(events.iter().all(|(sid, _)| sids.contains(sid)));
+            for sid in &sids {
+                assert!(
+                    events
+                        .iter()
+                        .any(|(s, e)| s == sid && matches!(e, SessionEvent::FrameAdvanced { .. })),
+                    "{shards} shards: no frame reported for {sid:?}"
+                );
+            }
+            assert_eq!(store.len(), sids.len(), "{shards} shards");
+            let wires: Vec<Vec<u8>> = users
+                .iter_mut()
+                .map(|(client, _)| {
+                    client.keystroke(300, b"k");
+                    (300..400)
+                        .find_map(|t| client.tick(t).into_iter().next())
+                        .expect("the keystroke is sent")
+                        .1
+                })
+                .collect();
+            for (k, sid) in sids.iter().enumerate() {
+                let framed = store.get(sid.0).expect("checkpointed under its id");
+                let restored = snapshot::restore_server(&framed, Box::new(LineShell::new()))
+                    .expect("checkpoint decodes");
+                let opens: Vec<bool> = wires.iter().map(|w| restored.authenticates(w)).collect();
+                let only_its_own: Vec<bool> = (0..wires.len()).map(|m| m == k).collect();
+                assert_eq!(opens, only_its_own, "{shards} shards, {sid:?}");
+            }
+
+            hub.remove_session(sids[2]);
+            assert_eq!(store.len(), sids.len() - 1);
+            for sid in &sids {
+                assert_eq!(store.get(sid.0).is_some(), *sid != sids[2]);
+            }
+        }
     }
 
     /// The crash-recovery round trip: a real session checkpoints on

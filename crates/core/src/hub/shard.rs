@@ -27,15 +27,17 @@
 //!
 //! This is the tree's one session event loop: the single-session
 //! [`crate::session::SessionLoop`] is a `ServerHub` with one source and
-//! one lease. Per-session scheduling decisions are made by a
-//! [`SessionDriver`] per session, and each simulated session lives in its
-//! own discrete-event world, so a hub driving N sessions produces
+//! one lease. What the hub keeps for a session between pumps — its
+//! source, its wheel generation, its peer-silence episodes, its
+//! checkpoint cadence — lives in one slot, indexed by the session's id,
+//! and each simulated session lives in its own discrete-event world, so
+//! a hub driving N sessions produces
 //! **byte-identical per-session wire transcripts** to N hubs of one
 //! (pinned by `tests/event_stepping.rs` and the replay identity suite).
 
 use super::snapshot::{self, CheckpointStore};
 use super::{HubSession, HubStats, SessionId};
-use crate::session::{party_at, SessionDriver, SessionEvent};
+use crate::session::{Party, SessionEvent};
 use crate::Millis;
 use mosh_net::{Addr, Channel, Datagram, Poller, Token};
 use mosh_ssp::datagram::Opened;
@@ -49,10 +51,17 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// dropped.
 pub type UnclaimedHook = Box<dyn FnMut(&Datagram) -> bool + Send>;
 
-/// Registered per-session state that outlives any single pump.
+/// Registered per-session state that outlives any single pump: all the
+/// hub keeps for one session, at the index of its [`SessionId`].
 struct Slot {
     token: Token,
-    driver: SessionDriver,
+    /// Emit [`SessionEvent::PeerTimeout`] after this much peer silence;
+    /// `None` disables.
+    peer_timeout: Option<Millis>,
+    /// Per party position in the lease: the `last_heard` value already
+    /// reported, so each silence episode yields one
+    /// [`SessionEvent::PeerTimeout`] however the party is re-addressed.
+    reported_silence: Vec<Option<Millis>>,
     /// Generation of this session's live wheel entry; older entries in
     /// the heap are stale and skipped on pop.
     gen: u64,
@@ -61,42 +70,79 @@ struct Slot {
     /// lies past the pump's target. 0 until then, so a session's first
     /// pump ticks it.
     wakeup: Millis,
-    /// False once removed; retired slots keep only this marker (ids are
-    /// positional and never reused).
+    /// False once removed: retired slots keep only this marker (ids are
+    /// positional and never reused). Also false in the vacant slots a
+    /// shard keeps for ids that live on other shards of a
+    /// [`super::ShardedHub`].
     live: bool,
-    /// Crash-recovery bookkeeping, when this session is tracked by a
-    /// [`CheckpointStore`] (see [`ServerHub::set_checkpoint_key`]).
-    ckpt: Option<CkptState>,
+    /// Crash-recovery bookkeeping, read while the hub checkpoints (see
+    /// [`ServerHub::enable_checkpointing`]).
+    ckpt: CkptState,
 }
 
-/// One tracked session's checkpoint bookkeeping.
+impl Slot {
+    /// A slot on source `token`, not yet live.
+    fn new(token: Token) -> Self {
+        Slot {
+            token,
+            peer_timeout: None,
+            reported_silence: Vec::new(),
+            gen: 0,
+            wakeup: 0,
+            live: false,
+            ckpt: CkptState::default(),
+        }
+    }
+
+    /// Runs the peer-silence check at `now` (a no-op unless a timeout is
+    /// configured), emitting one event per party per silence episode.
+    fn check_timeouts(
+        &mut self,
+        parties: &[Party<'_>],
+        now: Millis,
+        events: &mut Vec<SessionEvent>,
+    ) {
+        let Some(limit) = self.peer_timeout else {
+            return;
+        };
+        // Keyed by position, not address: a roam changes a party's
+        // address mid-episode, never its place in the lease.
+        self.reported_silence.resize(parties.len(), None);
+        for (p, reported) in parties.iter().zip(self.reported_silence.iter_mut()) {
+            // `None` means the endpoint does not track peer contact at
+            // all (SSH/TCP endpoints, test instruments) — not "silent
+            // since the epoch" — so it never times out. Detecting a peer
+            // that was *never* reached is the caller's job.
+            let Some(heard) = p.endpoint.last_heard() else {
+                continue;
+            };
+            let silent_for = now.saturating_sub(heard);
+            if silent_for < limit {
+                // Contact is fresh; re-arm for the next episode.
+                *reported = None;
+            } else if *reported != Some(heard) {
+                *reported = Some(heard);
+                events.push(SessionEvent::PeerTimeout {
+                    at: now,
+                    silent_for,
+                });
+            }
+        }
+    }
+}
+
+/// One session's checkpoint bookkeeping, keyed in the shared store by
+/// the session's id.
+#[derive(Default)]
 struct CkptState {
-    /// Key in the shared store — a [`super::ShardedHub`]'s *global*
-    /// session id.
-    key: usize,
     /// When the cadence last ran for this session (`None` = never: the
-    /// first service after tracking starts checkpoints immediately, so
+    /// first service with checkpointing on checkpoints immediately, so
     /// a freshly added or restored session always has a snapshot).
     last_at: Option<Millis>,
     /// Activity marker captured by the last stored checkpoint — an
     /// unchanged marker means the session saw no new traffic and the
     /// cadence skips the (comparatively expensive) re-encode.
     last_marker: Option<(u64, u64)>,
-}
-
-/// The timer wheel: a min-heap of `(due, session, generation)` with lazy
-/// invalidation. Re-scheduling a session bumps its generation, so at most
-/// one entry per session is live and a wakeup never scans the session
-/// table.
-#[derive(Default)]
-struct TimerWheel {
-    heap: BinaryHeap<Reverse<(Millis, usize, u64)>>,
-}
-
-impl TimerWheel {
-    fn schedule(&mut self, due: Millis, session: usize, gen: u64) {
-        self.heap.push(Reverse((due, session, gen)));
-    }
 }
 
 /// Buffers one [`ServerHub::pump`] reuses across its wakeups, so the
@@ -131,7 +177,11 @@ pub struct ServerHub<P: Poller> {
     poller: P,
     slots: Vec<Slot>,
     live_sessions: usize,
-    wheel: TimerWheel,
+    /// The timer wheel: a min-heap of `(due, session, generation)` with
+    /// lazy invalidation. Re-scheduling a session bumps its generation,
+    /// so at most one entry per session is live and a wakeup never scans
+    /// the session table. Equal due times pop in session-id order.
+    wheel: BinaryHeap<Reverse<(Millis, usize, u64)>>,
     /// Source-address routing hints learned from authenticated traffic:
     /// which session(s) last proved ownership of datagrams from this
     /// source. Only ever an *ordering* hint for the authentication
@@ -161,7 +211,7 @@ impl<P: Poller> ServerHub<P> {
             poller,
             slots: Vec::new(),
             live_sessions: 0,
-            wheel: TimerWheel::default(),
+            wheel: BinaryHeap::new(),
             routes: HashMap::new(),
             stats: HubStats::default(),
             unclaimed: Vec::new(),
@@ -169,26 +219,16 @@ impl<P: Poller> ServerHub<P> {
         }
     }
 
-    /// Turns on the crash-recovery checkpoint cadence: every tracked
-    /// session (see [`ServerHub::set_checkpoint_key`]) is snapshotted
-    /// into `store` at most every `cadence` ms of its own clock — and
-    /// only when its activity marker moved, so idle sessions cost
-    /// nothing. Each checkpoint caps the session's outgoing acks at the
-    /// input it contains ([`crate::server::MoshServer::checkpoint_body`]),
-    /// so anything the checkpoint misses, the client keeps retransmitting.
+    /// Turns on the crash-recovery checkpoint cadence: every session,
+    /// whenever it was added, is snapshotted into `store` under its own
+    /// id — on its next service, then at most every `cadence` ms of its
+    /// own clock, and only when its activity marker moved, so idle
+    /// sessions cost nothing. Each checkpoint caps the session's outgoing
+    /// acks at the input it contains
+    /// ([`crate::server::MoshServer::checkpoint_body`]), so anything the
+    /// checkpoint misses, the client keeps retransmitting.
     pub fn enable_checkpointing(&mut self, store: CheckpointStore, cadence: Millis) {
         self.checkpoints = Some((store, cadence));
-    }
-
-    /// Tracks `sid` in the checkpoint store under `key` (a sharded
-    /// hub's *global* session id). The next
-    /// service of the session writes its first checkpoint immediately.
-    pub fn set_checkpoint_key(&mut self, sid: SessionId, key: usize) {
-        self.slots[sid.0].ckpt = Some(CkptState {
-            key,
-            last_at: None,
-            last_marker: None,
-        });
     }
 
     /// Installs the unclaimed-datagram hook for source `tok`: wires no
@@ -224,16 +264,22 @@ impl<P: Poller> ServerHub<P> {
     /// simulated session typically gets its own.
     pub fn add_session(&mut self, token: Token) -> SessionId {
         let sid = SessionId(self.slots.len());
-        self.slots.push(Slot {
-            token,
-            driver: SessionDriver::default(),
-            gen: 0,
-            wakeup: 0,
-            live: true,
-            ckpt: None,
-        });
-        self.live_sessions += 1;
+        self.add_session_as(token, sid);
         sid
+    }
+
+    /// Registers a session on source `token` under `sid`, an id no slot
+    /// here has held: a [`super::ShardedHub`]'s hub-wide id. The ids
+    /// between the last one registered here and `sid` live on other
+    /// shards; each keeps a vacant slot here, like a retired one.
+    pub(crate) fn add_session_as(&mut self, token: Token, sid: SessionId) {
+        assert!(
+            sid.0 >= self.slots.len(),
+            "session {sid:?} registered out of order"
+        );
+        self.slots.resize_with(sid.0 + 1, || Slot::new(token));
+        self.slots[sid.0].live = true;
+        self.live_sessions += 1;
     }
 
     /// Retires a session for good (the user logged out, the session
@@ -251,9 +297,9 @@ impl<P: Poller> ServerHub<P> {
         }
         slot.live = false;
         slot.gen += 1; // invalidate any queued wheel entry
-        slot.driver = SessionDriver::default(); // frees its scratch
-        if let (Some(ckpt), Some((store, _))) = (slot.ckpt.take(), &self.checkpoints) {
-            store.remove(ckpt.key);
+        slot.reported_silence = Vec::new();
+        if let Some((store, _)) = &self.checkpoints {
+            store.remove(sid.0);
         }
         self.live_sessions -= 1;
         let poller = &mut self.poller;
@@ -269,7 +315,7 @@ impl<P: Poller> ServerHub<P> {
     /// Configures a session's peer-silence timeout (see
     /// [`SessionEvent::PeerTimeout`]); `None` disables.
     pub fn set_peer_timeout(&mut self, sid: SessionId, timeout: Option<Millis>) {
-        self.slots[sid.0].driver.set_peer_timeout(timeout);
+        self.slots[sid.0].peer_timeout = timeout;
     }
 
     /// Number of sessions registered and not yet removed.
@@ -391,8 +437,8 @@ impl<P: Poller> ServerHub<P> {
             }
             let idle = (slot.wakeup > now)
                 .then(|| {
-                    self.contain(i, now, sessions, &mut ps, |hub, lease, _| {
-                        hub.wakeup_of(lease, now)
+                    self.contain(i, now, sessions, &mut ps, |_, lease, _| {
+                        wakeup_of(lease, now)
                     })
                 })
                 .flatten()
@@ -425,22 +471,17 @@ impl<P: Poller> ServerHub<P> {
                     // Routed to a lease cut off earlier in this pump.
                     Some((j, _)) if ps.cut[j] => self.stats.dropped += 1,
                     Some((j, opened)) => {
-                        self.contain(j, at, sessions, &mut ps, |hub, lease, events| {
-                            let driver = &mut hub.slots[lease.id.0].driver;
+                        self.contain(j, at, sessions, &mut ps, |_, lease, events| {
+                            let Some(p) = party_at(lease.parties, dg.to) else {
+                                return;
+                            };
                             match opened {
                                 // Ambiguous address: the routing probe
                                 // already opened the datagram — deliver the
                                 // plaintext token, never a second decrypt.
-                                Some(op) => driver.deliver_opened(
-                                    lease.parties,
-                                    at,
-                                    dg.from,
-                                    dg.to,
-                                    op,
-                                    events,
-                                ),
-                                None => driver.deliver(lease.parties, at, &dg, events),
-                            };
+                                Some(op) => p.endpoint.receive_opened(at, dg.from, op, events),
+                                None => p.endpoint.receive(at, dg.from, &dg.payload, events),
+                            }
                         });
                         self.stats.delivered += 1;
                         ps.wake(j);
@@ -457,7 +498,8 @@ impl<P: Poller> ServerHub<P> {
             if self.poller.now(tok) >= due {
                 ps.wake(i);
             } else if !ps.is_woken[i] && !ps.cut[i] {
-                self.wheel.schedule(due, sid.0, self.slots[sid.0].gen);
+                self.wheel
+                    .push(Reverse((due, sid.0, self.slots[sid.0].gen)));
             }
             ps.woken.sort_unstable();
             for k in 0..ps.woken.len() {
@@ -465,8 +507,7 @@ impl<P: Poller> ServerHub<P> {
                 ps.is_woken[j] = false;
                 let nowj = self.poller.now(self.slots[sessions[j].id.0].token);
                 self.contain(j, nowj, sessions, &mut ps, |hub, lease, events| {
-                    let driver = &mut hub.slots[lease.id.0].driver;
-                    driver.check_timeouts(lease.parties, nowj, events);
+                    hub.slots[lease.id.0].check_timeouts(lease.parties, nowj, events);
                 });
                 if nowj < sessions[j].target {
                     self.tick(j, nowj, sessions, &mut ps);
@@ -512,13 +553,6 @@ impl<P: Poller> ServerHub<P> {
         }
     }
 
-    /// The earliest wakeup `lease`'s endpoints report at `now`.
-    fn wakeup_of(&self, lease: &HubSession<'_, '_>, now: Millis) -> Millis {
-        self.slots[lease.id.0]
-            .driver
-            .earliest_wakeup(lease.parties, now)
-    }
-
     /// Restores session `sid` in place after its endpoint code panicked
     /// at `at`, and reports it as [`SessionEvent::Crashed`] with its last
     /// checkpoint. Its wheel entries go stale and its next pump ticks the
@@ -531,14 +565,11 @@ impl<P: Poller> ServerHub<P> {
         let slot = &mut self.slots[sid.0];
         slot.gen += 1;
         slot.wakeup = 0;
-        let checkpoint = match (slot.ckpt.as_mut(), &self.checkpoints) {
-            (Some(ck), Some((store, _))) => {
-                ck.last_at = None;
-                ck.last_marker = None;
-                store.get(ck.key)
-            }
-            _ => None,
-        };
+        slot.ckpt = CkptState::default();
+        let checkpoint = self
+            .checkpoints
+            .as_ref()
+            .and_then(|(store, _)| store.get(sid.0));
         if checkpoint.is_none() {
             self.remove_session(sid);
         }
@@ -561,8 +592,11 @@ impl<P: Poller> ServerHub<P> {
         }
     }
 
-    /// Ticks lease `i`'s parties at `now`, shipping their output on its
-    /// source.
+    /// Ticks lease `i`'s parties at `now`, in lease order, shipping each
+    /// party's whole outbox on its source as **one** batch — the
+    /// sendmmsg-shaped seam: the poller's substrate ships it whole when
+    /// it can. A party that panics mid-tick ships nothing: its half-built
+    /// batch unwinds with it.
     fn tick(
         &mut self,
         i: usize,
@@ -571,17 +605,14 @@ impl<P: Poller> ServerHub<P> {
         ps: &mut PumpScratch,
     ) {
         self.contain(i, now, sessions, ps, |hub, lease, events| {
-            let Self { poller, slots, .. } = hub;
-            let slot = &mut slots[lease.id.0];
-            let tok = slot.token;
-            // Each party's burst leaves as one batch — the sendmmsg-shaped
-            // seam: the poller's substrate ships it whole when it can.
-            slot.driver.tick_parties(
-                lease.parties,
-                now,
-                &mut |from, batch| poller.send_many(tok, from, batch),
-                events,
-            );
+            let tok = hub.slots[lease.id.0].token;
+            for p in lease.parties.iter_mut() {
+                let mut out = Vec::new();
+                p.endpoint.tick(now, &mut out, events);
+                if !out.is_empty() {
+                    hub.poller.send_many(tok, p.addr, out);
+                }
+            }
         });
     }
 
@@ -601,7 +632,7 @@ impl<P: Poller> ServerHub<P> {
             let checkpointed = hub.checkpoint_if_due(now, lease);
             known
                 .filter(|_| !checkpointed)
-                .unwrap_or_else(|| hub.wakeup_of(lease, now))
+                .unwrap_or_else(|| wakeup_of(lease, now))
         });
         let Some(wakeup) = asked else {
             return;
@@ -611,30 +642,32 @@ impl<P: Poller> ServerHub<P> {
             // endpoint, not the substrate: a wakeup-contract violation.
             self.stats.overdue_wakeups += 1;
         }
+        // The next instant anything can happen for this session, clamped
+        // to `(now, target]`: the earliest endpoint wakeup, the
+        // substrate's next scheduled event (if it can know one), or the
+        // caller's target.
         let lease = &sessions[i];
         let slot = &mut self.slots[lease.id.0];
-        let next = slot.driver.next_step(
-            wakeup,
-            now,
-            lease.target,
-            self.poller.next_event_time(slot.token),
-        );
+        let substrate = self.poller.next_event_time(slot.token);
+        let next = substrate
+            .map_or(wakeup, |t| t.min(wakeup))
+            .min(lease.target)
+            .max(now + 1);
         slot.wakeup = wakeup;
         slot.gen += 1;
-        self.wheel.schedule(next, lease.id.0, slot.gen);
+        self.wheel.push(Reverse((next, lease.id.0, slot.gen)));
     }
 
-    /// The crash-recovery cadence: when `lease` is tracked, due, and saw
-    /// traffic since its last checkpoint, snapshots it into the shared
-    /// store, returning whether it did. Runs after the tick so the
-    /// checkpoint contains everything this service step shipped.
+    /// The crash-recovery cadence: when checkpointing is on and `lease` is
+    /// due and saw traffic since its last checkpoint, snapshots it into
+    /// the shared store under its id, returning whether it did. Runs
+    /// after the tick so the checkpoint contains everything this service
+    /// step shipped.
     fn checkpoint_if_due(&mut self, now: Millis, lease: &mut HubSession<'_, '_>) -> bool {
-        let (Some((store, cadence)), Some(ck)) = (
-            self.checkpoints.as_ref(),
-            self.slots[lease.id.0].ckpt.as_mut(),
-        ) else {
+        let Some((store, cadence)) = self.checkpoints.as_ref() else {
             return false;
         };
+        let ck = &mut self.slots[lease.id.0].ckpt;
         if ck
             .last_at
             .is_some_and(|at| now.saturating_sub(at) < *cadence)
@@ -658,14 +691,14 @@ impl<P: Poller> ServerHub<P> {
         };
         let framed = snapshot::frame(&body);
         self.stats.checkpoint_bytes += framed.len() as u64;
-        store.put(ck.key, framed, marker);
+        store.put(lease.id.0, framed, marker);
         ck.last_marker = Some(marker);
         true
     }
 
     /// Pops the next live wheel entry, skipping stale generations.
     fn pop_due(&mut self) -> Option<(Millis, SessionId)> {
-        while let Some(Reverse((due, s, gen))) = self.wheel.heap.pop() {
+        while let Some(Reverse((due, s, gen))) = self.wheel.pop() {
             if self.slots[s].gen == gen {
                 return Some((due, SessionId(s)));
             }
@@ -747,6 +780,24 @@ impl<P: Poller> ServerHub<P> {
         }
         None
     }
+}
+
+/// The earliest wakeup `lease`'s endpoints report at `now` — by the
+/// [`crate::session::Endpoint::next_wakeup`] contract `> now` right after
+/// a tick, so a value `<= now` is an endpoint asking to spin (counted in
+/// [`HubStats::overdue_wakeups`]).
+fn wakeup_of(lease: &HubSession<'_, '_>, now: Millis) -> Millis {
+    lease
+        .parties
+        .iter()
+        .map(|p| p.endpoint.next_wakeup(now))
+        .min()
+        .unwrap_or(Millis::MAX)
+}
+
+/// The party receiving on `addr`, if any.
+fn party_at<'a, 'e>(parties: &'a mut [Party<'e>], addr: Addr) -> Option<&'a mut Party<'e>> {
+    parties.iter_mut().find(|p| p.addr == addr)
 }
 
 #[cfg(test)]

@@ -11,20 +11,21 @@
 //! * [`apps`] — deterministic models of the application classes in the
 //!   paper's traces: shell, full-screen editor, pager, mail reader, and a
 //!   runaway flood for the Control-C experiment.
-//! * [`session`] — the event-driven per-session machinery: the
-//!   [`session::Endpoint`] contract, the [`session::SessionDriver`]
-//!   mechanics, typed [`session::SessionEvent`]s, and
-//!   [`session::SessionLoop`] — a [`hub::ServerHub`] of one session over
-//!   a dedicated `mosh_net::Channel` (simulator or live UDP).
+//! * [`session`] — what a session is made of: the [`session::Endpoint`]
+//!   contract, the [`session::Party`] that binds one to an address,
+//!   typed [`session::SessionEvent`]s, and [`session::SessionLoop`] — a
+//!   [`hub::ServerHub`] of one session over a dedicated
+//!   `mosh_net::Channel` (simulator or live UDP).
 //! * [`hub`] — the session runtime, in two layers: [`hub::ServerHub`]
 //!   is the one event loop, stepping each session by
 //!   `min(next_wakeup, next_event_time)`; it drives any number of them
-//!   behind one `mosh_net::Poller` with a timer wheel of wakeups,
-//!   demultiplexing datagrams by address and falling back to
+//!   behind one `mosh_net::Poller` with a timer wheel of wakeups and
+//!   one slot of state per session, demultiplexing datagrams by address and falling back to
 //!   cryptographic authentication when roaming makes addresses collide
 //!   (§2.2); [`hub::ShardedHub`] spreads those hubs across worker
 //!   threads — one private shard per core, sessions assigned at accept
-//!   time, byte-identical per-session behavior at every shard count.
+//!   time and known by one hub-wide id on every shard, byte-identical
+//!   per-session behavior at every shard count.
 //!
 //! Endpoints are I/O-free: `tick(now)` returns addressed datagrams and
 //! `receive(now, ...)` consumes them, under any transport — the
@@ -42,7 +43,7 @@ pub use hub::{
     CheckpointStore, HubSession, HubStats, ServerHub, SessionId, ShardedHub, SnapshotError,
 };
 pub use server::{MoshServer, WriteObserver};
-pub use session::{Endpoint, Party, SessionDriver, SessionEvent, SessionLoop};
+pub use session::{Endpoint, Party, SessionEvent, SessionLoop};
 
 /// Virtual time in milliseconds.
 pub type Millis = u64;

@@ -9,13 +9,11 @@
 //! [`Channel`] substrate — the discrete-event simulator or a live UDP
 //! socket — and reports what happened as typed [`SessionEvent`]s.
 //!
-//! The per-session mechanics live in [`SessionDriver`], which owns no
-//! I/O: it ticks a session's endpoints, computes the next interesting
-//! instant, delivers datagrams, and tracks peer-timeout episodes. The
-//! event loop itself — tick → wait → deliver → check timeouts — exists
-//! once, in [`ServerHub::pump`]: many `SessionDriver`s + one
-//! `mosh_net::Poller` + a timer wheel. [`SessionLoop`] is that hub with
-//! one source and one session, so the two cannot drift apart.
+//! There is one event loop — tick → wait → deliver → check timeouts —
+//! in [`ServerHub::pump`]: one `mosh_net::Poller`, a timer wheel, and a
+//! slot per session holding everything the hub keeps for it between
+//! pumps. [`SessionLoop`] is that hub with one source and one session,
+//! so the two cannot drift apart.
 //!
 //! The stepping is **schedule-identical** to the 1 ms reference loop (a
 //! root-level test asserts byte-identical wire transcripts): an endpoint's
@@ -31,7 +29,7 @@ use crate::client::MoshClient;
 use crate::hub::{HubSession, ServerHub, SessionId};
 use crate::server::MoshServer;
 use crate::Millis;
-use mosh_net::{Addr, Channel, ChannelPoller, Datagram, Poller, Token};
+use mosh_net::{Addr, Channel, ChannelPoller, Poller, Token};
 use mosh_ssp::datagram::Opened;
 
 /// Something a session endpoint did or learned, stamped with when.
@@ -341,167 +339,6 @@ impl<'a> Party<'a> {
     pub fn new(addr: Addr, endpoint: &'a mut dyn Endpoint) -> Self {
         Party { addr, endpoint }
     }
-}
-
-/// The per-session half of a driver: everything a session needs except
-/// the I/O substrate.
-///
-/// A `SessionDriver` ticks a session's endpoints, computes the next
-/// interesting instant, delivers datagrams to the party that claims them,
-/// and tracks peer-silence episodes. It never owns a channel: the caller
-/// supplies a `flush` sink and the current time, which is what lets one
-/// [`ServerHub`] serve one session ([`SessionLoop`]) or thousands with
-/// identical per-session semantics.
-#[derive(Debug, Default)]
-pub struct SessionDriver {
-    peer_timeout: Option<Millis>,
-    /// Per party position in the lease: the `last_heard` value already
-    /// reported, so each silence episode yields one
-    /// [`SessionEvent::PeerTimeout`] however the party is re-addressed.
-    reported_silence: Vec<Option<Millis>>,
-}
-
-impl SessionDriver {
-    /// Emits [`SessionEvent::PeerTimeout`] when a party's peer has been
-    /// silent for `timeout` (once per silence episode); `None` disables.
-    pub fn set_peer_timeout(&mut self, timeout: Option<Millis>) {
-        self.peer_timeout = timeout;
-    }
-
-    /// Ticks every party at `now`, flushing each party's whole outbox as
-    /// **one** batch: `flush` is called at most once per party, with
-    /// `from = party.addr` and that party's datagrams in emit order.
-    /// Party order fixes how same-instant datagrams enter the substrate,
-    /// and the substrate sees each party's burst whole — the
-    /// sendmmsg-shaped seam a live socket wants (see
-    /// `mosh_net::Poller::send_many`). A party that panics mid-tick
-    /// flushes nothing: its half-built batch unwinds with it.
-    pub fn tick_parties(
-        &mut self,
-        parties: &mut [Party<'_>],
-        now: Millis,
-        flush: &mut dyn FnMut(Addr, Vec<(Addr, Vec<u8>)>),
-        events: &mut Vec<SessionEvent>,
-    ) {
-        for p in parties.iter_mut() {
-            let mut out = Vec::new();
-            p.endpoint.tick(now, &mut out, events);
-            if !out.is_empty() {
-                flush(p.addr, out);
-            }
-        }
-    }
-
-    /// The earliest wakeup any party reports at `now` — by the
-    /// [`Endpoint::next_wakeup`] contract `> now` right after a tick, so
-    /// a value `<= now` is an endpoint asking to spin (the hub counts
-    /// those in `HubStats::overdue_wakeups`).
-    pub fn earliest_wakeup(&self, parties: &[Party<'_>], now: Millis) -> Millis {
-        parties
-            .iter()
-            .map(|p| p.endpoint.next_wakeup(now))
-            .min()
-            .unwrap_or(Millis::MAX)
-    }
-
-    /// The next instant anything can happen for this session, clamped to
-    /// `(now, target]`: the earliest endpoint wakeup (see
-    /// [`SessionDriver::earliest_wakeup`]), the substrate's next
-    /// scheduled event (if it can know one), or the caller's target.
-    pub fn next_step(
-        &self,
-        wakeup: Millis,
-        now: Millis,
-        target: Millis,
-        substrate_event: Option<Millis>,
-    ) -> Millis {
-        let mut next = target.min(wakeup);
-        if let Some(t) = substrate_event {
-            next = next.min(t);
-        }
-        next.max(now + 1)
-    }
-
-    /// Delivers one datagram to the party whose address it names,
-    /// returning false when no party claims it (the datagram is dropped,
-    /// as a real socket would).
-    pub fn deliver(
-        &mut self,
-        parties: &mut [Party<'_>],
-        now: Millis,
-        dg: &Datagram,
-        events: &mut Vec<SessionEvent>,
-    ) -> bool {
-        let Some(p) = party_at(parties, dg.to) else {
-            return false;
-        };
-        p.endpoint.receive(now, dg.from, &dg.payload, events);
-        true
-    }
-
-    /// Delivers an already-opened datagram (see [`Endpoint::try_open`])
-    /// to the party at `to`, returning false when no party claims the
-    /// address. The decrypt-once tail of the hub's demux: the winning
-    /// endpoint consumes its own token without re-opening the wire.
-    pub fn deliver_opened(
-        &mut self,
-        parties: &mut [Party<'_>],
-        now: Millis,
-        from: Addr,
-        to: Addr,
-        opened: Opened,
-        events: &mut Vec<SessionEvent>,
-    ) -> bool {
-        let Some(p) = party_at(parties, to) else {
-            return false;
-        };
-        p.endpoint.receive_opened(now, from, opened, events);
-        true
-    }
-
-    /// Runs the peer-silence check at `now` (a no-op unless a timeout is
-    /// configured), emitting one event per party per silence episode.
-    pub fn check_timeouts(
-        &mut self,
-        parties: &[Party<'_>],
-        now: Millis,
-        events: &mut Vec<SessionEvent>,
-    ) {
-        let Some(limit) = self.peer_timeout else {
-            return;
-        };
-        // Keyed by position, not address: a roam changes a party's
-        // address mid-episode, never its place in the lease.
-        self.reported_silence.resize(parties.len(), None);
-        for (p, reported) in parties.iter().zip(self.reported_silence.iter_mut()) {
-            // `None` means the endpoint does not track peer contact at
-            // all (SSH/TCP endpoints, test instruments) — not "silent
-            // since the epoch" — so it never times out. Detecting a peer
-            // that was *never* reached is the caller's job.
-            let Some(heard) = p.endpoint.last_heard() else {
-                continue;
-            };
-            let silent_for = now.saturating_sub(heard);
-            if silent_for < limit {
-                // Contact is fresh; re-arm for the next episode.
-                *reported = None;
-            } else if *reported != Some(heard) {
-                *reported = Some(heard);
-                events.push(SessionEvent::PeerTimeout {
-                    at: now,
-                    silent_for,
-                });
-            }
-        }
-    }
-}
-
-/// The party receiving on `addr`, if any.
-pub(crate) fn party_at<'a, 'e>(
-    parties: &'a mut [Party<'e>],
-    addr: Addr,
-) -> Option<&'a mut Party<'e>> {
-    parties.iter_mut().find(|p| p.addr == addr)
 }
 
 /// The single-session driver: a [`ServerHub`] of one — one source, one
