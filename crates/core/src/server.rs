@@ -220,10 +220,14 @@ impl MoshServer {
             self.dirty = true;
         }
 
-        // Terminal replies (DA/DSR) feed back into the application.
-        let answerback = self.transport.current_state_mut().take_answerback();
-        if !answerback.is_empty() {
-            self.host.input(now, &answerback);
+        // Terminal replies (DA/DSR) feed back into the application. Only a
+        // write makes one, so a quiet tick leaves the terminal unborrowed
+        // and the sender's cached comparison standing.
+        if self.dirty {
+            let answerback = self.transport.current_state_mut().take_answerback();
+            if !answerback.is_empty() {
+                self.host.input(now, &answerback);
+            }
         }
 
         // Echo ack: keystrokes presented >= 50 ms ago (or already echoed —

@@ -183,6 +183,11 @@ pub struct Sender<S: SyncState> {
     /// content (their bytes were lost with a crash); any diff sourced
     /// from one must be a self-contained [`SyncState::full_diff`].
     resync_base: Option<u64>,
+    /// Whether `current` differs from the newest sent state, while that
+    /// is known (`None`: unknown). [`Sender::commit`] computes it; a send
+    /// or a crash resync makes it `Some(false)`; every mutation of
+    /// `current`, or of the sent states it is compared with, clears it.
+    differs: Option<bool>,
     stats: SenderStats,
 }
 
@@ -205,6 +210,7 @@ impl<S: SyncState> Sender<S> {
             sent_anything: false,
             accept_future_acks: false,
             resync_base: None,
+            differs: Some(false),
             stats: SenderStats::default(),
         }
     }
@@ -250,6 +256,7 @@ impl<S: SyncState> Sender<S> {
             // than the peer's view; future acks are then legitimate.
             accept_future_acks: true,
             resync_base: None,
+            differs: None,
             stats: SenderStats {
                 data: r.varint()?,
                 retransmits: r.varint()?,
@@ -307,19 +314,46 @@ impl<S: SyncState> Sender<S> {
     /// Mosh server's terminal, the client's input stream). After mutating,
     /// call [`Sender::commit`] before the next [`Sender::tick`] so the
     /// collection-interval clock sees the divergence.
+    ///
+    /// Forgets the cached answer to "does the current state differ from
+    /// the newest sent one?": until the next [`Sender::commit`] or send,
+    /// every [`Sender::pending_data`] compares afresh.
     pub fn current_mut(&mut self) -> &mut S {
+        self.differs = None;
         &mut self.current
     }
 
     /// Re-evaluates the current state against the last sent snapshot (the
     /// tail of [`Sender::set_current`]): starts the collection-interval
     /// clock at the first divergence, cancels it when the state reverted.
+    /// This is the one [`SyncState::equivalent`] a mutation costs: the
+    /// answer is cached for [`Sender::pending_data`], [`Sender::tick`] and
+    /// [`Sender::next_wakeup`] until the next mutation.
     pub fn commit(&mut self, now: Millis) {
-        let back = &self.sent_states.last().expect("never empty").state;
-        if self.current.equivalent(back) {
+        let differs = self.compare();
+        self.differs = Some(differs);
+        if !differs {
             self.mindelay_clock = None;
         } else if self.mindelay_clock.is_none() {
             self.mindelay_clock = Some(now);
+        }
+    }
+
+    /// True if `current` differs from the newest sent state, compared
+    /// afresh.
+    fn compare(&self) -> bool {
+        let back = &self.sent_states.last().expect("never empty").state;
+        !self.current.equivalent(back)
+    }
+
+    /// [`Self::compare`], answered from the cache when it is known.
+    fn differs(&self) -> bool {
+        match self.differs {
+            Some(differs) => {
+                debug_assert_eq!(differs, self.compare(), "stale cached comparison");
+                differs
+            }
+            None => self.compare(),
         }
     }
 
@@ -350,6 +384,7 @@ impl<S: SyncState> Sender<S> {
                 state: self.current.clone(),
             }];
             self.resync_base = Some(ack_num);
+            self.differs = Some(false);
             return;
         }
         let Some(pos) = self.sent_states.iter().position(|s| s.num == ack_num) else {
@@ -367,6 +402,7 @@ impl<S: SyncState> Sender<S> {
         if !S::SUBTRACTS {
             return;
         }
+        self.differs = None;
         self.current.subtract(&self.sent_states[0].state);
         subtract_oldest(&mut self.sent_states);
     }
@@ -375,12 +411,15 @@ impl<S: SyncState> Sender<S> {
     /// is pending, the latest "sent" state is the adopted one whose
     /// receiver-side content is unknown — a full frame must still go out
     /// even though its recorded content equals `current`.
+    ///
+    /// Otherwise this reads the answer [`Sender::commit`] or the last send
+    /// cached, and calls [`SyncState::equivalent`] only when a mutation
+    /// ([`Sender::current_mut`], or an ack that reclaims history) has
+    /// cleared it since. Debug builds check a cached answer against a
+    /// fresh compare.
     pub fn pending_data(&self) -> bool {
         let back = self.sent_states.last().expect("never empty");
-        if self.resync_base.is_some_and(|b| back.num <= b) {
-            return true;
-        }
-        !self.current.equivalent(&back.state)
+        self.resync_base.is_some_and(|b| back.num <= b) || self.differs()
     }
 
     /// The one scheduling rule: when each kind of transmission falls due.
@@ -446,7 +485,7 @@ impl<S: SyncState> Sender<S> {
         // A due frame (new data or a retransmission) wins over a due ack:
         // it carries the ack along.
         if due.frame.is_some_and(|t| now >= t) {
-            return Some(self.send_data(now, rto));
+            return Some(self.send_data(now, rto, pending));
         }
         if due.ack.is_some_and(|t| now >= t) {
             let kind = if self.ack_pending {
@@ -483,7 +522,10 @@ impl<S: SyncState> Sender<S> {
         idx
     }
 
-    fn send_data(&mut self, now: Millis, rto: Millis) -> Outgoing {
+    /// Ships a frame: the current state as a new numbered state when it is
+    /// `pending` ([`Sender::pending_data`]), else a retransmission of the
+    /// newest sent state, which equals it.
+    fn send_data(&mut self, now: Millis, rto: Millis, pending: bool) -> Outgoing {
         let assumed = self.assumed_receiver_index(now, rto);
         let source = &self.sent_states[assumed];
         let old_num = source.num;
@@ -497,8 +539,7 @@ impl<S: SyncState> Sender<S> {
         };
 
         let back = self.sent_states.last_mut().expect("never empty");
-        let back_unknown = self.resync_base.is_some_and(|b| back.num <= b);
-        let (new_num, kind) = if !back_unknown && self.current.equivalent(&back.state) {
+        let (new_num, kind) = if !pending {
             // Retransmission: same target state, refreshed timestamp.
             back.timestamp = now;
             self.stats.retransmits += 1;
@@ -524,6 +565,8 @@ impl<S: SyncState> Sender<S> {
             self.stats.piggybacked_acks += 1;
         }
         self.sent_anything = true;
+        // The newest sent state now holds `current`.
+        self.differs = Some(false);
         self.mindelay_clock = None;
         self.ack_pending = false;
         self.next_ack_time = now + HEARTBEAT_DURATION;
@@ -541,6 +584,7 @@ impl<S: SyncState> Sender<S> {
 mod tests {
     use super::*;
     use crate::state::BlobState;
+    use proptest::prelude::*;
 
     fn blob(s: &[u8]) -> BlobState {
         BlobState(s.to_vec())
@@ -899,5 +943,158 @@ mod tests {
         let out = s.tick(1060, SRTT, RTO).expect("second frame");
         assert_eq!(out.old_num, 1);
         assert_eq!(out.new_num, 2);
+    }
+
+    thread_local! {
+        static EQUIVALENT_CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
+
+    /// `Counted::equivalent` calls made on this thread so far.
+    fn equivalent_calls() -> u32 {
+        EQUIVALENT_CALLS.with(|c| c.get())
+    }
+
+    /// A one-byte state that counts its `equivalent` calls.
+    #[derive(Debug, Clone)]
+    struct Counted(u8);
+
+    impl SyncState for Counted {
+        fn diff_from(&self, _source: &Self) -> Vec<u8> {
+            vec![self.0]
+        }
+
+        fn apply_diff(&mut self, diff: &[u8]) -> Result<(), crate::state::StateError> {
+            self.0 = *diff.first().ok_or(crate::state::StateError::Malformed)?;
+            Ok(())
+        }
+
+        fn full_diff(&self) -> Vec<u8> {
+            vec![self.0]
+        }
+
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.push(self.0);
+        }
+
+        fn decode(r: &mut Reader<'_>) -> Option<Self> {
+            r.byte().map(Counted)
+        }
+
+        fn equivalent(&self, other: &Self) -> bool {
+            EQUIVALENT_CALLS.with(|c| c.set(c.get() + 1));
+            self.0 == other.0
+        }
+    }
+
+    #[test]
+    fn equivalent_runs_once_per_mutation() {
+        // A cached answer costs no compare in a release build; a debug
+        // build checks each one against a fresh compare.
+        let check = u32::from(cfg!(debug_assertions));
+        let mut s = Sender::new(Counted(0));
+        s.current_mut().0 = 1;
+        s.commit(1000);
+        assert_eq!(equivalent_calls(), 1, "commit compares once");
+        for _ in 0..10 {
+            assert!(s.pending_data());
+            assert_eq!(s.next_wakeup(SRTT, RTO), Some(1000 + SEND_MINDELAY));
+        }
+        assert_eq!(equivalent_calls(), 1 + 20 * check, "reads hit the cache");
+
+        let before = equivalent_calls();
+        assert_eq!(s.tick(1004, SRTT, RTO), None, "collecting");
+        let out = s.tick(1000 + SEND_MINDELAY, SRTT, RTO).expect("data");
+        assert_eq!(out.kind, SendKind::Data);
+        assert_eq!(
+            equivalent_calls() - before,
+            2 * check,
+            "ticks read the cache"
+        );
+
+        // The send leaves the answer known: nothing is pending.
+        let before = equivalent_calls();
+        assert!(!s.pending_data());
+        assert!(s.next_wakeup(SRTT, RTO).is_some());
+        assert_eq!(equivalent_calls() - before, 2 * check);
+
+        // A borrow forgets the answer: each read compares until a commit.
+        s.current_mut().0 = 2;
+        let before = equivalent_calls();
+        assert!(s.pending_data());
+        assert!(s.pending_data());
+        assert_eq!(equivalent_calls() - before, 2);
+        s.commit(1100);
+        assert!(s.pending_data());
+        assert_eq!(equivalent_calls() - before, 3 + check);
+    }
+
+    /// One step of [`cached_comparison_agrees_with_a_fresh_one`].
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// [`Sender::set_current`] to a blob.
+        Set(Vec<u8>),
+        /// A blob written through [`Sender::current_mut`], committed or not.
+        Mutate(Vec<u8>, bool),
+        /// [`Sender::tick`] this many milliseconds on.
+        Tick(u64),
+        /// [`Sender::handle_ack`] of the newest sent number plus this much:
+        /// stale below 0, current at 0, future above.
+        Ack(i64),
+        /// An [`Sender::encode_into`]/[`Sender::decode`] round trip, which
+        /// lets a future ack start a crash resync.
+        Restore,
+    }
+
+    fn small_blob() -> impl Strategy<Value = Vec<u8>> {
+        // Two symbols, up to two long: equal states come up often.
+        proptest::collection::vec(0u8..2, 0..3)
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            small_blob().prop_map(Step::Set),
+            (small_blob(), any::<bool>()).prop_map(|(b, commit)| Step::Mutate(b, commit)),
+            (0u64..700).prop_map(Step::Tick),
+            (-3i64..4).prop_map(Step::Ack),
+            Just(Step::Restore),
+        ]
+    }
+
+    proptest! {
+        /// After any interleaving of mutations, commits, ticks, acks and
+        /// restores, `pending_data` (and the cached answer behind it, when
+        /// one is held) equals a comparison made without the cache.
+        #[test]
+        fn cached_comparison_agrees_with_a_fresh_one(
+            first in small_blob(),
+            steps in proptest::collection::vec(step(), 1..60),
+        ) {
+            let mut s = Sender::new(BlobState(first));
+            let mut now = 1000;
+            for step in steps {
+                match step.clone() {
+                    Step::Set(b) => s.set_current(BlobState(b), now),
+                    Step::Mutate(b, commit) => {
+                        s.current_mut().0 = b;
+                        if commit {
+                            s.commit(now);
+                        }
+                    }
+                    Step::Tick(dt) => {
+                        now += dt;
+                        s.tick(now, SRTT, RTO);
+                    }
+                    Step::Ack(d) => s.handle_ack(s.latest_sent_num().saturating_add_signed(d)),
+                    Step::Restore => s = via_snapshot(&s),
+                }
+                let back = s.sent_states.last().expect("never empty");
+                let fresh = !s.current.equivalent(&back.state);
+                let resync = s.resync_base.is_some_and(|b| back.num <= b);
+                if let Some(cached) = s.differs {
+                    prop_assert_eq!(cached, fresh, "cached answer after {:?}", step);
+                }
+                prop_assert_eq!(s.pending_data(), resync || fresh, "after {:?}", step);
+            }
+        }
     }
 }

@@ -203,13 +203,16 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
     /// callers whose authoritative object lives *inside* the sender
     /// (mutated in place, never cloned per change). Pair every mutation
     /// with a [`Transport::commit_current`] before the next
-    /// [`Transport::tick`].
+    /// [`Transport::tick`]. Borrowing clears the sender's cached answer to
+    /// "anything to send?" (see [`Sender::current_mut`]), so borrow only to
+    /// mutate.
     pub fn current_state_mut(&mut self) -> &mut L {
         self.sender.current_mut()
     }
 
     /// Re-evaluates the current state against the last sent snapshot
-    /// after in-place mutation (see [`Transport::current_state_mut`]).
+    /// after in-place mutation (see [`Transport::current_state_mut`]), and
+    /// caches the answer until the next mutation (see [`Sender::commit`]).
     pub fn commit_current(&mut self, now: Millis) {
         self.sender.commit(now);
     }
@@ -223,7 +226,8 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
     /// (mutable, for in-place updates) and the newest state received
     /// from the peer. Lets an endpoint apply remote events to its local
     /// object without cloning either — the Mosh server iterates the
-    /// remote user stream while mutating its terminal in place.
+    /// remote user stream while mutating its terminal in place. Like
+    /// [`Transport::current_state_mut`], it clears the cached answer.
     pub fn split_states(&mut self) -> (&mut L, &R) {
         (self.sender.current_mut(), self.receiver.latest())
     }

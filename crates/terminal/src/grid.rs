@@ -4,8 +4,10 @@
 //! storage, so cloning a framebuffer — which the sender does for every
 //! shipped state — is O(rows) pointer bumps. Storage is written in place
 //! only while no other handle holds it, so rows that share storage
-//! ([`Row::same_data`]) hold the same cells and the display differ skips
-//! them unread.
+//! ([`Row::same_data`]) hold the same cells: the display differ skips
+//! them unread, and row equality answers "equal" for them at once, so
+//! comparing a frame with a clone of itself costs one pointer compare per
+//! row. Rows that share no storage still compare cell by cell.
 //!
 //! A scroll discards the row it pushes out of its region (the top row of
 //! the screen on a full-screen scroll) and builds its blank row in that
@@ -158,13 +160,15 @@ fn read_runs(r: &mut Reader<'_>, width: usize, mut run: impl FnMut(usize, Cell))
     Some(())
 }
 
-/// Row equality is *content* equality: frames that share no storage — a
-/// client applying diffs versus the server that generated them — must
-/// still compare equal. It compares the cells, never the handles: `==` on
-/// two `Arc`s short-cuts on a shared pointer.
+/// Row equality is *content* equality, answered by identity first: rows
+/// that share storage hold the same cells (storage is written only while
+/// unshared), so they compare equal without reading a cell. Rows that do
+/// not — a client applying diffs versus the server that generated them, or
+/// a cell written and put back — compare their cells, so frames from
+/// different lineages still compare equal.
 impl PartialEq for Row {
     fn eq(&self, other: &Self) -> bool {
-        *self.data == *other.data
+        Row::same_data(self, other) || self.cells() == other.cells()
     }
 }
 
