@@ -29,7 +29,9 @@
 //! [`crate::session::SessionLoop`] is a `ServerHub` with one source and
 //! one lease. What the hub keeps for a session between pumps — its
 //! source, its wheel generation, its peer-silence episodes, its
-//! checkpoint cadence — lives in one slot, indexed by the session's id,
+//! checkpoint cadence, its lease stamp (its place in the lease slice and
+//! the number of the pump that leased it) — lives in one slot, indexed
+//! by the session's id,
 //! and each simulated session lives in its own discrete-event world, so
 //! a hub driving N sessions produces
 //! **byte-identical per-session wire transcripts** to N hubs of one
@@ -78,6 +80,11 @@ struct Slot {
     /// Crash-recovery bookkeeping, read while the hub checkpoints (see
     /// [`ServerHub::enable_checkpointing`]).
     ckpt: CkptState,
+    /// The lease stamp: this session's index in the lease slice of pump
+    /// number `leased_in` — meaningless unless that is the current pump
+    /// (see [`ServerHub::lease_of`]).
+    lease: usize,
+    leased_in: u64,
 }
 
 impl Slot {
@@ -91,6 +98,8 @@ impl Slot {
             wakeup: 0,
             live: false,
             ckpt: CkptState::default(),
+            lease: 0,
+            leased_in: 0,
         }
     }
 
@@ -145,8 +154,9 @@ struct CkptState {
     last_marker: Option<(u64, u64)>,
 }
 
-/// Buffers one [`ServerHub::pump`] reuses across its wakeups, so the
-/// event loop allocates per pump, not per wakeup or per datagram.
+/// Buffers [`ServerHub::pump`] reuses across its wakeups and across
+/// pumps, so a warm event loop allocates nothing per lease, wakeup or
+/// datagram.
 #[derive(Default)]
 struct PumpScratch {
     /// Leases to re-tick after this wakeup's deliveries, and the same set
@@ -156,8 +166,10 @@ struct PumpScratch {
     /// Leases whose endpoint code panicked this pump: cut off until it
     /// ends (see [`ServerHub::contain`]).
     cut: Vec<bool>,
-    /// [`ServerHub::route`]'s candidates for one datagram, in the order
-    /// it probes them.
+    /// [`ServerHub::route`]'s candidates for one datagram, in lease
+    /// order.
+    cands: Vec<usize>,
+    /// The same candidates, in the order it probes them.
     probes: Vec<usize>,
     /// What the pump returns, and one endpoint call's events on the way.
     events: Vec<(SessionId, SessionEvent)>,
@@ -165,6 +177,14 @@ struct PumpScratch {
 }
 
 impl PumpScratch {
+    /// Readies the per-lease flags for a pump of `leases` leases.
+    fn reset(&mut self, leases: usize) {
+        for flags in [&mut self.is_woken, &mut self.cut] {
+            flags.clear();
+            flags.resize(leases, false);
+        }
+    }
+
     fn wake(&mut self, lease: usize) {
         if !std::mem::replace(&mut self.is_woken[lease], true) {
             self.woken.push(lease);
@@ -188,6 +208,18 @@ pub struct ServerHub<P: Poller> {
     /// fallback — never trusted on its own when addresses are ambiguous —
     /// and evicted when a session is removed.
     routes: HashMap<(Token, Addr), Vec<SessionId>>,
+    /// Each source's registered sessions in id order, indexed by token:
+    /// [`ServerHub::route`]'s candidates, read against the live lease.
+    on_token: Vec<Vec<SessionId>>,
+    /// Sessions removed since the last pump started: they leave
+    /// `on_token` when the next one starts, so a lease a crash removes
+    /// mid-pump keeps its candidacy until its pump ends, and its traffic
+    /// stays dropped rather than rerouted.
+    leaving: Vec<SessionId>,
+    /// The number of the current (or last) pump, which stamps its leases.
+    pump_no: u64,
+    /// The buffers every pump reuses, taken out of the hub while one runs.
+    scratch: PumpScratch,
     stats: HubStats,
     /// Per-source unclaimed-datagram hooks (see
     /// [`ServerHub::set_unclaimed`]). A hooked token is a
@@ -213,6 +245,10 @@ impl<P: Poller> ServerHub<P> {
             live_sessions: 0,
             wheel: BinaryHeap::new(),
             routes: HashMap::new(),
+            on_token: Vec::new(),
+            leaving: Vec::new(),
+            pump_no: 0,
+            scratch: PumpScratch::default(),
             stats: HubStats::default(),
             unclaimed: Vec::new(),
             checkpoints: None,
@@ -280,6 +316,10 @@ impl<P: Poller> ServerHub<P> {
         self.slots.resize_with(sid.0 + 1, || Slot::new(token));
         self.slots[sid.0].live = true;
         self.live_sessions += 1;
+        if self.on_token.len() <= token.0 {
+            self.on_token.resize_with(token.0 + 1, Vec::new);
+        }
+        self.on_token[token.0].push(sid);
     }
 
     /// Retires a session for good (the user logged out, the session
@@ -310,6 +350,7 @@ impl<P: Poller> ServerHub<P> {
             }
             !sids.is_empty()
         });
+        self.leaving.push(sid);
     }
 
     /// Configures a session's peer-silence timeout (see
@@ -388,6 +429,13 @@ impl<P: Poller> ServerHub<P> {
     /// anywhere else — the poller, the wheel, the routing — unwinds the
     /// caller.
     pub fn pump(&mut self, sessions: &mut [HubSession<'_, '_>]) -> Vec<(SessionId, SessionEvent)> {
+        while let Some(sid) = self.leaving.pop() {
+            let listed = &mut self.on_token[self.slots[sid.0].token.0];
+            if let Ok(k) = listed.binary_search(&sid) {
+                listed.remove(k);
+            }
+        }
+        self.pump_no += 1;
         if sessions.is_empty() && !self.unclaimed.is_empty() {
             // A zero-length wait marks each shared source ready, since
             // the poller only drains sources it has waited on.
@@ -401,29 +449,22 @@ impl<P: Poller> ServerHub<P> {
             }
             return Vec::new();
         }
-        let mut ps = PumpScratch {
-            is_woken: vec![false; sessions.len()],
-            cut: vec![false; sessions.len()],
-            ..PumpScratch::default()
-        };
-
-        // Where each leased session sits in `sessions`, and which leases
-        // claim each (token, receive address): rebuilt per pump because
-        // the caller may re-address parties between pumps (roaming).
-        let mut pos: HashMap<SessionId, usize> = HashMap::new();
-        let mut to_index: HashMap<(Token, Addr), Vec<usize>> = HashMap::new();
+        // Stamp each lease's position into its slot. Routing reads the
+        // parties' addresses off the live lease, so a party re-addressed
+        // between pumps (roaming) needs no index of its own.
         for (i, s) in sessions.iter().enumerate() {
-            assert!(self.slots[s.id.0].live, "session {:?} was removed", s.id);
-            let prev = pos.insert(s.id, i);
-            assert!(prev.is_none(), "session {:?} leased twice", s.id);
-            let tok = self.slots[s.id.0].token;
-            for p in s.parties.iter() {
-                let entry = to_index.entry((tok, p.addr)).or_default();
-                if !entry.contains(&i) {
-                    entry.push(i);
-                }
-            }
+            let slot = &mut self.slots[s.id.0];
+            assert!(slot.live, "session {:?} was removed", s.id);
+            assert!(
+                slot.leased_in != self.pump_no,
+                "session {:?} leased twice",
+                s.id
+            );
+            slot.lease = i;
+            slot.leased_in = self.pump_no;
         }
+        let mut ps = std::mem::take(&mut self.scratch);
+        ps.reset(sessions.len());
 
         // Opening round: every session that has not reached its target is
         // re-armed at its current now, and ticked first if it is due. The
@@ -452,7 +493,7 @@ impl<P: Poller> ServerHub<P> {
         // The event loop: always wake the earliest-due session, route
         // whatever arrived anywhere, re-arm everyone it woke.
         while let Some((due, sid)) = self.pop_due() {
-            let Some(&i) = pos.get(&sid) else {
+            let Some(i) = self.lease_of(sid) else {
                 // The wheel entry of a session left out of this pump: it
                 // stays parked (this pump drops the entry; the session's
                 // next pump re-arms it).
@@ -467,7 +508,7 @@ impl<P: Poller> ServerHub<P> {
             // against the hints every earlier datagram left behind.
             while let Some((t2, dg)) = self.poller.poll_any() {
                 let at = self.poller.now(t2);
-                match self.route(t2, &dg, at, sessions, &to_index, &mut ps) {
+                match self.route(t2, &dg, at, sessions, &mut ps) {
                     // Routed to a lease cut off earlier in this pump.
                     Some((j, _)) if ps.cut[j] => self.stats.dropped += 1,
                     Some((j, opened)) => {
@@ -516,7 +557,16 @@ impl<P: Poller> ServerHub<P> {
             }
             ps.woken.clear();
         }
-        ps.events
+        let events = std::mem::take(&mut ps.events);
+        self.scratch = ps;
+        events
+    }
+
+    /// Where `sid` sits in the current pump's lease slice, if this pump
+    /// leased it.
+    fn lease_of(&self, sid: SessionId) -> Option<usize> {
+        let slot = &self.slots[sid.0];
+        (slot.leased_in == self.pump_no).then_some(slot.lease)
     }
 
     /// Runs `call` — one call into lease `i`'s endpoint code, at its
@@ -728,21 +778,32 @@ impl<P: Poller> ServerHub<P> {
     ///    candidate. No candidate authenticates → unclaimed: bounced to
     ///    the distributor when the source has a hook, dropped otherwise.
     ///
-    /// A lease cut off this pump is never probed: a datagram on a private
-    /// source with it as the only candidate is routed to it all the same,
-    /// and `pump` drops it; otherwise only the live candidates can claim.
+    /// The candidates are the leases of `tok`'s sessions with a party
+    /// receiving on `to`, read off the live leases: a private source has
+    /// one session, so its fast path is a slot read. A lease cut off this
+    /// pump is never probed: a datagram on a private source with it as
+    /// the only candidate is routed to it all the same, and `pump` drops
+    /// it; otherwise only the live candidates can claim.
     fn route(
         &mut self,
         tok: Token,
         dg: &Datagram,
         at: Millis,
         sessions: &mut [HubSession<'_, '_>],
-        to_index: &HashMap<(Token, Addr), Vec<usize>>,
         ps: &mut PumpScratch,
     ) -> Option<(usize, Option<Opened>)> {
-        let cands = to_index.get(&(tok, dg.to))?;
-        if cands.len() == 1 && !self.is_shared(tok) {
-            return Some((cands[0], None));
+        ps.cands.clear();
+        for &sid in self.on_token.get(tok.0)? {
+            if let Some(j) = self.lease_of(sid) {
+                if sessions[j].parties.iter().any(|p| p.addr == dg.to) {
+                    ps.cands.push(j);
+                }
+            }
+        }
+        match ps.cands[..] {
+            [] => return None,
+            [j] if !self.is_shared(tok) => return Some((j, None)),
+            _ => ps.cands.sort_unstable(),
         }
 
         // Hinted candidates first (sessions that previously authenticated
@@ -751,11 +812,12 @@ impl<P: Poller> ServerHub<P> {
         if let Some(sids) = self.routes.get(&(tok, dg.from)) {
             ps.probes.extend(
                 sids.iter()
-                    .filter_map(|sid| cands.iter().copied().find(|&j| sessions[j].id == *sid)),
+                    .filter_map(|&sid| self.lease_of(sid))
+                    .filter(|j| ps.cands.contains(j)),
             );
         }
         let hinted = ps.probes.len();
-        for &j in cands {
+        for &j in &ps.cands {
             if !ps.probes[..hinted].contains(&j) {
                 ps.probes.push(j);
             }
@@ -927,11 +989,13 @@ mod tests {
 
     /// A test endpoint that records when it is ticked and received on,
     /// and wants a tick at `at` (or, with `every_ms`, reports `now + 1`
-    /// and acts every millisecond — `BulkSender`'s shape).
+    /// and acts every millisecond — `BulkSender`'s shape). With `crashes`
+    /// its first tick panics.
     #[derive(Default)]
     struct Recorder {
         at: Option<Millis>,
         every_ms: bool,
+        crashes: bool,
         ticks: Vec<Millis>,
         received: Vec<Millis>,
     }
@@ -942,6 +1006,7 @@ mod tests {
         }
 
         fn tick(&mut self, now: Millis, _: &mut Vec<(Addr, Vec<u8>)>, _: &mut Vec<SessionEvent>) {
+            assert!(!self.crashes, "injected endpoint panic");
             self.ticks.push(now);
         }
 
@@ -1017,6 +1082,168 @@ mod tests {
         assert_eq!(whole, (0..30).collect::<Vec<Millis>>());
         assert_eq!(run(&[10, 20, 30]), whole);
         assert_eq!(run(&[1, 2, 7, 8, 29, 30]), whole);
+    }
+
+    #[test]
+    #[should_panic(expected = "leased twice")]
+    fn leasing_one_session_twice_in_one_pump_panics() {
+        let mut hub = ServerHub::new(SimPoller::new());
+        let tok = hub.poller_mut().add(sim_world(1));
+        let sid = hub.add_session(tok);
+        let mut recorders = [Recorder::default(), Recorder::default()];
+        pump_recorders(&mut hub, &[sid, sid], &mut recorders, &[S, S], &[100, 100]);
+    }
+
+    #[test]
+    fn a_session_left_out_of_a_pump_stays_parked_and_its_stale_lease_routes_nothing() {
+        let mut hub = ServerHub::new(SimPoller::new());
+        let ta = hub.poller_mut().add(sim_world(1));
+        let tb = hub.poller_mut().add(sim_world(2));
+        let sids = [hub.add_session(ta), hub.add_session(tb)];
+        let mut recorders = [Recorder::default(), Recorder::default()];
+        // Pump k leases a at index 0 and b at index 1, both on S.
+        pump_recorders(&mut hub, &sids, &mut recorders, &[S, S], &[100, 100]);
+
+        // A datagram for a reaches its world while a is left out...
+        let net = hub.poller_mut().channel_mut(ta).network_mut();
+        net.send(C, S, b"for a".to_vec());
+        net.advance_to(150);
+        // ...of pump k + 1, which leases b alone, at the index a's stale
+        // stamp names.
+        pump_recorders(&mut hub, &sids[1..], &mut recorders[1..], &[S], &[200]);
+
+        let [a, b] = &recorders;
+        assert!(b.received.is_empty(), "routed by a stale stamp");
+        assert!(a.received.is_empty() && a.ticks == [0], "a was parked");
+        assert_eq!((hub.stats().delivered, hub.stats().dropped), (0, 1));
+        assert_eq!((hub.now(sids[0]), hub.now(sids[1])), (150, 200));
+    }
+
+    #[test]
+    fn a_lease_a_crash_removes_stays_a_candidate_until_its_pump_ends() {
+        // Two sessions behind S on one world, no checkpoints: the first
+        // crashes in its opening tick, which removes it, and a datagram
+        // for S arrives 1 ms later in the same pump.
+        let mut hub = ServerHub::new(SimPoller::new());
+        let tok = hub.poller_mut().add(sim_world(1));
+        let sids = [hub.add_session(tok), hub.add_session(tok)];
+        let net = hub.poller_mut().channel_mut(tok).network_mut();
+        net.send(C, S, b"for either".to_vec());
+        let mut recorders = [
+            Recorder {
+                crashes: true,
+                ..Recorder::default()
+            },
+            Recorder::default(),
+        ];
+        pump_recorders(&mut hub, &sids, &mut recorders, &[S, S], &[100, 100]);
+
+        // Two candidates still, so authentication decides, and the
+        // survivor authenticates nothing: it is never handed the wire
+        // as the lone candidate.
+        assert_eq!(hub.session_count(), 1);
+        assert!(recorders[1].received.is_empty(), "fed to the survivor");
+        assert_eq!((hub.stats().delivered, hub.stats().dropped), (0, 1));
+    }
+
+    #[test]
+    fn a_party_readdressed_between_pumps_is_routed_at_its_new_address() {
+        const S2: Addr = Addr::new(2, 60002);
+        let mut net = Network::new(LinkConfig::lan(), LinkConfig::lan(), 1);
+        net.register(C, Side::Client);
+        net.register(S, Side::Server);
+        net.register(S2, Side::Server);
+        let mut hub = ServerHub::new(SimPoller::new());
+        let tok = hub.poller_mut().add(SimChannel::new(net));
+        let sid = hub.add_session(tok);
+        let mut recorder = [Recorder::default()];
+        pump_recorders(&mut hub, &[sid], &mut recorder, &[S], &[100]);
+
+        // The party moves from S to S2; one datagram goes to each.
+        let net = hub.poller_mut().channel_mut(tok).network_mut();
+        net.send(C, S2, b"new".to_vec());
+        net.send(C, S, b"old".to_vec());
+        pump_recorders(&mut hub, &[sid], &mut recorder, &[S2], &[200]);
+
+        assert_eq!(recorder[0].received, [101], "delivered at S2");
+        assert_eq!((hub.stats().delivered, hub.stats().dropped), (1, 1));
+    }
+
+    /// Pumps the sessions in `live` (indices into `sids` and `users`) to
+    /// `target`: client `i` on `clients[i]`, every server on `S`.
+    fn pump_pairs(
+        hub: &mut ServerHub<SimPoller>,
+        sids: &[SessionId],
+        users: &mut [(MoshClient, MoshServer)],
+        clients: &[Addr],
+        live: &[usize],
+        target: Millis,
+    ) {
+        let mut leases: Vec<(SessionId, [Party<'_>; 2])> = users
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| live.contains(i))
+            .map(|(i, (c, s))| (sids[i], [Party::new(clients[i], c), Party::new(S, s)]))
+            .collect();
+        let mut sessions: Vec<HubSession<'_, '_>> = leases
+            .iter_mut()
+            .map(|(sid, parties)| HubSession::new(*sid, parties, target))
+            .collect();
+        hub.pump(&mut sessions);
+    }
+
+    #[test]
+    fn removing_sessions_behind_one_source_drops_exactly_their_hints() {
+        // K sessions behind one server address, each client on its own
+        // source: every server-bound datagram is routed by
+        // authentication, and leaves a hint for its source.
+        const K: usize = 4;
+        let clients: Vec<Addr> = (0..K as u32).map(|i| Addr::new(10 + i, 1000)).collect();
+        let mut net = Network::new(LinkConfig::lan(), LinkConfig::lan(), 3);
+        for &c in &clients {
+            net.register(c, Side::Client);
+        }
+        net.register(S, Side::Server);
+        let mut hub = ServerHub::new(SimPoller::new());
+        let tok = hub.poller_mut().add(SimChannel::new(net));
+        let sids: Vec<SessionId> = (0..K).map(|_| hub.add_session(tok)).collect();
+        let mut users: Vec<(MoshClient, MoshServer)> = (1..=K as u8).map(pair).collect();
+        let mut live: Vec<usize> = (0..K).collect();
+        pump_pairs(&mut hub, &sids, &mut users, &clients, &live, 400);
+
+        let mut target = 400;
+        for gone in [2, 0, 3] {
+            hub.remove_session(sids[gone]);
+            live.retain(|&i| i != gone);
+            let mut keys: Vec<(Token, Addr)> = hub.routes.keys().copied().collect();
+            keys.sort();
+            let survivors: Vec<(Token, Addr)> = live.iter().map(|&i| (tok, clients[i])).collect();
+            assert_eq!(keys, survivors, "after removing session {gone}");
+            for &i in &live {
+                assert_eq!(hub.routes[&(tok, clients[i])], [sids[i]]);
+            }
+
+            if live.len() < 2 {
+                break; // a lone session is routed by address, not by hint
+            }
+            // Each survivor types; its hint is probed first, so each
+            // server-bound datagram is opened once, under its own key.
+            for &i in &live {
+                let now = hub.now(sids[i]);
+                users[i].0.keystroke(now, b"x");
+            }
+            let opens = |users: &[(MoshClient, MoshServer)]| -> u64 {
+                users.iter().map(|(_, s)| s.decrypt_count()).sum()
+            };
+            let (opened, routed) = (opens(&users), hub.stats().auth_routed);
+            target += 500;
+            pump_pairs(&mut hub, &sids, &mut users, &clients, &live, target);
+            let routed = hub.stats().auth_routed - routed;
+            assert!(routed >= live.len() as u64, "every survivor was heard");
+            assert_eq!(opens(&users) - opened, routed, "a survivor lost its hint");
+        }
+        hub.remove_session(sids[1]);
+        assert!(hub.routes.is_empty());
     }
 
     #[test]
