@@ -29,8 +29,6 @@ pub struct MoshClient {
     transport: Transport<UserStream, CompleteTerminal>,
     prediction: PredictionEngine,
     server_addr: Addr,
-    /// Numbers of remote states already reported to the predictor.
-    last_remote_num: u64,
 }
 
 impl MoshClient {
@@ -62,7 +60,6 @@ impl MoshClient {
             transport,
             prediction: PredictionEngine::new(preference),
             server_addr,
-            last_remote_num: 0,
         }
     }
 
@@ -190,8 +187,9 @@ impl MoshClient {
     }
 
     fn after_receive(&mut self, now: Millis, event: ReceiveEvent) {
-        if event.remote_advanced && self.transport.remote_state_num() != self.last_remote_num {
-            self.last_remote_num = self.transport.remote_state_num();
+        // The receiver reports an advance only for a state numbered above
+        // every one before it, so each frame reaches the predictor once.
+        if event.remote_advanced {
             // Split borrows: the predictor reads the new frame in place —
             // no per-frame framebuffer clone.
             let Self {

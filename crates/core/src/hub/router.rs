@@ -44,7 +44,9 @@
 //! hub-wide [`SessionId`] the caller does — its slot there sits at that
 //! index, and each id that lives on another shard leaves a vacant slot
 //! behind, like a removed session's. Leases, events and checkpoints
-//! carry one id all the way down, with no translation.
+//! carry one id all the way down, with no translation. The front end
+//! keeps each id's shard, fixed at accept; whether it lives, only the
+//! shard that removes or closes it says.
 //!
 //! A panicking endpoint costs its **session** alone, inside its shard's
 //! pump (see [`ServerHub::pump`]): the caller restores it in place from
@@ -203,11 +205,9 @@ fn worker_loop(rx: Receiver<Command>, reply: SyncSender<PumpReply>) {
 /// The sharding front end: N worker threads, each a private [`ServerHub`].
 pub struct ShardedHub<P: Poller> {
     shards: Vec<ServerHub<P>>,
-    /// Session id → the shard that owns it, which registered it under
-    /// that same id. `None` is a tombstone: the session was removed, or
-    /// crashed with no checkpoint to restore it from. The mapping never
-    /// changes while the session lives.
-    sessions: Vec<Option<usize>>,
+    /// Session id → the shard that registered it under that same id,
+    /// written at accept and never changed, removed or not.
+    sessions: Vec<usize>,
     /// Accept-time assignment cursor (round-robin).
     next_shard: usize,
     /// The persistent worker pool, spawned on the first threaded pump
@@ -217,9 +217,6 @@ pub struct ShardedHub<P: Poller> {
     /// ([`ShardedHub::over_distributor`]); folded into
     /// [`ShardedHub::stats`] so feed-queue shedding is operator-visible.
     dist_stats: Option<DistributorStatsHandle>,
-    /// The shared checkpoint store, when crash recovery is on (see
-    /// [`ShardedHub::enable_checkpointing`]).
-    checkpoints: Option<CheckpointStore>,
 }
 
 impl<P: Poller> ShardedHub<P> {
@@ -232,7 +229,6 @@ impl<P: Poller> ShardedHub<P> {
             next_shard: 0,
             runtime: None,
             dist_stats: None,
-            checkpoints: None,
         }
     }
 
@@ -281,7 +277,7 @@ impl<P: Poller> ShardedHub<P> {
     /// by exactly one thread; the shard's demux handles the ambiguity
     /// exactly as a single-threaded hub would.
     pub fn add_session_sharing(&mut self, with: SessionId) -> SessionId {
-        let shard = self.location(with).0;
+        let shard = self.location(with);
         let tok = self.shards[shard].token_of(with);
         self.add_session_on(shard, tok)
     }
@@ -292,33 +288,30 @@ impl<P: Poller> ShardedHub<P> {
     pub fn add_session_on(&mut self, shard: usize, tok: Token) -> SessionId {
         let sid = SessionId(self.sessions.len());
         self.shards[shard].add_session_as(tok, sid);
-        self.sessions.push(Some(shard));
+        self.sessions.push(shard);
         sid
     }
 
-    /// The shard a session lives on, and the id it has there — its own.
-    /// Panics for a removed (or closed after a crash) session, like
-    /// leasing one.
-    pub fn location(&self, sid: SessionId) -> (usize, SessionId) {
-        match self.sessions[sid.0] {
-            Some(shard) => (shard, sid),
+    /// The shard a session lives on; its id there is its own. Panics for
+    /// a removed (or closed after a crash) session, like leasing one.
+    pub fn location(&self, sid: SessionId) -> usize {
+        let shard = self.sessions[sid.0];
+        if !self.shards[shard].is_live(sid) {
             // mosh-lint: allow(no-unwrap-hot-path): caller bug — using a retired SessionId, like an out-of-range token
-            None => panic!("session {sid:?} was removed"),
+            panic!("session {sid:?} was removed");
         }
+        shard
     }
 
-    /// Retires a session (see [`ServerHub::remove_session`], which also
-    /// evicts the distributor's source hints for its routes).
+    /// Retires a session, once (see [`ServerHub::remove_session`], which
+    /// also evicts the distributor's source hints for its routes).
     pub fn remove_session(&mut self, sid: SessionId) {
-        let Some(shard) = self.sessions[sid.0].take() else {
-            return; // already removed (idempotent, like the shard's own)
-        };
-        self.shards[shard].remove_session(sid);
+        self.shards[self.sessions[sid.0]].remove_session(sid);
     }
 
     /// Configures a session's peer-silence timeout.
     pub fn set_peer_timeout(&mut self, sid: SessionId, timeout: Option<Millis>) {
-        let shard = self.location(sid).0;
+        let shard = self.location(sid);
         self.shards[shard].set_peer_timeout(sid, timeout);
     }
 
@@ -330,7 +323,7 @@ impl<P: Poller> ShardedHub<P> {
 
     /// Current time on a session's source clock.
     pub fn now(&self, sid: SessionId) -> Millis {
-        self.shards[self.location(sid).0].now(sid)
+        self.shards[self.location(sid)].now(sid)
     }
 
     /// Aggregated counters over all shards and — when the hub answers on
@@ -359,20 +352,14 @@ impl<P: Poller> ShardedHub<P> {
     /// [`ServerHub::enable_checkpointing`]), each under its session id.
     /// A session whose endpoint panics is reported as
     /// [`SessionEvent::Crashed`] with its last checkpoint, to restore in
-    /// place under the same id. Returns a handle to the store (it is
-    /// `Clone`; the hub keeps one).
+    /// place under the same id. Returns the caller's handle to the store
+    /// (it is `Clone`; each shard keeps one to write through).
     pub fn enable_checkpointing(&mut self, cadence: Millis) -> CheckpointStore {
         let store = CheckpointStore::new();
         for shard in &mut self.shards {
             shard.enable_checkpointing(store.clone(), cadence);
         }
-        self.checkpoints = Some(store.clone());
         store
-    }
-
-    /// The shared checkpoint store, when crash recovery is on.
-    pub fn checkpoint_store(&self) -> Option<&CheckpointStore> {
-        self.checkpoints.as_ref()
     }
 }
 
@@ -385,8 +372,8 @@ impl<P: Poller + Send> ShardedHub<P> {
     ///
     /// Per-session semantics are exactly [`ServerHub::pump`]'s; a hub of
     /// one shard pumps inline with no thread at all. A session reported
-    /// [`SessionEvent::Crashed`] with no checkpoint is closed: its id is
-    /// retired like a removed one's.
+    /// [`SessionEvent::Crashed`] with no checkpoint is closed by its
+    /// shard: its id is retired like a removed one's.
     pub fn pump(&mut self, sessions: &mut [HubSession<'_, '_>]) -> Vec<(SessionId, SessionEvent)> {
         self.pump_inner(sessions, None::<fn()>)
     }
@@ -413,46 +400,31 @@ impl<P: Poller + Send> ShardedHub<P> {
         sessions: &mut [HubSession<'_, '_>],
         side: Option<impl FnOnce()>,
     ) -> Vec<(SessionId, SessionEvent)> {
-        // Partition leases by owning shard; each shard knows its sessions
-        // by the same ids, so leases and events pass through untouched.
+        // Partition leases by placement; each shard knows its sessions by
+        // the same ids, so leases and events pass through untouched. A
+        // retired id panics here, before any shard pumps.
         let n = self.shards.len();
         let mut shard_leases: Vec<Vec<HubSession<'_, '_>>> = (0..n).map(|_| Vec::new()).collect();
         for s in sessions.iter_mut() {
-            let shard = self.location(s.id).0;
+            let shard = self.location(s.id);
             shard_leases[shard].push(HubSession::new(s.id, &mut *s.parties, s.target));
         }
 
-        let per_shard = if n == 1 && side.is_none() {
+        if n == 1 && side.is_none() {
             // The inline fast path: no runtime, no thread.
-            vec![self.shards[0].pump(&mut shard_leases[0])]
-        } else {
-            self.pump_on_workers(&mut shard_leases, side)
-        };
-
-        let events: Vec<(SessionId, SessionEvent)> = per_shard.into_iter().flatten().collect();
-        for (sid, ev) in &events {
-            if matches!(
-                ev,
-                SessionEvent::Crashed {
-                    checkpoint: None,
-                    ..
-                }
-            ) {
-                // The shard closed the session; retire its id.
-                self.sessions[sid.0] = None;
-            }
+            return self.shards[0].pump(&mut shard_leases[0]);
         }
-        events
+        self.pump_on_workers(&mut shard_leases, side)
     }
 
     /// Pumps each shard's leases on its persistent worker (spawned on
-    /// first use) while `side` runs on this thread, returning each
-    /// shard's events in shard order.
+    /// first use) while `side` runs on this thread, returning the
+    /// shards' events in shard order.
     fn pump_on_workers(
         &mut self,
         shard_leases: &mut [Vec<HubSession<'_, '_>>],
         side: Option<impl FnOnce()>,
-    ) -> Vec<Vec<(SessionId, SessionEvent)>> {
+    ) -> Vec<(SessionId, SessionEvent)> {
         // The jobs carry type-erased borrows, so restate here what the
         // compiler can no longer see at the channel boundary: everything
         // a worker touches is Send.
@@ -510,7 +482,7 @@ impl<P: Poller + Send> ShardedHub<P> {
         }
         replies
             .into_iter()
-            .map(|reply| reply.unwrap_or_else(|payload| resume_unwind(payload)))
+            .flat_map(|reply| reply.unwrap_or_else(|payload| resume_unwind(payload)))
             .collect()
     }
 }
@@ -610,7 +582,7 @@ mod tests {
             }
             // Round-robin accept spreads sessions over every shard.
             assert_eq!(hub.session_count(), 5);
-            assert!((0..5).all(|i| hub.location(sids[i]).0 == (i % shards)));
+            assert!((0..5).all(|i| hub.location(sids[i]) == (i % shards)));
 
             let mut leases: Vec<Vec<Party<'_>>> = Vec::new();
             for (client, server) in users.iter_mut() {
@@ -807,7 +779,7 @@ mod tests {
             hub.set_peer_timeout(sid, Some(4_000));
         }
         let home = hub.location(victim);
-        let token = hub.shard(home.0).token_of(home.1);
+        let token = hub.shard(home).token_of(victim);
         let mut users: Vec<(Logged<MoshClient>, Logged<MoshServer>)> = (0..3)
             .map(|u| {
                 let (client, server) = pair(70 + u);
@@ -869,7 +841,7 @@ mod tests {
             }
             // In place: the same shard, the same slot, the same source.
             assert_eq!(hub.location(victim), home);
-            assert_eq!(hub.shard(home.0).token_of(home.1), token);
+            assert_eq!(hub.shard(home).token_of(victim), token);
             for ((client, _), key) in users.iter_mut().zip(keys.get(step).into_iter().flatten()) {
                 client.inner.keystroke(target, key);
             }
@@ -920,38 +892,71 @@ mod tests {
 
     /// The inline one-shard path contains a panic like the workers do: a
     /// session with no checkpoint is closed, and the session beside it
-    /// pumps on.
+    /// pumps on. At 1, 2 and 3 shards the closed id is then retired
+    /// everywhere the hub takes one: `location`, `now` and
+    /// `set_peer_timeout` panic, `remove_session` does nothing, it no
+    /// longer counts, and leasing it again panics "was removed" before
+    /// any session pumps.
     #[test]
     fn inline_single_shard_pump_also_contains_the_panic() {
-        let mut hub = ShardedHub::with_shards(1, SimPoller::new);
-        let doomed = hub.add_session(sim_world(4));
-        let healthy = hub.add_session(sim_world(5));
-        let (mut client, mut server) = pair(5);
-        let events = hub.pump(&mut [
-            HubSession::new(doomed, &mut [Party::new(C, &mut PanicEndpoint)], 100),
-            HubSession::new(
-                healthy,
-                &mut [Party::new(C, &mut client), Party::new(S, &mut server)],
-                300,
-            ),
-        ]);
-        let crashes: Vec<&(SessionId, SessionEvent)> = events
-            .iter()
-            .filter(|(_, e)| matches!(e, SessionEvent::Crashed { .. }))
-            .collect();
-        let closed = (
-            doomed,
-            SessionEvent::Crashed {
-                at: 0,
-                checkpoint: None,
-            },
-        );
-        assert_eq!(crashes, [&closed]);
-        assert_eq!(hub.stats().shard_panics, 1);
-        assert_eq!(hub.session_count(), 1, "the doomed session was closed");
-        assert_eq!(client.server_frame().row_text(0), "$");
-        let retired = catch_unwind(AssertUnwindSafe(|| hub.location(doomed)));
-        assert!(retired.is_err(), "a closed session's id is retired");
+        /// True when `call` panics with "was removed".
+        fn removed<R>(call: impl FnOnce() -> R) -> bool {
+            catch_unwind(AssertUnwindSafe(call)).is_err_and(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .is_some_and(|m| m.contains("was removed"))
+            })
+        }
+
+        for shards in [1, 2, 3] {
+            let mut hub = ShardedHub::with_shards(shards, SimPoller::new);
+            let doomed = hub.add_session(sim_world(4));
+            let healthy = hub.add_session(sim_world(5));
+            let (mut client, mut server) = pair(5);
+            let events = hub.pump(&mut [
+                HubSession::new(doomed, &mut [Party::new(C, &mut PanicEndpoint)], 100),
+                HubSession::new(
+                    healthy,
+                    &mut [Party::new(C, &mut client), Party::new(S, &mut server)],
+                    300,
+                ),
+            ]);
+            let crashes: Vec<&(SessionId, SessionEvent)> = events
+                .iter()
+                .filter(|(_, e)| matches!(e, SessionEvent::Crashed { .. }))
+                .collect();
+            let closed = (
+                doomed,
+                SessionEvent::Crashed {
+                    at: 0,
+                    checkpoint: None,
+                },
+            );
+            assert_eq!(crashes, [&closed], "{shards} shards");
+            assert_eq!(hub.stats().shard_panics, 1);
+            assert_eq!(hub.session_count(), 1, "the doomed session was closed");
+            assert_eq!(client.server_frame().row_text(0), "$");
+
+            assert!(removed(|| hub.location(doomed)), "{shards} shards");
+            assert!(removed(|| hub.now(doomed)), "{shards} shards");
+            assert!(removed(|| hub.set_peer_timeout(doomed, Some(1_000))));
+            hub.remove_session(doomed);
+            hub.remove_session(doomed);
+            assert_eq!(hub.session_count(), 1, "{shards} shards");
+            assert_eq!(hub.location(healthy), 1 % shards);
+            assert!(
+                removed(|| hub.pump(&mut [
+                    HubSession::new(
+                        healthy,
+                        &mut [Party::new(C, &mut client), Party::new(S, &mut server)],
+                        400,
+                    ),
+                    HubSession::new(doomed, &mut [Party::new(C, &mut PanicEndpoint)], 400),
+                ])),
+                "{shards} shards: a retired id was leased"
+            );
+            assert_eq!(hub.now(healthy), 300, "{shards} shards: nothing pumped");
+        }
     }
 
     /// A panic outside endpoint code is a hub bug and unwinds the caller
@@ -1109,12 +1114,12 @@ mod tests {
         let mut hub = ShardedHub::with_shards(4, SimPoller::new);
         let first = hub.add_session(sim_world(7));
         let second = hub.add_session_sharing(first);
-        let (shard_a, _) = hub.location(first);
-        let (shard_b, _) = hub.location(second);
+        let shard_a = hub.location(first);
+        let shard_b = hub.location(second);
         assert_eq!(shard_a, shard_b, "one source, one owning thread");
         // And independent sessions still spread out.
         let third = hub.add_session(sim_world(8));
-        assert_ne!(hub.location(third).0, shard_a);
+        assert_ne!(hub.location(third), shard_a);
     }
 
     /// Two crashes on one source in one run: a session with no checkpoint

@@ -75,7 +75,7 @@ struct Slot {
     /// False once removed: retired slots keep only this marker (ids are
     /// positional and never reused). Also false in the vacant slots a
     /// shard keeps for ids that live on other shards of a
-    /// [`super::ShardedHub`].
+    /// [`super::ShardedHub`] (which keeps no copy of this flag).
     live: bool,
     /// Crash-recovery bookkeeping, read while the hub checkpoints (see
     /// [`ServerHub::enable_checkpointing`]).
@@ -357,6 +357,12 @@ impl<P: Poller> ServerHub<P> {
     /// [`SessionEvent::PeerTimeout`]); `None` disables.
     pub fn set_peer_timeout(&mut self, sid: SessionId, timeout: Option<Millis>) {
         self.slots[sid.0].peer_timeout = timeout;
+    }
+
+    /// True while `sid` is registered here and not yet removed (or
+    /// closed after a crash).
+    pub(super) fn is_live(&self, sid: SessionId) -> bool {
+        self.slots[sid.0].live
     }
 
     /// Number of sessions registered and not yet removed.
@@ -741,7 +747,7 @@ impl<P: Poller> ServerHub<P> {
         };
         let framed = snapshot::frame(&body);
         self.stats.checkpoint_bytes += framed.len() as u64;
-        store.put(lease.id.0, framed, marker);
+        store.put(lease.id.0, framed);
         ck.last_marker = Some(marker);
         true
     }

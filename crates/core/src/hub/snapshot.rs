@@ -1,6 +1,7 @@
 //! Versioned, checksummed snapshot framing for hub sessions, plus the
-//! shared [`CheckpointStore`] that crash recovery reads from and the
-//! handoff container that rolling restarts ship between processes.
+//! shared [`CheckpointStore`] that crash recovery reads from (session id
+//! → latest framed snapshot, nothing else) and the handoff container
+//! that rolling restarts ship between processes.
 //!
 //! A [`crate::server::MoshServer`] already knows how to encode and
 //! decode its own body ([`crate::server::MoshServer::encode_snapshot_body`]:
@@ -205,25 +206,18 @@ pub fn resurrect_server(
     Ok(server)
 }
 
-/// One stored checkpoint: the framed snapshot plus the activity marker
-/// it was taken at (used to skip re-checkpointing idle sessions).
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Framed snapshot bytes ([`frame`] output).
-    pub framed: Vec<u8>,
-    /// `(latest_sent_num, remote_state_num)` at checkpoint time.
-    pub marker: (u64, u64),
-}
-
-/// Shared checkpoint storage, keyed by a hub's global session id.
+/// Shared checkpoint storage: each session's latest framed snapshot
+/// ([`frame`] output), keyed by a hub's global session id.
 ///
 /// Shards write into it on their checkpoint cadence, and read a
-/// session's entry back when its endpoint panics. The
-/// store is deliberately dumb — a mutexed map — because checkpointing
-/// is rate-limited by cadence, not by contention.
+/// session's entry back when its endpoint panics. What the cadence needs
+/// to skip an idle session (the activity marker of its last checkpoint)
+/// stays in the hub's slot for that session, not here. The store is
+/// deliberately dumb — a mutexed map — because checkpointing is
+/// rate-limited by cadence, not by contention.
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
-    inner: Arc<Mutex<HashMap<usize, Checkpoint>>>,
+    inner: Arc<Mutex<HashMap<usize, Vec<u8>>>>,
 }
 
 impl CheckpointStore {
@@ -232,22 +226,16 @@ impl CheckpointStore {
         Self::default()
     }
 
-    /// Records (or replaces) the checkpoint for session `key`.
-    pub fn put(&self, key: usize, framed: Vec<u8>, marker: (u64, u64)) {
+    /// Records (or replaces) the framed snapshot for session `key`.
+    pub fn put(&self, key: usize, framed: Vec<u8>) {
         let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.insert(key, Checkpoint { framed, marker });
+        map.insert(key, framed);
     }
 
     /// The latest framed snapshot for `key`, if one was ever taken.
     pub fn get(&self, key: usize) -> Option<Vec<u8>> {
         let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(&key).map(|c| c.framed.clone())
-    }
-
-    /// The activity marker recorded with `key`'s latest checkpoint.
-    pub fn marker(&self, key: usize) -> Option<(u64, u64)> {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(&key).map(|c| c.marker)
+        map.get(&key).cloned()
     }
 
     /// Drops the checkpoint for `key` (session removed from the hub).
@@ -265,12 +253,6 @@ impl CheckpointStore {
     /// True when no checkpoints are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total bytes of framed snapshots currently stored.
-    pub fn total_bytes(&self) -> u64 {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.values().map(|c| c.framed.len() as u64).sum()
     }
 }
 
@@ -434,23 +416,23 @@ mod tests {
     fn checkpoint_store_tracks_len_and_bytes() {
         let store = CheckpointStore::new();
         assert!(store.is_empty());
-        store.put(3, vec![1, 2, 3], (10, 20));
-        store.put(7, vec![4, 5], (1, 2));
+        store.put(3, vec![1, 2, 3]);
+        store.put(7, vec![4, 5]);
         assert_eq!(store.len(), 2);
-        assert_eq!(store.total_bytes(), 5);
         assert_eq!(store.get(3), Some(vec![1, 2, 3]));
-        assert_eq!(store.marker(3), Some((10, 20)));
+        assert_eq!(store.get(7), Some(vec![4, 5]));
         // Replacement, not accumulation.
-        store.put(3, vec![9; 10], (11, 21));
+        store.put(3, vec![9; 10]);
         assert_eq!(store.len(), 2);
-        assert_eq!(store.total_bytes(), 12);
+        assert_eq!(store.get(3), Some(vec![9; 10]));
         store.remove(3);
         assert_eq!(store.get(3), None);
         assert_eq!(store.len(), 1);
         // Clones share the same map.
         let twin = store.clone();
-        twin.put(8, vec![0], (0, 0));
+        twin.put(8, vec![0]);
         assert_eq!(store.len(), 2);
+        assert_eq!(store.get(8), Some(vec![0]));
     }
 
     #[test]

@@ -459,8 +459,8 @@ fn sharded_hub_keeps_the_decrypt_once_bar() {
     let first = hub.add_session(SimChannel::new(net));
     let second = hub.add_session_sharing(first);
     assert_eq!(
-        hub.location(first).0,
-        hub.location(second).0,
+        hub.location(first),
+        hub.location(second),
         "a shared world is owned by exactly one shard"
     );
     let sids = [first, second];
@@ -472,7 +472,7 @@ fn sharded_hub_keeps_the_decrypt_once_bar() {
     extra_net.register(extra_c, Side::Client);
     extra_net.register(S, Side::Server);
     let extra_sid = hub.add_session(SimChannel::new(extra_net));
-    assert_ne!(hub.location(extra_sid).0, hub.location(first).0);
+    assert_ne!(hub.location(extra_sid), hub.location(first));
     let key = Base64Key::from_bytes([0x99; 16]);
     let mut extra_client = MoshClient::new(key.clone(), S, 80, 24, DisplayPreference::Never);
     let mut extra_server = MoshServer::new(key, Box::new(LineShell::new()));

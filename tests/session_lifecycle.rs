@@ -231,7 +231,7 @@ fn crash_run(
         hub.set_peer_timeout(*sid, Some(PEER_TIMEOUT_MS));
     }
     let home = hub.location(sids[victim]);
-    let token = hub.shard(home.0).token_of(home.1);
+    let token = hub.shard(home).token_of(sids[victim]);
     let longest = texts.iter().map(|t| t.len()).max().unwrap_or(0);
     let mut crashes = Vec::new();
     let mut alive: Vec<usize> = (0..texts.len()).collect();
@@ -253,7 +253,7 @@ fn crash_run(
                 Some(framed) => {
                     // In place: the same shard, slot and source.
                     assert_eq!(hub.location(sid), home);
-                    assert_eq!(hub.shard(home.0).token_of(home.1), token);
+                    assert_eq!(hub.shard(home).token_of(sid), token);
                     let restored = snapshot::resurrect_server(&framed, Box::new(LineShell::new()))
                         .expect("stored checkpoint decodes");
                     // Keep the transcript log; swap the endpoint.
@@ -615,8 +615,8 @@ fn cross_process_handoff_is_byte_identical() {
     let channels: Vec<SimChannel> = sids
         .iter()
         .map(|sid| {
-            let (shard, local) = old_hub.location(*sid);
-            let tok = old_hub.shard(shard).token_of(local);
+            let shard = old_hub.location(*sid);
+            let tok = old_hub.shard(shard).token_of(*sid);
             old_hub
                 .shard_mut(shard)
                 .poller_mut()

@@ -299,7 +299,7 @@ proptest! {
         let mut hub = ShardedHub::with_shards(shards, SimPoller::new);
         let a = hub.add_session(world(0, seed));
         let b = hub.add_session(world(1, seed));
-        prop_assert_ne!(hub.location(a).0, hub.location(b).0);
+        prop_assert_ne!(hub.location(a), hub.location(b));
     }
 }
 
@@ -380,7 +380,7 @@ fn shards_share_one_socket_via_distributor() {
     }
     // Round-robin accept really spread the sessions over every shard.
     let shards_used: std::collections::HashSet<usize> =
-        sids.iter().map(|sid| hub.location(*sid).0).collect();
+        sids.iter().map(|sid| hub.location(*sid)).collect();
     assert_eq!(shards_used.len(), SHARDS);
 
     let done = Arc::new(AtomicUsize::new(0));
@@ -491,7 +491,7 @@ fn one_session_per_shard_bounces_wrong_hash_clients() {
         sids.push(hub.add_distributed_session());
         servers.push(MoshServer::new(key(i), Box::new(LineShell::new())));
         // Round-robin accept: session i owns shard i, alone.
-        assert_eq!(hub.location(sids[i]).0, i);
+        assert_eq!(hub.location(sids[i]), i);
     }
 
     let done = Arc::new(AtomicUsize::new(0));
@@ -711,8 +711,8 @@ fn distributor_crash_run(shards: usize) {
     hub.enable_checkpointing(50);
     let sids = [hub.add_distributed_session(), hub.add_distributed_session()];
     let home = hub.location(sids[1]);
-    assert_eq!((hub.location(sids[0]).0, home.0), (0, shards - 1));
-    let token = hub.shard(home.0).token_of(home.1);
+    assert_eq!((hub.location(sids[0]), home), (0, shards - 1));
+    let token = hub.shard(home).token_of(sids[1]);
     let bomb = hub.add_session_sharing(sids[1]);
     for sid in sids {
         hub.set_peer_timeout(sid, Some(1_000));
@@ -808,7 +808,7 @@ fn distributor_crash_run(shards: usize) {
     );
     assert_eq!(hub.session_count(), 2);
     assert_eq!(hub.location(sids[1]), home, "restored in place");
-    assert_eq!(hub.shard(home.0).token_of(home.1), token);
+    assert_eq!(hub.shard(home).token_of(sids[1]), token);
     timeouts.sort();
     assert_eq!(timeouts, sids);
     for (i, server) in servers.iter().enumerate() {
@@ -839,7 +839,7 @@ fn an_unleased_shard_bounces_its_feed_onward() {
     let (mut hub, mut dist) = ShardedHub::over_distributor(socket, 2).expect("distributor");
     let first = hub.add_distributed_session();
     let sids = [first, hub.add_session_sharing(first)];
-    assert!(sids.iter().all(|sid| hub.location(*sid).0 == 0));
+    assert!(sids.iter().all(|sid| hub.location(*sid) == 0));
     let mut servers: Vec<MoshServer> = (0..2)
         .map(|i| MoshServer::new(key(i), Box::new(LineShell::new())))
         .collect();
