@@ -108,6 +108,12 @@ fn fig2_evdo_quick() {
         mispredicted <= 1.5,
         "mispredictions {mispredicted} %:\n{out}"
     );
+    // SSH waits one round trip for every echo: 510 / 510 ms against the
+    // paper's 503 / 515 ms, held within 5 % of each.
+    let ssh_median = printed(&out, "SSH", "median");
+    within("SSH median (ms)", ssh_median, 478.0..=528.0, &out);
+    let ssh_mean = printed(&out, "SSH", "mean");
+    within("SSH mean (ms)", ssh_mean, 489.0..=541.0, &out);
     assert_golden(&out, include_str!("golden/fig2_evdo.txt"));
 }
 
@@ -174,6 +180,12 @@ fn table_lte_quick() {
     // than in the paper (1(d)). Held below the paper's, above 1 s.
     let ssh_median = printed(&out, "SSH", "median");
     within("SSH median (ms)", ssh_median, 1_000.0..=5_360.0, &out);
+    // Mosh mean 687 ms against 1.70 s: the keystrokes that are not shown
+    // at once wait behind the same bulk flow, which keeps the queue only
+    // about a third full (1(d)). Held below the paper's, and above the
+    // tens of ms an empty queue would give.
+    let mosh_mean = printed(&out, "Mosh", "mean");
+    within("Mosh mean (ms)", mosh_mean, 250.0..=1_700.0, &out);
     assert_golden(&out, include_str!("golden/table_lte.txt"));
 }
 
@@ -190,6 +202,12 @@ fn table_singapore_quick() {
     within("instant keystrokes (%)", instant, 65.0..=100.0, &out);
     let mean = printed(&out, "Mosh", "mean");
     within("Mosh mean (ms)", mean, 0.0..=130.0, &out);
+    // SSH waits one round trip for every echo: 279 / 279 ms against the
+    // paper's 273 / 272 ms, held within 5 % of each.
+    let ssh_median = printed(&out, "SSH", "median");
+    within("SSH median (ms)", ssh_median, 259.0..=287.0, &out);
+    let ssh_mean = printed(&out, "SSH", "mean");
+    within("SSH mean (ms)", ssh_mean, 258.0..=286.0, &out);
     assert_golden(&out, include_str!("golden/table_singapore.txt"));
 }
 

@@ -103,8 +103,13 @@ pub struct Network {
     /// Per-destination mailboxes; each datagram carries its global
     /// delivery sequence number so [`Network::poll_any`] can yield strict
     /// delivery order across endpoints while [`Network::recv`] stays an
-    /// O(1) pop (and traffic nobody drains degrades no one else).
+    /// O(1) pop (and traffic nobody drains degrades no one else). Their
+    /// total length is `undrained`.
     mailboxes: HashMap<Addr, VecDeque<(u64, Datagram)>>,
+    /// Delivered datagrams no one has taken yet: each arrival adds one,
+    /// each successful [`Network::recv`] takes one, so an idle network's
+    /// [`Network::poll_any`] answers without looking at a mailbox.
+    undrained: usize,
     delivery_seq: u64,
     events: BinaryHeap<Reverse<Scheduled>>,
     event_seq: u64,
@@ -131,6 +136,7 @@ impl Network {
             ],
             sides: HashMap::new(),
             mailboxes: HashMap::new(),
+            undrained: 0,
             delivery_seq: 0,
             events: BinaryHeap::new(),
             event_seq: 0,
@@ -250,8 +256,12 @@ impl Network {
 
     /// Advances virtual time to `t`, processing every event up to and
     /// including it. Time never moves backwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is earlier than [`Network::now`].
     pub fn advance_to(&mut self, t: Millis) {
-        debug_assert!(t >= self.now, "time must be monotonic");
+        assert!(t >= self.now, "time must be monotonic");
         while let Some(Reverse(entry)) = self.events.peek() {
             if entry.at > t {
                 break;
@@ -274,6 +284,7 @@ impl Network {
                     // sent_at` always holds.
                     dir_stats.total_latency_ms += at.saturating_sub(sent_at);
                     self.delivery_seq += 1;
+                    self.undrained += 1;
                     self.mailboxes
                         .entry(dg.to)
                         .or_default()
@@ -291,16 +302,27 @@ impl Network {
 
     /// Takes the next delivered datagram for an endpoint, if any.
     pub fn recv(&mut self, addr: Addr) -> Option<Datagram> {
-        self.mailboxes.get_mut(&addr)?.pop_front().map(|(_, dg)| dg)
+        let taken = self.mailboxes.get_mut(&addr).and_then(VecDeque::pop_front);
+        if taken.is_some() {
+            self.undrained -= 1;
+        }
+        self.debug_check_undrained();
+        taken.map(|(_, dg)| dg)
     }
 
     /// Takes the next delivered datagram for *any* endpoint, in strict
     /// delivery order across endpoints, together with the receiving
     /// address. Event-driven drivers use this instead of polling
-    /// [`Network::recv`] once per registered address per step. Mailboxes
-    /// hold global sequence numbers, so the minimum-front selection is
-    /// deterministic (sequence numbers are unique) and O(#endpoints).
+    /// [`Network::recv`] once per registered address per step. With
+    /// nothing undrained it returns `None` in O(1), without looking at a
+    /// mailbox; otherwise it takes the mailbox whose front holds the
+    /// smallest global sequence number (unique, so the choice is
+    /// deterministic), in O(#endpoints).
     pub fn poll_any(&mut self) -> Option<(Addr, Datagram)> {
+        self.debug_check_undrained();
+        if self.undrained == 0 {
+            return None;
+        }
         let addr = self
             .mailboxes
             .iter()
@@ -308,6 +330,15 @@ impl Network {
             .min()
             .map(|(_, addr)| addr)?;
         self.recv(addr).map(|dg| (addr, dg))
+    }
+
+    /// Debug builds hold `undrained` to the mailboxes' total length.
+    fn debug_check_undrained(&self) {
+        debug_assert_eq!(
+            self.undrained,
+            self.mailboxes.values().map(VecDeque::len).sum::<usize>(),
+            "undrained count out of step with the mailboxes"
+        );
     }
 }
 
@@ -497,6 +528,14 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8)); // loss pattern differs by seed
+    }
+
+    #[test]
+    #[should_panic(expected = "time must be monotonic")]
+    fn advance_to_refuses_to_move_time_backwards() {
+        let (mut net, _, _) = basic(LinkConfig::lan(), LinkConfig::lan());
+        net.advance_to(10);
+        net.advance_to(9);
     }
 
     #[test]
