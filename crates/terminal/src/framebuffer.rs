@@ -414,14 +414,18 @@ impl Framebuffer {
 
     /// Fills the inclusive column span with the erase cell, extending to a
     /// neighbouring column when the span boundary would split a wide pair
-    /// (the same blanking `put_cell` performs cell by cell).
+    /// (the same blanking `put_cell` performs cell by cell). A span that
+    /// already holds only the erase cell is left alone, so erasing a blank
+    /// row that shares its storage copies nothing.
     fn fill_erase(&mut self, row: usize, lo: usize, hi: usize) {
         let erase = self.erase_cell();
         let width = self.width();
-        let cells = self.rows[row].cells_mut();
+        let cells = self.rows[row].cells();
         let lo = lo - usize::from(cells[lo].wide_continuation() && lo > 0);
         let hi = hi + usize::from(cells[hi].wide() && hi + 1 < width);
-        cells[lo..=hi].fill(erase);
+        if cells[lo..=hi].iter().any(|c| *c != erase) {
+            self.rows[row].cells_mut()[lo..=hi].fill(erase);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -981,18 +985,28 @@ fn decode_cursor(r: &mut Reader<'_>) -> Option<Cursor> {
     })
 }
 
-/// A screen's `height` rows of `width` cells, top to bottom.
+/// A screen's `height` rows of `width` cells, top to bottom; its blank
+/// rows share one storage.
 fn decode_screen(r: &mut Reader<'_>, width: usize, height: usize) -> Option<VecDeque<Row>> {
-    (0..height).map(|_| Row::decode(r, width)).collect()
+    let blank = Row::blank(width, Color::Default);
+    (0..height).map(|_| Row::decode(r, &blank)).collect()
 }
 
 /// Pads or cuts `rows`, now `from` cells wide, to `width` cells each and,
-/// at the bottom, to `height` rows.
+/// at the bottom, to `height` rows. Blank rows, old and new, share one
+/// blank row of the new width.
 fn reshape(rows: &mut VecDeque<Row>, from: usize, width: usize, height: usize) {
+    let blank = Row::blank(width, Color::Default);
     if width != from {
-        rows.iter_mut().for_each(|row| row.set_width(width));
+        for row in rows.iter_mut() {
+            if row.holds_only(Cell::default()) {
+                *row = blank.clone();
+            } else {
+                row.set_width(width);
+            }
+        }
     }
-    rows.resize_with(height, || Row::blank(width, Color::Default));
+    rows.resize(height, blank);
 }
 
 #[cfg(test)]
@@ -1406,7 +1420,9 @@ mod tests {
         assert_eq!(fb.row_text(2), "");
         assert!(!Row::same_data(fb.row(2), &top));
         assert_eq!(top.cells()[0].ch(), 'x');
-        // Shared: a clone still shows the row this scroll evicts.
+        // Shared: a clone still shows the row this scroll evicts, which
+        // holds a character, so it is not the blank the scroll wants.
+        fb.cell_mut(0, 0).set_ch('z');
         let held = fb.clone();
         let shared = fb.row(0).cells().as_ptr();
         fb.scroll_up(1);
@@ -1416,6 +1432,93 @@ mod tests {
             "shared storage left alone"
         );
         assert_eq!(held.row(0).cells().as_ptr(), shared);
+    }
+
+    /// True when every row of `fb` but those in `own` shares one storage.
+    fn blank_rows_shared_except(fb: &Framebuffer, own: &[usize]) -> bool {
+        let rows: Vec<&Row> = (0..fb.height())
+            .filter(|r| !own.contains(r))
+            .map(|r| fb.row(r))
+            .collect();
+        rows.windows(2).all(|w| Row::same_data(w[0], w[1]))
+    }
+
+    #[test]
+    fn a_fresh_screen_shares_one_blank_row() {
+        let fb = Framebuffer::new(80, 24);
+        assert!(blank_rows_shared_except(&fb, &[]));
+        let mut alt = fb.clone();
+        alt.enter_alternate_screen();
+        assert!(blank_rows_shared_except(&alt, &[]));
+        alt.reset();
+        assert!(blank_rows_shared_except(&alt, &[]));
+    }
+
+    #[test]
+    fn erasing_blank_rows_copies_nothing() {
+        let mut fb = Framebuffer::new(80, 24);
+        let before = fb.clone();
+        fb.move_to(3, 10);
+        for mode in 0..=2 {
+            fb.erase_line(mode);
+        }
+        for mode in 0..=3 {
+            fb.erase_display(mode);
+        }
+        fb.erase_chars(5);
+        assert!(blank_rows_shared_except(&fb, &[]));
+        assert!(Row::same_data(fb.row(0), before.row(0)));
+        // An erase in another background does write, into its rows only.
+        fb.pen.bg = Color::Indexed(4);
+        fb.erase_line(2);
+        assert!(!Row::same_data(fb.row(3), before.row(3)));
+        assert!(blank_rows_shared_except(&fb, &[3]));
+    }
+
+    #[test]
+    fn a_print_copies_only_its_own_row() {
+        let mut fb = Framebuffer::new(80, 24);
+        fb.move_to(5, 0);
+        fb.print('x');
+        assert!(!Row::same_data(fb.row(5), fb.row(4)));
+        assert!(blank_rows_shared_except(&fb, &[5]));
+        assert_eq!(fb.row_text(4), "");
+        assert_eq!(fb.row_text(5), "x");
+    }
+
+    #[test]
+    fn a_scroll_keeps_a_shared_blank_row() {
+        let mut fb = Framebuffer::new(10, 4);
+        let held = fb.clone();
+        fb.scroll_up(2);
+        fb.scroll_down(1);
+        assert!(blank_rows_shared_except(&fb, &[]));
+        assert!(Row::same_data(fb.row(0), held.row(0)));
+        // A blank in another background is not the row evicted.
+        fb.pen.bg = Color::Indexed(2);
+        fb.scroll_up(1);
+        assert!(blank_rows_shared_except(&fb, &[3]));
+        assert_eq!(fb.cell(3, 0).attrs().bg, Color::Indexed(2));
+    }
+
+    #[test]
+    fn a_width_resize_keeps_blank_rows_shared() {
+        let mut fb = Framebuffer::new(10, 4);
+        fb.move_to(1, 0);
+        fb.print('y');
+        // A row that was written and erased again holds only blanks.
+        fb.move_to(2, 0);
+        fb.print('z');
+        fb.erase_line(2);
+        fb.enter_alternate_screen();
+        fb.resize(20, 6);
+        assert!(blank_rows_shared_except(&fb, &[]));
+        fb.exit_alternate_screen();
+        assert!(blank_rows_shared_except(&fb, &[1]));
+        assert_eq!(fb.row(0).cells().len(), 20);
+        assert_eq!(fb.row_text(1), "y");
+        fb.resize(5, 3);
+        assert!(blank_rows_shared_except(&fb, &[1]));
     }
 
     #[test]

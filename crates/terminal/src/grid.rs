@@ -9,12 +9,17 @@
 //! comparing a frame with a clone of itself costs one pointer compare per
 //! row. Rows that share no storage still compare cell by cell.
 //!
+//! Blank rows share storage too, as in Mosh's own `Framebuffer`: a new
+//! screen is one blank row held `height` times, so an idle shell's screen
+//! costs one row of cells plus the rows it has written, and a row is
+//! copied only when something is written into it.
+//!
 //! A scroll discards the row it pushes out of its region (the top row of
 //! the screen on a full-screen scroll) and builds its blank row in that
 //! row's storage whenever no clone shares it. A flooding terminal in
-//! steady state therefore scrolls without touching the allocator, and no
-//! earlier frame can mistake the new row for its old one; a shared row
-//! stays with its sharers and the scroll allocates.
+//! steady state therefore scrolls without touching the allocator. A
+//! shared row stays with its sharers: the scroll keeps its handle when it
+//! is already the blank wanted, and allocates a new row otherwise.
 
 use std::sync::Arc;
 
@@ -44,11 +49,10 @@ pub(crate) fn blank_cell(bg: Color) -> Cell {
     })
 }
 
-/// `n` blank rows, each with its own storage: a scroll rebuilds the row
-/// it evicts in place only when no other handle shares its storage, so
-/// `n` clones of one blank row would make every scroll allocate.
+/// `n` handles to one blank row: the first write to any of them copies
+/// that row's cells, and the rest stay shared.
 pub(crate) fn blank_rows(width: usize, n: usize) -> impl Iterator<Item = Row> {
-    (0..n).map(move |_| Row::blank(width, Color::Default))
+    std::iter::repeat_n(Row::blank(width, Color::Default), n)
 }
 
 impl Row {
@@ -66,16 +70,22 @@ impl Row {
     /// Makes this handle — a row some scroll has just evicted for good —
     /// a [`Row::blank`]. When no other handle shares the storage (no clone
     /// of the framebuffer still shows the evicted line) the row is rebuilt
-    /// in place and nothing is allocated; otherwise the sharers keep the
-    /// old storage untouched and this handle gets its own.
+    /// in place and nothing is allocated. Otherwise the sharers keep the
+    /// old storage untouched: this handle keeps sharing it when it already
+    /// holds the blank wanted, and gets its own storage when it does not.
     pub(crate) fn reblank(&mut self, width: usize, bg: Color) {
-        match Arc::get_mut(&mut self.data) {
-            Some(cells) => {
-                cells.clear();
-                cells.resize(width, blank_cell(bg));
-            }
-            None => *self = Row::blank(width, bg),
+        let blank = blank_cell(bg);
+        if let Some(cells) = Arc::get_mut(&mut self.data) {
+            cells.clear();
+            cells.resize(width, blank);
+        } else if !self.holds_only(blank) {
+            *self = Row::blank(width, bg);
         }
+    }
+
+    /// True when every cell of the row is `cell`.
+    pub(crate) fn holds_only(&self, cell: Cell) -> bool {
+        self.cells().iter().all(|c| *c == cell)
     }
 
     /// The row's cells, always exactly the screen width.
@@ -129,13 +139,26 @@ impl Row {
         }
     }
 
-    /// Reads a row of exactly `width` cells written by [`Self::encode_into`].
-    pub(crate) fn decode(r: &mut Reader<'_>, width: usize) -> Option<Row> {
-        let mut cells = Vec::with_capacity(width);
+    /// Reads a row written by [`Self::encode_into`], as wide as `blank`, a
+    /// row of default cells. A row that is one run of default cells comes
+    /// back as a clone of `blank`, and builds no cells of its own.
+    pub(crate) fn decode(r: &mut Reader<'_>, blank: &Row) -> Option<Row> {
+        let width = blank.cells().len();
+        let mut cells = Vec::new();
         read_runs(r, width, |run, cell| {
+            if run == width && cell == Cell::default() {
+                return;
+            }
+            if cells.is_empty() {
+                cells.reserve_exact(width);
+            }
             cells.extend(std::iter::repeat_n(cell, run))
         })?;
-        Some(Row::from_cells(cells))
+        Some(if cells.is_empty() {
+            blank.clone()
+        } else {
+            Row::from_cells(cells)
+        })
     }
 
     /// Reads past a row written by [`Self::encode_into`], refusing what

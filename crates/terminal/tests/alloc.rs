@@ -8,14 +8,17 @@
 //! builds its blank row in the storage of the row it evicts, and pays for
 //! a new row only while a clone still holds the evicted one — and the
 //! differ writes its cursor moves and rendition changes, digit by digit,
-//! into the caller's buffer. The snapshot decoder reserves no room for rows its input does
-//! not hold, and builds none of the history rows an older writer stored.
+//! into the caller's buffer. A new screen's rows share one blank row, as
+//! Mosh's do, so a fresh terminal pays for a row the first time it writes
+//! into it, and only then. The snapshot decoder reserves no room for rows
+//! its input does not hold, builds one row for all of a screen's blank
+//! rows, and builds none of the history rows an older writer stored.
 //!
 //! Its own test binary, because a `#[global_allocator]` is per binary.
 //! The counters are thread-local, so the harness running these tests on
 //! parallel threads does not mix their counts.
 
-use mosh_terminal::{display, Terminal};
+use mosh_terminal::{display, Terminal, MAX_DIMENSION};
 use mosh_wire::put_varint;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,14 +26,17 @@ use std::cell::Cell;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-/// Counts one request of `size` bytes and keeps the largest.
+/// Counts one request of `size` bytes, adds it to the total and keeps the
+/// largest.
 fn count(size: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size));
 }
 
 // SAFETY: every method forwards to `System` with the caller's own
@@ -80,13 +86,25 @@ fn largest_request_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (LARGEST.with(Cell::get), out)
 }
 
-/// Writes `stream` once to warm the terminal (the parser's parameter
-/// buffer gets its capacity, every row its own storage), then counts a
-/// second write of the same bytes.
-fn warm_write_allocations(stream: &[u8]) -> u64 {
-    let mut term = Terminal::new(80, 24);
+/// The bytes this thread requests inside `f`, all requests together, and
+/// what `f` returned.
+fn bytes_requested_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = BYTES.with(Cell::get);
+    let out = f();
+    (BYTES.with(Cell::get) - before, out)
+}
+
+/// Writes `stream` once to warm `term` (the parser's parameter buffer
+/// gets its capacity, every row the stream writes its own storage), then
+/// counts a second write of the same bytes.
+fn warm_write_allocations_on(mut term: Terminal, stream: &[u8]) -> u64 {
     term.write(stream);
     allocations_in(|| term.write(stream))
+}
+
+/// [`warm_write_allocations_on`] a fresh 80x24 terminal.
+fn warm_write_allocations(stream: &[u8]) -> u64 {
+    warm_write_allocations_on(Terminal::new(80, 24), stream)
 }
 
 #[test]
@@ -151,20 +169,50 @@ fn a_line_that_scrolls_allocates_only_its_new_row() {
     assert_eq!(allocations_in(|| term.write(b"\r\nand another")), 0);
 }
 
+// The two below start from a full screen, every row with storage of its
+// own: on a fresh screen a scroll would move the shared blank rows about,
+// and the second write would pay for the first copy of whichever of them
+// it then writes into.
+
 #[test]
 fn a_region_scroll_allocates_nothing() {
     // LF at the bottom margin of a region, then IL and DL inside it: each
     // discards a row of the region and needs a blank one.
     let stream = b"\x1b[5;20r\x1b[20;1Hlast line of the region\r\nscrolled\r\nagain\
                    \x1b[8;1H\x1b[2L\x1b[3M\x1b[2S\x1b[r";
-    assert_eq!(warm_write_allocations(stream), 0);
+    assert_eq!(
+        warm_write_allocations_on(terminal_with_a_full_screen(), stream),
+        0
+    );
 }
 
 #[test]
 fn a_reverse_index_allocates_nothing() {
     // RI at the top margin and `CSI T`: the bottom row is discarded.
     let stream = b"\x1b[H\x1bMpushed down\x1bM\x1b[3Ttwice more";
-    assert_eq!(warm_write_allocations(stream), 0);
+    assert_eq!(
+        warm_write_allocations_on(terminal_with_a_full_screen(), stream),
+        0
+    );
+}
+
+#[test]
+fn a_fresh_terminal_copies_only_the_rows_it_writes() {
+    // A client's first frame (reset the pen, clear, home) and a shell
+    // prompt: the clear and `EL` find blank rows and write nothing, and
+    // each of the three rows printed into gets its own cells and handle.
+    let stream = b"\x1b[0m\x1b[2J\x1b[H$ ls\r\nCargo.toml  src\r\n\x1b[K$ ";
+    let mut term = Terminal::new(80, 24);
+    let allocations = allocations_in(|| term.write(stream));
+    let written = (0..24)
+        .filter(|&r| !term.frame().row_text(r).is_empty())
+        .count() as u64;
+    assert_eq!(written, 3);
+    // Two allocations per row written, and the parser's parameter buffer.
+    assert!(
+        allocations <= 2 * written + 1,
+        "a fresh terminal writing {written} rows allocated {allocations} times"
+    );
 }
 
 /// A release-build property: a debug build also replays every diff through
@@ -238,6 +286,22 @@ fn a_snapshot_claiming_rows_it_lacks_reserves_no_room_for_them() {
     assert!(
         largest < 64 * 1024,
         "decoding {} bytes asked for {largest} bytes at once",
+        bytes.len()
+    );
+}
+
+#[test]
+fn a_blank_snapshot_of_the_largest_screen_builds_one_row() {
+    // 5 000 rows of one run of 5 000 blanks each, seven bytes per row:
+    // decoded, they share one row of cells instead of holding 300 MB.
+    let side = usize::from(MAX_DIMENSION);
+    let bytes = Terminal::new(side, side).snapshot_bytes();
+    let (requested, restored) = bytes_requested_in(|| Terminal::from_snapshot_bytes(&bytes));
+    let restored = restored.expect("a blank snapshot restores");
+    assert_eq!(restored.frame().height(), side);
+    assert!(
+        requested < 1024 * 1024,
+        "decoding {} bytes asked for {requested} bytes",
         bytes.len()
     );
 }

@@ -233,9 +233,11 @@ proptest! {
     }
 
     /// Sharing soundness (`Grid.tla`'s `DamageSound`, with shared storage
-    /// as the only claim): a row that shares storage with the same row of
-    /// an earlier clone holds that clone's cells. The differ skips exactly
-    /// the shared rows, so an unsound share is a wrong frame.
+    /// as the only claim): a row that shares storage with a row of an
+    /// earlier clone, or with another row of its own screen, holds that
+    /// row's cells. The differ skips exactly the shared rows and its
+    /// scroll search matches rows by storage first, so an unsound share is
+    /// a wrong frame.
     #[test]
     fn shared_rows_hold_their_clones_cells(a in terminal_bytes(), b in terminal_bytes()) {
         let mut term = Terminal::new(60, 16);
@@ -251,10 +253,9 @@ proptest! {
     /// itself taken at random points (so some of its evicted rows are
     /// shared and some are not), the other never does (so it reuses every
     /// time). They must stay the same terminal by snapshot; every held
-    /// clone must stay byte for byte what it was when taken; and every row
-    /// of the live screen that shares storage with a held clone's row must
-    /// hold that clone's cells — storage a clone still holds is never
-    /// reused.
+    /// clone must stay byte for byte what it was when taken; and any two
+    /// rows, live or held, that share storage must hold the same cells —
+    /// storage a clone still holds is never reused.
     #[test]
     fn scrolls_reuse_only_rows_no_clone_holds(
         steps in proptest::collection::vec(
@@ -298,10 +299,7 @@ proptest! {
             prop_assert_eq!(holder.snapshot_bytes(), reuser.snapshot_bytes());
             for (clone, taken) in &held {
                 prop_assert_eq!(&clone.snapshot_bytes(), taken, "a held clone changed");
-                let (now, then) = (holder.frame(), clone.frame());
-                if (now.width(), now.height()) == (then.width(), then.height()) {
-                    check_shared_rows(now, then)?;
-                }
+                check_shared_rows(holder.frame(), clone.frame())?;
             }
         }
     }
@@ -640,15 +638,31 @@ fn color() -> impl Strategy<Value = Color> {
     ]
 }
 
-/// Every row of `cur` that shares storage with the same row of `snap`, an
-/// earlier clone of the same framebuffer, must hold `snap`'s cells.
+/// Any two rows of `cur` and `snap`, an earlier clone of the same
+/// framebuffer, that share storage must hold the same cells, whatever
+/// their positions: the same row of both, two rows of one, or a row that
+/// has moved.
 fn check_shared_rows(
     cur: &mosh_terminal::Framebuffer,
     snap: &mosh_terminal::Framebuffer,
 ) -> Result<(), TestCaseError> {
-    for r in 0..cur.height() {
-        if mosh_terminal::Row::same_data(cur.row(r), snap.row(r)) {
-            prop_assert_eq!(cur.row(r).cells(), snap.row(r).cells(), "shared row {}", r);
+    let rows: Vec<(&str, usize, &mosh_terminal::Row)> = (0..cur.height())
+        .map(|r| ("live", r, cur.row(r)))
+        .chain((0..snap.height()).map(|r| ("held", r, snap.row(r))))
+        .collect();
+    for (i, a) in rows.iter().enumerate() {
+        for b in &rows[i + 1..] {
+            if mosh_terminal::Row::same_data(a.2, b.2) {
+                prop_assert_eq!(
+                    a.2.cells(),
+                    b.2.cells(),
+                    "shared rows {} {} and {} {}",
+                    a.0,
+                    a.1,
+                    b.0,
+                    b.1
+                );
+            }
         }
     }
     Ok(())
