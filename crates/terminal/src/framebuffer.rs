@@ -993,20 +993,17 @@ fn decode_screen(r: &mut Reader<'_>, width: usize, height: usize) -> Option<VecD
 }
 
 /// Pads or cuts `rows`, now `from` cells wide, to `width` cells each and,
-/// at the bottom, to `height` rows. Blank rows, old and new, share one
-/// blank row of the new width.
+/// at the bottom, to `height` rows. The rows it adds share one blank row.
 fn reshape(rows: &mut VecDeque<Row>, from: usize, width: usize, height: usize) {
-    let blank = Row::blank(width, Color::Default);
     if width != from {
-        for row in rows.iter_mut() {
-            if row.holds_only(Cell::default()) {
-                *row = blank.clone();
-            } else {
-                row.set_width(width);
-            }
-        }
+        rows.iter_mut().for_each(|row| row.set_width(width));
     }
-    rows.resize(height, blank);
+    if rows.len() < height {
+        let missing = height - rows.len();
+        rows.extend(blank_rows(width, missing));
+    } else {
+        rows.truncate(height);
+    }
 }
 
 #[cfg(test)]
@@ -1502,23 +1499,25 @@ mod tests {
     }
 
     #[test]
-    fn a_width_resize_keeps_blank_rows_shared() {
+    fn a_resize_pads_with_one_shared_blank_row() {
         let mut fb = Framebuffer::new(10, 4);
         fb.move_to(1, 0);
         fb.print('y');
-        // A row that was written and erased again holds only blanks.
-        fb.move_to(2, 0);
-        fb.print('z');
-        fb.erase_line(2);
         fb.enter_alternate_screen();
-        fb.resize(20, 6);
-        assert!(blank_rows_shared_except(&fb, &[]));
+        fb.resize(10, 7);
+        // The rows a resize adds, live and stashed, share one blank row,
+        // and a height-only resize leaves the rows it keeps shared.
+        assert!(blank_rows_shared_except(&fb, &[4, 5, 6]));
+        assert!(Row::same_data(fb.row(4), fb.row(6)));
         fb.exit_alternate_screen();
-        assert!(blank_rows_shared_except(&fb, &[1]));
-        assert_eq!(fb.row(0).cells().len(), 20);
+        assert!(Row::same_data(fb.row(4), fb.row(6)));
+        assert!(Row::same_data(fb.row(0), fb.row(3)));
         assert_eq!(fb.row_text(1), "y");
-        fb.resize(5, 3);
-        assert!(blank_rows_shared_except(&fb, &[1]));
+        fb.resize(20, 9);
+        assert!(Row::same_data(fb.row(7), fb.row(8)));
+        assert_eq!(fb.row(0).cells().len(), 20);
+        assert_eq!(fb.row(8).cells().len(), 20);
+        assert_eq!(fb.row_text(1), "y");
     }
 
     #[test]
