@@ -26,7 +26,7 @@ pub mod snapshot;
 
 pub use router::ShardedHub;
 pub use shard::ServerHub;
-pub use snapshot::{CheckpointStore, SnapshotError};
+pub use snapshot::SnapshotError;
 
 use crate::session::Party;
 use crate::Millis;

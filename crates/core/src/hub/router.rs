@@ -43,10 +43,11 @@
 //! accepted it until it is removed, and the shard knows it by the same
 //! hub-wide [`SessionId`] the caller does — its slot there sits at that
 //! index, and each id that lives on another shard leaves a vacant slot
-//! behind, like a removed session's. Leases, events and checkpoints
-//! carry one id all the way down, with no translation. The front end
-//! keeps each id's shard, fixed at accept; whether it lives, only the
-//! shard that removes or closes it says.
+//! behind, like a removed session's. Leases and events carry one id all
+//! the way down, with no translation, and a session's checkpoint lives
+//! in its slot, which no other shard touches. The front end keeps each
+//! id's shard, fixed at accept; whether it lives, only the shard that
+//! removes or closes it says.
 //!
 //! A panicking endpoint costs its **session** alone, inside its shard's
 //! pump (see [`ServerHub::pump`]): the caller restores it in place from
@@ -56,7 +57,6 @@
 //! pumping thread resumes it once all replies are in.
 
 use super::shard::ServerHub;
-use super::snapshot::CheckpointStore;
 use super::{HubSession, HubStats, SessionId};
 use crate::session::SessionEvent;
 use crate::Millis;
@@ -346,20 +346,16 @@ impl<P: Poller> ShardedHub<P> {
     }
 
     /// Turns on crash recovery: every shard checkpoints its sessions —
-    /// those already added and those added later — into one shared
-    /// [`CheckpointStore`] at most every `cadence` ms of session time
+    /// those already added and those added later — each into its own
+    /// slot on its shard, at most every `cadence` ms of session time
     /// (idle sessions cost nothing — see
-    /// [`ServerHub::enable_checkpointing`]), each under its session id.
-    /// A session whose endpoint panics is reported as
-    /// [`SessionEvent::Crashed`] with its last checkpoint, to restore in
-    /// place under the same id. Returns the caller's handle to the store
-    /// (it is `Clone`; each shard keeps one to write through).
-    pub fn enable_checkpointing(&mut self, cadence: Millis) -> CheckpointStore {
-        let store = CheckpointStore::new();
+    /// [`ServerHub::enable_checkpointing`]). A session whose endpoint
+    /// panics is reported as [`SessionEvent::Crashed`] with its last
+    /// checkpoint, to restore in place under the same id.
+    pub fn enable_checkpointing(&mut self, cadence: Millis) {
         for shard in &mut self.shards {
-            shard.enable_checkpointing(store.clone(), cadence);
+            shard.enable_checkpointing(cadence);
         }
-        store
     }
 }
 
@@ -1191,19 +1187,19 @@ mod tests {
 
     /// Checkpointing switched on after sessions exist covers them as it
     /// covers the sessions added later: at 1, 2 and 3 shards, one pump
-    /// stores each session's checkpoint under the id `add_session`
-    /// returned (its restored server opens that session's client wires
-    /// and no other's), every event carries a leased id, and removing a
-    /// session drops exactly its entry.
+    /// checkpoints every session, and every event carries a leased id.
+    /// A second pump that leases each session a [`PanicEndpoint`] reads
+    /// each checkpoint back through that session's `Crashed` event: its
+    /// restored server opens that session's client wires and no other's.
     #[test]
-    fn checkpointing_switched_on_late_keys_every_session_by_its_id() {
+    fn checkpointing_switched_on_late_covers_every_session() {
         use super::super::snapshot;
 
         for shards in [1, 2, 3] {
             let mut hub = ShardedHub::with_shards(shards, SimPoller::new);
             let mut sids: Vec<SessionId> =
                 (0..3).map(|i| hub.add_session(sim_world(90 + i))).collect();
-            let store = hub.enable_checkpointing(50);
+            hub.enable_checkpointing(50);
             sids.extend((3..5).map(|i| hub.add_session(sim_world(90 + i))));
             sids.push(hub.add_session_sharing(sids[1]));
             let mut users: Vec<_> = (0..6).map(|i| pair(90 + i)).collect();
@@ -1230,7 +1226,32 @@ mod tests {
                     "{shards} shards: no frame reported for {sid:?}"
                 );
             }
-            assert_eq!(store.len(), sids.len(), "{shards} shards");
+
+            let mut bombs: Vec<PanicEndpoint> = sids.iter().map(|_| PanicEndpoint).collect();
+            let mut leases: Vec<[Party<'_>; 1]> =
+                bombs.iter_mut().map(|bomb| [Party::new(C, bomb)]).collect();
+            let mut sessions: Vec<HubSession<'_, '_>> = leases
+                .iter_mut()
+                .zip(&sids)
+                .map(|(parties, sid)| HubSession::new(*sid, parties, 400))
+                .collect();
+            let checkpoints: Vec<(SessionId, Vec<u8>)> = hub
+                .pump(&mut sessions)
+                .into_iter()
+                .filter_map(|(sid, e)| match e {
+                    SessionEvent::Crashed { checkpoint, .. } => {
+                        Some((sid, checkpoint.expect("checkpointed")))
+                    }
+                    _ => None,
+                })
+                .collect();
+            drop(sessions);
+            drop(leases);
+            let mut crashed: Vec<SessionId> = checkpoints.iter().map(|(sid, _)| *sid).collect();
+            crashed.sort();
+            assert_eq!(crashed, sids, "{shards} shards");
+            assert_eq!(hub.session_count(), sids.len(), "each restored in place");
+
             let wires: Vec<Vec<u8>> = users
                 .iter_mut()
                 .map(|(client, _)| {
@@ -1241,21 +1262,66 @@ mod tests {
                         .1
                 })
                 .collect();
-            for (k, sid) in sids.iter().enumerate() {
-                let framed = store.get(sid.0).expect("checkpointed under its id");
-                let restored = snapshot::restore_server(&framed, Box::new(LineShell::new()))
+            for (sid, framed) in &checkpoints {
+                let restored = snapshot::restore_server(framed, Box::new(LineShell::new()))
                     .expect("checkpoint decodes");
                 let opens: Vec<bool> = wires.iter().map(|w| restored.authenticates(w)).collect();
+                let k = sids.iter().position(|s| s == sid).unwrap();
                 let only_its_own: Vec<bool> = (0..wires.len()).map(|m| m == k).collect();
                 assert_eq!(opens, only_its_own, "{shards} shards, {sid:?}");
             }
-
-            hub.remove_session(sids[2]);
-            assert_eq!(store.len(), sids.len() - 1);
-            for sid in &sids {
-                assert_eq!(store.get(sid.0).is_some(), *sid != sids[2]);
-            }
         }
+    }
+
+    /// Two crashes in a row never reuse a nonce: a restored session
+    /// checkpoints again at its first service, so when it crashes after
+    /// sending heartbeats and acks that move no activity marker, the
+    /// second restore still starts past every sequence number the first
+    /// restored server sent.
+    #[test]
+    fn a_second_crash_resurrects_past_every_sequence_number_sent() {
+        use super::super::snapshot;
+
+        let mut hub = ShardedHub::with_shards(1, SimPoller::new);
+        hub.enable_checkpointing(50);
+        let sid = hub.add_session(sim_world(30));
+        let (mut client, mut server) = pair(30);
+        let crash_at = |hub: &mut ShardedHub<SimPoller>, target: Millis| -> MoshServer {
+            let events = hub.pump(&mut [HubSession::new(
+                sid,
+                &mut [Party::new(C, &mut PanicEndpoint)],
+                target,
+            )]);
+            let framed = match &events[..] {
+                [(_, SessionEvent::Crashed { checkpoint, .. })] => checkpoint.clone(),
+                _ => None,
+            };
+            let framed = framed.expect("one crash, with a checkpoint");
+            snapshot::resurrect_server(&framed, Box::new(LineShell::new()))
+                .expect("checkpoint decodes")
+        };
+
+        hub.pump(&mut [HubSession::new(
+            sid,
+            &mut [Party::new(C, &mut client), Party::new(S, &mut server)],
+            300,
+        )]);
+        assert_eq!(client.server_frame().row_text(0), "$");
+        let mut first = crash_at(&mut hub, 301);
+        let restored_at = first.next_seq();
+        hub.pump(&mut [HubSession::new(
+            sid,
+            &mut [Party::new(C, &mut client), Party::new(S, &mut first)],
+            8_000,
+        )]);
+        assert!(first.next_seq() > restored_at, "the restored server sent");
+        let second = crash_at(&mut hub, 8_001);
+        assert!(
+            second.next_seq() >= first.next_seq(),
+            "the second restore reuses sequence numbers {} to {}",
+            second.next_seq(),
+            first.next_seq()
+        );
     }
 
     /// The crash-recovery round trip: a real session checkpoints on

@@ -28,16 +28,16 @@
 //! This is the tree's one session event loop: the single-session
 //! [`crate::session::SessionLoop`] is a `ServerHub` with one source and
 //! one lease. What the hub keeps for a session between pumps — its
-//! source, its wheel generation, its peer-silence episodes, its
-//! checkpoint cadence, its lease stamp (its place in the lease slice and
-//! the number of the pump that leased it) — lives in one slot, indexed
-//! by the session's id,
+//! source, its wheel generation, its peer-silence episodes, its latest
+//! checkpoint and the cadence state that decides when to take the next,
+//! its lease stamp (its place in the lease slice and the number of the
+//! pump that leased it) — lives in one slot, indexed by the session's id,
 //! and each simulated session lives in its own discrete-event world, so
 //! a hub driving N sessions produces
 //! **byte-identical per-session wire transcripts** to N hubs of one
 //! (pinned by `tests/event_stepping.rs` and the replay identity suite).
 
-use super::snapshot::{self, CheckpointStore};
+use super::snapshot;
 use super::{HubSession, HubStats, SessionId};
 use crate::session::{Party, SessionEvent};
 use crate::Millis;
@@ -77,9 +77,11 @@ struct Slot {
     /// shard keeps for ids that live on other shards of a
     /// [`super::ShardedHub`] (which keeps no copy of this flag).
     live: bool,
-    /// Crash-recovery bookkeeping, read while the hub checkpoints (see
-    /// [`ServerHub::enable_checkpointing`]).
-    ckpt: CkptState,
+    /// The session's latest checkpoint, out of line: `None` until the
+    /// hub first checkpoints it (see [`ServerHub::enable_checkpointing`])
+    /// and again once it is removed, so a hub that never checkpoints pays
+    /// one pointer per slot.
+    ckpt: Option<Box<CkptState>>,
     /// The lease stamp: this session's index in the lease slice of pump
     /// number `leased_in` — meaningless unless that is the current pump
     /// (see [`ServerHub::lease_of`]).
@@ -97,7 +99,7 @@ impl Slot {
             gen: 0,
             wakeup: 0,
             live: false,
-            ckpt: CkptState::default(),
+            ckpt: None,
             lease: 0,
             leased_in: 0,
         }
@@ -140,18 +142,20 @@ impl Slot {
     }
 }
 
-/// One session's checkpoint bookkeeping, keyed in the shared store by
-/// the session's id.
+/// One session's latest checkpoint, and when and at what activity the
+/// cadence last ran for it.
 #[derive(Default)]
 struct CkptState {
-    /// When the cadence last ran for this session (`None` = never: the
-    /// first service with checkpointing on checkpoints immediately, so
-    /// a freshly added or restored session always has a snapshot).
+    /// When the cadence last ran for this session (`None` once a crash
+    /// resets it, so the restored session checkpoints at its first
+    /// service, as a session with no checkpoint yet does).
     last_at: Option<Millis>,
-    /// Activity marker captured by the last stored checkpoint — an
-    /// unchanged marker means the session saw no new traffic and the
-    /// cadence skips the (comparatively expensive) re-encode.
+    /// Activity marker captured by the last checkpoint — an unchanged
+    /// marker means the session saw no new traffic and the cadence skips
+    /// the (comparatively expensive) re-encode.
     last_marker: Option<(u64, u64)>,
+    /// The checkpoint itself: [`snapshot::frame`] output.
+    framed: Vec<u8>,
 }
 
 /// Buffers [`ServerHub::pump`] reuses across its wakeups and across
@@ -229,10 +233,9 @@ pub struct ServerHub<P: Poller> {
     /// belongs elsewhere and is handed to the hook (bounced), never
     /// silently fed to the wrong endpoint.
     unclaimed: Vec<(Token, UnclaimedHook)>,
-    /// Crash-recovery configuration: the shared store checkpoints are
-    /// written to and the cadence between checkpoints of one session.
-    /// `None` (the default) disables the cadence entirely.
-    checkpoints: Option<(CheckpointStore, Millis)>,
+    /// The crash-recovery cadence: the least session time between two
+    /// checkpoints of one session. `None` (the default) disables it.
+    cadence: Option<Millis>,
 }
 
 impl<P: Poller> ServerHub<P> {
@@ -251,20 +254,20 @@ impl<P: Poller> ServerHub<P> {
             scratch: PumpScratch::default(),
             stats: HubStats::default(),
             unclaimed: Vec::new(),
-            checkpoints: None,
+            cadence: None,
         }
     }
 
     /// Turns on the crash-recovery checkpoint cadence: every session,
-    /// whenever it was added, is snapshotted into `store` under its own
-    /// id — on its next service, then at most every `cadence` ms of its
-    /// own clock, and only when its activity marker moved, so idle
-    /// sessions cost nothing. Each checkpoint caps the session's outgoing
-    /// acks at the input it contains
+    /// whenever it was added, is snapshotted into its own slot — on its
+    /// next service, then at most every `cadence` ms of its own clock,
+    /// and only when its activity marker moved, so idle sessions cost
+    /// nothing. Each checkpoint replaces the one before it and caps the
+    /// session's outgoing acks at the input it contains
     /// ([`crate::server::MoshServer::checkpoint_body`]), so anything the
     /// checkpoint misses, the client keeps retransmitting.
-    pub fn enable_checkpointing(&mut self, store: CheckpointStore, cadence: Millis) {
-        self.checkpoints = Some((store, cadence));
+    pub fn enable_checkpointing(&mut self, cadence: Millis) {
+        self.cadence = Some(cadence);
     }
 
     /// Installs the unclaimed-datagram hook for source `tok`: wires no
@@ -338,9 +341,7 @@ impl<P: Poller> ServerHub<P> {
         slot.live = false;
         slot.gen += 1; // invalidate any queued wheel entry
         slot.reported_silence = Vec::new();
-        if let Some((store, _)) = &self.checkpoints {
-            store.remove(sid.0);
-        }
+        slot.ckpt = None;
         self.live_sessions -= 1;
         let poller = &mut self.poller;
         self.routes.retain(|&(tok, addr), sids| {
@@ -610,22 +611,26 @@ impl<P: Poller> ServerHub<P> {
     }
 
     /// Restores session `sid` in place after its endpoint code panicked
-    /// at `at`, and reports it as [`SessionEvent::Crashed`] with its last
-    /// checkpoint. Its wheel entries go stale and its next pump ticks the
-    /// endpoint the caller leases in its place, which checkpoints again
-    /// on its first service. The peer-silence timeout and the route
-    /// hints stay. A session with no checkpoint is closed instead
+    /// at `at`, and reports it as [`SessionEvent::Crashed`] with a copy of
+    /// its last checkpoint. Its wheel entries go stale and its next pump
+    /// ticks the endpoint the caller leases in its place. The slot keeps
+    /// the checkpoint but forgets when and at what activity it was taken,
+    /// so that endpoint checkpoints again on its first service: a second
+    /// crash then restores past every sequence number the first restored
+    /// incarnation sent, and a crash before that service still carries the
+    /// bytes it had. The peer-silence timeout and the route hints stay. A
+    /// session with no checkpoint is closed instead
     /// ([`ServerHub::remove_session`]), as a crashed `mosh-server` is.
     fn crash(&mut self, sid: SessionId, at: Millis, ps: &mut PumpScratch) {
         self.stats.shard_panics += 1;
         let slot = &mut self.slots[sid.0];
         slot.gen += 1;
         slot.wakeup = 0;
-        slot.ckpt = CkptState::default();
-        let checkpoint = self
-            .checkpoints
-            .as_ref()
-            .and_then(|(store, _)| store.get(sid.0));
+        let checkpoint = slot.ckpt.as_deref_mut().map(|ck| {
+            ck.last_at = None;
+            ck.last_marker = None;
+            ck.framed.clone()
+        });
         if checkpoint.is_none() {
             self.remove_session(sid);
         }
@@ -716,26 +721,28 @@ impl<P: Poller> ServerHub<P> {
 
     /// The crash-recovery cadence: when checkpointing is on and `lease` is
     /// due and saw traffic since its last checkpoint, snapshots it into
-    /// the shared store under its id, returning whether it did. Runs
-    /// after the tick so the checkpoint contains everything this service
-    /// step shipped.
+    /// its slot, returning whether it did. Runs after the tick so the
+    /// checkpoint contains everything this service step shipped.
     fn checkpoint_if_due(&mut self, now: Millis, lease: &mut HubSession<'_, '_>) -> bool {
-        let Some((store, cadence)) = self.checkpoints.as_ref() else {
+        let Some(cadence) = self.cadence else {
             return false;
         };
-        let ck = &mut self.slots[lease.id.0].ckpt;
-        if ck
-            .last_at
-            .is_some_and(|at| now.saturating_sub(at) < *cadence)
-        {
-            return false;
+        let ckpt = &mut self.slots[lease.id.0].ckpt;
+        if let Some(ck) = ckpt.as_deref_mut() {
+            if ck
+                .last_at
+                .is_some_and(|at| now.saturating_sub(at) < cadence)
+            {
+                return false;
+            }
+            ck.last_at = Some(now);
         }
-        ck.last_at = Some(now);
         let marker = lease
             .parties
             .iter()
             .find_map(|p| p.endpoint.activity_marker());
-        let Some(marker) = marker.filter(|m| ck.last_marker != Some(*m)) else {
+        let last_marker = ckpt.as_ref().and_then(|ck| ck.last_marker);
+        let Some(marker) = marker.filter(|m| last_marker != Some(*m)) else {
             return false;
         };
         let Some(body) = lease
@@ -747,8 +754,10 @@ impl<P: Poller> ServerHub<P> {
         };
         let framed = snapshot::frame(&body);
         self.stats.checkpoint_bytes += framed.len() as u64;
-        store.put(lease.id.0, framed);
+        let ck = ckpt.get_or_insert_default();
+        ck.last_at = Some(now);
         ck.last_marker = Some(marker);
+        ck.framed = framed;
         true
     }
 
@@ -1250,6 +1259,78 @@ mod tests {
         }
         hub.remove_session(sids[1]);
         assert!(hub.routes.is_empty());
+    }
+
+    /// A hub with checkpointing on and `n` sessions, each on a world of
+    /// its own, pumped to their prompts at 300 ms, which checkpoints each.
+    fn checkpointed_hub(n: u8) -> (ServerHub<SimPoller>, Vec<SessionId>) {
+        let mut hub = ServerHub::new(SimPoller::new());
+        hub.enable_checkpointing(50);
+        let sids: Vec<SessionId> = (0..n)
+            .map(|i| {
+                let tok = hub.poller_mut().add(sim_world(40 + i as u64));
+                hub.add_session(tok)
+            })
+            .collect();
+        let mut users: Vec<(MoshClient, MoshServer)> = (1..=n).map(pair).collect();
+        let live: Vec<usize> = (0..n as usize).collect();
+        pump_pairs(
+            &mut hub,
+            &sids,
+            &mut users,
+            &vec![C; live.len()],
+            &live,
+            300,
+        );
+        (hub, sids)
+    }
+
+    /// The checkpoint `sid`'s slot holds.
+    fn checkpoint_of(hub: &ServerHub<SimPoller>, sid: SessionId) -> Option<Vec<u8>> {
+        hub.slots[sid.0].ckpt.as_ref().map(|ck| ck.framed.clone())
+    }
+
+    #[test]
+    fn removing_a_session_frees_its_checkpoint_and_no_other() {
+        let (mut hub, sids) = checkpointed_hub(3);
+        let before: Vec<Option<Vec<u8>>> = sids.iter().map(|&s| checkpoint_of(&hub, s)).collect();
+        assert!(
+            before.iter().all(Option::is_some),
+            "each session checkpointed"
+        );
+        hub.remove_session(sids[1]);
+        let after: Vec<Option<Vec<u8>>> = sids.iter().map(|&s| checkpoint_of(&hub, s)).collect();
+        assert_eq!(after, [before[0].clone(), None, before[2].clone()]);
+    }
+
+    #[test]
+    fn a_crash_before_the_restored_session_checkpoints_carries_the_last_checkpoint() {
+        let (mut hub, sids) = checkpointed_hub(1);
+        let last = checkpoint_of(&hub, sids[0]);
+        assert!(last.is_some());
+        // The first crash, then one in the first tick of what the caller
+        // leases in its place, before that can checkpoint again: both
+        // carry the bytes the slot had, and the session stays.
+        for target in [400, 500] {
+            let mut restored = Recorder {
+                every_ms: true,
+                crashes: true,
+                ..Recorder::default()
+            };
+            let events = hub.pump(&mut [HubSession::new(
+                sids[0],
+                &mut [Party::new(S, &mut restored)],
+                target,
+            )]);
+            assert!(
+                matches!(&events[..], [(sid, SessionEvent::Crashed { checkpoint, .. })]
+                    if *sid == sids[0] && *checkpoint == last),
+                "pump to {target}: {events:?}"
+            );
+        }
+        assert_eq!(hub.stats().shard_panics, 2);
+        assert_eq!(hub.session_count(), 1);
+        assert_eq!(checkpoint_of(&hub, sids[0]), last);
     }
 
     #[test]

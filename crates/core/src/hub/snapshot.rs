@@ -1,7 +1,8 @@
-//! Versioned, checksummed snapshot framing for hub sessions, plus the
-//! shared [`CheckpointStore`] that crash recovery reads from (session id
-//! → latest framed snapshot, nothing else) and the handoff container
-//! that rolling restarts ship between processes.
+//! Versioned, checksummed snapshot framing for hub sessions, and the
+//! handoff container that rolling restarts ship between processes. This
+//! module is the format and nothing else: the hub keeps each session's
+//! latest checkpoint in that session's slot, and a rolling restart writes
+//! and reads its container as a file of its own.
 //!
 //! A [`crate::server::MoshServer`] already knows how to encode and
 //! decode its own body ([`crate::server::MoshServer::encode_snapshot_body`]:
@@ -40,9 +41,7 @@
 //!   outgoing acks at what it contains, so the client never stops
 //!   resending the tail.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 use mosh_wire::{put_bytes, put_varint, Reader};
 
@@ -206,56 +205,6 @@ pub fn resurrect_server(
     Ok(server)
 }
 
-/// Shared checkpoint storage: each session's latest framed snapshot
-/// ([`frame`] output), keyed by a hub's global session id.
-///
-/// Shards write into it on their checkpoint cadence, and read a
-/// session's entry back when its endpoint panics. What the cadence needs
-/// to skip an idle session (the activity marker of its last checkpoint)
-/// stays in the hub's slot for that session, not here. The store is
-/// deliberately dumb — a mutexed map — because checkpointing is
-/// rate-limited by cadence, not by contention.
-#[derive(Debug, Clone, Default)]
-pub struct CheckpointStore {
-    inner: Arc<Mutex<HashMap<usize, Vec<u8>>>>,
-}
-
-impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records (or replaces) the framed snapshot for session `key`.
-    pub fn put(&self, key: usize, framed: Vec<u8>) {
-        let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.insert(key, framed);
-    }
-
-    /// The latest framed snapshot for `key`, if one was ever taken.
-    pub fn get(&self, key: usize) -> Option<Vec<u8>> {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(&key).cloned()
-    }
-
-    /// Drops the checkpoint for `key` (session removed from the hub).
-    pub fn remove(&self, key: usize) {
-        let mut map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.remove(&key);
-    }
-
-    /// Number of sessions with a stored checkpoint.
-    pub fn len(&self) -> usize {
-        let map = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        map.len()
-    }
-
-    /// True when no checkpoints are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Handoff container entries: `(global session id, framed snapshot)`
 /// per session, in hub order.
 pub type HandoffEntries = Vec<(usize, Vec<u8>)>;
@@ -292,18 +241,6 @@ pub fn decode_handoff(bytes: &[u8]) -> Result<HandoffEntries, SnapshotError> {
     }
     r.end().ok_or(SnapshotError::Malformed)?;
     Ok(entries)
-}
-
-/// Writes a handoff container to `path` (rolling-restart producer).
-pub fn write_handoff(path: &std::path::Path, entries: &[(usize, Vec<u8>)]) -> std::io::Result<()> {
-    std::fs::write(path, encode_handoff(entries))
-}
-
-/// Reads a handoff container from `path` (rolling-restart consumer).
-pub fn read_handoff(
-    path: &std::path::Path,
-) -> std::io::Result<Result<HandoffEntries, SnapshotError>> {
-    Ok(decode_handoff(&std::fs::read(path)?))
 }
 
 #[cfg(test)]
@@ -413,29 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_store_tracks_len_and_bytes() {
-        let store = CheckpointStore::new();
-        assert!(store.is_empty());
-        store.put(3, vec![1, 2, 3]);
-        store.put(7, vec![4, 5]);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get(3), Some(vec![1, 2, 3]));
-        assert_eq!(store.get(7), Some(vec![4, 5]));
-        // Replacement, not accumulation.
-        store.put(3, vec![9; 10]);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get(3), Some(vec![9; 10]));
-        store.remove(3);
-        assert_eq!(store.get(3), None);
-        assert_eq!(store.len(), 1);
-        // Clones share the same map.
-        let twin = store.clone();
-        twin.put(8, vec![0]);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get(8), Some(vec![0]));
-    }
-
-    #[test]
     fn handoff_container_round_trips_and_rejects_corruption() {
         let entries = vec![(0usize, vec![1, 2, 3]), (5, vec![]), (2, vec![9; 40])];
         let container = encode_handoff(&entries);
@@ -452,15 +366,5 @@ mod tests {
         let mut long = body.to_vec();
         long.push(0);
         assert_eq!(decode_handoff(&frame(&long)), Err(SnapshotError::Malformed));
-    }
-
-    #[test]
-    fn handoff_file_round_trips() {
-        let entries = vec![(1usize, snapshot_server(&busy_server()))];
-        let path = std::env::temp_dir().join("mosh-handoff-test.bin");
-        write_handoff(&path, &entries).unwrap();
-        let back = read_handoff(&path).unwrap().unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(back, entries);
     }
 }

@@ -39,9 +39,7 @@ pub mod session;
 
 pub use apps::{AppHost, Application, Editor, LineShell, MailReader, Pager, TimedWrite};
 pub use client::MoshClient;
-pub use hub::{
-    CheckpointStore, HubSession, HubStats, ServerHub, SessionId, ShardedHub, SnapshotError,
-};
+pub use hub::{HubSession, HubStats, ServerHub, SessionId, ShardedHub, SnapshotError};
 pub use server::{MoshServer, WriteObserver};
 pub use session::{Endpoint, Party, SessionEvent, SessionLoop};
 

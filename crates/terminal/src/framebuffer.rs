@@ -986,10 +986,15 @@ fn decode_cursor(r: &mut Reader<'_>) -> Option<Cursor> {
 }
 
 /// A screen's `height` rows of `width` cells, top to bottom; its blank
-/// rows share one storage.
+/// rows share one storage. Each row takes at least one input byte, so
+/// the deque is sized once, and never past what the input can hold.
 fn decode_screen(r: &mut Reader<'_>, width: usize, height: usize) -> Option<VecDeque<Row>> {
     let blank = Row::blank(width, Color::Default);
-    (0..height).map(|_| Row::decode(r, &blank)).collect()
+    let mut rows = VecDeque::with_capacity(height.min(r.remaining()));
+    for _ in 0..height {
+        rows.push_back(Row::decode(r, &blank)?);
+    }
+    Some(rows)
 }
 
 /// Pads or cuts `rows`, now `from` cells wide, to `width` cells each and,

@@ -605,9 +605,8 @@ fn cross_process_handoff_is_byte_identical() {
         .map(|(sid, (_, s))| (sid.0, snapshot::snapshot_server(&s.inner)))
         .collect();
     let path = std::env::temp_dir().join("mosh-lifecycle-handoff.bin");
-    snapshot::write_handoff(&path, &entries).expect("handoff written");
-    let restored_entries = snapshot::read_handoff(&path)
-        .expect("handoff read")
+    std::fs::write(&path, snapshot::encode_handoff(&entries)).expect("handoff written");
+    let restored_entries = snapshot::decode_handoff(&std::fs::read(&path).expect("handoff read"))
         .expect("handoff decodes");
     let _ = std::fs::remove_file(&path);
     assert_eq!(restored_entries, entries);

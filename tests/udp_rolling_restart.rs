@@ -137,9 +137,8 @@ fn rolling_restart_is_invisible_over_loopback() {
         .map(|(sid, s)| (sid.0, snapshot::snapshot_server(s)))
         .collect();
     let path = std::env::temp_dir().join(format!("mosh-restart-{}.bin", std::process::id()));
-    snapshot::write_handoff(&path, &entries).expect("handoff written");
-    let restored = snapshot::read_handoff(&path)
-        .expect("handoff read")
+    std::fs::write(&path, snapshot::encode_handoff(&entries)).expect("handoff written");
+    let restored = snapshot::decode_handoff(&std::fs::read(&path).expect("handoff read"))
         .expect("handoff decodes");
     let _ = std::fs::remove_file(&path);
 
@@ -204,8 +203,7 @@ fn a_v2_handoff_container_is_adopted_by_the_new_hub() {
     container[4..6].copy_from_slice(&2u16.to_be_bytes()); // the checksum covers the body only
     let path = std::env::temp_dir().join(format!("mosh-restart-v2-{}.bin", std::process::id()));
     std::fs::write(&path, &container).expect("handoff written");
-    let restored = snapshot::read_handoff(&path)
-        .expect("handoff read")
+    let restored = snapshot::decode_handoff(&std::fs::read(&path).expect("handoff read"))
         .expect("a version-2 container decodes");
     let _ = std::fs::remove_file(&path);
     assert_eq!(restored.len(), 1);
