@@ -1,13 +1,14 @@
 //! Every decoder that eats bytes from the network or from a snapshot
-//! refuses hostile input without panicking: the instruction and fragment
-//! decoders, both synchronized objects' `apply_diff`, the server's
-//! snapshot body at both versions it reads, and each application's
-//! `restore_state` — which must also leave behind an application that
-//! survives typing.
+//! refuses hostile input without panicking: the instruction decoder in
+//! both its forms, the fragment decoder, both synchronized objects'
+//! `apply_diff`, the server's snapshot body at both versions it reads,
+//! and each application's `restore_state` — which must also leave behind
+//! an application that survives typing.
 //!
 //! Each decoder gets arbitrary bytes twice: alone, and behind a cut of a
 //! valid encoding, so that the damage lands past the first fields as
-//! well as in them.
+//! well as in them. The instruction decoder gets a third: behind a cut of
+//! a compressed instruction, so the damage lands in its LZ block.
 //!
 //! Raw bytes never get past the OCB tag, so a second target seals
 //! arbitrary user events under the session key and feeds them through the
@@ -68,21 +69,25 @@ proptest! {
         cut in any::<usize>(),
         keys in proptest::collection::vec(0x20u8..0x7f, 0..24),
     ) {
-        let instruction = Instruction {
+        let plain = Instruction {
             protocol_version: PROTOCOL_VERSION,
             old_num: 1,
             new_num: 300,
             ack_num: 2,
             throwaway_num: 1,
             diff: b"diff".to_vec(),
-        }
-        .encode(b"chaff");
+        };
+        let instruction = plain.encode(b"chaff");
+        // A diff that repeats itself is sent compressed: behind the tag
+        // byte 0, its length and an LZ block.
+        let compressed = Instruction { diff: screen_diff().repeat(4), ..plain }.encode(b"chaff");
+        prop_assert_eq!(compressed[0], 0);
         let fragment = Fragment { id: 9, num: 2, last: true, contents: b"tail".to_vec() }.encode();
         let (user, screen) = (user_diff(), screen_diff());
         let v2 = snapshot::unframe(SERVER_V2).expect("v2 fixture").1;
         let v3 = snapshot::unframe(SERVER_V3).expect("v3 fixture").1;
 
-        for bytes in [noise.clone(), splice(&instruction, cut, &noise)] {
+        for bytes in [noise.clone(), splice(&instruction, cut, &noise), splice(&compressed, cut, &noise)] {
             let _ = Instruction::decode(&bytes);
         }
         for bytes in [noise.clone(), splice(&fragment, cut, &noise)] {

@@ -1,45 +1,57 @@
 //! A version-2 session snapshot, stored as bytes: what a hub built before
 //! the format went to version 3 leaves behind for its successor to read.
 //!
-//! `fixtures/server_v2.snap` is `snapshot_server` of [`mid_flood`]'s
-//! server as the last version-2 build wrote it (the commit that added
-//! this file, where a test pinned the two equal). Version 2 carried the
-//! server's Figure 3 log — here 62 shipped pairs and 213 arrival times —
-//! between the `started` flag and the application's state.
-//!
+//! `fixtures/server_v2.snap` is `snapshot_server` of a server in the
+//! middle of a `yes` flood (the [`mid_flood`] scenario with a 1 300-byte
+//! paste of `p`), as the last version-2 build wrote it. Version 2 carried
+//! the server's Figure 3 log — here 62 shipped pairs and 213 arrival
+//! times — between the `started` flag and the application's state.
 //! `fixtures/server_v3.snap` is the same server's version-3 snapshot,
-//! stored before the format moves again. Both were written while a
+//! stored before the format moved again. Both were written while a
 //! framebuffer kept history: the screen's lines that had scrolled off its
 //! top, [`HISTORY_BYTES`] of each file. A framebuffer keeps none now, so
-//! either restores to a server that writes those fields empty, and
-//! otherwise to today's `snapshot_server` bytes for the server's state,
-//! whatever the in-memory layout becomes.
+//! either restores to a server that writes those fields empty.
+//!
+//! The server had received the first of the paste's three fragments.
+//! `fixtures/server_v2_rest.bin` holds the other two as the client sent
+//! them, each a length-prefixed datagram, and [`STOPPED_AT`] the time the
+//! server stopped at. They were sent before instructions were compressed,
+//! so fed them, a restored server completes a plain instruction begun by
+//! an older build. The scenario itself cannot make the fixtures again:
+//! the paste now compresses into one datagram. So the fixtures are held to
+//! each other and to today's writer, and a live twin of the scenario, with
+//! a paste that still fragments once compressed, holds today's round trip
+//! to the server it was taken from.
 
 use mosh_core::hub::snapshot::{self, SnapshotError};
 use mosh_core::{LineShell, MoshClient, MoshServer};
 use mosh_crypto::Base64Key;
 use mosh_net::{Addr, Channel, LinkConfig, Network, Side, SimChannel};
 use mosh_prediction::DisplayPreference;
+use mosh_ssp::fragment::FRAGMENT_PAYLOAD;
+use mosh_wire::Reader;
 
 const FIXTURE: &[u8] = include_bytes!("fixtures/server_v2.snap");
 const FIXTURE_V3: &[u8] = include_bytes!("fixtures/server_v3.snap");
+const FIXTURE_REST: &[u8] = include_bytes!("fixtures/server_v2_rest.bin");
+
+/// When the fixtures' server stopped, and its paste's last two fragments
+/// arrive.
+const STOPPED_AT: u64 = 319;
 
 const C: Addr = Addr::new(1, 1000);
 const S: Addr = Addr::new(2, 60001);
 
 /// A server in the middle of a `yes` flood over a seeded LAN, stopped
 /// with writes applied that no frame has covered yet, a keystroke
-/// waiting for its echo ack, and the first fragment of a three-fragment
-/// paste received. Returns it with the fragments still in flight and the
+/// waiting for its echo ack, and the first fragment of `paste` received.
+/// Returns it with the paste's other fragments still in flight and the
 /// time it stopped at.
 ///
-/// The fixtures were recorded while the client held keystrokes for 8 ms.
-/// It now holds them for 1 ms, so each key is pressed 1 ms before the
-/// tick at which the 8 ms hold released it (`y` and `e` typed at 20 and
-/// 25 left together at 28, `s` and `\r` at 48, `q` at 298): the server
-/// receives the same datagrams at the same times and reaches the same
-/// state, byte for byte.
-fn mid_flood() -> (MoshServer, Vec<Vec<u8>>, u64) {
+/// Its keys are pressed on the schedule the fixtures were recorded under,
+/// when the client held keystrokes for 8 ms: `y` and `e` typed at 20 and
+/// 25 left together at 28, `s` and `\r` at 48, `q` at 298.
+fn mid_flood(paste: &[u8]) -> (MoshServer, Vec<Vec<u8>>, u64) {
     let key = Base64Key::from_bytes([0x76; 16]);
     let mut net = Network::new(LinkConfig::lan(), LinkConfig::lan(), 17);
     net.register(C, Side::Client);
@@ -64,12 +76,13 @@ fn mid_flood() -> (MoshServer, Vec<Vec<u8>>, u64) {
                 let _ = client.keystroke(now, b"q");
             }
             300 => {
-                let _ = client.keystroke(now, &[b'p'; 1300]);
+                let _ = client.keystroke(now, paste);
             }
             _ => {}
         }
+        assert!(now < 1000, "the paste never left in fragments");
         let wires = client.tick(now);
-        fragmented |= wires.len() >= 3;
+        fragmented |= wires.len() >= 2;
         for (to, w) in wires {
             ch.send(C, to, w);
         }
@@ -101,6 +114,17 @@ fn mid_flood() -> (MoshServer, Vec<Vec<u8>>, u64) {
     (server, rest, now)
 }
 
+/// The fixtures' paste fragments still in flight.
+fn fixture_rest() -> Vec<Vec<u8>> {
+    let mut r = Reader::new(FIXTURE_REST);
+    let rest: Vec<Vec<u8>> = std::iter::from_fn(|| {
+        (r.remaining() > 0).then(|| r.bytes().expect("a length-prefixed datagram").to_vec())
+    })
+    .collect();
+    assert_eq!(rest.len(), 2);
+    rest
+}
+
 /// The bytes of history in each fixture: the limit, length and offset
 /// fields and the rows the flood had scrolled off the screen, in every
 /// framebuffer the snapshot holds, less the three zero bytes written in
@@ -129,70 +153,96 @@ fn claiming(version: u16, framed: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Feeds `rest` to each server at `now`, checks that each completed the
+/// instruction it held the first fragment of, then ticks them for 400 ms
+/// and checks that they send the same datagrams.
+fn complete_and_tick_alike(servers: &mut [MoshServer], rest: &[Vec<u8>], now: u64) {
+    for server in servers.iter_mut() {
+        let marker = server.activity_marker();
+        for wire in rest {
+            server.receive(now, C, wire);
+        }
+        assert_eq!(
+            server.activity_marker().1,
+            marker.1 + 1,
+            "the paste completed"
+        );
+    }
+    let (first, others) = servers.split_first_mut().expect("a server");
+    for t in now..now + 400 {
+        let wires = first.tick(t);
+        for (i, other) in others.iter_mut().enumerate() {
+            assert_eq!(other.tick(t), wires, "twin {i} at {t}");
+        }
+    }
+    for other in others {
+        assert_eq!(other.frame().to_text(), first.frame().to_text());
+    }
+}
+
 #[test]
 fn a_v2_snapshot_restores_resumes_and_is_written_back_as_v3() {
     assert_eq!(FIXTURE[4..6], 2u16.to_be_bytes());
-    let mut from_v2 = restore(FIXTURE).expect("version 2 is read");
+    let from_v2 = restore(FIXTURE).expect("version 2 is read");
     assert_eq!(from_v2.frame().to_text(), screen());
     assert_eq!(from_v2.next_seq(), NEXT_SEQ);
     assert_eq!(from_v2.activity_marker(), ACTIVITY_MARKER);
 
-    // Written back it is the v3 snapshot of the server the fixture was
-    // taken from — the same bytes, not merely an equivalent session —
-    // and the log and the history are all that went.
-    let (mut live, rest, now) = mid_flood();
+    // Written back it is the v3 fixture written back — the same bytes,
+    // not merely an equivalent session — and the log and the history are
+    // all that went.
+    let from_v3 = restore(FIXTURE_V3).expect("version 3 is read");
     let v3 = snapshot::snapshot_server(&from_v2);
     assert_eq!(v3[4..6], 3u16.to_be_bytes());
-    assert_eq!(v3, snapshot::snapshot_server(&live));
+    assert_eq!(v3, snapshot::snapshot_server(&from_v3));
     assert_eq!(FIXTURE.len() - v3.len(), 563 + HISTORY_BYTES);
 
-    // It resumes as a v3 round trip of that server does. The paste's
-    // other two fragments complete the instruction whose first the
-    // snapshot was holding.
-    let mut from_v3 = restore(&v3).expect("round trip");
-    for server in [&mut live, &mut from_v3, &mut from_v2] {
-        for wire in &rest {
-            server.receive(now, C, wire);
-        }
-        assert_eq!(server.activity_marker().1, ACTIVITY_MARKER.1 + 1);
-    }
-    for t in now..now + 400 {
-        let wires = live.tick(t);
-        assert_eq!(from_v3.tick(t), wires, "v3 twin at {t}");
-        assert_eq!(from_v2.tick(t), wires, "v2 twin at {t}");
-    }
-    assert!(live.activity_marker().0 > ACTIVITY_MARKER.0, "frames left");
-    assert_eq!(from_v2.frame().to_text(), live.frame().to_text());
+    // The paste's other two fragments complete the plain instruction
+    // whose first each was holding, and the two, with a round trip of
+    // what the v2 fixture is written back as, go on alike.
+    let round_trip = restore(&v3).expect("round trip");
+    let mut servers = [from_v2, from_v3, round_trip];
+    complete_and_tick_alike(&mut servers, &fixture_rest(), STOPPED_AT);
+    assert!(
+        servers[0].activity_marker().0 > ACTIVITY_MARKER.0,
+        "frames left"
+    );
 }
 
 #[test]
-fn the_v3_fixture_is_todays_snapshot_and_resumes_like_its_v2_twin() {
+fn the_v3_fixture_is_written_back_without_its_history_and_stays_so() {
     assert_eq!(FIXTURE_V3[4..6], 3u16.to_be_bytes());
-    let (mut live, rest, now) = mid_flood();
-    let mut from_v3 = restore(FIXTURE_V3).expect("version 3 is read");
-    let today = snapshot::snapshot_server(&live);
-    assert_eq!(
-        snapshot::snapshot_server(&from_v3),
-        today,
-        "the snapshot bytes of one server state changed"
-    );
-    assert_eq!(FIXTURE_V3.len() - today.len(), HISTORY_BYTES);
-
-    let mut from_v2 = restore(FIXTURE).expect("version 2 is read");
+    let from_v3 = restore(FIXTURE_V3).expect("version 3 is read");
     assert_eq!(from_v3.frame().to_text(), screen());
     assert_eq!(from_v3.next_seq(), NEXT_SEQ);
     assert_eq!(from_v3.activity_marker(), ACTIVITY_MARKER);
-    for server in [&mut live, &mut from_v3, &mut from_v2] {
-        for wire in &rest {
-            server.receive(now, C, wire);
-        }
-    }
-    for t in now..now + 400 {
-        let wires = from_v2.tick(t);
-        assert_eq!(from_v3.tick(t), wires, "v3 fixture at {t}");
-        assert_eq!(live.tick(t), wires, "live server at {t}");
-    }
-    assert_eq!(from_v3.frame().to_text(), from_v2.frame().to_text());
+    let today = snapshot::snapshot_server(&from_v3);
+    assert_eq!(FIXTURE_V3.len() - today.len(), HISTORY_BYTES);
+    let again = restore(&today).expect("today's bytes are read");
+    assert_eq!(
+        snapshot::snapshot_server(&again),
+        today,
+        "the snapshot bytes of one server state changed"
+    );
+}
+
+#[test]
+fn a_server_holding_part_of_a_compressed_paste_resumes_like_the_live_one() {
+    // Lines that repeat all but their numbers: the instruction shrinks
+    // but still spans several fragments.
+    let paste: Vec<u8> = (0..400)
+        .flat_map(|n| format!("line {n}: the quick brown fox\r").into_bytes())
+        .collect();
+    let (live, rest, now) = mid_flood(&paste);
+    assert!(!rest.is_empty(), "the paste fragmented");
+    assert!(
+        1 + rest.len() < paste.len() / FRAGMENT_PAYLOAD,
+        "the paste was compressed: {} fragments for {} bytes",
+        1 + rest.len(),
+        paste.len()
+    );
+    let restored = restore(&snapshot::snapshot_server(&live)).expect("round trip");
+    complete_and_tick_alike(&mut [live, restored], &rest, now);
 }
 
 #[test]

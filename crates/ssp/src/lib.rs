@@ -12,7 +12,9 @@
 //! * **Transport layer** ([`sender`], [`receiver`], [`transport`]) —
 //!   numbered state snapshots, diff-based [`instruction`]s, frame-rate
 //!   control at `SRTT/2` (20–250 ms), an 8 ms collection interval (1 ms on
-//!   the client), 100 ms delayed acks, 3 s heartbeats, MTU [`fragment`]ation.
+//!   the client), 100 ms delayed acks, 3 s heartbeats, MTU [`fragment`]ation
+//!   of each instruction after it is compressed, as Mosh compresses
+//!   with zlib (here an LZ77 block without an entropy coder).
 //! * **Object interface** ([`state::SyncState`]) — the protocol is
 //!   agnostic to what it synchronizes; diffs are object-defined.
 //!
@@ -53,6 +55,7 @@
 pub mod datagram;
 pub mod fragment;
 pub mod instruction;
+mod lz;
 pub mod receiver;
 pub mod rtt;
 pub mod sender;

@@ -503,7 +503,16 @@ mod tests {
     #[test]
     fn large_state_fragments_and_reassembles() {
         let (mut client, mut server) = pair();
-        let big = vec![0xabu8; 5000];
+        // Seeded xorshift bytes: nothing for the compressor to shorten.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let big: Vec<u8> = (0..5000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
         client.set_current_state(BlobState(big.clone()), 0);
         converge(&mut client, &mut server, 0, 500);
         assert_eq!(server.remote_state().0, big);

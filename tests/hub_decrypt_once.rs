@@ -373,9 +373,19 @@ fn a_hint_that_moves_mid_drain_costs_one_probe_per_switch() {
     let (mut c1, mut s1) = endpoints(1);
 
     // The wires, made off the hub: session 1's first two bursts and a
-    // paste on session 0 long enough to fragment.
+    // paste on session 0 long enough to fragment. The paste is seeded
+    // printable noise, which compression cannot shorten.
     let (mut t0, mut t1) = (0, 0);
-    c0.keystroke(0, &[b'x'; 1500]);
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let text: Vec<u8> = (0..1500)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            b' ' + (x % 95) as u8
+        })
+        .collect();
+    c0.keystroke(0, &text);
     let paste = next_burst(&mut c0, &mut t0);
     assert!(paste.len() >= 3, "the paste fragments: {}", paste.len());
     c1.keystroke(0, b"a");
