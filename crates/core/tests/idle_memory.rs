@@ -115,3 +115,30 @@ fn a_connected_pair_holds_little_once_the_prompt_has_arrived() {
     drop((client, server));
     assert!(held <= MAX, "a connected pair holds {held} bytes");
 }
+
+#[test]
+fn the_simulated_world_between_a_connected_pair_holds_little() {
+    // 2 408 bytes while the network kept a mailbox per address; 1 428
+    // with one queue of deliveries.
+    const MAX: isize = 2 * 1024;
+    let mut client = MoshClient::new(key(), S, 80, 24, DisplayPreference::Adaptive);
+    let mut server = MoshServer::new(key(), Box::new(LineShell::new()));
+    let mut net = Network::new(LinkConfig::lan(), LinkConfig::lan(), 1);
+    net.register(C, Side::Client);
+    net.register(S, Side::Server);
+    let mut session = SessionLoop::new(SimChannel::new(net));
+    let mut now = 0;
+    while client.server_frame().row_text(0) != "$" {
+        assert!(now < 10_000, "no prompt after {now} ms");
+        now += 50;
+        session.pump_until(
+            &mut [Party::new(C, &mut client), Party::new(S, &mut server)],
+            now,
+        );
+    }
+    let channel = session.into_channel();
+    let before = live();
+    drop(channel);
+    let held = before - live();
+    assert!(held <= MAX, "the simulated world holds {held} bytes");
+}

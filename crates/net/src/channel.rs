@@ -94,8 +94,9 @@ pub trait Channel {
 /// The discrete-event [`Network`] emulator behind the [`Channel`] seam.
 ///
 /// Both sides of an emulated session share one `SimChannel` (the network
-/// *is* the shared medium); a driver multiplexes its endpoints over it by
-/// destination address via [`Channel::poll_any`].
+/// *is* the shared medium): [`Channel::poll_any`] yields every delivery,
+/// to either side, from one queue in delivery order, and a driver hands
+/// each to the endpoint at its [`Datagram::to`].
 #[derive(Debug)]
 pub struct SimChannel {
     net: Network,
@@ -133,7 +134,7 @@ impl Channel for SimChannel {
     }
 
     fn poll_any(&mut self) -> Option<Datagram> {
-        self.net.poll_any().map(|(_, dg)| dg)
+        self.net.poll_any()
     }
 
     fn next_event_time(&self) -> Option<Millis> {

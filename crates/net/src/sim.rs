@@ -4,8 +4,8 @@
 //! direction. Any number of endpoints may live on each side (the LTE
 //! experiment runs a bulk TCP download beside the terminal session, sharing
 //! the same bottleneck queue). Packets experience droptail queueing,
-//! serialization, propagation delay, jitter, and i.i.d. loss, then appear
-//! in the destination's mailbox.
+//! serialization, propagation delay, jitter, and i.i.d. loss, then join
+//! the one queue of delivered datagrams, in delivery order.
 
 use crate::link::LinkConfig;
 use crate::{Addr, Datagram, Millis};
@@ -28,7 +28,8 @@ pub enum Side {
 pub struct LinkStats {
     /// Packets handed to the link.
     pub offered: u64,
-    /// Packets delivered to a mailbox.
+    /// Packets delivered to an endpoint on the side this direction
+    /// reaches (same-side loopback included).
     pub delivered: u64,
     /// Packets dropped by random loss.
     pub dropped_loss: u64,
@@ -62,8 +63,12 @@ struct LinkState {
 enum Event {
     /// Packet leaves the buffer (frees its bytes) at this time.
     Depart { dir: usize, size: usize },
-    /// Packet reaches its destination mailbox.
-    Arrive { dg: Datagram, sent_at: Millis },
+    /// Packet reaches its destination, counted on link `dir`'s stats.
+    Arrive {
+        dg: Datagram,
+        sent_at: Millis,
+        dir: usize,
+    },
 }
 
 /// Heap entry ordered by `(time, insertion sequence)` only; the event
@@ -100,17 +105,9 @@ impl Ord for Scheduled {
 pub struct Network {
     links: [LinkState; 2], // [0] = up (client->server), [1] = down
     sides: HashMap<Addr, Side>,
-    /// Per-destination mailboxes; each datagram carries its global
-    /// delivery sequence number so [`Network::poll_any`] can yield strict
-    /// delivery order across endpoints while [`Network::recv`] stays an
-    /// O(1) pop (and traffic nobody drains degrades no one else). Their
-    /// total length is `undrained`.
-    mailboxes: HashMap<Addr, VecDeque<(u64, Datagram)>>,
-    /// Delivered datagrams no one has taken yet: each arrival adds one,
-    /// each successful [`Network::recv`] takes one, so an idle network's
-    /// [`Network::poll_any`] answers without looking at a mailbox.
-    undrained: usize,
-    delivery_seq: u64,
+    /// Delivered datagrams no one has taken yet, for every endpoint, in
+    /// delivery order.
+    delivered: VecDeque<Datagram>,
     events: BinaryHeap<Reverse<Scheduled>>,
     event_seq: u64,
     now: Millis,
@@ -135,9 +132,7 @@ impl Network {
                 },
             ],
             sides: HashMap::new(),
-            mailboxes: HashMap::new(),
-            undrained: 0,
-            delivery_seq: 0,
+            delivered: VecDeque::new(),
             events: BinaryHeap::new(),
             event_seq: 0,
             now: 0,
@@ -178,48 +173,31 @@ impl Network {
         let from_side = *self.sides.get(&from).expect("sender not registered");
         let to_side = *self.sides.get(&to).expect("receiver not registered");
         let dg = Datagram { from, to, payload };
+        // The link toward the destination's side: the one a cross-side
+        // packet crosses, and the one whose stats count its delivery.
+        let dir = match to_side {
+            Side::Server => 0,
+            Side::Client => 1,
+        };
+        let sent_at = self.now;
 
         if from_side == to_side {
             // Same-side traffic short-circuits (loopback) with 0 delay.
-            self.schedule(
-                self.now,
-                Event::Arrive {
-                    dg,
-                    sent_at: self.now,
-                },
-            );
+            self.schedule(self.now, Event::Arrive { dg, sent_at, dir });
             return;
         }
-
-        let dir = match from_side {
-            Side::Client => 0,
-            Side::Server => 1,
-        };
-        let dir_stats = if dir == 0 {
-            &mut self.stats.up
-        } else {
-            &mut self.stats.down
-        };
-        dir_stats.offered += 1;
+        self.link_stats(dir).offered += 1;
 
         // I.i.d. loss applies at ingress (as netem does).
         let loss = self.links[dir].config.loss;
         if loss > 0.0 && self.rng.gen::<f64>() < loss {
-            if dir == 0 {
-                self.stats.up.dropped_loss += 1;
-            } else {
-                self.stats.down.dropped_loss += 1;
-            }
+            self.link_stats(dir).dropped_loss += 1;
             return;
         }
 
         let size = dg.payload.len() + self.links[dir].config.per_packet_overhead;
         if self.links[dir].queued_bytes.saturating_add(size) > self.links[dir].config.queue_bytes {
-            if dir == 0 {
-                self.stats.up.dropped_queue += 1;
-            } else {
-                self.stats.down.dropped_queue += 1;
-            }
+            self.link_stats(dir).dropped_queue += 1;
             return;
         }
 
@@ -236,13 +214,16 @@ impl Network {
         let arrive = depart + self.links[dir].config.delay_ms + jitter;
 
         self.schedule(depart, Event::Depart { dir, size });
-        self.schedule(
-            arrive,
-            Event::Arrive {
-                dg,
-                sent_at: self.now,
-            },
-        );
+        self.schedule(arrive, Event::Arrive { dg, sent_at, dir });
+    }
+
+    /// The counters of link `dir` (0 = up, 1 = down).
+    fn link_stats(&mut self, dir: usize) -> &mut LinkStats {
+        if dir == 0 {
+            &mut self.stats.up
+        } else {
+            &mut self.stats.down
+        }
     }
 
     fn schedule(&mut self, at: Millis, event: Event) {
@@ -272,23 +253,15 @@ impl Network {
                 Event::Depart { dir, size } => {
                     self.links[dir].queued_bytes -= size;
                 }
-                Event::Arrive { dg, sent_at } => {
-                    let dir_stats = match self.sides.get(&dg.to) {
-                        Some(Side::Server) => &mut self.stats.up,
-                        _ => &mut self.stats.down,
-                    };
+                Event::Arrive { dg, sent_at, dir } => {
+                    let dir_stats = self.link_stats(dir);
                     dir_stats.delivered += 1;
                     dir_stats.bytes_delivered += dg.payload.len() as u64;
                     // Saturating for the linter's benefit: arrivals are
                     // scheduled at send time + latency, so `at >=
                     // sent_at` always holds.
                     dir_stats.total_latency_ms += at.saturating_sub(sent_at);
-                    self.delivery_seq += 1;
-                    self.undrained += 1;
-                    self.mailboxes
-                        .entry(dg.to)
-                        .or_default()
-                        .push_back((self.delivery_seq, dg));
+                    self.delivered.push_back(dg);
                 }
             }
         }
@@ -300,45 +273,19 @@ impl Network {
         self.events.peek().map(|Reverse(entry)| entry.at)
     }
 
-    /// Takes the next delivered datagram for an endpoint, if any.
+    /// Takes the next delivered datagram for an endpoint, if any: the
+    /// first in delivery order addressed to `addr`.
     pub fn recv(&mut self, addr: Addr) -> Option<Datagram> {
-        let taken = self.mailboxes.get_mut(&addr).and_then(VecDeque::pop_front);
-        if taken.is_some() {
-            self.undrained -= 1;
-        }
-        self.debug_check_undrained();
-        taken.map(|(_, dg)| dg)
+        let i = self.delivered.iter().position(|dg| dg.to == addr)?;
+        self.delivered.remove(i)
     }
 
     /// Takes the next delivered datagram for *any* endpoint, in strict
-    /// delivery order across endpoints, together with the receiving
-    /// address. Event-driven drivers use this instead of polling
-    /// [`Network::recv`] once per registered address per step. With
-    /// nothing undrained it returns `None` in O(1), without looking at a
-    /// mailbox; otherwise it takes the mailbox whose front holds the
-    /// smallest global sequence number (unique, so the choice is
-    /// deterministic), in O(#endpoints).
-    pub fn poll_any(&mut self) -> Option<(Addr, Datagram)> {
-        self.debug_check_undrained();
-        if self.undrained == 0 {
-            return None;
-        }
-        let addr = self
-            .mailboxes
-            .iter()
-            .filter_map(|(addr, q)| q.front().map(|&(seq, _)| (seq, *addr)))
-            .min()
-            .map(|(_, addr)| addr)?;
-        self.recv(addr).map(|dg| (addr, dg))
-    }
-
-    /// Debug builds hold `undrained` to the mailboxes' total length.
-    fn debug_check_undrained(&self) {
-        debug_assert_eq!(
-            self.undrained,
-            self.mailboxes.values().map(VecDeque::len).sum::<usize>(),
-            "undrained count out of step with the mailboxes"
-        );
+    /// delivery order across endpoints; its receiving address is
+    /// [`Datagram::to`]. Event-driven drivers use this instead of polling
+    /// [`Network::recv`] once per registered address per step. O(1).
+    pub fn poll_any(&mut self) -> Option<Datagram> {
+        self.delivered.pop_front()
     }
 }
 
@@ -561,12 +508,12 @@ mod tests {
         net.send(s, c, b"to client".to_vec());
         net.send(s, c2, b"to c2".to_vec());
         net.advance_to(10);
-        let (a1, d1) = net.poll_any().expect("first");
-        let (a2, d2) = net.poll_any().expect("second");
-        let (a3, d3) = net.poll_any().expect("third");
-        assert_eq!((a1, d1.payload.as_slice()), (s, b"to server".as_ref()));
-        assert_eq!((a2, d2.payload.as_slice()), (c, b"to client".as_ref()));
-        assert_eq!((a3, d3.payload.as_slice()), (c2, b"to c2".as_ref()));
+        let d1 = net.poll_any().expect("first");
+        let d2 = net.poll_any().expect("second");
+        let d3 = net.poll_any().expect("third");
+        assert_eq!((d1.to, d1.payload.as_slice()), (s, b"to server".as_ref()));
+        assert_eq!((d2.to, d2.payload.as_slice()), (c, b"to client".as_ref()));
+        assert_eq!((d3.to, d3.payload.as_slice()), (c2, b"to c2".as_ref()));
         assert!(net.poll_any().is_none());
     }
 
@@ -578,9 +525,9 @@ mod tests {
         }
         net.advance_to(10);
         assert_eq!(net.recv(s).unwrap().payload, vec![0]);
-        assert_eq!(net.poll_any().unwrap().1.payload, vec![1]);
+        assert_eq!(net.poll_any().unwrap().payload, vec![1]);
         assert_eq!(net.recv(s).unwrap().payload, vec![2]);
-        assert_eq!(net.poll_any().unwrap().1.payload, vec![3]);
+        assert_eq!(net.poll_any().unwrap().payload, vec![3]);
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn simultaneous_cross_endpoint_deliveries_keep_send_order() {
     let mut expected = Vec::new();
     for round in 0..3u8 {
         for (i, (&c, &s)) in CLIENTS.iter().zip(SERVERS.iter()).enumerate() {
-            // Interleave directions so client- and server-side mailboxes
+            // Interleave directions so client- and server-side endpoints
             // both participate in every burst.
             if round % 2 == 0 {
                 net.send(c, s, vec![round, i as u8]);
@@ -48,9 +48,8 @@ fn simultaneous_cross_endpoint_deliveries_keep_send_order() {
     }
     net.advance_to(10);
     let mut got = Vec::new();
-    while let Some((addr, dg)) = net.poll_any() {
-        assert_eq!(addr, dg.to, "poll_any tags the receiving address");
-        got.push((addr, dg.payload));
+    while let Some(dg) = net.poll_any() {
+        got.push((dg.to, dg.payload));
     }
     assert_eq!(got, expected, "strict global delivery order");
 }
@@ -75,8 +74,8 @@ fn fairness_under_a_flooding_endpoint() {
     for _ in 0..50 {
         assert!(net.recv(SERVERS[0]).is_some());
     }
-    let (addr, dg) = net.poll_any().expect("the non-flooded endpoint's turn");
-    assert_eq!(addr, SERVERS[1]);
+    let dg = net.poll_any().expect("the non-flooded endpoint's turn");
+    assert_eq!(dg.to, SERVERS[1]);
     assert_eq!(dg.payload, b"urgent");
     assert!(net.poll_any().is_none());
 }
@@ -99,8 +98,8 @@ fn jittered_ties_are_deterministic() {
         }
         net.advance_to(100);
         let mut order = Vec::new();
-        while let Some((addr, dg)) = net.poll_any() {
-            order.push((addr, dg.payload[0]));
+        while let Some(dg) = net.poll_any() {
+            order.push((dg.to, dg.payload[0]));
         }
         assert_eq!(order.len(), 120, "no jittered packet lost on a LAN");
         order

@@ -240,14 +240,17 @@ impl<S: SyncState> Sender<S> {
     }
 
     /// Reads a sender written by [`Sender::encode_into`]. `None` when the
-    /// shipped-state list is empty or out of order — a corrupt snapshot
-    /// is rejected whole, never half-applied.
+    /// shipped-state list is empty or out of order, or the collection
+    /// interval exceeds [`SEND_INTERVAL_MAX`] (Figure 3 sweeps it to 100
+    /// ms) — a corrupt snapshot is rejected whole, never half-applied.
+    /// Clocks and timestamps are taken as they are: the deadlines built
+    /// on them saturate.
     pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
         Some(Sender {
             sent_states: decode_states(r)?,
             current: S::decode(r)?,
             mindelay_clock: r.opt()?,
-            mindelay: r.varint()?,
+            mindelay: r.varint().filter(|&m| m <= SEND_INTERVAL_MAX)?,
             ack_num: r.varint()?,
             next_ack_time: r.varint()?,
             ack_pending: r.bool()?,
@@ -441,13 +444,15 @@ impl<S: SyncState> Sender<S> {
         let back = self.sent_states.last().expect("never empty");
         if pending {
             let gate = if self.sent_anything {
-                back.timestamp + send_interval(srtt)
+                back.timestamp.saturating_add(send_interval(srtt))
             } else {
                 0
             };
             // An unset clock (data pending that no `commit` saw: a crash
             // resync) is started by the first `tick` at or after the gate.
-            let collect = self.mindelay_clock.map_or(0, |c| c + self.mindelay);
+            let collect = self
+                .mindelay_clock
+                .map_or(0, |c| c.saturating_add(self.mindelay));
             Deadlines {
                 frame: Some(collect.max(gate)),
                 ack: None,
@@ -455,7 +460,7 @@ impl<S: SyncState> Sender<S> {
         } else {
             let unacked = back.num != self.acked_num();
             Deadlines {
-                frame: unacked.then(|| back.timestamp + rto + ACK_DELAY),
+                frame: unacked.then(|| back.timestamp.saturating_add(rto + ACK_DELAY)),
                 ack: Some(self.next_ack_time),
             }
         }
@@ -886,6 +891,64 @@ mod tests {
         let mut empty = vec![0];
         empty.extend_from_slice(&bytes[10..]);
         assert!(Sender::<BlobState>::decode(&mut Reader::new(&empty)).is_none());
+    }
+
+    /// Snapshot bytes come from outside the process: a restored sender
+    /// refuses a collection interval no caller sets, and the deadlines it
+    /// builds on a clock or a timestamp at `Millis::MAX` saturate instead
+    /// of overflowing.
+    #[test]
+    fn restore_refuses_or_saturates_extreme_clocks() {
+        // State 1 shipped at 1008, unacknowledged; `pending` adds an
+        // unshipped change at 1012.
+        let sender = |pending: bool| {
+            let mut s = Sender::new(blob(b"0"));
+            s.set_current(blob(b"1"), 1000);
+            s.tick(1008, SRTT, RTO).unwrap();
+            if pending {
+                s.set_current(blob(b"2"), 1012);
+            }
+            s
+        };
+        let restore = |s: &Sender<BlobState>| {
+            let mut bytes = Vec::new();
+            s.encode_into(&mut bytes);
+            Sender::<BlobState>::decode(&mut Reader::new(&bytes))
+        };
+        for (mindelay, accepted) in [
+            (SEND_INTERVAL_MAX, true),
+            (SEND_INTERVAL_MAX + 1, false),
+            (Millis::MAX, false),
+        ] {
+            let mut s = sender(true);
+            s.mindelay = mindelay;
+            assert_eq!(restore(&s).is_some(), accepted, "mindelay {mindelay}");
+        }
+
+        // A frame waits behind the collection clock or the frame gate.
+        let mut clock = sender(true);
+        clock.mindelay_clock = Some(Millis::MAX);
+        let mut gate = sender(true);
+        gate.sent_states.last_mut().unwrap().timestamp = Millis::MAX;
+        for (case, s) in [("mindelay_clock", clock), ("gated timestamp", gate)] {
+            let mut r = restore(&s).expect(case);
+            for now in [1012, 5000, 100_000] {
+                assert_eq!(r.next_wakeup(SRTT, RTO), Some(Millis::MAX), "{case}");
+                assert_eq!(r.tick(now, SRTT, RTO), None, "{case} at {now}");
+            }
+        }
+
+        // Nothing pending: the retransmission deadline saturates, and the
+        // heartbeat still falls due.
+        let mut unacked = sender(false);
+        unacked.sent_states.last_mut().unwrap().timestamp = Millis::MAX;
+        let mut r = restore(&unacked).expect("unacked timestamp");
+        let beat = 1008 + HEARTBEAT_DURATION;
+        assert_eq!(r.next_wakeup(SRTT, RTO), Some(beat));
+        assert_eq!(
+            r.tick(beat, SRTT, RTO).map(|o| o.kind),
+            Some(SendKind::Heartbeat)
+        );
     }
 
     #[test]
