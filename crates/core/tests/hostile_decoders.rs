@@ -88,10 +88,10 @@ proptest! {
         let v3 = snapshot::unframe(SERVER_V3).expect("v3 fixture").1;
 
         for bytes in [noise.clone(), splice(&instruction, cut, &noise), splice(&compressed, cut, &noise)] {
-            let _ = Instruction::decode(&bytes);
+            let _ = Instruction::decode(bytes);
         }
         for bytes in [noise.clone(), splice(&fragment, cut, &noise)] {
-            let _ = Fragment::decode(&bytes);
+            let _ = Fragment::decode(bytes);
         }
         for bytes in [noise.clone(), splice(&user, cut, &noise)] {
             let _ = UserStream::new().apply_diff(&bytes);
@@ -193,15 +193,11 @@ impl Typist {
             diff,
         }
         .encode(b"chaff");
-        let fragments: Vec<Vec<u8>> = fragment(self.next_id, &payload, FRAGMENT_PAYLOAD)
-            .iter()
-            .map(Fragment::encode)
-            .collect();
-        self.next_id += 1;
-        let refs: Vec<&[u8]> = fragments.iter().map(Vec::as_slice).collect();
-        for wire in self.layer.encode_many(now, &refs) {
+        for f in fragment(self.next_id, &payload, FRAGMENT_PAYLOAD) {
+            let wire = self.layer.seal(now, &f.encode());
             server.receive(now, CLIENT, &wire);
         }
+        self.next_id += 1;
         let taken = server.activity_marker().1 == self.next_num;
         if taken {
             self.accepted = (self.next_num, start + events.len() as u64);

@@ -66,11 +66,10 @@ pub const MAX_SEQ: u64 = (1 << 63) - 1;
 /// direction bit and accepts only datagrams from the opposite direction.
 ///
 /// A `Session` is `Send` but deliberately **not** `Sync`: the decrypt
-/// counter is a `Cell` and the scratch buffer is unguarded, which is
-/// exactly right for the sharded-hub threading model — a session is
-/// owned by one shard (worker thread) at a time, its interior state
-/// shard-local by construction, and the compiler rejects any attempt to
-/// share one across threads.
+/// counter is a `Cell`, which is exactly right for the sharded-hub
+/// threading model — a session is owned by one shard (worker thread) at
+/// a time, its interior state shard-local by construction, and the
+/// compiler rejects any attempt to share one across threads.
 ///
 /// # Examples
 ///
@@ -104,13 +103,6 @@ pub struct Session {
     /// address is ambiguous and the datagram was first opened to decide
     /// which session owns it.
     decrypt_ops: Cell<u64>,
-    /// Reusable plaintext buffers, lent out via [`Session::take_scratch`]
-    /// and returned via [`Session::recycle_scratch`], so the steady-state
-    /// per-datagram path does zero heap allocation. A small pool (not a
-    /// single buffer) because a receive-side token keeps its plaintext
-    /// buffer until the datagram is consumed, so a caller may hold more
-    /// than one at a time.
-    scratch: Vec<Vec<u8>>,
 }
 
 impl Session {
@@ -122,7 +114,6 @@ impl Session {
             direction,
             next_seq: 0,
             decrypt_ops: Cell::new(0),
-            scratch: Vec::new(),
         }
     }
 
@@ -137,8 +128,8 @@ impl Session {
 
     /// Reads an endpoint written by [`Session::encode_into`] off `r`.
     /// The direction is the caller's to know; the cipher schedule is
-    /// re-derived from the key and the scratch pool starts empty. `None`
-    /// for truncated input or a sequence number beyond [`MAX_SEQ`].
+    /// re-derived from the key. `None` for truncated input or a sequence
+    /// number beyond [`MAX_SEQ`].
     pub fn decode(r: &mut Reader<'_>, direction: Direction) -> Option<Self> {
         let key: [u8; 16] = r.take(16)?.try_into().ok()?;
         let next_seq = r.varint().filter(|&seq| seq <= MAX_SEQ)?;
@@ -179,25 +170,6 @@ impl Session {
         self.decrypt_ops.get()
     }
 
-    /// Lends out a reusable plaintext buffer (empty, but with its
-    /// accumulated capacity). Pair with [`Session::recycle_scratch`] so
-    /// the steady-state receive path never allocates. Buffers come from
-    /// a small pool, so several can be out at once.
-    pub fn take_scratch(&mut self) -> Vec<u8> {
-        self.scratch.pop().unwrap_or_default()
-    }
-
-    /// Returns a buffer taken with [`Session::take_scratch`] (any buffer,
-    /// really) for reuse by later datagrams. Contents are discarded. The
-    /// pool is bounded; beyond that, buffers are simply dropped.
-    pub fn recycle_scratch(&mut self, mut buf: Vec<u8>) {
-        const POOL: usize = 64;
-        if self.scratch.len() < POOL {
-            buf.clear();
-            self.scratch.push(buf);
-        }
-    }
-
     /// Builds the 12-byte OCB nonce for a direction+sequence pair.
     fn nonce(dir_seq: u64) -> [u8; 12] {
         let mut nonce = [0u8; 12];
@@ -234,8 +206,10 @@ impl Session {
     /// Authenticates and decrypts a wire datagram from the peer.
     ///
     /// Returns the peer's sequence number and payload. Fails if the packet is
-    /// truncated, fails its tag, or carries our own direction bit. Thin
-    /// allocating wrapper over [`Session::decrypt_into`].
+    /// truncated, fails its tag, or carries our own direction bit. The
+    /// payload is a fresh buffer of exactly the plaintext's size, the one
+    /// allocation a received datagram costs here; it is the caller's to
+    /// keep. Thin allocating wrapper over [`Session::decrypt_into`].
     pub fn decrypt(&self, wire: &[u8]) -> Result<Message, CryptoError> {
         let mut payload = Vec::new();
         let seq = self.decrypt_into(wire, &mut payload)?;
@@ -245,14 +219,14 @@ impl Session {
     /// Authenticates and decrypts a wire datagram into `payload` (cleared
     /// first), returning the peer's sequence number. On any failure the
     /// buffer is left empty — no unauthenticated plaintext is released.
-    /// With a recycled buffer (see [`Session::take_scratch`]) this is the
-    /// zero-allocation receive path.
     pub fn decrypt_into(&self, wire: &[u8], payload: &mut Vec<u8>) -> Result<u64, CryptoError> {
         payload.clear();
         if wire.len() < 8 + TAG_LEN {
             return Err(CryptoError::Truncated);
         }
-        self.decrypt_ops.set(self.decrypt_ops.get() + 1);
+        // A restored counter may sit at `u64::MAX`: it saturates.
+        self.decrypt_ops
+            .set(self.decrypt_ops.get().saturating_add(1));
         let dir_seq = u64::from_be_bytes(wire[..8].try_into().expect("length checked"));
         self.ocb
             .open_into(&Self::nonce(dir_seq), &[], &wire[8..], payload)?;
@@ -546,30 +520,19 @@ mod tests {
     }
 
     #[test]
-    fn scratch_pool_hands_out_multiple_buffers() {
-        let (_, mut server) = pair();
-        let mut a = server.take_scratch();
-        let b = server.take_scratch();
-        a.extend_from_slice(&[0u8; 512]);
-        let cap = a.capacity();
-        server.recycle_scratch(a);
-        server.recycle_scratch(b);
-        // LIFO: `b` (capacity 0) comes back first, then `a`.
-        let _ = server.take_scratch();
-        assert_eq!(server.take_scratch().capacity(), cap);
-    }
-
-    #[test]
-    fn scratch_buffer_recycles_capacity() {
-        let (mut client, mut server) = pair();
-        let wire = client.encrypt(&[0xcd; 600]);
-        let mut buf = server.take_scratch();
-        server.decrypt_into(&wire, &mut buf).unwrap();
-        assert_eq!(buf.len(), 600);
-        let cap = buf.capacity();
-        server.recycle_scratch(buf);
-        let reused = server.take_scratch();
-        assert!(reused.is_empty());
-        assert_eq!(reused.capacity(), cap, "capacity survives the round trip");
+    fn a_restored_decrypt_counter_at_its_limit_saturates() {
+        // Snapshot bytes come from outside the process; a counter at
+        // `u64::MAX` must not overflow at the next open.
+        let (mut client, _) = pair();
+        let mut bytes = vec![3u8; 16];
+        put_varint(&mut bytes, 0);
+        put_varint(&mut bytes, u64::MAX);
+        let server =
+            Session::decode(&mut Reader::new(&bytes), Direction::ToClient).expect("decodes");
+        assert_eq!(
+            server.decrypt(&client.encrypt(b"ok")).unwrap().payload,
+            b"ok"
+        );
+        assert_eq!(server.decrypt_count(), u64::MAX);
     }
 }

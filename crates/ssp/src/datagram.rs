@@ -13,7 +13,7 @@
 
 use crate::rtt::{RttEstimator, MAX_RTT_SAMPLE};
 use crate::{Millis, SspError};
-use mosh_crypto::session::{Direction, Session};
+use mosh_crypto::session::{Direction, Message, Session};
 use mosh_crypto::Base64Key;
 use mosh_wire::{put_bool, put_opt, put_varint, Reader};
 
@@ -42,18 +42,12 @@ pub struct Received {
 /// datagram once to decide which session owns it, then hands the token to
 /// that session — the verification work is never thrown away, so an
 /// ambiguous-address datagram crosses AES-OCB exactly once.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Opened {
-    /// The sender's sequence number (direction bit already checked and
-    /// stripped).
-    pub seq: u64,
-    /// The full authenticated plaintext: `timestamp ‖ timestamp_reply ‖
-    /// transport payload`. Backed by the session's recycled scratch
-    /// buffer; [`DatagramLayer::accept`] shifts it in place into
-    /// [`Received::payload`], and [`DatagramLayer::recycle`] takes it
-    /// back once consumed.
-    pub payload: Vec<u8>,
-}
+///
+/// `seq` is the sender's sequence number (direction bit checked and
+/// stripped); `payload` is the plaintext, `timestamp ‖ timestamp_reply ‖
+/// transport payload`, in the buffer the decrypt allocated. Each layer
+/// above strips its header from that buffer in place and hands it up.
+pub type Opened = Message;
 
 /// One end of the encrypted, RTT-estimating datagram layer.
 #[derive(Debug)]
@@ -80,8 +74,8 @@ impl DatagramLayer {
 
     /// Appends everything of this layer a session snapshot must carry:
     /// the crypto session, the RTT estimate, the new-high bookkeeping and
-    /// the saved timestamp echo. The key-derived cipher schedule and the
-    /// scratch pool are rebuilt, not stored.
+    /// the saved timestamp echo. The key-derived cipher schedule is
+    /// rebuilt, not stored.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         self.session.encode_into(out);
         self.rtt.encode_into(out);
@@ -148,15 +142,6 @@ impl DatagramLayer {
         self.max_seq_seen
     }
 
-    /// True when `wire` authenticates under this session's key and
-    /// direction, **without** consuming it: no sequence-number, RTT, or
-    /// timestamp state changes. Prefer [`DatagramLayer::open`] in a
-    /// demultiplexer — it returns the plaintext this verification already
-    /// paid for instead of discarding it.
-    pub fn verify(&self, wire: &[u8]) -> bool {
-        self.session.decrypt(wire).is_ok()
-    }
-
     /// Number of OCB open attempts this layer has performed (successful
     /// or not) — the decrypt-once instrumentation.
     pub fn decrypt_count(&self) -> u64 {
@@ -166,26 +151,18 @@ impl DatagramLayer {
     /// Authenticates and decrypts a wire datagram **without** consuming
     /// it: no sequence-number, RTT, or timestamp state changes — the
     /// non-mutating verification a demultiplexer runs on candidate
-    /// sessions, except the plaintext is kept instead of discarded. Hand
-    /// the token to [`DatagramLayer::accept`] (on this same layer) to
-    /// actually consume the datagram.
-    pub fn open(&mut self, wire: &[u8]) -> Result<Opened, SspError> {
-        let mut buf = self.session.take_scratch();
-        match self.session.decrypt_into(wire, &mut buf) {
-            Ok(seq) => Ok(Opened { seq, payload: buf }),
-            Err(e) => {
-                self.session.recycle_scratch(buf);
-                Err(SspError::Crypto(e))
-            }
-        }
+    /// sessions, except the plaintext is kept instead of discarded. The
+    /// plaintext is a buffer allocated here, one per datagram, and the
+    /// token owns it. Hand the token to [`DatagramLayer::accept`] (on this
+    /// same layer) to actually consume the datagram.
+    pub fn open(&self, wire: &[u8]) -> Result<Opened, SspError> {
+        Ok(self.session.decrypt(wire)?)
     }
 
-    /// Encrypts a batch of transport payloads into wire datagrams, all
-    /// stamped `now`, one OCB pass per payload. A batch of N is
-    /// byte-identical to N batches of one: encoding never mutates the
-    /// saved timestamp, so every packet of a same-instant burst carries
-    /// the same echo.
-    pub fn encode_many(&mut self, now: Millis, payloads: &[&[u8]]) -> Vec<Vec<u8>> {
+    /// Seals one transport payload into a wire datagram stamped `now`,
+    /// one OCB pass. Sealing never mutates the saved timestamp, so every
+    /// datagram of a same-instant burst carries the same echo.
+    pub fn seal(&mut self, now: Millis, payload: &[u8]) -> Vec<u8> {
         let ts = (now & 0xffff) as u16;
         // Adjust the echo by our holding time (paper §2.2, change #2).
         let ts_reply = match self.saved_timestamp {
@@ -195,42 +172,26 @@ impl DatagramLayer {
                 (their_ts as u64).wrapping_add(held) as u16
             }
         };
-        // Frame each plaintext in one recycled scratch buffer and seal it
-        // at once, so the only allocations on this path are the wires.
-        let mut plain = self.session.take_scratch();
-        let mut wires = Vec::with_capacity(payloads.len());
-        for payload in payloads {
-            plain.clear();
-            plain.extend_from_slice(&ts.to_be_bytes());
-            plain.extend_from_slice(&ts_reply.to_be_bytes());
-            plain.extend_from_slice(payload);
-            wires.push(self.session.encrypt(&plain));
-        }
-        self.session.recycle_scratch(plain);
-        wires
+        let mut plain = Vec::with_capacity(4 + payload.len());
+        plain.extend_from_slice(&ts.to_be_bytes());
+        plain.extend_from_slice(&ts_reply.to_be_bytes());
+        plain.extend_from_slice(payload);
+        self.session.encrypt(&plain)
     }
 
     /// Consumes an already-opened datagram at `now`: parses the
     /// timestamps, feeds the RTT estimator, and advances the new-high
     /// bookkeeping — everything receiving a datagram does after its
-    /// decrypt. The token's own buffer becomes [`Received::payload`]
-    /// (shifted in place, no allocation); hand it back via
-    /// [`DatagramLayer::recycle`] once consumed and the steady-state
-    /// receive path never touches the heap.
+    /// decrypt. The token's own buffer becomes [`Received::payload`],
+    /// its four timestamp bytes drained in place: no allocation.
     pub fn accept(&mut self, now: Millis, opened: Opened) -> Result<Received, SspError> {
-        let Opened {
-            seq,
-            payload: mut buf,
-        } = opened;
-        if buf.len() < 4 {
-            self.session.recycle_scratch(buf);
+        let Opened { seq, mut payload } = opened;
+        if payload.len() < 4 {
             return Err(SspError::Malformed);
         }
-        let ts = u16::from_be_bytes([buf[0], buf[1]]);
-        let ts_reply = u16::from_be_bytes([buf[2], buf[3]]);
-        buf.copy_within(4.., 0);
-        buf.truncate(buf.len() - 4);
-        let payload = buf;
+        let ts = u16::from_be_bytes([payload[0], payload[1]]);
+        let ts_reply = u16::from_be_bytes([payload[2], payload[3]]);
+        payload.drain(..4);
 
         let new_high = match self.max_seq_seen {
             None => true,
@@ -258,13 +219,6 @@ impl DatagramLayer {
             payload,
         })
     }
-
-    /// Returns a consumed [`Received::payload`] buffer to the scratch
-    /// pool, closing the zero-allocation loop: open → accept → consume →
-    /// recycle.
-    pub fn recycle(&mut self, buf: Vec<u8>) {
-        self.session.recycle_scratch(buf);
-    }
 }
 
 #[cfg(test)]
@@ -279,11 +233,6 @@ mod tests {
         )
     }
 
-    /// One datagram: a batch of one.
-    fn encode(layer: &mut DatagramLayer, now: Millis, payload: &[u8]) -> Vec<u8> {
-        layer.encode_many(now, &[payload]).remove(0)
-    }
-
     /// Receives one wire the way a transport does: open, then accept.
     fn decode(layer: &mut DatagramLayer, now: Millis, wire: &[u8]) -> Result<Received, SspError> {
         let opened = layer.open(wire)?;
@@ -293,7 +242,7 @@ mod tests {
     #[test]
     fn round_trip_payload() {
         let (mut client, mut server) = pair();
-        let wire = encode(&mut client, 0, b"fragment");
+        let wire = client.seal(0, b"fragment");
         let got = decode(&mut server, 1, &wire).unwrap();
         assert_eq!(got.payload, b"fragment");
         assert_eq!(got.seq, 0);
@@ -303,8 +252,8 @@ mod tests {
     #[test]
     fn sequence_numbers_mark_new_high() {
         let (mut client, mut server) = pair();
-        let w0 = encode(&mut client, 0, b"a");
-        let w1 = encode(&mut client, 5, b"b");
+        let w0 = client.seal(0, b"a");
+        let w1 = client.seal(5, b"b");
         // Deliver out of order: the older packet is not a new high.
         assert!(decode(&mut server, 10, &w1).unwrap().new_high);
         let r0 = decode(&mut server, 11, &w0).unwrap();
@@ -317,9 +266,9 @@ mod tests {
         let (mut client, mut server) = pair();
         // t=0: client sends; t=100: server receives and replies immediately;
         // t=200: client receives -> RTT sample 200 ms.
-        let w = encode(&mut client, 0, b"ping");
+        let w = client.seal(0, b"ping");
         decode(&mut server, 100, &w).unwrap();
-        let reply = encode(&mut server, 100, b"pong");
+        let reply = server.seal(100, b"pong");
         decode(&mut client, 200, &reply).unwrap();
         assert!(client.has_rtt_sample());
         assert_eq!(client.srtt(), 200.0);
@@ -330,9 +279,9 @@ mod tests {
         let (mut client, mut server) = pair();
         // Server holds the timestamp 400 ms before replying (delayed ack);
         // the echo is aged, so the client still measures 200 ms.
-        let w = encode(&mut client, 0, b"ping");
+        let w = client.seal(0, b"ping");
         decode(&mut server, 100, &w).unwrap();
-        let reply = encode(&mut server, 500, b"late pong");
+        let reply = server.seal(500, b"late pong");
         decode(&mut client, 600, &reply).unwrap();
         assert_eq!(client.srtt(), 200.0);
     }
@@ -340,7 +289,7 @@ mod tests {
     #[test]
     fn no_echo_no_sample() {
         let (mut client, mut server) = pair();
-        let w = encode(&mut client, 0, b"first");
+        let w = client.seal(0, b"first");
         let got = decode(&mut server, 50, &w).unwrap();
         assert_eq!(got.payload, b"first");
         assert!(!client.has_rtt_sample());
@@ -349,7 +298,7 @@ mod tests {
     #[test]
     fn corrupted_datagrams_are_rejected() {
         let (mut client, mut server) = pair();
-        let mut w = encode(&mut client, 0, b"x");
+        let mut w = client.seal(0, b"x");
         w[9] ^= 1;
         assert!(decode(&mut server, 1, &w).is_err());
     }
@@ -359,9 +308,9 @@ mod tests {
         let (mut client, mut server) = pair();
         // Timestamps are 16-bit; send near the wrap boundary.
         let t0: Millis = 65_530;
-        let w = encode(&mut client, t0, b"ping");
+        let w = client.seal(t0, b"ping");
         decode(&mut server, t0 + 5, &w).unwrap();
-        let reply = encode(&mut server, t0 + 5, b"pong");
+        let reply = server.seal(t0 + 5, b"pong");
         decode(&mut client, t0 + 10, &reply).unwrap();
         assert_eq!(client.srtt(), 10.0);
     }
@@ -371,14 +320,14 @@ mod tests {
     /// its `(srtt, rttvar)` before and after that second sample.
     fn estimate_around(reply_at: Millis, reply_ts: Millis) -> ((f64, f64), (f64, f64)) {
         let (mut client, mut server) = pair();
-        let w = encode(&mut client, 1000, b"ping");
+        let w = client.seal(1000, b"ping");
         decode(&mut server, 1010, &w).unwrap();
-        let pong = encode(&mut server, 1010, b"pong");
+        let pong = server.seal(1010, b"pong");
         decode(&mut client, 1020, &pong).unwrap();
         let before = (client.srtt(), client.rtt.rttvar());
-        let w = encode(&mut client, reply_ts, b"ping");
+        let w = client.seal(reply_ts, b"ping");
         decode(&mut server, 2000, &w).unwrap();
-        let reply = encode(&mut server, 2000, b"pong");
+        let reply = server.seal(2000, b"pong");
         decode(&mut client, reply_at, &reply).unwrap();
         (before, (client.srtt(), client.rtt.rttvar()))
     }
@@ -413,8 +362,8 @@ mod tests {
     #[test]
     fn open_does_not_consume_the_datagram() {
         let (mut client, mut server) = pair();
-        let w_old = encode(&mut client, 0, b"old"); // seq 0
-        let w_new = encode(&mut client, 100, b"new"); // seq 1
+        let w_old = client.seal(0, b"old"); // seq 0
+        let w_new = client.seal(100, b"new"); // seq 1
         decode(&mut server, 10, &w_old).unwrap();
         let before = (server.max_seq_seen(), server.srtt());
         // Opening (even repeatedly, even of a would-be-new-high packet)
@@ -425,7 +374,7 @@ mod tests {
             assert_eq!(&opened.payload[4..], b"new");
         }
         assert_eq!((server.max_seq_seen(), server.srtt()), before);
-        // Rejected wires recycle their buffer and report the crypto error.
+        // Rejected wires report the crypto error.
         let mut bad = w_new.clone();
         bad[9] ^= 1;
         assert!(server.open(&bad).is_err());
@@ -435,38 +384,21 @@ mod tests {
     #[test]
     fn decrypt_count_counts_every_ocb_pass() {
         let (mut client, mut server) = pair();
-        let w = encode(&mut client, 0, b"x");
+        let w = client.seal(0, b"x");
         assert_eq!(server.decrypt_count(), 0);
-        assert!(server.verify(&w));
+        assert!(server.open(&w).is_ok());
         let opened = server.open(&w).unwrap();
         server.accept(1, opened).unwrap();
-        // verify + open each cost one OCB pass; accept costs none.
+        // Each open costs one OCB pass; accept costs none.
         assert_eq!(server.decrypt_count(), 2);
-    }
-
-    /// A batch of N equals N batches of one, byte for byte.
-    #[test]
-    fn encode_many_matches_per_packet_encode() {
-        let (mut batched, mut server) = pair();
-        let (mut looped, _) = pair();
-        // Give both encoders a saved timestamp so the echo path is live.
-        let echo = encode(&mut server, 40, b"seed");
-        decode(&mut batched, 50, &echo).unwrap();
-        decode(&mut looped, 50, &echo).unwrap();
-        let payloads: Vec<&[u8]> = vec![b"a", b"", b"a longer fragment payload"];
-        let wires = batched.encode_many(75, &payloads);
-        for (payload, wire) in payloads.iter().zip(wires.iter()) {
-            assert_eq!(*wire, encode(&mut looped, 75, payload));
-            assert_eq!(decode(&mut server, 80, wire).unwrap().payload, *payload);
-        }
     }
 
     #[test]
     fn snapshot_round_trip_is_byte_identical_going_forward() {
         let (mut client, mut server) = pair();
-        let w = encode(&mut client, 0, b"ping");
+        let w = client.seal(0, b"ping");
         decode(&mut server, 100, &w).unwrap();
-        let reply = encode(&mut server, 130, b"pong");
+        let reply = server.seal(130, b"pong");
         decode(&mut client, 200, &reply).unwrap();
 
         let mut bytes = Vec::new();
@@ -476,7 +408,7 @@ mod tests {
         assert_eq!(r.remaining(), 0);
         assert_eq!((twin.srtt(), twin.rto()), (client.srtt(), client.rto()));
         // Same nonce, same timestamp echo: the next wire is the same.
-        assert_eq!(encode(&mut twin, 260, b"x"), encode(&mut client, 260, b"x"));
+        assert_eq!(twin.seal(260, b"x"), client.seal(260, b"x"));
 
         // A saved timestamp wider than the 16 bits the wire carries.
         bytes.clear();
@@ -491,13 +423,13 @@ mod tests {
     #[test]
     fn reordered_timestamps_do_not_regress_echo() {
         let (mut client, mut server) = pair();
-        let w_old = encode(&mut client, 0, b"old");
-        let w_new = encode(&mut client, 300, b"new");
+        let w_old = client.seal(0, b"old");
+        let w_new = client.seal(300, b"new");
         decode(&mut server, 400, &w_new).unwrap();
         // The older packet arrives later; its timestamp must not replace
         // the saved one.
         decode(&mut server, 410, &w_old).unwrap();
-        let reply = encode(&mut server, 410, b"pong");
+        let reply = server.seal(410, b"pong");
         // Client receives at 510: echo is based on the *new* packet
         // (ts=300 aged by 10), so the sample is 510-300-10 = 200.
         decode(&mut client, 510, &reply).unwrap();

@@ -38,18 +38,19 @@ impl Fragment {
         out
     }
 
-    /// Parses a fragment from a datagram payload.
-    pub fn decode(buf: &[u8]) -> Result<Fragment, SspError> {
-        let mut r = Reader::new(buf);
-        let (Some(id), Some(num_field), Some(contents)) = (r.u64(), r.u16(), r.take(r.remaining()))
-        else {
+    /// Parses a fragment from a datagram payload, which becomes its
+    /// contents: the 10-byte header is drained in place.
+    pub fn decode(mut buf: Vec<u8>) -> Result<Fragment, SspError> {
+        let mut r = Reader::new(&buf);
+        let (Some(id), Some(num_field)) = (r.u64(), r.u16()) else {
             return Err(SspError::Malformed);
         };
+        buf.drain(..10);
         Ok(Fragment {
             id,
             num: num_field & 0x7fff,
             last: num_field & 0x8000 != 0,
-            contents: contents.to_vec(),
+            contents: buf,
         })
     }
 }
@@ -57,20 +58,15 @@ impl Fragment {
 /// Splits a serialized instruction into fragments.
 pub fn fragment(id: u64, payload: &[u8], mtu: usize) -> Vec<Fragment> {
     assert!(mtu > 0, "fragment payload size must be positive");
-    let chunks: Vec<&[u8]> = if payload.is_empty() {
-        vec![&[]]
-    } else {
-        payload.chunks(mtu).collect()
-    };
-    let n = chunks.len();
-    chunks
-        .into_iter()
-        .enumerate()
-        .map(|(i, contents)| Fragment {
+    let mut chunks = payload.chunks(mtu);
+    // An empty payload is still one (empty) fragment.
+    let n = chunks.len().max(1);
+    (0..n)
+        .map(|i| Fragment {
             id,
             num: i as u16,
             last: i + 1 == n,
-            contents: contents.to_vec(),
+            contents: chunks.next().unwrap_or_default().to_vec(),
         })
         .collect()
 }
@@ -137,7 +133,9 @@ impl FragmentAssembly {
         })
     }
 
-    /// Adds a fragment; returns the full instruction payload when complete.
+    /// Adds a fragment; returns the full instruction payload when complete:
+    /// the first piece's buffer, extended by the rest, so a one-fragment
+    /// instruction is handed up without a copy.
     ///
     /// Fragments of an id other than the newest-seen reset the buffer:
     /// stale instructions are abandoned mid-assembly, exactly as Mosh does.
@@ -167,21 +165,18 @@ impl FragmentAssembly {
         self.pieces[idx] = Some(frag.contents);
         self.arrived += 1;
 
+        // Each slot is filled once, and the last fragment's number bounds
+        // the rest: `total` pieces arrived is every slot filled.
         let total = self.total?;
         if self.arrived < total || self.pieces.len() > total {
             return None;
         }
-        if self.pieces.iter().take(total).any(|p| p.is_none()) {
-            return None;
-        }
-        let mut out = Vec::new();
-        for p in self.pieces.drain(..total) {
-            out.extend_from_slice(&p.expect("checked complete"));
-        }
-        self.pieces.clear();
         self.arrived = 0;
         self.total = None;
-        Some(out)
+        self.pieces.drain(..).flatten().reduce(|mut out, p| {
+            out.extend_from_slice(&p);
+            out
+        })
     }
 }
 
@@ -197,7 +192,7 @@ mod tests {
             last: true,
             contents: b"chunk".to_vec(),
         };
-        assert_eq!(Fragment::decode(&f.encode()).unwrap(), f);
+        assert_eq!(Fragment::decode(f.encode()).unwrap(), f);
     }
 
     #[test]

@@ -94,13 +94,22 @@ impl Instruction {
     }
 
     /// Parses an instruction in either form, discarding the chaff. Bytes
-    /// past the chaff are refused.
-    pub fn decode(buf: &[u8]) -> Result<Instruction, SspError> {
-        let Some((&COMPRESSED, packed)) = buf.split_first() else {
-            let (mut instruction, diff) = Self::parse_plain(buf)?;
-            instruction.diff = buf[diff].to_vec();
-            return Ok(instruction);
+    /// past the chaff are refused. The plain form's buffer (`buf` itself,
+    /// or the one decompressed from it) becomes the diff in place.
+    pub fn decode(buf: Vec<u8>) -> Result<Instruction, SspError> {
+        let mut plain = match buf.split_first() {
+            Some((&COMPRESSED, packed)) => Self::decompress(packed)?,
+            _ => buf,
         };
+        let (mut instruction, diff) = Self::parse_plain(&plain)?;
+        plain.truncate(diff.end);
+        plain.drain(..diff.start);
+        instruction.diff = plain;
+        Ok(instruction)
+    }
+
+    /// The plain form a compressed one (past its tag byte) stands for.
+    fn decompress(packed: &[u8]) -> Result<Vec<u8>, SspError> {
         let mut r = Reader::new(packed);
         let declared = r.varint().and_then(|n| usize::try_from(n).ok());
         let (Some(declared), Some(block)) = (declared, r.take(r.remaining())) else {
@@ -111,16 +120,11 @@ impl Instruction {
         if declared > block.len().saturating_mul(lz::MAX_EXPANSION) {
             return Err(SspError::Malformed);
         }
-        let mut plain = lz::decompress(block, declared).ok_or(SspError::Malformed)?;
+        let plain = lz::decompress(block, declared).ok_or(SspError::Malformed)?;
         if plain.first() == Some(&COMPRESSED) {
             return Err(SspError::Malformed);
         }
-        let (mut instruction, diff) = Self::parse_plain(&plain)?;
-        // The diff is taken in place: the decoded buffer becomes it.
-        plain.truncate(diff.end);
-        plain.drain(..diff.start);
-        instruction.diff = plain;
-        Ok(instruction)
+        Ok(plain)
     }
 
     /// Reads a plain form through its chaff, to its last byte. Returns the
@@ -155,6 +159,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Decodes a copy of `buf`.
+    fn decode(buf: &[u8]) -> Result<Instruction, SspError> {
+        Instruction::decode(buf.to_vec())
+    }
+
     fn sample() -> Instruction {
         Instruction {
             protocol_version: PROTOCOL_VERSION,
@@ -169,14 +178,14 @@ mod tests {
     #[test]
     fn round_trips() {
         let i = sample();
-        assert_eq!(Instruction::decode(&i.encode(b"")).unwrap(), i);
+        assert_eq!(decode(&i.encode(b"")).unwrap(), i);
     }
 
     #[test]
     fn round_trips_with_chaff() {
         let i = sample();
         let encoded = i.encode(&[0xaa; 13]);
-        assert_eq!(Instruction::decode(&encoded).unwrap(), i);
+        assert_eq!(decode(&encoded).unwrap(), i);
     }
 
     #[test]
@@ -185,20 +194,14 @@ mod tests {
         let a = i.encode(&[0x55; 1]);
         let b = i.encode(&[0x55; 16]);
         assert_ne!(a.len(), b.len());
-        assert_eq!(
-            Instruction::decode(&a).unwrap(),
-            Instruction::decode(&b).unwrap()
-        );
+        assert_eq!(decode(&a).unwrap(), decode(&b).unwrap());
     }
 
     #[test]
     fn rejects_wrong_version() {
         let mut i = sample();
         i.protocol_version = PROTOCOL_VERSION + 1;
-        assert_eq!(
-            Instruction::decode(&i.encode(b"")),
-            Err(SspError::VersionMismatch)
-        );
+        assert_eq!(decode(&i.encode(b"")), Err(SspError::VersionMismatch));
     }
 
     #[test]
@@ -207,9 +210,9 @@ mod tests {
         for cut in 0..full.len() {
             // Some prefixes happen to parse if the diff shrinks to fit, but
             // none may panic; truncation inside the header must error.
-            let _ = Instruction::decode(&full[..cut]);
+            let _ = decode(&full[..cut]);
         }
-        assert!(Instruction::decode(&full[..3]).is_err());
+        assert!(decode(&full[..3]).is_err());
     }
 
     #[test]
@@ -222,7 +225,7 @@ mod tests {
             throwaway_num: 5,
             diff: Vec::new(),
         };
-        let decoded = Instruction::decode(&i.encode(b"pad")).unwrap();
+        let decoded = decode(&i.encode(b"pad")).unwrap();
         assert!(decoded.diff.is_empty());
         assert_eq!(decoded.new_num, 5);
     }
@@ -267,7 +270,7 @@ mod tests {
             0x50, b'c', b'd', 2, b'c', b'h', // the last 5 bytes stay literals
         ];
         assert_eq!(encoded, expected);
-        assert_eq!(Instruction::decode(&encoded).unwrap(), i);
+        assert_eq!(decode(&encoded).unwrap(), i);
     }
 
     #[test]
@@ -289,40 +292,28 @@ mod tests {
     fn trailing_bytes_are_refused_in_either_form() {
         for i in [sample(), pinned()] {
             let mut encoded = i.encode(b"chaff");
-            assert_eq!(Instruction::decode(&encoded).unwrap(), i);
+            assert_eq!(decode(&encoded).unwrap(), i);
             encoded.push(0);
-            assert_eq!(Instruction::decode(&encoded), Err(SspError::Malformed));
+            assert_eq!(decode(&encoded), Err(SspError::Malformed));
         }
         // Inside the compressed block: the plain form with a byte past
         // its chaff, compressed whole.
         let mut plain = pinned().encode_plain(b"chaff");
         plain.push(0);
-        assert_eq!(
-            Instruction::decode(&compress(&plain).1),
-            Err(SspError::Malformed)
-        );
+        assert_eq!(decode(&compress(&plain).1), Err(SspError::Malformed));
     }
 
     #[test]
     fn a_declared_length_past_the_largest_expansion_is_refused() {
         let plain = pinned().encode_plain(b"");
         let (block, whole) = compress(&plain);
-        assert_eq!(Instruction::decode(&whole).unwrap(), pinned());
+        assert_eq!(decode(&whole).unwrap(), pinned());
         let most = (block.len() * lz::MAX_EXPANSION) as u64;
         // Refused before the block is read: no decode matches it anyway.
-        assert_eq!(
-            Instruction::decode(&packed(most + 1, &block)),
-            Err(SspError::Malformed)
-        );
-        assert_eq!(
-            Instruction::decode(&packed(u64::MAX, &block)),
-            Err(SspError::Malformed)
-        );
-        assert_eq!(Instruction::decode(&[COMPRESSED]), Err(SspError::Malformed));
-        assert_eq!(
-            Instruction::decode(&[COMPRESSED, 0]),
-            Err(SspError::Malformed)
-        );
+        assert_eq!(decode(&packed(most + 1, &block)), Err(SspError::Malformed));
+        assert_eq!(decode(&packed(u64::MAX, &block)), Err(SspError::Malformed));
+        assert_eq!(decode(&[COMPRESSED]), Err(SspError::Malformed));
+        assert_eq!(decode(&[COMPRESSED, 0]), Err(SspError::Malformed));
     }
 
     #[test]
@@ -332,16 +323,13 @@ mod tests {
         let n = plain.len() as u64;
         for declared in [0, 1, n - 1, n + 1, 2 * n] {
             assert_eq!(
-                Instruction::decode(&packed(declared, &block)),
+                decode(&packed(declared, &block)),
                 Err(SspError::Malformed),
                 "declared {declared}"
             );
         }
         for cut in 0..block.len() {
-            assert_eq!(
-                Instruction::decode(&packed(n, &block[..cut])),
-                Err(SspError::Malformed)
-            );
+            assert_eq!(decode(&packed(n, &block[..cut])), Err(SspError::Malformed));
         }
     }
 
@@ -350,15 +338,11 @@ mod tests {
         // The pinned layout's one match reaches 4 back from 10 bytes.
         let good = pinned().encode(b"ch");
         assert_eq!(good[13..15], [4, 0]);
-        assert_eq!(Instruction::decode(&good).unwrap(), pinned());
+        assert_eq!(decode(&good).unwrap(), pinned());
         for offset in [0u16, 11, u16::MAX] {
             let mut bad = good.clone();
             bad[13..15].copy_from_slice(&offset.to_le_bytes());
-            assert_eq!(
-                Instruction::decode(&bad),
-                Err(SspError::Malformed),
-                "offset {offset}"
-            );
+            assert_eq!(decode(&bad), Err(SspError::Malformed), "offset {offset}");
         }
     }
 
@@ -366,8 +350,8 @@ mod tests {
     fn a_body_that_is_compressed_again_is_refused() {
         let (_, inner) = compress(&pinned().encode_plain(b""));
         let (_, outer) = compress(&inner);
-        assert_eq!(Instruction::decode(&inner).unwrap(), pinned());
-        assert_eq!(Instruction::decode(&outer), Err(SspError::Malformed));
+        assert_eq!(decode(&inner).unwrap(), pinned());
+        assert_eq!(decode(&outer), Err(SspError::Malformed));
     }
 
     /// A diff of random bytes, of one short run repeated, or nothing.
@@ -396,7 +380,7 @@ mod tests {
                 diff,
             };
             let encoded = i.encode(&chaff);
-            prop_assert_eq!(Instruction::decode(&encoded), Ok(i.clone()));
+            prop_assert_eq!(decode(&encoded), Ok(i.clone()));
             let plain = i.encode_plain(&chaff);
             let (_, compressed) = compress(&plain);
             let shorter = plain.len() >= COMPRESS_FROM && compressed.len() < plain.len();

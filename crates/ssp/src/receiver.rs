@@ -110,7 +110,7 @@ impl<R: SyncState> Receiver<R> {
         // refused whole, so the list is never emptied.
         let keep_from = instruction.throwaway_num;
         if keep_from > self.latest_num() {
-            self.stats.missing_source += 1;
+            self.stats.missing_source = self.stats.missing_source.saturating_add(1);
             return Processed {
                 new_state: false,
                 advanced: false,
@@ -125,7 +125,7 @@ impl<R: SyncState> Receiver<R> {
 
         // Duplicate of a state we already have?
         if self.states.iter().any(|s| s.num == instruction.new_num) {
-            self.stats.duplicates += 1;
+            self.stats.duplicates = self.stats.duplicates.saturating_add(1);
             return Processed {
                 new_state: false,
                 advanced: false,
@@ -136,7 +136,7 @@ impl<R: SyncState> Receiver<R> {
         }
 
         let Some(source) = self.states.iter().find(|s| s.num == instruction.old_num) else {
-            self.stats.missing_source += 1;
+            self.stats.missing_source = self.stats.missing_source.saturating_add(1);
             return Processed {
                 new_state: false,
                 advanced: false,
@@ -146,7 +146,7 @@ impl<R: SyncState> Receiver<R> {
 
         let mut state = source.state.clone();
         if state.apply_diff(&instruction.diff).is_err() {
-            self.stats.missing_source += 1;
+            self.stats.missing_source = self.stats.missing_source.saturating_add(1);
             return Processed {
                 new_state: false,
                 advanced: false,
@@ -164,7 +164,7 @@ impl<R: SyncState> Receiver<R> {
                 state,
             },
         );
-        self.stats.applied += 1;
+        self.stats.applied = self.stats.applied.saturating_add(1);
 
         if self.states.len() > MAX_RECEIVED_STATES {
             // Drop the second-oldest: the oldest is the last-acked fallback.
@@ -310,6 +310,30 @@ mod tests {
         assert!(Receiver::<BlobState>::decode(&mut Reader::new(&unordered)).is_none());
         let empty = [0, 1, 1, 1]; // no states, three counters
         assert!(Receiver::<BlobState>::decode(&mut Reader::new(&empty)).is_none());
+    }
+
+    /// Counters restored at their limit (snapshot bytes come from outside
+    /// the process) stay there through an apply, a duplicate and a
+    /// missing source.
+    #[test]
+    fn restored_counters_at_their_limit_saturate() {
+        let mut r = Receiver::new(BlobState(b"0".to_vec()));
+        r.stats = ReceiverStats {
+            applied: u64::MAX,
+            duplicates: u64::MAX,
+            missing_source: u64::MAX,
+        };
+        let mut bytes = Vec::new();
+        r.encode_into(&mut bytes);
+        let mut r = Receiver::<BlobState>::decode(&mut Reader::new(&bytes)).expect("decodes");
+        assert!(r.process(&instr(0, 1, 0, b"one"), 10).new_state);
+        assert!(!r.process(&instr(0, 1, 0, b"one"), 11).new_state);
+        assert!(!r.process(&instr(7, 8, 0, b"eight"), 12).new_state);
+        let st = r.stats();
+        assert_eq!(
+            [st.applied, st.duplicates, st.missing_source],
+            [u64::MAX; 3]
+        );
     }
 
     #[test]

@@ -240,14 +240,15 @@ impl<S: SyncState> Sender<S> {
     }
 
     /// Reads a sender written by [`Sender::encode_into`]. `None` when the
-    /// shipped-state list is empty or out of order, or the collection
-    /// interval exceeds [`SEND_INTERVAL_MAX`] (Figure 3 sweeps it to 100
-    /// ms) — a corrupt snapshot is rejected whole, never half-applied.
+    /// shipped-state list is empty, out of order or ends at `u64::MAX`
+    /// (see [`Sender::handle_ack`]), or the collection interval exceeds
+    /// [`SEND_INTERVAL_MAX`] (Figure 3 sweeps it to 100 ms) — a corrupt
+    /// snapshot is rejected whole, never half-applied.
     /// Clocks and timestamps are taken as they are: the deadlines built
     /// on them saturate.
     pub fn decode(r: &mut Reader<'_>) -> Option<Self> {
         Some(Sender {
-            sent_states: decode_states(r)?,
+            sent_states: decode_states(r).filter(|s| s.last().is_some_and(|l| l.num < u64::MAX))?,
             current: S::decode(r)?,
             mindelay_clock: r.opt()?,
             mindelay: r.varint().filter(|&m| m <= SEND_INTERVAL_MAX)?,
@@ -373,9 +374,13 @@ impl<S: SyncState> Sender<S> {
         }
     }
 
-    /// Processes a cumulative acknowledgment from the receiver.
+    /// Processes a cumulative acknowledgment from the receiver. State
+    /// numbers stay below `u64::MAX`, and a resync needs a number past the
+    /// one it adopts, so a future ack of either of the last two numbers is
+    /// ignored. A sender whose newest state is `u64::MAX - 1` (only a
+    /// hostile snapshot comes near) resends that number with new content.
     pub fn handle_ack(&mut self, ack_num: u64) {
-        if self.accept_future_acks && ack_num > self.latest_sent_num() {
+        if self.accept_future_acks && ack_num > self.latest_sent_num() && ack_num < u64::MAX - 1 {
             // Crash-recovery resync: the peer (authenticated) acknowledges
             // a state produced after our checkpoint and lost with the
             // crash. Adopt its *number* with our current content marked
@@ -494,10 +499,10 @@ impl<S: SyncState> Sender<S> {
         }
         if due.ack.is_some_and(|t| now >= t) {
             let kind = if self.ack_pending {
-                self.stats.pure_acks += 1;
+                self.stats.pure_acks = self.stats.pure_acks.saturating_add(1);
                 SendKind::PureAck
             } else {
-                self.stats.heartbeats += 1;
+                self.stats.heartbeats = self.stats.heartbeats.saturating_add(1);
                 SendKind::Heartbeat
             };
             self.ack_pending = false;
@@ -544,10 +549,15 @@ impl<S: SyncState> Sender<S> {
         };
 
         let back = self.sent_states.last_mut().expect("never empty");
-        let (new_num, kind) = if !pending {
+        // The last number is resent (see `handle_ack`).
+        let spent = back.num == u64::MAX - 1;
+        if pending && spent {
+            back.state = self.current.clone();
+        }
+        let (new_num, kind) = if !pending || spent {
             // Retransmission: same target state, refreshed timestamp.
             back.timestamp = now;
-            self.stats.retransmits += 1;
+            self.stats.retransmits = self.stats.retransmits.saturating_add(1);
             (back.num, SendKind::Retransmit)
         } else {
             let n = back.num + 1;
@@ -556,7 +566,7 @@ impl<S: SyncState> Sender<S> {
                 timestamp: now,
                 state: self.current.clone(),
             });
-            self.stats.data += 1;
+            self.stats.data = self.stats.data.saturating_add(1);
             if self.sent_states.len() > MAX_SENT_STATES {
                 // Coalesce from the middle: keep the acked front and the
                 // freshest states as diff sources.
@@ -567,7 +577,7 @@ impl<S: SyncState> Sender<S> {
         };
 
         if self.ack_pending {
-            self.stats.piggybacked_acks += 1;
+            self.stats.piggybacked_acks = self.stats.piggybacked_acks.saturating_add(1);
         }
         self.sent_anything = true;
         // The newest sent state now holds `current`.
@@ -957,6 +967,88 @@ mod tests {
         s.handle_ack(42);
         assert_eq!(s.acked_num(), 0);
         assert_eq!(s.latest_sent_num(), 0);
+    }
+
+    /// Counters restored at their limit stay there through a data send
+    /// carrying an ack, a retransmission, a pure ack and a heartbeat.
+    #[test]
+    fn restored_counters_at_their_limit_saturate() {
+        let full = SenderStats {
+            data: u64::MAX,
+            retransmits: u64::MAX,
+            pure_acks: u64::MAX,
+            heartbeats: u64::MAX,
+            piggybacked_acks: u64::MAX,
+        };
+        let mut s = Sender::new(blob(b"0"));
+        s.stats = full;
+        let mut r = via_snapshot(&s);
+        r.set_ack_num(1, true, 1000);
+        r.set_current(blob(b"1"), 1000);
+        let mut kinds = Vec::new();
+        for now in 1000..5000 {
+            if now == 1500 {
+                r.handle_ack(1);
+                r.set_ack_num(2, true, now);
+            }
+            kinds.extend(r.tick(now, SRTT, RTO).map(|o| o.kind));
+        }
+        use SendKind::*;
+        assert_eq!(kinds, [Data, Retransmit, PureAck, Heartbeat]);
+        assert_eq!(r.stats(), &full);
+    }
+
+    /// State numbers stay below `u64::MAX`: a snapshot ending there is
+    /// refused, and a sender that reaches the number before it resends
+    /// that one.
+    #[test]
+    fn the_last_state_number_is_refused_on_restore_and_never_passed() {
+        let mut s = Sender::new(blob(b"0"));
+        let restore = |s: &Sender<BlobState>| {
+            let mut bytes = Vec::new();
+            s.encode_into(&mut bytes);
+            Sender::<BlobState>::decode(&mut Reader::new(&bytes))
+        };
+        s.sent_states[0].num = u64::MAX;
+        assert!(restore(&s).is_none());
+        s.sent_states[0].num = u64::MAX - 2;
+        let mut r = restore(&s).expect("one number left");
+        r.set_current(blob(b"1"), 1000);
+        let out = r.tick(1008, SRTT, RTO).expect("data");
+        assert_eq!((out.new_num, out.kind), (u64::MAX - 1, SendKind::Data));
+        r.handle_ack(u64::MAX - 1);
+        r.set_current(blob(b"2"), 2000);
+        let out = r.tick(2008, SRTT, RTO).expect("resend");
+        assert_eq!(
+            (out.new_num, out.kind),
+            (u64::MAX - 1, SendKind::Retransmit)
+        );
+        assert_eq!(out.diff, b"2");
+        assert!(!r.pending_data());
+        // What it writes, it reads back.
+        assert_eq!(via_snapshot(&r).latest_sent_num(), u64::MAX - 1);
+    }
+
+    /// An authenticated peer's future ack of either of the last two state
+    /// numbers does not start a resync, which would need a number past
+    /// it; an ack of the number before them does, and the resync ends.
+    #[test]
+    fn future_acks_of_the_last_two_numbers_are_ignored() {
+        let mut s = Sender::new(blob(b"0"));
+        s.set_current(blob(b"1"), 1000);
+        s.tick(1008, SRTT, RTO).unwrap();
+        for ack in [u64::MAX, u64::MAX - 1] {
+            let mut r = via_snapshot(&s);
+            r.handle_ack(ack);
+            assert_eq!((r.acked_num(), r.latest_sent_num()), (0, 1));
+        }
+        let mut r = via_snapshot(&s);
+        r.handle_ack(u64::MAX - 2);
+        assert_eq!(r.tick(2000, SRTT, RTO), None);
+        let out = r.tick(2008, SRTT, RTO).expect("resync frame");
+        assert_eq!((out.new_num, out.kind), (u64::MAX - 1, SendKind::Data));
+        r.handle_ack(u64::MAX - 1);
+        assert!(!r.pending_data());
     }
 
     #[test]

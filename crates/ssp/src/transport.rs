@@ -320,20 +320,21 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
             throwaway_num: outgoing.throwaway_num,
             diff: outgoing.diff,
         };
-        let chaff_len = self.chaff_rng.gen_range(1..=16usize);
-        let chaff: Vec<u8> = (0..chaff_len).map(|_| self.chaff_rng.gen()).collect();
-        let encoded = instruction.encode(&chaff);
+        let mut chaff = [0u8; 16];
+        let chaff = &mut chaff[..self.chaff_rng.gen_range(1..=16usize)];
+        chaff.iter_mut().for_each(|b| *b = self.chaff_rng.gen());
+        let encoded = instruction.encode(chaff);
 
         let id = self.next_instruction_id;
         self.next_instruction_id += 1;
 
-        let encoded_fragments: Vec<Vec<u8>> = fragment(id, &encoded, FRAGMENT_PAYLOAD)
-            .into_iter()
-            .map(|f: Fragment| f.encode())
+        let wires: Vec<Vec<u8>> = fragment(id, &encoded, FRAGMENT_PAYLOAD)
+            .iter()
+            .map(|f| self.datagram.seal(now, &f.encode()))
             .collect();
-        self.stats.datagrams_sent += encoded_fragments.len() as u64;
-        let refs: Vec<&[u8]> = encoded_fragments.iter().map(Vec::as_slice).collect();
-        self.datagram.encode_many(now, &refs)
+        // Counters restored from a snapshot may sit at their limit.
+        self.stats.datagrams_sent = self.stats.datagrams_sent.saturating_add(wires.len() as u64);
+        wires
     }
 
     /// True when `wire` authenticates under this session's key and
@@ -344,7 +345,7 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
     /// Prefer [`Transport::open`] in a demultiplexer: it keeps the
     /// plaintext this verification already paid for.
     pub fn authenticates(&self, wire: &[u8]) -> bool {
-        self.datagram.verify(wire)
+        self.datagram.open(wire).is_ok()
     }
 
     /// Number of OCB open attempts this endpoint has performed,
@@ -359,7 +360,7 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
     /// rejected datagram). On success, pass the token to
     /// [`Transport::recv_opened`] to consume the datagram without a
     /// second decrypt.
-    pub fn open(&mut self, wire: &[u8]) -> Result<Opened, SspError> {
+    pub fn open(&self, wire: &[u8]) -> Result<Opened, SspError> {
         self.datagram.open(wire)
     }
 
@@ -368,7 +369,7 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
         match self.datagram.open(wire) {
             Ok(opened) => self.recv_opened(now, opened),
             Err(e) => {
-                self.stats.datagrams_rejected += 1;
+                self.stats.datagrams_rejected = self.stats.datagrams_rejected.saturating_add(1);
                 Err(e)
             }
         }
@@ -377,16 +378,18 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
     /// Consumes an already-opened datagram at `now` — the second half of
     /// the decrypt-once receive path. Identical behavior (state, stats,
     /// events) to [`Transport::receive`] of the original wire, minus the
-    /// duplicate OCB pass.
+    /// duplicate OCB pass. The token's plaintext buffer, allocated by the
+    /// open, is consumed here: it becomes the fragment, the assembled
+    /// instruction and finally the diff the receiver applies.
     pub fn recv_opened(&mut self, now: Millis, opened: Opened) -> Result<ReceiveEvent, SspError> {
         let received = match self.datagram.accept(now, opened) {
             Ok(r) => r,
             Err(e) => {
-                self.stats.datagrams_rejected += 1;
+                self.stats.datagrams_rejected = self.stats.datagrams_rejected.saturating_add(1);
                 return Err(e);
             }
         };
-        self.stats.datagrams_received += 1;
+        self.stats.datagrams_received = self.stats.datagrams_received.saturating_add(1);
         self.last_heard = Some(now);
 
         let mut event = ReceiveEvent {
@@ -394,14 +397,13 @@ impl<L: SyncState, R: SyncState> Transport<L, R> {
             remote_advanced: false,
         };
 
-        // The fragment copies what it needs; the payload buffer goes back
-        // to the scratch pool (the zero-allocation receive loop).
-        let fragment = Fragment::decode(&received.payload);
-        self.datagram.recycle(received.payload);
-        let Some(payload) = self.assembly.add(fragment?) else {
+        // The decrypted buffer travels up whole: the fragment, then the
+        // assembled instruction, then its diff.
+        let fragment = Fragment::decode(received.payload)?;
+        let Some(payload) = self.assembly.add(fragment) else {
             return Ok(event);
         };
-        let instruction = Instruction::decode(&payload)?;
+        let instruction = Instruction::decode(payload)?;
 
         // Their ack prunes our sent-state list.
         self.sender.handle_ack(instruction.ack_num);
@@ -639,6 +641,54 @@ mod tests {
             }
         }
         assert_eq!(server.stats().datagrams_sent, twin.stats().datagrams_sent);
+    }
+
+    /// Snapshot bytes come from outside the process: counters restored
+    /// at their limit (the wire counters and the crypto session's decrypt
+    /// count) stay there through ticks, receives and a rejection.
+    #[test]
+    fn restored_counters_at_their_limit_saturate() {
+        let (mut client, mut server) = pair();
+        server.stats = TransportStats {
+            datagrams_sent: u64::MAX,
+            datagrams_received: u64::MAX,
+            datagrams_rejected: u64::MAX,
+        };
+        let mut bytes = Vec::new();
+        server.encode_into(&mut bytes);
+        // The decrypt count is the second varint after the 16 key bytes.
+        let mut r = Reader::new(&bytes[16..]);
+        r.varint();
+        let at = bytes.len() - r.remaining();
+        r.varint();
+        let end = bytes.len() - r.remaining();
+        let mut max = Vec::new();
+        put_varint(&mut max, u64::MAX);
+        bytes.splice(at..end, max);
+        let mut server = T::decode(&mut Reader::new(&bytes), Direction::ToClient).expect("decodes");
+        assert_eq!(server.decrypt_count(), u64::MAX);
+
+        client.set_current_state(BlobState(b"up".to_vec()), 0);
+        server.set_current_state(BlobState(b"down".to_vec()), 0);
+        let now = converge(&mut client, &mut server, 0, 400);
+        assert!(server.receive(now, &[0; 40]).is_err());
+        assert_eq!(
+            (
+                server.remote_state().0.as_slice(),
+                client.remote_state().0.as_slice()
+            ),
+            (&b"up"[..], &b"down"[..])
+        );
+        let st = server.stats();
+        assert_eq!(
+            [
+                st.datagrams_sent,
+                st.datagrams_received,
+                st.datagrams_rejected
+            ],
+            [u64::MAX; 3]
+        );
+        assert_eq!(server.decrypt_count(), u64::MAX);
     }
 
     #[test]

@@ -157,7 +157,7 @@ fn an_authentic_throwaway_past_every_state_changes_nothing() {
     };
     let mut sealer = DatagramLayer::new(Base64Key::from_bytes([7; 16]), Direction::ToServer);
     sealer.skip_seq_to(client.next_seq());
-    let wire = sealer.encode_many(20, &[&fragment.encode()]).remove(0);
+    let wire = sealer.seal(20, &fragment.encode());
     assert!(server.receive(21, &wire).is_ok(), "an authentic datagram");
     assert_eq!(server.stats().datagrams_received, 2);
     assert_eq!(server.remote_state_num(), held);
