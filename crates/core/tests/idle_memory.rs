@@ -3,17 +3,18 @@
 //! A Mosh server keeps state, not connections, for many mostly idle
 //! clients, so what an idle session holds resident is a cost paid once
 //! per session by every server. Most of it is the screen: an idle
-//! shell's 80x24 screen is a prompt over 23 blank rows, and each screen's
-//! blank rows share one row of cells, as Mosh's own framebuffer's do. A
-//! counting global allocator tracks the bytes this thread holds (asked
-//! for, less those given back) and pins what a fresh server and a
-//! connected client/server pair hold.
+//! shell's 80x24 screen is a prompt over 23 blank rows, and the blank
+//! rows of every screen on a thread share one row of cells. A counting
+//! global allocator tracks the bytes this thread holds (asked for, less
+//! those given back) and pins what a fresh server and a connected
+//! client/server pair hold, and how large the endpoints are inline.
 //!
 //! Its own test binary, because a `#[global_allocator]` is per binary.
 //! The count is thread-local, so the harness running these tests on
 //! parallel threads does not mix them.
 
 use mosh_core::{LineShell, MoshClient, MoshServer, Party, SessionLoop};
+use mosh_crypto::session::Session;
 use mosh_crypto::Base64Key;
 use mosh_net::{Addr, LinkConfig, Network, Side, SimChannel};
 use mosh_prediction::DisplayPreference;
@@ -76,11 +77,35 @@ fn key() -> Base64Key {
     Base64Key::from_bytes([7; 16])
 }
 
+/// Makes this thread's blank 80-column row, which every later screen of
+/// that width shares, so a count does not depend on which test ran first
+/// on the thread.
+fn warm() {
+    drop(MoshServer::new(key(), Box::new(LineShell::new())));
+}
+
+#[test]
+fn endpoints_are_small_inline() {
+    // 1 512, 2 464 and 2 176 bytes while the crypto context held the
+    // bitsliced AES schedules inline on every host; 640, 1 600 and 1 296
+    // with them boxed.
+    let sizes = [
+        ("Session", size_of::<Session>(), 768),
+        ("MoshServer", size_of::<MoshServer>(), 1_664),
+        ("MoshClient", size_of::<MoshClient>(), 1_344),
+    ];
+    for (name, size, max) in sizes {
+        assert!(size <= max, "size_of::<{name}>() is {size} bytes");
+    }
+}
+
 #[test]
 fn a_fresh_shell_server_holds_little() {
     // 25 736 bytes while every row of the screen had cells of its own;
-    // 2 736 with its blank rows sharing one.
-    const MAX: isize = 8 * 1024;
+    // 2 736 with its blank rows sharing one; 1 096 with every screen on
+    // the thread sharing one and a 40-entry OCB table cut to 13.
+    const MAX: isize = 2 * 1024;
+    warm();
     let before = live();
     let server = MoshServer::new(key(), Box::new(LineShell::new()));
     let held = live() - before;
@@ -91,8 +116,11 @@ fn a_fresh_shell_server_holds_little() {
 #[test]
 fn a_connected_pair_holds_little_once_the_prompt_has_arrived() {
     // 57 548 bytes while every row of the two screens had cells of its
-    // own; 11 548 with each screen's blank rows sharing one.
-    const MAX: isize = 20 * 1024;
+    // own; 11 548 with each screen's blank rows sharing one; 5 992 with
+    // the thread's screens sharing one, the OCB tables cut to 13 entries
+    // and the state lists at their high-water mark.
+    const MAX: isize = 8 * 1024;
+    warm();
     let before = live();
     let mut client = MoshClient::new(key(), S, 80, 24, DisplayPreference::Adaptive);
     let mut server = MoshServer::new(key(), Box::new(LineShell::new()));

@@ -183,9 +183,9 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> ([[u8; 16]; ROUND_KEYS], [[u8; 16]; 
 
 /// Which implementation an [`Aes128`] key dispatches to — decided once
 /// at key expansion, so block calls never re-detect CPU features.
-// The `Ni` round-key schedules dominate the size, but a `Backend` lives
-// for a whole session and is read on every block call — boxing it would
-// trade a one-time 352-byte footprint for a pointer chase per call.
+// Every session pays for a `Backend`. The `Ni` schedules (352 B), read
+// on every block call, stay inline; the bitsliced ones (1 408 B) are
+// boxed, a pointer chase that is noise next to a bitsliced block.
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone)]
 enum Backend {
@@ -197,7 +197,7 @@ enum Backend {
         dk: [[u8; 16]; ROUND_KEYS],
     },
     /// The constant-time bitsliced software tier.
-    Ct(ct::Aes128),
+    Ct(Box<ct::Aes128>),
 }
 
 /// An expanded AES-128 key, ready to encrypt and decrypt blocks.
@@ -236,7 +236,16 @@ impl Aes128 {
             };
         }
         Aes128 {
-            backend: Backend::Ct(ct::Aes128::from_schedule(&ek, &dk)),
+            backend: Backend::Ct(Box::new(ct::Aes128::from_schedule(&ek, &dk))),
+        }
+    }
+
+    /// Expands a key onto the bitsliced backend whatever the CPU has, so
+    /// the tests run that arm of the dispatch on AES-NI hosts too.
+    #[cfg(test)]
+    pub(crate) fn software(key: &[u8; 16]) -> Self {
+        Aes128 {
+            backend: Backend::Ct(Box::new(ct::Aes128::new(key))),
         }
     }
 
@@ -315,6 +324,9 @@ mod tests {
         assert_eq!(base, ct);
         let sliced = ct::Aes128::new(&key).encrypt_block(&pt);
         assert_eq!(sliced, ct);
+        let boxed = Aes128::software(&key);
+        assert!(!boxed.hardware_accelerated());
+        assert_eq!(boxed.encrypt_block(&pt), ct);
     }
 
     #[test]
@@ -332,6 +344,9 @@ mod tests {
         let sliced = ct::Aes128::new(&key);
         assert_eq!(sliced.encrypt_block(&pt), ct_);
         assert_eq!(sliced.decrypt_block(&ct_), pt);
+        let boxed = Aes128::software(&key);
+        assert_eq!(boxed.encrypt_block(&pt), ct_);
+        assert_eq!(boxed.decrypt_block(&ct_), pt);
     }
 
     #[test]

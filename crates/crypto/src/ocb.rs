@@ -22,10 +22,13 @@ use crate::CryptoError;
 /// OCB3 tag length in bytes (TAGLEN128 parameter set).
 pub const TAG_LEN: usize = 16;
 
-/// XOR two blocks.
+/// XOR two blocks. Byte-wise, so the compiler keeps a block in one
+/// vector register. A `u128` XOR kept it in two 64-bit halves, stored
+/// as two halves for the AES-NI kernel's one 16-byte load, which the CPU
+/// cannot forward: sealing 1 KiB took 1.4 µs, not 0.4 µs (AES-NI Xeon).
 #[inline]
 fn xor(a: &Block, b: &Block) -> Block {
-    (u128::from_ne_bytes(*a) ^ u128::from_ne_bytes(*b)).to_ne_bytes()
+    std::array::from_fn(|i| a[i] ^ b[i])
 }
 
 /// Doubling in GF(2^128) per RFC 7253 §2: shift left one bit and reduce.
@@ -46,6 +49,11 @@ fn ntz(i: u64) -> usize {
     debug_assert!(i > 0);
     i.trailing_zeros() as usize
 }
+
+/// How many `L_i` an [`Ocb`] keeps: enough for every block index of a
+/// 64 KiB message (2^12 blocks, so `ntz` ≤ 12), the largest datagram a
+/// session is handed.
+const L_TABLE: usize = 13;
 
 /// An OCB3 encryption/decryption context bound to one AES-128 key.
 ///
@@ -72,9 +80,9 @@ pub struct Ocb<C: BlockCipher = Aes128> {
     l_star: Block,
     /// `L_$`: `double(L_*)`.
     l_dollar: Block,
-    /// `L_0, L_1, ...`: successive doublings of `L_$`, precomputed far beyond
-    /// any datagram-sized message (2^40 blocks).
-    l: Vec<Block>,
+    /// `L_0 .. L_12`: successive doublings of `L_$`. A longer message
+    /// doubles on from `L_12` (see `l_at`).
+    l: [Block; L_TABLE],
 }
 
 impl<C: BlockCipher> std::fmt::Debug for Ocb<C> {
@@ -98,11 +106,9 @@ impl<C: BlockCipher> Ocb<C> {
         let aes = C::new(key);
         let l_star = aes.encrypt_block(&[0u8; 16]);
         let l_dollar = double(&l_star);
-        let mut l = Vec::with_capacity(40);
-        let mut cur = double(&l_dollar);
-        for _ in 0..40 {
-            l.push(cur);
-            cur = double(&cur);
+        let mut l = [double(&l_dollar); L_TABLE];
+        for i in 1..L_TABLE {
+            l[i] = double(&l[i - 1]);
         }
         Ocb {
             aes,
@@ -112,10 +118,16 @@ impl<C: BlockCipher> Ocb<C> {
         }
     }
 
-    /// `L_{ntz(i)}` lookup for full-block processing.
+    /// `L_{ntz(i)}` for full-block processing: a table read, or past the
+    /// table's end, doublings of its last entry.
     #[inline]
-    fn l_at(&self, i: u64) -> &Block {
-        &self.l[ntz(i)]
+    fn l_at(&self, i: u64) -> Block {
+        let n = ntz(i);
+        let mut l = self.l[n.min(L_TABLE - 1)];
+        for _ in L_TABLE - 1..n {
+            l = double(&l);
+        }
+        l
     }
 
     /// The RFC 7253 `HASH` function over associated data.
@@ -124,7 +136,7 @@ impl<C: BlockCipher> Ocb<C> {
         let mut offset = [0u8; 16];
         let mut chunks = ad.chunks_exact(16);
         for (i, chunk) in chunks.by_ref().enumerate() {
-            offset = xor(&offset, self.l_at((i + 1) as u64));
+            offset = xor(&offset, &self.l_at((i + 1) as u64));
             let block: Block = chunk.try_into().expect("exact chunk");
             sum = xor(&sum, &self.aes.encrypt_block(&xor(&block, &offset)));
         }
@@ -187,7 +199,7 @@ impl<C: BlockCipher> Ocb<C> {
         let mut chunks = plaintext.chunks_exact(16);
         for (i, chunk) in chunks.by_ref().enumerate() {
             let block: Block = chunk.try_into().expect("exact chunk");
-            offset = xor(&offset, self.l_at((i + 1) as u64));
+            offset = xor(&offset, &self.l_at((i + 1) as u64));
             let c = xor(&offset, &self.aes.encrypt_block(&xor(&block, &offset)));
             out.extend_from_slice(&c);
             checksum = xor(&checksum, &block);
@@ -245,7 +257,7 @@ impl<C: BlockCipher> Ocb<C> {
         let mut chunks = ciphertext.chunks_exact(16);
         for (i, chunk) in chunks.by_ref().enumerate() {
             let block: Block = chunk.try_into().expect("exact chunk");
-            offset = xor(&offset, self.l_at((i + 1) as u64));
+            offset = xor(&offset, &self.l_at((i + 1) as u64));
             let p = xor(&offset, &self.aes.decrypt_block(&xor(&block, &offset)));
             out.extend_from_slice(&p);
             checksum = xor(&checksum, &p);
@@ -302,6 +314,25 @@ mod tests {
             .step_by(2)
             .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
             .collect()
+    }
+
+    /// The dispatched [`Aes128`] on its bitsliced backend, whatever the
+    /// host has.
+    #[derive(Clone)]
+    struct Software(Aes128);
+
+    impl BlockCipher for Software {
+        fn new(key: &[u8; 16]) -> Self {
+            Software(Aes128::software(key))
+        }
+
+        fn encrypt_block(&self, block: &Block) -> Block {
+            self.0.encrypt_block(block)
+        }
+
+        fn decrypt_block(&self, block: &Block) -> Block {
+            self.0.decrypt_block(block)
+        }
     }
 
     /// Key used by every RFC 7253 Appendix A sample.
@@ -608,6 +639,7 @@ mod tests {
         let ocb = Ocb::new(&key);
         let sliced: Ocb<ct::Aes128> = Ocb::with_cipher(&key);
         let slow: Ocb<baseline::Aes128> = Ocb::with_cipher(&key);
+        let boxed: Ocb<Software> = Ocb::with_cipher(&key);
         let mut sealed = Vec::new();
         let mut opened = Vec::new();
         for (nonce, ad, pt, expected) in RFC7253_VECTORS {
@@ -624,14 +656,20 @@ mod tests {
                 .unwrap_or_else(|e| panic!("open_into failed for nonce {nonce}: {e:?}"));
             assert_eq!(opened, hex(pt), "open_into mismatch for nonce {nonce}");
 
-            // ...and so does OCB over the bitsliced tier and the
-            // byte-oriented baseline cipher.
+            // ...and so does OCB over the bitsliced tier (bare, and as
+            // the dispatched cipher's boxed arm) and the byte-oriented
+            // baseline cipher.
             let (n, a, p) = (hex(nonce), hex(ad), hex(pt));
             for (tier, resealed, reopened) in [
                 (
                     "bitsliced",
                     sliced.seal(&n, &a, &p),
                     sliced.open(&n, &a, &sealed),
+                ),
+                (
+                    "dispatched bitsliced",
+                    boxed.seal(&n, &a, &p),
+                    boxed.open(&n, &a, &sealed),
                 ),
                 (
                     "baseline",
@@ -684,7 +722,35 @@ mod tests {
         let expected = hex("67E944D23256C5E0B6C61FA22FDF1EA2");
         assert_eq!(digest::<Aes128>(), expected, "dispatched");
         assert_eq!(digest::<ct::Aes128>(), expected, "bitsliced");
+        assert_eq!(digest::<Software>(), expected, "dispatched bitsliced");
         assert_eq!(digest::<baseline::Aes128>(), expected, "baseline");
+    }
+
+    #[test]
+    fn l_at_is_l0_doubled_ntz_times() {
+        let ocb = rfc_ocb();
+        let mut want = double(&double(&ocb.l_star));
+        for n in 0..64 {
+            // The lowest index with `n` trailing zeros, and another one.
+            let i = 1u64 << n;
+            assert_eq!(ocb.l_at(i), want, "ntz {n}");
+            assert_eq!(ocb.l_at(i | i << 1), want, "ntz {n}");
+            want = double(&want);
+        }
+    }
+
+    #[test]
+    fn a_message_past_the_l_table_round_trips() {
+        // 2^13 + 3 full blocks and a partial one: indices up to ntz 13,
+        // one past the table, in the plaintext and in the associated data.
+        let ocb = rfc_ocb();
+        let pt: Vec<u8> = (0..((1 << 13) + 3) * 16 + 5).map(|i| i as u8).collect();
+        let ad = &pt[..(1 << 13) * 16];
+        let sealed = ocb.seal(&[3u8; 12], ad, &pt);
+        assert_eq!(ocb.open(&[3u8; 12], ad, &sealed).unwrap(), pt);
+        let key: [u8; 16] = hex("000102030405060708090A0B0C0D0E0F").try_into().unwrap();
+        let slow: Ocb<baseline::Aes128> = Ocb::with_cipher(&key);
+        assert_eq!(slow.seal(&[3u8; 12], ad, &pt), sealed, "baseline agrees");
     }
 
     proptest! {

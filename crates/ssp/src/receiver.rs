@@ -156,6 +156,8 @@ impl<R: SyncState> Receiver<R> {
 
         let advanced = instruction.new_num > self.latest_num();
         let insert_at = self.states.partition_point(|s| s.num < instruction.new_num);
+        // Grows only to its high-water mark, as the sender's list does.
+        self.states.reserve_exact(1);
         self.states.insert(
             insert_at,
             TimestampedState {

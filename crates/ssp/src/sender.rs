@@ -561,6 +561,9 @@ impl<S: SyncState> Sender<S> {
             (back.num, SendKind::Retransmit)
         } else {
             let n = back.num + 1;
+            // Only to the high-water mark: an idle session keeps one or
+            // two states for good, and `drain` keeps a burst's capacity.
+            self.sent_states.reserve_exact(1);
             self.sent_states.push(TimestampedState {
                 num: n,
                 timestamp: now,

@@ -15,8 +15,8 @@
 
 use std::collections::VecDeque;
 
-use crate::cell::{Attrs, Cell, Color};
-use crate::grid::{blank_cell, blank_rows, MAX_DIMENSION};
+use crate::cell::{Attrs, Cell};
+use crate::grid::{blank_cell, blank_rows, shared_blank, MAX_DIMENSION};
 use crate::wirefmt::{get_attrs, get_char, put_attrs, put_char};
 use mosh_wire::{put_bool, put_bytes, put_varint, Reader};
 
@@ -985,11 +985,11 @@ fn decode_cursor(r: &mut Reader<'_>) -> Option<Cursor> {
     })
 }
 
-/// A screen's `height` rows of `width` cells, top to bottom; its blank
-/// rows share one storage. Each row takes at least one input byte, so
-/// the deque is sized once, and never past what the input can hold.
+/// A screen's `height` rows of `width` cells, top to bottom; blank ones
+/// share the thread's blank row. Each row takes at least one input byte,
+/// so the deque is sized once, and never past what the input can hold.
 fn decode_screen(r: &mut Reader<'_>, width: usize, height: usize) -> Option<VecDeque<Row>> {
-    let blank = Row::blank(width, Color::Default);
+    let blank = shared_blank(width);
     let mut rows = VecDeque::with_capacity(height.min(r.remaining()));
     for _ in 0..height {
         rows.push_back(Row::decode(r, &blank)?);
@@ -1014,6 +1014,7 @@ fn reshape(rows: &mut VecDeque<Row>, from: usize, width: usize, height: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cell::Color;
 
     #[test]
     fn new_framebuffer_is_blank() {
@@ -1454,6 +1455,45 @@ mod tests {
         assert!(blank_rows_shared_except(&alt, &[]));
         alt.reset();
         assert!(blank_rows_shared_except(&alt, &[]));
+    }
+
+    #[test]
+    fn fresh_screens_of_one_width_share_the_threads_blank_row() {
+        let a = Framebuffer::new(80, 24);
+        let mut b = Framebuffer::new(80, 3);
+        let mut bytes = Vec::new();
+        a.encode_into(&mut bytes);
+        let decoded = Framebuffer::decode(&mut Reader::new(&bytes)).unwrap();
+        assert!(Row::same_data(a.row(0), b.row(2)));
+        assert!(Row::same_data(a.row(0), decoded.row(23)));
+        assert!(!Row::same_data(a.row(0), Framebuffer::new(81, 24).row(0)));
+        // A write copies its own row only; the other screen is untouched.
+        b.move_to(1, 0);
+        b.print('x');
+        assert!(!Row::same_data(a.row(1), b.row(1)));
+        assert!(Row::same_data(a.row(1), b.row(0)));
+        assert!(Row::same_data(a.row(1), b.row(2)));
+        assert_eq!(a.to_text(), "");
+        assert_eq!(b.row_text(1), "x");
+    }
+
+    #[test]
+    fn the_differ_skips_rows_shared_across_screens_as_the_oracle_compares_them() {
+        // Two sessions' screens: every pair of blank rows shares storage,
+        // and the written rows do not.
+        let mut last = Framebuffer::new(20, 6);
+        let mut target = Framebuffer::new(20, 6);
+        last.move_to(2, 0);
+        last.print('a');
+        target.move_to(4, 3);
+        target.print('b');
+        target.scroll_up(1);
+        let mut fast = String::new();
+        for initialized in [false, true] {
+            crate::display::new_frame_into(initialized, &last, &target, &mut fast);
+            let oracle = crate::display::new_frame_full_scan(initialized, &last, &target);
+            assert_eq!(fast, oracle, "initialized: {initialized}");
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! comparing a frame with a clone of itself costs one pointer compare per
 //! row. Rows that share no storage still compare cell by cell.
 //!
-//! Blank rows share storage too, as in Mosh's own `Framebuffer`: a new
-//! screen is one blank row held `height` times, so an idle shell's screen
-//! costs one row of cells plus the rows it has written, and a row is
-//! copied only when something is written into it.
+//! Blank rows share storage too, as in Mosh's own `Framebuffer`: every new
+//! screen of one width on a thread holds the thread's one blank row
+//! `height` times, so an idle shell's screen costs the rows it has
+//! written, and a row is copied only when something is written into it.
 //!
 //! A scroll discards the row it pushes out of its region (the top row of
 //! the screen on a full-screen scroll) and builds its blank row in that
@@ -21,6 +21,7 @@
 //! shared row stays with its sharers: the scroll keeps its handle when it
 //! is already the blank wanted, and allocates a new row otherwise.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::cell::{Attrs, Cell, Color};
@@ -49,10 +50,30 @@ pub(crate) fn blank_cell(bg: Color) -> Cell {
     })
 }
 
-/// `n` handles to one blank row: the first write to any of them copies
-/// that row's cells, and the rest stay shared.
+thread_local! {
+    /// The last blank row [`shared_blank`] made on this thread.
+    static BLANK: RefCell<Option<Row>> = const { RefCell::new(None) };
+}
+
+/// A handle to this thread's blank row of default cells `width` wide,
+/// shared by every screen of that width the thread makes. During thread
+/// teardown it is a fresh [`Row::blank`].
+pub(crate) fn shared_blank(width: usize) -> Row {
+    BLANK
+        .try_with(|b| {
+            let mut b = b.borrow_mut();
+            match &*b {
+                Some(row) if row.cells().len() == width => row.clone(),
+                _ => b.insert(Row::blank(width, Color::Default)).clone(),
+            }
+        })
+        .unwrap_or_else(|_| Row::blank(width, Color::Default))
+}
+
+/// `n` handles to the thread's blank row: the first write to any of them
+/// copies that row's cells, and the rest stay shared.
 pub(crate) fn blank_rows(width: usize, n: usize) -> impl Iterator<Item = Row> {
-    std::iter::repeat_n(Row::blank(width, Color::Default), n)
+    std::iter::repeat_n(shared_blank(width), n)
 }
 
 impl Row {

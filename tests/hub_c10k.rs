@@ -13,7 +13,9 @@
 //!
 //! Session count defaults low enough for debug-profile CI tier-1; the
 //! dedicated CI step raises it via `MOSH_C10K_SESSIONS=10000` on the
-//! release profile.
+//! release profile. Under `--nocapture` the test prints the bytes an idle
+//! session keeps resident: the growth of the process's `VmRSS` over the
+//! fleet, divided by its size.
 
 use mosh::core::{HubSession, LineShell, MoshClient, MoshServer, Party, SessionLoop, ShardedHub};
 use mosh::crypto::Base64Key;
@@ -27,6 +29,14 @@ fn key(i: usize) -> Base64Key {
     bytes[..4].copy_from_slice(&(i as u32).to_le_bytes());
     bytes[15] = 0xc1;
     Base64Key::from_bytes(bytes)
+}
+
+/// This process's resident set in kB: `VmRSS` in `/proc/self/status`,
+/// `None` where the system has no such file.
+fn rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 fn session_count() -> usize {
@@ -48,6 +58,7 @@ fn mostly_idle_fleet_serves_its_live_sessions() {
 
     // The whole fleet registers up front; only the first LIVE ever hear
     // from a client.
+    let rss_before = rss_kb();
     let mut sids = Vec::with_capacity(total);
     let mut servers: Vec<MoshServer> = Vec::with_capacity(total);
     for i in 0..total {
@@ -112,6 +123,16 @@ fn mostly_idle_fleet_serves_its_live_sessions() {
     for c in clients {
         let (i, row) = c.join().expect("client thread");
         assert_eq!(row, format!("$ {}", (b'a' + i as u8) as char));
+    }
+    if let (Some(before), Some(after)) = (rss_before, rss_kb()) {
+        let grown = after.saturating_sub(before);
+        println!(
+            "idle fleet: {} B resident per session: VmRSS +{grown} kB over {total} \
+             sessions, from before they registered to after the run. It counts \
+             the server ends (each MoshServer and its hub slot) and \
+             what the {LIVE} in-process loopback clients left behind.",
+            grown * 1024 / total as u64
+        );
     }
 
     let stats = hub.stats();
